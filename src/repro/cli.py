@@ -262,11 +262,12 @@ def _async_args(args, mode: str):
     """Resolve (backend, staleness, config) for a single-job subcommand.
 
     Nonzero staleness needs the online tablet store for its continuous
-    publish/consume path, so the async configurations get
-    ``state_store="online"`` in place of the default DFS.
+    publish/consume path, so the async configurations get a
+    single-tablet ``OnlineStateStore`` in place of the default DFS.
     ``--speculate`` also forces an explicit config (the default one has
     speculation off).
     """
+    from repro.cluster.statestore import OnlineStateStore
     from repro.core import DriverConfig
 
     staleness = _parse_staleness(args.staleness)
@@ -274,8 +275,9 @@ def _async_args(args, mode: str):
     use_async = args.backend == "async" or staleness != 0
     cfg = None
     if use_async:
-        cfg = DriverConfig(mode=mode, state_store="online",
-                           speculate=speculate)
+        cfg = DriverConfig(
+            mode=mode, speculate=speculate,
+            state_store=lambda: OnlineStateStore(num_tablets=1))
     elif speculate:
         cfg = DriverConfig(mode=mode, speculate=True)
     return args.backend, staleness, cfg

@@ -29,11 +29,9 @@ fraction a multi-job scheduler granted the calling job — so sessions
 whose jobs contend on one store see per-job throughput shrink with
 their share (see :class:`~repro.cluster.accountant.RoundAccountant`).
 
-:func:`resolve_state_store` maps the legacy ``DriverConfig``
-``"dfs"``/``"online"`` strings onto equivalent backends (``"online"`` is
-a *single* tablet — charge-for-charge identical to the old scalar
-path); new code passes a :class:`StateStore` instance or factory
-directly and gets the partitioned behaviour.
+:func:`resolve_state_store` turns a ``DriverConfig.state_store`` value
+— the default ``"dfs"``, a :class:`StateStore` instance or a factory —
+into a store bound to the cluster.
 """
 
 from __future__ import annotations
@@ -635,21 +633,17 @@ def resolve_state_store(spec, cluster: "SimCluster | None") -> StateStore:
 
     ``spec`` may be a :class:`StateStore` instance (bound and returned
     as-is — sharing one instance across jobs is how a session makes
-    them contend on the same tablets), a zero-argument factory, or a
-    legacy string: ``"dfs"`` maps to :class:`DFSStateStore` and
-    ``"online"`` to a **single-tablet** :class:`OnlineStateStore`, both
-    charge-for-charge identical to the historical scalar path.
+    them contend on the same tablets), a zero-argument factory, or the
+    default ``"dfs"`` (a fresh :class:`DFSStateStore`).
     """
     if isinstance(spec, StateStore):
         return spec.bind(cluster)
     if isinstance(spec, str):
         if spec == "dfs":
             return DFSStateStore().bind(cluster)
-        if spec == "online":
-            return OnlineStateStore(num_tablets=1).bind(cluster)
         raise ValueError(
-            f"state_store must be 'dfs', 'online', a StateStore instance "
-            f"or a factory, got {spec!r}")
+            f"state_store must be 'dfs', a StateStore instance or a "
+            f"factory, got {spec!r}")
     if callable(spec):
         store = spec()
         if not isinstance(store, StateStore):
@@ -658,5 +652,5 @@ def resolve_state_store(spec, cluster: "SimCluster | None") -> StateStore:
                 f"got {type(store).__name__}")
         return store.bind(cluster)
     raise TypeError(
-        f"state_store must be 'dfs', 'online', a StateStore instance or "
-        f"a factory, got {type(spec).__name__}")
+        f"state_store must be 'dfs', a StateStore instance or a "
+        f"factory, got {type(spec).__name__}")

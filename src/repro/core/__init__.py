@@ -27,8 +27,6 @@ Public surface:
   :data:`~repro.core.config.EAGER` (partial sync + eager scheduling).
 * Convergence criteria (inf-norm, unchanged, centroid-shift with
   oscillation detection) in :mod:`repro.core.convergence`.
-* Deprecated: the single-job ``run_iterative_{kv,block,hierarchical}``
-  entry points, now warning shims over a throwaway single-job session.
 """
 
 from repro.core.api import AsyncMapReduceSpec, BlockSpec, LocalSolveReport
@@ -47,18 +45,13 @@ from repro.core.convergence import (
     UnchangedCriterion,
     combine_any,
 )
-from repro.core.driver import run_iterative_block, run_iterative_kv
 from repro.core.emitter import (
     GlobalReduceContext,
     LocalMapContext,
     LocalReduceContext,
 )
 from repro.core.gmap import GmapFunction, GreduceFunction
-from repro.core.hierarchy import (
-    HierarchyConfig,
-    make_racks,
-    run_iterative_hierarchical,
-)
+from repro.core.hierarchy import HierarchyConfig, make_racks
 from repro.core.state import DenseKVState
 from repro.core.jobsched import (
     FairSharePolicy,
@@ -120,9 +113,6 @@ __all__ = [
     "RoundOutcome",
     "IterativeResult",
     "RoundRecord",
-    "run_iterative_kv",
-    "run_iterative_block",
-    "run_iterative_hierarchical",
     "HierarchyConfig",
     "make_racks",
     "autotune_partitions",

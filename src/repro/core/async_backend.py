@@ -216,8 +216,8 @@ class AsyncBackend(BlockBackend):
             if not isinstance(store, OnlineStateStore):
                 raise ValueError(
                     "no-barrier publish/consume needs an OnlineStateStore "
-                    f"(got {store.name!r}); set state_store='online' or "
-                    "pass an OnlineStateStore instance in the DriverConfig")
+                    f"(got {store.name!r}); pass an OnlineStateStore "
+                    "instance or factory as the DriverConfig's state_store")
 
     # -- round dispatch -------------------------------------------------
     def run_round(self, iteration: int, state: Any, *,

@@ -3,17 +3,14 @@
 ``DriverConfig.state_store`` selects where inter-round state
 round-trips (§VIII).  It accepts a
 :class:`~repro.cluster.statestore.StateStore` instance, a zero-argument
-factory returning one, or — as the legacy spelling — the strings
-``"dfs"`` / ``"online"``, which map to the charge-equivalent backends
-(:class:`~repro.cluster.statestore.DFSStateStore`, single-tablet
-:class:`~repro.cluster.statestore.OnlineStateStore`).  The ``"online"``
-string warns once per process; pass an ``OnlineStateStore`` directly to
-choose the tablet count and get the partitioned hot-tablet behaviour.
+factory returning one, or the default ``"dfs"``
+(:class:`~repro.cluster.statestore.DFSStateStore`, Hadoop's behaviour).
+Pass an :class:`~repro.cluster.statestore.OnlineStateStore` to choose a
+tablet count and get the partitioned hot-tablet behaviour.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -25,25 +22,6 @@ __all__ = ["DriverConfig", "GENERAL", "EAGER"]
 _MODES = ("general", "eager")
 _RATES = ("map", "local")
 _LINT_MODES = ("off", "warn", "strict")
-
-#: Process-wide flag so the legacy ``state_store="online"`` string warns
-#: exactly once (mirrors the ``run_iterative_*`` shim pattern).
-_WARNED_ONLINE_STRING = False
-
-
-def _warn_online_string() -> None:
-    global _WARNED_ONLINE_STRING
-    if _WARNED_ONLINE_STRING:
-        return
-    _WARNED_ONLINE_STRING = True
-    warnings.warn(
-        "DriverConfig(state_store='online') is deprecated; pass a "
-        "repro.cluster.statestore.OnlineStateStore instance (or factory) "
-        "to choose the tablet count — the string maps to a single-tablet "
-        "store for charge compatibility",
-        DeprecationWarning, stacklevel=4,
-    )
-
 
 @dataclass(frozen=True)
 class DriverConfig:
@@ -84,7 +62,7 @@ class DriverConfig:
     state_store:
         Where inter-iteration state round-trips (§VIII) — a
         :class:`~repro.cluster.statestore.StateStore` instance, a
-        zero-argument factory returning one, or a legacy string.
+        zero-argument factory returning one, or the default ``"dfs"``.
         Backends charge **per-partition** state bytes through the
         store: :class:`~repro.cluster.statestore.DFSStateStore` is
         Hadoop's behaviour (one replicated DFS file of the aggregate,
@@ -95,9 +73,7 @@ class DriverConfig:
         its hottest tablet, cheap per iteration but needing periodic
         checkpoints for fault tolerance.  Passing one *instance* to
         several jobs of a session makes them contend on the same
-        tablets.  The strings ``"dfs"`` / ``"online"`` remain for
-        compatibility and map to the charge-equivalent backends
-        (``"online"`` = one tablet; warns once per process).
+        tablets.
     checkpoint_every:
         With a non-durable store (the online store): take a full DFS
         checkpoint of the state every this many global iterations
@@ -155,19 +131,12 @@ class DriverConfig:
                 f"charge_local_ops_at must be one of {_RATES}, "
                 f"got {self.charge_local_ops_at!r}"
             )
-        if isinstance(self.state_store, str):
-            if self.state_store not in ("dfs", "online"):
-                raise ValueError(
-                    f"state_store must be 'dfs', 'online', a StateStore "
-                    f"instance or a factory, got {self.state_store!r}"
-                )
-            if self.state_store == "online":
-                _warn_online_string()
-        elif not (isinstance(self.state_store, StateStore)
-                  or callable(self.state_store)):
+        if not (self.state_store == "dfs"
+                or isinstance(self.state_store, StateStore)
+                or callable(self.state_store)):
             raise ValueError(
-                f"state_store must be 'dfs', 'online', a StateStore "
-                f"instance or a factory, got {self.state_store!r}"
+                f"state_store must be 'dfs', a StateStore instance or a "
+                f"factory, got {self.state_store!r}"
             )
         if self.checkpoint_every is not None:
             if (not isinstance(self.checkpoint_every, int)

@@ -6,10 +6,9 @@
     hierarchy of synchronizations."
 
 This module keeps the rack-level configuration
-(:class:`HierarchyConfig`), the rack grouping helper
-(:func:`make_racks`), and the historical entry point
-:func:`run_iterative_hierarchical` — now a thin shim over the unified
-iteration core's :class:`~repro.core.loop.HierarchicalBackend`, which
+(:class:`HierarchyConfig`) and the rack grouping helper
+(:func:`make_racks`) for the unified iteration core's
+:class:`~repro.core.loop.HierarchicalBackend`, which
 composes the block backend: the first inner round of local solves is
 the global job's map phase, each additional inner round is a cheap
 rack-local synchronization, and the final global synchronization
@@ -28,18 +27,8 @@ this is two nested block-Jacobi levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from repro.cluster import SimCluster
-from repro.core.api import BlockSpec
-from repro.core.config import DriverConfig
-from repro.core.loop import (
-    AdaptiveSyncPolicy,
-    HierarchicalBackend,
-    IterativeResult,
-)
-
-__all__ = ["HierarchyConfig", "make_racks", "run_iterative_hierarchical"]
+__all__ = ["HierarchyConfig", "make_racks"]
 
 
 @dataclass(frozen=True)
@@ -93,29 +82,3 @@ def make_racks(num_partitions: int, num_racks: int) -> "list[list[int]]":
     r = min(num_racks, num_partitions)
     bounds = [num_partitions * i // r for i in range(r + 1)]
     return [list(range(bounds[i], bounds[i + 1])) for i in range(r)]
-
-
-def run_iterative_hierarchical(
-    spec: BlockSpec,
-    config: DriverConfig,
-    racks: "Sequence[Sequence[int]]",
-    *,
-    hierarchy: "HierarchyConfig | None" = None,
-    cluster: "SimCluster | None" = None,
-    num_reduce_tasks: "int | None" = None,
-    sync_policy: "AdaptiveSyncPolicy | None" = None,
-) -> IterativeResult:
-    """Run the three-level scheme (local / rack / global) to convergence.
-
-    .. deprecated::
-        Use :meth:`repro.core.session.Session.submit` with a
-        :class:`~repro.core.loop.HierarchicalBackend`; see that class
-        for the per-round structure and charging.
-    """
-    from repro.core.driver import _deprecated, _run_single_job
-
-    _deprecated("run_iterative_hierarchical")
-    backend = HierarchicalBackend(spec, racks, hierarchy=hierarchy,
-                                  cluster=cluster,
-                                  num_reduce_tasks=num_reduce_tasks)
-    return _run_single_job(backend, config, sync_policy=sync_policy)

@@ -35,11 +35,7 @@ from the observed residual contraction.
 The loop is re-entrant at round granularity (``start``/``step``/
 ``finish``), which is what lets a multi-job
 :class:`~repro.core.session.Session` interleave many jobs' rounds on one
-shared cluster clock (:mod:`repro.core.jobsched`).  The historical
-entry points ``run_iterative_kv``, ``run_iterative_block`` and
-``run_iterative_hierarchical`` survive as deprecated shims over a
-single-job session (see :mod:`repro.core.driver` and
-:mod:`repro.core.hierarchy`).
+shared cluster clock (:mod:`repro.core.jobsched`).
 """
 
 from __future__ import annotations
@@ -261,9 +257,8 @@ class EngineBackend(IterationBackend):
     num_reducers:
         Reduce tasks per global iteration.
     eager_reduce:
-        Run each global iteration's job through the engine's streaming
-        pipeline (see :class:`~repro.engine.JobConf`); identical
-        results, overlapped shuffle.
+        Charge each global iteration's shuffle as overlapping its map
+        phase (see :class:`~repro.engine.JobConf`); identical results.
     columnar:
         Route each job through the engine's columnar shuffle fast path
         (typed batches, vectorised routing/grouping, map-side combiner

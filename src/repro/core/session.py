@@ -24,10 +24,6 @@ Each submission returns a :class:`~repro.core.jobsched.JobHandle` whose
 :class:`~repro.core.loop.IterativeResult` and whose contention metrics
 (queue wait, per-round slot shares, makespan) come from the shared
 timeline.
-
-The historical single-job entry points ``run_iterative_kv`` /
-``run_iterative_block`` / ``run_iterative_hierarchical`` are deprecated
-shims over a throwaway single-job session.
 """
 
 from __future__ import annotations
@@ -84,10 +80,9 @@ class Session:
         every job's inter-round state goes through — multi-job runs
         then contend on the same tablets, and the store's per-tablet
         load statistics aggregate across jobs.  ``None`` (default)
-        resolves each job's ``config.state_store``; legacy string specs
-        still share one store instance per session (``"dfs"`` jobs one
-        DFS store, ``"online"`` jobs one single-tablet online store),
-        while a config carrying an explicit instance/factory keeps it.
+        resolves each job's ``config.state_store``: jobs on the default
+        ``"dfs"`` share one DFS store per session, while a config
+        carrying an explicit instance/factory keeps it.
 
     Use as a context manager to release the runtime's worker pool::
 
@@ -109,25 +104,25 @@ class Session:
                 f"state_store must be a StateStore instance or None, "
                 f"got {type(state_store).__name__}")
         self.state_store = state_store
-        #: Legacy-string stores, one shared instance per spelling.
-        self._string_stores: "dict[str, StateStore]" = {}
+        #: The store jobs on the default ``"dfs"`` config share.
+        self._dfs_store: "StateStore | None" = None
 
     def _store_for(self, config: DriverConfig) -> StateStore:
         """The state store a submitted job charges through.
 
-        Explicit instances/factories in the job's config win; legacy
-        strings resolve to the session-level override (if any) or to one
-        session-shared instance per string, so every job submitted with
-        the default config contends on the same store.
+        Explicit instances/factories in the job's config win; the
+        default ``"dfs"`` resolves to the session-level override (if
+        any) or to one session-shared DFS store, so every job submitted
+        with the default config contends on the same store.
         """
         spec = config.state_store
         if not isinstance(spec, str):
             return resolve_state_store(spec, self.cluster)
         if self.state_store is not None:
             return self.state_store.bind(self.cluster)
-        if spec not in self._string_stores:
-            self._string_stores[spec] = resolve_state_store(spec, self.cluster)
-        return self._string_stores[spec]
+        if self._dfs_store is None:
+            self._dfs_store = resolve_state_store(spec, self.cluster)
+        return self._dfs_store
 
     # -- shared resources ----------------------------------------------
     @property

@@ -40,7 +40,6 @@ from repro.engine.partitioner import HashPartitioner, RangePartitioner, stable_h
 from repro.engine.runtime import JobFailedError, JobResult, MapReduceRuntime
 from repro.engine.scheduler import (
     ScheduleOutcome,
-    fifo_schedule,
     locality_schedule,
     lpt_schedule,
     speculative_schedule,
@@ -87,7 +86,6 @@ __all__ = [
     "ScheduleOutcome",
     "lpt_schedule",
     "submission_order_schedule",
-    "fifo_schedule",
     "locality_schedule",
     "speculative_schedule",
 ]

@@ -42,13 +42,13 @@ class JobConf:
     sort_keys: bool = True
     #: Human-readable job name for traces and errors.
     name: str = "job"
-    #: Run the job through the streaming pipeline (§V-B.2's eager
-    #: reduce-side consumption): failed task attempts are resubmitted
-    #: immediately instead of waiting for a per-attempt barrier, reduce
-    #: tasks launch the moment the shuffle buffer completes, and — with a
-    #: cluster attached — the shuffle transfer is modelled as overlapping
-    #: the map phase.  Output is byte-identical either way; only the
-    #: schedule (and the simulated time) changes.
+    #: Model §V-B.2's eager reduce-side consumption: with a cluster
+    #: attached, the shuffle transfer is charged as overlapping the map
+    #: phase (only the residual past the map makespan extends the
+    #: clock).  That charge is all the flag selects — every job runs
+    #: through the same task driver, which already streams map results
+    #: into the shuffle buffer and resubmits failed attempts at once;
+    #: the reduce phase starts when the buffer is sealed either way.
     eager_reduce: bool = False
     #: Allow the columnar fast path when map tasks emit typed batches
     #: (``ctx.emit_block``): vectorised routing/combining/grouping and

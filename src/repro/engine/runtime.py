@@ -1,37 +1,54 @@
-"""The MapReduce runtime: persistent executors, retries, time accounting.
+"""The MapReduce runtime: one task driver, persistent executors, retries.
 
 ``MapReduceRuntime.run(job, splits)`` executes the full map -> shuffle ->
 reduce pipeline and returns a :class:`JobResult` with outputs, merged
 counters, and (when a :class:`~repro.cluster.SimCluster` is attached) the
 simulated-time breakdown of the run.
 
-Three executors share identical semantics:
+Three executors share identical semantics — and one code path:
 
-* ``"serial"`` — in-process, single-threaded; the reference.
+* ``"serial"`` — in-process, single-threaded; the reference.  It is an
+  executor object too: ``submit`` runs the call inline and hands back a
+  finished ``Future``.
 * ``"threads"`` — a thread pool; map tasks that release the GIL (NumPy
   kernels) genuinely overlap.
 * ``"processes"`` — a process pool; requires picklable user functions.
 
+One driver, one attempt identity
+--------------------------------
+Every phase of every job on every executor runs through
+:meth:`MapReduceRuntime._run_phase`, an event loop over futures.  The
+paper recovers from failure by "re-scheduling failed computations on
+another running node" (§II), and that is the only mechanism here: each
+future is one :class:`Attempt` ``(task, kind, seq)`` of a task, and a
+retry (``primary`` again, after a failed attempt), a LATE speculative
+``backup`` and a node-death lineage ``replay`` are all just another
+attempt of the same task, spawned by the same function.  The integer a
+task runner sees — what :class:`~repro.engine.faults.FaultPlan`
+decisions and shared-memory segment names are keyed on — is
+:meth:`Attempt.number`: a task's primaries count ``0, 1, ...`` below
+``max_attempts``, its backups and replays share one sequence from
+``max_attempts`` up, so no two attempts of a task ever collide.  Every
+spawn is appended to a per-job ledger, and an aborted job unlinks
+exactly the segments those attempts could have parked.
+
 Pool lifecycle
 --------------
 The runtime owns **one long-lived worker pool**: it is created lazily on
-the first parallel batch and reused across phases, retry attempts, and
-jobs — an iterative driver running hundreds of tiny jobs pays the pool
-start-up cost once, not twice per global iteration.  Call :meth:`close`
-(or use the runtime as a context manager) to release the workers; a
-closed runtime transparently re-creates its pool on the next ``run``.
-``reuse_pool=False`` restores the historical pool-per-batch behaviour
-and exists for benchmarking the churn it used to cost.
+the first parallel phase and reused across phases, attempts, and jobs —
+an iterative driver running hundreds of tiny jobs pays the pool start-up
+cost once, not twice per global iteration.  Call :meth:`close` (or use
+the runtime as a context manager) to release the workers; a closed
+runtime transparently re-creates its pool on the next ``run``.
 
 Streaming shuffle
 -----------------
-Map results stream into an incremental
-:class:`~repro.engine.shuffle.ShuffleBuffer` as each task completes, so
-reducer tables are built concurrently with the map phase instead of
-after a full-list barrier.  With ``JobConf.eager_reduce`` set, the whole
-job additionally runs through an event-driven pipeline: failed attempts
-are resubmitted immediately (no per-attempt barrier) and reduce tasks
-launch the instant the buffer completes.
+All of a phase's tasks are submitted at once; a failed attempt is
+resubmitted the moment it is observed, and map results stream into an
+incremental :class:`~repro.engine.shuffle.ShuffleBuffer` as each task
+completes, so reducer tables are built concurrently with the map phase
+instead of after a full-list barrier.  The reduce phase starts once the
+buffer is sealed.
 
 Failed task attempts (see :mod:`repro.engine.faults`) are retried up to
 ``JobConf.max_attempts`` times by deterministic replay; because tasks are
@@ -43,8 +60,11 @@ that.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import math
+import os
 import time
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.cluster import SimCluster, SpeculationConfig, late_threshold
@@ -76,14 +96,70 @@ __all__ = ["JobResult", "MapReduceRuntime", "JobFailedError"]
 
 _EXECUTORS = ("serial", "threads", "processes")
 
-#: Replay attempts a single map task may take in one round (bounds the
-#: abort sweep's attempt-name probe; one per fire event, and a round
-#: has at most a handful of scripted deaths).
-_REPLAY_ATTEMPT_CAP = 8
-
 
 class JobFailedError(RuntimeError):
     """A task exhausted its attempts; the job cannot complete."""
+
+
+@dataclass(eq=False)
+class Attempt:
+    """One execution of one task — the driver's only attempt identity.
+
+    ``kind`` says why it was spawned: ``"primary"`` (the first try, and
+    every retry after a failed attempt), ``"backup"`` (a LATE
+    speculative twin racing a slow attempt) or ``"replay"`` (lineage
+    re-execution after a node death).  ``seq`` counts within the task:
+    primaries by the failures before them, backups and replays together
+    by spawn order.
+    """
+
+    task: int
+    kind: str
+    seq: int
+    future: "concurrent.futures.Future | None" = None
+    #: When the LATE monitor saw the attempt reach a worker; None while
+    #: it is queued behind older attempts (queue wait is not lateness).
+    started: "float | None" = None
+    #: Condemned by a node death that could not cancel it: it runs to
+    #: completion and whatever it produced is discarded.
+    doomed: bool = False
+
+    def number(self, max_attempts: int) -> int:
+        """The attempt integer the task runner sees.
+
+        Fault-plan decisions and shared-memory segment names are keyed
+        on it.  Primaries stay below ``max_attempts`` (a task fails at
+        most that many times); everything else counts up from there, so
+        no two attempts of a task share a number.
+        """
+        return self.seq if self.kind == "primary" else max_attempts + self.seq
+
+
+@dataclass
+class _TaskState:
+    """What the driver knows about one task of a phase."""
+
+    result: "TaskResult | None" = None
+    #: Failed attempts charged against ``max_attempts`` (= the next
+    #: primary's ``seq``).
+    failures: int = 0
+    #: Backups and replays spawned so far (= the next one's ``seq``).
+    extras: int = 0
+    #: In-flight attempts still racing for this task's result.
+    live: "list[Attempt]" = field(default_factory=list)
+
+
+class _InlineExecutor(concurrent.futures.Executor):
+    """The ``"serial"`` executor: ``submit`` runs the call and returns
+    an already-finished future, so the one driver serves it too."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        fut: concurrent.futures.Future = concurrent.futures.Future()
+        try:
+            fut.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
 
 
 class JobResult:
@@ -142,10 +218,6 @@ class MapReduceRuntime:
         counts), shuffle bytes, the barrier, and the DFS round trip.
     fault_plan:
         Failure injection plan applied to every job this runtime runs.
-    reuse_pool:
-        Keep one persistent worker pool for the runtime's lifetime
-        (default).  ``False`` re-creates the pool for every batch — the
-        pre-streaming behaviour, kept for churn benchmarks.
     shm_transport:
         Ship large columnar payloads through named shared-memory
         segments instead of pickling them through the result pipe (see
@@ -163,10 +235,14 @@ class MapReduceRuntime:
         estimate gets a *backup* attempt submitted to the pool; the
         first attempt to finish wins and the loser is cancelled (or its
         result — and any shared-memory segments it parked — discarded).
-        Tasks are pure functions of their split, so both attempts
-        produce identical output and first-result-wins is safe; the
-        serial executor has no idle workers to race on and ignores the
-        flag.
+        Lateness is measured from when an attempt reached a worker
+        (pools dispatch first-in first-out, so the oldest ``workers``
+        in-flight attempts are the running ones) against the durations
+        finished attempts measured worker-side; an attempt still waiting
+        in the queue is never late.  Tasks are pure functions of their
+        split, so both attempts produce identical output and
+        first-result-wins is safe; under the serial executor nothing is
+        ever in flight, so the flag has no effect.
     node_faults:
         Correlated-failure injection
         (:class:`~repro.engine.NodeFaultPlan`).  Map tasks are placed on
@@ -178,10 +254,11 @@ class MapReduceRuntime:
         results are discarded, shm segments unlinked — and (2)
         *invalidates* the domain's completed map outputs in the shuffle
         buffer, re-running the lost tasks: lineage-based replay, not
-        just retry.  Replay attempts take the namespace ``2 *
-        max_attempts + k`` so fault scripting, speculation backups, and
-        shm segment names never collide.  Needs a pool executor (the
-        serial path has no in-flight set to kill).
+        just retry.  A replay is one more :class:`Attempt` of the task
+        (numbered past ``max_attempts``, like a backup), so fault
+        scripting and shm segment names never collide with the
+        primaries'.  Needs a pool executor (serial attempts finish
+        inside ``submit``: there is no in-flight set to kill).
     """
 
     def __init__(
@@ -191,7 +268,6 @@ class MapReduceRuntime:
         workers: "int | None" = None,
         cluster: "SimCluster | None" = None,
         fault_plan: "FaultPlan | None" = None,
-        reuse_pool: bool = True,
         shm_transport: "bool | None" = None,
         shm_min_bytes: int = SHM_MIN_BYTES,
         speculate: "SpeculationConfig | bool | None" = None,
@@ -214,10 +290,9 @@ class MapReduceRuntime:
                                 if isinstance(speculate, SpeculationConfig)
                                 else SpeculationConfig())
         self.executor = executor
-        self.workers = workers
+        self.workers = workers if workers is not None else os.cpu_count() or 1
         self.cluster = cluster
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan.none()
-        self.reuse_pool = bool(reuse_pool)
         self.shm_transport = (executor == "processes" if shm_transport is None
                               else bool(shm_transport))
         self.shm_min_bytes = int(shm_min_bytes)
@@ -270,50 +345,37 @@ class MapReduceRuntime:
         except Exception:
             pass
 
-    def _acquire_pool(self) -> "tuple[concurrent.futures.Executor, bool]":
-        """Return ``(pool, transient)``; transient pools are shut down by
-        the caller after one batch (the ``reuse_pool=False`` mode)."""
-        pool_cls = (
-            concurrent.futures.ThreadPoolExecutor
-            if self.executor == "threads"
-            else concurrent.futures.ProcessPoolExecutor
-        )
-        if not self.reuse_pool:
-            return pool_cls(max_workers=self.workers), True
+    def _acquire_pool(self) -> concurrent.futures.Executor:
+        """The executor attempts are submitted to (the pool is lazy)."""
+        if self.executor == "serial":
+            return _InlineExecutor()
         if self._pool is None:
+            pool_cls = (
+                concurrent.futures.ThreadPoolExecutor
+                if self.executor == "threads"
+                else concurrent.futures.ProcessPoolExecutor
+            )
             self._pool = pool_cls(max_workers=self.workers)
-        return self._pool, False
+        return self._pool
 
-    def _discard_if_broken(self, pool: "concurrent.futures.Executor",
-                           transient: bool, exc: BaseException) -> None:
-        """Drop a persistent pool killed by a worker crash.
-
-        A dead worker (segfault, OOM-kill, ``os._exit`` in user code)
-        leaves the executor permanently broken; without this, every
-        later ``run()`` would keep failing with ``BrokenExecutor`` —
-        the pool-per-batch behaviour recovered for free, so the
-        persistent runtime must too.
-        """
-        if (isinstance(exc, concurrent.futures.BrokenExecutor)
-                and not transient and pool is self._pool):
-            pool.shutdown(wait=False)
-            self._pool = None
-
-    def _abort_batch(self, futures: "dict[concurrent.futures.Future, int]",
-                     pool: "concurrent.futures.Executor", transient: bool,
+    def _abort_phase(self, futures: "dict[concurrent.futures.Future, Attempt]",
                      exc: BaseException) -> None:
-        """Common error-path cleanup: cancel what hasn't started, wait
-        out what has, drop a pool the error has broken (the caller
-        re-raises)."""
+        """Error-path cleanup: cancel what hasn't started, wait out what
+        has, drop a pool the error has broken (the caller re-raises)."""
         for fut in futures:
             fut.cancel()
         # A running attempt (e.g. a stalled primary whose backup is
         # racing) cannot be cancelled and keeps parking segments; the
         # abort sweep must not run until no task of this job can still
         # write.  Cancelled futures complete immediately.
-        if futures:
-            concurrent.futures.wait(list(futures))
-        self._discard_if_broken(pool, transient, exc)
+        concurrent.futures.wait(futures)
+        # A dead worker (segfault, OOM-kill, ``os._exit`` in user code)
+        # leaves the executor permanently broken; keeping it would fail
+        # every later ``run()`` with ``BrokenExecutor``.
+        if (isinstance(exc, concurrent.futures.BrokenExecutor)
+                and self._pool is not None):
+            self._pool.shutdown(wait=False)
+            self._pool = None
 
     # ------------------------------------------------------------------
     def run(self, job: Job, splits: "Sequence[Sequence[tuple[Any, Any]]]", *,
@@ -368,19 +430,9 @@ class MapReduceRuntime:
                                        self.shm_min_bytes)
             if reduce_fn is not job.reduce_fn:
                 self.segments.adopt(f"{shm_prefix}rf")
-        # Event-driven pipeline only helps when there is a pool to keep
-        # busy; the serial executor runs the classic batch loop either
-        # way.  Speculation needs the event loop too (backups launch
-        # from progress checks between completions), so it forces the
-        # streaming path on pool executors even without eager_reduce —
-        # and so does a round with scripted node deaths (the kill /
-        # invalidate / replay machinery lives in the event loop).
-        run_phase = (
-            self._run_tasks_streaming
-            if (conf.eager_reduce or self.speculation is not None or deaths)
-            and self.executor != "serial"
-            else self._run_tasks
-        )
+        #: (phase, task, attempt number) of every attempt spawned — what
+        #: the abort path below sweeps.
+        spawned: "list[tuple[str, int, int]]" = []
         death_stats = {"node_deaths": 0, "lost_map_outputs": 0,
                        "killed_in_flight": 0, "lost_ops": 0}
 
@@ -393,7 +445,7 @@ class MapReduceRuntime:
             buffer.add(i, res.data)
 
         try:
-            map_results = run_phase(
+            map_results = self._run_phase(
                 phase="map",
                 count=len(splits),
                 make_args=lambda i, attempt: (
@@ -405,8 +457,9 @@ class MapReduceRuntime:
                 runner=run_map_task,
                 max_attempts=conf.max_attempts,
                 counters=counters,
+                spawned=spawned,
                 consume=consume_map,
-                deaths=deaths or None,
+                deaths=deaths,
                 round_index=round_index,
                 buffer=buffer,
                 death_stats=death_stats,
@@ -434,7 +487,7 @@ class MapReduceRuntime:
                     exported.append(ref)
                 grouped = exported
 
-            reduce_results = run_phase(
+            reduce_results = self._run_phase(
                 phase="reduce",
                 count=conf.num_reducers,
                 make_args=lambda i, attempt: (
@@ -445,6 +498,7 @@ class MapReduceRuntime:
                 runner=run_reduce_task,
                 max_attempts=conf.max_attempts,
                 counters=counters,
+                spawned=spawned,
             )
             output: "list | None" = None
             columnar_output: "ColumnarBlock | None" = None
@@ -465,21 +519,11 @@ class MapReduceRuntime:
                     output.extend(res.data)
         except BaseException:
             if shm:
-                # Abort path: completed-but-unconsumed sibling tasks may
-                # have parked segments whose refs never reached us; the
-                # deterministic name sweep reclaims every segment this
-                # job could possibly have created.
-                # Backup attempts park under attempt numbers offset by
-                # max_attempts, node-death replays under 2*max_attempts;
-                # widen the probe to whatever namespaces were live.
-                extra = conf.max_attempts if self.speculation is not None else 0
-                if deaths:
-                    extra = conf.max_attempts + _REPLAY_ATTEMPT_CAP
-                self.segments.sweep(
-                    shm_prefix, num_maps=len(splits),
-                    num_reducers=conf.num_reducers,
-                    max_attempts=conf.max_attempts,
-                    backup_attempts=extra)
+                # Abort path: completed-but-unconsumed attempts may have
+                # parked segments whose refs never reached us.  Names
+                # are a function of the attempt, so the spawn ledger
+                # says exactly which ones can exist.
+                self.segments.sweep(shm_prefix, spawned, conf.num_reducers)
             raise
         finally:
             if shm:
@@ -493,46 +537,6 @@ class MapReduceRuntime:
                          output_nbytes=out_nbytes)
 
     # ------------------------------------------------------------------
-    def _run_tasks(self, *, phase: str, count: int, make_args, runner,
-                   max_attempts: int, counters: Counters,
-                   consume: "Callable[[int, TaskResult], None] | None" = None,
-                   deaths=None, round_index: int = 0, buffer=None,
-                   death_stats=None) -> "list[TaskResult]":
-        """Run ``count`` tasks with round-based retries; preserves order.
-
-        ``consume`` is invoked with each successful result *as it
-        completes* (not after the batch), so shuffle grouping overlaps
-        the map phase even on this barrier path.  Node deaths always
-        route through the streaming path, so the death kwargs are
-        accepted (uniform call sites) but must be empty here.
-        """
-        assert not deaths, "node deaths require the streaming path"
-        results: "list[TaskResult | None]" = [None] * count
-        pending = list(range(count))
-        attempt = 0
-        while pending:
-            if attempt >= max_attempts:
-                raise JobFailedError(
-                    f"{phase} tasks {pending} failed {max_attempts} attempts"
-                )
-            failed: list[int] = []
-            outcomes = self._execute_batch(
-                [(i, make_args(i, attempt)) for i in pending], runner,
-                consume=consume,
-            )
-            for i, outcome in outcomes:
-                if isinstance(outcome, SimulatedTaskFailure):
-                    failed.append(i)
-                    counters.incr(TASK_RETRIES)
-                elif isinstance(outcome, BaseException):
-                    raise outcome
-                else:
-                    results[i] = outcome
-            pending = failed
-            attempt += 1
-        assert all(r is not None for r in results)
-        return results  # type: ignore[return-value]
-
     @staticmethod
     def _discard_result(res: TaskResult) -> None:
         """Throw away a losing attempt's output, unlinking any segments
@@ -543,273 +547,187 @@ class MapReduceRuntime:
             if isinstance(ref, ShmBlockRef):
                 _unlink_quietly(ref.name)
 
-    def _run_tasks_streaming(self, *, phase: str, count: int, make_args,
-                             runner, max_attempts: int, counters: Counters,
-                             consume: "Callable[[int, TaskResult], None] | None" = None,
-                             deaths=None, round_index: int = 0, buffer=None,
-                             death_stats=None) -> "list[TaskResult]":
-        """Event-driven task execution: no per-attempt barrier.
+    def _run_phase(self, *, phase: str, count: int, make_args, runner,
+                   max_attempts: int, counters: Counters,
+                   spawned: "list[tuple[str, int, int]]",
+                   consume: "Callable[[int, TaskResult], None] | None" = None,
+                   deaths=None, round_index: int = 0, buffer=None,
+                   death_stats=None) -> "list[TaskResult]":
+        """The task driver: run ``count`` tasks to one result each.
 
-        All tasks are submitted to the persistent pool at once; a failed
-        attempt is resubmitted the moment it is observed, while its
-        siblings keep running.  Successful results are handed to
-        ``consume`` in completion order (the shuffle buffer restores map
-        order internally).
+        Every task gets a primary attempt up front; from then on the
+        loop reacts to completions, and each policy only decides *when
+        to spawn another attempt* of a task:
 
-        With speculation enabled, the wait loop doubles as the LATE
-        progress monitor: completed attempts feed a per-phase duration
-        estimate, and an in-flight task whose elapsed time exceeds
-        ``slowdown_threshold`` x the ``percentile`` estimate gets one
-        backup attempt (attempt number offset by ``max_attempts`` so its
-        retry namespace — fault-plan decisions, shm segment names — is
-        disjoint from the primary's).  The first attempt to succeed
-        wins; the twin is cancelled if still queued, or its completed
-        result discarded and its segments unlinked.  Task runners are
-        pure functions of their split, so the winner's bytes are the
-        same either way.
+        * **retry** — a failed attempt is followed by the next primary
+          the moment the failure is observed (no per-attempt barrier),
+          until the task has failed ``max_attempts`` times;
+        * **speculate** — the wait doubles as the LATE monitor: a
+          running attempt whose elapsed time exceeds
+          ``slowdown_threshold`` x the ``percentile`` of finished
+          attempts' durations gets one backup, and the first attempt to
+          succeed wins (the twin is cancelled if still queued, else its
+          result is discarded and its segments unlinked);
+        * **replay** — with a ``deaths`` map (node ->
+          :class:`NodeDeath`, map phase only) task ``i`` lives on
+          notional node ``i % num_nodes``; once the completed count
+          reaches a death's ``after_completions`` the node's whole
+          domain dies at once: in-flight attempts are cancelled
+          (un-cancellable ones become *doomed*), completed outputs are
+          invalidated in the defer-merge shuffle ``buffer``, and every
+          affected task is replayed, notionally on a surviving node (a
+          node dies at most once per round).
 
-        With a ``deaths`` map (node -> :class:`NodeDeath`, map phase
-        only) the loop additionally plays the correlated-failure
-        scenario: task ``i`` lives on notional node ``i % num_nodes``;
-        once the completed count reaches a death's ``after_completions``
-        the node's whole domain dies at once — in-flight attempts are
-        cancelled (un-cancellable ones become *doomed*: they finish and
-        are discarded), completed outputs are invalidated in the
-        defer-merge shuffle ``buffer``, and every affected task is
-        resubmitted as a replay attempt in the ``2 * max_attempts + k``
-        namespace, notionally placed on a surviving node (replays are
-        never re-killed).
+        Task runners are pure functions of their split, so whichever
+        attempt wins, the bytes are the same.  Successful results are
+        handed to ``consume`` in completion order (the shuffle buffer
+        restores map order internally); the returned list is in task
+        order.
         """
-        results: "list[TaskResult | None]" = [None] * count
-        if count == 0:
-            return []
+        tasks = [_TaskState() for _ in range(count)]
         spec = self.speculation
-        attempts = [0] * count
-        exhausted = [False] * count  # primary retries used up, twin in flight
-        has_backup = [False] * count
-        task_futs: "list[set[concurrent.futures.Future]]" = [
-            set() for _ in range(count)]
-        is_backup: "dict[concurrent.futures.Future, bool]" = {}
-        submit_time: "dict[concurrent.futures.Future, float]" = {}
+        pool = self._acquire_pool()
+        #: In-flight attempts, oldest submission first.
+        futures: "dict[concurrent.futures.Future, Attempt]" = {}
         durations: "list[float]" = []
-        pool, transient = self._acquire_pool()
-        futures: "dict[concurrent.futures.Future, int]" = {}
-        # Correlated-failure state: deaths pending this round, attempts
-        # condemned by a fired death (completing only to be discarded),
-        # per-task replay sequence numbers, and the completion tally the
-        # triggers watch.
-        pending_deaths = dict(deaths) if deaths else {}
+        pending_deaths = dict(deaths or {})
         num_nodes = self.node_faults.num_nodes
-        doomed: "set[concurrent.futures.Future]" = set()
-        replay_seq = [0] * count
         completed = 0
 
-        def submit(i: int, attempt: int, *, backup: bool = False) -> None:
-            fut = pool.submit(runner, *make_args(i, attempt))
-            futures[fut] = i
-            task_futs[i].add(fut)
-            is_backup[fut] = backup
-            submit_time[fut] = time.monotonic()
+        def spawn(i: int, kind: str) -> None:
+            task = tasks[i]
+            att = Attempt(i, kind, task.failures if kind == "primary"
+                          else task.extras)
+            if kind != "primary":
+                task.extras += 1
+            number = att.number(max_attempts)
+            spawned.append((phase, i, number))
+            att.future = pool.submit(runner, *make_args(i, number))
+            futures[att.future] = att
+            task.live.append(att)
 
-        def forget(fut: "concurrent.futures.Future", i: int) -> None:
-            task_futs[i].discard(fut)
-            is_backup.pop(fut, None)
-            submit_time.pop(fut, None)
+        def cancel(att: Attempt) -> bool:
+            """Withdraw a still-queued attempt; False if it is running."""
+            if not att.future.cancel():
+                return False
+            del futures[att.future]
+            tasks[att.task].live.remove(att)
+            return True
 
         def fire_deaths() -> None:
             """Kill every node whose completion trigger has been met."""
-            due = [d for d in pending_deaths.values()
-                   if completed >= d.after_completions]
-            if not due:
+            dead_nodes = {d.node for d in pending_deaths.values()
+                          if completed >= d.after_completions}
+            if not dead_nodes:
                 return
-            dead_nodes = set()
-            for d in due:
-                pending_deaths.pop(d.node, None)
-                self._fired_deaths.add((round_index, d.node))
-                dead_nodes.add(d.node)
+            for node in dead_nodes:
+                del pending_deaths[node]
+                self._fired_deaths.add((round_index, node))
                 counters.incr(NODE_DEATHS)
                 death_stats["node_deaths"] += 1
-            for i in range(count):
+            for i, task in enumerate(tasks):
                 if i % num_nodes not in dead_nodes:
                     continue
-                if results[i] is not None:
+                if task.result is not None:
                     # Lineage loss: the node's completed map outputs
                     # (shuffle partitions) died with it.  Retract the
                     # contribution and re-run the task.
                     buffer.invalidate(i)
-                    death_stats["lost_ops"] += results[i].ops
+                    death_stats["lost_ops"] += task.result.ops
                     death_stats["lost_map_outputs"] += 1
                     counters.incr(LOST_MAP_OUTPUTS)
-                    results[i] = None
-                for fut in list(task_futs[i]):
+                    task.result = None
+                for att in list(task.live):
                     # In-flight attempts on the domain die with it.
-                    if fut.cancel():
-                        futures.pop(fut, None)
-                        forget(fut, i)
-                    else:
-                        doomed.add(fut)
+                    if not cancel(att):
+                        att.doomed = True
+                        task.live.remove(att)
                     death_stats["killed_in_flight"] += 1
-                has_backup[i] = False
-                replay = 2 * max_attempts + replay_seq[i]
-                replay_seq[i] += 1
-                if replay_seq[i] > _REPLAY_ATTEMPT_CAP:
-                    raise JobFailedError(
-                        f"{phase} task {i} replayed {replay_seq[i]} times")
-                submit(i, replay)
+                spawn(i, "replay")
+
+        def launch_late_backups() -> None:
+            """The LATE check over the attempts that hold a worker."""
+            now = time.monotonic()
+            # Pools dispatch first-in first-out, so the oldest
+            # ``workers`` in-flight attempts are the running ones.
+            running = list(itertools.islice(futures.values(), self.workers))
+            for att in running:
+                if att.started is None:
+                    att.started = now
+            if not durations or completed < math.ceil(
+                    spec.min_completed_fraction * count):
+                return
+            cut = late_threshold(durations,
+                                 slowdown_threshold=spec.slowdown_threshold,
+                                 percentile=spec.percentile)
+            for att in running:
+                task = tasks[att.task]
+                if (now - att.started > cut and att.kind != "backup"
+                        and not att.doomed and task.result is None
+                        and not any(a.kind == "backup" for a in task.live)):
+                    counters.incr(SPECULATIVE_BACKUPS)
+                    spawn(att.task, "backup")
 
         try:
             for i in range(count):
-                submit(i, 0)
-            if pending_deaths:
-                fire_deaths()  # after_completions=0: die at phase start
-            while futures:
-                # Completion-count death triggers only advance when a
-                # completion arrives, and completions wake the wait —
-                # so no extra polling beyond the LATE monitor's.
+                spawn(i, "primary")
+            while True:
+                if pending_deaths:
+                    fire_deaths()  # may spawn replays after the last result
+                if not futures:
+                    break
+                if spec is not None:
+                    launch_late_backups()
+                # Death triggers only advance when a completion arrives,
+                # and completions wake the wait — so no polling beyond
+                # the LATE monitor's.
                 done, _ = concurrent.futures.wait(
                     futures,
                     timeout=spec.check_interval if spec is not None else None,
                     return_when=concurrent.futures.FIRST_COMPLETED)
+                woke = time.monotonic()
                 for fut in done:
-                    i = futures.pop(fut)
-                    backup = is_backup.get(fut, False)
-                    started = submit_time.get(fut, 0.0)
-                    forget(fut, i)
-                    if fut in doomed:
-                        # Condemned by a node death that could not
-                        # cancel it: whatever it produced is orphaned.
-                        doomed.discard(fut)
-                        try:
-                            res = fut.result()
-                        except (concurrent.futures.CancelledError,
-                                SimulatedTaskFailure):
-                            pass
-                        else:
-                            self._discard_result(res)
-                        continue
+                    att = futures.pop(fut)
+                    task = tasks[att.task]
+                    if not att.doomed:
+                        task.live.remove(att)
+                    lost = att.doomed or task.result is not None
                     try:
                         res = fut.result()
-                    except concurrent.futures.CancelledError:
-                        continue  # the loser never started; nothing to undo
                     except SimulatedTaskFailure:
-                        if results[i] is not None:
-                            continue  # the twin already won
-                        if backup:
-                            # A failed backup just leaves the primary
-                            # racing alone; a fresh backup may relaunch.
-                            has_backup[i] = False
-                            if exhausted[i] and not task_futs[i]:
-                                raise JobFailedError(
-                                    f"{phase} task {i} failed "
-                                    f"{max_attempts} attempts")
-                            continue
-                        counters.incr(TASK_RETRIES)
-                        attempts[i] += 1
-                        if attempts[i] >= max_attempts:
-                            if task_futs[i]:
-                                exhausted[i] = True  # backup may still win
-                                continue
+                        if lost:
+                            continue  # orphaned anyway / the twin won
+                        if att.kind != "backup":
+                            counters.incr(TASK_RETRIES)
+                            task.failures += 1
+                            if task.failures < max_attempts:
+                                spawn(att.task, "primary")
+                        # Out of attempts — unless a twin still races.
+                        if task.failures >= max_attempts and not task.live:
                             raise JobFailedError(
-                                f"{phase} task {i} failed {max_attempts} attempts"
-                            )
-                        submit(i, attempts[i])
-                    else:
-                        if results[i] is not None:
-                            # Completed loser: identical bytes, but its
-                            # segments are orphans — reclaim them.
-                            self._discard_result(res)
+                                f"{phase} task {att.task} failed "
+                                f"{max_attempts} attempts")
+                        continue
+                    if lost:
+                        # Identical bytes, but its segments are orphans.
+                        self._discard_result(res)
+                        if not att.doomed:
                             counters.incr(SPECULATIVE_WASTED_TASKS)
-                            continue
-                        results[i] = res
-                        completed += 1
-                        durations.append(time.monotonic() - started)
-                        if backup:
-                            counters.incr(SPECULATIVE_WINS)
-                        if consume is not None:
-                            consume(i, res)
-                        for twin in list(task_futs[i]):
-                            if twin.cancel():
-                                futures.pop(twin, None)
-                                forget(twin, i)
-                            # else: it runs to completion and its result
-                            # is discarded above.
-                if pending_deaths:
-                    fire_deaths()
-                if spec is not None and futures:
-                    self._launch_late_backups(
-                        spec, futures, results, attempts, has_backup,
-                        is_backup, submit_time, durations, count,
-                        max_attempts, counters, submit)
-        except BaseException as exc:
-            self._abort_batch(futures, pool, transient, exc)
-            raise
-        finally:
-            if transient:
-                pool.shutdown(wait=True)
-        assert all(r is not None for r in results)
-        return results  # type: ignore[return-value]
-
-    @staticmethod
-    def _launch_late_backups(spec, futures, results, attempts, has_backup,
-                             is_backup, submit_time, durations, count,
-                             max_attempts, counters, submit) -> None:
-        """The LATE check: back up in-flight tasks running past the
-        percentile estimate of completed-attempt durations."""
-        min_done = max(1, math.ceil(spec.min_completed_fraction * count))
-        if len(durations) < min_done:
-            return
-        cut = late_threshold(durations,
-                             slowdown_threshold=spec.slowdown_threshold,
-                             percentile=spec.percentile)
-        now = time.monotonic()
-        for fut, i in list(futures.items()):
-            if is_backup.get(fut) or has_backup[i] or results[i] is not None:
-                continue
-            if now - submit_time.get(fut, now) > cut:
-                has_backup[i] = True
-                counters.incr(SPECULATIVE_BACKUPS)
-                # Disjoint attempt namespace: fault plans script attempts
-                # below max_attempts, and shm names embed the attempt, so
-                # a backup never collides with primary retries.
-                submit(i, max_attempts + attempts[i], backup=True)
-
-    def _execute_batch(self, indexed_args: "list[tuple[int, tuple]]", runner,
-                       consume: "Callable[[int, TaskResult], None] | None" = None):
-        """Execute one batch of task attempts under the configured executor."""
-        if self.executor == "serial":
-            out = []
-            for i, args in indexed_args:
-                try:
-                    res = runner(*args)
-                except SimulatedTaskFailure as exc:
-                    out.append((i, exc))
-                else:
+                        continue
+                    task.result = res
+                    completed += 1
+                    if att.started is not None:
+                        durations.append(woke - att.started)
+                    if att.kind == "backup":
+                        counters.incr(SPECULATIVE_WINS)
                     if consume is not None:
-                        consume(i, res)
-                    out.append((i, res))
-            return out
-        pool, transient = self._acquire_pool()
-        out = []
-        futures: "dict[concurrent.futures.Future, int]" = {}
-        try:
-            futures = {pool.submit(runner, *args): i for i, args in indexed_args}
-            for fut in concurrent.futures.as_completed(futures):
-                i = futures[fut]
-                try:
-                    res = fut.result()
-                except SimulatedTaskFailure as exc:
-                    out.append((i, exc))
-                else:
-                    if consume is not None:
-                        consume(i, res)
-                    out.append((i, res))
+                        consume(att.task, res)
+                    for twin in list(task.live):
+                        cancel(twin)  # a running twin is discarded above
         except BaseException as exc:
-            self._abort_batch(futures, pool, transient, exc)
+            self._abort_phase(futures, exc)
             raise
-        finally:
-            if transient:
-                pool.shutdown(wait=True)
-        return out
+        return [task.result for task in tasks]
 
     # ------------------------------------------------------------------
     def _account(self, job: Job, map_results: "list[TaskResult]",

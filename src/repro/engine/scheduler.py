@@ -18,10 +18,6 @@ modelled testbed is this module's job.  The policies:
 * :func:`locality_schedule` — LPT with Hadoop's data-placement
   preference (§VII).
 
-``fifo_schedule`` is a deprecated alias of :func:`lpt_schedule`: the
-original name was a misnomer (it always sorted longest-first), kept only
-so existing callers keep their behaviour while they migrate.
-
 All policies return a :class:`ScheduleOutcome` with per-task completion
 times so tests can assert their invariants (speculation never increases
 makespan; it strictly helps when one node is much slower).
@@ -30,7 +26,6 @@ makespan; it strictly helps when one node is much slower).
 from __future__ import annotations
 
 import heapq
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,7 +33,7 @@ from repro.cluster.cluster import late_threshold
 from repro.cluster.node import SimNode
 
 __all__ = ["ScheduleOutcome", "lpt_schedule", "submission_order_schedule",
-           "fifo_schedule", "speculative_schedule", "locality_schedule"]
+           "speculative_schedule", "locality_schedule"]
 
 
 @dataclass(frozen=True)
@@ -115,22 +110,6 @@ def submission_order_schedule(task_costs: Sequence[float],
         makespan=max(completion, default=0.0),
         backups=0,
     )
-
-
-def fifo_schedule(task_costs: Sequence[float], nodes: Sequence[SimNode], *,
-                  kind: str = "map") -> ScheduleOutcome:
-    """Deprecated misnomer for :func:`lpt_schedule`.
-
-    Despite the name this has always sorted tasks longest-first.  Use
-    :func:`lpt_schedule` for the same behaviour, or
-    :func:`submission_order_schedule` for actual FIFO order.
-    """
-    warnings.warn(
-        "fifo_schedule() implements LPT, not FIFO; use lpt_schedule() "
-        "(or submission_order_schedule() for true submission order)",
-        DeprecationWarning, stacklevel=2,
-    )
-    return lpt_schedule(task_costs, nodes, kind=kind)
 
 
 def locality_schedule(task_costs: Sequence[float], nodes: Sequence[SimNode],

@@ -23,9 +23,9 @@ Ownership is driver-side and explicit:
   job's ``finally`` / ``runtime.close()`` / ``__del__``.
 * Names are deterministic (``{prefix}m{i}a{a}p{r}`` / ``{prefix}g{r}``
   / ``{prefix}r{i}a{a}`` / ``{prefix}f``), so an aborted job can sweep
-  every segment
-  any task *might* have created — nothing leaks even when a crash
-  leaves completed-but-unconsumed results behind.
+  every segment the attempts it spawned *might* have created — nothing
+  leaks even when a crash leaves completed-but-unconsumed results
+  behind.
 
 Everything here is fork- and spawn-safe: refs carry only names and
 metadata, and attaching is by name.  Blocks below
@@ -273,9 +273,9 @@ class SegmentRegistry:
     job's ``finally`` — and ultimately ``runtime.close()`` /
     ``__del__`` — can unlink them, and hands out collision-free name
     prefixes per job run.  ``sweep`` is the abort-path net: it probes
-    every deterministic name a job's tasks could have created and
-    unlinks any that exist, covering worker-created segments whose refs
-    never reached the driver.
+    every deterministic name the job's spawned attempts could have
+    created and unlinks any that exist, covering worker-created
+    segments whose refs never reached the driver.
     """
 
     def __init__(self) -> None:
@@ -307,31 +307,25 @@ class SegmentRegistry:
         while self._live:
             self.release(self._live.pop())
 
-    def sweep(self, prefix: str, *, num_maps: int, num_reducers: int,
-              max_attempts: int, backup_attempts: int = 0) -> int:
-        """Unlink every segment a job under ``prefix`` could have made.
+    def sweep(self, prefix: str,
+              spawned: "list[tuple[str, int, int]]",
+              num_reducers: int) -> int:
+        """Unlink every segment the ``spawned`` attempts of the job
+        under ``prefix`` can have parked.
 
-        Used on the abort path only: probes are cheap (one failed open
-        each) but per-job sweeps would still be pure overhead on the
-        happy path, where take()/release have already emptied the
-        namespace.  ``backup_attempts`` widens the probe for speculative
-        re-execution, whose backup attempts park segments under attempt
-        numbers ``max_attempts .. max_attempts + backup_attempts - 1``.
-        Returns the number of segments actually reclaimed.
+        ``spawned`` is the driver's ledger of ``(phase, task, attempt
+        number)``; a map attempt parks one bucket per reducer, a reduce
+        attempt one output block.  Used on the abort path only: probes
+        are cheap (one failed open each) but would still be pure
+        overhead on the happy path, where take() has already emptied
+        the namespace.  Driver-created segments are registered and go
+        with :meth:`release_all`.  Returns the number reclaimed.
         """
         reclaimed = 0
-        names = []
-        for a in range(max_attempts + backup_attempts):
-            for i in range(num_maps):
-                names.extend(f"{prefix}m{i}a{a}p{r}"
-                             for r in range(num_reducers))
-            names.extend(f"{prefix}r{i}a{a}" for i in range(num_reducers))
-        names.extend(f"{prefix}g{r}" for r in range(num_reducers))
-        names.extend((f"{prefix}f", f"{prefix}rf"))  # parked job functions
-        for name in names:
-            self._live.discard(name)
-            if _unlink_quietly(name):
-                reclaimed += 1
+        for phase, i, a in spawned:
+            names = ([f"{prefix}m{i}a{a}p{r}" for r in range(num_reducers)]
+                     if phase == "map" else [f"{prefix}r{i}a{a}"])
+            reclaimed += sum(_unlink_quietly(name) for name in names)
         return reclaimed
 
 

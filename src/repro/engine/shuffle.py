@@ -9,8 +9,8 @@ map has contributed — but the *work* of grouping is not: the
 task finishes, so by the time the last map completes the reducer tables
 are already built and reduce tasks can launch immediately (the paper's
 eager reduce-side consumption, §V-B.2).  :func:`shuffle` is the batch
-wrapper kept for the barrier path and for direct callers; it feeds a
-buffer in a single pass over the map outputs.
+wrapper for direct callers; it feeds a buffer in a single pass over the
+map outputs.
 
 The buffer speaks both engine representations.  Object buckets (pair
 lists) merge into per-reducer dict tables one pair at a time — the
@@ -127,7 +127,7 @@ class ShuffleBuffer:
 
         Validates the bucket count once per map task (the batch
         :func:`shuffle` used to re-check it R times).  In-order arrivals
-        — the common case under the streaming pipeline — merge directly
+        — the common case — merge directly
         without the parked-dict round trip.
         """
         if not 0 <= map_index < self.num_maps:

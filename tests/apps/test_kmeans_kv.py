@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.apps import KMeansKVSpec, kmeans_reference, sse
-from repro.core import AsyncMapReduceSpec, DriverConfig, run_iterative_kv
+from repro.core import (
+    AsyncMapReduceSpec,
+    DriverConfig,
+    EngineBackend,
+    IterationLoop,
+)
 from repro.data import gaussian_mixture
 
 
@@ -28,19 +33,21 @@ class TestKMeansKV:
     @pytest.mark.parametrize("mode", ["general", "eager"])
     def test_reaches_reference_quality(self, pts, mode):
         spec = KMeansKVSpec(pts, 4, num_partitions=3, threshold=1e-3, seed=2)
-        res = run_iterative_kv(spec, DriverConfig(mode=mode))
+        res = IterationLoop(EngineBackend(spec),
+                            DriverConfig(mode=mode)).run()
         got = sse(pts, _centroids(res.state, 4))
         ref = sse(pts, kmeans_reference(pts, 4, threshold=1e-3, seed=2))
         assert got <= 1.05 * ref
         assert res.converged
 
     def test_eager_fewer_global_iterations(self, pts):
-        gen = run_iterative_kv(
-            KMeansKVSpec(pts, 4, num_partitions=3, threshold=1e-3, seed=2),
-            DriverConfig(mode="general"))
-        eag = run_iterative_kv(
-            KMeansKVSpec(pts, 4, num_partitions=3, threshold=1e-3, seed=2),
-            DriverConfig(mode="eager"))
+        def run(mode):
+            spec = KMeansKVSpec(pts, 4, num_partitions=3, threshold=1e-3,
+                                seed=2)
+            return IterationLoop(EngineBackend(spec),
+                                 DriverConfig(mode=mode)).run()
+
+        gen, eag = run("general"), run("eager")
         assert eag.global_iters < gen.global_iters
 
     def test_initial_state_uses_data_points(self, pts):

@@ -12,8 +12,8 @@ Pins the refactor's load-bearing guarantees:
   the hottest tablet, and more tablets shrink it.
 * **Sharing** — a session's jobs charge one store instance; slot shares
   scale bandwidth-bound charges (the shuffle/DFS slot-share fix).
-* **Deprecation** — ``DriverConfig(state_store="online")`` keeps
-  working but warns once per process.
+* **Spellings** — ``DriverConfig.state_store`` takes ``"dfs"``, an
+  instance or a factory; the removed ``"online"`` string is rejected.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from repro.core import (
     Session,
     make_racks,
 )
-from repro.core import config as config_module
 from repro.graph import (
     attach_random_weights,
     multilevel_partition,
@@ -243,11 +242,10 @@ class TestPublishConsume:
 class TestResolveStateStore:
     def test_strings_map_to_equivalent_backends(self):
         cl = SimCluster()
-        dfs = resolve_state_store("dfs", cl)
-        online = resolve_state_store("online", cl)
-        assert isinstance(dfs, DFSStateStore)
-        assert isinstance(online, OnlineStateStore)
-        assert online.num_tablets == 1  # legacy scalar equivalence
+        assert isinstance(resolve_state_store("dfs", cl), DFSStateStore)
+        with pytest.raises(ValueError, match="state_store"):
+            resolve_state_store("online", cl)  # spelling removed
+        online = resolve_state_store(OnlineStateStore(num_tablets=1), cl)
         assert online.model is cl.online_model
 
     def test_instances_and_factories_pass_through(self):
@@ -310,10 +308,7 @@ class TestChargeEquivalence:
         for e in _state_events(cl):
             assert e.end - e.start == pytest.approx(expected)
 
-    @pytest.mark.parametrize("legacy,modern", [
-        ("dfs", DFSStateStore),
-        ("online", lambda: OnlineStateStore(num_tablets=1)),
-    ])
+    @pytest.mark.parametrize("legacy,modern", [("dfs", DFSStateStore)])
     def test_legacy_strings_equal_modern_instances(self, workload,
                                                    legacy, modern):
         old, _ = self._run(workload, legacy)
@@ -506,19 +501,12 @@ class TestSessionSharedStore:
 
 
 # ----------------------------------------------------------------------
-# Deprecation hygiene
+# state_store spellings
 # ----------------------------------------------------------------------
 
 class TestDeprecation:
-    def test_online_string_warns_once(self, monkeypatch):
-        monkeypatch.setattr(config_module, "_WARNED_ONLINE_STRING", False)
-        with pytest.warns(DeprecationWarning, match="OnlineStateStore"):
-            DriverConfig(state_store="online")
-        # second construction is silent (once per process)
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
+    def test_online_string_rejected(self):
+        with pytest.raises(ValueError, match="state_store"):
             DriverConfig(state_store="online")
 
     def test_dfs_string_stays_silent(self):

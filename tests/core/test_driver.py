@@ -1,4 +1,4 @@
-"""Tests for DriverConfig and the block/kv iterative drivers."""
+"""Tests for DriverConfig and the block backend under IterationLoop."""
 
 from __future__ import annotations
 
@@ -7,13 +7,18 @@ import pytest
 
 from repro.cluster import SimCluster
 from repro.core import (
+    BlockBackend,
     BlockSpec,
     DriverConfig,
     EAGER,
     GENERAL,
+    IterationLoop,
     LocalSolveReport,
-    run_iterative_block,
 )
+
+
+def run_block(spec, config, *, cluster=None):
+    return IterationLoop(BlockBackend(spec, cluster=cluster), config).run()
 
 
 class TestDriverConfig:
@@ -87,18 +92,18 @@ class GeometricSpec(BlockSpec):
 
 class TestBlockDriver:
     def test_eager_fewer_global_iters_than_general(self):
-        gen = run_iterative_block(GeometricSpec(), GENERAL)
-        eag = run_iterative_block(GeometricSpec(), EAGER)
+        gen = run_block(GeometricSpec(), GENERAL)
+        eag = run_block(GeometricSpec(), EAGER)
         assert eag.global_iters < gen.global_iters
         assert gen.converged and eag.converged
 
     def test_same_fixed_point(self):
-        gen = run_iterative_block(GeometricSpec(), GENERAL)
-        eag = run_iterative_block(GeometricSpec(), EAGER)
+        gen = run_block(GeometricSpec(), GENERAL)
+        eag = run_block(GeometricSpec(), EAGER)
         assert np.allclose(gen.state, eag.state, atol=1e-2)
 
     def test_history_records(self):
-        res = run_iterative_block(GeometricSpec(), EAGER)
+        res = run_block(GeometricSpec(), EAGER)
         assert len(res.history) == res.global_iters
         assert res.history[0].iteration == 0
         assert all(len(r.local_iters) == 2 for r in res.history)
@@ -106,30 +111,30 @@ class TestBlockDriver:
 
     def test_history_disabled(self):
         cfg = DriverConfig(mode="eager", record_history=False)
-        res = run_iterative_block(GeometricSpec(), cfg)
+        res = run_block(GeometricSpec(), cfg)
         assert res.history == []
 
     def test_max_global_iters_cap(self):
         cfg = DriverConfig(mode="general", max_global_iters=3)
-        res = run_iterative_block(GeometricSpec(tol=1e-12), cfg)
+        res = run_block(GeometricSpec(tol=1e-12), cfg)
         assert res.global_iters == 3
         assert not res.converged
 
     def test_hook_called_every_iteration(self):
         spec = GeometricSpec()
-        res = run_iterative_block(spec, GENERAL)
+        res = run_block(spec, GENERAL)
         assert spec.hook_calls == list(range(res.global_iters))
 
     def test_residuals_decreasing(self):
-        res = run_iterative_block(GeometricSpec(), GENERAL)
+        res = run_block(GeometricSpec(), GENERAL)
         r = res.residuals
         assert all(a >= b for a, b in zip(r, r[1:]))
 
 
 class TestBlockDriverAccounting:
     def test_sim_time_positive_and_monotone_in_iters(self):
-        gen = run_iterative_block(GeometricSpec(), GENERAL, cluster=SimCluster())
-        eag = run_iterative_block(GeometricSpec(), EAGER, cluster=SimCluster())
+        gen = run_block(GeometricSpec(), GENERAL, cluster=SimCluster())
+        eag = run_block(GeometricSpec(), EAGER, cluster=SimCluster())
         assert gen.sim_time > eag.sim_time > 0
         # startup overhead dominates this toy: time ~ iterations
         ratio = gen.sim_time / eag.sim_time
@@ -138,19 +143,19 @@ class TestBlockDriverAccounting:
 
     def test_round_sim_seconds_sum_to_total(self):
         cl = SimCluster()
-        res = run_iterative_block(GeometricSpec(), EAGER, cluster=cl)
+        res = run_block(GeometricSpec(), EAGER, cluster=cl)
         assert sum(r.sim_seconds for r in res.history) == pytest.approx(res.sim_time)
 
     def test_no_cluster_no_time(self):
-        res = run_iterative_block(GeometricSpec(), EAGER)
+        res = run_block(GeometricSpec(), EAGER)
         assert res.sim_time == 0.0
         assert all(r.sim_seconds == 0.0 for r in res.history)
 
     def test_eager_schedule_no_slower_than_lockstep(self):
-        eager_on = run_iterative_block(
+        eager_on = run_block(
             GeometricSpec(), DriverConfig(mode="eager", eager_schedule=True),
             cluster=SimCluster())
-        eager_off = run_iterative_block(
+        eager_off = run_block(
             GeometricSpec(), DriverConfig(mode="eager", eager_schedule=False),
             cluster=SimCluster())
         # identical iteration counts; lockstep pays more dispatches
@@ -158,14 +163,14 @@ class TestBlockDriverAccounting:
         assert eager_on.sim_time <= eager_off.sim_time
 
     def test_local_rate_cheaper_when_configured(self):
-        at_map = run_iterative_block(
+        at_map = run_block(
             GeometricSpec(), DriverConfig(mode="eager", charge_local_ops_at="map"),
             cluster=SimCluster())
-        at_local = run_iterative_block(
+        at_local = run_block(
             GeometricSpec(), DriverConfig(mode="eager", charge_local_ops_at="local"),
             cluster=SimCluster())
         assert at_local.sim_time <= at_map.sim_time
 
     def test_shuffle_bytes_recorded(self):
-        res = run_iterative_block(GeometricSpec(), EAGER, cluster=SimCluster())
+        res = run_block(GeometricSpec(), EAGER, cluster=SimCluster())
         assert all(r.shuffle_bytes == 16 for r in res.history)

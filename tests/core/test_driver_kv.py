@@ -1,4 +1,4 @@
-"""Tests for the record-at-a-time iterative driver (run_iterative_kv)."""
+"""Tests for the record-at-a-time engine backend under IterationLoop."""
 
 from __future__ import annotations
 
@@ -7,9 +7,13 @@ import pytest
 
 from repro.apps.pagerank import PageRankKVSpec
 from repro.cluster import SimCluster
-from repro.core import DriverConfig, run_iterative_kv
+from repro.core import DriverConfig, EngineBackend, IterationLoop
 from repro.engine import MapReduceRuntime
 from repro.graph import multilevel_partition, preferential_attachment
+
+
+def run_kv(spec, config, **backend_kwargs):
+    return IterationLoop(EngineBackend(spec, **backend_kwargs), config).run()
 
 
 @pytest.fixture(scope="module")
@@ -23,8 +27,8 @@ def kv_setup():
 class TestKvDriver:
     def test_history_recorded(self, kv_setup):
         g, part = kv_setup
-        res = run_iterative_kv(PageRankKVSpec(g, part),
-                               DriverConfig(mode="eager"))
+        res = run_kv(PageRankKVSpec(g, part),
+                     DriverConfig(mode="eager"))
         assert len(res.history) == res.global_iters
         assert all(r.shuffle_bytes > 0 for r in res.history)
         assert res.history[-1].residual < 1e-5
@@ -34,7 +38,7 @@ class TestKvDriver:
         # 1-tuple of the aggregate counter
         g, part = kv_setup
         spec = PageRankKVSpec(g, part)
-        res = run_iterative_kv(spec, DriverConfig(mode="eager"))
+        res = run_kv(spec, DriverConfig(mode="eager"))
         for rec in res.history:
             assert len(rec.local_iters) == spec.num_partitions()
             assert all(li >= 1 for li in rec.local_iters)
@@ -47,19 +51,19 @@ class TestKvDriver:
 
     def test_general_mode_one_local_iter_per_partition(self, kv_setup):
         g, part = kv_setup
-        res = run_iterative_kv(PageRankKVSpec(g, part),
-                               DriverConfig(mode="general",
-                                            max_global_iters=3))
+        res = run_kv(PageRankKVSpec(g, part),
+                     DriverConfig(mode="general",
+                                  max_global_iters=3))
         for rec in res.history:
             assert rec.local_iters == (1, 1, 1)
 
     def test_eager_reduce_pipeline_same_results(self, kv_setup):
         g, part = kv_setup
-        base = run_iterative_kv(PageRankKVSpec(g, part),
-                                DriverConfig(mode="eager"))
-        eager = run_iterative_kv(PageRankKVSpec(g, part),
-                                 DriverConfig(mode="eager"),
-                                 eager_reduce=True)
+        base = run_kv(PageRankKVSpec(g, part),
+                      DriverConfig(mode="eager"))
+        eager = run_kv(PageRankKVSpec(g, part),
+                       DriverConfig(mode="eager"),
+                       eager_reduce=True)
         assert eager.global_iters == base.global_iters
         ra = np.array([base.state[u][0] for u in range(g.num_nodes)])
         rb = np.array([eager.state[u][0] for u in range(g.num_nodes)])
@@ -68,27 +72,27 @@ class TestKvDriver:
     def test_supplied_runtime_kept_open_with_one_pool(self, kv_setup):
         g, part = kv_setup
         rt = MapReduceRuntime("threads", workers=2)
-        res = run_iterative_kv(PageRankKVSpec(g, part),
-                               DriverConfig(mode="eager"), runtime=rt)
+        res = run_kv(PageRankKVSpec(g, part),
+                     DriverConfig(mode="eager"), runtime=rt)
         assert res.converged
         # the driver reused (and did not close) the caller's runtime
         assert rt.pool is not None
         pool = rt.pool
-        run_iterative_kv(PageRankKVSpec(g, part),
-                         DriverConfig(mode="eager"), runtime=rt)
+        run_kv(PageRankKVSpec(g, part),
+               DriverConfig(mode="eager"), runtime=rt)
         assert rt.pool is pool
         rt.close()
 
     def test_history_disabled(self, kv_setup):
         g, part = kv_setup
-        res = run_iterative_kv(PageRankKVSpec(g, part),
-                               DriverConfig(mode="eager", record_history=False))
+        res = run_kv(PageRankKVSpec(g, part),
+                     DriverConfig(mode="eager", record_history=False))
         assert res.history == []
 
     def test_residuals_eventually_below_tol(self, kv_setup):
         g, part = kv_setup
-        res = run_iterative_kv(PageRankKVSpec(g, part),
-                               DriverConfig(mode="eager"))
+        res = run_kv(PageRankKVSpec(g, part),
+                     DriverConfig(mode="eager"))
         assert res.converged
         rs = res.residuals
         assert rs[0] > rs[-1]
@@ -97,24 +101,24 @@ class TestKvDriver:
         g, part = kv_setup
         cl = SimCluster()
         rt = MapReduceRuntime("serial", cluster=cl)
-        res = run_iterative_kv(PageRankKVSpec(g, part),
-                               DriverConfig(mode="eager"), runtime=rt)
+        res = run_kv(PageRankKVSpec(g, part),
+                     DriverConfig(mode="eager"), runtime=rt)
         assert res.sim_time == pytest.approx(cl.clock)
         assert res.sim_time > 0
 
     def test_max_global_iters_cap(self, kv_setup):
         g, part = kv_setup
-        res = run_iterative_kv(PageRankKVSpec(g, part),
-                               DriverConfig(mode="general", max_global_iters=2))
+        res = run_kv(PageRankKVSpec(g, part),
+                     DriverConfig(mode="general", max_global_iters=2))
         assert res.global_iters == 2
         assert not res.converged
 
     def test_num_reducers_configurable(self, kv_setup):
         g, part = kv_setup
-        a = run_iterative_kv(PageRankKVSpec(g, part),
-                             DriverConfig(mode="eager"), num_reducers=2)
-        b = run_iterative_kv(PageRankKVSpec(g, part),
-                             DriverConfig(mode="eager"), num_reducers=8)
+        a = run_kv(PageRankKVSpec(g, part),
+                   DriverConfig(mode="eager"), num_reducers=2)
+        b = run_kv(PageRankKVSpec(g, part),
+                   DriverConfig(mode="eager"), num_reducers=8)
         # reducer count is an execution detail: same results
         ra = np.array([a.state[u][0] for u in range(g.num_nodes)])
         rb = np.array([b.state[u][0] for u in range(g.num_nodes)])
@@ -130,7 +134,7 @@ class TestKvDriver:
                 calls.append(iteration)
                 return None
 
-        res = run_iterative_kv(Hooked(g, part), DriverConfig(mode="eager"))
+        res = run_kv(Hooked(g, part), DriverConfig(mode="eager"))
         assert calls == list(range(res.global_iters))
 
     def test_hook_can_replace_state(self, kv_setup):
@@ -143,5 +147,5 @@ class TestKvDriver:
                     return dict(state)
                 return None
 
-        res = run_iterative_kv(Resetting(g, part), DriverConfig(mode="eager"))
+        res = run_kv(Resetting(g, part), DriverConfig(mode="eager"))
         assert res.converged

@@ -8,15 +8,31 @@ import pytest
 
 from repro.apps.pagerank import PageRankBlockSpec, pagerank_reference
 from repro.cluster import SimCluster
+from repro.cluster.statestore import OnlineStateStore
 from repro.core import (
+    BlockBackend,
     DriverConfig,
+    HierarchicalBackend,
     HierarchyConfig,
+    IterationLoop,
     autotune_partitions,
     make_racks,
-    run_iterative_block,
-    run_iterative_hierarchical,
 )
 from repro.graph import multilevel_partition
+
+
+def run_block(spec, config, *, cluster=None):
+    return IterationLoop(BlockBackend(spec, cluster=cluster), config).run()
+
+
+def run_hier(spec, config, racks, **backend_kwargs):
+    backend = HierarchicalBackend(spec, racks, **backend_kwargs)
+    return IterationLoop(backend, config).run()
+
+
+def one_tablet():
+    """Store factory: a fresh single-tablet online store per run."""
+    return OnlineStateStore(num_tablets=1)
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +76,7 @@ class TestHierarchicalDriver:
     def test_same_fixed_point_as_flat(self, setup):
         g, part = setup
         ref = pagerank_reference(g)
-        h = run_iterative_hierarchical(
+        h = run_hier(
             PageRankBlockSpec(g, part), DriverConfig(mode="eager"),
             make_racks(8, 2), hierarchy=HierarchyConfig(inner_rounds=3))
         assert np.abs(np.asarray(h.state) - ref).max() < 1e-3
@@ -68,19 +84,19 @@ class TestHierarchicalDriver:
 
     def test_fewer_global_iterations_than_flat(self, setup):
         g, part = setup
-        flat = run_iterative_block(PageRankBlockSpec(g, part),
-                                   DriverConfig(mode="eager"))
-        hier = run_iterative_hierarchical(
+        flat = run_block(PageRankBlockSpec(g, part),
+                         DriverConfig(mode="eager"))
+        hier = run_hier(
             PageRankBlockSpec(g, part), DriverConfig(mode="eager"),
             make_racks(8, 2), hierarchy=HierarchyConfig(inner_rounds=3))
         assert hier.global_iters < flat.global_iters
 
     def test_faster_in_sim_time(self, setup):
         g, part = setup
-        flat = run_iterative_block(PageRankBlockSpec(g, part),
-                                   DriverConfig(mode="eager"),
-                                   cluster=SimCluster())
-        hier = run_iterative_hierarchical(
+        flat = run_block(PageRankBlockSpec(g, part),
+                         DriverConfig(mode="eager"),
+                         cluster=SimCluster())
+        hier = run_hier(
             PageRankBlockSpec(g, part), DriverConfig(mode="eager"),
             make_racks(8, 2), hierarchy=HierarchyConfig(inner_rounds=3),
             cluster=SimCluster())
@@ -88,9 +104,9 @@ class TestHierarchicalDriver:
 
     def test_single_inner_round_close_to_flat_iterates(self, setup):
         g, part = setup
-        flat = run_iterative_block(PageRankBlockSpec(g, part),
-                                   DriverConfig(mode="eager"))
-        hier = run_iterative_hierarchical(
+        flat = run_block(PageRankBlockSpec(g, part),
+                         DriverConfig(mode="eager"))
+        hier = run_hier(
             PageRankBlockSpec(g, part), DriverConfig(mode="eager"),
             make_racks(8, 2), hierarchy=HierarchyConfig(inner_rounds=1))
         # one inner round = plain eager driver (same iterates)
@@ -101,13 +117,13 @@ class TestHierarchicalDriver:
 
         spec = KMeansBlockSpec(census_points, 3, num_partitions=4)
         with pytest.raises(ValueError, match="partition-scoped"):
-            run_iterative_hierarchical(spec, DriverConfig(mode="eager"),
-                                       make_racks(4, 2))
+            run_hier(spec, DriverConfig(mode="eager"),
+                     make_racks(4, 2))
 
     def test_rejects_bad_rack_cover(self, setup):
         g, part = setup
         with pytest.raises(ValueError, match="cover"):
-            run_iterative_hierarchical(
+            run_hier(
                 PageRankBlockSpec(g, part), DriverConfig(mode="eager"),
                 [[0, 1], [2, 3]])  # misses partitions 4..7
 
@@ -132,8 +148,8 @@ class TestAutotune:
         # full runs confirm the tuner's choice is not the worst one
         times = {}
         for k in (2, 8, 64):
-            res = run_iterative_block(factory(k), DriverConfig(mode="eager"),
-                                      cluster=SimCluster())
+            res = run_block(factory(k), DriverConfig(mode="eager"),
+                            cluster=SimCluster())
             times[k] = res.sim_time
         worst = max(times, key=times.get)
         assert report.best_k != worst or len(set(times.values())) == 1
@@ -145,8 +161,8 @@ class TestAutotune:
             return PageRankBlockSpec(g, multilevel_partition(g, k, seed=0))
 
         report = autotune_partitions(factory, [8], probe_iters=3)
-        full = run_iterative_block(factory(8), DriverConfig(mode="eager"),
-                                   cluster=SimCluster())
+        full = run_block(factory(8), DriverConfig(mode="eager"),
+                         cluster=SimCluster())
         assert report.probe_seconds < full.sim_time
 
     def test_ranking_sorted(self, setup):
@@ -189,13 +205,13 @@ class TestOnlineStateStore:
 
     def test_online_store_cheaper_than_dfs(self, setup):
         g, part = setup
-        dfs = run_iterative_block(
+        dfs = run_block(
             PageRankBlockSpec(g, part),
             DriverConfig(mode="eager", state_store="dfs"),
             cluster=SimCluster())
-        online = run_iterative_block(
+        online = run_block(
             PageRankBlockSpec(g, part),
-            DriverConfig(mode="eager", state_store="online",
+            DriverConfig(mode="eager", state_store=one_tablet,
                          checkpoint_every=None),
             cluster=SimCluster())
         assert online.global_iters == dfs.global_iters  # same algorithm
@@ -203,22 +219,22 @@ class TestOnlineStateStore:
 
     def test_checkpoints_cost_something(self, setup):
         g, part = setup
-        no_ckpt = run_iterative_block(
+        no_ckpt = run_block(
             PageRankBlockSpec(g, part),
-            DriverConfig(mode="eager", state_store="online",
+            DriverConfig(mode="eager", state_store=one_tablet,
                          checkpoint_every=None),
             cluster=SimCluster())
-        ckpt = run_iterative_block(
+        ckpt = run_block(
             PageRankBlockSpec(g, part),
-            DriverConfig(mode="eager", state_store="online",
+            DriverConfig(mode="eager", state_store=one_tablet,
                          checkpoint_every=2),
             cluster=SimCluster())
         assert ckpt.sim_time > no_ckpt.sim_time
 
     def test_results_identical_across_stores(self, setup):
         g, part = setup
-        a = run_iterative_block(PageRankBlockSpec(g, part),
-                                DriverConfig(mode="eager", state_store="dfs"))
-        b = run_iterative_block(PageRankBlockSpec(g, part),
-                                DriverConfig(mode="eager", state_store="online"))
+        a = run_block(PageRankBlockSpec(g, part),
+                      DriverConfig(mode="eager", state_store="dfs"))
+        b = run_block(PageRankBlockSpec(g, part),
+                      DriverConfig(mode="eager", state_store=one_tablet))
         assert np.array_equal(np.asarray(a.state), np.asarray(b.state))

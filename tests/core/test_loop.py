@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.apps.pagerank import PageRankBlockSpec, PageRankKVSpec, pagerank_reference
-from repro.cluster import RoundAccountant, SimCluster
+from repro.cluster import OnlineStateStore, RoundAccountant, SimCluster
 from repro.core import (
     AdaptiveSyncPolicy,
     BlockBackend,
@@ -133,7 +133,8 @@ class TestHierarchyBlockParity:
     shuffle and the online store's periodic checkpoint that the
     pre-unification hierarchical driver silently dropped."""
 
-    CFG = DriverConfig(mode="eager", state_store="online", checkpoint_every=2)
+    CFG = DriverConfig(mode="eager", checkpoint_every=2,
+                       state_store=lambda: OnlineStateStore(num_tablets=1))
 
     def _run_pair(self, spec_factory, racks, config):
         flat_cl, hier_cl = SimCluster(), SimCluster()
@@ -265,6 +266,7 @@ class TestRoundAccountant:
         dfs_time, dfs_phases = total(DriverConfig(mode="eager",
                                                   state_store="dfs"))
         on_time, on_phases = total(DriverConfig(
-            mode="eager", state_store="online", checkpoint_every=2))
+            mode="eager", state_store=OnlineStateStore(num_tablets=1),
+            checkpoint_every=2))
         assert not any("checkpoint" in p for p in dfs_phases)
         assert sum("checkpoint" in p for p in on_phases) == 2

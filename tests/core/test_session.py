@@ -4,9 +4,8 @@ Covers: single-job equivalence with a private IterationLoop (session
 overhead is zero), the interleaving-invariance guarantee (per-job round
 records identical to sequential runs on private clusters — only the
 simulated timestamps differ), the scheduling policies' contracts (FIFO
-convoy, round-robin alternation, fair-share slot splitting), per-job
-cost attribution on the shared timeline, and the deprecation shims over
-``run_iterative_*``.
+convoy, round-robin alternation, fair-share slot splitting), and per-job
+cost attribution on the shared timeline.
 """
 
 from __future__ import annotations
@@ -23,15 +22,10 @@ from repro.core import (
     BlockBackend,
     DriverConfig,
     EngineBackend,
-    HierarchicalBackend,
     IterationLoop,
     JobSpec,
     Session,
     make_policy,
-    make_racks,
-    run_iterative_block,
-    run_iterative_hierarchical,
-    run_iterative_kv,
 )
 from repro.data import census_sample
 from repro.engine import MapReduceRuntime
@@ -382,122 +376,6 @@ class TestContentionMetrics:
             return session.mean_latency()
 
         assert mix("fair") < mix("fifo")
-
-
-# ----------------------------------------------------------------------
-# Deprecated single-job shims
-# ----------------------------------------------------------------------
-
-class TestDeprecatedShims:
-    def test_run_iterative_block_warns_and_matches_session(self, workload):
-        g, part = workload
-        with pytest.warns(DeprecationWarning, match="Session.submit"):
-            old = run_iterative_block(PageRankBlockSpec(g, part),
-                                      DriverConfig(mode="eager"),
-                                      cluster=SimCluster())
-        session = Session(cluster=SimCluster())
-        handle = session.submit(BlockBackend(PageRankBlockSpec(g, part)),
-                                DriverConfig(mode="eager"))
-        session.run()
-        new = handle.result
-        assert np.allclose(np.asarray(old.state), np.asarray(new.state))
-        assert _history_key(old) == _history_key(new)
-        assert old.sim_time == pytest.approx(new.sim_time)
-
-    def test_run_iterative_kv_warns_and_matches_session(self, workload):
-        g, part = workload
-        cfg = DriverConfig(mode="eager", max_global_iters=3)
-        with pytest.warns(DeprecationWarning, match="Session.submit"):
-            old = run_iterative_kv(PageRankKVSpec(g, part), cfg,
-                                   num_reducers=2)
-        session = Session()
-        handle = session.submit(
-            EngineBackend(PageRankKVSpec(g, part), runtime=session.runtime,
-                          num_reducers=2), cfg)
-        session.run()
-        session.close()
-        new = handle.result
-        assert old.global_iters == new.global_iters
-        assert _history_key(old) == _history_key(new)
-
-    def test_run_iterative_hierarchical_warns_and_matches_session(
-            self, workload):
-        g, part = workload
-        cfg = DriverConfig(mode="eager")
-        racks = make_racks(part.k, 2)
-        with pytest.warns(DeprecationWarning, match="Session.submit"):
-            old = run_iterative_hierarchical(
-                PageRankBlockSpec(g, part), cfg, racks,
-                cluster=SimCluster())
-        session = Session(cluster=SimCluster())
-        handle = session.submit(
-            HierarchicalBackend(PageRankBlockSpec(g, part), racks), cfg)
-        session.run()
-        new = handle.result
-        assert np.allclose(np.asarray(old.state), np.asarray(new.state))
-        assert _history_key(old) == _history_key(new)
-        assert old.sim_time == pytest.approx(new.sim_time)
-
-    def test_shim_warning_blames_the_caller_line(self, workload):
-        """stacklevel: the warning points at the *calling* line in this
-        file, never at driver.py (where the shim and its helper live)."""
-        import inspect
-
-        g, part = workload
-        cfg = DriverConfig(mode="eager", max_global_iters=2)
-        spec = PageRankBlockSpec(g, part)
-        with pytest.warns(DeprecationWarning,
-                          match="run_iterative_block is deprecated") as rec:
-            expected = inspect.currentframe().f_lineno + 1
-            run_iterative_block(spec, cfg)
-        w = [m for m in rec.list
-             if issubclass(m.category, DeprecationWarning)][0]
-        assert w.filename == __file__
-        assert w.lineno == expected
-        assert "driver.py" not in w.filename
-
-    def test_hierarchical_shim_warning_blames_the_caller_line(self, workload):
-        """The hierarchy.py shim imports driver's helper; the warning
-        must still land on the caller, not on hierarchy.py."""
-        import inspect
-
-        g, part = workload
-        cfg = DriverConfig(mode="eager", max_global_iters=2)
-        spec = PageRankBlockSpec(g, part)
-        racks = make_racks(part.k, 2)
-        with pytest.warns(
-                DeprecationWarning,
-                match="run_iterative_hierarchical is deprecated") as rec:
-            expected = inspect.currentframe().f_lineno + 1
-            run_iterative_hierarchical(spec, cfg, racks)
-        w = [m for m in rec.list
-             if issubclass(m.category, DeprecationWarning)][0]
-        assert w.filename == __file__
-        assert w.lineno == expected
-
-    def test_kv_shim_warning_blames_the_caller_line(self, workload):
-        import inspect
-
-        g, part = workload
-        cfg = DriverConfig(mode="eager", max_global_iters=1)
-        spec = PageRankKVSpec(g, part)
-        with pytest.warns(DeprecationWarning,
-                          match="run_iterative_kv is deprecated") as rec:
-            expected = inspect.currentframe().f_lineno + 1
-            run_iterative_kv(spec, cfg, num_reducers=2)
-        w = [m for m in rec.list
-             if issubclass(m.category, DeprecationWarning)][0]
-        assert w.filename == __file__
-        assert w.lineno == expected
-
-    def test_shims_accept_sync_policy(self, workload):
-        g, part = workload
-        policy = AdaptiveSyncPolicy()
-        with pytest.warns(DeprecationWarning):
-            res = run_iterative_block(PageRankBlockSpec(g, part),
-                                      DriverConfig(mode="eager"),
-                                      sync_policy=policy)
-        assert res.converged and len(policy.budgets) == res.global_iters
 
 
 # ----------------------------------------------------------------------

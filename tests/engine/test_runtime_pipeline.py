@@ -93,12 +93,6 @@ class TestPersistentPool:
         assert rt.pool is not None
         rt.close()
 
-    def test_legacy_churn_mode_no_persistent_pool(self, reference):
-        rt = MapReduceRuntime("threads", workers=2, reuse_pool=False)
-        res = rt.run(wordcount_job(), DOCS)
-        assert rt.pool is None  # transient pools are torn down per batch
-        assert res.as_dict() == reference.as_dict()
-
 
 def _kill_worker_map(key, value, ctx):
     # hard-kill the worker process: simulates a segfault / OOM-kill

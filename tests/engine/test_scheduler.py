@@ -6,7 +6,6 @@ import pytest
 
 from repro.cluster import ec2_nodes
 from repro.engine import (
-    fifo_schedule,
     lpt_schedule,
     speculative_schedule,
     submission_order_schedule,
@@ -91,15 +90,6 @@ class TestSubmissionOrder:
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
             submission_order_schedule([-1.0], ec2_nodes(1))
-
-
-class TestFifoDeprecationShim:
-    def test_warns_and_matches_lpt(self):
-        nodes = ec2_nodes(1, map_slots=2)
-        costs = [3.0, 1.0, 2.0]
-        with pytest.warns(DeprecationWarning, match="LPT"):
-            shim = fifo_schedule(costs, nodes)
-        assert shim == lpt_schedule(costs, nodes)
 
 
 class TestSpeculative:

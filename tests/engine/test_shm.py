@@ -10,6 +10,7 @@ the time ``run`` returns (plus ``close()``/``__del__`` as backstops).
 from __future__ import annotations
 
 import glob
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from repro.engine.counters import (
     LOST_MAP_OUTPUTS,
     NODE_DEATHS,
     SPECULATIVE_BACKUPS,
+    TASK_RETRIES,
 )
 from repro.engine.shm import export_pickled
 
@@ -266,6 +268,81 @@ class TestNodeDeathSweep:
         assert _live_segments() <= before
         assert res.counters.get(NODE_DEATHS) == 2
         assert res.output == self._oracle(splits).output
+
+
+def _scripted_map(key, value, ctx):
+    """Emit the split's block after ``delay`` seconds, or blow up."""
+    keys, values, delay, boom = value
+    time.sleep(delay)
+    if boom:
+        raise RuntimeError("boom")
+    ctx.emit_block(keys, values)
+
+
+class TestOneDriver:
+    """Every executor runs every phase through the one event-driven
+    driver; retries, LATE backups and node-death replays are all just
+    another attempt of the same task."""
+
+    JOB = Job(_emit_block_map, "sum", combine_fn="sum",
+              conf=JobConf(num_reducers=3, max_attempts=3))
+
+    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+    def test_retries_and_stall_match_the_oracle(self, executor):
+        splits = _splits()
+        plan = FaultPlan(scripted={("map", 1): 2, ("reduce", 0): 1},
+                         stalls={("map", 0): 0.05})
+        with MapReduceRuntime("serial") as rt:
+            oracle = rt.run(self.JOB, splits)
+        with MapReduceRuntime(executor, workers=2, fault_plan=plan,
+                              shm_min_bytes=1024) as rt:
+            res = rt.run(self.JOB, splits)
+            assert rt.segments.live_count == 0
+        assert res.output == oracle.output
+        assert res.counters.get(TASK_RETRIES) == 3
+        assert oracle.counters.get(TASK_RETRIES) == 0
+
+    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+    def test_exhausted_attempts_name_the_task(self, executor):
+        plan = FaultPlan.script({("map", 2): 99})
+        with MapReduceRuntime(executor, workers=2, fault_plan=plan) as rt:
+            with pytest.raises(JobFailedError, match="map task 2 failed 3"):
+                rt.run(self.JOB, _splits())
+
+    def test_abort_with_backup_and_replay_in_flight(self):
+        """Split 2 raises a real error while split 1 (slow, so backed
+        up) and split 3 (slow, its node killed, so replayed) still have
+        two attempts each running.  The abort waits them out and sweeps
+        exactly the attempts the driver spawned — there is no namespace
+        to probe — leaving /dev/shm as it found it."""
+        script = {1: (0.6, False), 2: (0.25, True), 3: (0.6, False)}
+        splits = [[(m, (*value, *script.get(m, (0.0, False))))]
+                  for [(m, value)] in _splits(num_splits=6)]
+        spec = SpeculationConfig(slowdown_threshold=1.05, percentile=0.5,
+                                 min_completed_fraction=0.25,
+                                 check_interval=0.01)
+        before = _live_segments()
+        with MapReduceRuntime(
+                "processes", workers=8, shm_min_bytes=1024, speculate=spec,
+                node_faults=NodeFaultPlan.kill_node(
+                    3, after_completions=1, num_nodes=6)) as rt:
+            swept = []
+            sweep = rt.segments.sweep
+            rt.segments.sweep = lambda prefix, spawned, r: swept.append(
+                (list(spawned), sweep(prefix, spawned, r)))
+            job = Job(_scripted_map, "sum", combine_fn="sum",
+                      conf=self.JOB.conf)
+            with pytest.raises(RuntimeError, match="boom"):
+                rt.run(job, splits)
+            assert rt.segments.live_count == 0
+        assert _live_segments() <= before
+        [(spawned, reclaimed)] = swept
+        # one primary per split, plus the extra attempts (numbered from
+        # max_attempts up) of the backed-up and the replayed task
+        assert {("map", m, 0) for m in range(6)} <= set(spawned)
+        assert {("map", 1, 3), ("map", 3, 3)} <= set(spawned)
+        assert len(spawned) == len(set(spawned))
+        assert reclaimed >= 4  # both attempts of splits 1 and 3 parked
 
 
 class TestPickleRef:

@@ -9,6 +9,8 @@ counters expose how much duplicate work the race cost.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,11 @@ def _obj_map(key, value, ctx):
 def _col_map(key, value, ctx):
     keys, values = value
     ctx.emit_block(keys, values)
+
+
+def _sleepy_map(key, value, ctx):
+    time.sleep(value)
+    ctx.emit(key, 1.0)
 
 
 def _obj_splits(num=4, n=200, seed=3):
@@ -93,6 +100,21 @@ class TestRacingParity:
                                                check_interval=0.01))
         assert res.counters.get(SPECULATIVE_BACKUPS) == 0
         assert res.output == _run(_col_splits(), _col_map).output
+
+
+class TestQueueWaitIsNotLateness:
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    def test_oversubscribed_equal_tasks_launch_no_backups(self, executor):
+        """12 equal 50 ms tasks on 2 workers: most of them spend most of
+        the phase *queued*.  Lateness counts from when an attempt
+        reached a worker, so with no straggler nothing is backed up."""
+        splits = [[(m, 0.05)] for m in range(12)]
+        with MapReduceRuntime(executor, workers=2, speculate=True) as rt:
+            res = rt.run(Job(_sleepy_map, "sum",
+                             conf=JobConf(num_reducers=1)), splits)
+        assert res.counters.get(SPECULATIVE_BACKUPS) == 0
+        assert res.counters.get(SPECULATIVE_WASTED_TASKS) == 0
+        assert res.output == [(m, 1.0) for m in range(12)]
 
 
 class TestRacingWithRetries:

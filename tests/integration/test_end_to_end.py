@@ -14,7 +14,7 @@ from repro.apps import (
 )
 from repro.apps.pagerank import PageRankKVSpec
 from repro.cluster import HPC_DEFAULTS, SimCluster, ec2_nodes
-from repro.core import DriverConfig, run_iterative_kv
+from repro.core import DriverConfig, EngineBackend, IterationLoop
 from repro.engine import FaultPlan, MapReduceRuntime
 from repro.graph import (
     attach_random_weights,
@@ -51,17 +51,20 @@ class TestCrossExecutorEquivalence:
     def test_kv_pagerank_same_across_executors(self, graph, partition, executor):
         spec = PageRankKVSpec(graph, partition)
         rt = MapReduceRuntime(executor, workers=4)
-        res = run_iterative_kv(spec, DriverConfig(mode="eager"), runtime=rt)
+        res = IterationLoop(EngineBackend(spec, runtime=rt),
+                            DriverConfig(mode="eager")).run()
         ranks = np.array([res.state[u][0] for u in range(graph.num_nodes)])
         assert np.abs(ranks - pagerank_reference(graph)).max() < 1e-3
 
     def test_kv_pagerank_with_faults_identical(self, graph, partition):
-        clean = run_iterative_kv(PageRankKVSpec(graph, partition),
-                                 DriverConfig(mode="eager"))
-        faulty_rt = MapReduceRuntime(
-            "serial", fault_plan=FaultPlan.random(0.15, seed=2))
-        faulty = run_iterative_kv(PageRankKVSpec(graph, partition),
-                                  DriverConfig(mode="eager"), runtime=faulty_rt)
+        def run(**backend_kwargs):
+            backend = EngineBackend(PageRankKVSpec(graph, partition),
+                                    **backend_kwargs)
+            return IterationLoop(backend, DriverConfig(mode="eager")).run()
+
+        clean = run()
+        faulty = run(runtime=MapReduceRuntime(
+            "serial", fault_plan=FaultPlan.random(0.15, seed=2)))
         for u in clean.state:
             assert clean.state[u][0] == pytest.approx(faulty.state[u][0])
         assert clean.global_iters == faulty.global_iters

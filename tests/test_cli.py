@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,6 +134,20 @@ class TestCommands:
                    "--staleness", "2"])
         assert rc == 0
         assert "PageRank on Graph A" in capsys.readouterr().out
+
+    def test_async_command_line_is_clean_under_deprecation_errors(self):
+        """The CLI must not trip the library's own deprecations: the
+        literal command line, in its own interpreter so no earlier test
+        has already consumed a warn-once flag."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::DeprecationWarning", "-m",
+             "repro.cli", "pagerank", "--backend", "async",
+             "--staleness", "1", "--scale", "0.002"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "PageRank on Graph A" in proc.stdout
 
     def test_sssp_unbounded_staleness_runs(self, capsys):
         rc = main(["sssp", "--graph", "A", "--scale", "0.003", "-k", "2",
