@@ -7,8 +7,8 @@ vectorised identically in both variants — so the measured difference is
 purely the engine path: per-pair emission, per-key hash routing,
 dict-of-lists grouping, per-object byte estimation and a per-key Python
 reduce on the object path, versus one ``emit_block`` per task, a fused
-single-sort route+combine, sort-based grouping, dtype-math byte
-accounting and a segmented array reduce on the columnar path.
+route+combine, radix-sort grouping, dtype-math byte accounting and a
+segmented array reduce on the columnar path.
 
 The graph's in-degrees are power-law (web-crawl shaped): a handful of
 hub pages receive most links, so each map task's buckets carry many
@@ -45,10 +45,12 @@ import numpy as np
 
 from conftest import record_hot_paths_json
 from repro.engine import (
+    ColumnarBlock,
     HashPartitioner,
     Job,
     JobConf,
     MapReduceRuntime,
+    route_combine_columnar,
     run_map_task,
     shuffle,
 )
@@ -255,3 +257,55 @@ def test_columnar_fast_path(once):
     if SCALE >= 1.0 and not _QUICK:
         assert speedup["columnar+combine"] >= 3.0, (
             f"expected >=3x, got {speedup['columnar+combine']:.2f}x")
+
+
+#: Kernel-row input: fixed here, deliberately NOT scaled by
+#: ``REPRO_SCALE`` / ``BENCH_QUICK`` — the gate compares two sort regimes
+#: at a size where the sort dominates, and a scaled-down block would
+#: measure fixed per-call overhead instead.
+KERNEL_RECORDS = 300_000
+KERNEL_SPAN = 60_000
+KERNEL_REPEATS = 7
+
+
+def test_grouping_kernel_has_no_span_cliff(once):
+    """One power-law key block routed+combined twice: as is (span
+    60,000 — one 16-bit radix pass) and with every key multiplied by 4
+    (span ~2**18 — two passes).  The duplication structure is identical,
+    so only the record sort differs; the gate keeps the wide block
+    within 1.6x of the narrow one.  (A comparison-sort fallback for wide
+    keys measured 3.1x here.)"""
+    rng = np.random.default_rng(0)
+    keys = (KERNEL_SPAN * rng.random(KERNEL_RECORDS) ** HUB_SKEW).astype(
+        np.int64)
+    values = rng.random(KERNEL_RECORDS)
+    blocks = {"narrow": ColumnarBlock(keys, values),
+              "wide": ColumnarBlock(keys * 4, values)}
+
+    def run():
+        # Interleaved, so machine drift lands on both medians alike.
+        samples = {name: [] for name in blocks}
+        for _ in range(KERNEL_REPEATS):
+            for name, block in blocks.items():
+                t0 = time.perf_counter()
+                route_combine_columnar(block, REDUCERS, "sum")
+                samples[name].append(time.perf_counter() - t0)
+        return {name: float(np.median(ts)) for name, ts in samples.items()}
+
+    times = once(run)
+    ratio = times["wide"] / max(times["narrow"], 1e-12)
+
+    print()
+    print(ascii_table(
+        ["key span", "route+combine (ms)"],
+        [[name, f"{1e3 * times[name]:.1f}"] for name in blocks],
+        title=f"Grouping kernel: {KERNEL_RECORDS:,} power-law records -> "
+              f"{REDUCERS} reducers, median of {KERNEL_REPEATS}; "
+              f"wide/narrow = {ratio:.2f}x"))
+    record_hot_paths_json("grouping_kernel", {
+        "narrow": times["narrow"], "wide": times["wide"],
+        "wide_over_narrow": ratio,
+    })
+    assert ratio <= 1.6, (
+        f"wide keys {ratio:.2f}x narrow: the sort fell off the radix "
+        f"path ({times})")

@@ -17,23 +17,44 @@ shuffle can run on NumPy instead:
   string keys as dense int64 ids, so wordcount-style jobs ride the same
   vectorised shuffle; the reverse table travels with the block and byte
   accounting stays the object path's utf-8 length per key.
+* :func:`stable_key_order` — the one grouping kernel: a stable LSD
+  radix argsort of int64 keys that every grouping and routing sort
+  below goes through.
 * :func:`route_columnar` — vectorised partition routing: one FNV-1a
   hash sweep (:func:`hash_buckets`, bit-identical to
-  :class:`~repro.engine.partitioner.HashPartitioner`), a stable argsort
-  and bincount-derived slices instead of a per-pair append loop.
-* :func:`route_combine_columnar` — the fused map tail: ONE stable
-  lexsort by (bucket, key) yields both the per-reducer slices and the
-  per-key segments, so the map-side combiner (the paper's partial
-  aggregation lever, §V-B) costs one sort instead of the three the
-  separate combine-then-route spelling paid.
-* :func:`combine_columnar` — standalone map-side combine (sort-based
-  grouping plus a segmented ``ufunc.reduceat``), kept for direct
-  callers and as the unfused oracle.
-* :class:`ColumnarGroups` — reduce-side grouping by ``np.argsort`` +
-  ``np.unique`` index slices instead of dict-of-lists; aggregates with
-  the same segmented primitive and can materialise the exact
-  object-path ``groups()`` output on demand (the oracle contract the
-  equivalence tests pin).
+  :class:`~repro.engine.partitioner.HashPartitioner`), one kernel sort
+  of the bucket ids and bincount-derived slices instead of a per-pair
+  append loop.
+* :func:`combine_columnar` — map-side combine (the paper's partial
+  aggregation lever, §V-B): one kernel sort of the records by key, run
+  boundaries from one neighbour comparison, a segmented
+  ``ufunc.reduceat``.
+* :func:`route_combine_columnar` — the fused map tail: combine, then
+  route the combined uniques.
+* :class:`ColumnarGroups` — reduce-side grouping by the same sort +
+  run-boundary layout instead of dict-of-lists; aggregates with the
+  same segmented primitive and can materialise the exact object-path
+  ``groups()`` output on demand (the oracle contract the equivalence
+  tests pin).
+
+The kernel, and why it looks the way it does.  NumPy's
+``argsort(kind="stable")`` is an O(n) radix sort for 16-bit integers
+but an O(n log n) comparison merge sort for int64 — several times
+slower at shuffle sizes — and the engine's keys are int64.  So
+:func:`stable_key_order` sorts one 16-bit digit at a time, least
+significant first, each pass a ``uint16`` argsort: 16 bits is the widest
+digit NumPy radix-sorts.  The number of passes comes from the observed
+span ``max - min`` of the batch, not from the dtype: graph node ids and
+dictionary codes are dense, so real batches take one or two passes and
+only adversarial full-range keys take four.  There is no comparison
+fallback and nothing to tune.
+
+Why grouping by key alone is enough.  A key maps to exactly one
+bucket, so the key groups of a batch *are* its (bucket, key) groups:
+the only record-length sort is the combine's sort by key, and the
+partitioner, the bucket clustering and the emission ordering all run
+over the combined uniques — which is also where the object path calls
+the partitioner (after the combiner).
 
 Determinism mirrors the object path record for record: stable sorts
 preserve (map task index, emission order) within every bucket and every
@@ -70,6 +91,7 @@ __all__ = [
     "StringDictionary",
     "AGG_UFUNCS",
     "hash_buckets",
+    "stable_key_order",
     "route_columnar",
     "route_combine_columnar",
     "combine_columnar",
@@ -87,12 +109,6 @@ AGG_UFUNCS: "dict[str, np.ufunc]" = {
     "min": np.minimum,
     "max": np.maximum,
 }
-
-#: Sort kind for every grouping/routing sort, hoisted to one constant:
-#: stability is load-bearing (it preserves emission order inside every
-#: bucket and key group, the object path's append order), so no call
-#: site re-decides it per batch.
-_SORT_KIND = "stable"
 
 #: Reused ascending-index scratch (see :func:`_arange`).
 _ARANGE_SCRATCH = np.empty(0, dtype=np.int64)
@@ -112,6 +128,35 @@ def _arange(n: int) -> np.ndarray:
         _ARANGE_SCRATCH = np.arange(max(n, 2 * len(_ARANGE_SCRATCH)),
                                     dtype=np.int64)
     return _ARANGE_SCRATCH[:n]
+
+
+def stable_key_order(keys: np.ndarray) -> np.ndarray:
+    """Stable argsort of int64 ``keys``: an LSD radix sort, O(n) per pass.
+
+    Equal to ``np.argsort(keys, kind="stable")`` for every int64 input
+    (the module docstring has the why).  One ``uint16`` argsort per
+    16-bit digit that the observed span ``max - min`` occupies, least
+    significant first; each pass being stable is what makes the passes
+    compose, and what keeps emission order inside every key group.
+    """
+    if keys.dtype != np.int64:
+        # The offsets below reinterpret 8-byte two's complement.
+        raise TypeError(f"keys must be int64, got {keys.dtype}")
+    n = len(keys)
+    if n < 2:
+        return np.arange(n)
+    kmin = keys.min()
+    span = int(keys.max()) - int(kmin)
+    # int64 subtraction wraps modulo 2**64, so the uint64 view is the
+    # true offset even when the span itself overflows int64.
+    offsets = (keys - kmin).view(np.uint64)
+    order = np.argsort(offsets.astype(np.uint16), kind="stable")
+    while span >> 16:
+        span >>= 16
+        offsets >>= np.uint64(16)  # in place: ``offsets`` is private
+        digit = offsets.astype(np.uint16)
+        order = order[np.argsort(digit[order], kind="stable")]
+    return order
 
 
 def resolve_agg(agg: str) -> np.ufunc:
@@ -231,7 +276,7 @@ class StringDictionary:
         if len(ids) == 0:
             return _arange(0)
         words = np.array([self._words[i] for i in ids.tolist()])
-        return np.argsort(words, kind=_SORT_KIND)
+        return np.argsort(words, kind="stable")
 
     def remap_from(self, other: "StringDictionary") -> np.ndarray:
         """Intern ``other``'s vocabulary; returns old-id -> new-id map."""
@@ -458,7 +503,7 @@ def route_columnar(block: ColumnarBlock, num_reducers: int,
     if num_reducers == 1:
         return [block]
     buckets = _bucket_ids(block, num_reducers, partitioner)
-    order = np.argsort(buckets, kind=_SORT_KIND)
+    order = stable_key_order(buckets)
     counts = np.bincount(buckets, minlength=num_reducers)
     bounds = np.concatenate([[0], np.cumsum(counts)])
     sk = block.keys[order]
@@ -470,128 +515,26 @@ def route_columnar(block: ColumnarBlock, num_reducers: int,
     ]
 
 
-#: Key spans at or below this ride the radix fused combine: NumPy's
-#: stable argsort is an LSD radix sort only for <= 16-bit integer
-#: dtypes (an order of magnitude cheaper than int64 merge sort).
-_RADIX_SPAN = 1 << 16
-
-
-def _radix_combine(
-    block: ColumnarBlock, num_reducers: int, ufunc: np.ufunc,
-    partitioner: "Callable[[Any, int], int] | None",
-) -> "list[ColumnarBlock] | None":
-    """Narrow-key fused combine: radix sort records, hash only uniques.
-
-    A key maps to exactly one bucket, so grouping by *key alone* is
-    enough — no per-record bucket array, no lexsort.  When the key span
-    fits 16 bits (graph node ids, dictionary codes — the bundled
-    columnar workloads), the one record-length sort is a uint16 radix
-    argsort, and everything after it (hashing, bucket clustering,
-    emission ordering) runs over the combined *uniques* only.
-    Aggregation goes through the same :func:`segment_aggregate` as the
-    lexsort path — identical segments, identical floats.
-    """
-    if not (partitioner is None or type(partitioner) is HashPartitioner):
-        return None
-    keys = block.keys
-    n = len(keys)
-    kmin = int(keys.min())
-    if int(keys.max()) - kmin >= _RADIX_SPAN:
-        return None
-    k16 = (keys - kmin if kmin else keys).astype(np.uint16)
-    order = np.argsort(k16, kind=_SORT_KIND)
-    sk = keys[order]
-    seg_new = np.empty(n, dtype=bool)
-    seg_new[0] = True
-    np.not_equal(sk[1:], sk[:-1], out=seg_new[1:])
-    starts = np.flatnonzero(seg_new)
-    rows = segment_aggregate(block.values[order], starts, ufunc)
-    uk = sk[starts]
-    gfirst = order[starts]  # first-emission index of each key (stable sort)
-    if block.dictionary is not None:
-        gbuckets = block.dictionary.buckets(uk, num_reducers)
-    else:
-        gbuckets = hash_buckets(uk, num_reducers)
-    # Emission-order the uniques, then stably cluster by bucket: per
-    # bucket, keys come out in first-emission order — the object
-    # combiner's dict-insertion order restricted to the bucket.  Both
-    # sorts stay radix when their values fit uint16.
-    pe = np.argsort(gfirst.astype(np.uint16) if n <= _RADIX_SPAN
-                    else gfirst, kind=_SORT_KIND)
-    gb = gbuckets.astype(np.uint16) if num_reducers <= _RADIX_SPAN \
-        else gbuckets
-    final = pe[np.argsort(gb[pe], kind=_SORT_KIND)]
-    counts = np.bincount(gbuckets, minlength=num_reducers)
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    sk = uk[final]
-    srows = rows[final]
-    return [
-        ColumnarBlock(sk[bounds[r]:bounds[r + 1]],
-                      srows[bounds[r]:bounds[r + 1]], block.dictionary)
-        for r in range(num_reducers)
-    ]
-
-
 def route_combine_columnar(
     block: ColumnarBlock, num_reducers: int, agg: str,
     partitioner: "Callable[[Any, int], int] | None" = None,
 ) -> "list[ColumnarBlock]":
-    """Fused route + map-side combine: one sort, per-bucket aggregation.
+    """Fused map tail: map-side combine, then route the combined rows.
 
-    The separate ``combine_columnar`` -> ``route_columnar`` spelling
-    pays three stable sorts per batch (group, output order, route);
-    this tail pays ONE ``np.lexsort`` by (bucket, key) — a key maps to
-    exactly one bucket, so the (bucket, key) segments of the sorted
-    layout *are* the key groups, each with its values in emission
-    order.  One segmented ``ufunc.reduceat`` later, each bucket's
-    combined rows come out in first-emission key order — byte-identical
-    to the object path's combine-then-route (dict-insertion order
-    restricted to the bucket) and to the unfused columnar spelling.
-
-    Narrow integer keys (node ids, dictionary codes — span under 2**16)
-    skip the lexsort: a key maps to exactly one bucket, so a single
-    uint16 *radix* argsort by key alone groups the records, and only
-    the combined *uniques* — typically a fraction of the records — are
-    hashed and bucket-ordered.  That makes combining strictly cheaper
-    than plain routing on duplicated-key workloads instead of a
-    sort-cost gamble, while the shared :func:`segment_aggregate` keeps
-    the floats bitwise identical to every other spelling.
+    A key maps to exactly one bucket, so grouping the records by *key
+    alone* is enough: the one record-length sort is the combine's
+    (:func:`stable_key_order`), and everything after it — the
+    partitioner, bucket clustering, emission ordering — runs over the
+    combined *uniques* only, typically a fraction of the records.  That
+    is also exactly where the object path calls the partitioner (after
+    the combiner, once per distinct key in first-emission order), so a
+    hash, dictionary or custom partitioner sees the same calls on both
+    paths and each bucket's rows come out byte-identical to the object
+    path's combine-then-route, floats included (one shared
+    :func:`segment_aggregate`).
     """
-    if num_reducers < 1:
-        raise ValueError("num_reducers must be >= 1")
-    if len(block) == 0:
-        return ([block] if num_reducers == 1
-                else route_columnar(block, num_reducers, partitioner))
-    ufunc = resolve_agg(agg)
-    if num_reducers == 1:
-        # No routing needed; a plain combine is already the fused tail.
-        return [combine_columnar(block, agg)]
-    narrow = _radix_combine(block, num_reducers, ufunc, partitioner)
-    if narrow is not None:
-        return narrow
-    buckets = _bucket_ids(block, num_reducers, partitioner)
-    # lexsort is stable with the last key primary: (bucket, then key),
-    # emission order within every (bucket, key) run.
-    order = np.lexsort((block.keys, buckets))
-    sk = block.keys[order]
-    sb = buckets[order]
-    seg_new = np.empty(len(sk), dtype=bool)
-    seg_new[0] = True
-    np.logical_or(sk[1:] != sk[:-1], sb[1:] != sb[:-1], out=seg_new[1:])
-    starts = np.flatnonzero(seg_new)
-    rows = segment_aggregate(block.values[order], starts, ufunc)
-    gkeys = sk[starts]
-    gbuckets = sb[starts]
-    gfirst = order[starts]  # original index of each group's first emission
-    counts = np.bincount(gbuckets, minlength=num_reducers)
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    out: "list[ColumnarBlock]" = []
-    for r in range(num_reducers):
-        lo, hi = bounds[r], bounds[r + 1]
-        perm = np.argsort(gfirst[lo:hi], kind=_SORT_KIND)
-        out.append(ColumnarBlock(gkeys[lo:hi][perm], rows[lo:hi][perm],
-                                 block.dictionary))
-    return out
+    return route_columnar(combine_columnar(block, agg), num_reducers,
+                          partitioner)
 
 
 # ----------------------------------------------------------------------
@@ -619,21 +562,30 @@ def segment_aggregate(values: np.ndarray, starts: np.ndarray,
 
 def _group_layout(keys: np.ndarray, sort_keys: bool
                   ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
-    """Sort-based grouping: ``(order, unique_keys, starts, out_order)``.
+    """Sort-based grouping: ``(order, unique_keys, bounds, out_order)``.
 
     ``order`` stably sorts the records by key (so values within a key
-    stay in emission order); ``unique_keys``/``starts`` index the sorted
-    layout; ``out_order`` permutes groups into output order — ascending
-    key when ``sort_keys``, else first-emission order (the object
-    path's dict insertion order).
+    stay in emission order); group ``g`` of the sorted layout is the run
+    ``bounds[g]:bounds[g + 1]`` (``bounds`` closes with ``len(keys)``,
+    so starts are ``bounds[:-1]`` and counts ``np.diff(bounds)``);
+    ``out_order`` permutes groups into output order — ascending key
+    when ``sort_keys``, else first-emission order (the object path's
+    dict insertion order).
     """
-    order = np.argsort(keys, kind=_SORT_KIND)
-    uk, starts = np.unique(keys[order], return_index=True)
-    if sort_keys or len(uk) == 0:
-        out_order = _arange(len(uk))
+    n = len(keys)
+    order = stable_key_order(keys)
+    sk = keys[order]
+    new_run = np.empty(n + 1, dtype=bool)
+    new_run[0] = new_run[n] = True
+    np.not_equal(sk[1:], sk[:-1], out=new_run[1:n])
+    bounds = np.flatnonzero(new_run)
+    starts = bounds[:-1]
+    if sort_keys:
+        out_order = _arange(len(starts))
     else:
-        out_order = np.argsort(order[starts], kind=_SORT_KIND)
-    return order, uk, starts, out_order
+        # A stable sort puts each key's first emission at its run start.
+        out_order = stable_key_order(order[starts])
+    return order, sk[starts], bounds, out_order
 
 
 def combine_columnar(block: ColumnarBlock, agg: str) -> ColumnarBlock:
@@ -646,8 +598,8 @@ def combine_columnar(block: ColumnarBlock, agg: str) -> ColumnarBlock:
     if len(block) == 0:
         return block
     ufunc = resolve_agg(agg)
-    order, uk, starts, out_order = _group_layout(block.keys, sort_keys=False)
-    rows = segment_aggregate(block.values[order], starts, ufunc)
+    order, uk, bounds, out_order = _group_layout(block.keys, sort_keys=False)
+    rows = segment_aggregate(block.values[order], bounds[:-1], ufunc)
     return ColumnarBlock(uk[out_order], rows[out_order], block.dictionary)
 
 
@@ -796,14 +748,13 @@ def group_columnar(blocks: "Sequence[ColumnarBlock]", *,
     """
     merged = _merge_blocks(blocks, scratch)
     dic = merged.dictionary
-    order, uk, starts, out_order = _group_layout(
+    order, uk, bounds, out_order = _group_layout(
         merged.keys, sort_keys and dic is None)
     if sort_keys and dic is not None and len(uk):
         out_order = dic.sort_order(uk)
-    counts = np.diff(np.append(starts, len(merged)))
     return ColumnarGroups(keys=uk, values=merged.values[order],
-                          starts=starts, counts=counts, order=out_order,
-                          dictionary=dic)
+                          starts=bounds[:-1], counts=np.diff(bounds),
+                          order=out_order, dictionary=dic)
 
 
 # ----------------------------------------------------------------------

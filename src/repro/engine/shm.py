@@ -195,11 +195,15 @@ class ShmGroupsRef(_ShmRef):
 
 
 #: Worker-side cache of loaded :class:`ShmPickleRef` payloads, keyed by
-#: segment name (unique per job run).  Bounded: oldest entry evicted
-#: past the cap, so long-lived pooled workers never accumulate stale
-#: job functions.
+#: segment name.  Names are unique per job run, so entries of any other
+#: run are dead weight: :meth:`ShmPickleRef.load` drops them before it
+#: loads, and a pooled worker holds at most one run's ``f`` / ``rf``.
 _PICKLE_CACHE: "dict[str, Any]" = {}
-_PICKLE_CACHE_CAP = 8
+
+
+def _run_prefix(name: str) -> str:
+    """The per-run prefix of a segment name (``{prefix}f`` -> ``{prefix}``)."""
+    return name[:name.rfind("-") + 1]
 
 
 class ShmPickleRef(_ShmRef):
@@ -213,6 +217,11 @@ class ShmPickleRef(_ShmRef):
     object the first time it sees the name (task replays hit the
     cache).  The segment is driver-owned: it must outlive every retry,
     so only the runtime's registry unlinks it.
+
+    ``specs[0]`` is the pickle stream, the rest its protocol-5
+    out-of-band buffers (the arrays the object closes over), so array
+    bytes are copied once into the segment and once out of it and never
+    pass through the pickle stream.
     """
 
     __slots__ = ()
@@ -220,10 +229,13 @@ class ShmPickleRef(_ShmRef):
     def load(self) -> Any:
         obj = _PICKLE_CACHE.get(self.name, _PICKLE_CACHE)
         if obj is _PICKLE_CACHE:  # sentinel: not cached yet
-            [buf] = self._arrays(unlink=False)
-            obj = pickle.loads(buf.tobytes())
-            while len(_PICKLE_CACHE) >= _PICKLE_CACHE_CAP:
-                _PICKLE_CACHE.pop(next(iter(_PICKLE_CACHE)))
+            run = _run_prefix(self.name)
+            for stale in [n for n in _PICKLE_CACHE if _run_prefix(n) != run]:
+                del _PICKLE_CACHE[stale]
+            # The private copies back the loaded arrays (and stay
+            # writable), so nothing aliases the segment after close.
+            stream, *buffers = self._arrays(unlink=False)
+            obj = pickle.loads(stream, buffers=buffers)
             _PICKLE_CACHE[self.name] = obj
         return obj
 
@@ -236,11 +248,14 @@ def export_pickled(obj: Any, name: str,
     unchanged — per-task pickling of a few hundred bytes is cheaper
     than a segment round trip.
     """
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(data) < min_bytes:
+    buffers: "list[pickle.PickleBuffer]" = []
+    stream = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    parts = [np.frombuffer(stream, dtype=np.uint8)]
+    parts += [np.frombuffer(b.raw(), dtype=np.uint8) for b in buffers]
+    nbytes = sum(p.nbytes for p in parts)
+    if nbytes < min_bytes:
         return obj
-    specs = _write_segment(name, [np.frombuffer(data, dtype=np.uint8)])
-    return ShmPickleRef(name, specs, len(data))
+    return ShmPickleRef(name, _write_segment(name, parts), nbytes)
 
 
 def export_block(block: ColumnarBlock, name: str,

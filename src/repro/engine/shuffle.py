@@ -16,8 +16,10 @@ The buffer speaks both engine representations.  Object buckets (pair
 lists) merge into per-reducer dict tables one pair at a time — the
 reference path.  Columnar buckets
 (:class:`~repro.engine.columnar.ColumnarBlock`) merge by appending whole
-blocks in map-task order; grouping happens once at seal time with a
-stable sort + ``np.unique`` index slices (:meth:`ShuffleBuffer.columnar_groups`),
+blocks in map-task order; grouping happens once at seal time
+(:meth:`ShuffleBuffer.columnar_groups`) with the columnar grouping
+kernel — :func:`~repro.engine.columnar.stable_key_order`, a stable
+radix sort by key, then run boundaries from one neighbour comparison —
 and :meth:`ShuffleBuffer.groups` materialises output *byte-identical*
 to the object path — the oracle contract the equivalence tests pin.
 
@@ -214,9 +216,10 @@ class ShuffleBuffer:
     def columnar_groups(self) -> "list[ColumnarGroups]":
         """Seal a columnar shuffle and return per-reducer grouped arrays.
 
-        Grouping is sort-based (stable argsort + ``np.unique`` index
-        slices), so each group's value rows sit in (map task index,
-        emission order) — the object path's exact value order.
+        Grouping is sort-based and stable (see
+        :func:`~repro.engine.columnar.group_columnar`), so each group's
+        value rows sit in (map task index, emission order) — the object
+        path's exact value order.
         """
         self._check_complete()
         if not self._columnar:

@@ -23,6 +23,7 @@ from repro.engine import (
     combine_columnar,
     hash_buckets,
     route_columnar,
+    route_combine_columnar,
     run_map_task,
     run_reduce_task,
     shuffle,
@@ -171,6 +172,104 @@ class TestCombine:
             combine_columnar(ColumnarBlock([1], [1.0]), "median")
 
 
+def _emit_block_map(key, value, ctx):
+    # value carries the (keys, values) batch for this split
+    ctx.emit_block(*value)
+
+
+def _mod_partitioner(key, num_reducers):
+    return key % num_reducers
+
+
+class _ReversedHash(HashPartitioner):
+    """Overrides __call__, so the vectorised FNV sweep must not serve it."""
+
+    def __call__(self, key, num_reducers):
+        return num_reducers - 1 - super().__call__(key, num_reducers)
+
+
+class TestFusedMapTail:
+    """route_combine_columnar vs the unfused spelling and the object path."""
+
+    @staticmethod
+    def _object_path(keys, values, agg, partitioner, reducers):
+        # columnar=False materialises the batch and runs the object
+        # combiner then the per-pair router; crossover 0 forces the
+        # combine on small batches.
+        res = run_map_task(0, 0, [(0, (keys, values))], _emit_block_map, agg,
+                           partitioner, reducers, None, False, 0)
+        return res.data
+
+    # Key pools whose spans need one, two and three 16-bit sort passes.
+    @pytest.mark.parametrize("span", [40, 2 ** 16 + 5, 2 ** 32 + 5])
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("agg", ["sum", "min", "max"])
+    def test_matches_unfused_and_object_path(self, span, width, agg):
+        rng = np.random.default_rng(11)
+        pool = np.concatenate([[-3, span - 3], rng.integers(-3, span - 3, 30)])
+        keys = rng.choice(pool, 400)
+        values = rng.random(400) if width == 1 else rng.random((400, width))
+        block = ColumnarBlock(keys, values)
+        fused = route_combine_columnar(block, 4, agg)
+        unfused = route_columnar(combine_columnar(block, agg), 4)
+        assert sum(len(b) for b in fused) == len(np.unique(keys))
+        for got, want in zip(fused, unfused):
+            assert np.array_equal(got.keys, want.keys)
+            assert np.array_equal(got.values, want.values)  # bitwise
+        assert [b.to_pairs() for b in fused] == self._object_path(
+            keys, values, agg, HashPartitioner(), 4)
+
+    @pytest.mark.parametrize("partitioner",
+                             [_mod_partitioner, _ReversedHash()])
+    def test_non_default_partitioners(self, partitioner):
+        rng = np.random.default_rng(12)
+        keys = rng.choice(rng.integers(0, 2 ** 20, 25), 300)
+        values = rng.random(300)
+        fused = route_combine_columnar(ColumnarBlock(keys, values), 3, "sum",
+                                       partitioner)
+        for r, bucket in enumerate(fused):
+            assert all(partitioner(k, 3) == r for k in bucket.keys.tolist())
+        assert [b.to_pairs() for b in fused] == self._object_path(
+            keys, values, "sum", partitioner, 3)
+
+    def test_partitioner_called_once_per_distinct_key(self):
+        # the object path partitions *after* the combiner: one call per
+        # distinct key, in first-emission order
+        calls = []
+
+        def spy(key, num_reducers):
+            calls.append(key)
+            return key % num_reducers
+
+        block = ColumnarBlock([7, 3, 7, 9, 3, 7], np.arange(6.0))
+        route_combine_columnar(block, 2, "sum", spy)
+        assert calls == [7, 3, 9]
+
+    def test_dictionary_keys(self):
+        words = ["pear", "fig", "pear", "apple", "fig", "pear", "kiwi"]
+        keys = np.array(words, dtype=object)
+        values = np.arange(7.0)
+        fused = route_combine_columnar(ColumnarBlock(keys, values), 3, "sum")
+        assert [b.to_pairs() for b in fused] == self._object_path(
+            keys, values, "sum", HashPartitioner(), 3)
+
+    def test_out_of_range_partitioner_raises(self):
+        block = ColumnarBlock([0, 1, 2, 3, 3], np.arange(5.0))
+        with pytest.raises(IndexError, match="outside"):
+            route_combine_columnar(block, 3, "sum", lambda k, r: k)
+        with pytest.raises(IndexError, match="outside"):
+            route_combine_columnar(block, 3, "sum", lambda k, r: k - 2)
+
+    def test_single_reducer_and_empty_block(self):
+        block = ColumnarBlock([5, 1, 5], [1.0, 2.0, 4.0])
+        [only] = route_combine_columnar(block, 1, "sum")
+        assert only.to_pairs() == [(5, 5.0), (1, 2.0)]
+        empties = route_combine_columnar(ColumnarBlock.empty(), 3, "sum")
+        assert [len(b) for b in empties] == [0, 0, 0]
+        with pytest.raises(ValueError, match="num_reducers"):
+            route_combine_columnar(block, 0, "sum")
+
+
 class TestColumnarShuffleBuffer:
     """groups() byte-identity across every buffer behaviour."""
 
@@ -281,11 +380,6 @@ class TestColumnarShuffleBuffer:
         assert rows.tolist() == [6.0, 9.0]
         keys, rows = groups.aggregate("min")
         assert rows.tolist() == [2.0, 1.0]
-
-
-def _emit_block_map(key, value, ctx):
-    # value carries the (keys, values) batch for this split
-    ctx.emit_block(*value)
 
 
 def _sum_reduce(key, values, ctx):

@@ -31,7 +31,7 @@ from repro.engine.counters import (
     SPECULATIVE_BACKUPS,
     TASK_RETRIES,
 )
-from repro.engine.shm import export_pickled
+from repro.engine.shm import _PICKLE_CACHE, _unlink_quietly, export_pickled
 
 VOCAB = [f"word{i:03d}" for i in range(40)]
 
@@ -360,6 +360,45 @@ class TestPickleRef:
             # Same name -> the cached object, no second attach/unpickle.
             assert ref.load() is first
         finally:
-            from repro.engine.shm import _unlink_quietly
-
             assert _unlink_quietly("reproshm-test-fat")
+            _PICKLE_CACHE.clear()
+
+    def test_arrays_ship_out_of_band_and_load_private(self):
+        big = np.arange(40_000, dtype=np.float64)
+        payload = {"big": big, "view": big[5:9], "strided": big[::2],
+                   "empty": np.empty((0, 3)), "words": ["a", "b"]}
+        ref = export_pickled(payload, "reproshm-test-oob", min_bytes=1024)
+        try:
+            # specs[0] is the pickle stream, then one buffer per
+            # contiguous array: ``big``'s bytes are not in the stream
+            assert len(ref.specs) > 1
+            assert ref.specs[0][0][0] < big.nbytes <= ref.nbytes
+            got = ref.load()
+        finally:
+            assert _unlink_quietly("reproshm-test-oob")
+            _PICKLE_CACHE.clear()
+        assert got["words"] == ["a", "b"]
+        for name in ("big", "view", "strided", "empty"):
+            assert np.array_equal(got[name], payload[name])
+            assert got[name].dtype == payload[name].dtype
+        # the segment is gone: loaded arrays own private, writable memory
+        got["big"][0] = -1.0
+        assert big[0] == 0.0
+
+    def test_load_evicts_other_runs(self):
+        # names are unique per run, so a pooled worker must not keep the
+        # previous run's job function alive once a new run arrives
+        names = ["reproshm-test-1-f", "reproshm-test-1-rf",
+                 "reproshm-test-2-f"]
+        payload = {"arr": np.arange(5_000)}
+        try:
+            f1, rf1, f2 = (export_pickled(payload, n, min_bytes=1024)
+                           for n in names)
+            f1.load(), rf1.load()
+            assert set(_PICKLE_CACHE) == {f1.name, rf1.name}  # one run's pair
+            f2.load()
+            assert set(_PICKLE_CACHE) == {f2.name}
+        finally:
+            for n in names:
+                _unlink_quietly(n)
+            _PICKLE_CACHE.clear()

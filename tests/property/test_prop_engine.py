@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.engine import (
     FaultPlan,
@@ -23,6 +24,7 @@ from repro.engine import (
     shuffle,
     stable_hash,
 )
+from repro.engine.columnar import stable_key_order
 
 # -- strategies ---------------------------------------------------------
 
@@ -38,6 +40,29 @@ key_scalars = st.one_of(
     st.binary(max_size=8),
 )
 keys = st.one_of(key_scalars, st.tuples(key_scalars, key_scalars))
+
+_I64 = np.iinfo(np.int64)
+
+
+@st.composite
+def int64_key_lists(draw):
+    """Duplicated int64 keys inside a window ``[lo, lo + span]``.
+
+    Spans sit on and either side of each 16-bit digit boundary (where
+    the radix sort gains a pass), up to the whole int64 range (where
+    ``max - min`` itself overflows int64); the window slides anywhere,
+    so negatives and the int64 extremes come up.
+    """
+    span = draw(st.sampled_from(
+        [0, 1] + [2 ** b + d for b in (16, 32, 48) for d in (-1, 0, 1)]
+        + [2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1]))
+    lo = draw(st.integers(_I64.min, _I64.max - span))
+    pool = draw(st.lists(st.integers(lo, lo + span), max_size=10))
+    if draw(st.booleans()):
+        pool += [lo, lo + span]  # the window's ends: exactly this span
+    if not pool:
+        return []
+    return draw(st.lists(st.sampled_from(pool), max_size=50))
 
 
 def _wc_map(key, value, ctx):
@@ -129,6 +154,22 @@ class TestStableHash:
     @given(keys, st.integers(min_value=1, max_value=64))
     def test_partitioner_in_range(self, key, r):
         assert 0 <= HashPartitioner()(key, r) < r
+
+
+class TestStableKeyOrder:
+    @given(int64_key_lists())
+    @example([])
+    @example([7])
+    @example([_I64.max, _I64.min, 0, _I64.max, -1, _I64.min])
+    def test_equals_numpy_stable_argsort(self, keys):
+        k = np.array(keys, dtype=np.int64)
+        assert np.array_equal(stable_key_order(k),
+                              np.argsort(k, kind="stable"))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.float64])
+    def test_rejects_non_int64(self, dtype):
+        with pytest.raises(TypeError, match="int64"):
+            stable_key_order(np.arange(4).astype(dtype))
 
 
 class TestJobProperties:
