@@ -45,7 +45,7 @@ from repro.engine.scheduler import (
     speculative_schedule,
     submission_order_schedule,
 )
-from repro.engine.shuffle import ShuffleBuffer, shuffle, shuffle_bytes
+from repro.engine.shuffle import ColumnarRun, ShuffleBuffer, shuffle, shuffle_bytes
 from repro.engine.task import TaskContext, TaskResult, run_map_task, run_reduce_task
 
 __all__ = [
@@ -76,6 +76,7 @@ __all__ = [
     "HashPartitioner",
     "RangePartitioner",
     "stable_hash",
+    "ColumnarRun",
     "ShuffleBuffer",
     "shuffle",
     "shuffle_bytes",

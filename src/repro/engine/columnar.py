@@ -87,7 +87,6 @@ __all__ = [
     "ColumnarBlock",
     "ColumnarGroups",
     "ColumnarReduce",
-    "MergeScratch",
     "StringDictionary",
     "AGG_UFUNCS",
     "hash_buckets",
@@ -678,75 +677,15 @@ class ColumnarGroups:
         ]
 
 
-class MergeScratch:
-    """Reusable concat buffers for the columnar shuffle merge.
-
-    Sealing a columnar shuffle concatenates every reducer's blocks into
-    one transient batch that only lives until its sorted copies are
-    taken; an iterative driver pays that allocation R times per round.
-    One scratch (owned by the runtime, one sealing thread at a time)
-    recycles the buffers across reducers and rounds.  The grouped
-    output never aliases the scratch — sorting fancy-indexes fresh
-    arrays out of it.
-    """
-
-    __slots__ = ("_keys", "_values")
-
-    def __init__(self) -> None:
-        self._keys = np.empty(0, dtype=np.int64)
-        self._values: "dict[int, np.ndarray]" = {}
-
-    def _keys_buf(self, n: int) -> np.ndarray:
-        if len(self._keys) < n:
-            self._keys = np.empty(max(n, 2 * len(self._keys)),
-                                  dtype=np.int64)
-        return self._keys[:n]
-
-    def _values_buf(self, n: int, width: int) -> np.ndarray:
-        buf = self._values.get(width)
-        if buf is None or buf.shape[0] < n:
-            rows = max(n, 2 * buf.shape[0] if buf is not None else n)
-            shape = (rows,) if width == 1 else (rows, width)
-            buf = np.empty(shape, dtype=np.float64)
-            self._values[width] = buf
-        return buf[:n]
-
-    def concat(self, blocks: "list[ColumnarBlock]") -> ColumnarBlock:
-        """``ColumnarBlock.concat`` into reused buffers (plain-int keys)."""
-        n = sum(len(b) for b in blocks)
-        width = blocks[0].width
-        keys = self._keys_buf(n)
-        values = self._values_buf(n, width)
-        at = 0
-        for b in blocks:
-            stop = at + len(b)
-            keys[at:stop] = b.keys
-            values[at:stop] = b.values
-            at = stop
-        return ColumnarBlock(keys, values)
-
-
-def _merge_blocks(blocks: "Sequence[ColumnarBlock]",
-                  scratch: "MergeScratch | None") -> ColumnarBlock:
-    blocks = list(blocks)
-    if (scratch is None or len(blocks) < 2
-            or any(b.dictionary is not None for b in blocks)
-            or len({b.width for b in blocks}) != 1):
-        return ColumnarBlock.concat(blocks)
-    return scratch.concat(blocks)
-
-
 def group_columnar(blocks: "Sequence[ColumnarBlock]", *,
-                   sort_keys: bool = True,
-                   scratch: "MergeScratch | None" = None) -> ColumnarGroups:
+                   sort_keys: bool = True) -> ColumnarGroups:
     """Group one reducer's blocks (in map-task order) by key.
 
     Dictionary-encoded keys group by id (bijective with the words) but
     honour ``sort_keys`` in *decoded word* order — the object path's
-    ``sorted(table)`` over string keys.  ``scratch`` recycles the
-    transient concat buffers across calls (single owner thread).
+    ``sorted(table)`` over string keys.
     """
-    merged = _merge_blocks(blocks, scratch)
+    merged = ColumnarBlock.concat(blocks)
     dic = merged.dictionary
     order, uk, bounds, out_order = _group_layout(
         merged.keys, sort_keys and dic is None)

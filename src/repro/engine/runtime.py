@@ -46,8 +46,15 @@ Streaming shuffle
 All of a phase's tasks are submitted at once; a failed attempt is
 resubmitted the moment it is observed, and map results stream into an
 incremental :class:`~repro.engine.shuffle.ShuffleBuffer` as each task
-completes, so reducer tables are built concurrently with the map phase
-instead of after a full-list barrier.  The reduce phase starts once the
+completes.  Object buckets merge as they arrive, so reducer tables are
+built concurrently with the map phase instead of after a full-list
+barrier.  Columnar buckets are only *located* by the driver — it lines
+each reducer's blocks (or, under the shm transport, the names of the
+segments the map workers parked them in) up in map-task order and never
+reads them; every reduce task is handed its ungrouped
+:class:`~repro.engine.shuffle.ColumnarRun`, reads the buckets in place
+and groups them itself, so the reducers merge in parallel and the
+synchronisation step stays thin.  The reduce phase starts once the
 buffer is sealed.
 
 Failed task attempts (see :mod:`repro.engine.faults`) are retried up to
@@ -68,7 +75,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.cluster import SimCluster, SpeculationConfig, late_threshold
-from repro.engine.columnar import ColumnarBlock, MergeScratch
+from repro.engine.columnar import ColumnarBlock
 from repro.engine.counters import (
     Counters,
     LOST_MAP_OUTPUTS,
@@ -86,7 +93,6 @@ from repro.engine.shm import (
     SegmentRegistry,
     ShmBlockRef,
     _unlink_quietly,
-    export_groups,
     export_pickled,
 )
 from repro.engine.shuffle import ShuffleBuffer
@@ -303,13 +309,11 @@ class MapReduceRuntime:
         #: once; the replay runs on the survivors).
         self._fired_deaths: "set[tuple[int, int]]" = set()
         #: Driver-side ledger of live shared-memory segments (see
-        #: :class:`~repro.engine.shm.SegmentRegistry`): reduce-input
-        #: segments are registered here and unlinked in ``run``'s
-        #: ``finally`` — and, as a backstop, on :meth:`close`/``__del__``.
+        #: :class:`~repro.engine.shm.SegmentRegistry`): the parked job
+        #: functions and the map buckets the reducers read in place are
+        #: registered here and unlinked in ``run``'s ``finally`` — and,
+        #: as a backstop, on :meth:`close`/``__del__``.
         self.segments = SegmentRegistry()
-        #: Reused concat buffers for the columnar shuffle seal (one
-        #: sealing thread per runtime; run() is not reentrant).
-        self._merge_scratch = MergeScratch()
         self._pool: "concurrent.futures.Executor | None" = None
 
     # ------------------------------------------------------------------
@@ -410,7 +414,6 @@ class MapReduceRuntime:
                   if (round_index, n) not in self._fired_deaths}
         buffer = ShuffleBuffer(len(splits), conf.num_reducers,
                                sort_keys=conf.sort_keys,
-                               merge_scratch=self._merge_scratch,
                                defer_merge=bool(deaths))
         # Shared-memory transport: large columnar payloads ride named
         # segments; only refs (names + metadata) cross the result pipe.
@@ -437,11 +440,14 @@ class MapReduceRuntime:
                        "killed_in_flight": 0, "lost_ops": 0}
 
         def consume_map(i: int, res: TaskResult) -> None:
-            if shm:
-                # take() copies the bucket out of its segment and
-                # unlinks it — each map output is consumed exactly once.
-                res.data = [b.take() if isinstance(b, ShmBlockRef) else b
-                            for b in res.data]
+            # Parked buckets stay where the map worker put them; the
+            # driver only takes over their lifetime.  Reduce attempts
+            # (retries included) read them in place, so they are
+            # unlinked in the finally below, not on receipt — and so is
+            # an output a node death invalidates after this point.
+            for b in res.data:
+                if isinstance(b, ShmBlockRef):
+                    self.segments.adopt(b.name)
             buffer.add(i, res.data)
 
         try:
@@ -469,23 +475,12 @@ class MapReduceRuntime:
 
             sbytes = sum(res.nbytes for res in map_results)
             counters.incr(SHUFFLE_BYTES, sbytes)
-            # Columnar shuffles hand reducers grouped arrays (declarative
-            # reduces run vectorised; callable reduces materialise the exact
-            # object groups worker-side).  Object shuffles group as before.
-            grouped = (buffer.columnar_groups() if buffer.columnar
+            # Columnar shuffles hand each reducer its ungrouped run; the
+            # task groups it worker-side (declarative reduces then run
+            # vectorised, callable reduces materialise the exact object
+            # groups).  Object shuffles are grouped here, as they merged.
+            grouped = (buffer.columnar_runs() if buffer.columnar
                        else buffer.groups())
-            if shm and buffer.columnar:
-                # Reduce inputs must survive task retries, so their
-                # segments are driver-owned: registered here, unlinked
-                # in the finally below once the phase is over.
-                exported = []
-                for r, g in enumerate(grouped):
-                    ref = export_groups(g, f"{shm_prefix}g{r}",
-                                        self.shm_min_bytes)
-                    if ref is not g:
-                        self.segments.adopt(ref.name)
-                    exported.append(ref)
-                grouped = exported
 
             reduce_results = self._run_phase(
                 phase="reduce",
@@ -540,7 +535,7 @@ class MapReduceRuntime:
     @staticmethod
     def _discard_result(res: TaskResult) -> None:
         """Throw away a losing attempt's output, unlinking any segments
-        it parked (nobody will ever take them)."""
+        it parked (they were never adopted; nobody will read them)."""
         data = res.data
         refs = data if isinstance(data, (list, tuple)) else [data]
         for ref in refs:

@@ -10,22 +10,32 @@ the consumer attaches by name, copies the arrays straight out of the
 mapping, and closes it.  One memcpy per side, zero pipe traffic for
 the data.
 
-Ownership is driver-side and explicit:
+Ownership is driver-side and explicit; no ``resource_tracker`` ever
+owns a segment (creators unregister at once, attaching never
+registers — see :func:`_attach`), so a pooled worker's exit cannot
+unlink what the driver still needs:
 
-* Worker-created segments (map buckets, reduce outputs) are
-  ``resource_tracker``-unregistered immediately, so a pooled worker's
-  exit never unlinks a segment the driver still needs; the driver
-  unlinks each segment the moment it consumes the ref
-  (:meth:`_ShmRef.take`).
-* Driver-created segments (reduce-task inputs, which outlive the whole
-  reduce phase including retries) are recorded in a
-  :class:`SegmentRegistry` owned by the runtime and released in the
-  job's ``finally`` / ``runtime.close()`` / ``__del__``.
-* Names are deterministic (``{prefix}m{i}a{a}p{r}`` / ``{prefix}g{r}``
-  / ``{prefix}r{i}a{a}`` / ``{prefix}f``), so an aborted job can sweep
-  every segment the attempts it spawned *might* have created — nothing
-  leaks even when a crash leaves completed-but-unconsumed results
-  behind.
+* Map buckets are worker-created and *driver-adopted*: when a map
+  result is accepted the driver records the bucket names in the
+  runtime's :class:`SegmentRegistry` without reading them.  Reduce
+  tasks copy them out in place (``take(unlink=False)``), so a retried
+  reduce attempt re-reads the same segments; they live until the run
+  ends (``run``'s ``finally``; ``runtime.close()`` / ``__del__`` as
+  backstops).  An invalidated map output (node death) stays adopted
+  and goes with the rest; a losing attempt's buckets were never
+  adopted and are unlinked the moment its result is discarded.
+* Reduce outputs are worker-created and consumed once: the driver
+  unlinks each as it takes the block (:meth:`ShmBlockRef.take`).
+* Driver-created segments (the parked job functions, which every task
+  attempt of the run re-reads) are adopted at creation and released
+  with the map buckets.
+* Names are deterministic (``{prefix}m{i}a{a}p{r}`` /
+  ``{prefix}r{i}a{a}`` / ``{prefix}f`` / ``{prefix}rf``), so an aborted
+  job can sweep every segment the attempts it spawned *might* have
+  created — nothing leaks even when a crash leaves
+  completed-but-unadopted results behind.  (``{prefix}g{r}``, a
+  reducer's pre-grouped input, has no live producer: only
+  :func:`export_groups` callers outside the runtime make one.)
 
 Everything here is fork- and spawn-safe: refs carry only names and
 metadata, and attaching is by name.  Blocks below
@@ -35,8 +45,10 @@ segment round trip (two syscalls + mmap) costs more than it saves.
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
+import sys
 import uuid
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any
@@ -73,6 +85,39 @@ def _untrack(shm: "shared_memory.SharedMemory") -> None:
         pass
 
 
+if sys.version_info >= (3, 13):
+    def _attach(name: str) -> "shared_memory.SharedMemory":
+        """Map the existing segment ``name``, unknown to the tracker."""
+        return shared_memory.SharedMemory(name=name, track=False)
+else:
+    class _attach:
+        """Map the existing segment ``name``, unknown to the tracker.
+
+        CPython <= 3.12 registers a segment with the resource tracker on
+        *attach* as well as on create.  Pooled workers share the
+        driver's tracker, which keeps a set: two workers attaching the
+        same segment register twice, and the second balancing
+        unregister is a ``KeyError`` traceback on the tracker's stderr.
+        So attach the way ``SharedMemory`` does, minus the registration
+        (what ``track=False`` spells from 3.13 on).
+        """
+
+        def __init__(self, name: str) -> None:
+            self._name = f"/{name}"
+            fd = shared_memory._posixshmem.shm_open(
+                self._name, os.O_RDWR, mode=0o600)
+            try:
+                self.buf = mmap.mmap(fd, os.fstat(fd).st_size)
+            finally:
+                os.close(fd)
+
+        def close(self) -> None:
+            self.buf.close()
+
+        def unlink(self) -> None:
+            shared_memory._posixshmem.shm_unlink(self._name)
+
+
 def _align(n: int) -> int:
     return (n + 7) & ~7
 
@@ -105,17 +150,8 @@ def _write_segment(name: str, arrays: "list[np.ndarray]") -> "list[tuple]":
 
 def _read_segment(name: str, specs: "list[tuple]",
                   unlink: bool) -> "list[np.ndarray]":
-    """Attach ``name``, copy each spec'd array out, close (and unlink).
-
-    Attaching registers the name with this process's resource tracker
-    (CPython <= 3.12 registers on attach, not just create).
-    ``unlink()`` unregisters internally, balancing the books; on the
-    keep-alive path we unregister explicitly so a pooled worker's exit
-    never destroys a segment the driver still owns.
-    """
-    shm = shared_memory.SharedMemory(name=name)
-    if not unlink:
-        _untrack(shm)
+    """Attach ``name``, copy each spec'd array out, close (and unlink)."""
+    shm = _attach(name)
     try:
         out = [
             np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=off).copy()
@@ -165,8 +201,10 @@ class ShmBlockRef(_ShmRef):
     def take(self, *, unlink: bool = True) -> ColumnarBlock:
         """Materialise the block (one copy out of the mapping).
 
-        ``unlink`` destroys the segment afterwards — the consume-once
-        driver side; workers re-reading a retried input pass False.
+        ``unlink`` destroys the segment afterwards — how the driver
+        consumes a reduce output; a reduce task reading its map buckets
+        passes False (a retry re-reads them; the driver's registry
+        unlinks them when the run ends).
         """
         keys, values = self._arrays(unlink=unlink)
         return ColumnarBlock(keys, values, self.dictionary)
@@ -284,8 +322,9 @@ def export_groups(groups: ColumnarGroups, name: str,
 class SegmentRegistry:
     """Driver-side ledger of live shared-memory segments.
 
-    Tracks segments the driver itself created (reduce inputs) so the
-    job's ``finally`` — and ultimately ``runtime.close()`` /
+    Tracks the segments that must outlive single tasks — the map
+    buckets the driver adopted and the job functions it parked — so
+    the job's ``finally`` — and ultimately ``runtime.close()`` /
     ``__del__`` — can unlink them, and hands out collision-free name
     prefixes per job run.  ``sweep`` is the abort-path net: it probes
     every deterministic name the job's spawned attempts could have
@@ -332,9 +371,9 @@ class SegmentRegistry:
         number)``; a map attempt parks one bucket per reducer, a reduce
         attempt one output block.  Used on the abort path only: probes
         are cheap (one failed open each) but would still be pure
-        overhead on the happy path, where take() has already emptied
-        the namespace.  Driver-created segments are registered and go
-        with :meth:`release_all`.  Returns the number reclaimed.
+        overhead on the happy path, where every segment is either
+        adopted (and goes with :meth:`release_all`) or already taken.
+        Returns the number reclaimed.
         """
         reclaimed = 0
         for phase, i, a in spawned:
@@ -347,12 +386,12 @@ class SegmentRegistry:
 def _unlink_quietly(name: str) -> bool:
     """Unlink ``name`` if it exists; True when a segment was reclaimed."""
     try:
-        shm = shared_memory.SharedMemory(name=name)
+        shm = _attach(name)
     except FileNotFoundError:
         return False
     try:
-        shm.unlink()  # unregisters internally — no explicit _untrack
+        shm.unlink()
     except FileNotFoundError:  # pragma: no cover - lost a race
-        _untrack(shm)
+        pass
     shm.close()
     return True

@@ -6,22 +6,32 @@ requires all the values corresponding to each key" (§II).  That data
 dependency is fundamental — no reduce group is *complete* before every
 map has contributed — but the *work* of grouping is not: the
 :class:`ShuffleBuffer` consumes each map task's buckets as soon as that
-task finishes, so by the time the last map completes the reducer tables
-are already built and reduce tasks can launch immediately (the paper's
-eager reduce-side consumption, §V-B.2).  :func:`shuffle` is the batch
+task finishes, so by the time the last map completes the reducer inputs
+are already built (object buckets) or located (columnar buckets, below)
+and reduce tasks can launch immediately (the paper's eager reduce-side
+consumption, §V-B.2).  :func:`shuffle` is the batch
 wrapper for direct callers; it feeds a buffer in a single pass over the
 map outputs.
 
 The buffer speaks both engine representations.  Object buckets (pair
 lists) merge into per-reducer dict tables one pair at a time — the
-reference path.  Columnar buckets
-(:class:`~repro.engine.columnar.ColumnarBlock`) merge by appending whole
-blocks in map-task order; grouping happens once at seal time
-(:meth:`ShuffleBuffer.columnar_groups`) with the columnar grouping
-kernel — :func:`~repro.engine.columnar.stable_key_order`, a stable
-radix sort by key, then run boundaries from one neighbour comparison —
-and :meth:`ShuffleBuffer.groups` materialises output *byte-identical*
-to the object path — the oracle contract the equivalence tests pin.
+reference path.  Columnar buckets are only *located*: each reducer's
+buckets — each a :class:`~repro.engine.columnar.ColumnarBlock`, or the
+:class:`~repro.engine.shm.ShmBlockRef` handle of a block a worker
+parked in shared memory, kept as it is and never read here — are
+lined up in map-task order, and :meth:`ShuffleBuffer.columnar_runs`
+seals them into one ungrouped :class:`ColumnarRun` per reducer.  As in
+the paper's MapReduce, where reducers pull their partitions from the
+map side and the master only tracks where they are (§II), the run is
+what a reduce task is handed; the task reads its buckets and groups
+them itself (:meth:`ColumnarRun.group`: the columnar grouping kernel —
+:func:`~repro.engine.columnar.stable_key_order`, a stable radix sort by
+key, then run boundaries from one neighbour comparison), so R reducers
+group in parallel and the synchronising driver copies nothing.
+:meth:`ShuffleBuffer.columnar_groups` and :meth:`ShuffleBuffer.groups`
+group the same runs in the calling process; the latter materialises
+output *byte-identical* to the object path — the oracle contract the
+equivalence tests pin.
 
 Determinism: within a group, values arrive ordered by (map task index,
 emission order) — the buffer reorders out-of-order completions
@@ -33,17 +43,41 @@ on exactly that.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.cluster.dfs import estimate_nbytes
-from repro.engine.columnar import (
-    ColumnarBlock,
-    ColumnarGroups,
-    MergeScratch,
-    group_columnar,
-)
+from repro.engine.columnar import ColumnarBlock, ColumnarGroups, group_columnar
+from repro.engine.shm import ShmBlockRef
 
-__all__ = ["ShuffleBuffer", "shuffle", "shuffle_bytes"]
+__all__ = ["ColumnarRun", "ShuffleBuffer", "shuffle", "shuffle_bytes"]
+
+
+@dataclass
+class ColumnarRun:
+    """One reducer's ungrouped columnar input: where its buckets are.
+
+    ``blocks`` holds the reducer's map buckets in map-task order, each
+    a block or the handle of one parked in shared memory.  Picklable
+    and small when the buckets are handles — this is what crosses to a
+    pooled reduce task, which calls :meth:`group` worker-side.
+    """
+
+    blocks: "list[ColumnarBlock | ShmBlockRef]"
+    sort_keys: bool = True
+
+    def group(self) -> ColumnarGroups:
+        """Read the buckets and group them by key.
+
+        Parked buckets are copied out and left in place — a retried
+        reduce attempt reads them again.  Grouping is sort-based and
+        stable (see :func:`~repro.engine.columnar.group_columnar`), so
+        each group's value rows sit in (map task index, emission order)
+        — the object path's exact value order.
+        """
+        blocks = [b.take(unlink=False) if isinstance(b, ShmBlockRef) else b
+                  for b in self.blocks]
+        return group_columnar(blocks, sort_keys=self.sort_keys)
 
 
 class ShuffleBuffer:
@@ -54,9 +88,9 @@ class ShuffleBuffer:
     the per-reducer tables strictly in map-task-index order, so the
     grouped output is byte-identical to a serial post-barrier shuffle.
 
-    The representation (object pair lists vs columnar blocks) is
-    detected from the first map task's buckets; all map tasks of one
-    shuffle must agree.
+    The representation (object pair lists vs columnar blocks, parked
+    in shared memory or not) is detected from the first map task's
+    buckets; all map tasks of one shuffle must agree.
 
     Parameters
     ----------
@@ -66,10 +100,6 @@ class ShuffleBuffer:
         Number of reduce partitions (R).
     sort_keys:
         Sort each reducer's groups by key at :meth:`groups` time.
-    merge_scratch:
-        Optional :class:`~repro.engine.columnar.MergeScratch` recycling
-        the columnar seal's transient concat buffers across reducers
-        and rounds (an iterative runtime passes its own).
     defer_merge:
         Park *every* contribution and fold only at seal time.  The
         eager in-order merge is irreversible (object buckets dissolve
@@ -82,7 +112,6 @@ class ShuffleBuffer:
 
     def __init__(self, num_maps: int, num_reducers: int, *,
                  sort_keys: bool = True,
-                 merge_scratch: "MergeScratch | None" = None,
                  defer_merge: bool = False) -> None:
         if num_maps < 0:
             raise ValueError("num_maps must be >= 0")
@@ -91,11 +120,12 @@ class ShuffleBuffer:
         self.num_maps = num_maps
         self.num_reducers = num_reducers
         self.sort_keys = sort_keys
-        self.merge_scratch = merge_scratch
         self.defer_merge = defer_merge
         self._tables: list[dict[Any, list]] = [{} for _ in range(num_reducers)]
-        #: Columnar mode: per-reducer blocks, merged in map-index order.
-        self._blocks: list[list[ColumnarBlock]] = [[] for _ in range(num_reducers)]
+        #: Columnar mode: per-reducer blocks (or their shared-memory
+        #: handles), lined up in map-index order.
+        self._blocks: "list[list[ColumnarBlock | ShmBlockRef]]" = [
+            [] for _ in range(num_reducers)]
         #: None until the first add decides the representation.
         self._columnar: "bool | None" = None
         #: Out-of-order contributions parked until their predecessors land.
@@ -123,8 +153,8 @@ class ShuffleBuffer:
         """True when this shuffle carries columnar blocks."""
         return bool(self._columnar)
 
-    def add(self, map_index: int,
-            buckets: "Sequence[Sequence[tuple[Any, Any]] | ColumnarBlock]") -> None:
+    def add(self, map_index: int, buckets: "Sequence[Sequence[tuple[Any, Any]] "
+            "| ColumnarBlock | ShmBlockRef]") -> None:
         """Consume one finished map task's per-reducer buckets.
 
         Validates the bucket count once per map task (the batch
@@ -148,7 +178,7 @@ class ShuffleBuffer:
         # shuffle into its default representation and crashing the mix
         # check.  Only tasks with records decide/validate the mode.
         if any(len(b) for b in buckets):
-            columnar = isinstance(buckets[0], ColumnarBlock)
+            columnar = isinstance(buckets[0], (ColumnarBlock, ShmBlockRef))
             if self._columnar is None:
                 self._columnar = columnar
             elif columnar != self._columnar:
@@ -213,21 +243,22 @@ class ShuffleBuffer:
             self._merge(self._parked.pop(self._next))
             self._next += 1
 
-    def columnar_groups(self) -> "list[ColumnarGroups]":
-        """Seal a columnar shuffle and return per-reducer grouped arrays.
+    def columnar_runs(self) -> "list[ColumnarRun]":
+        """Seal a columnar shuffle without reading it: per-reducer runs.
 
-        Grouping is sort-based and stable (see
-        :func:`~repro.engine.columnar.group_columnar`), so each group's
-        value rows sit in (map task index, emission order) — the object
-        path's exact value order.
+        ``columnar_runs()[r]`` lists reducer ``r``'s buckets in map-task
+        order, whatever order the map tasks arrived in; grouping is left
+        to whoever holds the run (:meth:`ColumnarRun.group`).
         """
         self._check_complete()
         if not self._columnar:
             raise RuntimeError(
-                "columnar_groups() on an object-mode shuffle; use groups()")
-        return [group_columnar(blocks, sort_keys=self.sort_keys,
-                               scratch=self.merge_scratch)
-                for blocks in self._blocks]
+                "columnar_runs() on an object-mode shuffle; use groups()")
+        return [ColumnarRun(blocks, self.sort_keys) for blocks in self._blocks]
+
+    def columnar_groups(self) -> "list[ColumnarGroups]":
+        """Seal a columnar shuffle and return per-reducer grouped arrays."""
+        return [run.group() for run in self.columnar_runs()]
 
     def groups(self) -> "list[list[tuple[Any, list]]]":
         """Seal the buffer and return per-reducer grouped inputs.

@@ -55,7 +55,7 @@ from repro.engine.counters import (
 )
 from repro.engine.faults import FaultPlan
 from repro.engine.shm import ShmGroupsRef, ShmPickleRef, export_block
-from repro.engine.shuffle import shuffle_bytes
+from repro.engine.shuffle import ColumnarRun, shuffle_bytes
 
 __all__ = ["TaskContext", "TaskResult", "run_map_task", "run_reduce_task"]
 
@@ -304,14 +304,22 @@ def _apply_combiner(pairs: "list[tuple[Any, Any]]", combine_fn: Any,
 def run_reduce_task(
     task_index: int,
     attempt: int,
-    groups: "list[tuple[Any, list]] | ColumnarGroups | ShmGroupsRef",
+    groups: "list[tuple[Any, list]] | ColumnarRun | ColumnarGroups | ShmGroupsRef",
     reduce_fn: Any,
     fault_plan: "FaultPlan | None" = None,
     measure_output: bool = True,
     shm_threshold: "int | None" = None,
     shm_prefix: "str | None" = None,
 ) -> TaskResult:
-    """Execute one reduce task attempt over its grouped input.
+    """Execute one reduce task attempt over its input.
+
+    The runtime hands a columnar reducer its *ungrouped* run
+    (:class:`~repro.engine.shuffle.ColumnarRun`): the task reads the
+    map buckets — straight out of the segments the map workers parked
+    them in, under the shm transport — and groups them itself, so the
+    driver never touches shuffle data.  The segments are left in place
+    (a retried attempt reads them again; the driver unlinks them when
+    the run ends).
 
     Columnar grouped input with a declarative reduce (a named
     aggregation or :class:`~repro.engine.columnar.ColumnarReduce`) runs
@@ -327,13 +335,12 @@ def run_reduce_task(
     the per-object scan would be pure overhead (the columnar path
     measures for free either way).
 
-    Grouped input may arrive as a shared-memory handle
-    (:class:`~repro.engine.shm.ShmGroupsRef`, process executors): the
-    task copies the arrays straight out of the named segment instead of
-    receiving them through the result pipe.  The segment is left in
-    place — it must survive task retries; the driver unlinks it.  With
+    Direct callers may also pass already-grouped columnar input:
+    :class:`~repro.engine.columnar.ColumnarGroups`, or its
+    shared-memory handle (:class:`~repro.engine.shm.ShmGroupsRef`,
+    copied out and left in place).  With
     ``shm_threshold`` set, a large columnar output block is parked in
-    shared memory the same way.
+    shared memory for the driver to take.
     """
     task_id = f"r{task_index}"
     if fault_plan is not None:
@@ -341,7 +348,9 @@ def run_reduce_task(
         fault_plan.maybe_fail("reduce", task_index, attempt)
     if isinstance(reduce_fn, ShmPickleRef):
         reduce_fn = reduce_fn.load()  # parked once per run, cached
-    if isinstance(groups, ShmGroupsRef):
+    if isinstance(groups, ColumnarRun):
+        groups = groups.group()
+    elif isinstance(groups, ShmGroupsRef):
         groups = groups.take(unlink=False)
     if isinstance(groups, ColumnarGroups):
         cr = as_columnar_reduce(reduce_fn)

@@ -10,20 +10,33 @@ the time ``run`` returns (plus ``close()``/``__del__`` as backstops).
 from __future__ import annotations
 
 import glob
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.engine import (
+    ColumnarBlock,
+    ColumnarRun,
     FaultPlan,
+    HashPartitioner,
     Job,
     JobConf,
     JobFailedError,
     MapReduceRuntime,
     NodeFaultPlan,
+    ShmBlockRef,
     ShmPickleRef,
+    SimulatedTaskFailure,
+    run_reduce_task,
 )
+from repro.engine import shm
 from repro.cluster import SpeculationConfig
 from repro.engine.counters import (
     LOST_MAP_OUTPUTS,
@@ -151,6 +164,179 @@ class TestSegmentLifecycle:
                        _splits())
             assert rt.segments.live_count == 0
         assert _live_segments() <= before
+
+
+def _assert_bitwise(res, oracle):
+    got, want = res.columnar_output, oracle.columnar_output
+    assert np.array_equal(got.keys, want.keys)
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def _fail_r1_after_reading(key, values, ctx):
+    """A callable reduce whose first attempt on reducer 1 dies — by then
+    the task has read and grouped its map buckets."""
+    if ctx.task_id == "r1" and ctx.attempt == 0:
+        raise SimulatedTaskFailure("reduce 1 dies mid-task")
+    ctx.emit(key, sum(values))
+
+
+class TestReducerSideMerge:
+    """The driver locates columnar map output and never reads it: each
+    reduce task takes its own buckets out of the segments the map
+    workers parked them in, and groups them itself."""
+
+    M, R = 4, 2
+    JOB = Job(_emit_block_map, "sum", combine_fn="sum",
+              conf=JobConf(num_reducers=R))
+
+    def _oracle(self, job, splits):
+        with MapReduceRuntime("serial") as rt:
+            return rt.run(job, splits)
+
+    @pytest.mark.parametrize("executor", ["processes", "threads"])
+    def test_driver_takes_only_reduce_outputs(self, executor, monkeypatch):
+        takes, created = [], []
+        real_take, real_write = ShmBlockRef.take, shm._write_segment
+
+        def take(ref, *, unlink=True):
+            takes.append((ref.name, unlink))
+            return real_take(ref, unlink=unlink)
+
+        def write(name, arrays):
+            created.append(name)
+            return real_write(name, arrays)
+
+        def no_export_groups(*args, **kwargs):
+            raise AssertionError("export_groups has no live caller")
+
+        # Patched before the pool forks: a worker's calls land in the
+        # worker's copy of the lists, so under "processes" these record
+        # the driver alone; under "threads" the whole job.
+        monkeypatch.setattr(ShmBlockRef, "take", take)
+        monkeypatch.setattr(shm, "_write_segment", write)
+        monkeypatch.setattr(shm, "export_groups", no_export_groups)
+        runs = 2
+        splits = _splits(num_splits=self.M)
+        before = _live_segments()
+        with MapReduceRuntime(executor, workers=2, shm_transport=True,
+                              shm_min_bytes=1024) as rt:
+            for _ in range(runs):
+                res = rt.run(self.JOB, splits)
+                assert rt.segments.live_count == 0
+        assert _live_segments() <= before
+        _assert_bitwise(res, self._oracle(self.JOB, splits))
+        consumed = [name for name, unlink in takes if unlink]
+        assert len(consumed) == self.R * runs
+        assert all(re.search(r"-r\d+a0$", name) for name in consumed)
+        assert not any(re.search(r"-g\d+$", name) for name in created)
+        if executor == "processes":
+            assert len(takes) == self.R * runs  # no map bucket read here
+            assert created == []                # thin functions: no f/rf
+        else:
+            in_place = [name for name, unlink in takes if not unlink]
+            assert len(in_place) == self.M * self.R * runs
+            assert len(created) == (self.M * self.R + self.R) * runs
+
+    def test_reduce_retry_rereads_the_same_map_segments(self):
+        splits = _splits(num_splits=self.M)
+        before = _live_segments()
+        plan = FaultPlan.script({("reduce", 0): 1})
+        with MapReduceRuntime("processes", workers=2, fault_plan=plan,
+                              shm_min_bytes=1024) as rt:
+            res = rt.run(self.JOB, splits)
+            assert rt.segments.live_count == 0
+        assert _live_segments() <= before
+        assert res.counters.get(TASK_RETRIES) == 1
+        _assert_bitwise(res, self._oracle(self.JOB, splits))
+
+    def test_attempt_that_dies_after_reading_leaves_the_buckets(self):
+        job = Job(_emit_block_map, _fail_r1_after_reading,
+                  conf=JobConf(num_reducers=self.R))
+        splits = _splits(num_splits=self.M, n=400)
+        before = _live_segments()
+        with MapReduceRuntime("processes", workers=2,
+                              shm_min_bytes=1024) as rt:
+            res = rt.run(job, splits)
+            assert rt.segments.live_count == 0
+        assert _live_segments() <= before
+        assert res.counters.get(TASK_RETRIES) == 1
+        assert res.output == self._oracle(job, splits).output
+
+    def test_run_split_between_parked_and_inline_buckets(self):
+        """One map task's buckets clear the threshold, another's do not:
+        a reducer's run then mixes segment handles and plain blocks."""
+        splits = _splits(num_splits=3)
+        splits[1] = [(1, tuple(col[:20] for col in splits[1][0][1]))]
+        before = _live_segments()
+        with MapReduceRuntime("processes", workers=2,
+                              shm_min_bytes=1024) as rt:
+            adopted = []
+            adopt = rt.segments.adopt
+            rt.segments.adopt = lambda name: (adopted.append(name),
+                                              adopt(name))
+            res = rt.run(self.JOB, splits)
+        assert _live_segments() <= before
+        assert sorted(name.rsplit("-", 1)[1] for name in adopted) == [
+            "m0a0p0", "m0a0p1", "m2a0p0", "m2a0p1"]
+        _assert_bitwise(res, self._oracle(self.JOB, splits))
+
+    def test_reducer_with_an_empty_run(self):
+        part, R = HashPartitioner(), 3
+        keys = np.array([k for k in range(900) if part(k, R) != 1])
+        rng = np.random.default_rng(3)
+        splits = [[(m, (rng.permutation(keys), rng.random(len(keys))))]
+                  for m in range(self.M)]
+        job = Job(_emit_block_map, "sum", combine_fn="sum",
+                  conf=JobConf(num_reducers=R))
+        before = _live_segments()
+        with MapReduceRuntime("processes", workers=2,
+                              shm_min_bytes=1024) as rt:
+            res = rt.run(job, splits)
+        assert _live_segments() <= before
+        _assert_bitwise(res, self._oracle(job, splits))
+        assert len(res.columnar_output) == len(keys)
+        out = run_reduce_task(1, 0, ColumnarRun([]), "sum").data
+        assert isinstance(out, ColumnarBlock) and len(out) == 0
+
+
+_TRACKER_RACE_SCRIPT = """
+import numpy as np
+from repro.engine import Job, JobConf, MapReduceRuntime
+from repro.engine.shm import SHM_MIN_BYTES
+
+
+class FatMap:
+    def __init__(self):
+        self.table = np.arange(2 * SHM_MIN_BYTES // 8, dtype=np.float64)
+
+    def __call__(self, key, value, ctx):
+        ctx.emit_block(np.arange(8) + key, self.table[:8])
+
+
+if __name__ == "__main__":
+    job = Job(FatMap(), "sum", conf=JobConf(num_reducers=2))
+    with MapReduceRuntime("processes", workers=2) as rt:
+        for _ in range(30):
+            res = rt.run(job, [[(m, None)] for m in range(4)])
+            assert len(res.output) == 11
+    print("done")
+"""
+
+
+def test_attaching_leaves_the_resource_tracker_alone(tmp_path):
+    """Two pooled workers attach the same parked job function every
+    run.  CPython <= 3.12 registers a segment with the (shared)
+    resource tracker on attach; register, register, unregister,
+    unregister is a ``KeyError`` traceback on the tracker's stderr."""
+    script = tmp_path / "tracker_race.py"
+    script.write_text(_TRACKER_RACE_SCRIPT)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "done\n"
+    assert proc.stderr == ""
 
 
 class TestSpeculativeCancellation:

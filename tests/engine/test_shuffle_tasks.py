@@ -7,6 +7,7 @@ import pytest
 from repro.engine import (
     FaultPlan,
     HashPartitioner,
+    ShmBlockRef,
     ShuffleBuffer,
     SimulatedTaskFailure,
     TaskContext,
@@ -155,6 +156,46 @@ class TestShuffleBuffer:
         buf.add(0, [[("z", 1)]])
         # first-seen order follows map index, not arrival order
         assert [k for k, _ in buf.groups()[0]] == ["z", "a"]
+
+
+def _refs(tag: str, sizes: "list[int]") -> "list[ShmBlockRef]":
+    """Handles of per-reducer buckets of ``sizes`` records each.  No
+    segment exists behind them: the buffer must never read a bucket."""
+    return [ShmBlockRef(f"{tag}p{r}",
+                        [((n,), "<i8", 0), ((n,), "<f8", 8 * n)], 16 * n)
+            for r, n in enumerate(sizes)]
+
+
+class TestShuffleBufferLocatesRefs:
+    def test_runs_hold_the_refs_in_map_order(self):
+        buf = ShuffleBuffer(3, 2)
+        for m in (2, 0, 1):
+            buf.add(m, _refs(f"m{m}a0", [4, 5]))
+        assert buf.columnar
+        runs = buf.columnar_runs()
+        assert [[b.name for b in run.blocks] for run in runs] == [
+            ["m0a0p0", "m1a0p0", "m2a0p0"], ["m0a0p1", "m1a0p1", "m2a0p1"]]
+        assert all(run.sort_keys for run in runs)
+
+    def test_invalidated_refs_are_replaced_by_the_replay(self):
+        buf = ShuffleBuffer(3, 2, sort_keys=False, defer_merge=True)
+        buf.add(1, _refs("m1a0", [4, 0]))
+        buf.add(2, _refs("m2a0", [3, 3]))
+        buf.add(0, _refs("m0a0", [2, 6]))
+        assert buf.invalidate(1)
+        assert not buf.complete
+        buf.add(1, _refs("m1a3", [4, 0]))  # the replay attempt's buckets
+        runs = buf.columnar_runs()
+        assert [[b.name for b in run.blocks] for run in runs] == [
+            ["m0a0p0", "m1a3p0", "m2a0p0"], ["m0a0p1", "m1a3p1", "m2a0p1"]]
+        assert not any(run.sort_keys for run in runs)
+
+    def test_all_empty_refs_stay_representation_neutral(self):
+        buf = ShuffleBuffer(2, 2)
+        buf.add(0, _refs("m0a0", [0, 0]))
+        buf.add(1, [[("a", 1)], []])
+        assert not buf.columnar
+        assert buf.groups() == [[("a", [1])], []]
 
 
 class TestTaskContext:

@@ -25,6 +25,7 @@ from repro.engine import (
     stable_hash,
 )
 from repro.engine.columnar import stable_key_order
+from repro.engine.shm import SHM_MIN_BYTES
 
 # -- strategies ---------------------------------------------------------
 
@@ -72,6 +73,12 @@ def _wc_map(key, value, ctx):
 
 def _wc_reduce(key, values, ctx):
     ctx.emit(key, sum(values))
+
+
+def _wc_block_map(key, value, ctx):
+    ws = value.split()
+    if ws:
+        ctx.emit_block(np.array(ws, dtype=object), np.ones(len(ws)))
 
 
 def _split(documents, n):
@@ -206,14 +213,22 @@ class TestJobProperties:
 
     @settings(deadline=None, max_examples=10,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(docs)
-    def test_thread_executor_equivalent(self, documents):
-        job = Job(_wc_map, _wc_reduce, conf=JobConf(num_reducers=2))
+    @given(docs, st.sampled_from([0, 64, SHM_MIN_BYTES]))
+    def test_thread_executor_equivalent(self, documents, shm_min_bytes):
+        # object shuffle, and a columnar shuffle under a *callable*
+        # reduce: the pooled reduce task groups its own run (buckets
+        # parked in segments or inline, as the threshold falls) and
+        # materialises the object groups from it
         splits = _split(documents, 3)
-        serial = MapReduceRuntime("serial").run(job, splits)
-        with MapReduceRuntime("threads", workers=3) as rt:
-            threads = rt.run(job, splits)
-        assert serial.as_dict() == threads.as_dict()
+        for map_fn in (_wc_map, _wc_block_map):
+            job = Job(map_fn, _wc_reduce, conf=JobConf(num_reducers=2))
+            serial = MapReduceRuntime("serial").run(job, splits)
+            with MapReduceRuntime("threads", workers=3, shm_transport=True,
+                                  shm_min_bytes=shm_min_bytes) as rt:
+                threads = rt.run(job, splits)
+                assert rt.segments.live_count == 0
+            assert serial.output == threads.output
+            assert serial.as_dict() == _expected(documents)
 
     @settings(deadline=None, max_examples=10,
               suppress_health_check=[HealthCheck.too_slow])
