@@ -300,7 +300,8 @@ def _info(message: str, subject: Any) -> Finding:
 
 
 def explain_columnar_spec(spec: Any) -> "list[Finding]":
-    """Why an :class:`AsyncMapReduceSpec` is not on the columnar path."""
+    """Why an :class:`AsyncMapReduceSpec` is not on the columnar path,
+    or runs its local iterations record by record."""
     from repro.core.api import AsyncMapReduceSpec, BlockSpec
 
     if isinstance(spec, BlockSpec):
@@ -324,6 +325,12 @@ def explain_columnar_spec(spec: Any) -> "list[Finding]":
             "spec sets no columnar_combine, so duplicate keys ship "
             "unfolded through the shuffle (declare 'sum'/'min'/'max' "
             "when the reduce is one of them)", spec))
+    if getattr(spec, "local_agg", None) is None:
+        findings.append(_info(
+            "spec names no local_agg, so the gmap interprets every local "
+            "iteration record by record (declare 'sum'/'min'/'max' and "
+            "the *_block hooks when lreduce folds with one of them — "
+            "docs/local_loop.md)", spec))
     return findings
 
 

@@ -46,8 +46,9 @@ from repro.core import (
     LocalSolveReport,
     resolve_block_backend,
 )
+from repro.core.localmr import xs_columns
 from repro.engine import MapReduceRuntime
-from repro.graph import DiGraph, Partition
+from repro.graph import DiGraph, Partition, edge_blocks
 
 __all__ = [
     "PageRankBlockSpec",
@@ -243,8 +244,13 @@ class PageRankKVSpec(AsyncMapReduceSpec):
     collapses to a per-key segmented **sum** and the map-side ``"sum"``
     combiner (§V-B's partial aggregation) pre-folds each partition's
     contributions to one row per remote target before the shuffle.
+
+    Block-level local step (``local_agg``): mutable columns ``(rank,
+    ext_contrib)``, ``lreduce``'s fold of a node's internal
+    contributions is a **sum** — bitwise the ``lmap``/``lreduce`` below.
     """
 
+    local_agg = "sum"
     supports_columnar = True
     columnar_combine = "sum"
 
@@ -269,8 +275,10 @@ class PageRankKVSpec(AsyncMapReduceSpec):
             same = assign[succ] == assign[u]
             self._internal_adj[u] = succ[same].tolist()
             self._external_adj[u] = succ[~same].tolist()
-        #: part_id -> static emission arrays for the columnar gmap.
-        self._col_cache: dict = {}
+        #: Static per-partition arrays (local step, columnar emission):
+        #: built here so they ship with the spec — a worker's copy lives one run.
+        self._blocks = edge_blocks(graph, partition)
+        self._block_inv_out = [self._inv_outdeg[b.nodes] for b in self._blocks]
 
     # -- iteration plumbing ----------------------------------------------
     def initial_state(self) -> dict:
@@ -367,44 +375,46 @@ class PageRankKVSpec(AsyncMapReduceSpec):
         new_state.update(output)
         return new_state
 
-    # -- columnar fast path ------------------------------------------------
-    def _columnar_arrays(self, part_id: int):
-        """Static per-partition emission structure (built once).
+    # -- block-level local step ---------------------------------------------
+    def local_columns(self, part_id: int, xs: list) -> np.ndarray:
+        return xs_columns(xs, self._blocks[part_id].node_list, 2)
 
-        ``nodes`` are the partition's node ids in table order,
-        ``ext_src`` the *local index* of each outgoing cut edge's source
-        (repeated per edge) and ``ext_dst`` its remote target, so the
-        per-round contribution vector is one gather-multiply.
-        """
-        cached = self._col_cache.get(part_id)
-        if cached is None:
-            nodes = self.partition.parts()[part_id].astype(np.int64)
-            node_list = [int(u) for u in nodes]
-            counts = [len(self._external_adj[u]) for u in node_list]
-            ext_dst = np.fromiter(
-                (v for u in node_list for v in self._external_adj[u]),
-                dtype=np.int64, count=sum(counts))
-            ext_src = np.repeat(np.arange(len(node_list)), counts)
-            cached = (nodes, node_list, ext_src, ext_dst,
-                      self._inv_outdeg[nodes])
-            self._col_cache[part_id] = cached
-        return cached
+    def lmap_block(self, part_id: int, cols: np.ndarray):
+        b = self._blocks[part_id]
+        push = cols[:, 0] * self._block_inv_out[part_id]
+        return b.int_dst, push[b.int_src]
+
+    def lreduce_block(self, part_id: int, cols: np.ndarray, acc: np.ndarray):
+        ext = cols[:, 1]
+        new_rank = (1.0 - self.damping) + self.damping * (acc + ext)
+        return np.column_stack([new_rank, ext])
+
+    def local_converged_block(self, prev_cols, cols) -> bool:
+        delta = np.abs(cols[:, 0] - prev_cols[:, 0]).max(initial=0.0)
+        return bool(delta < self.tol)
+
+    # -- columnar fast path ------------------------------------------------
+    def gmap_emit_block(self, cols: np.ndarray, part_id: int):
+        """The columnar emission from the rank column: one
+        gather-multiply over the partition's outgoing cut edges."""
+        b = self._blocks[part_id]
+        ranks = cols[:, 0]
+        n = len(b.nodes)
+        keys = np.concatenate([b.nodes, b.cut_dst])
+        rows = np.zeros((len(keys), 2), dtype=np.float64)
+        rows[:n, 0] = ranks
+        rows[n:, 1] = ranks[b.cut_src] * self._block_inv_out[part_id][b.cut_src]
+        return keys, rows
 
     def gmap_emit_columnar(self, table: dict, part_id: int):
         """Same records as :meth:`gmap_emit`, as typed rows: the owning
         rank record is ``(rank, 0)``, each cut-edge contribution
         ``(0, rank/outdeg)`` — so a per-key sum yields exactly
         ``(rank, ext_contrib)``."""
-        nodes, node_list, ext_src, ext_dst, inv_out = \
-            self._columnar_arrays(part_id)
-        ranks = np.fromiter((table[u][0] for u in node_list),
-                            dtype=np.float64, count=len(node_list))
-        contrib = ranks[ext_src] * inv_out[ext_src]
-        keys = np.concatenate([nodes, ext_dst])
-        rows = np.zeros((len(keys), 2), dtype=np.float64)
-        rows[:len(nodes), 0] = ranks
-        rows[len(nodes):, 1] = contrib
-        return keys, rows
+        nodes = self._blocks[part_id].node_list
+        ranks = np.fromiter((table[u][0] for u in nodes),
+                            dtype=np.float64, count=len(nodes))
+        return self.gmap_emit_block(ranks[:, None], part_id)
 
     def columnar_reduce(self):
         return "sum"

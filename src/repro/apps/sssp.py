@@ -20,6 +20,7 @@ against a SciPy oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,9 @@ from repro.core import (
     LocalSolveReport,
     resolve_block_backend,
 )
+from repro.core.localmr import xs_columns
 from repro.engine import MapReduceRuntime
-from repro.graph import DiGraph, Partition
+from repro.graph import DiGraph, Partition, edge_blocks
 
 __all__ = [
     "SsspBlockSpec",
@@ -221,8 +223,14 @@ class SsspKVSpec(AsyncMapReduceSpec):
     bit-identical to the classic path) with a vectorised epilogue
     folding the cross-edge floor into the distance.  The map-side
     ``"min"`` combiner ships one row per remote target per partition.
+
+    Block-level local step (``local_agg``): mutable columns ``(dist,
+    ext_best)``, ``lreduce``'s fold of a node's relaxation candidates is
+    a **min**, edges out of unreached nodes emit nothing — bitwise the
+    ``lmap``/``lreduce`` below.
     """
 
+    local_agg = "min"
     supports_columnar = True
     columnar_combine = "min"
 
@@ -243,8 +251,9 @@ class SsspKVSpec(AsyncMapReduceSpec):
             same = assign[succ] == assign[u]
             self._internal_adj[u] = list(zip(succ[same].tolist(), w[same].tolist()))
             self._external_adj[u] = list(zip(succ[~same].tolist(), w[~same].tolist()))
-        #: part_id -> static emission arrays for the columnar gmap.
-        self._col_cache: dict = {}
+        #: Static per-partition arrays (local step, columnar emission):
+        #: built here so they ship with the spec — a worker's copy lives one run.
+        self._blocks = edge_blocks(graph, partition)
 
     def initial_state(self) -> dict:
         """Source at 0, rest unreached; cross-edge floors consistent with
@@ -279,7 +288,7 @@ class SsspKVSpec(AsyncMapReduceSpec):
     def lmap(self, key, value, ctx) -> None:
         dist, ext, internal, external = value
         ctx.emit_local_intermediate(key, ("rec", value))
-        if np.isfinite(dist):
+        if math.isfinite(dist):
             for v, w in internal:
                 ctx.emit_local_intermediate(v, ("d", dist + w))
 
@@ -311,7 +320,7 @@ class SsspKVSpec(AsyncMapReduceSpec):
         out = []
         for u, (dist, ext, internal, external) in table.items():
             out.append((u, ("dist", dist)))
-            if np.isfinite(dist):
+            if math.isfinite(dist):
                 for v, w in external:
                     out.append((v, ("d", dist + w)))
         return out
@@ -319,7 +328,7 @@ class SsspKVSpec(AsyncMapReduceSpec):
     def local_converged(self, prev_table: dict, curr_table: dict) -> bool:
         for u, rec in curr_table.items():
             prev = prev_table[u][0]
-            if rec[0] != prev and not (np.isinf(rec[0]) and np.isinf(prev)):
+            if rec[0] != prev and not (math.isinf(rec[0]) and math.isinf(prev)):
                 return False
         return True
 
@@ -336,7 +345,7 @@ class SsspKVSpec(AsyncMapReduceSpec):
         residual = 0.0
         for u, (d, _) in curr_state.items():
             p = prev_state[u][0]
-            if np.isinf(d) and np.isinf(p):
+            if math.isinf(d) and math.isinf(p):
                 continue
             residual = max(residual, abs(d - p))
         return residual == 0.0, residual
@@ -348,41 +357,47 @@ class SsspKVSpec(AsyncMapReduceSpec):
         new_state.update(output)
         return new_state
 
+    # -- block-level local step ---------------------------------------------
+    def local_columns(self, part_id: int, xs: list) -> np.ndarray:
+        return xs_columns(xs, self._blocks[part_id].node_list, 2)
+
+    def lmap_block(self, part_id: int, cols: np.ndarray):
+        b = self._blocks[part_id]
+        dist = cols[b.int_src, 0]
+        live = np.isfinite(dist)
+        return b.int_dst[live], dist[live] + b.int_w[live]
+
+    def lreduce_block(self, part_id: int, cols: np.ndarray, acc: np.ndarray):
+        ext = cols[:, 1]
+        new_dist = np.minimum(np.minimum(cols[:, 0], acc), ext)
+        return np.column_stack([new_dist, ext])
+
+    def local_converged_block(self, prev_cols, cols) -> bool:
+        prev, curr = prev_cols[:, 0], cols[:, 0]
+        return bool(np.all((curr == prev) | (np.isinf(curr) & np.isinf(prev))))
+
     # -- columnar fast path ------------------------------------------------
-    def _columnar_arrays(self, part_id: int):
-        """Static per-partition emission structure (built once)."""
-        cached = self._col_cache.get(part_id)
-        if cached is None:
-            nodes = self.partition.parts()[part_id].astype(np.int64)
-            node_list = [int(u) for u in nodes]
-            counts = [len(self._external_adj[u]) for u in node_list]
-            total = sum(counts)
-            ext_dst = np.fromiter(
-                (v for u in node_list for v, _ in self._external_adj[u]),
-                dtype=np.int64, count=total)
-            ext_w = np.fromiter(
-                (w for u in node_list for _, w in self._external_adj[u]),
-                dtype=np.float64, count=total)
-            ext_src = np.repeat(np.arange(len(node_list)), counts)
-            cached = (nodes, node_list, ext_src, ext_dst, ext_w)
-            self._col_cache[part_id] = cached
-        return cached
+    def gmap_emit_block(self, cols: np.ndarray, part_id: int):
+        """The columnar emission from the distance column: one
+        gather-add over the partition's live outgoing cut edges."""
+        b = self._blocks[part_id]
+        dists = cols[:, 0]
+        n = len(b.nodes)
+        live = np.isfinite(dists[b.cut_src])
+        keys = np.concatenate([b.nodes, b.cut_dst[live]])
+        rows = np.full((len(keys), 2), np.inf, dtype=np.float64)
+        rows[:n, 0] = dists
+        rows[n:, 1] = dists[b.cut_src[live]] + b.cut_w[live]
+        return keys, rows
 
     def gmap_emit_columnar(self, table: dict, part_id: int):
         """Same records as :meth:`gmap_emit`, as typed rows: the owner's
         distance record is ``(dist, inf)``, each finite-source cross
         edge a ``(inf, dist + w)`` relaxation candidate."""
-        nodes, node_list, ext_src, ext_dst, ext_w = \
-            self._columnar_arrays(part_id)
-        dists = np.fromiter((table[u][0] for u in node_list),
-                            dtype=np.float64, count=len(node_list))
-        live = np.isfinite(dists[ext_src])
-        cand = dists[ext_src[live]] + ext_w[live]
-        keys = np.concatenate([nodes, ext_dst[live]])
-        rows = np.full((len(keys), 2), np.inf, dtype=np.float64)
-        rows[:len(nodes), 0] = dists
-        rows[len(nodes):, 1] = cand
-        return keys, rows
+        nodes = self._blocks[part_id].node_list
+        dists = np.fromiter((table[u][0] for u in nodes),
+                            dtype=np.float64, count=len(nodes))
+        return self.gmap_emit_block(dists[:, None], part_id)
 
     def columnar_reduce(self):
         from repro.engine import ColumnarReduce

@@ -63,7 +63,12 @@ from repro.core.jobsched import (
     SessionScheduler,
     make_policy,
 )
-from repro.core.localmr import LocalRunResult, run_local_mapreduce
+from repro.core.localmr import (
+    LocalRunResult,
+    per_record,
+    run_local_block,
+    run_local_mapreduce,
+)
 from repro.core.loop import (
     AdaptiveSyncPolicy,
     BlockBackend,
@@ -125,4 +130,6 @@ __all__ = [
     "GreduceFunction",
     "LocalRunResult",
     "run_local_mapreduce",
+    "run_local_block",
+    "per_record",
 ]

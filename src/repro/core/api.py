@@ -1,6 +1,7 @@
 """The partial-synchronization programming API (§IV of the paper).
 
-Two spec flavours implement the same two-level (local/global) scheme:
+Two spec flavours implement the same two-level (local/global) scheme,
+with one step between them:
 
 * :class:`AsyncMapReduceSpec` — the faithful record-at-a-time API with
   the paper's four user functions (``lmap``, ``lreduce``, ``greduce``
@@ -8,14 +9,23 @@ Two spec flavours implement the same two-level (local/global) scheme:
   the real MapReduce engine and is what the correctness tests and small
   examples use.
 
-* :class:`BlockSpec` — the vectorised per-partition variant.  The paper
-  notes that "local map and local reduce operations can use a thread
-  pool to extract further parallelism" (§IV); on a NumPy substrate the
-  corresponding optimisation is to vectorise the whole local iteration
-  over the partition.  A BlockSpec reports per-iteration operation
-  counts and shuffle bytes so the simulated cluster charges exactly the
-  same quantities the record-at-a-time path would, while the benchmark
-  sweeps stay laptop-fast.
+* the **block-level local step** of an :class:`AsyncMapReduceSpec`
+  (opt-in, declared by :attr:`AsyncMapReduceSpec.local_agg`) — the same
+  ``lmap``/``lreduce`` written once more over arrays keyed by
+  partition-local row, so Figure 1's loop runs at array speed inside the
+  gmap (:func:`repro.core.localmr.run_local_block`) and stays bitwise
+  the per-record loop, which remains the oracle and the teaching API.
+  The paper notes that "local map and local reduce operations can use a
+  thread pool to extract further parallelism" (§IV); on a NumPy
+  substrate that lever is vectorising the local iteration.
+
+* :class:`BlockSpec` — the vectorised per-partition variant the
+  simulator's ``BlockBackend`` runs.  A BlockSpec reports per-iteration
+  operation counts and shuffle bytes so the simulated cluster charges
+  exactly the same quantities the record-at-a-time path would, while
+  the benchmark sweeps stay laptop-fast.  Its ``local_solve`` is now a
+  *duplicate* of the block-level local step (same arrays, same
+  per-iteration ops) and is the next thing to collapse onto it.
 
 Both flavours share :class:`LocalSolveReport` (what a gmap hands to the
 global synchronization) and the convergence protocol from
@@ -94,8 +104,18 @@ class AsyncMapReduceSpec(abc.ABC):
     §V-B), and byte accounting is dtype itemsize math.  The classic
     ``gmap_emit``/``greduce`` path stays intact as the fallback and the
     equivalence oracle (``EngineBackend(..., columnar=False)``).
+
+    Independently of the shuffle path, a spec whose hashtable values
+    lead with float columns may declare a **block-level local step**
+    (:attr:`local_agg` plus the ``*_block`` hooks); the gmap then runs
+    the local loop on arrays — :func:`repro.core.localmr.run_local_block`,
+    contract in ``docs/local_loop.md``.
     """
 
+    #: Aggregator ("sum"/"min"/"max") ``lreduce`` folds a key's
+    #: contribution records with; naming one declares the block-level
+    #: local step (hooks below), None keeps the per-record loop.
+    local_agg: "str | None" = None
     #: Set True when the spec implements the columnar hooks below.
     supports_columnar: bool = False
     #: Named map-side combiner ("sum"/"min"/"max") applied to the
@@ -173,6 +193,35 @@ class AsyncMapReduceSpec(abc.ABC):
         centroids — Hadoop would use the distributed cache / job
         configuration) pull it from the table here.  Default: no-op.
         """
+
+    # -- block-level local step (opt-in, see local_agg) -----------------
+    def local_columns(self, part_id: int, xs: list) -> Any:
+        """The hashtable's mutable columns as one ``(n, c)`` float64
+        array, row ``i`` = ``xs[i]`` (the leading ``c`` fields of each
+        value tuple); ``ValueError`` when ``xs`` is not the partition
+        the spec's static arrays describe."""
+        raise NotImplementedError
+
+    def lmap_block(self, part_id: int, cols: Any) -> "tuple[Any, Any]":
+        """``lmap`` over the whole partition: its contribution records
+        as ``(target_rows, values)`` arrays in per-record emission order
+        (row-major by source row); the carried ``rec`` is implied."""
+        raise NotImplementedError
+
+    def lreduce_block(self, part_id: int, cols: Any, acc: Any) -> Any:
+        """``lreduce``'s epilogue for every row at once: ``acc[i]`` is
+        row ``i``'s contributions folded by :attr:`local_agg` (its
+        identity where none arrived); returns the new ``cols``."""
+        raise NotImplementedError
+
+    def local_converged_block(self, prev_cols: Any, cols: Any) -> bool:
+        """:meth:`local_converged` on the column arrays."""
+        raise NotImplementedError
+
+    def gmap_emit_block(self, cols: Any, part_id: int) -> "tuple[Any, Any]":
+        """:meth:`gmap_emit_columnar` from the column arrays (the
+        columnar gmap never rebuilds the hashtable)."""
+        raise NotImplementedError
 
     # -- columnar fast-path hooks (opt-in, see supports_columnar) -------
     def gmap_emit_columnar(self, table: dict, part_id: int

@@ -15,7 +15,7 @@ from typing import Any
 
 from repro.core.api import AsyncMapReduceSpec
 from repro.core.emitter import GlobalReduceContext
-from repro.core.localmr import run_local_mapreduce
+from repro.core.localmr import block_table, run_local_block, run_local_mapreduce
 
 __all__ = ["GmapFunction", "GreduceFunction", "LOCAL_ITER_COUNTER",
            "LOCAL_OPS_COUNTER", "local_iter_counter"]
@@ -44,6 +44,10 @@ class GmapFunction:
     baseline) and emits the spec's boundary/output pairs for the global
     reduce — as one typed batch (``ctx.emit_block``) when the columnar
     fast path is on, or pair-at-a-time otherwise.
+
+    A spec declaring a block-level local step (``local_agg``, read by
+    attribute like ``supports_columnar`` so duck-typed specs work) gets
+    the array loop on either shuffle path: same counters, same records.
     """
 
     def __init__(self, spec: AsyncMapReduceSpec, max_local_iters: int, *,
@@ -58,17 +62,25 @@ class GmapFunction:
         self.columnar = columnar
 
     def __call__(self, part_id: Any, xs: "list[tuple[Any, Any]]", ctx: Any) -> None:
-        result = run_local_mapreduce(self.spec, xs,
+        spec = self.spec
+        block = getattr(spec, "local_agg", None) is not None
+        if block:
+            result = run_local_block(spec, part_id, xs,
                                      max_local_iters=self.max_local_iters)
+        else:
+            result = run_local_mapreduce(spec, xs,
+                                         max_local_iters=self.max_local_iters)
         ctx.incr(LOCAL_ITER_COUNTER, result.local_iters)
         ctx.incr(local_iter_counter(part_id), result.local_iters)
         ctx.incr(LOCAL_OPS_COUNTER, int(result.total_ops))
         ctx.add_ops(result.total_ops)
         if self.columnar:
-            keys, values = self.spec.gmap_emit_columnar(result.table, part_id)
+            keys, values = (spec.gmap_emit_block(result.table, part_id) if block
+                            else spec.gmap_emit_columnar(result.table, part_id))
             ctx.emit_block(keys, values)
             return
-        for k, v in self.spec.gmap_emit(result.table, part_id):
+        table = block_table(xs, result.table) if block else result.table
+        for k, v in spec.gmap_emit(table, part_id):
             ctx.emit(k, v)
 
 

@@ -18,6 +18,13 @@ persist, so static structure such as adjacency lists survives the loop).
 The local synchronization between lmap and lreduce is a plain in-memory
 barrier — "the local synchronization does not incur any inter-host
 communication delays" (§V-B.2).
+
+That per-record loop is the oracle and the teaching API.
+:func:`run_local_block` is the same loop on arrays, for specs that
+declare a block-level local step (``spec.local_agg``) — **bitwise** the
+per-record loop: same tables, same iteration counts, same
+``per_iter_ops``.  :class:`per_record` is the view that reaches the
+oracle for such a spec; ``docs/local_loop.md`` states the contract.
 """
 
 from __future__ import annotations
@@ -25,18 +32,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from repro.core.api import AsyncMapReduceSpec
 from repro.core.emitter import LocalMapContext, LocalReduceContext
+from repro.engine.columnar import resolve_agg
 
-__all__ = ["LocalRunResult", "run_local_mapreduce"]
+__all__ = ["LocalRunResult", "run_local_mapreduce", "run_local_block",
+           "xs_columns", "block_table", "per_record"]
+
+#: What ``lreduce`` starts a key's fold from (a row no record reaches
+#: keeps it): ``contrib = 0.0`` / ``best = inf`` in the per-record code.
+_AGG_IDENTITY = {"sum": 0.0, "min": np.inf, "max": -np.inf}
 
 
 @dataclass
 class LocalRunResult:
     """Outcome of one gmap's local MapReduce loop."""
 
-    #: Final hashtable (local state at local convergence).
-    table: dict
+    #: Local state at local convergence: the hashtable — or, from
+    #: :func:`run_local_block`, its mutable columns as an ``(n, c)``
+    #: float64 array in ``xs`` order (see :func:`block_table`).
+    table: Any
     #: Number of local iterations executed.
     local_iters: int
     #: Operations per local iteration (hashtable scans + emissions).
@@ -105,3 +122,88 @@ def run_local_mapreduce(
         table = new_table
     return LocalRunResult(table=table, local_iters=iters,
                           per_iter_ops=per_iter_ops, converged=converged)
+
+
+def run_local_block(
+    spec: AsyncMapReduceSpec,
+    part_id: int,
+    xs: "list[tuple[Any, Any]]",
+    *,
+    max_local_iters: int,
+) -> LocalRunResult:
+    """:func:`run_local_mapreduce` on arrays, for a spec declaring
+    ``local_agg``; ``result.table`` is the final column array.
+
+    One iteration is ``lmap_block`` → ``ufunc.at(acc, rows, values)`` →
+    ``lreduce_block``.  The local shuffle is ``np.add.at`` /
+    ``np.minimum.at`` and not a sort plus ``ufunc.reduceat`` (the
+    engine's columnar kernel) because it must be *bitwise* the
+    per-record fold: ``ufunc.at`` applies the records one by one in
+    emission order — ``contrib = 0.0; contrib += payload`` exactly —
+    whereas ``np.add.reduceat`` sums a segment of >= 8 values with
+    NumPy's unrolled pairwise loop (last-digit differences that move
+    digests) and pays a sort the scatter does not need.
+
+    ``per_iter_ops`` is what the per-record loop counts: a table scan
+    (``n``), lmap's emissions (``n`` carried ``rec`` records plus the
+    contribution records) and one ``EmitLocal`` per entry (``n``).
+    ``spec.before_local_iteration`` has no hashtable to be handed and is
+    not called.
+    """
+    if max_local_iters < 1:
+        raise ValueError("max_local_iters must be >= 1")
+    if len({k for k, _ in xs}) != len(xs):
+        raise ValueError("duplicate key in gmap input")
+    cols = spec.local_columns(part_id, xs)
+    scatter = resolve_agg(spec.local_agg).at
+    identity = _AGG_IDENTITY[spec.local_agg]
+    n = len(xs)
+    per_iter_ops: list[float] = []
+    converged = False
+    iters = 0
+    while iters < max_local_iters and not converged:
+        rows, values = spec.lmap_block(part_id, cols)
+        acc = np.full(n, identity)
+        scatter(acc, rows, values)
+        new_cols = spec.lreduce_block(part_id, cols, acc)
+        per_iter_ops.append(float(3 * n + len(rows)))
+        iters += 1
+        converged = spec.local_converged_block(cols, new_cols)
+        cols = new_cols
+    return LocalRunResult(table=cols, local_iters=iters,
+                          per_iter_ops=per_iter_ops, converged=converged)
+
+
+def xs_columns(xs: "list[tuple[Any, Any]]", keys: list, width: int) -> np.ndarray:
+    """The leading ``width`` fields of every ``xs`` value as an
+    ``(n, width)`` float64 array — what a spec's ``local_columns``
+    returns once it has named the ``keys`` its static arrays are for."""
+    if [k for k, _ in xs] != keys:
+        raise ValueError("gmap input is not the partition the spec's "
+                         "static arrays describe")
+    return np.array([v[:width] for _, v in xs],
+                    dtype=np.float64).reshape(len(xs), width)
+
+
+def block_table(xs: "list[tuple[Any, Any]]", cols: np.ndarray) -> dict:
+    """The hashtable :func:`run_local_mapreduce` would return, rebuilt
+    from ``xs`` and a final column array: each value tuple's leading
+    fields replaced by its row, the static rest carried over."""
+    width = cols.shape[1]
+    return {k: (*row, *v[width:]) for (k, v), row in zip(xs, cols.tolist())}
+
+
+class per_record:
+    """View of a spec that hides its block declaration, so the engine
+    (or a test) runs the per-record oracle loop on it."""
+
+    local_agg = None
+
+    def __init__(self, spec: AsyncMapReduceSpec) -> None:
+        self._spec = spec
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._spec, name)
+
+    def __reduce__(self) -> tuple:  # __getattr__ would recurse unpickling
+        return per_record, (self._spec,)

@@ -41,9 +41,11 @@ from repro.graph.metrics import (
 )
 from repro.graph.partition import (
     PARTITIONERS,
+    EdgeBlock,
     Partition,
     bfs_partition,
     chunk_partition,
+    edge_blocks,
     hash_partition,
     multilevel_partition,
     partition_graph,
@@ -76,6 +78,8 @@ __all__ = [
     "complete_digraph",
     "attach_random_weights",
     "Partition",
+    "EdgeBlock",
+    "edge_blocks",
     "partition_graph",
     "multilevel_partition",
     "bfs_partition",

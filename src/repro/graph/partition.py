@@ -24,6 +24,7 @@ edges, per-part node arrays, and balance statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,8 @@ from repro.util import as_rng, check_positive
 
 __all__ = [
     "Partition",
+    "EdgeBlock",
+    "edge_blocks",
     "hash_partition",
     "random_partition",
     "chunk_partition",
@@ -151,6 +154,47 @@ class Partition:
         sizes = self.part_sizes()
         assert sizes.sum() == self.graph.num_nodes, "parts must cover all nodes"
         assert len(np.concatenate(self.parts())) == self.graph.num_nodes if self.k else True
+
+
+class EdgeBlock(NamedTuple):
+    """One part's out-edges as arrays keyed by **part-local row**: row
+    ``i`` is node ``nodes[i]`` (:meth:`Partition.parts` order), edges
+    keep the graph's adjacency order — row-major by source row, the
+    order a per-record scan of the part emits them in."""
+
+    nodes: np.ndarray      #: ``(n,)`` int64 node ids of the part
+    node_list: list        #: the same ids as Python ints
+    int_src: np.ndarray    #: source row of each internal edge
+    int_dst: np.ndarray    #: target row of each internal edge
+    int_w: np.ndarray      #: its weight
+    cut_src: np.ndarray    #: source row of each outgoing cut edge
+    cut_dst: np.ndarray    #: its remote target (global node id)
+    cut_w: np.ndarray      #: its weight
+
+
+def edge_blocks(graph: DiGraph, partition: Partition) -> "list[EdgeBlock]":
+    """The :class:`EdgeBlock` of every part of ``partition`` over
+    ``graph``'s edges (one stable sort of the edge list by source part)."""
+    assign = partition.assign
+    parts = partition.parts()
+    row_of = np.empty(graph.num_nodes, dtype=np.int64)
+    for nodes in parts:
+        row_of[nodes] = np.arange(len(nodes))
+    src, dst, w = graph.edge_arrays()
+    order = np.argsort(assign[src], kind="stable")
+    src, dst, w = src[order], dst[order], w[order]
+    bounds = np.searchsorted(assign[src], np.arange(partition.k + 1))
+    blocks = []
+    for p, nodes in enumerate(parts):
+        s, d, pw = (a[bounds[p]: bounds[p + 1]] for a in (src, dst, w))
+        cut = assign[d] != p
+        internal = ~cut
+        nodes = nodes.astype(np.int64)
+        blocks.append(EdgeBlock(
+            nodes, nodes.tolist(),
+            row_of[s[internal]], row_of[d[internal]], pw[internal],
+            row_of[s[cut]], d[cut], pw[cut]))
+    return blocks
 
 
 # ----------------------------------------------------------------------

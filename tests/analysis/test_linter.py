@@ -171,6 +171,18 @@ class TestLintSpec:
         assert all(f.severity is Severity.INFO for f in infos)
         assert report.ok
 
+    def test_per_record_local_loop_explained(self, small_graph,
+                                             small_partition):
+        # A spec that names no local_agg runs every local iteration
+        # record by record; one that declares the block step does not.
+        def local_infos(spec):
+            return [f for f in lint_spec(spec).findings
+                    if f.code == "RPR041" and "local_agg" in f.message]
+
+        [info] = local_infos(PlainKVSpec())
+        assert info.severity is Severity.INFO
+        assert not local_infos(PageRankKVSpec(small_graph, small_partition))
+
 
 class TestLintJob:
     def test_wordcount_job_clean(self):

@@ -1,0 +1,376 @@
+"""The block-level local loop vs the per-record oracle.
+
+``run_local_block`` must be *bitwise* ``run_local_mapreduce`` — tables
+compared with ``==`` (never ``allclose``), iteration counts, per-iteration
+ops, the convergence flag — and an ``EngineBackend`` run of a spec that
+declares the block step must be indistinguishable from a run of its
+``per_record`` view on every shuffle path, state layout and executor.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import numpy as np
+import pytest
+
+from repro.apps.pagerank import PageRankKVSpec
+from repro.apps.sssp import SsspKVSpec
+from repro.cluster import SimCluster
+from repro.core import (
+    DriverConfig,
+    EngineBackend,
+    GmapFunction,
+    IterationLoop,
+    per_record,
+    run_local_block,
+    run_local_mapreduce,
+)
+from repro.core import gmap as gmap_module
+from repro.core.localmr import block_table
+from repro.engine import MapReduceRuntime, TaskContext
+from repro.graph import (
+    DiGraph,
+    Partition,
+    attach_random_weights,
+    multilevel_partition,
+    preferential_attachment,
+)
+
+CAPS = (1, 2, 3, 7, 10_000)
+
+
+def assert_same_local_run(spec, part_id, xs, cap):
+    """One partition, one cap: block loop == per-record loop, exactly."""
+    block = run_local_block(spec, part_id, xs, max_local_iters=cap)
+    oracle = run_local_mapreduce(spec, xs, max_local_iters=cap)
+    assert block_table(xs, block.table) == oracle.table
+    assert list(block_table(xs, block.table)) == list(oracle.table)
+    assert block.local_iters == oracle.local_iters
+    assert block.per_iter_ops == oracle.per_iter_ops
+    assert block.converged == oracle.converged
+    return block
+
+
+def assert_same_everywhere(spec, states=None):
+    for state in states or [spec.initial_state()]:
+        for cap in CAPS:
+            for p in range(spec.num_partitions()):
+                assert_same_local_run(spec, p, spec.partition_input(p, state),
+                                      cap)
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    g = preferential_attachment(240, num_conn=3, locality_prob=0.9,
+                                community_mean=30, seed=5)
+    return g, attach_random_weights(g, low=0.5, high=9.0, seed=6)
+
+
+def _mid_run_state(spec):
+    """A state two eager rounds in (ranks off 1.0, a partial frontier)."""
+    loop = IterationLoop(EngineBackend(per_record(spec), columnar=False),
+                         DriverConfig(mode="eager", max_global_iters=2))
+    return loop.run().state
+
+
+class TestLocalLoopMatrix:
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_pagerank(self, graphs, k):
+        g, _ = graphs
+        spec = PageRankKVSpec(g, multilevel_partition(g, k, seed=0))
+        assert_same_everywhere(spec, [spec.initial_state(),
+                                      _mid_run_state(spec)])
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_sssp(self, graphs, k):
+        _, wg = graphs
+        spec = SsspKVSpec(wg, multilevel_partition(wg, k, seed=0), source=3)
+        assert_same_everywhere(spec, [spec.initial_state(),
+                                      _mid_run_state(spec)])
+
+    def test_sssp_live_edge_count_varies_per_iteration(self, graphs):
+        """SSSP's ops are not a constant per iteration: the frontier
+        grows, so the contribution-record count does."""
+        _, wg = graphs
+        spec = SsspKVSpec(wg, multilevel_partition(wg, 1, seed=0), source=3)
+        xs = spec.partition_input(0, spec.initial_state())
+        res = assert_same_local_run(spec, 0, xs, 10_000)
+        assert len(set(res.per_iter_ops)) > 1
+
+
+def _hub_graph(fan_in: int) -> "tuple[DiGraph, Partition]":
+    """``fan_in`` sources (each with a different out-degree, so their
+    contributions differ) all pointing at node 0, one partition; node 1
+    has no in-edge at all."""
+    src, dst = [], []
+    n = fan_in + 2
+    for i in range(2, n):
+        src.append(i)
+        dst.append(0)
+        for j in range(i % 5):  # vary out-degree -> vary rank/outdeg
+            src.append(i)
+            dst.append(2 + (i + j) % fan_in)
+    g = DiGraph(n, src, dst)
+    return g, Partition(g, np.zeros(n, dtype=np.int64), 1)
+
+
+class TestTraps:
+    @pytest.mark.parametrize("fan_in", [8, 9, 129, 200])
+    def test_many_internal_in_edges(self, fan_in):
+        """The pairwise-sum thresholds: a sorted ``reduceat`` fold of
+        >= 8 (and of >= 129) addends rounds differently from the
+        sequential ``contrib += payload``; ``np.add.at`` must not."""
+        g, part = _hub_graph(fan_in)
+        assert g.in_degree()[0] == fan_in
+        assert_same_everywhere(PageRankKVSpec(g, part))
+        rng = np.random.default_rng(fan_in)
+        wg = g.with_weights(rng.uniform(0.1, 3.0, g.num_edges))
+        assert_same_everywhere(SsspKVSpec(wg, Partition(wg, part.assign, 1),
+                                          source=2))
+
+    def test_no_internal_in_edge_keeps_identity(self):
+        """A row no contribution reaches folds to the aggregator's
+        identity: 0.0 for the sum (rank = 1-d + d*ext), inf for the min
+        (distance unchanged)."""
+        g, part = _hub_graph(8)
+        assert g.in_degree()[1] == 0
+        pr = PageRankKVSpec(g, part)
+        xs = pr.partition_input(0, pr.initial_state())
+        res = assert_same_local_run(pr, 0, xs, 3)
+        assert block_table(xs, res.table)[1][0] == (1.0 - pr.damping)
+        ss = SsspKVSpec(g, part, source=2)
+        xs = ss.partition_input(0, ss.initial_state())
+        res = assert_same_local_run(ss, 0, xs, 10_000)
+        assert block_table(xs, res.table)[1][0] == float("inf")
+
+    def test_empty_partition(self):
+        g = DiGraph(4, [0, 1, 2, 3], [1, 0, 3, 2])
+        part = Partition(g, np.array([0, 0, 2, 2]), 3)  # part 1 is empty
+        for spec in (PageRankKVSpec(g, part), SsspKVSpec(g, part, source=0)):
+            assert spec.partition_input(1, spec.initial_state()) == []
+            res = assert_same_local_run(spec, 1, [], 10_000)
+            assert res.local_iters == 1 and res.converged
+            assert res.per_iter_ops == [0.0]
+            assert_same_everywhere(spec)
+
+    def test_sssp_unreachable_and_remote_source(self):
+        """inf - inf territory: a partition the source is not in (every
+        distance inf, nothing to emit) and nodes no path reaches."""
+        #  0 -> 1 -> 2   |   3 -> 4   5 (isolated);  source 0 in part 0
+        g = DiGraph(6, [0, 1, 3], [1, 2, 4], [1.5, 2.5, 1.0])
+        part = Partition(g, np.array([0, 0, 0, 1, 1, 1]), 2)
+        spec = SsspKVSpec(g, part, source=0)
+        assert_same_everywhere(spec)
+        xs = spec.partition_input(1, spec.initial_state())
+        res = assert_same_local_run(spec, 1, xs, 10_000)
+        assert res.converged and res.local_iters == 1
+        assert np.isinf(res.table[:, 0]).all()
+        assert res.per_iter_ops == [9.0]  # 3 n, no live edge
+
+    def test_parallel_edges_to_one_target(self):
+        """Parallel edges are separate contribution records to one row
+        (``ufunc.at`` is unbuffered: repeated indices all land)."""
+        g = DiGraph(3, [0, 0, 0, 1, 1, 2], [1, 1, 1, 2, 2, 0],
+                    [4.0, 2.0, 3.0, 1.0, 1.0, 7.0])
+        part = Partition(g, np.zeros(3, dtype=np.int64), 1)
+        assert_same_everywhere(PageRankKVSpec(g, part))
+        spec = SsspKVSpec(g, part, source=0)
+        assert_same_everywhere(spec)
+        res = run_local_block(spec, 0, spec.partition_input(
+            0, spec.initial_state()), max_local_iters=10_000)
+        assert res.table[:, 0].tolist() == [0.0, 2.0, 3.0]
+
+
+class TestContract:
+    def _spec(self, graphs):
+        g, _ = graphs
+        return PageRankKVSpec(g, multilevel_partition(g, 3, seed=0))
+
+    def test_rejects_bad_cap(self, graphs):
+        spec = self._spec(graphs)
+        xs = spec.partition_input(0, spec.initial_state())
+        with pytest.raises(ValueError, match="max_local_iters"):
+            run_local_block(spec, 0, xs, max_local_iters=0)
+
+    def test_rejects_duplicate_key(self, graphs):
+        spec = self._spec(graphs)
+        xs = spec.partition_input(0, spec.initial_state())
+        with pytest.raises(ValueError, match="duplicate key"):
+            run_local_block(spec, 0, xs + xs[:1], max_local_iters=1)
+
+    def test_rejects_xs_of_another_partition(self, graphs):
+        """The static arrays describe one partition; a reordered or
+        foreign ``xs`` must not be silently solved against them."""
+        spec = self._spec(graphs)
+        state = spec.initial_state()
+        with pytest.raises(ValueError, match="partition"):
+            run_local_block(spec, 0, spec.partition_input(1, state),
+                            max_local_iters=1)
+        with pytest.raises(ValueError, match="partition"):
+            run_local_block(spec, 0, spec.partition_input(0, state)[::-1],
+                            max_local_iters=1)
+
+    def test_per_record_view_hides_only_the_declaration(self, graphs):
+        spec = self._spec(graphs)
+        view = per_record(spec)
+        assert spec.local_agg == "sum" and view.local_agg is None
+        assert view.damping == spec.damping
+        assert view.num_partitions() == spec.num_partitions()
+        back = pickle.loads(pickle.dumps(view))
+        assert back.local_agg is None and back.tol == spec.tol
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    @pytest.mark.parametrize("make", ["pagerank", "sssp"])
+    def test_gmap_feeds_the_same_counters_and_records(self, graphs, make,
+                                                      columnar):
+        g, wg = graphs
+        spec = (PageRankKVSpec(g, multilevel_partition(g, 3, seed=0))
+                if make == "pagerank" else
+                SsspKVSpec(wg, multilevel_partition(wg, 3, seed=0), source=3))
+        state = spec.initial_state()
+        for cap in (1, 10_000):
+            for p in range(3):
+                xs = spec.partition_input(p, state)
+                got, want = TaskContext("m", 0), TaskContext("m", 0)
+                GmapFunction(spec, cap, columnar=columnar)(p, xs, got)
+                GmapFunction(per_record(spec), cap,
+                             columnar=columnar)(p, xs, want)
+                assert got.counters.as_dict() == want.counters.as_dict()
+                assert got.ops == want.ops
+                assert got.output == want.output
+                for a, b in zip(got.columnar_output, want.columnar_output,
+                                strict=True):
+                    assert a.keys.tobytes() == b.keys.tobytes()
+                    assert a.values.tobytes() == b.values.tobytes()
+
+    def test_columnar_gmap_never_rebuilds_the_table(self, graphs, monkeypatch):
+        spec = self._spec(graphs)
+
+        def boom(*_a):
+            raise AssertionError("dict table rebuilt on the columnar path")
+
+        monkeypatch.setattr(gmap_module, "block_table", boom)
+        monkeypatch.setattr(spec, "gmap_emit_columnar", boom)
+        ctx = TaskContext("m", 0)
+        GmapFunction(spec, 5, columnar=True)(
+            0, spec.partition_input(0, spec.initial_state()), ctx)
+        assert len(ctx.columnar_output) == 1
+
+    def test_duck_typed_proxy_takes_the_block_loop(self, graphs, monkeypatch):
+        """perfbench wraps the spec in a proxy that pre-binds public
+        callables and forwards attributes; the gmap must read the
+        declaration through it."""
+        class Proxy:
+            def __init__(self, inner):
+                self._inner = inner
+                for name in dir(inner):
+                    attr = getattr(inner, name)
+                    if not name.startswith("_") and callable(attr):
+                        self.__dict__[name] = attr
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        spec = self._spec(graphs)
+        monkeypatch.setattr(spec, "lmap", None)  # the oracle must not run
+        xs = spec.partition_input(0, spec.initial_state())
+        got, want = TaskContext("m", 0), TaskContext("m", 0)
+        GmapFunction(Proxy(spec), 10_000)(0, xs, got)
+        GmapFunction(self._spec(graphs), 10_000)(0, xs, want)
+        assert got.output == want.output and got.ops == want.ops
+
+
+class TestStaticArraysShipWithTheSpec:
+    """The arrays are built at construction, not lazily in whichever
+    copy runs the gmap — a worker's unpickled copy already has them."""
+
+    def _lazy_reference(self, spec, p, weighted):
+        """The emission arrays as the lazy per-node loop built them."""
+        nodes = [int(u) for u in spec.partition.parts()[p]]
+        adj = [spec._external_adj[u] for u in nodes]
+        counts = [len(a) for a in adj]
+        dst = [(e[0] if weighted else e) for a in adj for e in a]
+        w = [(e[1] if weighted else 1.0) for a in adj for e in a]
+        return nodes, np.repeat(np.arange(len(nodes)), counts), dst, w
+
+    @pytest.mark.parametrize("make", ["pagerank", "sssp"])
+    def test_pickle_round_trip(self, graphs, make):
+        g, wg = graphs
+        spec = (PageRankKVSpec(g, multilevel_partition(g, 3, seed=0))
+                if make == "pagerank" else
+                SsspKVSpec(wg, multilevel_partition(wg, 3, seed=0), source=3))
+        shipped = pickle.loads(pickle.dumps(spec))
+        for p in range(3):
+            here, there = spec._blocks[p], shipped._blocks[p]
+            for a, b in zip(here, there, strict=True):
+                assert np.array_equal(a, b)
+            nodes, src, dst, w = self._lazy_reference(spec, p,
+                                                      make == "sssp")
+            assert there.node_list == nodes
+            assert there.nodes.tolist() == nodes
+            assert there.cut_src.tolist() == src.tolist()
+            assert there.cut_dst.tolist() == dst
+            assert there.cut_w.tolist() == w
+            # ... and the internal edges are the adjacency lists lmap walks.
+            row = {u: i for i, u in enumerate(nodes)}
+            internal = [(row[u], row[e[0] if make == "sssp" else e])
+                        for u in nodes for e in spec._internal_adj[u]]
+            assert list(zip(there.int_src.tolist(),
+                            there.int_dst.tolist())) == internal
+
+
+def _state_bytes(state, n):
+    return np.array([state[u] for u in range(n)], dtype=np.float64).tobytes()
+
+
+@pytest.fixture(scope="module", params=["serial", "threads", "processes"])
+def runtime(request):
+    with MapReduceRuntime(request.param, workers=2) as rt:
+        yield rt
+
+
+class TestEndToEnd:
+    """``IterationLoop(EngineBackend(spec))`` vs the same loop over
+    ``per_record(spec)``: nothing observable may differ."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        g = preferential_attachment(90, num_conn=2, locality_prob=0.9,
+                                    community_mean=15, seed=9)
+        wg = attach_random_weights(g, low=0.5, high=5.0, seed=4)
+        return (g, multilevel_partition(g, 3, seed=0),
+                wg, multilevel_partition(wg, 3, seed=0))
+
+    def _run(self, spec, runtime, mode, columnar):
+        runtime.cluster = SimCluster()  # a fresh clock: sim_time compares exactly
+        backend = EngineBackend(spec, runtime=runtime, num_reducers=3,
+                                columnar=columnar)
+        return IterationLoop(backend, DriverConfig(mode=mode)).run()
+
+    @pytest.mark.parametrize("dense_state", [False, True])
+    @pytest.mark.parametrize("columnar", [False, True])
+    @pytest.mark.parametrize("mode", ["eager", "general"])
+    @pytest.mark.parametrize("app", ["pagerank", "sssp"])
+    def test_indistinguishable_from_the_oracle(self, small, runtime, app,
+                                               mode, columnar, dense_state):
+        g, part, wg, wpart = small
+
+        def make():
+            if app == "pagerank":
+                return PageRankKVSpec(g, part, dense_state=dense_state)
+            return SsspKVSpec(wg, wpart, source=1, dense_state=dense_state)
+
+        fast = self._run(make(), runtime, mode, columnar)
+        oracle = self._run(per_record(make()), runtime, mode, columnar)
+        n = g.num_nodes
+        assert fast.converged and oracle.converged
+        assert fast.global_iters == oracle.global_iters
+        assert _state_bytes(fast.state, n) == _state_bytes(oracle.state, n)
+        assert ([r.local_iters for r in fast.history]
+                == [r.local_iters for r in oracle.history])
+        assert ([r.shuffle_bytes for r in fast.history]
+                == [r.shuffle_bytes for r in oracle.history])
+        assert fast.sim_time == oracle.sim_time and fast.sim_time > 0
+        if mode == "eager":
+            assert max(max(r.local_iters) for r in fast.history) > 1

@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.apps.pagerank import PageRankKVSpec
+from repro.apps.sssp import SsspKVSpec
 from repro.core import (
     DriverConfig,
     InfNormCriterion,
     UnchangedCriterion,
+    run_local_block,
     run_local_mapreduce,
 )
+from repro.core.localmr import block_table
+from repro.graph import DiGraph, Partition
 
 from tests.core.test_localmr import CountdownSpec
 
@@ -38,6 +43,46 @@ class TestLocalLoopProperties:
         res = run_local_mapreduce(CountdownSpec(), xs, max_local_iters=100)
         assert res.converged
         assert all(v == 0 for v in res.table.values())
+
+
+@st.composite
+def partitioned_digraphs(draw):
+    """A small weighted digraph (self-loops and parallel edges allowed),
+    a k-way assignment with possibly empty parts, and one finite-or-inf
+    ``(value, ext)`` pair per node to start the local loop from."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    node = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=40))
+    weights = draw(st.lists(st.floats(0.015625, 64.0, allow_nan=False),
+                            min_size=len(edges), max_size=len(edges)))
+    k = draw(st.integers(min_value=1, max_value=4))
+    assign = draw(st.lists(st.integers(min_value=0, max_value=k - 1),
+                           min_size=n, max_size=n))
+    value = st.one_of(st.just(float("inf")), st.floats(0.0, 100.0))
+    state = draw(st.lists(st.tuples(value, value), min_size=n, max_size=n))
+    g = DiGraph(n, [e[0] for e in edges], [e[1] for e in edges], weights)
+    return g, Partition(g, np.array(assign, dtype=np.int64), k), state
+
+
+class TestBlockLoopProperties:
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(partitioned_digraphs(), st.sampled_from([1, 2, 3, 7, 10_000]),
+           st.floats(0.05, 0.95))
+    def test_block_loop_is_bitwise_the_per_record_loop(self, case, cap, damping):
+        g, part, state = case
+        finite = [(min(v, 100.0), min(e, 100.0)) for v, e in state]
+        runs = [(PageRankKVSpec(g, part, damping=damping), dict(enumerate(finite))),
+                (SsspKVSpec(g, part, source=0), dict(enumerate(state)))]
+        for spec, table in runs:
+            for p in range(part.k):
+                xs = spec.partition_input(p, table)
+                block = run_local_block(spec, p, xs, max_local_iters=cap)
+                oracle = run_local_mapreduce(spec, xs, max_local_iters=cap)
+                assert block_table(xs, block.table) == oracle.table
+                assert block.local_iters == oracle.local_iters
+                assert block.per_iter_ops == oracle.per_iter_ops
+                assert block.converged == oracle.converged
 
 
 class TestCriterionProperties:
