@@ -80,8 +80,7 @@ class GmapFunction:
             ctx.emit_block(keys, values)
             return
         table = block_table(xs, result.table) if block else result.table
-        for k, v in spec.gmap_emit(table, part_id):
-            ctx.emit(k, v)
+        ctx.emit_pairs(spec.gmap_emit(table, part_id))
 
 
 class GreduceFunction:
@@ -94,5 +93,4 @@ class GreduceFunction:
         gctx = GlobalReduceContext()
         self.spec.greduce(key, values, gctx)
         ctx.add_ops(gctx.ops)
-        for k, v in gctx.output:
-            ctx.emit(k, v)
+        ctx.emit_pairs(gctx.output)

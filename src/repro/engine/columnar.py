@@ -739,16 +739,29 @@ class _ObjectAgg:
 
     Funnels through :func:`segment_aggregate` so combined values are
     bitwise identical to the columnar path's.  Picklable (plain class +
-    string state) for the process executors.
+    string and ufunc state) for the process executors.
+
+    This is the *oracle* spelling of the combiner, not a fast path: it
+    pays NumPy calls per group to reproduce ``reduceat``'s arithmetic
+    (``v0 + (v1 + v2 ...)`` for a few addends, pairwise from 8 — not a
+    left fold a Python loop could match), which costs more than
+    shuffling the duplicates it removes, so on the serial object path
+    ``object+combine`` stays slower than ``object``.  Only a singleton
+    group skips the reduction: a one-element segment is its element.
     """
 
+    #: The one segment every per-group reduction has: all of it.
+    _STARTS = np.array([0])
+
     def __init__(self, agg: str) -> None:
-        resolve_agg(agg)
         self.agg = agg
+        self._ufunc = resolve_agg(agg)
 
     def _reduce_values(self, values: list) -> np.ndarray:
+        if len(values) == 1:
+            return np.asarray(values[0], dtype=np.float64)
         arr = np.asarray(values, dtype=np.float64)
-        return segment_aggregate(arr, np.array([0]), resolve_agg(self.agg))[0]
+        return segment_aggregate(arr, self._STARTS, self._ufunc)[0]
 
     def __call__(self, key: Any, values: list, ctx: Any) -> None:
         ctx.emit(key, _materialise_row(self._reduce_values(values)))

@@ -314,10 +314,11 @@ def shuffle_bytes(
 ) -> int:
     """Total estimated bytes of intermediate data crossing the shuffle.
 
-    The oracle / fallback measurement: tasks measure their own bytes
-    worker-side (``TaskResult.nbytes`` — dtype itemsize math on the
-    columnar path) and the driver reuses those, so this full scan only
-    runs for direct callers and in the tests pinning the two equal.
+    The oracle measurement: tasks measure their own bytes worker-side
+    (``TaskResult.nbytes`` — dtype itemsize math on the columnar path,
+    the object map task's route-and-size pass) and the driver reuses
+    those, so this scan only runs over an object reduce task's output,
+    for direct callers, and in the tests pinning the two equal.
     """
     total = 0
     for m_bucket in map_buckets:

@@ -10,6 +10,13 @@ Two data representations flow through the runners:
 
 * **Object path** — the classic one-pair-at-a-time flow (``ctx.emit``),
   any hashable key / any value.  The reference semantics and the oracle.
+  Its bookkeeping touches each record once: the map task's tail
+  routes a pair (``partitioner(key, R)``), sizes it
+  (:func:`~repro.cluster.dfs.estimate_nbytes`, into
+  ``TaskResult.nbytes``) and buckets the tuple the map emitted, in one
+  loop; the reduce task counts groups and records in locals and writes
+  the counters once, then sizes its output in one ``shuffle_bytes``
+  scan.  ``docs/object_path.md`` is the accounting contract.
 * **Columnar path** — map functions emit typed array batches
   (``ctx.emit_block``); routing, map-side combining, grouping and byte
   accounting all run as whole-array NumPy ops (see
@@ -28,10 +35,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
+from repro.cluster.dfs import estimate_nbytes
 from repro.engine.columnar import (
     ColumnarBlock,
     ColumnarGroups,
@@ -98,6 +106,15 @@ class TaskContext:
         """Emit one output pair (the paper's ``Emit``/``EmitIntermediate``)."""
         self._out.append((key, value))
         self._ops += 1.0
+
+    def emit_pairs(self, pairs: "Iterable[tuple[Any, Any]]") -> None:
+        """Emit ready-made ``(key, value)`` tuples, in order: the records
+        and the operation count of one :meth:`emit` per pair, without
+        building each tuple a second time."""
+        out = self._out
+        before = len(out)
+        out.extend(pairs)
+        self._ops += float(len(out) - before)
 
     def emit_block(self, keys: Any, values: Any,
                    dictionary: Any = None) -> None:
@@ -238,13 +255,17 @@ def run_map_task(
             combine_fn, len(pairs), combine_crossover):
         pairs = _apply_combiner(pairs, object_combiner(combine_fn), ctx)
 
+    # One pass routes and sizes each record and buckets the tuple the
+    # map emitted; nbytes == shuffle_bytes([buckets]).
     buckets: list[list[tuple[Any, Any]]] = [[] for _ in range(num_reducers)]
-    for k, v in pairs:
-        buckets[partitioner(k, num_reducers)].append((k, v))
+    nbytes = 0
+    for pair in pairs:
+        k, v = pair
+        buckets[partitioner(k, num_reducers)].append(pair)
+        nbytes += estimate_nbytes(k) + estimate_nbytes(v)
     ctx.counters.incr(MAP_OPS, int(ctx.ops))
     return TaskResult(task_id=task_id, attempt=attempt, data=buckets,
-                      counters=ctx.counters, ops=ctx.ops,
-                      nbytes=shuffle_bytes([buckets]))
+                      counters=ctx.counters, ops=ctx.ops, nbytes=nbytes)
 
 
 def _finish_columnar_map(task_id: str, attempt: int, ctx: TaskContext,
@@ -292,9 +313,9 @@ def _apply_combiner(pairs: "list[tuple[Any, Any]]", combine_fn: Any,
         groups.setdefault(k, []).append(v)
     cctx = TaskContext(outer_ctx.task_id + ".combine", outer_ctx.attempt)
     for k, vs in groups.items():
-        cctx.counters.incr(COMBINE_INPUT_RECORDS, len(vs))
-        cctx.add_ops(float(len(vs)))
+        cctx._ops += float(len(vs))
         combine_fn(k, vs, cctx)
+    cctx.counters.incr(COMBINE_INPUT_RECORDS, len(pairs))
     cctx.counters.incr(COMBINE_OUTPUT_RECORDS, len(cctx.output))
     outer_ctx.counters.merge(cctx.counters)
     outer_ctx.add_ops(cctx.ops)
@@ -362,11 +383,14 @@ def run_reduce_task(
         groups = groups.to_pairs()
     ctx = TaskContext(task_id, attempt)
     reduce_fn = object_reducer(reduce_fn)
+    n_groups = n_records = 0
     for key, values in groups:
-        ctx.counters.incr(REDUCE_INPUT_GROUPS)
-        ctx.counters.incr(REDUCE_INPUT_RECORDS, len(values))
-        ctx.add_ops(float(len(values)))
+        n_groups += 1
+        n_records += len(values)
+        ctx._ops += float(len(values))  # add_ops, minus the call
         reduce_fn(key, values, ctx)
+    ctx.counters.incr(REDUCE_INPUT_GROUPS, n_groups)
+    ctx.counters.incr(REDUCE_INPUT_RECORDS, n_records)
     ctx.counters.incr(REDUCE_OUTPUT_RECORDS, len(ctx.output))
     ctx.counters.incr(REDUCE_OPS, int(ctx.ops))
     nbytes = shuffle_bytes([[ctx.output]]) if measure_output else 0

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import GmapFunction, GreduceFunction, LocalSolveReport
 from repro.core.gmap import LOCAL_ITER_COUNTER, LOCAL_OPS_COUNTER
+from repro.core.localmr import run_local_mapreduce
 from repro.engine import TaskContext
 
 from tests.core.test_localmr import CountdownSpec
@@ -58,6 +59,20 @@ class TestGmapFunction:
         gmap(0, [("a", 1)], ctx)
         assert ctx.output == [(("tagged", "a"), 0)]
 
+    def test_ops_are_the_local_work_plus_one_per_emitted_pair(self):
+        class Lazy(CountdownSpec):
+            def gmap_emit(self, table, part_id):
+                return ((k, v) for k, v in table.items())  # not a list
+
+        xs = [("a", 2), ("b", 1), ("c", 0)]
+        for spec in (CountdownSpec(), Lazy()):
+            ctx = TaskContext("m0", 0)
+            GmapFunction(spec, max_local_iters=100)(0, xs, ctx)
+            local = run_local_mapreduce(spec, xs, max_local_iters=100)
+            assert ctx.output == [("a", 0), ("b", 0), ("c", 0)]
+            assert ctx.ops == local.total_ops + 3.0
+            assert ctx.counters.get(LOCAL_OPS_COUNTER) == int(local.total_ops)
+
 
 class TestGreduceFunction:
     def test_delegates_to_spec(self):
@@ -66,3 +81,18 @@ class TestGreduceFunction:
         greduce("a", [5], ctx)
         assert ctx.output == [("a", 5)]
         assert ctx.ops >= 1
+
+    def test_ops_are_greduce_ops_plus_one_per_emitted_pair(self):
+        class Chatty(CountdownSpec):
+            def greduce(self, key, values, ctx):
+                ctx.add_ops(2.5)
+                for v in values:
+                    ctx.emit((key, v), v)
+
+        greduce = GreduceFunction(Chatty())
+        ctx = TaskContext("r0", 0)
+        greduce("a", [5, 6], ctx)
+        greduce("b", [], ctx)
+        assert ctx.output == [(("a", 5), 5), (("a", 6), 6)]
+        # per group: greduce's own ops (2.5 + its emits), then one per pair
+        assert ctx.ops == (2.5 + 2.0) + 2.0 + 2.5

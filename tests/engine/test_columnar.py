@@ -20,6 +20,7 @@ from repro.engine import (
     JobConf,
     MapReduceRuntime,
     ShuffleBuffer,
+    TaskContext,
     combine_columnar,
     hash_buckets,
     route_columnar,
@@ -30,7 +31,11 @@ from repro.engine import (
     shuffle_bytes,
     stable_hash,
 )
-from repro.engine.columnar import group_columnar, object_combiner
+from repro.engine.columnar import (
+    group_columnar,
+    object_combiner,
+    object_reducer,
+)
 from repro.engine.counters import (
     COMBINE_INPUT_RECORDS,
     COMBINE_OUTPUT_RECORDS,
@@ -167,9 +172,56 @@ class TestCombine:
             oracle(k, vs, ctx)
         assert combined.to_pairs() == ctx.out  # order AND bitwise values
 
+    @pytest.mark.parametrize("agg", ["sum", "min", "max"])
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_small_groups_match_object_combiner_bitwise(self, agg, width):
+        # Group sizes 1..9: the oracle answers a singleton without
+        # reducing and everything else through reduceat, whose sums are
+        # v0 + (v1 + v2 ...) for a few addends and pairwise from 8 — a
+        # left fold would differ on these values.
+        specials = [-0.0, 0.1, 1e16, -1e16, 0.3, float("inf"), 5e-324,
+                    float("nan"), 0.7]
+        keys, rows = [], []
+        for size in range(1, 10):
+            for j in range(size):
+                keys.append(100 - size)  # first-emission order != key order
+                rows.append([specials[(size + j) % 9] * (c + 1)
+                             for c in range(width)])
+        values = np.array(rows)[:, 0] if width == 1 else np.array(rows)
+        block = ColumnarBlock(keys, values)
+        combined = combine_columnar(block, agg)
+
+        groups: dict = {}
+        for k, v in block.to_pairs():
+            groups.setdefault(k, []).append(v)
+        ctx = TaskContext("c", 0)
+        oracle = object_combiner(agg)
+        for k, vs in groups.items():
+            oracle(k, vs, ctx)
+        want = combined.to_pairs()
+        assert [k for k, _ in ctx.output] == [k for k, _ in want]
+        assert ([type(v) for _, v in ctx.output]
+                == [float if width == 1 else tuple] * 9)
+        assert (np.array([v for _, v in ctx.output]).tobytes()
+                == np.array([v for _, v in want]).tobytes())
+
+    def test_oracle_reducer_applies_finish_to_a_singleton(self):
+        red = object_reducer(ColumnarReduce("sum", _plus_one))
+        ctx = TaskContext("r", 0)
+        red(3, [(1.5, -0.0)], ctx)
+        red(4, [(1.5, 2.0), (0.5, 1.0)], ctx)
+        red(5, [2.0], ctx)
+        assert ctx.output == [(3, (2.5, 1.0)), (4, (3.0, 4.0)), (5, 3.0)]
+
     def test_unknown_agg_rejected(self):
         with pytest.raises(ValueError, match="unknown aggregation"):
             combine_columnar(ColumnarBlock([1], [1.0]), "median")
+        with pytest.raises(ValueError, match="unknown aggregation"):
+            object_combiner("median")
+
+
+def _plus_one(keys, rows):
+    return rows + 1.0
 
 
 def _emit_block_map(key, value, ctx):

@@ -17,10 +17,15 @@ from repro.engine import (
     shuffle_bytes,
 )
 from repro.engine.counters import (
+    COMBINE_INPUT_RECORDS,
     COMBINE_OUTPUT_RECORDS,
     MAP_INPUT_RECORDS,
+    MAP_OPS,
     MAP_OUTPUT_RECORDS,
     REDUCE_INPUT_GROUPS,
+    REDUCE_INPUT_RECORDS,
+    REDUCE_OPS,
+    REDUCE_OUTPUT_RECORDS,
 )
 
 
@@ -218,6 +223,27 @@ class TestTaskContext:
         ctx.incr("app.custom", 3)
         assert ctx.counters.get("app.custom") == 3
 
+    def test_emit_pairs_is_one_emit_per_pair(self):
+        pairs = [("k", 1), (("t", 2), [3]), ("k", None)]
+        one_by_one, handed_over = TaskContext("t", 0), TaskContext("t", 0)
+        for ctx in (one_by_one, handed_over):
+            ctx.add_ops(2.0)
+            ctx.emit("first", 0)
+        for k, v in pairs:
+            one_by_one.emit(k, v)
+        handed_over.emit_pairs(pairs)
+        assert handed_over.output == one_by_one.output
+        assert handed_over.ops == one_by_one.ops == 6.0
+        # the very tuples, not copies
+        assert all(a is b for a, b in zip(handed_over.output[1:], pairs))
+
+    def test_emit_pairs_takes_any_iterable(self):
+        ctx = TaskContext("t", 0)
+        ctx.emit_pairs((i, i * i) for i in range(4))
+        ctx.emit_pairs([])
+        assert ctx.output == [(0, 0), (1, 1), (2, 4), (3, 9)]
+        assert ctx.ops == 4.0
+
 
 def _emit_words(key, value, ctx):
     for w in value.split():
@@ -272,12 +298,58 @@ class TestRunMapTask:
                            HashPartitioner(), 1)
         assert res.ops == pytest.approx(1 + 2)  # 1 record + 2 emits
 
+    def test_a_user_partitioner_is_called_once_per_record(self):
+        calls = []
+
+        def spy(key, num_reducers):
+            calls.append((key, num_reducers))
+            return len(key) % num_reducers
+
+        res = run_map_task(0, 0, [(0, "a bb a ccc")], _emit_words, None,
+                           spy, 2)
+        assert calls == [("a", 2), ("bb", 2), ("a", 2), ("ccc", 2)]
+        assert res.data == [[("bb", 1)], [("a", 1), ("a", 1), ("ccc", 1)]]
+        assert res.nbytes == shuffle_bytes([res.data]) == 7 + 4 * 8
+
+    def test_combiner_counters_and_ops(self):
+        res = run_map_task(0, 0, [(0, "a a a b")], _emit_words, _sum_reduce,
+                           HashPartitioner(), 1)
+        assert res.counters.get(COMBINE_INPUT_RECORDS) == 4
+        assert res.counters.get(COMBINE_OUTPUT_RECORDS) == 2
+        # 1 input record + 4 emits, then the combiner: 4 scanned + 2 emitted
+        assert res.ops == 11.0
+        assert res.counters.get(MAP_OPS) == 11
+
 
 class TestRunReduceTask:
     def test_reduces_groups(self):
         res = run_reduce_task(0, 0, [("a", [1, 2, 3]), ("b", [4])], _sum_reduce)
         assert res.data == [("a", 6), ("b", 4)]
         assert res.counters.get(REDUCE_INPUT_GROUPS) == 2
+
+    def test_counters_and_ops_are_the_per_group_sums(self):
+        def fractional(key, values, ctx):
+            ctx.add_ops(0.1)            # ops need not be whole numbers
+            ctx.incr("app.groups")
+            ctx.emit(key, sum(values))
+
+        groups = [("a", [1, 2, 3]), ("b", [4]), ("c", []), ("d", [5, 6])]
+        want_ops = 0.0                  # in the order the task adds them
+        for _, values in groups:
+            want_ops += float(len(values))
+            want_ops += 0.1
+            want_ops += 1.0
+        for given in (groups, iter(groups)):
+            res = run_reduce_task(0, 0, given, fractional)
+            assert res.counters.as_dict() == {
+                "app.groups": 4,
+                REDUCE_INPUT_GROUPS: 4,
+                REDUCE_INPUT_RECORDS: 6,
+                REDUCE_OPS: int(want_ops),
+                REDUCE_OUTPUT_RECORDS: 4,
+            }
+            assert res.ops == want_ops
+            assert res.nbytes == shuffle_bytes([[res.data]]) == 4 * 9
 
     def test_fault_injection(self):
         plan = FaultPlan.script({("reduce", 1): 2})
