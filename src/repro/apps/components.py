@@ -24,7 +24,7 @@ from repro.core import (
     IterativeResult,
     LocalSolveReport,
 )
-from repro.graph import DiGraph, Partition
+from repro.graph import DiGraph, Partition, split_edges
 
 __all__ = [
     "ComponentsBlockSpec",
@@ -58,26 +58,9 @@ class ComponentsBlockSpec(BlockSpec):
     def __init__(self, graph: DiGraph, partition: Partition) -> None:
         self.graph = graph
         self.partition = partition
-        ptr, nbr, _ = graph.undirected_csr()
+        ptr, nbr, w = graph.undirected_csr()
         src = np.repeat(np.arange(graph.num_nodes), np.diff(ptr))
-        assign = partition.assign
-        parts = partition.parts()
-        self._edges = []
-        for p in range(partition.k):
-            nodes = parts[p]
-            local_of = np.full(graph.num_nodes, -1, dtype=np.int64)
-            local_of[nodes] = np.arange(len(nodes))
-            in_p_src = assign[src] == p
-            in_p_dst = assign[nbr] == p
-            internal = in_p_src & in_p_dst
-            incoming = ~in_p_src & in_p_dst
-            self._edges.append((
-                nodes,
-                local_of[src[internal]], local_of[nbr[internal]],
-                src[incoming], local_of[nbr[incoming]],
-                int((in_p_src & ~in_p_dst).sum()),
-                int(in_p_src.sum()),
-            ))
+        self._blocks = split_edges(src, nbr, w, partition)
 
     def num_partitions(self) -> int:
         return self.partition.k
@@ -88,7 +71,9 @@ class ComponentsBlockSpec(BlockSpec):
 
     def local_solve(self, part_id: int, state: np.ndarray, *,
                     max_local_iters: int) -> LocalSolveReport:
-        nodes, i_src, i_dst, e_src, e_dst, out_cut, out_all = self._edges[part_id]
+        b = self._blocks[part_id]
+        nodes, i_src, i_dst, e_src, e_dst = (
+            b.nodes, b.int_src, b.int_dst, b.in_src, b.in_dst)
         if len(nodes) == 0:
             return LocalSolveReport(partition=part_id, updates=(nodes, nodes),
                                     local_iters=0, per_iter_ops=[],
@@ -96,7 +81,7 @@ class ComponentsBlockSpec(BlockSpec):
         # As in SSSP: the frozen cross-edge labels are a constant floor
         # applied inside each relaxation, so one local iteration is one
         # synchronous propagation round regardless of the partitioning.
-        x = state[nodes].copy()
+        x0 = x = state[nodes]
         ext_floor = np.full(len(nodes), self.graph.num_nodes, dtype=np.int64)
         if len(e_src):
             np.minimum.at(ext_floor, e_dst, state[e_src])
@@ -112,10 +97,12 @@ class ComponentsBlockSpec(BlockSpec):
             x = x_new
             if not changed:
                 break
-        records = (out_all if max_local_iters == 1 else out_cut) + len(nodes)
+        records = len(b.cut_src) + len(nodes)
+        if max_local_iters == 1:
+            records += len(i_src)
         # Frontier-driven state traffic, like SSSP: only labels lowered
         # this round are rewritten through the state store.
-        changed = int(np.count_nonzero(x < state[nodes]))
+        changed = int(np.count_nonzero(x < x0))
         return LocalSolveReport(partition=part_id, updates=(nodes, x),
                                 local_iters=iters, per_iter_ops=per_iter_ops,
                                 shuffle_bytes=records * RECORD_BYTES,

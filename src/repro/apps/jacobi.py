@@ -31,7 +31,7 @@ from repro.core import (
     LocalSolveReport,
     resolve_block_backend,
 )
-from repro.graph import Partition
+from repro.graph import Partition, split_edges
 
 __all__ = ["SparseSystem", "JacobiBlockSpec", "JacobiResult", "jacobi_solve",
            "jacobi_spec", "make_diagonally_dominant_system"]
@@ -164,25 +164,10 @@ class JacobiBlockSpec(BlockSpec):
         self.partition = partition
         self.tol = tol
         self.local_tol = local_tol if local_tol is not None else tol
-        assign = partition.assign
-        parts = partition.parts()
-        self._blocks = []
-        rows, cols = system.rows, system.cols
-        for p in range(partition.k):
-            nodes = parts[p]
-            local_of = np.full(system.n, -1, dtype=np.int64)
-            local_of[nodes] = np.arange(len(nodes))
-            in_p_row = assign[rows] == p
-            in_p_col = assign[cols] == p
-            internal = in_p_row & in_p_col
-            external = in_p_row & ~in_p_col
-            self._blocks.append((
-                nodes,
-                local_of[rows[internal]], local_of[cols[internal]],
-                system.vals[internal],
-                local_of[rows[external]], cols[external],
-                system.vals[external],
-            ))
+        # The row owns the entry: a part's couplings to remote unknowns
+        # are its outgoing cut edges.
+        self._blocks = split_edges(system.rows, system.cols, system.vals,
+                                   partition)
 
     def num_partitions(self) -> int:
         return self.partition.k
@@ -192,7 +177,10 @@ class JacobiBlockSpec(BlockSpec):
 
     def local_solve(self, part_id: int, state: np.ndarray, *,
                     max_local_iters: int) -> LocalSolveReport:
-        nodes, i_r, i_c, i_v, e_r, e_c, e_v = self._blocks[part_id]
+        blk = self._blocks[part_id]
+        nodes = blk.nodes
+        i_r, i_c, i_v = blk.int_src, blk.int_dst, blk.int_w
+        e_r, e_c, e_v = blk.cut_src, blk.cut_dst, blk.cut_w
         if len(nodes) == 0:
             return LocalSolveReport(partition=part_id, updates=(nodes, nodes),
                                     local_iters=0, per_iter_ops=[],
@@ -203,7 +191,7 @@ class JacobiBlockSpec(BlockSpec):
         if len(e_r):
             np.add.at(b_eff, e_r, -e_v * state[e_c])
         diag = sysm.diag[nodes]
-        x = state[nodes].copy()
+        x = state[nodes]
         per_iter_ops: list[float] = []
         iters = 0
         while iters < max_local_iters:

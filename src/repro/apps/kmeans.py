@@ -207,14 +207,21 @@ class KMeansBlockSpec(BlockSpec):
         idx = self._parts[part_id]
         pts = self.points[idx]
         centroids = np.asarray(state, dtype=np.float64).copy()
+        # Per-cluster feature sums as ONE flat scatter over (cluster,
+        # feature) cells: each cell still accumulates its points in
+        # point order, as a 2-D ``np.add.at(sums, assignment, pts)``
+        # does, without that call's generic slow path.
+        d = pts.shape[1]
+        flat_pts, feature = pts.ravel(), np.arange(d)
         per_iter_ops: list[float] = []
         iters = 0
         sums = np.zeros_like(centroids)
         counts = np.zeros(self.k, dtype=np.float64)
         while iters < max_local_iters:
             assignment = assign_points(pts, centroids)
-            sums = np.zeros_like(centroids)
-            np.add.at(sums, assignment, pts)
+            cells = ((assignment * d)[:, None] + feature).ravel()
+            sums = np.bincount(cells, weights=flat_pts,
+                               minlength=self.k * d).reshape(self.k, d)
             counts = np.bincount(assignment, minlength=self.k).astype(np.float64)
             new_centroids = centroids.copy()
             nonempty = counts > 0

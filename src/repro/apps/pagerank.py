@@ -48,7 +48,7 @@ from repro.core import (
 )
 from repro.core.localmr import xs_columns
 from repro.engine import MapReduceRuntime
-from repro.graph import DiGraph, Partition, edge_blocks
+from repro.graph import DiGraph, Partition, edge_blocks, split_edges
 
 __all__ = [
     "PageRankBlockSpec",
@@ -72,32 +72,6 @@ class PageRankResult:
     converged: bool
     sim_time: float
     result: IterativeResult
-
-
-class _PartitionCSR:
-    """Per-partition edge structure for the vectorised local solve."""
-
-    __slots__ = ("nodes", "local_of", "int_src", "int_dst", "ext_src",
-                 "ext_dst", "out_cut_edges", "out_edges")
-
-    def __init__(self, graph: DiGraph, assign: np.ndarray, part_id: int,
-                 nodes: np.ndarray) -> None:
-        self.nodes = nodes
-        n = graph.num_nodes
-        local_of = np.full(n, -1, dtype=np.int64)
-        local_of[nodes] = np.arange(len(nodes))
-        self.local_of = local_of
-        src, dst, _ = graph.edge_arrays()
-        in_p_dst = assign[dst] == part_id
-        in_p_src = assign[src] == part_id
-        internal = in_p_src & in_p_dst
-        incoming = ~in_p_src & in_p_dst
-        self.int_src = local_of[src[internal]]
-        self.int_dst = local_of[dst[internal]]
-        self.ext_src = src[incoming]          # global ids of remote sources
-        self.ext_dst = local_of[dst[incoming]]
-        self.out_cut_edges = int((in_p_src & ~in_p_dst).sum())
-        self.out_edges = int(in_p_src.sum())
 
 
 class PageRankBlockSpec(BlockSpec):
@@ -133,11 +107,10 @@ class PageRankBlockSpec(BlockSpec):
         # Dangling nodes contribute nothing (the paper's eq. 1 divides by
         # outlinks only for actual source nodes); avoid div-by-zero.
         self.inv_outdeg = np.where(outdeg > 0, 1.0 / np.maximum(outdeg, 1), 0.0)
-        parts = partition.parts()
-        self._csr = [
-            _PartitionCSR(graph, partition.assign, p, parts[p])
-            for p in range(partition.k)
-        ]
+        # Eq. 1 is a mat-vec whose edge weight is 1/outdeg[src]: split
+        # that with the edges, once, instead of gathering it per sweep.
+        src, dst, _ = graph.edge_arrays()
+        self._blocks = split_edges(src, dst, self.inv_outdeg[src], partition)
 
     # -- BlockSpec interface --------------------------------------------
     def num_partitions(self) -> int:
@@ -149,45 +122,48 @@ class PageRankBlockSpec(BlockSpec):
 
     def local_solve(self, part_id: int, state: np.ndarray, *,
                     max_local_iters: int) -> LocalSolveReport:
-        csr = self._csr[part_id]
-        nodes = csr.nodes
+        b = self._blocks[part_id]
+        nodes = b.nodes
         if len(nodes) == 0:
             return LocalSolveReport(partition=part_id, updates=(nodes, nodes),
                                     local_iters=0, per_iter_ops=[],
                                     shuffle_bytes=0, update_nbytes=0)
         d = self.damping
-        x = state[nodes].copy()
+        x = state[nodes]
         # Frozen external contributions from remote partitions.
         b_ext = np.zeros(len(nodes), dtype=np.float64)
-        if len(csr.ext_src):
-            np.add.at(b_ext, csr.ext_dst,
-                      state[csr.ext_src] * self.inv_outdeg[csr.ext_src])
+        if len(b.in_src):
+            ext = state[b.in_src]
+            ext *= b.in_w
+            np.add.at(b_ext, b.in_dst, ext)
         base = (1.0 - d) + d * b_ext
-        inv_out_local = self.inv_outdeg[nodes]
 
-        per_iter_ops: list[float] = []
+        int_src, int_dst, int_w = b.int_src, b.int_dst, b.int_w
         iters = 0
         while iters < max_local_iters:
             contrib = np.zeros(len(nodes), dtype=np.float64)
-            if len(csr.int_src):
-                np.add.at(contrib, csr.int_dst, x[csr.int_src] * inv_out_local[csr.int_src])
+            if len(int_src):
+                # Gather, then scale in place: one edge-sized temporary
+                # per sweep, not two.
+                push = x[int_src]
+                push *= int_w
+                np.add.at(contrib, int_dst, push)
             x_new = base + d * contrib
-            per_iter_ops.append(float(len(csr.int_src) + len(nodes)))
             iters += 1
             delta = float(np.abs(x_new - x).max())
             x = x_new
             if delta < self.local_tol:
                 break
+        per_iter_ops = [float(len(int_src) + len(nodes))] * iters
 
         # Shuffle volume: at local convergence the gmap emits one rank
         # record per node plus one contribution record per outgoing cut
         # edge.  The general baseline (single local sweep) instead ships a
         # contribution per *every* outgoing edge — the full intermediate
         # volume the paper's general formulation pays each iteration.
+        records = len(b.cut_src) + len(nodes)
         if max_local_iters == 1:
-            records = csr.out_edges + len(nodes)
-        else:
-            records = csr.out_cut_edges + len(nodes)
+            records += len(int_src)
         # State-store traffic: every rank in the partition's slice is
         # rewritten each round (dense update), so the per-partition
         # distribution is the partition-size profile — and the vector

@@ -65,32 +65,6 @@ class SsspResult:
     result: IterativeResult
 
 
-class _PartitionEdges:
-    """Per-partition weighted edge structure for the local relaxations."""
-
-    __slots__ = ("nodes", "int_src", "int_dst", "int_w", "ext_src",
-                 "ext_dst", "ext_w", "out_cut_edges", "out_edges")
-
-    def __init__(self, graph: DiGraph, assign: np.ndarray, part_id: int,
-                 nodes: np.ndarray) -> None:
-        self.nodes = nodes
-        local_of = np.full(graph.num_nodes, -1, dtype=np.int64)
-        local_of[nodes] = np.arange(len(nodes))
-        src, dst, w = graph.edge_arrays()
-        in_p_src = assign[src] == part_id
-        in_p_dst = assign[dst] == part_id
-        internal = in_p_src & in_p_dst
-        incoming = ~in_p_src & in_p_dst
-        self.int_src = local_of[src[internal]]
-        self.int_dst = local_of[dst[internal]]
-        self.int_w = w[internal]
-        self.ext_src = src[incoming]
-        self.ext_dst = local_of[dst[incoming]]
-        self.ext_w = w[incoming]
-        self.out_cut_edges = int((in_p_src & ~in_p_dst).sum())
-        self.out_edges = int(in_p_src.sum())
-
-
 class SsspBlockSpec(BlockSpec):
     """Vectorised SSSP over a partition (min-plus block iteration)."""
 
@@ -110,11 +84,7 @@ class SsspBlockSpec(BlockSpec):
         self.graph = graph
         self.partition = partition
         self.source = source
-        parts = partition.parts()
-        self._edges = [
-            _PartitionEdges(graph, partition.assign, p, parts[p])
-            for p in range(partition.k)
-        ]
+        self._blocks = edge_blocks(graph, partition)
 
     # -- BlockSpec interface --------------------------------------------
     def num_partitions(self) -> int:
@@ -128,8 +98,8 @@ class SsspBlockSpec(BlockSpec):
 
     def local_solve(self, part_id: int, state: np.ndarray, *,
                     max_local_iters: int) -> LocalSolveReport:
-        pe = self._edges[part_id]
-        nodes = pe.nodes
+        b = self._blocks[part_id]
+        nodes = b.nodes
         if len(nodes) == 0:
             return LocalSolveReport(partition=part_id, updates=(nodes, nodes),
                                     local_iters=0, per_iter_ops=[],
@@ -139,33 +109,38 @@ class SsspBlockSpec(BlockSpec):
         # is exactly one synchronous Bellman-Ford round over *all* edges
         # (general mode must be partition-independent), while iterating
         # to a fixed point resolves every intra-partition path (eager).
-        x = state[nodes].copy()
+        x0 = x = state[nodes]
         ext_floor = np.full(len(nodes), np.inf, dtype=np.float64)
-        if len(pe.ext_src):
-            np.minimum.at(ext_floor, pe.ext_dst, state[pe.ext_src] + pe.ext_w)
+        if len(b.in_src):
+            ext = state[b.in_src]
+            ext += b.in_w
+            np.minimum.at(ext_floor, b.in_dst, ext)
 
-        per_iter_ops: list[float] = []
+        int_src, int_dst, int_w = b.int_src, b.int_dst, b.int_w
         iters = 0
         while iters < max_local_iters:
             x_new = np.minimum(x, ext_floor)
-            if len(pe.int_src):
-                np.minimum.at(x_new, pe.int_dst, x[pe.int_src] + pe.int_w)
-            per_iter_ops.append(float(len(pe.int_src) + len(nodes)))
+            if len(int_src):
+                # Gather, then add in place: one edge-sized temporary
+                # per relaxation, not two.
+                cand = x[int_src]
+                cand += int_w
+                np.minimum.at(x_new, int_dst, cand)
             iters += 1
             changed = x_new < x
             x = x_new
-            if not np.any(changed):
+            if not changed.any():
                 break
+        per_iter_ops = [float(len(int_src) + len(nodes))] * iters
 
+        records = len(b.cut_src) + len(nodes)
         if max_local_iters == 1:
-            records = pe.out_edges + len(nodes)
-        else:
-            records = pe.out_cut_edges + len(nodes)
+            records += len(int_src)
         # State-store traffic is frontier-driven: only distances that
         # improved this round are (re)written, so partitions the wave
         # is currently sweeping dominate the store's key range —
         # SSSP's naturally skewed update distribution.
-        changed = int(np.count_nonzero(x < state[nodes]))
+        changed = int(np.count_nonzero(x < x0))
         return LocalSolveReport(partition=part_id, updates=(nodes, x),
                                 local_iters=iters, per_iter_ops=per_iter_ops,
                                 shuffle_bytes=records * RECORD_BYTES,

@@ -50,6 +50,7 @@ from repro.graph.partition import (
     multilevel_partition,
     partition_graph,
     random_partition,
+    split_edges,
 )
 from repro.graph.powerlaw import (
     PowerLawFit,
@@ -79,6 +80,7 @@ __all__ = [
     "attach_random_weights",
     "Partition",
     "EdgeBlock",
+    "split_edges",
     "edge_blocks",
     "partition_graph",
     "multilevel_partition",

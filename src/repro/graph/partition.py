@@ -34,6 +34,7 @@ from repro.util import as_rng, check_positive
 __all__ = [
     "Partition",
     "EdgeBlock",
+    "split_edges",
     "edge_blocks",
     "hash_partition",
     "random_partition",
@@ -157,10 +158,19 @@ class Partition:
 
 
 class EdgeBlock(NamedTuple):
-    """One part's out-edges as arrays keyed by **part-local row**: row
-    ``i`` is node ``nodes[i]`` (:meth:`Partition.parts` order), edges
-    keep the graph's adjacency order — row-major by source row, the
-    order a per-record scan of the part emits them in."""
+    """One part's edges as arrays keyed by **part-local row**: row ``i``
+    is node ``nodes[i]`` (:meth:`Partition.parts` order).
+
+    Three disjoint edge sets.  The *out-view* is what the part's own
+    rows emit — internal edges and outgoing cut edges; the *in-view* is
+    what lands on them from other parts — incoming cut edges.  Every
+    set keeps the order of the edge arrays it was split from (for a
+    graph: adjacency order, row-major by source — the order a
+    per-record scan of the part emits in), so a scatter over a set adds
+    its terms in the order a scan of the whole edge list would: that
+    order is what makes a floating-point scatter sum bitwise.  The
+    arrays are views of one table per view; treat them as read-only.
+    """
 
     nodes: np.ndarray      #: ``(n,)`` int64 node ids of the part
     node_list: list        #: the same ids as Python ints
@@ -170,31 +180,71 @@ class EdgeBlock(NamedTuple):
     cut_src: np.ndarray    #: source row of each outgoing cut edge
     cut_dst: np.ndarray    #: its remote target (global node id)
     cut_w: np.ndarray      #: its weight
+    in_src: np.ndarray     #: remote source (global node id) of each incoming cut edge
+    in_dst: np.ndarray     #: its target row
+    in_w: np.ndarray       #: its weight
+
+
+def _grouped(keys: np.ndarray, groups: int) -> "tuple[np.ndarray, np.ndarray]":
+    """Stable order of ``keys`` (ints in ``[0, groups)``) and the
+    ``groups + 1`` offsets of each group's run in that order."""
+    order = np.argsort(keys, kind="stable")
+    at = np.zeros(groups + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=groups), out=at[1:])
+    return order, at
+
+
+def split_edges(src: np.ndarray, dst: np.ndarray, w: np.ndarray,
+                partition: Partition) -> "list[EdgeBlock]":
+    """Split the edge list ``(src, dst, w)`` over ``partition``'s nodes
+    into one :class:`EdgeBlock` per part: two stable sorts — every edge
+    by (source part, internal before cut) for the out-view, the cut
+    edges by destination part for the in-view — and O(n + m) besides,
+    whatever ``k`` is.
+
+    ``w`` is whatever per-edge value the caller wants carried along:
+    graph weights, matrix entries, ``1/outdeg[src]``.
+    """
+    k = partition.k
+    parts = partition.parts()
+    sizes = partition.part_sizes()
+    row_of = np.empty(len(partition.assign), dtype=np.int64)
+    row_of[np.concatenate(parts)] = (
+        np.arange(len(row_of)) - np.repeat(np.cumsum(sizes) - sizes, sizes))
+    # Part ids in the narrowest dtype that holds a sort key: NumPy's
+    # stable sort of an 8- or 16-bit key is a radix sort, O(m) — twice
+    # the paper's largest sweep (6400 parts) still fits 16 bits — and
+    # the per-edge temporaries shrink with it.
+    part_of = partition.assign.astype(np.min_scalar_type(2 * k))
+    src_part, dst_part = part_of[src], part_of[dst]
+    cut = src_part != dst_part
+
+    order, out_at = _grouped(2 * src_part + cut, 2 * k)
+    # an internal edge's target is a row, a cut edge's stays a node id
+    out_dst = np.where(cut, dst, row_of[dst])[order]
+    out_src, out_w = row_of[src[order]], w[order]
+
+    cut_edges = np.flatnonzero(cut)
+    order, in_at = _grouped(dst_part[cut_edges], k)
+    order = cut_edges[order]
+    in_src, in_dst, in_w = src[order], row_of[dst[order]], w[order]
+
+    blocks = []
+    for p, nodes in enumerate(parts):
+        a, b, c = out_at[2 * p: 2 * p + 3]
+        i, j = in_at[p: p + 2]
+        blocks.append(EdgeBlock(
+            nodes, nodes.tolist(),
+            out_src[a:b], out_dst[a:b], out_w[a:b],
+            out_src[b:c], out_dst[b:c], out_w[b:c],
+            in_src[i:j], in_dst[i:j], in_w[i:j]))
+    return blocks
 
 
 def edge_blocks(graph: DiGraph, partition: Partition) -> "list[EdgeBlock]":
-    """The :class:`EdgeBlock` of every part of ``partition`` over
-    ``graph``'s edges (one stable sort of the edge list by source part)."""
-    assign = partition.assign
-    parts = partition.parts()
-    row_of = np.empty(graph.num_nodes, dtype=np.int64)
-    for nodes in parts:
-        row_of[nodes] = np.arange(len(nodes))
-    src, dst, w = graph.edge_arrays()
-    order = np.argsort(assign[src], kind="stable")
-    src, dst, w = src[order], dst[order], w[order]
-    bounds = np.searchsorted(assign[src], np.arange(partition.k + 1))
-    blocks = []
-    for p, nodes in enumerate(parts):
-        s, d, pw = (a[bounds[p]: bounds[p + 1]] for a in (src, dst, w))
-        cut = assign[d] != p
-        internal = ~cut
-        nodes = nodes.astype(np.int64)
-        blocks.append(EdgeBlock(
-            nodes, nodes.tolist(),
-            row_of[s[internal]], row_of[d[internal]], pw[internal],
-            row_of[s[cut]], d[cut], pw[cut]))
-    return blocks
+    """:func:`split_edges` of ``graph``'s edges — ``graph`` may be a
+    weighted twin of ``partition.graph`` (same nodes, other weights)."""
+    return split_edges(*graph.edge_arrays(), partition)
 
 
 # ----------------------------------------------------------------------
