@@ -140,10 +140,11 @@ class SweepResult:
 
 @functools.lru_cache(maxsize=8)
 def _graph_cached(which: str, scale: float, weighted: bool) -> DiGraph:
-    g = make_paper_graph(which, scale=scale, seed=0)
     if weighted:
-        g = attach_random_weights(g, low=1.0, high=10.0, seed=1)
-    return g
+        # the weighted twin of the cached graph: generate once, not twice
+        return attach_random_weights(_graph_cached(which, scale, False),
+                                     low=1.0, high=10.0, seed=1)
+    return make_paper_graph(which, scale=scale, seed=0)
 
 
 def get_graph(which: str, scale: float, *, weighted: bool = False) -> DiGraph:

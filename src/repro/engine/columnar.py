@@ -37,17 +37,9 @@ shuffle can run on NumPy instead:
   ``groups()`` output on demand (the oracle contract the equivalence
   tests pin).
 
-The kernel, and why it looks the way it does.  NumPy's
-``argsort(kind="stable")`` is an O(n) radix sort for 16-bit integers
-but an O(n log n) comparison merge sort for int64 — several times
-slower at shuffle sizes — and the engine's keys are int64.  So
-:func:`stable_key_order` sorts one 16-bit digit at a time, least
-significant first, each pass a ``uint16`` argsort: 16 bits is the widest
-digit NumPy radix-sorts.  The number of passes comes from the observed
-span ``max - min`` of the batch, not from the dtype: graph node ids and
-dictionary codes are dense, so real batches take one or two passes and
-only adversarial full-range keys take four.  There is no comparison
-fallback and nothing to tune.
+The kernel lives in :mod:`repro.util.radix` (the graph layer sorts
+edge lists through it too) and is re-exported here; its module
+docstring says why it looks the way it does.
 
 Why grouping by key alone is enough.  A key maps to exactly one
 bucket, so the key groups of a batch *are* its (bucket, key) groups:
@@ -82,6 +74,7 @@ from repro.engine.partitioner import (
     _FNV_PRIME,
     stable_hash,
 )
+from repro.util.radix import stable_key_order
 
 __all__ = [
     "ColumnarBlock",
@@ -127,35 +120,6 @@ def _arange(n: int) -> np.ndarray:
         _ARANGE_SCRATCH = np.arange(max(n, 2 * len(_ARANGE_SCRATCH)),
                                     dtype=np.int64)
     return _ARANGE_SCRATCH[:n]
-
-
-def stable_key_order(keys: np.ndarray) -> np.ndarray:
-    """Stable argsort of int64 ``keys``: an LSD radix sort, O(n) per pass.
-
-    Equal to ``np.argsort(keys, kind="stable")`` for every int64 input
-    (the module docstring has the why).  One ``uint16`` argsort per
-    16-bit digit that the observed span ``max - min`` occupies, least
-    significant first; each pass being stable is what makes the passes
-    compose, and what keeps emission order inside every key group.
-    """
-    if keys.dtype != np.int64:
-        # The offsets below reinterpret 8-byte two's complement.
-        raise TypeError(f"keys must be int64, got {keys.dtype}")
-    n = len(keys)
-    if n < 2:
-        return np.arange(n)
-    kmin = keys.min()
-    span = int(keys.max()) - int(kmin)
-    # int64 subtraction wraps modulo 2**64, so the uint64 view is the
-    # true offset even when the span itself overflows int64.
-    offsets = (keys - kmin).view(np.uint64)
-    order = np.argsort(offsets.astype(np.uint16), kind="stable")
-    while span >> 16:
-        span >>= 16
-        offsets >>= np.uint64(16)  # in place: ``offsets`` is private
-        digit = offsets.astype(np.uint16)
-        order = order[np.argsort(digit[order], kind="stable")]
-    return order
 
 
 def resolve_agg(agg: str) -> np.ufunc:

@@ -18,9 +18,31 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.util import check_array_1d
+from repro.util import check_array_1d, stable_pair_order
 
 __all__ = ["DiGraph"]
+
+
+def merged_csr(num_nodes: int, us: np.ndarray, vs: np.ndarray,
+               ws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR ``(ptr, nbr, w)`` of the edge list ``(us, vs, ws)`` with
+    parallel edges merged into one of summed weight.
+
+    The sort by ``(u, v)`` is two stable radix passes, so a merged
+    edge adds its weights in input order — floating-point sums, and
+    everything the partitioner derives from them, depend on that order.
+    """
+    if len(us) == 0:
+        return np.zeros(num_nodes + 1, dtype=np.int64), vs, ws
+    order = stable_pair_order(us, vs)
+    us, vs, ws = us[order], vs[order], ws[order]
+    new_run = np.empty(len(us), dtype=bool)
+    new_run[0] = True
+    new_run[1:] = (us[1:] != us[:-1]) | (vs[1:] != vs[:-1])
+    run_id = np.cumsum(new_run) - 1
+    ptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(us[new_run], minlength=num_nodes), out=ptr[1:])
+    return ptr, vs[new_run], np.bincount(run_id, weights=ws)
 
 
 class DiGraph:
@@ -44,8 +66,8 @@ class DiGraph:
 
     Notes
     -----
-    Construction cost is ``O(m log m)`` for the sort; all per-node
-    accessors afterwards are O(out-degree) views, not copies.
+    Construction cost is the sort, two radix passes over the edges; all
+    per-node accessors afterwards are O(out-degree) views, not copies.
     """
 
     __slots__ = (
@@ -85,7 +107,7 @@ class DiGraph:
             )
 
         if sort and len(src_a):
-            order = np.lexsort((dst_a, src_a))
+            order = stable_pair_order(src_a, dst_a)
             src_a, dst_a, w_a = src_a[order], dst_a[order], w_a[order]
 
         self.num_nodes = int(num_nodes)
@@ -237,24 +259,8 @@ class DiGraph:
         s, d, w = self._edge_src, self.out_dst, self.out_w
         keep = s != d
         s, d, w = s[keep], d[keep], w[keep]
-        us = np.concatenate([s, d])
-        vs = np.concatenate([d, s])
-        ws = np.concatenate([w, w])
-        if len(us) == 0:
-            return np.zeros(self.num_nodes + 1, dtype=np.int64), us, ws
-        # Merge duplicates: sort by (u, v), then sum weight runs.
-        order = np.lexsort((vs, us))
-        us, vs, ws = us[order], vs[order], ws[order]
-        new_run = np.empty(len(us), dtype=bool)
-        new_run[0] = True
-        new_run[1:] = (us[1:] != us[:-1]) | (vs[1:] != vs[:-1])
-        run_id = np.cumsum(new_run) - 1
-        uu = us[new_run]
-        vv = vs[new_run]
-        wsum = np.bincount(run_id, weights=ws)
-        ptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(uu, minlength=self.num_nodes), out=ptr[1:])
-        return ptr, vv, wsum
+        return merged_csr(self.num_nodes, np.concatenate([s, d]),
+                          np.concatenate([d, s]), np.concatenate([w, w]))
 
     # ------------------------------------------------------------------
     # Dunder / misc

@@ -23,12 +23,14 @@ edges, per-part node arrays, and balance statistics.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import DiGraph, merged_csr
 from repro.util import as_rng, check_positive
 
 __all__ = [
@@ -86,13 +88,10 @@ class Partition:
     def parts(self) -> list[np.ndarray]:
         """List of ``k`` sorted node arrays, one per part (cached)."""
         if self._parts is None:
-            order = np.argsort(self.assign, kind="stable")
-            sorted_assign = self.assign[order]
-            boundaries = np.searchsorted(sorted_assign, np.arange(self.k + 1))
-            self._parts = [
-                np.sort(order[boundaries[i]: boundaries[i + 1]])
-                for i in range(self.k)
-            ]
+            # A stable sort by part id leaves each part's run of node
+            # ids ascending: the runs are the sorted node arrays.
+            order, at = _grouped(self.assign, self.k)
+            self._parts = [order[at[i]: at[i + 1]] for i in range(self.k)]
         return self._parts
 
     def part_sizes(self) -> np.ndarray:
@@ -276,12 +275,14 @@ def chunk_partition(graph: DiGraph, k: int) -> Partition:
     cheaper but coarser than the multilevel min-cut partitioner.
     """
     check_positive("k", k)
-    n = graph.num_nodes
+    return Partition(graph, _chunks(graph.num_nodes, k), k)
+
+
+def _chunks(n: int, k: int) -> np.ndarray:
+    """Part id of each of ``n`` consecutive positions cut into ``k``
+    nearly equal runs."""
     bounds = np.linspace(0, n, k + 1).astype(np.int64)
-    assign = np.zeros(n, dtype=np.int64)
-    for p in range(k):
-        assign[bounds[p]: bounds[p + 1]] = p
-    return Partition(graph, assign, k)
+    return np.repeat(np.arange(k), np.diff(bounds))
 
 
 # ----------------------------------------------------------------------
@@ -302,33 +303,27 @@ def bfs_partition(graph: DiGraph, k: int, *,
     if n == 0:
         return Partition(graph, np.zeros(0, dtype=np.int64), k)
     ptr, nbr, _ = graph.undirected_csr()
+    ptr, nbr = ptr.tolist(), nbr.tolist()
     rng = as_rng(seed)
-    visited = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.int64)
-    pos = 0
-    seeds = rng.permutation(n)
-    from collections import deque
-
+    visited = [False] * n
+    order: list[int] = []
     queue: deque[int] = deque()
-    for s in seeds:
+    for s in rng.permutation(n).tolist():
         if visited[s]:
             continue
         visited[s] = True
-        queue.append(int(s))
+        queue.append(s)
         while queue:
             u = queue.popleft()
-            order[pos] = u
-            pos += 1
+            order.append(u)
             for v in nbr[ptr[u]: ptr[u + 1]]:
                 if not visited[v]:
                     visited[v] = True
-                    queue.append(int(v))
-    assert pos == n
+                    queue.append(v)
+    assert len(order) == n
     assign = np.empty(n, dtype=np.int64)
     # Slice the BFS order into k nearly equal consecutive chunks.
-    bounds = np.linspace(0, n, k + 1).astype(np.int64)
-    for p in range(k):
-        assign[order[bounds[p]: bounds[p + 1]]] = p
+    assign[order] = _chunks(n, k)
     return Partition(graph, assign, k)
 
 
@@ -349,6 +344,11 @@ class _UGraph:
     def n(self) -> int:
         return len(self.vw)
 
+    @cached_property
+    def src(self) -> np.ndarray:
+        """``(m,)`` source node of each CSR entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.ptr))
+
 
 def _heavy_edge_matching(g: _UGraph, rng: np.random.Generator) -> np.ndarray:
     """Return match[] pairing each node with a neighbour (or itself).
@@ -356,60 +356,53 @@ def _heavy_edge_matching(g: _UGraph, rng: np.random.Generator) -> np.ndarray:
     Visits nodes in random order, matching each unmatched node to its
     heaviest unmatched neighbour — the classic HEM rule that preserves
     heavy edges inside coarse nodes so they never appear in the cut.
+    Among equally heavy neighbours the first in CSR order wins.
+
+    The visit order is sequential by definition; the neighbour scan is
+    not.  Each node's neighbours are laid out heaviest first by one
+    stable sort (stable: CSR order among equal weights *is* the tie
+    rule), so the heaviest unmatched neighbour is the first unmatched
+    entry of the node's row and the scan stops there.  The sort key is
+    complex — NumPy orders complex numbers by real part, then
+    imaginary: row, then descending weight — and the rows are already
+    in order, which a stable (merging) sort is quick on.
     """
     n = g.n
-    match = np.full(n, -1, dtype=np.int64)
-    for u in rng.permutation(n):
+    key = np.empty(len(g.w), dtype=np.complex128)
+    key.real, key.imag = g.src, -g.w
+    nbr = g.nbr[np.argsort(key, kind="stable")].tolist()
+    ptr = g.ptr.tolist()
+    match = [-1] * n
+    for u in rng.permutation(n).tolist():
         if match[u] != -1:
             continue
-        best = -1
-        best_w = -np.inf
-        for i in range(g.ptr[u], g.ptr[u + 1]):
-            v = g.nbr[i]
-            if v != u and match[v] == -1 and g.w[i] > best_w:
-                best = v
-                best_w = g.w[i]
-        if best == -1:
-            match[u] = u
-        else:
-            match[u] = best
-            match[best] = u
-    return match
+        match[u] = u
+        for v in nbr[ptr[u]: ptr[u + 1]]:
+            if v != u and match[v] == -1:
+                match[u] = v
+                match[v] = u
+                break
+    return np.array(match, dtype=np.int64)
 
 
 def _contract(g: _UGraph, match: np.ndarray) -> tuple[_UGraph, np.ndarray]:
-    """Contract matched pairs into coarse nodes; return (coarse, cmap)."""
+    """Contract matched pairs into coarse nodes; return (coarse, cmap).
+
+    ``match`` is an involution, so each pair (or unmatched node) has one
+    *leader* — its smaller endpoint — and coarse ids number the leaders
+    in node order.  Coarse edges are sorted by ``(cu, cv)``, stably, so
+    a merged edge sums its weights in fine-CSR order.
+    """
     n = g.n
-    cmap = np.full(n, -1, dtype=np.int64)
-    nxt = 0
-    for u in range(n):
-        if cmap[u] == -1:
-            cmap[u] = nxt
-            v = match[u]
-            if v != u and cmap[v] == -1:
-                cmap[v] = nxt
-            nxt += 1
-    cn = nxt
+    leader = match >= np.arange(n)
+    cmap = np.cumsum(leader) - 1
+    cmap[~leader] = cmap[match[~leader]]
+    cn = int(np.count_nonzero(leader))
     cvw = np.bincount(cmap, weights=g.vw, minlength=cn)
-    cu = cmap[np.repeat(np.arange(n), np.diff(g.ptr))]
+    cu = cmap[g.src]
     cv = cmap[g.nbr]
     keep = cu != cv
-    cu, cv, cw = cu[keep], cv[keep], g.w[keep]
-    if len(cu):
-        order = np.lexsort((cv, cu))
-        cu, cv, cw = cu[order], cv[order], cw[order]
-        new_run = np.empty(len(cu), dtype=bool)
-        new_run[0] = True
-        new_run[1:] = (cu[1:] != cu[:-1]) | (cv[1:] != cv[:-1])
-        run_id = np.cumsum(new_run) - 1
-        uu, vv = cu[new_run], cv[new_run]
-        ww = np.bincount(run_id, weights=cw)
-    else:
-        uu = cu
-        vv = cv
-        ww = cw
-    ptr = np.zeros(cn + 1, dtype=np.int64)
-    np.cumsum(np.bincount(uu, minlength=cn), out=ptr[1:])
+    ptr, vv, ww = merged_csr(cn, cu[keep], cv[keep], g.w[keep])
     return _UGraph(ptr, vv, ww, cvw), cmap
 
 
@@ -420,45 +413,46 @@ def _greedy_bisection(g: _UGraph, target0: float,
     Tries a few random seeds and keeps the lowest-cut result.
     """
     n = g.n
-    total = g.vw.sum()
-    goal = target0 * total
+    goal = float(target0 * g.vw.sum())
+    ptr, nbr, vw = g.ptr.tolist(), g.nbr.tolist(), g.vw.tolist()
     best_side: np.ndarray | None = None
     best_cut = np.inf
-    tries = min(4, n)
-    from collections import deque
-
-    for s in rng.choice(n, size=tries, replace=False):
-        side = np.ones(n, dtype=np.int8)
+    for s in rng.choice(n, size=min(4, n), replace=False).tolist():
         grown = 0.0
-        queue: deque[int] = deque([int(s)])
-        seen = np.zeros(n, dtype=bool)
+        region: list[int] = []
+        queue: deque[int] = deque([s])
+        seen = [False] * n
         seen[s] = True
         while queue and grown < goal:
             u = queue.popleft()
-            side[u] = 0
-            grown += g.vw[u]
-            for v in g.nbr[g.ptr[u]: g.ptr[u + 1]]:
+            region.append(u)
+            grown += vw[u]
+            for v in nbr[ptr[u]: ptr[u + 1]]:
                 if not seen[v]:
                     seen[v] = True
-                    queue.append(int(v))
-        # Top up with arbitrary nodes if BFS exhausted a small component.
+                    queue.append(v)
+        # Top up with arbitrary nodes if BFS exhausted a small component
+        # (its queue is empty then: every seen node is in the region).
         if grown < goal:
-            for u in rng.permutation(n):
-                if side[u] == 1 and grown < goal:
-                    side[u] = 0
-                    grown += g.vw[u]
+            for u in rng.permutation(n).tolist():
+                if grown >= goal:
+                    break
+                if not seen[u]:
+                    region.append(u)
+                    grown += vw[u]
+        side = np.ones(n, dtype=np.int8)
+        side[region] = 0
         cut = _cut_weight(g, side)
         if cut < best_cut:
             best_cut = cut
-            best_side = side.copy()
+            best_side = side
     assert best_side is not None
     return best_side
 
 
 def _cut_weight(g: _UGraph, side: np.ndarray) -> float:
     """Total weight of edges crossing the bisection (each counted twice)."""
-    src = np.repeat(np.arange(g.n), np.diff(g.ptr))
-    return float(g.w[side[src] != side[g.nbr]].sum())
+    return float(g.w[side[g.src] != side[g.nbr]].sum())
 
 
 def _refine_bisection(g: _UGraph, side: np.ndarray, target0: float,
@@ -474,13 +468,13 @@ def _refine_bisection(g: _UGraph, side: np.ndarray, target0: float,
     total = g.vw.sum()
     lo0 = (target0 - tol) * total
     hi0 = (target0 + tol) * total
-    src = np.repeat(np.arange(n), np.diff(g.ptr))
+    src = g.src
     for _ in range(max_passes):
         w0 = float(g.vw[side == 0].sum())
-        # gain[u] = (incident weight to other side) - (incident to own side)
+        # gain[u] = (incident weight to other side) - (incident to own side),
+        # summed in CSR order
         cross = side[src] != side[g.nbr]
-        gain = np.zeros(n, dtype=np.float64)
-        np.add.at(gain, src, np.where(cross, g.w, -g.w))
+        gain = np.bincount(src, weights=(2.0 * cross - 1.0) * g.w, minlength=n)
         moved_any = False
         # Visit candidates in decreasing gain; recompute locally on move.
         candidates = np.flatnonzero(gain > 1e-12)
@@ -586,20 +580,18 @@ def multilevel_partition(graph: DiGraph, k: int, *,
 
 
 def _subgraph(g: _UGraph, nodes: np.ndarray) -> _UGraph:
-    """Induced undirected subgraph on ``nodes`` (renumbered 0..len-1)."""
+    """Induced undirected subgraph on ``nodes`` (renumbered 0..len-1).
+
+    ``nodes`` must be ascending: the renumbering is then monotone, so
+    the kept entries are already in CSR order of the subgraph.
+    """
     remap = np.full(g.n, -1, dtype=np.int64)
     remap[nodes] = np.arange(len(nodes))
-    src = np.repeat(np.arange(g.n), np.diff(g.ptr))
-    keep = (remap[src] >= 0) & (remap[g.nbr] >= 0)
-    uu = remap[src[keep]]
-    vv = remap[g.nbr[keep]]
-    ww = g.w[keep]
+    uu, vv = remap[g.src], remap[g.nbr]
+    keep = (uu >= 0) & (vv >= 0)
     ptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-    if len(uu):
-        order = np.argsort(uu, kind="stable")
-        uu, vv, ww = uu[order], vv[order], ww[order]
-        np.cumsum(np.bincount(uu, minlength=len(nodes)), out=ptr[1:])
-    return _UGraph(ptr, vv, ww, g.vw[nodes])
+    np.cumsum(np.bincount(uu[keep], minlength=len(nodes)), out=ptr[1:])
+    return _UGraph(ptr, vv[keep], g.w[keep], g.vw[nodes])
 
 
 #: Registry used by benchmarks and the partitioner-quality ablation.

@@ -13,6 +13,7 @@ from repro.util.checks import (
     check_positive,
     check_probability,
 )
+from repro.util.radix import stable_key_order, stable_pair_order
 from repro.util.rng import as_rng, spawn_rngs
 from repro.util.tables import ascii_table, format_series
 
@@ -24,6 +25,8 @@ __all__ = [
     "check_probability",
     "as_rng",
     "spawn_rngs",
+    "stable_key_order",
+    "stable_pair_order",
     "ascii_table",
     "format_series",
 ]

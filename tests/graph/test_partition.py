@@ -27,6 +27,18 @@ class TestPartitionStructure:
         joined = np.sort(np.concatenate(p.parts()))
         assert np.array_equal(joined, np.arange(small_graph.num_nodes))
 
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_each_part_ascending_and_together_a_permutation(self, small_graph,
+                                                            method):
+        # parts() slices one stable sort by part id and sorts nothing
+        # itself: k = 37 leaves parts of every size, 500 leaves empties
+        for k in (37, 500):
+            parts = partition_graph(small_graph, k, method=method).parts()
+            assert len(parts) == k
+            assert all(np.all(np.diff(part) > 0) for part in parts)
+            assert np.array_equal(np.sort(np.concatenate(parts)),
+                                  np.arange(small_graph.num_nodes))
+
     def test_part_sizes_match_parts(self, small_graph):
         p = random_partition(small_graph, 7, seed=0)
         sizes = p.part_sizes()

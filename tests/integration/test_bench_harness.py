@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.bench import (
@@ -66,6 +67,27 @@ class TestCachedInputs:
         gw = get_graph("A", TINY, weighted=True)
         assert g is not gw
         assert gw.num_edges == g.num_edges
+
+    def test_weighted_variant_is_the_cached_graph_plus_weights(self, monkeypatch):
+        # the weighted twin used to regenerate the whole graph; it must
+        # still be the graph a fresh generate-then-weigh produces
+        from repro.bench import harness
+        from repro.graph import attach_random_weights, make_paper_graph
+
+        scale = TINY * 1.5  # a scale no other test has cached
+        calls = []
+        monkeypatch.setattr(
+            harness, "make_paper_graph",
+            lambda *a, **kw: calls.append(a) or make_paper_graph(*a, **kw))
+        gw = get_graph("A", scale, weighted=True)
+        g = get_graph("A", scale)
+        assert len(calls) == 1
+        assert get_graph("A", scale, weighted=True) is gw
+        fresh = attach_random_weights(make_paper_graph("A", scale=scale, seed=0),
+                                      low=1.0, high=10.0, seed=1)
+        assert gw == fresh
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(gw.edge_arrays()[:2], g.edge_arrays()[:2]))
 
     def test_make_cluster_fresh(self):
         a, b = make_cluster(), make_cluster()

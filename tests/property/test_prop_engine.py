@@ -182,6 +182,18 @@ class TestStableKeyOrder:
         with pytest.raises(TypeError, match="int64"):
             stable_key_order(np.arange(4).astype(dtype))
 
+    @given(int64_key_lists(), st.data())
+    def test_pair_order_equals_lexsort(self, majors, data):
+        # the graph layer's (u, v) sort: two passes of the same kernel
+        from repro.util import stable_pair_order
+
+        minors = data.draw(st.lists(st.integers(0, 3), min_size=len(majors),
+                                    max_size=len(majors)))
+        major = np.array(majors, dtype=np.int64)
+        minor = np.array(minors, dtype=np.int64)
+        assert np.array_equal(stable_pair_order(major, minor),
+                              np.lexsort((minor, major)))
+
 
 class TestJobProperties:
     @settings(deadline=None, max_examples=25,
