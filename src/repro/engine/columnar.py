@@ -402,25 +402,37 @@ def hash_buckets(keys: np.ndarray, num_reducers: int) -> np.ndarray:
     complement) with whole-array xor/multiply sweeps, so the bucket of
     every key is identical to the object path's ``HashPartitioner`` —
     the property the columnar/object equivalence tests pin.
+
+    Only the rounds whose byte varies are swept.  The prefix round is a
+    constant; and in a batch without a negative key every byte past the
+    widest key's last is ``0x00``, where ``h ^= 0; h *= p`` repeated
+    *j* times is one ``h *= p**j`` — so the sweeps follow the observed
+    ``keys.max()``, as :func:`stable_key_order`'s passes follow the
+    span.  A batch with a negative key takes all sixteen rounds.
     """
     if num_reducers <= 0:
         raise ValueError("num_reducers must be > 0")
     k = np.ascontiguousarray(keys, dtype=np.int64)
     bits = k.view(np.uint64)
-    h = np.full(k.shape, _FNV_OFFSET, dtype=np.uint64)
+    lo, hi = (int(k.min()), int(k.max())) if k.size else (0, 0)
+    width = 8 if lo < 0 else (hi.bit_length() + 7) // 8
+    # stable_hash's int type prefix, 0x02, folded into the start value.
+    h = np.full(k.shape, (_FNV_OFFSET ^ 0x02) * _FNV_PRIME % (1 << 64),
+                dtype=np.uint64)
     prime = np.uint64(_FNV_PRIME)
     mask = np.uint64(0xFF)
-    h ^= np.uint64(0x02)  # stable_hash's int type prefix
-    h *= prime
-    for shift in range(0, 64, 8):
+    for shift in range(0, 8 * width, 8):
         h ^= (bits >> np.uint64(shift)) & mask
         h *= prime
-    # Bytes 8..15 of the 128-bit little-endian encoding: pure sign
-    # extension of the int64 (0x00 for >= 0, 0xFF for < 0).
-    ext = np.where(k < 0, mask, np.uint64(0))
-    for _ in range(8):
-        h ^= ext
-        h *= prime
+    if lo < 0:
+        # Bytes 8..15 of the 128-bit little-endian encoding: pure sign
+        # extension of the int64 (0x00 for >= 0, 0xFF for < 0).
+        ext = np.where(k < 0, mask, np.uint64(0))
+        for _ in range(8):
+            h ^= ext
+            h *= prime
+    else:
+        h *= np.uint64(pow(_FNV_PRIME, 16 - width, 1 << 64))
     return (h % np.uint64(num_reducers)).astype(np.int64)
 
 

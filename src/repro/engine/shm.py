@@ -5,20 +5,22 @@ a pipe — for a columnar job that means serialising, chunking, copying
 and deserialising megabytes of ``ColumnarBlock`` arrays per round.
 This module replaces the array payload with a POSIX shared-memory
 segment: the producer writes the raw buffers once into a named segment
-and ships only the *name plus dtype/shape metadata* (a tiny pickle);
-the consumer attaches by name, copies the arrays straight out of the
-mapping, and closes it.  One memcpy per side, zero pipe traffic for
-the data.
+through its descriptor (``pwrite``; it maps nothing) and ships only the
+*name plus dtype/shape metadata* (a tiny pickle); the consumer opens it
+by name and reads the arrays *in place*, as views of a private
+copy-on-write mapping that the arrays themselves own.  One copy in,
+none out, zero pipe traffic for the data.  ``docs/shm_transport.md``
+is the contract (Linux tmpfs is assumed: POSIX shm elsewhere need not
+support ``write``).
 
-Ownership is driver-side and explicit; no ``resource_tracker`` ever
-owns a segment (creators unregister at once, attaching never
-registers — see :func:`_attach`), so a pooled worker's exit cannot
-unlink what the driver still needs:
+Ownership is driver-side and explicit, by name; nothing here talks to
+``multiprocessing``'s resource tracker, so a pooled worker's exit
+cannot unlink what the driver still needs:
 
 * Map buckets are worker-created and *driver-adopted*: when a map
   result is accepted the driver records the bucket names in the
   runtime's :class:`SegmentRegistry` without reading them.  Reduce
-  tasks copy them out in place (``take(unlink=False)``), so a retried
+  tasks read them in place (``take(unlink=False)``), so a retried
   reduce attempt re-reads the same segments; they live until the run
   ends (``run``'s ``finally``; ``runtime.close()`` / ``__del__`` as
   backstops).  An invalidated map output (node death) stays adopted
@@ -38,19 +40,19 @@ unlink what the driver still needs:
   :func:`export_groups` callers outside the runtime make one.)
 
 Everything here is fork- and spawn-safe: refs carry only names and
-metadata, and attaching is by name.  Blocks below
+metadata, and opening is by name.  Blocks below
 :data:`SHM_MIN_BYTES` stay on the pickle path — for tiny payloads the
-segment round trip (two syscalls + mmap) costs more than it saves.
+segment round trip (a handful of syscalls + mmap) costs more than it
+saves.
 """
 
 from __future__ import annotations
 
+import _posixshmem
 import mmap
 import os
 import pickle
-import sys
 import uuid
-from multiprocessing import resource_tracker, shared_memory
 from typing import Any
 
 import numpy as np
@@ -72,96 +74,64 @@ __all__ = [
 SHM_MIN_BYTES = 64 * 1024
 
 
-def _untrack(shm: "shared_memory.SharedMemory") -> None:
-    """Opt this process's resource tracker out of owning ``shm``.
-
-    Lifetime is managed explicitly by the driver's registry / take();
-    the tracker's at-exit unlink would otherwise destroy (or warn
-    about) segments another process still owns.
-    """
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker impl details vary
-        pass
-
-
-if sys.version_info >= (3, 13):
-    def _attach(name: str) -> "shared_memory.SharedMemory":
-        """Map the existing segment ``name``, unknown to the tracker."""
-        return shared_memory.SharedMemory(name=name, track=False)
-else:
-    class _attach:
-        """Map the existing segment ``name``, unknown to the tracker.
-
-        CPython <= 3.12 registers a segment with the resource tracker on
-        *attach* as well as on create.  Pooled workers share the
-        driver's tracker, which keeps a set: two workers attaching the
-        same segment register twice, and the second balancing
-        unregister is a ``KeyError`` traceback on the tracker's stderr.
-        So attach the way ``SharedMemory`` does, minus the registration
-        (what ``track=False`` spells from 3.13 on).
-        """
-
-        def __init__(self, name: str) -> None:
-            self._name = f"/{name}"
-            fd = shared_memory._posixshmem.shm_open(
-                self._name, os.O_RDWR, mode=0o600)
-            try:
-                self.buf = mmap.mmap(fd, os.fstat(fd).st_size)
-            finally:
-                os.close(fd)
-
-        def close(self) -> None:
-            self.buf.close()
-
-        def unlink(self) -> None:
-            shared_memory._posixshmem.shm_unlink(self._name)
-
-
 def _align(n: int) -> int:
     return (n + 7) & ~7
 
 
 def _write_segment(name: str, arrays: "list[np.ndarray]") -> "list[tuple]":
-    """Create segment ``name``, copy ``arrays`` in back to back.
+    """Create segment ``name``, write ``arrays`` into it back to back.
 
     Returns the per-array ``(shape, dtype_str, offset)`` specs.  The
-    local mapping is closed before returning — the creator keeps no
-    handle; consumers re-attach by name.
+    bytes go through the descriptor (``pwrite``), never through a
+    mapping: the kernel allocates the tmpfs pages and copies in one
+    pass, and a full ``/dev/shm`` is an ``OSError`` here — the partial
+    segment unlinked, name and size in the message — where a store
+    through a mapping would be a ``SIGBUS``.  The creator keeps no
+    handle; consumers open by name.
     """
     specs: "list[tuple]" = []
     offset = 0
     for arr in arrays:
         specs.append((arr.shape, arr.dtype.str, offset))
         offset = _align(offset + arr.nbytes)
-    shm = shared_memory.SharedMemory(create=True, name=name,
-                                     size=max(offset, 1))
-    _untrack(shm)
+    size = max(offset, 1)
+    fd = _posixshmem.shm_open(f"/{name}",
+                              os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600)
     try:
-        for arr, (shape, dtype, off) in zip(arrays, specs):
-            if arr.nbytes:
-                dst = np.ndarray(shape, dtype=dtype, buffer=shm.buf,
-                                 offset=off)
-                dst[...] = arr
+        os.ftruncate(fd, size)
+        for arr, (_, _, off) in zip(arrays, specs):
+            data = np.ascontiguousarray(arr).reshape(-1).view(np.uint8)
+            while len(data):  # pwrite may stop short of the whole array
+                done = os.pwrite(fd, data, off)
+                data, off = data[done:], off + done
+    except OSError as exc:
+        _posixshmem.shm_unlink(f"/{name}")
+        raise OSError(exc.errno, f"shm segment {name} ({size} bytes): "
+                                 f"{exc.strerror}") from exc
     finally:
-        shm.close()
+        os.close(fd)
     return specs
 
 
 def _read_segment(name: str, specs: "list[tuple]",
                   unlink: bool) -> "list[np.ndarray]":
-    """Attach ``name``, copy each spec'd array out, close (and unlink)."""
-    shm = _attach(name)
+    """Map ``name`` privately and return each spec'd array in place.
+
+    The arrays are views of one copy-on-write mapping: writable, and a
+    write reaches neither the segment nor any other reader, while an
+    untouched page stays the page cache's.  They own the mapping — it
+    is unmapped when the last of them dies, and it outlives the name,
+    so ``unlink`` (and anyone else's unlink) is safe at any time.
+    """
+    fd = _posixshmem.shm_open(f"/{name}", os.O_RDONLY, mode=0o600)
     try:
-        out = [
-            np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=off).copy()
-            for shape, dtype, off in specs
-        ]
+        mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_COPY)
     finally:
-        if unlink:
-            shm.unlink()
-        shm.close()
-    return out
+        os.close(fd)
+    if unlink:
+        _posixshmem.shm_unlink(f"/{name}")
+    return [np.ndarray(shape, dtype=dtype, buffer=mapping, offset=off)
+            for shape, dtype, off in specs]
 
 
 class _ShmRef:
@@ -199,9 +169,9 @@ class ShmBlockRef(_ShmRef):
         return int(self.specs[0][0][0])
 
     def take(self, *, unlink: bool = True) -> ColumnarBlock:
-        """Materialise the block (one copy out of the mapping).
+        """The block, in place (private copy-on-write views).
 
-        ``unlink`` destroys the segment afterwards — how the driver
+        ``unlink`` removes the segment's name afterwards — how the driver
         consumes a reduce output; a reduce task reading its map buckets
         passes False (a retry re-reads them; the driver's registry
         unlinks them when the run ends).
@@ -221,7 +191,7 @@ class ShmGroupsRef(_ShmRef):
         self.dictionary = dictionary
 
     def take(self, *, unlink: bool = False) -> ColumnarGroups:
-        """Materialise the groups (one copy out of the mapping).
+        """The groups, in place (private copy-on-write views).
 
         Defaults to keeping the segment: reduce inputs must survive
         task retries, so only the driver's registry unlinks them.
@@ -251,15 +221,17 @@ class ShmPickleRef(_ShmRef):
     into every task submission — for a map callable closing over
     per-partition arrays that is megabytes of identical bytes per
     round.  The driver parks one pickle in a segment instead; tasks
-    carry this tiny ref, and each worker attaches, loads and caches the
+    carry this tiny ref, and each worker maps, loads and caches the
     object the first time it sees the name (task replays hit the
     cache).  The segment is driver-owned: it must outlive every retry,
     so only the runtime's registry unlinks it.
 
     ``specs[0]`` is the pickle stream, the rest its protocol-5
     out-of-band buffers (the arrays the object closes over), so array
-    bytes are copied once into the segment and once out of it and never
-    pass through the pickle stream.
+    bytes are written once into the segment and never pass through the
+    pickle stream: the loaded arrays are private copy-on-write views of
+    the worker's mapping — writable, invisible to every other reader —
+    and a page nobody writes is shared by all of them.
     """
 
     __slots__ = ()
@@ -270,8 +242,8 @@ class ShmPickleRef(_ShmRef):
             run = _run_prefix(self.name)
             for stale in [n for n in _PICKLE_CACHE if _run_prefix(n) != run]:
                 del _PICKLE_CACHE[stale]
-            # The private copies back the loaded arrays (and stay
-            # writable), so nothing aliases the segment after close.
+            # The loaded arrays are views of ``buffers`` and keep the
+            # private mapping alive; evicting the object unmaps it.
             stream, *buffers = self._arrays(unlink=False)
             obj = pickle.loads(stream, buffers=buffers)
             _PICKLE_CACHE[self.name] = obj
@@ -386,12 +358,7 @@ class SegmentRegistry:
 def _unlink_quietly(name: str) -> bool:
     """Unlink ``name`` if it exists; True when a segment was reclaimed."""
     try:
-        shm = _attach(name)
+        _posixshmem.shm_unlink(f"/{name}")
     except FileNotFoundError:
         return False
-    try:
-        shm.unlink()
-    except FileNotFoundError:  # pragma: no cover - lost a race
-        pass
-    shm.close()
     return True

@@ -69,11 +69,11 @@ class ColumnarRun:
     def group(self) -> ColumnarGroups:
         """Read the buckets and group them by key.
 
-        Parked buckets are copied out and left in place — a retried
-        reduce attempt reads them again.  Grouping is sort-based and
-        stable (see :func:`~repro.engine.columnar.group_columnar`), so
-        each group's value rows sit in (map task index, emission order)
-        — the object path's exact value order.
+        Parked buckets are read in place and their segments left — a
+        retried reduce attempt reads them again.  Grouping is sort-based
+        and stable (see :func:`~repro.engine.columnar.group_columnar`),
+        so each group's value rows sit in (map task index, emission
+        order) — the object path's exact value order.
         """
         blocks = [b.take(unlink=False) if isinstance(b, ShmBlockRef) else b
                   for b in self.blocks]

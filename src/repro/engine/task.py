@@ -359,7 +359,7 @@ def run_reduce_task(
     Direct callers may also pass already-grouped columnar input:
     :class:`~repro.engine.columnar.ColumnarGroups`, or its
     shared-memory handle (:class:`~repro.engine.shm.ShmGroupsRef`,
-    copied out and left in place).  With
+    read in place, the segment left for a retry).  With
     ``shm_threshold`` set, a large columnar output block is parked in
     shared memory for the driver to take.
     """

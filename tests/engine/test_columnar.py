@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.engine import (
     ColumnarBlock,
@@ -42,6 +43,27 @@ from repro.engine.counters import (
     MAP_OUTPUT_RECORDS,
     REDUCE_INPUT_RECORDS,
 )
+
+
+#: Where ``hash_buckets`` gains a byte round (the last key of a width,
+#: the first of the next), the int64 top, and the same below zero.
+_WIDTH_EDGES = sorted({edge + d for bits in range(8, 64, 8)
+                       for edge in (2 ** bits, -(2 ** bits))
+                       for d in (-1, 0, 1)}
+                      | {0, 1, -1, 2 ** 63 - 1, -(2 ** 63)})
+
+
+@st.composite
+def _key_batches(draw):
+    """An int64 batch whose widest key sits on or next to a byte
+    boundary: all non-negative, or mixed-sign; possibly empty or a
+    single key."""
+    top = draw(st.sampled_from([e for e in _WIDTH_EDGES if e >= 0]))
+    low = draw(st.sampled_from([0] + [e for e in _WIDTH_EDGES if e < 0]))
+    edges = [e for e in _WIDTH_EDGES if low <= e <= top]
+    body = draw(st.lists(st.integers(low, top) | st.sampled_from(edges),
+                         max_size=12))
+    return body + draw(st.sampled_from([[], [top], [low], [low, top]]))
 
 
 def _random_block(rng, n, key_range=40, width=1):
@@ -91,6 +113,30 @@ class TestHashRouting:
         for r in (1, 2, 7, 64):
             expect = np.array([stable_hash(int(k)) % r for k in keys])
             assert np.array_equal(hash_buckets(keys, r), expect)
+
+    @settings(deadline=None, max_examples=300)
+    @given(_key_batches(), st.sampled_from([1, 2, 7, 64]))
+    @example([], 3)
+    @example([0], 2)
+    @example([255], 7)
+    @example([256], 7)
+    @example([65535, 65536], 7)
+    @example([2 ** 24 - 1], 64)
+    @example([2 ** 24 + 1, 3], 64)
+    @example([2 ** 56, 1], 7)
+    @example([2 ** 63 - 1], 7)
+    @example([-1, 2 ** 63 - 1], 7)
+    @example([-(2 ** 63), 255], 2)
+    def test_hash_buckets_folds_only_the_constant_rounds(self, keys, r):
+        """The kernel sweeps as many byte rounds as the batch's widest
+        key has bytes and folds the rest into one multiply: one round
+        too many folded (or one too few swept) moves every key at the
+        boundary, a sign-extension round skipped every negative one."""
+        got = hash_buckets(np.array(keys, dtype=np.int64), r)
+        assert got.dtype == np.int64 and got.shape == (len(keys),)
+        assert got.tolist() == [stable_hash(k) % r for k in keys]
+        part = HashPartitioner()
+        assert got.tolist() == [part(k, r) for k in keys]
 
     def test_route_matches_object_buckets(self):
         rng = np.random.default_rng(2)

@@ -9,16 +9,22 @@ the time ``run`` returns (plus ``close()``/``__del__`` as backstops).
 
 from __future__ import annotations
 
+import errno
+import gc
 import glob
+import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
 import time
+import uuid
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.engine import (
@@ -44,7 +50,15 @@ from repro.engine.counters import (
     SPECULATIVE_BACKUPS,
     TASK_RETRIES,
 )
-from repro.engine.shm import _PICKLE_CACHE, _unlink_quietly, export_pickled
+from repro.engine.shm import (
+    _PICKLE_CACHE,
+    SegmentRegistry,
+    _read_segment,
+    _unlink_quietly,
+    _write_segment,
+    export_block,
+    export_pickled,
+)
 
 VOCAB = [f"word{i:03d}" for i in range(40)]
 
@@ -300,6 +314,9 @@ class TestReducerSideMerge:
 
 
 _TRACKER_RACE_SCRIPT = """
+import multiprocessing
+from multiprocessing import resource_tracker
+
 import numpy as np
 from repro.engine import Job, JobConf, MapReduceRuntime
 from repro.engine.shm import SHM_MIN_BYTES
@@ -319,6 +336,9 @@ if __name__ == "__main__":
         for _ in range(30):
             res = rt.run(job, [[(m, None)] for m in range(4)])
             assert len(res.output) == 11
+    if multiprocessing.get_start_method() == "fork":
+        # nothing was ever registered: no tracker process was started
+        assert resource_tracker._resource_tracker._pid is None
     print("done")
 """
 
@@ -327,7 +347,9 @@ def test_attaching_leaves_the_resource_tracker_alone(tmp_path):
     """Two pooled workers attach the same parked job function every
     run.  CPython <= 3.12 registers a segment with the (shared)
     resource tracker on attach; register, register, unregister,
-    unregister is a ``KeyError`` traceback on the tracker's stderr."""
+    unregister is a ``KeyError`` traceback on the tracker's stderr.
+    The transport opens segments itself and registers nothing, so under
+    the fork start method the tracker is not even running."""
     script = tmp_path / "tracker_race.py"
     script.write_text(_TRACKER_RACE_SCRIPT)
     src = str(Path(repro.__file__).resolve().parents[1])
@@ -529,6 +551,335 @@ class TestOneDriver:
         assert {("map", 1, 3), ("map", 3, 3)} <= set(spawned)
         assert len(spawned) == len(set(spawned))
         assert reclaimed >= 4  # both attempts of splits 1 and 3 parked
+
+
+def _fresh_name():
+    return f"reproshm-test-{os.getpid():x}-{uuid.uuid4().hex[:8]}"
+
+
+@pytest.fixture
+def name():
+    """A segment name of this test's own, swept afterwards."""
+    name = _fresh_name()
+    yield name
+    _unlink_quietly(name)
+    _PICKLE_CACHE.clear()
+
+
+def _block(n=5000):
+    return ColumnarBlock(np.arange(n), np.arange(n, dtype=np.float64) / 7)
+
+
+def _fat_function():
+    """Stands in for a job function closing over one big array."""
+    return {"table": np.arange(20_000, dtype=np.float64)}
+
+
+def _mappings(name):
+    """This process's live mappings of segment ``name``."""
+    with open("/proc/self/maps") as maps:
+        return [line for line in maps if name in line]
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _exists(name):
+    return os.path.exists(f"/dev/shm/{name}")
+
+
+class TestInPlaceContract:
+    """What a reader holds is a private copy-on-write view of the
+    segment, owned by the arrays themselves (docs/shm_transport.md):
+    writable, invisible to everyone else, alive as long as any of them
+    is and no longer, whatever happens to the segment's name."""
+
+    # -- (a) privacy ---------------------------------------------------
+    def test_a_write_reaches_neither_the_segment_nor_a_second_reader(
+            self, name):
+        block = _block()
+        ref = export_block(block, name, min_bytes=1024)
+        mine = ref.take(unlink=False)
+        assert mine.keys.flags.writeable and mine.values.flags.writeable
+        mine.keys[:] = -1
+        mine.values[7] = np.nan
+        again = ref.take(unlink=False)
+        assert np.array_equal(again.keys, block.keys)
+        assert again.values.tobytes() == block.values.tobytes()
+        raw = Path("/dev/shm", name).read_bytes()
+        assert raw[:block.keys.nbytes] == block.keys.tobytes()
+        assert mine.keys[0] == -1 and np.isnan(mine.values[7])
+
+    def test_a_write_into_a_loaded_function_stays_in_that_load(self, name):
+        payload = _fat_function()
+        ref = export_pickled(payload, name, min_bytes=1024)
+        first = ref.load()
+        first["table"][:100] = -1.0
+        _PICKLE_CACHE.clear()  # what another worker, or a new run, sees
+        fresh = ref.load()
+        assert fresh is not first
+        assert np.array_equal(fresh["table"], payload["table"])
+        assert first["table"][0] == -1.0
+
+    def test_forked_processes_do_not_see_each_others_writes(self, name):
+        ref = export_block(_block(), name, min_bytes=1024)
+        view = ref.take(unlink=False)
+        ctx = multiprocessing.get_context("fork")
+        here, there = ctx.Pipe()
+
+        def child():
+            view.keys[0] = -1
+            there.send("wrote")
+            there.recv()  # the parent has written keys[1] by now
+            there.send((int(view.keys[0]), int(view.keys[1])))
+
+        proc = ctx.Process(target=child, daemon=True)
+        proc.start()
+        try:
+            assert here.poll(30) and here.recv() == "wrote"
+            assert view.keys[0] == 0
+            view.keys[1] = -2
+            here.send("wrote")
+            assert here.poll(30) and here.recv() == (-1, 1)
+            proc.join(30)
+            assert proc.exitcode == 0
+        finally:
+            proc.kill()  # a child still waiting for us must not outlive this
+            proc.join(30)
+        assert np.array_equal(ref.take(unlink=False).keys, _block().keys)
+
+    # -- (b) lifetime --------------------------------------------------
+    def test_arrays_outlive_the_name_the_registry_and_the_ref(self, name):
+        block = _block()
+        registry = SegmentRegistry()
+        ref = export_block(block, name, min_bytes=1024)
+        registry.adopt(name)
+        kept = ref.take(unlink=False)
+        specs = ref.specs
+        registry.release_all()
+        assert registry.live_count == 0 and not _exists(name)
+        del ref
+        gc.collect()
+        assert np.array_equal(kept.keys, block.keys)
+        assert kept.values.tobytes() == block.values.tobytes()
+        with pytest.raises(FileNotFoundError):
+            _read_segment(name, specs, unlink=False)
+
+    def test_a_consumed_block_outlives_its_own_unlink(self, name):
+        block = _block()
+        taken = export_block(block, name, min_bytes=1024).take()
+        assert not _exists(name)
+        assert np.array_equal(taken.keys, block.keys)
+        assert taken.values.tobytes() == block.values.tobytes()
+
+    def test_a_loaded_function_outlives_the_runs_unlink(self, name):
+        payload = _fat_function()
+        got = export_pickled(payload, name, min_bytes=1024).load()
+        assert _unlink_quietly(name) and not _unlink_quietly(name)
+        _PICKLE_CACHE.clear()
+        gc.collect()
+        assert np.array_equal(got["table"], payload["table"])
+
+    # -- (c) layout ----------------------------------------------------
+    DTYPES = ["u1", "i2", "<i4", "<i8", "<f4", "<f8", "?", "<c16", ">i4"]
+    LAYOUTS = ["c", "fortran", "strided", "transposed", "reversed"]
+
+    @settings(deadline=None, max_examples=120)
+    @given(st.lists(st.tuples(st.sampled_from(DTYPES),
+                              st.sampled_from([(0,), (1,), (5,), (0, 3),
+                                               (3, 0), (4, 3), (2, 3, 5),
+                                               (1031,)]),
+                              st.sampled_from(LAYOUTS)),
+                    max_size=6),
+           st.integers(0, 2 ** 32 - 1))
+    def test_any_arrays_round_trip(self, layout, seed):
+        rng = np.random.default_rng(seed)
+
+        def draw(shape):
+            return rng.integers(0, 256, shape).astype(dtype)
+
+        arrays = []
+        for dtype, shape, order in layout:
+            arr = {
+                "c": lambda: draw(shape),
+                "fortran": lambda: np.asfortranarray(draw(shape)),
+                "strided": lambda: draw(tuple(2 * d for d in shape))[
+                    tuple(slice(None, None, 2) for _ in shape)],
+                "transposed": lambda: draw(shape[::-1]).T,
+                "reversed": lambda: draw(shape)[::-1],
+            }[order]()
+            assert arr.shape == shape
+            arrays.append(arr)
+        name = _fresh_name()
+        try:
+            specs = _write_segment(name, arrays)
+            size = os.stat(f"/dev/shm/{name}").st_size
+            out = _read_segment(name, specs, unlink=True)
+        finally:
+            _unlink_quietly(name)
+        assert len(out) == len(arrays)
+        end = 0
+        for got, want, (shape, dtype, off) in zip(out, arrays, specs):
+            assert off % 8 == 0 and off >= end
+            end = off + want.nbytes
+            assert got.shape == want.shape == shape
+            assert got.dtype == want.dtype == np.dtype(dtype)
+            assert np.array_equal(got, want)
+            assert got.flags.c_contiguous and got.flags.writeable
+            assert got.flags.aligned
+        assert size == max(1, (end + 7) & ~7)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 40), st.integers(0, 9))
+    def test_buffers_after_an_odd_length_pickle_stream_stay_aligned(
+            self, pad, rows):
+        payload = {"pad": "x" * pad,
+                   "a": np.arange(rows * 3, dtype=np.float64).reshape(rows, 3),
+                   "b": np.arange(300, dtype=np.int64)}
+        name = _fresh_name()
+        try:
+            ref = export_pickled(payload, name, min_bytes=0)
+            got = ref.load()
+        finally:
+            _unlink_quietly(name)
+            _PICKLE_CACHE.clear()
+        assert ref.specs[0][0][0] == len(pickle.dumps(
+            payload, protocol=5, buffer_callback=lambda b: None))
+        assert all(off % 8 == 0 for _, _, off in ref.specs)
+        assert got["pad"] == payload["pad"]
+        for key in ("a", "b"):
+            assert np.array_equal(got[key], payload[key])
+            assert got[key].dtype == payload[key].dtype
+            assert got[key].flags.aligned and got[key].flags.writeable
+
+    def test_a_segment_of_nothing_is_one_byte(self, name):
+        specs = _write_segment(name, [np.empty(0), np.empty((0, 3), "i8")])
+        assert os.stat(f"/dev/shm/{name}").st_size == 1
+        first, second = _read_segment(name, specs, unlink=True)
+        assert first.shape == (0,) and first.dtype == np.float64
+        assert second.shape == (0, 3) and second.dtype == np.int64
+        assert not _exists(name)
+
+    def test_short_writes_are_finished(self, name, monkeypatch):
+        real, sizes = os.pwrite, []
+
+        def short(fd, data, offset):
+            sizes.append(len(data))
+            return real(fd, memoryview(data)[:4096], offset)
+
+        monkeypatch.setattr(os, "pwrite", short)
+        block = _block(30_000)
+        taken = export_block(block, name, min_bytes=1024).take()
+        assert np.array_equal(taken.keys, block.keys)
+        assert taken.values.tobytes() == block.values.tobytes()
+        per_array = -(-block.keys.nbytes // 4096)
+        assert len(sizes) == 2 * per_array and min(sizes) <= 4096
+
+    # -- (d) in place; no leak of a mapping or a descriptor ------------
+    def test_a_taken_block_is_the_mapping_until_its_last_array_dies(
+            self, name):
+        ref = export_block(_block(), name, min_bytes=1024)
+        assert _mappings(name) == []  # the producer mapped nothing
+        taken = ref.take(unlink=False)
+        assert len(_mappings(name)) == 1
+        keys = taken.keys
+        del taken
+        gc.collect()
+        assert len(_mappings(name)) == 1  # one array is enough
+        assert keys[-1] == 4999
+        del keys
+        gc.collect()
+        assert _mappings(name) == []
+
+    def test_a_loaded_function_is_the_mapping_until_evicted(self, name):
+        payload = _fat_function()
+        ref = export_pickled(payload, name, min_bytes=1024)
+        got = ref.load()
+        assert len(_mappings(name)) == 1
+        del got
+        gc.collect()
+        assert len(_mappings(name)) == 1  # the worker's cache holds it
+        _PICKLE_CACHE.clear()
+        gc.collect()
+        assert _mappings(name) == []
+
+    def test_cycles_leave_no_descriptor_and_no_mapping(self, name):
+        block = _block()
+        payload = _fat_function()
+        gc.collect()
+        before = _open_fds()
+        for _ in range(50):
+            taken = export_block(block, name, min_bytes=1024).take()
+            assert taken.keys[-1] == 4999
+            ref = export_pickled(payload, f"{name}-f", min_bytes=1024)
+            assert ref.load()["table"][-1] == 19_999.0
+            assert _unlink_quietly(ref.name)
+            _PICKLE_CACHE.clear()
+        del taken
+        gc.collect()
+        assert _open_fds() == before
+        assert _mappings(name) == []
+        assert not _exists(name) and not _exists(f"{name}-f")
+
+
+def _tmpfs_fills_up(monkeypatch, after):
+    """``os.pwrite`` succeeds ``after`` times, then the tmpfs is full."""
+    real, calls = os.pwrite, []
+
+    def pwrite(fd, data, offset):
+        calls.append(offset)
+        if len(calls) > after:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", pwrite)
+    return calls
+
+
+class TestFullTmpfs:
+    """Writing through the descriptor turns a full ``/dev/shm`` into an
+    ``OSError`` (a store through a mapping would be a ``SIGBUS``): the
+    partial segment is unlinked and the error names it."""
+
+    def test_the_partial_segment_is_unlinked_and_named(self, name,
+                                                        monkeypatch):
+        calls = _tmpfs_fills_up(monkeypatch, after=1)
+        block = _block()
+        before = _open_fds()
+        with pytest.raises(OSError) as err:
+            export_block(block, name, min_bytes=1024)
+        assert len(calls) == 2  # keys went in, values did not
+        assert err.value.errno == errno.ENOSPC
+        assert name in str(err.value)
+        assert f"{block.keys.nbytes + block.values.nbytes} bytes" \
+            in str(err.value)
+        assert not _exists(name)
+        assert _open_fds() == before
+
+    def test_a_name_already_taken_is_not_unlinked(self, name):
+        export_block(_block(), name, min_bytes=1024)
+        with pytest.raises(FileExistsError):
+            export_block(_block(), name, min_bytes=1024)
+        assert _exists(name)
+
+    def test_the_job_fails_with_it_and_leaves_dev_shm_as_found(
+            self, monkeypatch):
+        """A real error is not retried (only simulated task failures
+        are): the job fails with the first attempt's ``OSError``, and
+        the abort sweep reclaims the buckets parked before it."""
+        before = _live_segments()
+        calls = _tmpfs_fills_up(monkeypatch, after=3)
+        with MapReduceRuntime("threads", workers=2, shm_transport=True,
+                              shm_min_bytes=1024) as rt:
+            with pytest.raises(OSError, match="reproshm-.*bytes") as err:
+                rt.run(Job(_emit_block_map, "sum", combine_fn="sum",
+                           conf=JobConf(num_reducers=3, max_attempts=2)),
+                       _splits())
+            assert err.value.errno == errno.ENOSPC
+            assert rt.segments.live_count == 0
+        assert len(calls) > 3
+        assert _live_segments() <= before
 
 
 class TestPickleRef:

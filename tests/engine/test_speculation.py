@@ -109,7 +109,16 @@ class TestQueueWaitIsNotLateness:
         the phase *queued*.  Lateness counts from when an attempt
         reached a worker, so with no straggler nothing is backed up."""
         splits = [[(m, 0.05)] for m in range(12)]
-        with MapReduceRuntime(executor, workers=2, speculate=True) as rt:
+        # 3x the fastest attempt is a 150 ms cut: a worker descheduled
+        # on a busy 2-vCPU box has 100 ms of slack (25 ms under the
+        # default 1.5x median), and the later waves spend 150-250 ms
+        # *queued*, so counting queue wait as lateness still launches
+        # backups here.  The low percentile keeps that true when the
+        # queue wait also inflates the finished attempts' durations
+        # (it did, before the fix): their median grows wave by wave and
+        # 3x of it is never exceeded, the fastest stays at 50 ms.
+        spec = SpeculationConfig(slowdown_threshold=3.0, percentile=0.1)
+        with MapReduceRuntime(executor, workers=2, speculate=spec) as rt:
             res = rt.run(Job(_sleepy_map, "sum",
                              conf=JobConf(num_reducers=1)), splits)
         assert res.counters.get(SPECULATIVE_BACKUPS) == 0
