@@ -20,7 +20,7 @@ machine-readable across PRs.
 
 from __future__ import annotations
 
-from conftest import record_bench_json
+from conftest import record
 from repro.apps.pagerank import PageRankBlockSpec
 from repro.bench import get_graph, get_partition, graph_scale, make_cluster
 from repro.cluster import DFSStateStore, OnlineStateStore
@@ -57,8 +57,8 @@ def test_extension_online_state_store(once):
         ["state store", "global iters", "sim time (s)"],
         [[n, it, f"{t:.0f}"] for n, (it, t) in results.items()],
         title="Extension: inter-iteration state store (General PageRank)"))
-    record_bench_json("ext_state_store",
-                      {name: t for name, (_, t) in results.items()})
+    record("BENCH_state_store.json", "ext_state_store",
+           {name: t for name, (_, t) in results.items()})
 
     it_dfs, t_dfs = results["DFS (Hadoop baseline)"]
     it_one, t_one = results["online, 1 tablet"]

@@ -31,7 +31,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import record_recovery_json
+from conftest import record
 from repro.cluster import EC2_DEFAULTS, OnlineStateStore, SimCluster
 from repro.core import (
     BlockBackend,
@@ -148,7 +148,7 @@ def test_checkpoint_cadence_prices_recovery(once):
         ["checkpoint_every", "rounds replayed", "recovery (s)",
          "makespan (s)"], rows,
         title=f"node death in round {KILL_ROUND}"))
-    record_recovery_json("cadence_sweep", out)
+    record("BENCH_recovery.json", "cadence_sweep", out)
 
     # Gate: strictly decreasing recovery as the cadence tightens.
     assert costs == sorted(costs) and len(set(costs)) == len(costs), \
@@ -179,7 +179,7 @@ def test_kill_time_prices_replay_depth(once):
         costs.append(rec.recovery_seconds)
     print("kill-time sweep (cadence 4):",
           {r: f"{c:.1f}s" for r, c in zip(KILL_ROUNDS, costs)})
-    record_recovery_json("kill_time_sweep", out)
+    record("BENCH_recovery.json", "kill_time_sweep", out)
     assert costs == sorted(costs) and len(set(costs)) == len(costs)
     assert [sweep[r].history[r].rounds_replayed for r in KILL_ROUNDS] \
         == [r % 4 + 1 for r in KILL_ROUNDS]
@@ -211,7 +211,7 @@ def test_rack_domain_costs_more_than_node(once):
          ["rack", rrec.node_deaths, f"{rrec.recovery_seconds:.1f}",
           f"{rack.sim_time:.1f}"]],
         title=f"same trace, death in round {KILL_ROUND}"))
-    record_recovery_json("domain_size", out)
+    record("BENCH_recovery.json", "domain_size", out)
 
     assert rrec.node_deaths == 4 and nrec.node_deaths == 1
     assert rrec.recovery_seconds > nrec.recovery_seconds
@@ -259,7 +259,7 @@ def test_engine_lineage_replay_is_oracle_identical(once):
            "node_identical": float(node.output == oracle.output),
            "rack_identical": float(rack.output == oracle.output)}
     print("engine lineage replay:", out)
-    record_recovery_json("engine_identity", out)
+    record("BENCH_recovery.json", "engine_identity", out)
 
     assert node.counters.get(NODE_DEATHS) == 1
     assert rack.counters.get(NODE_DEATHS) == 2

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import record_staleness_json
+from conftest import record
 from repro.apps import jacobi_solve, make_diagonally_dominant_system
 from repro.apps.pagerank import pagerank
 from repro.apps.sssp import sssp
@@ -101,10 +101,10 @@ def test_staleness_sweep(once):
          for b, r in results.items()],
         title=f"Convergence vs staleness bound (Graph A, {k} partitions)"))
 
-    record_staleness_json("staleness_seconds", {
+    record("BENCH_staleness.json", "staleness_seconds", {
         f"{app} {_label(b)}": r[app][1]
         for b, r in results.items() for app in ("pagerank", "sssp", "jacobi")})
-    record_staleness_json("staleness_rounds", {
+    record("BENCH_staleness.json", "staleness_rounds", {
         f"{app} {_label(b)}": float(r[app][0])
         for b, r in results.items() for app in ("pagerank", "sssp", "jacobi")})
 

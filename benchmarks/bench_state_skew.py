@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import record_bench_json
+from conftest import record
 from repro.bench import make_cluster
 from repro.cluster import DFSStateStore, OnlineStateStore
 from repro.core import (
@@ -132,7 +132,7 @@ def test_state_skew_hot_tablet_bottleneck(once):
         ["state store", "tablets", "state time (s)", "win vs DFS"],
         rows, title="State-store skew: hot tablets vs tablet count "
                     f"({PARTITIONS} partitions, {ROUNDS} rounds)"))
-    record_bench_json("state_skew", results)
+    record("BENCH_state_store.json", "state_skew", results)
 
     dfs = results["dfs"]
     # uniform: the online store wins at any tablet count

@@ -31,7 +31,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import record_stragglers_json
+from conftest import record
 from repro.apps.pagerank import pagerank
 from repro.bench import get_graph, get_partition, graph_scale
 from repro.cluster import (
@@ -130,7 +130,7 @@ def test_speculation_kills_the_straggler_tail(once):
     out["speculation_gain"] = gain
     print(f"speculation gain: {gain:.1%} "
           f"(gate: >= {MIN_SPECULATION_GAIN:.0%})")
-    record_stragglers_json("pagerank_straggler", out)
+    record("BENCH_stragglers.json", "pagerank_straggler", out)
 
     # Gate 1a: strict improvement under injected stragglers.
     assert spec.result.sim_time < plain.result.sim_time
@@ -233,7 +233,7 @@ def test_autosplit_restores_the_online_win(once):
     rows.append(["win retained (frozen)", f"{win_frozen / win_uniform:.1%}"])
     rows.append(["win retained (split)", f"{win_split / win_uniform:.1%}"])
     print(ascii_table(["config", "state seconds / retention"], rows))
-    record_stragglers_json("zipf_autosplit", {
+    record("BENCH_stragglers.json", "zipf_autosplit", {
         **t,
         "win_uniform_s": win_uniform,
         "win_retained_frozen": win_frozen / win_uniform,

@@ -21,69 +21,23 @@ import os
 
 import pytest
 
-#: Machine-readable perf artifacts the benchmarks write (per-config
-#: seconds); the CI bench-smoke job uploads them so the perf trajectory
-#: is comparable across PRs.  Override locations with the env vars.
-_BENCH_JSON_DEFAULT = "BENCH_state_store.json"
-_HOT_PATHS_JSON_DEFAULT = "BENCH_hot_paths.json"
-_STALENESS_JSON_DEFAULT = "BENCH_staleness.json"
-_STRAGGLERS_JSON_DEFAULT = "BENCH_stragglers.json"
-_RECOVERY_JSON_DEFAULT = "BENCH_recovery.json"
 
-
-def _merge_json(path: str, section: str, values: "dict[str, float]") -> str:
-    """Merge one benchmark's ``{config: seconds}`` mapping into a shared
-    JSON artifact; returns the path written."""
+def record(artifact: str, section: str, values: "dict[str, float]") -> None:
+    """Merge one benchmark's ``{config: number}`` mapping into the JSON
+    artifact ``artifact`` (``BENCH_*.json`` in the working directory, which
+    the CI bench-smoke job uploads so the trajectory is comparable across
+    changes) under ``section``."""
     data: "dict[str, dict]" = {}
-    if os.path.exists(path):
+    if os.path.exists(artifact):
         try:
-            with open(path) as fh:
+            with open(artifact) as fh:
                 data = json.load(fh)
         except (OSError, ValueError):
             data = {}
     data[section] = {k: round(float(v), 4) for k, v in values.items()}
-    with open(path, "w") as fh:
+    with open(artifact, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
-
-
-def record_bench_json(section: str, values: "dict[str, float]") -> str:
-    """State-store artifact (simulated seconds per config)."""
-    return _merge_json(
-        os.environ.get("BENCH_STATE_STORE_JSON", _BENCH_JSON_DEFAULT),
-        section, values)
-
-
-def record_hot_paths_json(section: str, values: "dict[str, float]") -> str:
-    """Engine hot-path artifact (wall-clock seconds per config)."""
-    return _merge_json(
-        os.environ.get("BENCH_HOT_PATHS_JSON", _HOT_PATHS_JSON_DEFAULT),
-        section, values)
-
-
-def record_staleness_json(section: str, values: "dict[str, float]") -> str:
-    """Async-backend staleness-sweep artifact (simulated seconds or
-    rounds per bound)."""
-    return _merge_json(
-        os.environ.get("BENCH_STALENESS_JSON", _STALENESS_JSON_DEFAULT),
-        section, values)
-
-
-def record_stragglers_json(section: str, values: "dict[str, float]") -> str:
-    """Tail-latency artifact (makespans and round percentiles with and
-    without speculation / tablet auto-splitting)."""
-    return _merge_json(
-        os.environ.get("BENCH_STRAGGLERS_JSON", _STRAGGLERS_JSON_DEFAULT),
-        section, values)
-
-
-def record_recovery_json(section: str, values: "dict[str, float]") -> str:
-    """Correlated-failure artifact (recovery bills per checkpoint
-    cadence, kill time, and failure-domain size)."""
-    return _merge_json(
-        os.environ.get("BENCH_RECOVERY_JSON", _RECOVERY_JSON_DEFAULT),
-        section, values)
 
 
 def run_once(benchmark, fn):

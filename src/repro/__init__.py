@@ -17,8 +17,8 @@ Subpackages
     convergence with per-job results and contention metrics.
     Underneath: the two-level (local/global) MapReduce API
     (``lmap``/``lreduce``/``gmap``/``greduce``), partial
-    synchronization, eager scheduling, convergence criteria and the
-    round-re-entrant ``IterationLoop``.
+    synchronization, eager scheduling, K-Means' oscillation-aware
+    stopping rule and the round-re-entrant ``IterationLoop``.
 ``repro.engine``
     A complete MapReduce runtime (jobs, tasks, shuffle, combiners,
     counters, fault tolerance via deterministic replay, serial/thread/
@@ -37,7 +37,7 @@ Subpackages
     wordcount — each with an immediate runner and a submittable
     ``*_spec`` factory.
 ``repro.data``
-    Synthetic census stand-in and point-cloud generators.
+    Synthetic census stand-in (the K-Means input).
 ``repro.bench``
     Sweeps and reports regenerating every table and figure.
 

@@ -16,17 +16,13 @@
 Each iterative app has two entry points: the classic immediate runner
 (:func:`pagerank`, :func:`sssp`, ...) and a ``*_spec`` factory
 (:func:`pagerank_spec`, :func:`sssp_spec`, :func:`kmeans_spec`,
-:func:`components_spec`, :func:`jacobi_spec`) that produces a
-submittable :class:`~repro.core.session.JobSpec` for the multi-job
+:func:`components_spec`) that produces a submittable
+:class:`~repro.core.session.JobSpec` for the multi-job
 :class:`~repro.core.session.Session` API — apps describe work, the
 session schedules it.
 """
 
-from repro.apps.apsp import (
-    LandmarkApspResult,
-    estimate_pair_distance,
-    landmark_apsp,
-)
+from repro.apps.apsp import LandmarkApspResult, landmark_apsp
 from repro.apps.components import (
     ComponentsBlockSpec,
     ComponentsResult,
@@ -39,7 +35,6 @@ from repro.apps.jacobi import (
     JacobiResult,
     SparseSystem,
     jacobi_solve,
-    jacobi_spec,
     make_diagonally_dominant_system,
 )
 from repro.apps.kmeans import (
@@ -80,7 +75,6 @@ __all__ = [
     "sssp_spec",
     "kmeans_spec",
     "components_spec",
-    "jacobi_spec",
     "pagerank",
     "pagerank_reference",
     "PageRankBlockSpec",
@@ -103,7 +97,6 @@ __all__ = [
     "ComponentsBlockSpec",
     "ComponentsResult",
     "landmark_apsp",
-    "estimate_pair_distance",
     "LandmarkApspResult",
     "jacobi_solve",
     "JacobiBlockSpec",

@@ -24,7 +24,7 @@ from repro.core import BlockBackend, DriverConfig, IterationLoop
 from repro.graph import DiGraph, Partition
 from repro.util import as_rng
 
-__all__ = ["LandmarkApspResult", "landmark_apsp", "estimate_pair_distance"]
+__all__ = ["LandmarkApspResult", "landmark_apsp"]
 
 
 @dataclass
@@ -90,21 +90,3 @@ def landmark_apsp(
     return LandmarkApspResult(landmarks=landmarks, dist_from=dist_from,
                               dist_to=dist_to, global_iters=total_iters,
                               sim_time=total_time, converged=all_converged)
-
-
-def estimate_pair_distance(result: LandmarkApspResult, u: int, v: int) -> float:
-    """Triangle-inequality upper bound on ``d(u, v)`` via the landmarks.
-
-    Exact whenever some shortest u->v path passes through a landmark
-    (and exact by construction when u or v *is* a landmark).
-    """
-    lu = np.searchsorted(result.landmarks, u)
-    if lu < len(result.landmarks) and result.landmarks[lu] == u:
-        return float(result.dist_from[lu, v])
-    lv = np.searchsorted(result.landmarks, v)
-    if lv < len(result.landmarks) and result.landmarks[lv] == v:
-        return float(result.dist_to[lv, u])
-    with np.errstate(invalid="ignore"):
-        bounds = result.dist_to[:, u] + result.dist_from[:, v]
-    bounds = bounds[~np.isnan(bounds)]
-    return float(bounds.min()) if len(bounds) else float("inf")

@@ -34,7 +34,7 @@ from repro.core import (
 from repro.graph import Partition, split_edges
 
 __all__ = ["SparseSystem", "JacobiBlockSpec", "JacobiResult", "jacobi_solve",
-           "jacobi_spec", "make_diagonally_dominant_system"]
+           "make_diagonally_dominant_system"]
 
 RECORD_BYTES = 16
 
@@ -264,30 +264,3 @@ def jacobi_solve(
     return JacobiResult(x=x, global_iters=res.global_iters,
                         converged=res.converged, sim_time=res.sim_time,
                         residual_norm=system.residual_norm(x), result=res)
-
-
-def jacobi_spec(
-    system: SparseSystem,
-    partition: Partition,
-    *,
-    mode: str = "eager",
-    tol: float = 1e-8,
-    config: "DriverConfig | None" = None,
-    name: "str | None" = None,
-    backend: str = "block",
-    staleness: "int | None" = 0,
-) -> "JobSpec":
-    """A submittable block-Jacobi solve for
-    :meth:`~repro.core.Session.submit`; the final iterate is
-    ``np.asarray(handle.result.state)``."""
-    from repro.core.session import JobSpec
-
-    cfg = config if config is not None else DriverConfig(mode=mode)
-    return JobSpec(
-        name=name if name is not None else "jacobi",
-        config=cfg,
-        make_backend=lambda session: resolve_block_backend(
-            JacobiBlockSpec(system, partition, tol=tol),
-            backend=backend, staleness=staleness,
-            cluster=session.cluster),
-    )

@@ -28,8 +28,6 @@ import argparse
 import sys
 from typing import Sequence
 
-import numpy as np
-
 __all__ = ["main", "build_parser"]
 
 

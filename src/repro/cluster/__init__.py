@@ -31,12 +31,6 @@ from repro.cluster.costmodel import (
 from repro.cluster.dfs import SimDFS, estimate_nbytes
 from repro.cluster.kvstore import OnlineStoreModel, SimKVStore
 from repro.cluster.node import SimNode, ec2_nodes
-from repro.cluster.report import (
-    PhaseShare,
-    format_breakdown,
-    overhead_fraction,
-    phase_breakdown,
-)
 from repro.cluster.statestore import (
     DFSStateStore,
     OnlineStateStore,
@@ -68,10 +62,6 @@ __all__ = [
     "resolve_state_store",
     "even_split",
     "SimNode",
-    "PhaseShare",
-    "phase_breakdown",
-    "format_breakdown",
-    "overhead_fraction",
     "ec2_nodes",
     "Event",
     "Trace",

@@ -25,10 +25,12 @@ so callers never branch on ``cluster is None``.
 
 from __future__ import annotations
 
+import heapq
 from typing import Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # avoid a runtime repro.cluster <-> repro.core cycle
     from repro.cluster.cluster import SimCluster
+    from repro.cluster.node import SimNode
     from repro.cluster.statestore import StateStore
     from repro.core.config import DriverConfig
 
@@ -463,15 +465,13 @@ class RoundAccountant:
         """
         if self.cluster is None:
             return 0.0
-        from repro.engine.scheduler import lpt_schedule
-
         cm = self.cluster.cost_model
         costs = [self.gmap_task_cost(r) + cm.task_dispatch_seconds
                  for r in solve_reports]
         # Racks partition the machines and run concurrently, so one
         # rack's compute is scheduled on its share of the nodes.
         share = max(1, len(self.cluster.nodes) // max(1, num_racks))
-        makespan = lpt_schedule(costs, self.cluster.nodes[:share]).makespan
+        makespan = _lpt_makespan(costs, self.cluster.nodes[:share])
         sync_bytes = sum(r.shuffle_bytes for r in sync_reports)
         sync = rack_startup_seconds + sync_bytes / (
             cm.shuffle_bandwidth_bps * rack_shuffle_speedup)
@@ -483,3 +483,18 @@ class RoundAccountant:
         if self.cluster is None:
             return 0.0
         return self.charge_fixed(label, max(rack_times, default=0.0))
+
+
+def _lpt_makespan(costs: Sequence[float], nodes: "Sequence[SimNode]") -> float:
+    """Makespan of greedy longest-processing-time list scheduling of
+    ``costs`` on the map slots of ``nodes``: longest task first, each on
+    the slot free earliest, ties to the lower ``(node_id, slot)``."""
+    heap = [(0.0, n.node_id, s, n.speed) for n in nodes for s in range(n.map_slots)]
+    heapq.heapify(heap)
+    makespan = 0.0
+    for cost in sorted(map(float, costs), reverse=True):
+        avail, node_id, slot, speed = heapq.heappop(heap)
+        end = avail + cost / speed
+        makespan = max(makespan, end)
+        heapq.heappush(heap, (end, node_id, slot, speed))
+    return makespan

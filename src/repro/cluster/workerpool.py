@@ -24,7 +24,7 @@ id), matching a cloud that keeps its fleet at target size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 __all__ = ["WorkerInfo", "WorkerPool"]

@@ -25,8 +25,8 @@ Public surface:
 * :class:`~repro.core.config.DriverConfig` with the two canonical
   configurations :data:`~repro.core.config.GENERAL` (baseline) and
   :data:`~repro.core.config.EAGER` (partial sync + eager scheduling).
-* Convergence criteria (inf-norm, unchanged, centroid-shift with
-  oscillation detection) in :mod:`repro.core.convergence`.
+* :class:`~repro.core.convergence.CentroidShiftCriterion` — K-Means'
+  centroid-shift stopping rule with oscillation detection.
 """
 
 from repro.core.api import AsyncMapReduceSpec, BlockSpec, LocalSolveReport
@@ -37,14 +37,7 @@ from repro.core.async_backend import (
 )
 from repro.core.autotune import AutotuneReport, ProbeResult, autotune_partitions
 from repro.core.config import DriverConfig, EAGER, GENERAL
-from repro.core.convergence import (
-    CentroidShiftCriterion,
-    Criterion,
-    InfNormCriterion,
-    L2NormCriterion,
-    UnchangedCriterion,
-    combine_any,
-)
+from repro.core.convergence import CentroidShiftCriterion
 from repro.core.emitter import (
     GlobalReduceContext,
     LocalMapContext,
@@ -100,12 +93,7 @@ __all__ = [
     "DriverConfig",
     "GENERAL",
     "EAGER",
-    "Criterion",
-    "InfNormCriterion",
-    "L2NormCriterion",
-    "UnchangedCriterion",
     "CentroidShiftCriterion",
-    "combine_any",
     "IterationLoop",
     "IterationBackend",
     "EngineBackend",

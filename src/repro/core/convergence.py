@@ -1,124 +1,21 @@
-"""Convergence criteria for local and global iteration loops.
+"""K-Means' stopping rule: centroid movement with oscillation detection.
 
-The paper uses an infinity-norm bound for PageRank ("We define
-convergence by a bound on the norm of difference (infinite norm of 1e-5
-in our case)", §V-B), unchanged-distances for SSSP, and a centroid-
-movement threshold with *oscillation detection* for Eager K-Means ("the
-convergence condition includes detection of oscillations along with the
-Euclidean metric", §V-D, after Yom-Tov & Slonim).
-
-Criteria are small stateful objects with a common ``update`` interface so
-the driver can treat local and global convergence uniformly; each also
-exposes its last residual for the iteration traces the benchmarks print.
+Eager K-Means stops on a centroid-movement threshold *or* on detected
+oscillation ("the convergence condition includes detection of
+oscillations along with the Euclidean metric", §V-D, after Yom-Tov &
+Slonim).  The criterion is a small stateful object: feed it successive
+centroid arrays through ``update``; it also exposes its last residual
+for the iteration traces the benchmarks print.
 """
 
 from __future__ import annotations
 
-from typing import Any, Protocol
-
 import numpy as np
 
-__all__ = [
-    "Criterion",
-    "InfNormCriterion",
-    "L2NormCriterion",
-    "UnchangedCriterion",
-    "CentroidShiftCriterion",
-    "combine_any",
-]
+__all__ = ["CentroidShiftCriterion"]
 
 
-class Criterion(Protocol):
-    """Protocol: feed successive states, learn when to stop."""
-
-    def update(self, prev: Any, curr: Any) -> bool:
-        """Record a transition; return True when converged."""
-        ...
-
-    def reset(self) -> None:
-        """Forget history (reused between local solves)."""
-        ...
-
-    @property
-    def last_residual(self) -> float:
-        """Residual of the most recent transition (inf before any)."""
-        ...
-
-
-class _ResidualCriterion:
-    """Shared base: residual function + tolerance."""
-
-    def __init__(self, tol: float) -> None:
-        if tol <= 0:
-            raise ValueError(f"tol must be > 0, got {tol}")
-        self.tol = tol
-        self._last = float("inf")
-
-    def residual(self, prev: Any, curr: Any) -> float:  # pragma: no cover
-        raise NotImplementedError
-
-    def update(self, prev: Any, curr: Any) -> bool:
-        self._last = float(self.residual(prev, curr))
-        return self._last < self.tol
-
-    def reset(self) -> None:
-        self._last = float("inf")
-
-    @property
-    def last_residual(self) -> float:
-        return self._last
-
-
-class InfNormCriterion(_ResidualCriterion):
-    """Converged when ``max_i |curr_i - prev_i| < tol`` (the paper's PageRank bound)."""
-
-    def residual(self, prev: np.ndarray, curr: np.ndarray) -> float:
-        prev = np.asarray(prev, dtype=np.float64)
-        curr = np.asarray(curr, dtype=np.float64)
-        if prev.shape != curr.shape:
-            raise ValueError(f"shape mismatch: {prev.shape} vs {curr.shape}")
-        if prev.size == 0:
-            return 0.0
-        return float(np.abs(curr - prev).max())
-
-
-class L2NormCriterion(_ResidualCriterion):
-    """Converged when the Euclidean norm of the change drops below tol."""
-
-    def residual(self, prev: np.ndarray, curr: np.ndarray) -> float:
-        prev = np.asarray(prev, dtype=np.float64)
-        curr = np.asarray(curr, dtype=np.float64)
-        if prev.shape != curr.shape:
-            raise ValueError(f"shape mismatch: {prev.shape} vs {curr.shape}")
-        return float(np.linalg.norm(curr - prev))
-
-
-class UnchangedCriterion(_ResidualCriterion):
-    """Converged when no component changed by more than ``tol`` (SSSP: 0 change).
-
-    With the default ``tol`` this is "distances did not change this
-    iteration", the classic Bellman-Ford/MapReduce-SSSP stopping rule.
-    """
-
-    def __init__(self, tol: float = 1e-12) -> None:
-        super().__init__(tol)
-
-    def residual(self, prev: np.ndarray, curr: np.ndarray) -> float:
-        prev = np.asarray(prev, dtype=np.float64)
-        curr = np.asarray(curr, dtype=np.float64)
-        if prev.shape != curr.shape:
-            raise ValueError(f"shape mismatch: {prev.shape} vs {curr.shape}")
-        if prev.size == 0:
-            return 0.0
-        # Treat inf -> inf as unchanged (unreached nodes).
-        both_inf = np.isinf(prev) & np.isinf(curr)
-        with np.errstate(invalid="ignore"):  # inf - inf handled via mask
-            diff = np.abs(curr - prev)
-        diff[both_inf] = 0.0
-        return float(diff.max())
-
-
-class CentroidShiftCriterion(_ResidualCriterion):
+class CentroidShiftCriterion:
     """K-Means stopping rule: max centroid movement below delta, or oscillation.
 
     The oscillation condition is the Yom-Tov & Slonim refinement the
@@ -131,10 +28,13 @@ class CentroidShiftCriterion(_ResidualCriterion):
     """
 
     def __init__(self, tol: float, *, window: int = 6) -> None:
-        super().__init__(tol)
+        if tol <= 0:
+            raise ValueError(f"tol must be > 0, got {tol}")
         if window < 2:
             raise ValueError("window must be >= 2")
+        self.tol = tol
         self.window = window
+        self._last = float("inf")
         self._history: list[float] = []
         self.oscillated = False
 
@@ -149,10 +49,11 @@ class CentroidShiftCriterion(_ResidualCriterion):
             return 0.0
         return float(np.linalg.norm(curr - prev, axis=1).max())
 
-    def update(self, prev: Any, curr: Any) -> bool:
-        converged = super().update(prev, curr)
+    def update(self, prev: np.ndarray, curr: np.ndarray) -> bool:
+        """Record a transition; return True when converged."""
+        self._last = float(self.residual(prev, curr))
         self._history.append(self._last)
-        if converged:
+        if self._last < self.tol:
             return True
         h = self._history
         if len(h) >= 2 * self.window:
@@ -164,33 +65,12 @@ class CentroidShiftCriterion(_ResidualCriterion):
         return False
 
     def reset(self) -> None:
-        super().reset()
+        """Forget history (reused between local solves)."""
+        self._last = float("inf")
         self._history = []
         self.oscillated = False
 
-
-def combine_any(*criteria: Criterion) -> Criterion:
-    """A criterion satisfied when any member is satisfied."""
-
-    class _Any:
-        def __init__(self) -> None:
-            self._last = float("inf")
-
-        def update(self, prev: Any, curr: Any) -> bool:
-            done = False
-            for c in criteria:
-                if c.update(prev, curr):
-                    done = True
-            self._last = min(c.last_residual for c in criteria)
-            return done
-
-        def reset(self) -> None:
-            for c in criteria:
-                c.reset()
-            self._last = float("inf")
-
-        @property
-        def last_residual(self) -> float:
-            return self._last
-
-    return _Any()
+    @property
+    def last_residual(self) -> float:
+        """Residual of the most recent transition (inf before any)."""
+        return self._last

@@ -1,11 +1,9 @@
-"""Datasets: the synthetic census stand-in and point-cloud generators."""
+"""Datasets: the synthetic census stand-in of the K-Means experiments."""
 
 from repro.data.census import CENSUS_DEFAULT_ROWS, CENSUS_DIMENSIONS, census_sample
-from repro.data.points import gaussian_mixture
 
 __all__ = [
     "census_sample",
     "CENSUS_DIMENSIONS",
     "CENSUS_DEFAULT_ROWS",
-    "gaussian_mixture",
 ]

@@ -38,13 +38,6 @@ from repro.engine.faults import (
 from repro.engine.job import Job, JobConf
 from repro.engine.partitioner import HashPartitioner, RangePartitioner, stable_hash
 from repro.engine.runtime import JobFailedError, JobResult, MapReduceRuntime
-from repro.engine.scheduler import (
-    ScheduleOutcome,
-    locality_schedule,
-    lpt_schedule,
-    speculative_schedule,
-    submission_order_schedule,
-)
 from repro.engine.shuffle import ColumnarRun, ShuffleBuffer, shuffle, shuffle_bytes
 from repro.engine.task import TaskContext, TaskResult, run_map_task, run_reduce_task
 
@@ -84,9 +77,4 @@ __all__ = [
     "TaskResult",
     "run_map_task",
     "run_reduce_task",
-    "ScheduleOutcome",
-    "lpt_schedule",
-    "submission_order_schedule",
-    "locality_schedule",
-    "speculative_schedule",
 ]

@@ -90,6 +90,10 @@ def _hash_by_isinstance(key: Hashable) -> int:
     if isinstance(key, float):
         return _fnv1a(b"\x03" + struct.pack("<d", key))
     if isinstance(key, str):
+        if isinstance(key, np.str_):
+            # A str subclass whose Python value drops trailing NULs:
+            # str(np.str_("a\x00")) == "a", as an array element would be.
+            key = str(key)
         return _fnv1a(b"\x04" + key.encode("utf-8"))
     if isinstance(key, bytes):
         return _fnv1a(b"\x05" + key)
@@ -104,8 +108,6 @@ def _hash_by_isinstance(key: Hashable) -> int:
         return stable_hash(int(key))
     if isinstance(key, np.floating):
         return stable_hash(float(key))
-    if isinstance(key, np.str_):
-        return stable_hash(str(key))
     raise TypeError(f"no stable hash for key of type {type(key).__name__}")
 
 

@@ -4,14 +4,13 @@ This package provides everything the paper's graph workloads need:
 
 * :class:`~repro.graph.digraph.DiGraph` — CSR-backed weighted digraph.
 * :mod:`~repro.graph.generators` — preferential-attachment inputs
-  (Table II), plus simple test shapes.
+  (Table II) and random edge weights.
 * :mod:`~repro.graph.partition` — the locality-enhancing partitioners
   (multilevel Metis substitute and baselines) and the
   :class:`~repro.graph.partition.Partition` object with boundary/cut
   structure.
 * :mod:`~repro.graph.powerlaw` — degree-distribution fitting (Table II's
   conformity check).
-* :mod:`~repro.graph.io` — adjacency-list text format.
 """
 
 from repro.graph.digraph import DiGraph
@@ -19,19 +18,8 @@ from repro.graph.generators import (
     GRAPH_A_SPEC,
     GRAPH_B_SPEC,
     attach_random_weights,
-    complete_digraph,
-    grid_graph,
     make_paper_graph,
     preferential_attachment,
-    random_digraph,
-    ring_graph,
-    star_graph,
-)
-from repro.graph.io import (
-    dumps_adjacency,
-    loads_adjacency,
-    read_adjacency,
-    write_adjacency,
 )
 from repro.graph.metrics import (
     GraphSummary,
@@ -54,16 +42,8 @@ from repro.graph.partition import (
 )
 from repro.graph.powerlaw import (
     PowerLawFit,
-    degree_histogram,
     fit_power_law,
     hub_spoke_ratio,
-)
-from repro.graph.traversal import (
-    bfs_levels,
-    bfs_order,
-    hop_diameter_estimate,
-    reachable_from,
-    weakly_connected,
 )
 
 __all__ = [
@@ -72,11 +52,6 @@ __all__ = [
     "make_paper_graph",
     "GRAPH_A_SPEC",
     "GRAPH_B_SPEC",
-    "random_digraph",
-    "ring_graph",
-    "grid_graph",
-    "star_graph",
-    "complete_digraph",
     "attach_random_weights",
     "Partition",
     "EdgeBlock",
@@ -91,19 +66,9 @@ __all__ = [
     "PARTITIONERS",
     "PowerLawFit",
     "fit_power_law",
-    "degree_histogram",
     "hub_spoke_ratio",
     "GraphSummary",
     "summarize_graph",
     "PartitionQuality",
     "partition_quality",
-    "bfs_levels",
-    "bfs_order",
-    "reachable_from",
-    "hop_diameter_estimate",
-    "weakly_connected",
-    "read_adjacency",
-    "write_adjacency",
-    "dumps_adjacency",
-    "loads_adjacency",
 ]

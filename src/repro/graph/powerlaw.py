@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.util import check_array_1d
 
-__all__ = ["PowerLawFit", "fit_power_law", "degree_histogram", "hub_spoke_ratio"]
+__all__ = ["PowerLawFit", "fit_power_law", "hub_spoke_ratio"]
 
 
 @dataclass(frozen=True)
@@ -61,16 +61,6 @@ def fit_power_law(degrees: np.ndarray, *, xmin: int = 1) -> PowerLawFit:
         )
     alpha = 1.0 + len(tail) / np.log(tail / (xmin - 0.5)).sum()
     return PowerLawFit(alpha=float(alpha), xmin=xmin, n_tail=int(len(tail)))
-
-
-def degree_histogram(degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(degree values, counts)`` with zero-count bins removed."""
-    d = check_array_1d("degrees", np.asarray(degrees, dtype=np.int64))
-    if len(d) == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    counts = np.bincount(d)
-    vals = np.flatnonzero(counts)
-    return vals, counts[vals]
 
 
 def hub_spoke_ratio(degrees: np.ndarray, *, hub_quantile: float = 0.99) -> float:

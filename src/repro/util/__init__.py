@@ -14,7 +14,7 @@ from repro.util.checks import (
     check_probability,
 )
 from repro.util.radix import stable_key_order, stable_pair_order
-from repro.util.rng import as_rng, spawn_rngs
+from repro.util.rng import as_rng
 from repro.util.tables import ascii_table, format_series
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "check_array_1d",
     "check_probability",
     "as_rng",
-    "spawn_rngs",
     "stable_key_order",
     "stable_pair_order",
     "ascii_table",

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SeedLike = "int | np.random.Generator | None"
-
 
 def as_rng(seed: "int | np.random.Generator | None") -> np.random.Generator:
     """Coerce ``seed`` into a :class:`numpy.random.Generator`.
@@ -25,17 +23,3 @@ def as_rng(seed: "int | np.random.Generator | None") -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: "int | np.random.Generator | None", n: int) -> list[np.random.Generator]:
-    """Derive ``n`` independent child generators from ``seed``.
-
-    Children are derived with :meth:`numpy.random.Generator.spawn`, so the
-    streams are statistically independent and reproducible.  Used to give
-    each simulated map task its own stream: a re-executed (replayed) task
-    attempt receives the same stream and therefore recomputes identical
-    output, which is exactly Hadoop's deterministic-replay contract.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return as_rng(seed).spawn(n)

@@ -119,6 +119,25 @@ class StatefulSpec:
         ctx.emit(key, sum(values))
 
 
+class EvictingSpec(StatefulSpec):
+    """Trigger: deleting cached entries mutates self just as writing does."""
+
+    def lreduce(self, key, values, ctx):
+        del self._cache[key]
+        ctx.emit_local(key, sum(values))
+
+
+def make_nonlocal_count_map():
+    count = 0
+
+    def nonlocal_count_map(key, value, ctx):
+        nonlocal count
+        count += 1
+        ctx.emit(key, count)
+
+    return nonlocal_count_map
+
+
 class ReadOnlySpec:
     """Near-miss: reading self attributes is fine."""
 
@@ -155,10 +174,22 @@ def appending_reduce(key, values, ctx):
     ctx.emit(key, sum(values))
 
 
+def dropping_reduce(key, values, ctx):
+    del values[0]
+    ctx.emit(key, sum(values))
+
+
 def copying_reduce(key, values, ctx):
     # Near-miss: sorted() copies; the alias stays untouched.
     ordered = sorted(values)
     ctx.emit(key, ordered[0])
+
+
+def dropping_copy_reduce(key, values, ctx):
+    # Near-miss: the deletion lands in a fresh list.
+    rest = list(values)
+    del rest[0]
+    ctx.emit(key, sum(rest))
 
 
 # ---------------------------------------------------------------------
@@ -185,6 +216,19 @@ def reduce_sub_combine(key, values, ctx):
 
 def positional_combine(key, values, ctx):
     ctx.emit(key, values[0] - values[1])
+
+
+def lambda_fold_combine(key, values, ctx):
+    ctx.emit(key, functools.reduce(lambda a, b: a - b, values))
+
+
+def reduce_div_combine(key, values, ctx):
+    ctx.emit(key, functools.reduce(operator.truediv, values))
+
+
+def lambda_max_combine(key, values, ctx):
+    # Near-miss: max() commutes, whatever order the partials arrive in.
+    ctx.emit(key, functools.reduce(lambda a, b: max(a, b), values))
 
 
 def summing_combine(key, values, ctx):
@@ -401,13 +445,17 @@ TRIGGERS = {
     "RPR002": [(set_iter_map, "map"), (set_call_iter_map, "map")],
     "RPR003": [(identity_key_map, "map")],
     "RPR011": [(global_write_map, "map"),
-               (StatefulSpec.lmap, "map"), (StatefulSpec.lreduce, "reduce")],
+               (StatefulSpec.lmap, "map"), (StatefulSpec.lreduce, "reduce"),
+               (EvictingSpec.lreduce, "reduce"),
+               (make_nonlocal_count_map(), "map")],
     "RPR012": [(sorting_reduce, "reduce"), (slicing_store_reduce, "reduce"),
-               (appending_reduce, "reduce")],
+               (appending_reduce, "reduce"), (dropping_reduce, "reduce")],
     "RPR021": [(subtracting_combine, "combine"),
                (dividing_combine, "combine"),
                (reduce_sub_combine, "combine"),
-               (positional_combine, "combine")],
+               (positional_combine, "combine"),
+               (lambda_fold_combine, "combine"),
+               (reduce_div_combine, "combine")],
     "RPR022": [(joining_combine, "combine")],
     "RPR051": [(overwriting_state_combine, "combine"),
                (accumulating_state_combine, "combine")],
@@ -424,10 +472,11 @@ NEAR_MISSES = {
     "RPR002": [(sorted_set_map, "map")],
     "RPR003": [(method_id_map, "map")],
     "RPR011": [(ReadOnlySpec.lmap, "map"), (ReadOnlySpec.lreduce, "reduce")],
-    "RPR012": [(copying_reduce, "reduce")],
+    "RPR012": [(copying_reduce, "reduce"), (dropping_copy_reduce, "reduce")],
     "RPR021": [(summing_combine, "combine"),
                (countdown_combine, "combine"),
-               (mean_after_loop_combine, "combine")],
+               (mean_after_loop_combine, "combine"),
+               (lambda_max_combine, "combine")],
     "RPR022": [(sorted_join_combine, "combine")],
     "RPR051": [(copying_state_combine, "combine"),
                (overwriting_state_combine, "reduce")],

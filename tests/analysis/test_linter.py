@@ -246,6 +246,20 @@ class TestEnforce:
         with pytest.raises(ValueError, match="lint must be one of"):
             enforce(self._report(), "aggressive")
 
+    def test_clean_report_formats_as_one_line(self):
+        assert self._report().format() == "test: clean"
+
+    def test_report_format_lists_findings_then_a_summary(self):
+        report = lint_job(Job(map_fn=fixtures.clock_map, reduce_fn="sum",
+                              combine_fn=fixtures.subtracting_combine,
+                              conf=JobConf(name="bad")))
+        lines = report.format().splitlines()
+        assert lines[:-1] == [f.format() for f in report.findings]
+        assert lines[-1] == (
+            f"{report.subject}: {len(report)} findings "
+            f"({len(report.errors)} errors, {len(report.warnings)} warnings)")
+        assert len(report.errors) >= 2  # RPR001 and RPR021
+
 
 class TestRuntimeKnob:
     def test_jobconf_validates_lint(self):

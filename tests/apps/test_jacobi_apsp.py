@@ -8,7 +8,6 @@ import pytest
 from repro.apps import (
     JacobiBlockSpec,
     SparseSystem,
-    estimate_pair_distance,
     jacobi_solve,
     landmark_apsp,
     make_diagonally_dominant_system,
@@ -39,6 +38,19 @@ class TestSparseSystem:
         with pytest.raises(ValueError, match="equal length"):
             SparseSystem(2, np.array([0]), np.array([1, 1]), np.array([1.0]),
                          np.ones(2), np.zeros(2))
+
+    @pytest.mark.parametrize("n,rows,cols,diag,b,match", [
+        (0, [], [], np.ones(0), np.zeros(0), "n must be"),
+        (2, [[0]], [[1]], np.ones(2), np.zeros(2), "1-D"),
+        (2, [0], [1], np.ones(2), np.zeros(3), "shape"),
+        (2, [0], [2], np.ones(2), np.zeros(2), "out of range"),
+        (2, [-1], [1], np.ones(2), np.zeros(2), "out of range"),
+    ])
+    def test_shape_and_index_validation(self, n, rows, cols, diag, b, match):
+        vals = np.ones(np.shape(rows))
+        with pytest.raises(ValueError, match=match):
+            SparseSystem(n, np.array(rows, dtype=np.int64),
+                         np.array(cols, dtype=np.int64), vals, diag, b)
 
     def test_generated_system_dominant(self, system_and_partition):
         system, _ = system_and_partition
@@ -93,7 +105,7 @@ class TestJacobiSolver:
 
     def test_size_mismatch_rejected(self, system_and_partition):
         system, part = system_and_partition
-        from repro.graph import ring_graph
+        from tests.inputs import ring_graph
 
         other = chunk_partition(ring_graph(5), 2)
         with pytest.raises(ValueError, match="match"):
@@ -117,15 +129,16 @@ class TestLandmarkApsp:
             assert np.allclose(apsp.dist_to[i],
                                sssp_reference(rev, source=int(l)))
 
-    def test_pair_estimate_is_upper_bound(self, apsp, weighted_graph):
-        exact_from_5 = sssp_reference(weighted_graph, source=5)
-        est = estimate_pair_distance(apsp, 5, 40)
-        assert est >= exact_from_5[40] - 1e-9
-
-    def test_landmark_pair_exact(self, apsp, weighted_graph):
-        l = int(apsp.landmarks[0])
-        exact = sssp_reference(weighted_graph, source=l)
-        assert estimate_pair_distance(apsp, l, 17) == pytest.approx(exact[17])
+    def test_rows_bound_every_pair_through_a_landmark(self, apsp,
+                                                      weighted_graph):
+        # d(u, l) + d(l, v) >= d(u, v): the tables give an upper bound
+        # for any pair, tight when u is itself a landmark
+        for u in (5, 17, int(apsp.landmarks[0])):
+            exact = sssp_reference(weighted_graph, source=u)
+            via = (apsp.dist_to[:, u][:, None] + apsp.dist_from).min(axis=0)
+            assert np.all(via >= exact - 1e-9)
+            if u in apsp.landmarks:
+                assert np.allclose(via, exact)
 
     def test_eager_cheaper_than_general(self, weighted_graph, weighted_partition):
         gen = landmark_apsp(weighted_graph, weighted_partition,

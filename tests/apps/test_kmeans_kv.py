@@ -12,7 +12,8 @@ from repro.core import (
     EngineBackend,
     IterationLoop,
 )
-from repro.data import gaussian_mixture
+
+from tests.inputs import gaussian_mixture
 
 
 @pytest.fixture(scope="module")

@@ -24,7 +24,6 @@ from repro.apps import (
 )
 from repro.apps.kmeans import assign_points
 from repro.core import LocalSolveReport
-from repro.data import gaussian_mixture
 from repro.graph import (
     DiGraph,
     Partition,
@@ -33,6 +32,8 @@ from repro.graph import (
     hash_partition,
     multilevel_partition,
 )
+
+from tests.inputs import gaussian_mixture
 
 RECORD_BYTES = 16
 

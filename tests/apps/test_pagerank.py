@@ -14,8 +14,9 @@ from repro.graph import (
     chunk_partition,
     hash_partition,
     multilevel_partition,
-    ring_graph,
 )
+
+from tests.inputs import ring_graph
 
 TOL = 1e-5
 

@@ -11,8 +11,9 @@ from repro.graph import (
     DiGraph,
     chunk_partition,
     multilevel_partition,
-    ring_graph,
 )
+
+from tests.inputs import ring_graph
 
 
 class TestCorrectness:
@@ -46,6 +47,17 @@ class TestCorrectness:
         g = DiGraph(2, [0, 0], [1, 1], [5.0, 2.0])
         res = sssp(g, chunk_partition(g, 1), mode="general")
         assert res.distances[1] == 2.0
+
+    def test_edgeless_graph_reaches_only_the_source(self):
+        g = DiGraph(4, [], [], [])
+        expected = [np.inf, np.inf, 0.0, np.inf]
+        assert sssp_reference(g, source=2).tolist() == expected
+        res = sssp(g, chunk_partition(g, 2), source=2, mode="eager")
+        assert res.distances.tolist() == expected
+
+    def test_oracle_collapses_parallel_edges_to_their_min(self):
+        g = DiGraph(3, [0, 0, 1, 0], [1, 1, 2, 2], [5.0, 2.0, 1.0, 9.0])
+        assert sssp_reference(g).tolist() == [0.0, 2.0, 3.0]
 
     def test_monotone_nonincreasing_distances(self, weighted_graph, weighted_partition):
         # distances never increase across global iterations

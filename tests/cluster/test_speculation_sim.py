@@ -72,6 +72,28 @@ class TestStragglerPlan:
         with pytest.raises(ValueError):
             StragglerPlan(**kwargs)
 
+    def test_slow_nodes_builds_the_plan(self):
+        plan = StragglerPlan.slow_nodes({1: 3.0}, stall_probability=0.2,
+                                        stall_seconds=1.5, seed=4)
+        assert plan == StragglerPlan(node_slowdown={1: 3.0},
+                                     stall_probability=0.2,
+                                     stall_seconds=1.5, seed=4)
+        assert plan.node_factor(1) == 3.0
+
+    @pytest.mark.parametrize("plan,empty", [
+        (StragglerPlan.none(), True),
+        # a stall needs both a chance and a length
+        (StragglerPlan(stall_probability=0.5), True),
+        (StragglerPlan(stall_seconds=2.0), True),
+        (StragglerPlan(stall_probability=0.5, stall_seconds=2.0), False),
+        (StragglerPlan.slow_nodes({0: 1.5}), False),
+    ])
+    def test_is_empty(self, plan, empty):
+        assert plan.is_empty is empty
+        if empty:
+            assert all(plan.transient_stall("map", i) == 0.0
+                       for i in range(20))
+
 
 def _slow_node_cluster(factor=4.0):
     return SimCluster(nodes=ec2_nodes(4),

@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 from repro.cluster import SimCluster, ZERO_COST, ec2_nodes
-from repro.data import census_sample, gaussian_mixture
+from repro.data import census_sample
 from repro.graph import (
     DiGraph,
     attach_random_weights,
     multilevel_partition,
     preferential_attachment,
 )
+
+from tests.inputs import gaussian_mixture
 
 
 @pytest.fixture(scope="session")

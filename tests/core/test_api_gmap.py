@@ -23,6 +23,15 @@ class TestLocalSolveReport:
             LocalSolveReport(partition=0, updates=None, local_iters=0,
                              shuffle_bytes=-1)
 
+    def test_update_nbytes_is_a_size_or_none(self):
+        with pytest.raises(ValueError, match="update_nbytes"):
+            LocalSolveReport(partition=0, updates=None, local_iters=0,
+                             update_nbytes=-1)
+        for nbytes in (None, 0, 64):
+            report = LocalSolveReport(partition=0, updates=None,
+                                      local_iters=0, update_nbytes=nbytes)
+            assert report.update_nbytes == nbytes
+
     def test_total_ops(self):
         r = LocalSolveReport(partition=0, updates=None, local_iters=2,
                              per_iter_ops=[3.0, 4.0])
@@ -48,6 +57,10 @@ class TestGmapFunction:
     def test_invalid_max_iters(self):
         with pytest.raises(ValueError):
             GmapFunction(CountdownSpec(), max_local_iters=0)
+
+    def test_columnar_needs_a_spec_that_supports_it(self):
+        with pytest.raises(ValueError, match="CountdownSpec does not support"):
+            GmapFunction(CountdownSpec(), max_local_iters=5, columnar=True)
 
     def test_custom_gmap_emit(self):
         class Custom(CountdownSpec):

@@ -1,76 +1,11 @@
-"""Tests for the convergence criteria."""
+"""Tests for K-Means' centroid-shift convergence criterion."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    CentroidShiftCriterion,
-    InfNormCriterion,
-    L2NormCriterion,
-    UnchangedCriterion,
-    combine_any,
-)
-
-
-class TestInfNorm:
-    def test_converges_below_tol(self):
-        c = InfNormCriterion(1e-3)
-        assert not c.update(np.zeros(3), np.array([0.1, 0.0, 0.0]))
-        assert c.update(np.zeros(3), np.array([1e-4, 0.0, 0.0]))
-
-    def test_residual_is_max_abs(self):
-        c = InfNormCriterion(1e-3)
-        c.update(np.array([1.0, 2.0]), np.array([1.5, 1.0]))
-        assert c.last_residual == pytest.approx(1.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            InfNormCriterion(1.0).update(np.zeros(2), np.zeros(3))
-
-    def test_empty_converges(self):
-        assert InfNormCriterion(1.0).update(np.zeros(0), np.zeros(0))
-
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            InfNormCriterion(0.0)
-
-    def test_reset(self):
-        c = InfNormCriterion(1.0)
-        c.update(np.zeros(1), np.ones(1))
-        c.reset()
-        assert c.last_residual == float("inf")
-
-
-class TestL2Norm:
-    def test_residual(self):
-        c = L2NormCriterion(1.0)
-        c.update(np.zeros(2), np.array([3.0, 4.0]))
-        assert c.last_residual == pytest.approx(5.0)
-
-    def test_convergence(self):
-        c = L2NormCriterion(0.1)
-        assert c.update(np.ones(4), np.ones(4) + 0.01)
-
-
-class TestUnchanged:
-    def test_identical_converges(self):
-        c = UnchangedCriterion()
-        assert c.update(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-
-    def test_change_not_converged(self):
-        c = UnchangedCriterion()
-        assert not c.update(np.array([1.0]), np.array([1.1]))
-
-    def test_inf_to_inf_is_unchanged(self):
-        c = UnchangedCriterion()
-        inf = np.inf
-        assert c.update(np.array([inf, 1.0]), np.array([inf, 1.0]))
-
-    def test_inf_to_finite_is_change(self):
-        c = UnchangedCriterion()
-        assert not c.update(np.array([np.inf]), np.array([5.0]))
+from repro.core import CentroidShiftCriterion
 
 
 class TestCentroidShift:
@@ -124,23 +59,49 @@ class TestCentroidShift:
         with pytest.raises(ValueError):
             CentroidShiftCriterion(1.0, window=1)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-3])
+    def test_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            CentroidShiftCriterion(tol)
 
-class TestCombineAny:
-    def test_any_fires(self):
-        c = combine_any(InfNormCriterion(1e-6), UnchangedCriterion())
-        assert c.update(np.array([1.0]), np.array([1.0]))  # unchanged fires
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            CentroidShiftCriterion(1.0).update(np.zeros((2, 3)),
+                                               np.zeros((3, 3)))
 
-    def test_none_fires(self):
-        c = combine_any(InfNormCriterion(1e-6), UnchangedCriterion())
-        assert not c.update(np.array([1.0]), np.array([2.0]))
+    def test_empty_centroid_set_converges(self):
+        c = CentroidShiftCriterion(1e-9)
+        assert c.update(np.zeros((0, 4)), np.zeros((0, 4)))
+        assert c.last_residual == 0.0
 
-    def test_last_residual_min(self):
-        c = combine_any(InfNormCriterion(1e-6), L2NormCriterion(1e-6))
-        c.update(np.zeros(2), np.array([3.0, 4.0]))
-        assert c.last_residual == pytest.approx(4.0)  # inf-norm < l2
+    def test_residual_is_inf_before_any_update(self):
+        assert CentroidShiftCriterion(1.0).last_residual == float("inf")
 
-    def test_reset(self):
-        c = combine_any(InfNormCriterion(1e-6))
-        c.update(np.zeros(1), np.ones(1))
+    def test_tol_is_a_strict_bound(self):
+        c = CentroidShiftCriterion(0.5)
+        prev = np.zeros((1, 2))
+        assert not c.update(prev, prev + np.array([[0.5, 0.0]]))
+        assert c.last_residual == 0.5
+
+    def test_oscillation_needs_two_full_windows(self):
+        c = CentroidShiftCriterion(1e-6, window=3)
+        prev = np.zeros((1, 1))
+        fired = [c.update(prev, prev + 1.0) for _ in range(6)]
+        # a flat residual makes no new minimum, but the rule only judges
+        # once a window of history precedes the recent window
+        assert fired == [False] * 5 + [True]
+        assert c.oscillated
+
+    def test_reset_makes_the_criterion_reusable(self):
+        seq = [4.0, 2.0, 1.0, 0.5, 0.55, 0.52, 0.57, 0.51, 0.56, 0.53]
+        prev = np.zeros((1, 1))
+
+        def first_fire(c):
+            return next(i for i, r in enumerate(seq)
+                        if c.update(prev, prev + r))
+
+        c = CentroidShiftCriterion(1e-6, window=3)
+        fresh = first_fire(c)
         c.reset()
-        assert c.last_residual == float("inf")
+        assert first_fire(c) == fresh
+        assert c.oscillated

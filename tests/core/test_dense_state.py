@@ -45,6 +45,29 @@ class TestContainer:
         assert state.width == 1
         assert state[2] == (2.0,)
 
+    def test_keys_and_values_match_dict(self):
+        rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+        state = DenseKVState(rows)
+        oracle = {i: tuple(rows[i]) for i in range(2)}
+        assert list(state.keys()) == list(oracle.keys())
+        assert list(state.values()) == list(oracle.values())
+
+    def test_rows_must_be_one_or_two_dimensional(self):
+        with pytest.raises(ValueError, match="rows must be"):
+            DenseKVState(np.zeros((2, 2, 2)))
+
+    def test_scatter_of_flat_values_fills_width_one(self):
+        state = DenseKVState(np.zeros(3))
+        new = state.scatter(np.array([1]), np.array([9.0]))
+        assert new.column(0).tolist() == [0.0, 9.0, 0.0]
+
+    def test_scatter_of_no_pairs_is_an_unshared_copy(self):
+        state = DenseKVState(np.ones((2, 1)))
+        new = state.scatter_pairs([])
+        assert dict(new.items()) == dict(state.items())
+        new.rows[0, 0] = 5.0
+        assert state[0] == (1.0,)
+
 
 class TestAppParity:
     """dense_state=True reproduces the dict path's values exactly."""

@@ -36,6 +36,16 @@ class TestEmitters:
         assert ctx.output == [("k", 3)]
         assert ctx.ops == 1.0
 
+    @pytest.mark.parametrize("cls", [LocalReduceContext, GlobalReduceContext])
+    def test_reduce_contexts_account_extra_ops(self, cls):
+        ctx = cls()
+        ctx.add_ops(2.5)
+        ctx.add_ops(0)
+        assert ctx.ops == 2.5
+        with pytest.raises(ValueError, match="ops must be >= 0"):
+            ctx.add_ops(-0.5)
+        assert ctx.ops == 2.5
+
 
 class CountdownSpec(AsyncMapReduceSpec):
     """Toy spec: every value decrements toward zero, one unit per local

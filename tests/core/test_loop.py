@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.apps.pagerank import PageRankBlockSpec, PageRankKVSpec, pagerank_reference
-from repro.cluster import OnlineStateStore, RoundAccountant, SimCluster
+from repro.cluster import OnlineStateStore, RoundAccountant, SimCluster, ec2_nodes
 from repro.core import (
     AdaptiveSyncPolicy,
     BlockBackend,
@@ -182,6 +182,21 @@ class TestHierarchyBlockParity:
         assert res.converged
         racks_phases = [p for p in cl.trace.phases() if p.endswith(":racks")]
         assert racks_phases  # inner rounds 2..n were charged
+
+    def test_rack_charges_golden_on_heterogeneous_nodes(self, workload):
+        # Fast and slow nodes interleaved: a rack's solves go longest
+        # first to the slot free earliest, ties to the lower
+        # (node_id, slot), so they fill fast node 0 before slow node 1.
+        # The literal is the commit before the rack LPT moved into
+        # cluster/accountant.py; any other tie order moves it.
+        g, part = workload
+        cl = SimCluster(ec2_nodes(8, speeds=[1.0, 0.6] * 4))
+        res = IterationLoop(
+            HierarchicalBackend(PageRankBlockSpec(g, part), make_racks(part.k, 2),
+                                hierarchy=HierarchyConfig(inner_rounds=3),
+                                cluster=cl), DriverConfig(mode="eager")).run()
+        assert res.global_iters == 20
+        assert res.sim_time == 547.8382594999996
 
 
 class TestAdaptiveSyncPolicy:

@@ -334,21 +334,6 @@ class TestContentionMetrics:
             assert h.loop.sync_policy.budgets == solo_policy.budgets
             assert _history_key(h.result) == _history_key(solo)
 
-    def test_phase_breakdown_merges_job_prefixed_labels(self, workload):
-        from repro.cluster.report import phase_breakdown
-
-        g, part = workload
-        cluster = SimCluster()
-        session = Session(cluster=cluster, policy="fair")
-        session.submit(pagerank_spec(g, part, name="alpha"))
-        session.submit(pagerank_spec(g, part, name="beta"))
-        session.run()
-        names = [row.phase for row in phase_breakdown(cluster)]
-        # per-iteration and per-job prefixes collapse to phase names
-        assert "map" in names
-        assert not any("iter" in n or "alpha" in n or "beta" in n
-                       for n in names)
-
     def test_makespan_and_mean_latency(self, workload):
         g, part = workload
         session = Session(cluster=SimCluster(), policy="fair")

@@ -5,12 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import (
-    CENSUS_DEFAULT_ROWS,
-    CENSUS_DIMENSIONS,
-    census_sample,
-    gaussian_mixture,
-)
+from repro.data import CENSUS_DEFAULT_ROWS, CENSUS_DIMENSIONS, census_sample
+
+from tests.inputs import gaussian_mixture
 
 
 class TestCensus:

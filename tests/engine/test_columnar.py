@@ -33,6 +33,7 @@ from repro.engine import (
     stable_hash,
 )
 from repro.engine.columnar import (
+    StringDictionary,
     group_columnar,
     object_combiner,
     object_reducer,
@@ -100,6 +101,30 @@ class TestColumnarBlock:
         with pytest.raises(ValueError, match="mixed"):
             ColumnarBlock.concat([ColumnarBlock([1], [1.0]),
                                   ColumnarBlock([1], [[1.0, 2.0]])])
+
+    def test_concat_rejects_mixed_key_kinds(self):
+        with pytest.raises(ValueError, match="dictionary-encoded and plain"):
+            ColumnarBlock.concat([ColumnarBlock(["a"], [1.0]),
+                                  ColumnarBlock([1], [1.0])])
+
+    def test_concat_merges_vocabularies_in_block_order(self):
+        merged = ColumnarBlock.concat([ColumnarBlock(["b", "a"], [1.0, 2.0]),
+                                       ColumnarBlock(["c", "b"], [3.0, 4.0])])
+        assert merged.dictionary.words == ["b", "a", "c"]
+        assert merged.keys.tolist() == [0, 1, 2, 0]
+        assert merged.to_pairs() == [("b", 1.0), ("a", 2.0), ("c", 3.0),
+                                     ("b", 4.0)]
+
+    def test_ids_must_lie_in_the_given_vocabulary(self):
+        with pytest.raises(ValueError, match="out of range"):
+            ColumnarBlock([0, 5], [1.0, 2.0], StringDictionary(["a"]))
+
+    def test_dictionary_interns_only_strings(self):
+        vocab = StringDictionary(["x"])
+        with pytest.raises(TypeError, match="must be str"):
+            vocab.intern(3)
+        assert vocab.intern("x") == 0 and vocab.intern("y") == 1
+        assert vocab.word(1) == "y" and len(vocab) == 2
 
 
 class TestHashRouting:

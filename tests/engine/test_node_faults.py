@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import RoundAccountant, SimCluster
 from repro.engine import (
     Job,
     JobConf,
@@ -19,7 +20,7 @@ from repro.engine import (
     NodeFaultPlan,
     ShuffleBuffer,
 )
-from repro.engine.counters import LOST_MAP_OUTPUTS, NODE_DEATHS
+from repro.engine.counters import LOST_MAP_OUTPUTS, MAP_OPS, NODE_DEATHS
 
 
 def _word_map(key, value, ctx):
@@ -97,6 +98,12 @@ class TestNodeFaultPlanModel:
         with pytest.raises(ValueError):
             NodeDeath(node=0, at_seconds=-0.5)
 
+    @pytest.mark.parametrize("kwargs", [{"round": -1},
+                                        {"after_completions": -1}])
+    def test_death_triggers_must_be_non_negative(self, kwargs):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            NodeDeath(node=0, **kwargs)
+
 
 class TestEngineNodeDeaths:
     def test_serial_executor_rejected(self):
@@ -146,6 +153,30 @@ class TestEngineNodeDeaths:
         assert replay.counters.get(NODE_DEATHS) == 0
         assert other.counters.get(NODE_DEATHS) == 0
         assert first.output == replay.output == _oracle(splits)
+
+    def test_cluster_prices_detection_plus_lost_work(self):
+        """With a simulated cluster attached, a death adds a recovery
+        charge: the heartbeat silence before it is noticed plus the
+        compute of every map output the domain took with it."""
+        splits = _splits()
+        # fires once every map has finished: node 0's tasks 0 and 4 are
+        # both completed outputs, whatever order the workers ran in
+        plan = NodeFaultPlan.kill_node(0, after_completions=len(splits),
+                                       num_nodes=4, heartbeat_seconds=2.5)
+        cluster = SimCluster()
+        acct = RoundAccountant(cluster)
+        with MapReduceRuntime("threads", workers=2, cluster=cluster,
+                              node_faults=plan) as rt:
+            res = rt.run(_job(), splits, accountant=acct)
+        assert res.counters.get(LOST_MAP_OUTPUTS) == 2
+        with MapReduceRuntime("serial") as rt:
+            lost_ops = rt.run(_job(), [splits[0], splits[4]]).counters.get(
+                MAP_OPS)
+        expected = 2.5 + cluster.cost_model.map_compute_seconds(lost_ops)
+        assert res.sim_times["recovery"] == pytest.approx(expected)
+        assert acct.recovery_seconds == pytest.approx(expected)
+        assert (acct.node_deaths, acct.lost_map_outputs) == (1, 2)
+        assert res.output == _oracle(splits)
 
 
 class TestDeferMergeBuffer:

@@ -121,6 +121,14 @@ class TestStableHashValues:
     def test_equals_the_reference(self, key):
         assert stable_hash(key) == reference_hash(key)
 
+    @pytest.mark.parametrize("text", ["\x00", "a\x00", "é\x00\x00"])
+    def test_numpy_str_hashes_as_its_python_value(self, cold_memo, text):
+        # np.str_ subclasses str, but its value drops trailing NULs (as
+        # an array element's does): np.str_("a\x00") hashes as "a"
+        key = np.str_(text)
+        assert stable_hash(key) == stable_hash(key.item()) == stable_hash(
+            text.rstrip("\x00")) == reference_hash(key)
+
     @pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
     def test_equal_keys_of_different_types_keep_their_own_hash(
             self, cold_memo, order):

@@ -180,3 +180,8 @@ class TestJobValidation:
             JobConf(num_reducers=0)
         with pytest.raises(ValueError):
             JobConf(max_attempts=0)
+
+    def test_combine_crossover_validation(self):
+        with pytest.raises(ValueError, match="combine_crossover"):
+            JobConf(combine_crossover=-1)
+        assert JobConf(combine_crossover=0).combine_crossover == 0

@@ -44,6 +44,7 @@ from repro.engine import (
 )
 from repro.engine import shm
 from repro.cluster import SpeculationConfig
+from repro.engine.columnar import group_columnar
 from repro.engine.counters import (
     LOST_MAP_OUTPUTS,
     NODE_DEATHS,
@@ -53,10 +54,12 @@ from repro.engine.counters import (
 from repro.engine.shm import (
     _PICKLE_CACHE,
     SegmentRegistry,
+    ShmGroupsRef,
     _read_segment,
     _unlink_quietly,
     _write_segment,
     export_block,
+    export_groups,
     export_pickled,
 )
 
@@ -447,10 +450,14 @@ class TestNodeDeathSweep:
 
     def test_completed_outputs_invalidated_and_replayed(self):
         """The dead node already finished map work: those outputs are
-        invalidated (lineage loss) and recomputed, bitwise identically."""
+        invalidated (lineage loss) and recomputed, bitwise identically.
+
+        Node 0 owns tasks 0 and 4 of the 8; the death fires once 7 maps
+        have completed, so at least one of its two outputs is done
+        whatever order the workers finish in."""
         splits = _splits(num_splits=8)
         before = _live_segments()
-        plan = NodeFaultPlan.kill_node(0, after_completions=6, num_nodes=4)
+        plan = NodeFaultPlan.kill_node(0, after_completions=7, num_nodes=4)
         with MapReduceRuntime("processes", workers=3, node_faults=plan,
                               shm_min_bytes=1024) as rt:
             res = rt.run(Job(_emit_block_map, "sum", combine_fn="sum",
@@ -939,3 +946,54 @@ class TestPickleRef:
             for n in names:
                 _unlink_quietly(n)
             _PICKLE_CACHE.clear()
+
+
+def _groups(n=5000):
+    """One reducer's grouped input: ``n`` records over 400 integer keys."""
+    keys = (np.arange(n) * 7) % 400
+    return group_columnar([ColumnarBlock(keys, np.arange(n) / 3.0)])
+
+
+class TestGroupsRef:
+    """``export_groups`` / ``ShmGroupsRef``: one reducer's grouped input
+    parked in a segment, read back in place by every attempt."""
+
+    FIELDS = ("keys", "values", "starts", "counts", "order")
+
+    def test_small_groups_pass_through(self, name):
+        groups = _groups(10)
+        assert export_groups(groups, name) is groups
+        assert not _exists(name)
+
+    def test_take_round_trips_every_array(self, name):
+        groups = _groups()
+        ref = export_groups(groups, name, min_bytes=1024)
+        assert isinstance(ref, ShmGroupsRef)
+        assert ref.nbytes == sum(getattr(groups, f).nbytes
+                                 for f in self.FIELDS)
+        got = ref.take()
+        for f in self.FIELDS:
+            assert getattr(got, f).dtype == getattr(groups, f).dtype
+            assert np.array_equal(getattr(got, f), getattr(groups, f))
+        assert got.to_pairs() == groups.to_pairs()
+        got.values[:] = -1.0  # private: the next attempt reads the bytes
+        assert np.array_equal(ref.take().values, groups.values)
+
+    def test_take_keeps_the_segment_unless_told(self, name):
+        groups = _groups()
+        ref = export_groups(groups, name, min_bytes=1024)
+        ref.take()
+        assert _exists(name)  # a retried reduce attempt re-reads it
+        last = ref.take(unlink=True)
+        assert not _exists(name)
+        assert np.array_equal(last.values, groups.values)
+
+    def test_string_keys_travel_with_their_dictionary(self, name):
+        words = [f"w{i % 300}" for i in range(4000)]
+        groups = group_columnar([ColumnarBlock(words, np.ones(4000))])
+        got = export_groups(groups, name, min_bytes=1024).take()
+        assert got.dictionary.words == groups.dictionary.words
+        assert got.to_pairs() == groups.to_pairs()
+        keys, sums = got.aggregate("sum")
+        assert got.dictionary.decode(keys) == sorted(set(words))
+        assert set(sums.tolist()) == {13.0, 14.0}

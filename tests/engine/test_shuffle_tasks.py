@@ -396,3 +396,23 @@ class TestFaultPlan:
     def test_probability_bounds(self):
         with pytest.raises(ValueError):
             FaultPlan.random(1.0)
+
+    def test_scripted_counts_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            FaultPlan.script({("map", 0): -1})
+
+    def test_stall_delays_only_the_first_attempt(self):
+        plan = FaultPlan.stall({("map", 3): 0.5})
+        assert not plan.is_empty
+        assert plan.stall_seconds_for("map", 3, 0) == 0.5
+        assert plan.stall_seconds_for("map", 3, 1) == 0.0  # retry / backup
+        assert plan.stall_seconds_for("reduce", 3, 0) == 0.0
+        assert plan.stall_seconds_for("map", 2, 0) == 0.0
+        plan.maybe_fail("map", 3, 0)  # a stall is not a failure
+
+    @pytest.mark.parametrize("stalls", [{("shuffle", 0): 1.0},
+                                        {("map", -1): 1.0},
+                                        {("reduce", 0): -0.5}])
+    def test_stall_validation(self, stalls):
+        with pytest.raises(ValueError):
+            FaultPlan.stall(stalls)

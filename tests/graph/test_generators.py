@@ -9,16 +9,13 @@ from repro.graph import (
     GRAPH_A_SPEC,
     GRAPH_B_SPEC,
     attach_random_weights,
-    complete_digraph,
     fit_power_law,
-    grid_graph,
     hub_spoke_ratio,
     make_paper_graph,
     preferential_attachment,
-    random_digraph,
-    ring_graph,
-    star_graph,
 )
+
+from tests.inputs import grid_graph, random_digraph, ring_graph
 
 
 class TestPreferentialAttachment:
@@ -128,18 +125,6 @@ class TestSimpleGenerators:
         g = grid_graph(rows, cols)
         expected = 2 * (rows * (cols - 1) + cols * (rows - 1))
         assert g.num_edges == expected
-
-    def test_star(self):
-        g = star_graph(6)
-        assert g.num_nodes == 7
-        assert g.out_degree()[0] == 6
-        assert np.all(g.out_degree()[1:] == 1)
-
-    def test_complete(self):
-        g = complete_digraph(4)
-        assert g.num_edges == 12
-        src, dst, _ = g.edge_arrays()
-        assert not np.any(src == dst)
 
     def test_random_digraph_counts(self):
         g = random_digraph(50, 200, seed=0)

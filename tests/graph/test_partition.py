@@ -10,12 +10,13 @@ from repro.graph import (
     Partition,
     bfs_partition,
     chunk_partition,
-    grid_graph,
     hash_partition,
     multilevel_partition,
     partition_graph,
     random_partition,
 )
+
+from tests.inputs import grid_graph
 
 ALL_METHODS = ("multilevel", "bfs", "chunk", "hash", "random")
 

@@ -1,25 +1,16 @@
-"""Tests for power-law fitting, adjacency I/O, and graph metrics."""
+"""Tests for power-law fitting and graph metrics."""
 
 from __future__ import annotations
-
-import io
 
 import numpy as np
 import pytest
 
 from repro.graph import (
-    DiGraph,
-    degree_histogram,
-    dumps_adjacency,
     fit_power_law,
     hub_spoke_ratio,
-    loads_adjacency,
     multilevel_partition,
     partition_quality,
-    preferential_attachment,
-    read_adjacency,
     summarize_graph,
-    write_adjacency,
 )
 
 
@@ -50,15 +41,6 @@ class TestPowerLaw:
         with pytest.raises(ValueError):
             fit_power_law(np.array([1, 2, 3]), xmin=0)
 
-    def test_degree_histogram(self):
-        vals, counts = degree_histogram(np.array([1, 1, 2, 5]))
-        assert vals.tolist() == [1, 2, 5]
-        assert counts.tolist() == [2, 1, 1]
-
-    def test_degree_histogram_empty(self):
-        vals, counts = degree_histogram(np.array([], dtype=np.int64))
-        assert len(vals) == 0 and len(counts) == 0
-
     def test_hub_spoke_ratio_uniform_low(self):
         flat = np.full(1000, 5.0)
         assert hub_spoke_ratio(flat) == pytest.approx(0.01, abs=0.005)
@@ -71,52 +53,6 @@ class TestPowerLaw:
     def test_hub_spoke_ratio_empty_and_zero(self):
         assert hub_spoke_ratio(np.array([])) == 0.0
         assert hub_spoke_ratio(np.zeros(5)) == 0.0
-
-
-class TestAdjacencyIO:
-    def test_roundtrip_unweighted(self, tiny_graph):
-        text = dumps_adjacency(tiny_graph)
-        g2 = loads_adjacency(text)
-        assert g2 == tiny_graph
-
-    def test_roundtrip_weighted(self):
-        g = DiGraph(3, [0, 1], [1, 2], [2.5, 0.125])
-        g2 = loads_adjacency(dumps_adjacency(g))
-        assert g2 == g
-
-    def test_roundtrip_trailing_isolated_node(self):
-        g = DiGraph(5, [0], [1])  # nodes 2..4 isolated
-        g2 = loads_adjacency(dumps_adjacency(g))
-        assert g2.num_nodes == 5
-
-    def test_file_roundtrip(self, tmp_path, small_graph):
-        path = tmp_path / "graph.adj"
-        write_adjacency(small_graph, path)
-        g2 = read_adjacency(path)
-        assert g2 == small_graph
-
-    def test_stream_roundtrip(self, tiny_graph):
-        buf = io.StringIO()
-        write_adjacency(tiny_graph, buf)
-        buf.seek(0)
-        assert read_adjacency(buf) == tiny_graph
-
-    def test_comments_and_blanks_ignored(self):
-        g = loads_adjacency("# a comment\n\n0 1 2\n1 2\n")
-        assert g.num_nodes == 3
-        assert g.num_edges == 3
-
-    def test_infers_node_count_without_header(self):
-        g = loads_adjacency("0 7\n")
-        assert g.num_nodes == 8
-
-    def test_bad_source_token(self):
-        with pytest.raises(ValueError, match="line 1"):
-            loads_adjacency("abc 1\n")
-
-    def test_roundtrip_preferential(self):
-        g = preferential_attachment(200, seed=0)
-        assert loads_adjacency(dumps_adjacency(g)) == g
 
 
 class TestMetrics:

@@ -20,6 +20,7 @@ from repro.bench import (
     report_sweep,
     scaled_partitions,
     speedup_summary,
+    sssp_sweep,
 )
 
 TINY = 0.002  # ~560-node Graph A: fast enough for unit tests
@@ -122,6 +123,19 @@ class TestSweeps:
         result = kmeans_sweep(rows=2000, k=4, partitions=8)
         xs, _ = result.series("general")
         assert tuple(xs) == PAPER_KMEANS_THRESHOLDS
+
+    def test_sssp_sweep_eager_wins_at_every_point(self):
+        # Figures 6 and 7: fewer global iterations, less simulated time
+        result = sssp_sweep(scale=TINY)
+        assert result.name == "sssp-A"
+        assert all(p.converged for p in result.points)
+        xs, _ = result.series("eager")
+        assert xs == result.series("general")[0] and len(xs) >= 3
+        for x in xs:
+            eager = result.point("eager", x)
+            general = result.point("general", x)
+            assert eager.iterations < general.iterations
+            assert eager.sim_time < general.sim_time
 
 
 class TestReporting:

@@ -18,12 +18,13 @@ import pytest
 from repro.apps import kmeans_spec, pagerank_spec, sssp_spec
 from repro.cluster import SimCluster
 from repro.core import Session
-from repro.data import gaussian_mixture
 from repro.graph import (
     attach_random_weights,
     multilevel_partition,
     preferential_attachment,
 )
+
+from tests.inputs import gaussian_mixture
 
 PARTS, KMEANS_PARTS = 6, 9
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,6 @@ from repro.core import DriverConfig, EngineBackend, IterationLoop
 from repro.engine import FaultPlan, MapReduceRuntime
 from repro.graph import (
     attach_random_weights,
-    dumps_adjacency,
-    loads_adjacency,
     multilevel_partition,
     preferential_attachment,
 )
@@ -37,13 +37,16 @@ def partition(graph):
 
 
 class TestSerializationPipeline:
-    def test_pagerank_survives_io_roundtrip(self, graph, partition):
-        # write graph to the adjacency format, read it back, recompute
-        g2 = loads_adjacency(dumps_adjacency(graph))
-        p2 = multilevel_partition(g2, 4, seed=0)
-        a = pagerank(graph, partition, mode="eager").ranks
-        b = pagerank(g2, p2, mode="eager").ranks
-        assert np.allclose(a, b, atol=1e-4)
+    def test_pagerank_survives_pickle_roundtrip(self, graph, partition):
+        # what the process executor ships: the graph and its partition
+        # pickled together must run to the same ranks, bit for bit
+        g2, p2 = pickle.loads(pickle.dumps((graph, partition)))
+        assert g2 == graph and p2.graph is g2
+        assert np.array_equal(p2.assign, partition.assign)
+        a = pagerank(graph, partition, mode="eager")
+        b = pagerank(g2, p2, mode="eager")
+        assert a.global_iters == b.global_iters
+        assert np.array_equal(a.ranks, b.ranks)
 
 
 class TestCrossExecutorEquivalence:

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import CostModel, SimCluster, ZERO_COST, ec2_nodes
-from repro.engine import lpt_schedule, speculative_schedule, submission_order_schedule
+from repro.cluster.accountant import _lpt_makespan
 
 costs_lists = st.lists(st.floats(0.0, 50.0, allow_nan=False),
                        min_size=0, max_size=40)
+#: A rack's nodes: 1-4 of them, 1-3 map slots each, mixed speeds.
+node_sets = st.integers(1, 4).flatmap(lambda count: st.builds(
+    lambda slots, speeds: ec2_nodes(count, map_slots=slots, speeds=speeds),
+    st.integers(1, 3),
+    st.lists(st.sampled_from([0.25, 0.5, 0.6, 1.0, 2.0]),
+             min_size=count, max_size=count)))
 
 
 class TestSchedulingLaws:
@@ -36,33 +41,35 @@ class TestSchedulingLaws:
         big = SimCluster(ec2_nodes(1 + extra), ZERO_COST).run_map_phase(costs)
         assert big.makespan <= small.makespan + 1e-9
 
-    @settings(deadline=None, max_examples=40)
-    @given(costs_lists)
-    def test_lpt_completion_covers_all_tasks(self, costs):
-        out = lpt_schedule(costs, ec2_nodes(2))
-        assert len(out.completion) == len(costs)
-        if costs:
-            assert out.makespan == pytest.approx(max(out.completion))
+    @settings(deadline=None, max_examples=60)
+    @given(costs_lists, node_sets)
+    def test_rack_lpt_within_list_scheduling_bounds(self, costs, nodes):
+        # area and longest-task lower bounds; any greedy list schedule
+        # starts its last task before the area bound, on some slot
+        makespan = _lpt_makespan(costs, nodes)
+        capacity = sum(n.speed * n.map_slots for n in nodes)
+        area = sum(costs) / capacity
+        longest = max(costs, default=0.0)
+        speeds = [n.speed for n in nodes]
+        tol = 1e-9 * (1.0 + area + longest)
+        assert makespan >= max(area, longest / max(speeds)) - tol
+        assert makespan <= area + longest / min(speeds) + tol
 
     @settings(deadline=None, max_examples=40)
-    @given(costs_lists)
-    def test_submission_order_within_greedy_bounds(self, costs):
-        # any greedy list schedule stays between the area bound and the
-        # serial sum, and covers every task
-        nodes = ec2_nodes(2, speeds=[1.0, 0.5])
-        out = submission_order_schedule(costs, nodes)
-        assert len(out.completion) == len(costs)
-        assert out.makespan <= sum(costs) / min(1.0, 0.5) + 1e-9
-        if costs:
-            assert out.makespan == pytest.approx(max(out.completion))
+    @given(st.data(), costs_lists, node_sets)
+    def test_rack_lpt_ignores_submission_order(self, data, costs, nodes):
+        shuffled = data.draw(st.permutations(costs))
+        assert _lpt_makespan(shuffled, nodes) == _lpt_makespan(costs, nodes)
 
-    @settings(deadline=None, max_examples=40)
-    @given(costs_lists, st.floats(min_value=1.1, max_value=3.0))
-    def test_speculation_never_hurts(self, costs, threshold):
-        nodes = ec2_nodes(2, speeds=[1.0, 0.3])
-        f = lpt_schedule(costs, nodes)
-        s = speculative_schedule(costs, nodes, slowdown_threshold=threshold)
-        assert s.makespan <= f.makespan + 1e-9
+    @settings(deadline=None, max_examples=60)
+    @given(costs_lists, st.integers(1, 4), st.integers(1, 3))
+    def test_rack_lpt_is_the_cluster_map_phase_on_identical_nodes(
+            self, costs, count, slots):
+        # the two LPTs break ties differently, (node, slot) vs (slot,
+        # node); on identical slots that only relabels them
+        nodes = ec2_nodes(count, map_slots=slots)
+        phase = SimCluster(nodes, ZERO_COST).run_map_phase(costs)
+        assert _lpt_makespan(costs, nodes) == phase.makespan
 
     @settings(deadline=None, max_examples=30)
     @given(st.floats(0.0, 1e9), st.floats(0.0, 1e9))

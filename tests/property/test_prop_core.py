@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -9,9 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.apps.pagerank import PageRankKVSpec
 from repro.apps.sssp import SsspKVSpec
 from repro.core import (
+    CentroidShiftCriterion,
     DriverConfig,
-    InfNormCriterion,
-    UnchangedCriterion,
     run_local_block,
     run_local_mapreduce,
 )
@@ -85,33 +86,43 @@ class TestBlockLoopProperties:
                 assert block.converged == oracle.converged
 
 
+@st.composite
+def centroid_pairs(draw):
+    """Two same-shape ``(k, d)`` centroid arrays with integer coordinates
+    (so differences and shifts are exact in float64)."""
+    k = draw(st.integers(min_value=0, max_value=6))
+    d = draw(st.integers(min_value=1, max_value=4))
+    coords = st.lists(st.integers(-1000, 1000), min_size=k * d,
+                      max_size=k * d)
+    prev = np.array(draw(coords), dtype=np.float64).reshape(k, d)
+    curr = np.array(draw(coords), dtype=np.float64).reshape(k, d)
+    return prev, curr
+
+
 class TestCriterionProperties:
     @settings(deadline=None, max_examples=60)
-    @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1,
-                    max_size=20),
-           st.floats(1e-9, 1e3))
-    def test_infnorm_symmetric_in_sign(self, vals, tol):
-        a = np.asarray(vals)
-        c1, c2 = InfNormCriterion(tol), InfNormCriterion(tol)
-        assert c1.update(np.zeros_like(a), a) == c2.update(a, np.zeros_like(a))
-        assert c1.last_residual == pytest.approx(c2.last_residual)
+    @given(centroid_pairs())
+    def test_residual_symmetric_in_argument_order(self, pair):
+        prev, curr = pair
+        c = CentroidShiftCriterion(1.0)
+        assert c.residual(prev, curr) == c.residual(curr, prev)
 
     @settings(deadline=None, max_examples=60)
-    @given(st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1,
-                    max_size=20))
-    def test_unchanged_reflexive(self, vals):
-        a = np.asarray(vals)
-        assert UnchangedCriterion().update(a, a.copy())
+    @given(centroid_pairs(), st.integers(-1000, 1000))
+    def test_residual_translation_invariant(self, pair, shift):
+        prev, curr = pair
+        c = CentroidShiftCriterion(1.0)
+        assert c.residual(prev + shift, curr + shift) == c.residual(prev, curr)
 
     @settings(deadline=None, max_examples=60)
-    @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=1,
-                    max_size=10),
-           st.integers(0, 9))
-    def test_unchanged_detects_any_change(self, vals, idx):
-        a = np.asarray(vals)
-        b = a.copy()
-        b[idx % len(b)] += 1.0
-        assert not UnchangedCriterion().update(a, b)
+    @given(centroid_pairs(), st.floats(1e-3, 3000.0))
+    def test_first_update_is_the_threshold_rule(self, pair, tol):
+        prev, curr = pair
+        c = CentroidShiftCriterion(tol)
+        moved = max((math.dist(p, q) for p, q in zip(prev, curr)), default=0.0)
+        assert c.update(prev, curr) == (c.last_residual < tol)
+        assert c.last_residual == pytest.approx(moved, rel=1e-12)
+        assert not c.oscillated
 
 
 class TestJacobiProperties:
@@ -122,7 +133,9 @@ class TestJacobiProperties:
            st.sampled_from(["general", "eager"]))
     def test_random_dominant_systems_solved(self, seed, k, mode):
         from repro.apps import jacobi_solve, make_diagonally_dominant_system
-        from repro.graph import chunk_partition, random_digraph
+        from repro.graph import chunk_partition
+
+        from tests.inputs import random_digraph
 
         g = random_digraph(30, 80, seed=seed)
         part = chunk_partition(g, k)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _parse_staleness, build_parser, main
 
 
 class TestParser:
@@ -187,6 +187,69 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Figure 2" in out
         assert "series Eager" in out
+
+    def test_sssp_sweep_figure_runs(self, capsys):
+        rc = main(["sweep", "--figure", "7", "--scale", "0.002"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "Figure 7" in out
+        assert "series Eager" in out
+
+    def test_schedule_rejects_empty_job_list(self, capsys):
+        rc = main(["schedule", "--jobs", " , ", "--scale", "0.003"])
+        assert rc == 2
+        assert "at least one job" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--split-threshold",
+                                      "--merge-threshold"])
+    def test_schedule_tablet_thresholds_need_online_store(self, capsys, flag):
+        rc = main(["schedule", "--jobs", "pagerank", "--scale", "0.003",
+                   "-k", "2", flag, "1000"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert flag in err and "--state-store online" in err
+
+    def test_schedule_one_failure_domain_per_run(self, capsys):
+        rc = main(["schedule", "--jobs", "pagerank", "--scale", "0.003",
+                   "-k", "2", "--kill-node", "1", "--kill-rack", "0"])
+        assert rc == 2
+        assert "mutually exclusive" in capsys.readouterr().err
+
+    def test_schedule_kill_node_reports_recovery(self, capsys):
+        rc = main(["schedule", "--jobs", "pagerank,sssp", "--scale", "0.003",
+                   "-k", "2", "--kill-node", "1", "--kill-round", "1",
+                   "--kill-at", "5"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "Correlated-failure recovery" in out
+        deaths = [line.split("|")[2].strip() for line in out.splitlines()
+                  if line.startswith(("| pagerank#0 ", "| sssp#1 "))]
+        # the job table, then the recovery table: one death, on the job
+        # running round 1 when the node dies
+        assert deaths[2:] == ["1", "0"]
+
+    def test_schedule_speculate_and_split_report(self, capsys):
+        rc = main(["schedule", "--jobs", "pagerank,sssp", "--scale", "0.003",
+                   "-k", "2", "--speculate", "--state-store", "online",
+                   "--split-threshold", "1000"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "Speculation / auto-split" in out
+        assert "shared online store" in out
+        assert " 0 splits" not in out  # a 1 kB threshold must split
+
+
+class TestParseStaleness:
+    @pytest.mark.parametrize("text,bound", [("none", None), ("INF", None),
+                                            (" unbounded ", None),
+                                            ("0", 0), ("3", 3)])
+    def test_accepted(self, text, bound):
+        assert _parse_staleness(text) == bound
+
+    @pytest.mark.parametrize("text", ["two", "1.5", "-1"])
+    def test_rejected(self, text):
+        with pytest.raises(ValueError, match="--staleness"):
+            _parse_staleness(text)
 
 
 class TestLint:

@@ -14,7 +14,6 @@ from repro.util import (
     check_positive,
     check_probability,
     format_series,
-    spawn_rngs,
 )
 
 
@@ -125,21 +124,6 @@ class TestRng:
 
     def test_as_rng_none_gives_generator(self):
         assert isinstance(as_rng(None), np.random.Generator)
-
-    def test_spawn_rngs_independent_and_reproducible(self):
-        kids1 = spawn_rngs(7, 3)
-        kids2 = spawn_rngs(7, 3)
-        for a, b in zip(kids1, kids2):
-            assert np.array_equal(a.integers(0, 100, 5), b.integers(0, 100, 5))
-        draws = [tuple(k.integers(0, 10**9, 4)) for k in spawn_rngs(7, 3)]
-        assert len(set(draws)) == 3  # streams differ from each other
-
-    def test_spawn_rngs_rejects_negative(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_spawn_rngs_zero(self):
-        assert spawn_rngs(0, 0) == []
 
 
 class TestTables:
