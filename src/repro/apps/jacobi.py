@@ -150,8 +150,7 @@ class JacobiBlockSpec(BlockSpec):
     supports_async = True
 
     def __init__(self, system: SparseSystem, partition: Partition, *,
-                 tol: float = 1e-8, local_tol: "float | None" = None,
-                 require_dominant: bool = True) -> None:
+                 tol: float = 1e-8, require_dominant: bool = True) -> None:
         if system.n != partition.graph.num_nodes:
             raise ValueError("system size must match the partitioned graph")
         if tol <= 0:
@@ -163,7 +162,6 @@ class JacobiBlockSpec(BlockSpec):
         self.system = system
         self.partition = partition
         self.tol = tol
-        self.local_tol = local_tol if local_tol is not None else tol
         # The row owns the entry: a part's couplings to remote unknowns
         # are its outgoing cut edges.
         self._blocks = split_edges(system.rows, system.cols, system.vals,
@@ -203,7 +201,7 @@ class JacobiBlockSpec(BlockSpec):
             iters += 1
             delta = float(np.abs(x_new - x).max())
             x = x_new
-            if delta < self.local_tol:
+            if delta < self.tol:
                 break
         records = len(nodes) + len(e_r)
         # Dense update: the whole solution slice is rewritten through

@@ -138,7 +138,6 @@ class KMeansBlockSpec(BlockSpec):
     def __init__(self, points: np.ndarray, k: int, *,
                  num_partitions: int = 52,
                  threshold: float = 1e-3,
-                 local_threshold: "float | None" = None,
                  weighting: str = "count",
                  reshuffle_every: int = 5,
                  oscillation_detection: bool = True,
@@ -160,8 +159,6 @@ class KMeansBlockSpec(BlockSpec):
         self.points = points
         self.k = k
         self.threshold = threshold
-        self.local_threshold = (local_threshold if local_threshold is not None
-                                else threshold)
         self.weighting = weighting
         self.reshuffle_every = reshuffle_every
         self.num_parts = min(num_partitions, len(points))
@@ -232,7 +229,7 @@ class KMeansBlockSpec(BlockSpec):
             iters += 1
             shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
             centroids = new_centroids
-            if shift < self.local_threshold:
+            if shift < self.threshold:
                 break
         # The emitted (input-centroid -> updated-centroid) pairs are the
         # final local centroids with their supporting sums/counts — i.e.

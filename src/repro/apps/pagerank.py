@@ -16,12 +16,10 @@ below 1e-5).
   number of *global* synchronizations is much lower — exactly the
   tradeoff of §II.
 
-Two implementations share that math:
-
-* :class:`PageRankBlockSpec` — vectorised (CSR per partition), used by
-  the benchmark sweeps.
-* :class:`PageRankKVSpec` — the record-at-a-time §IV API (lmap/lreduce/
-  greduce) on the real engine, used by the correctness tests.
+Two specs share that math, and one local step, through one base class:
+:class:`PageRankBlockSpec` (the simulator's, used by the benchmark
+sweeps) and :class:`PageRankKVSpec` (the record-at-a-time §IV API —
+lmap/lreduce/greduce — on the real engine).
 
 :func:`pagerank` is the high-level entry point; :func:`pagerank_reference`
 is an independent dense power-iteration oracle.
@@ -45,10 +43,11 @@ from repro.core import (
     IterativeResult,
     LocalSolveReport,
     resolve_block_backend,
+    run_local_block,
 )
 from repro.core.localmr import xs_columns
 from repro.engine import MapReduceRuntime
-from repro.graph import DiGraph, Partition, edge_blocks, split_edges
+from repro.graph import DiGraph, Partition, split_edges
 
 __all__ = [
     "PageRankBlockSpec",
@@ -74,13 +73,70 @@ class PageRankResult:
     result: IterativeResult
 
 
-class PageRankBlockSpec(BlockSpec):
-    """Vectorised PageRank over a :class:`~repro.graph.Partition`.
+class _PageRank:
+    """What both PageRank specs share.
 
-    ``local_solve`` runs damped Jacobi sweeps on the partition's internal
-    edges with the external contribution vector frozen; in general mode
-    (``max_local_iters == 1``) a single sweep makes the whole scheme the
-    classic synchronous power iteration.
+    The block-level local step (``local_agg`` and the ``*_block``
+    hooks, contract in ``docs/local_loop.md``) works on two columns,
+    ``(rank, ext)``: ``ext`` is the frozen sum of remote contributions,
+    and each local iteration is one damped Jacobi sweep over the
+    partition's internal edges, ``rank = ((1-d) + d*ext) + d*contrib``.
+    """
+
+    local_agg = "sum"
+
+    def __init__(self, graph: DiGraph, partition: Partition, *,
+                 damping: float = 0.85, tol: float = 1e-5) -> None:
+        if not 0.0 < damping < 1.0:
+            raise ValueError(f"damping must be in (0, 1), got {damping}")
+        if tol <= 0:
+            raise ValueError("tol must be > 0")
+        self.graph = graph
+        self.partition = partition
+        self.damping = damping
+        self.tol = tol
+        outdeg = graph.out_degree().astype(np.float64)
+        # Dangling nodes contribute nothing (the paper's eq. 1 divides by
+        # outlinks only for actual source nodes); avoid div-by-zero.
+        self.inv_outdeg = np.where(outdeg > 0, 1.0 / np.maximum(outdeg, 1), 0.0)
+        # Eq. 1 is a mat-vec whose edge weight is 1/outdeg[src]: split
+        # that with the edges once, here, so it ships with the spec.
+        src, dst, _ = graph.edge_arrays()
+        self._blocks = split_edges(src, dst, self.inv_outdeg[src], partition)
+
+    def num_partitions(self) -> int:
+        return self.partition.k
+
+    def lmap_block(self, part_id: int, cols):
+        b = self._blocks[part_id]
+        # Gather, then scale in place: one edge-sized temporary per
+        # sweep, not two.
+        push = cols[0][b.int_src]
+        push *= b.int_w
+        return b.int_dst, push
+
+    def lreduce_block(self, part_id: int, cols, acc: np.ndarray):
+        d, ext = self.damping, cols[1]
+        acc *= d
+        acc += (1.0 - d) + d * ext  # ((1-d) + d*ext) + d*acc: + commutes
+        return acc, ext
+
+    def local_converged_block(self, prev_cols, cols) -> bool:
+        return bool(np.abs(cols[0] - prev_cols[0]).max(initial=0.0) < self.tol)
+
+    def global_converged(self, prev, curr):
+        residual = float(np.abs(curr - prev).max()) if len(prev) else 0.0
+        return residual < self.tol, residual
+
+
+class PageRankBlockSpec(_PageRank, BlockSpec):
+    """PageRank over a :class:`~repro.graph.Partition`, state a flat
+    rank vector.
+
+    ``local_solve`` folds the incoming cut edges into the frozen ``ext``
+    column and runs the block-level local step on ``(rank, ext)``; in
+    general mode (``max_local_iters == 1``) a single sweep makes the
+    whole scheme the classic synchronous power iteration.
     """
 
     #: Each partition owns a disjoint node slice of the state vector.
@@ -90,31 +146,6 @@ class PageRankBlockSpec(BlockSpec):
     #: the combine overwrites disjoint slices, so arrival order is
     #: irrelevant.
     supports_async = True
-
-    def __init__(self, graph: DiGraph, partition: Partition, *,
-                 damping: float = 0.85, tol: float = 1e-5,
-                 local_tol: "float | None" = None) -> None:
-        if not 0.0 < damping < 1.0:
-            raise ValueError(f"damping must be in (0, 1), got {damping}")
-        if tol <= 0:
-            raise ValueError("tol must be > 0")
-        self.graph = graph
-        self.partition = partition
-        self.damping = damping
-        self.tol = tol
-        self.local_tol = local_tol if local_tol is not None else tol
-        outdeg = graph.out_degree().astype(np.float64)
-        # Dangling nodes contribute nothing (the paper's eq. 1 divides by
-        # outlinks only for actual source nodes); avoid div-by-zero.
-        self.inv_outdeg = np.where(outdeg > 0, 1.0 / np.maximum(outdeg, 1), 0.0)
-        # Eq. 1 is a mat-vec whose edge weight is 1/outdeg[src]: split
-        # that with the edges, once, instead of gathering it per sweep.
-        src, dst, _ = graph.edge_arrays()
-        self._blocks = split_edges(src, dst, self.inv_outdeg[src], partition)
-
-    # -- BlockSpec interface --------------------------------------------
-    def num_partitions(self) -> int:
-        return self.partition.k
 
     def init_state(self) -> np.ndarray:
         """All nodes start with PageRank 1 (§V-B)."""
@@ -128,33 +159,16 @@ class PageRankBlockSpec(BlockSpec):
             return LocalSolveReport(partition=part_id, updates=(nodes, nodes),
                                     local_iters=0, per_iter_ops=[],
                                     shuffle_bytes=0, update_nbytes=0)
-        d = self.damping
-        x = state[nodes]
-        # Frozen external contributions from remote partitions.
-        b_ext = np.zeros(len(nodes), dtype=np.float64)
-        if len(b.in_src):
-            ext = state[b.in_src]
-            ext *= b.in_w
-            np.add.at(b_ext, b.in_dst, ext)
-        base = (1.0 - d) + d * b_ext
-
-        int_src, int_dst, int_w = b.int_src, b.int_dst, b.int_w
-        iters = 0
-        while iters < max_local_iters:
-            contrib = np.zeros(len(nodes), dtype=np.float64)
-            if len(int_src):
-                # Gather, then scale in place: one edge-sized temporary
-                # per sweep, not two.
-                push = x[int_src]
-                push *= int_w
-                np.add.at(contrib, int_dst, push)
-            x_new = base + d * contrib
-            iters += 1
-            delta = float(np.abs(x_new - x).max())
-            x = x_new
-            if delta < self.local_tol:
-                break
-        per_iter_ops = [float(len(int_src) + len(nodes))] * iters
+        ext = np.zeros(len(nodes), dtype=np.float64)
+        push = state[b.in_src]
+        push *= b.in_w
+        np.add.at(ext, b.in_dst, push)
+        run = run_local_block(self, part_id, (state[nodes], ext),
+                              max_local_iters=max_local_iters)
+        x = run.table[0]
+        # The simulator prices a sweep at one op per internal edge and
+        # per node, not at the per-record loop's ``3n + m``.
+        per_iter_ops = [float(len(b.int_src) + len(nodes))] * run.local_iters
 
         # Shuffle volume: at local convergence the gmap emits one rank
         # record per node plus one contribution record per outgoing cut
@@ -163,14 +177,15 @@ class PageRankBlockSpec(BlockSpec):
         # volume the paper's general formulation pays each iteration.
         records = len(b.cut_src) + len(nodes)
         if max_local_iters == 1:
-            records += len(int_src)
+            records += len(b.int_src)
         # State-store traffic: every rank in the partition's slice is
         # rewritten each round (dense update), so the per-partition
         # distribution is the partition-size profile — and the vector
         # sums to state_nbytes exactly, keeping aggregate charges
         # identical to the historical scalar accounting.
         return LocalSolveReport(partition=part_id, updates=(nodes, x),
-                                local_iters=iters, per_iter_ops=per_iter_ops,
+                                local_iters=run.local_iters,
+                                per_iter_ops=per_iter_ops,
                                 shuffle_bytes=records * RECORD_BYTES,
                                 update_nbytes=int(x.nbytes))
 
@@ -184,19 +199,12 @@ class PageRankBlockSpec(BlockSpec):
         # greduce touches every shuffled record once.
         return new_state, float(records), 0
 
-    def global_converged(self, prev, curr):
-        residual = float(np.abs(curr - prev).max()) if len(prev) else 0.0
-        return residual < self.tol, residual
-
-    def state_nbytes(self, state) -> int:
-        return int(np.asarray(state).nbytes)
-
 
 # ----------------------------------------------------------------------
 # Record-at-a-time (§IV API) implementation
 # ----------------------------------------------------------------------
 
-class PageRankKVSpec(AsyncMapReduceSpec):
+class PageRankKVSpec(_PageRank, AsyncMapReduceSpec):
     """PageRank through lmap/lreduce/greduce on the real engine.
 
     Hashtable layout per partition: ``node -> (rank, ext_contrib,
@@ -221,27 +229,19 @@ class PageRankKVSpec(AsyncMapReduceSpec):
     combiner (§V-B's partial aggregation) pre-folds each partition's
     contributions to one row per remote target before the shuffle.
 
-    Block-level local step (``local_agg``): mutable columns ``(rank,
-    ext_contrib)``, ``lreduce``'s fold of a node's internal
-    contributions is a **sum** — bitwise the ``lmap``/``lreduce`` below.
+    Block-level local step: the hashtable's ``(rank, ext_contrib)``
+    columns; ``lreduce``'s fold of a node's internal contributions is a
+    **sum** — bitwise the ``lmap``/``lreduce`` below.
     """
 
-    local_agg = "sum"
     supports_columnar = True
     columnar_combine = "sum"
 
     def __init__(self, graph: DiGraph, partition: Partition, *,
                  damping: float = 0.85, tol: float = 1e-5,
                  dense_state: bool = False) -> None:
-        if not 0.0 < damping < 1.0:
-            raise ValueError(f"damping must be in (0, 1), got {damping}")
-        self.graph = graph
-        self.partition = partition
-        self.damping = damping
-        self.tol = tol
+        super().__init__(graph, partition, damping=damping, tol=tol)
         self.dense_state = dense_state
-        outdeg = graph.out_degree().astype(np.float64)
-        self._inv_outdeg = np.where(outdeg > 0, 1.0 / np.maximum(outdeg, 1), 0.0)
         assign = partition.assign
         # node -> ([internal successors], [external successors])
         self._internal_adj: dict[int, list[int]] = {}
@@ -251,10 +251,6 @@ class PageRankKVSpec(AsyncMapReduceSpec):
             same = assign[succ] == assign[u]
             self._internal_adj[u] = succ[same].tolist()
             self._external_adj[u] = succ[~same].tolist()
-        #: Static per-partition arrays (local step, columnar emission):
-        #: built here so they ship with the spec — a worker's copy lives one run.
-        self._blocks = edge_blocks(graph, partition)
-        self._block_inv_out = [self._inv_outdeg[b.nodes] for b in self._blocks]
 
     # -- iteration plumbing ----------------------------------------------
     def initial_state(self) -> dict:
@@ -262,17 +258,12 @@ class PageRankKVSpec(AsyncMapReduceSpec):
         (so the first global round matches the block/general trajectory
         exactly rather than starting from zero remote input)."""
         ext = np.zeros(self.graph.num_nodes, dtype=np.float64)
-        src, dst, _ = self.graph.edge_arrays()
-        assign = self.partition.assign
-        cross = assign[src] != assign[dst]
-        np.add.at(ext, dst[cross], self._inv_outdeg[src[cross]])
+        for b in self._blocks:  # rank 1 over every incoming cut edge
+            np.add.at(ext, b.nodes[b.in_dst], b.in_w)
+        rows = np.column_stack([np.ones_like(ext), ext])
         if self.dense_state:
-            rows = np.column_stack([np.ones_like(ext), ext])
             return DenseKVState(rows)
-        return {u: (1.0, float(ext[u])) for u in range(self.graph.num_nodes)}
-
-    def num_partitions(self) -> int:
-        return self.partition.k
+        return dict(enumerate(map(tuple, rows.tolist())))
 
     def partition_input(self, part_id: int, state: dict) -> list:
         xs = []
@@ -280,7 +271,7 @@ class PageRankKVSpec(AsyncMapReduceSpec):
             u = int(u)
             rank, ext = state[u]
             xs.append((u, (rank, ext, self._internal_adj[u],
-                           self._external_adj[u], float(self._inv_outdeg[u]))))
+                           self._external_adj[u], float(self.inv_outdeg[u]))))
         return xs
 
     # -- the four user functions ------------------------------------------
@@ -303,7 +294,8 @@ class PageRankKVSpec(AsyncMapReduceSpec):
         if rec is None:
             return  # contribution to a node outside this partition's table
         _, ext, internal, external, inv_out = rec
-        new_rank = (1.0 - self.damping) + self.damping * (contrib + ext)
+        d = self.damping
+        new_rank = ((1.0 - d) + d * ext) + d * contrib
         ctx.emit_local(key, (new_rank, ext, internal, external, inv_out))
 
     def greduce(self, key, values, ctx) -> None:
@@ -333,16 +325,11 @@ class PageRankKVSpec(AsyncMapReduceSpec):
 
     def global_converged(self, prev_state, curr_state):
         if isinstance(curr_state, DenseKVState):
-            prev = prev_state.column(0)
-            curr = curr_state.column(0)
-            residual = float(np.abs(curr - prev).max()) if len(curr) else 0.0
+            prev, curr = prev_state.column(0), curr_state.column(0)
         else:
-            residual = max(
-                (abs(curr_state[u][0] - prev_state[u][0])
-                 for u in curr_state),
-                default=0.0,
-            )
-        return residual < self.tol, residual
+            prev = np.array([prev_state[u][0] for u in curr_state])
+            curr = np.array([curr_state[u][0] for u in curr_state])
+        return super().global_converged(prev, curr)
 
     def state_from_output(self, output: list, prev_state):
         if isinstance(prev_state, DenseKVState):
@@ -351,35 +338,20 @@ class PageRankKVSpec(AsyncMapReduceSpec):
         new_state.update(output)
         return new_state
 
-    # -- block-level local step ---------------------------------------------
-    def local_columns(self, part_id: int, xs: list) -> np.ndarray:
+    def local_columns(self, part_id: int, xs: list):
         return xs_columns(xs, self._blocks[part_id].node_list, 2)
 
-    def lmap_block(self, part_id: int, cols: np.ndarray):
-        b = self._blocks[part_id]
-        push = cols[:, 0] * self._block_inv_out[part_id]
-        return b.int_dst, push[b.int_src]
-
-    def lreduce_block(self, part_id: int, cols: np.ndarray, acc: np.ndarray):
-        ext = cols[:, 1]
-        new_rank = (1.0 - self.damping) + self.damping * (acc + ext)
-        return np.column_stack([new_rank, ext])
-
-    def local_converged_block(self, prev_cols, cols) -> bool:
-        delta = np.abs(cols[:, 0] - prev_cols[:, 0]).max(initial=0.0)
-        return bool(delta < self.tol)
-
     # -- columnar fast path ------------------------------------------------
-    def gmap_emit_block(self, cols: np.ndarray, part_id: int):
+    def gmap_emit_block(self, cols, part_id: int):
         """The columnar emission from the rank column: one
         gather-multiply over the partition's outgoing cut edges."""
         b = self._blocks[part_id]
-        ranks = cols[:, 0]
+        ranks = cols[0]
         n = len(b.nodes)
         keys = np.concatenate([b.nodes, b.cut_dst])
         rows = np.zeros((len(keys), 2), dtype=np.float64)
         rows[:n, 0] = ranks
-        rows[n:, 1] = ranks[b.cut_src] * self._block_inv_out[part_id][b.cut_src]
+        rows[n:, 1] = ranks[b.cut_src] * b.cut_w
         return keys, rows
 
     def gmap_emit_columnar(self, table: dict, part_id: int):
@@ -390,7 +362,7 @@ class PageRankKVSpec(AsyncMapReduceSpec):
         nodes = self._blocks[part_id].node_list
         ranks = np.fromiter((table[u][0] for u in nodes),
                             dtype=np.float64, count=len(nodes))
-        return self.gmap_emit_block(ranks[:, None], part_id)
+        return self.gmap_emit_block((ranks,), part_id)
 
     def columnar_reduce(self):
         return "sum"

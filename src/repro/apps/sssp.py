@@ -15,7 +15,9 @@ sub-graph asynchronously").
 This is the min-plus (tropical) analogue of the PageRank block-Jacobi
 scheme; distances are monotonically non-increasing, so both formulations
 terminate at the exact Dijkstra distances — which the tests verify
-against a SciPy oracle.
+against a SciPy oracle.  :class:`SsspBlockSpec` (the simulator's) and
+:class:`SsspKVSpec` (the engine's) share validation, the edge split and
+the block-level local step through one private base class.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from repro.core import (
     IterativeResult,
     LocalSolveReport,
     resolve_block_backend,
+    run_local_block,
 )
 from repro.core.localmr import xs_columns
 from repro.engine import MapReduceRuntime
@@ -65,15 +68,20 @@ class SsspResult:
     result: IterativeResult
 
 
-class SsspBlockSpec(BlockSpec):
-    """Vectorised SSSP over a partition (min-plus block iteration)."""
+class _Sssp:
+    """What both SSSP specs share.
 
-    #: Each partition owns a disjoint node slice of the state vector.
-    partition_scoped_state = True
-    #: Min-plus relaxation is monotone (distances only improve) and the
-    #: combine is a commutative min-fold, the textbook async-safe shape:
-    #: stale reads only delay relaxations, never corrupt them.
-    supports_async = True
+    The block-level local step (``local_agg`` and the ``*_block``
+    hooks, contract in ``docs/local_loop.md``) works on two columns,
+    ``(dist, ext)``: ``ext`` is the best distance offered over incoming
+    cut edges, a constant floor each relaxation applies.  So a single
+    local iteration is exactly one synchronous Bellman-Ford round over
+    *all* edges (general mode must be partition-independent), while
+    iterating to a fixed point resolves every intra-partition path
+    (eager).
+    """
+
+    local_agg = "min"
 
     def __init__(self, graph: DiGraph, partition: Partition, *,
                  source: int = 0) -> None:
@@ -84,11 +92,51 @@ class SsspBlockSpec(BlockSpec):
         self.graph = graph
         self.partition = partition
         self.source = source
-        self._blocks = edge_blocks(graph, partition)
+        self._blocks = edge_blocks(graph, partition)  # ships with the spec
 
-    # -- BlockSpec interface --------------------------------------------
     def num_partitions(self) -> int:
         return self.partition.k
+
+    def lmap_block(self, part_id: int, cols):
+        b = self._blocks[part_id]
+        # Gather, then add in place: one edge-sized temporary per
+        # relaxation, not two.
+        cand = cols[0][b.int_src]
+        live = np.isfinite(cand)  # an unreached source emits nothing
+        cand += b.int_w
+        if live.all():
+            return b.int_dst, cand
+        return b.int_dst[live], cand[live]
+
+    def lreduce_block(self, part_id: int, cols, acc: np.ndarray):
+        np.minimum(cols[0], acc, out=acc)
+        np.minimum(acc, cols[1], out=acc)
+        return acc, cols[1]
+
+    def local_converged_block(self, prev_cols, cols) -> bool:
+        # inf == inf: unreached rows compare equal (no distance is -inf)
+        return bool((cols[0] == prev_cols[0]).all())
+
+    def global_converged(self, prev, curr):
+        both_inf = np.isinf(prev) & np.isinf(curr)
+        with np.errstate(invalid="ignore"):  # inf - inf handled via mask
+            diff = np.abs(curr - prev)
+        diff[both_inf] = 0.0
+        residual = float(diff.max()) if len(diff) else 0.0
+        return residual == 0.0, residual
+
+
+class SsspBlockSpec(_Sssp, BlockSpec):
+    """SSSP over a partition, state a flat distance vector: ``local_solve``
+    folds the incoming cut edges into the frozen ``ext`` column and runs
+    the block-level local step on ``(dist, ext)``."""
+
+    #: Each partition owns a disjoint node slice of the state vector.
+    partition_scoped_state = True
+    #: Min-plus relaxation is monotone (distances only improve) and the
+    #: combine is a commutative min-fold, the textbook async-safe shape:
+    #: stale reads only delay relaxations, never corrupt them.
+    supports_async = True
 
     def init_state(self) -> np.ndarray:
         """Source at distance 0, everything else unreached (inf), §V-C."""
@@ -104,45 +152,29 @@ class SsspBlockSpec(BlockSpec):
             return LocalSolveReport(partition=part_id, updates=(nodes, nodes),
                                     local_iters=0, per_iter_ops=[],
                                     shuffle_bytes=0, update_nbytes=0)
-        # Frozen candidates over incoming cross edges: a constant floor
-        # applied inside each relaxation so that a single local iteration
-        # is exactly one synchronous Bellman-Ford round over *all* edges
-        # (general mode must be partition-independent), while iterating
-        # to a fixed point resolves every intra-partition path (eager).
-        x0 = x = state[nodes]
-        ext_floor = np.full(len(nodes), np.inf, dtype=np.float64)
-        if len(b.in_src):
-            ext = state[b.in_src]
-            ext += b.in_w
-            np.minimum.at(ext_floor, b.in_dst, ext)
-
-        int_src, int_dst, int_w = b.int_src, b.int_dst, b.int_w
-        iters = 0
-        while iters < max_local_iters:
-            x_new = np.minimum(x, ext_floor)
-            if len(int_src):
-                # Gather, then add in place: one edge-sized temporary
-                # per relaxation, not two.
-                cand = x[int_src]
-                cand += int_w
-                np.minimum.at(x_new, int_dst, cand)
-            iters += 1
-            changed = x_new < x
-            x = x_new
-            if not changed.any():
-                break
-        per_iter_ops = [float(len(int_src) + len(nodes))] * iters
+        ext = np.full(len(nodes), np.inf, dtype=np.float64)
+        cand = state[b.in_src]
+        cand += b.in_w
+        np.minimum.at(ext, b.in_dst, cand)
+        x0 = state[nodes]
+        run = run_local_block(self, part_id, (x0, ext),
+                              max_local_iters=max_local_iters)
+        x = run.table[0]
+        # The simulator prices a relaxation at one op per internal edge
+        # and per node, not at the per-record loop's ``3n + live edges``.
+        per_iter_ops = [float(len(b.int_src) + len(nodes))] * run.local_iters
 
         records = len(b.cut_src) + len(nodes)
         if max_local_iters == 1:
-            records += len(int_src)
+            records += len(b.int_src)
         # State-store traffic is frontier-driven: only distances that
         # improved this round are (re)written, so partitions the wave
         # is currently sweeping dominate the store's key range —
         # SSSP's naturally skewed update distribution.
         changed = int(np.count_nonzero(x < x0))
         return LocalSolveReport(partition=part_id, updates=(nodes, x),
-                                local_iters=iters, per_iter_ops=per_iter_ops,
+                                local_iters=run.local_iters,
+                                per_iter_ops=per_iter_ops,
                                 shuffle_bytes=records * RECORD_BYTES,
                                 update_nbytes=changed * 8)
 
@@ -156,17 +188,6 @@ class SsspBlockSpec(BlockSpec):
             new_state[nodes] = np.minimum(new_state[nodes], x)
             records += r.shuffle_bytes // RECORD_BYTES
         return new_state, float(records), 0
-
-    def global_converged(self, prev, curr):
-        both_inf = np.isinf(prev) & np.isinf(curr)
-        with np.errstate(invalid="ignore"):  # inf - inf handled via mask
-            diff = np.abs(curr - prev)
-        diff[both_inf] = 0.0
-        residual = float(diff.max()) if len(diff) else 0.0
-        return residual == 0.0, residual
-
-    def state_nbytes(self, state) -> int:
-        return int(np.asarray(state).nbytes)
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +203,7 @@ def _sssp_columnar_finish(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-class SsspKVSpec(AsyncMapReduceSpec):
+class SsspKVSpec(_Sssp, AsyncMapReduceSpec):
     """SSSP through lmap/lreduce/greduce on the real engine.
 
     Hashtable layout: ``node -> (dist, ext_best, internal_adj,
@@ -199,23 +220,18 @@ class SsspKVSpec(AsyncMapReduceSpec):
     folding the cross-edge floor into the distance.  The map-side
     ``"min"`` combiner ships one row per remote target per partition.
 
-    Block-level local step (``local_agg``): mutable columns ``(dist,
-    ext_best)``, ``lreduce``'s fold of a node's relaxation candidates is
-    a **min**, edges out of unreached nodes emit nothing — bitwise the
+    Block-level local step: the hashtable's ``(dist, ext_best)``
+    columns; ``lreduce``'s fold of a node's relaxation candidates is a
+    **min**, edges out of unreached nodes emit nothing — bitwise the
     ``lmap``/``lreduce`` below.
     """
 
-    local_agg = "min"
     supports_columnar = True
     columnar_combine = "min"
 
     def __init__(self, graph: DiGraph, partition: Partition, *,
                  source: int = 0, dense_state: bool = False) -> None:
-        if not 0 <= source < graph.num_nodes:
-            raise ValueError(f"source {source} out of range")
-        self.graph = graph
-        self.partition = partition
-        self.source = source
+        super().__init__(graph, partition, source=source)
         self.dense_state = dense_state
         assign = partition.assign
         self._internal_adj: dict[int, list] = {}
@@ -226,31 +242,18 @@ class SsspKVSpec(AsyncMapReduceSpec):
             same = assign[succ] == assign[u]
             self._internal_adj[u] = list(zip(succ[same].tolist(), w[same].tolist()))
             self._external_adj[u] = list(zip(succ[~same].tolist(), w[~same].tolist()))
-        #: Static per-partition arrays (local step, columnar emission):
-        #: built here so they ship with the spec — a worker's copy lives one run.
-        self._blocks = edge_blocks(graph, partition)
 
     def initial_state(self) -> dict:
         """Source at 0, rest unreached; cross-edge floors consistent with
         that initial state (the source's cross out-edges already offer
         candidate distances to their remote endpoints)."""
-        inf = float("inf")
-        if self.dense_state:
-            rows = np.full((self.graph.num_nodes, 2), np.inf,
-                           dtype=np.float64)
-            rows[self.source, 0] = 0.0
-            for v, w in self._external_adj[self.source]:
-                rows[v, 1] = min(rows[v, 1], w)
-            return DenseKVState(rows)
-        state = {u: (0.0 if u == self.source else inf, inf)
-                 for u in range(self.graph.num_nodes)}
+        rows = np.full((self.graph.num_nodes, 2), np.inf, dtype=np.float64)
+        rows[self.source, 0] = 0.0
         for v, w in self._external_adj[self.source]:
-            dist, ext = state[v]
-            state[v] = (dist, min(ext, w))
-        return state
-
-    def num_partitions(self) -> int:
-        return self.partition.k
+            rows[v, 1] = min(rows[v, 1], w)
+        if self.dense_state:
+            return DenseKVState(rows)
+        return dict(enumerate(map(tuple, rows.tolist())))
 
     def partition_input(self, part_id: int, state: dict) -> list:
         xs = []
@@ -309,21 +312,11 @@ class SsspKVSpec(AsyncMapReduceSpec):
 
     def global_converged(self, prev_state, curr_state):
         if isinstance(curr_state, DenseKVState):
-            prev = prev_state.column(0)
-            curr = curr_state.column(0)
-            both_inf = np.isinf(prev) & np.isinf(curr)
-            with np.errstate(invalid="ignore"):  # inf - inf via mask
-                diff = np.abs(curr - prev)
-            diff[both_inf] = 0.0
-            residual = float(diff.max()) if len(diff) else 0.0
-            return residual == 0.0, residual
-        residual = 0.0
-        for u, (d, _) in curr_state.items():
-            p = prev_state[u][0]
-            if math.isinf(d) and math.isinf(p):
-                continue
-            residual = max(residual, abs(d - p))
-        return residual == 0.0, residual
+            prev, curr = prev_state.column(0), curr_state.column(0)
+        else:
+            prev = np.array([prev_state[u][0] for u in curr_state])
+            curr = np.array([curr_state[u][0] for u in curr_state])
+        return super().global_converged(prev, curr)
 
     def state_from_output(self, output: list, prev_state):
         if isinstance(prev_state, DenseKVState):
@@ -332,31 +325,15 @@ class SsspKVSpec(AsyncMapReduceSpec):
         new_state.update(output)
         return new_state
 
-    # -- block-level local step ---------------------------------------------
-    def local_columns(self, part_id: int, xs: list) -> np.ndarray:
+    def local_columns(self, part_id: int, xs: list):
         return xs_columns(xs, self._blocks[part_id].node_list, 2)
 
-    def lmap_block(self, part_id: int, cols: np.ndarray):
-        b = self._blocks[part_id]
-        dist = cols[b.int_src, 0]
-        live = np.isfinite(dist)
-        return b.int_dst[live], dist[live] + b.int_w[live]
-
-    def lreduce_block(self, part_id: int, cols: np.ndarray, acc: np.ndarray):
-        ext = cols[:, 1]
-        new_dist = np.minimum(np.minimum(cols[:, 0], acc), ext)
-        return np.column_stack([new_dist, ext])
-
-    def local_converged_block(self, prev_cols, cols) -> bool:
-        prev, curr = prev_cols[:, 0], cols[:, 0]
-        return bool(np.all((curr == prev) | (np.isinf(curr) & np.isinf(prev))))
-
     # -- columnar fast path ------------------------------------------------
-    def gmap_emit_block(self, cols: np.ndarray, part_id: int):
+    def gmap_emit_block(self, cols, part_id: int):
         """The columnar emission from the distance column: one
         gather-add over the partition's live outgoing cut edges."""
         b = self._blocks[part_id]
-        dists = cols[:, 0]
+        dists = cols[0]
         n = len(b.nodes)
         live = np.isfinite(dists[b.cut_src])
         keys = np.concatenate([b.nodes, b.cut_dst[live]])
@@ -372,7 +349,7 @@ class SsspKVSpec(AsyncMapReduceSpec):
         nodes = self._blocks[part_id].node_list
         dists = np.fromiter((table[u][0] for u in nodes),
                             dtype=np.float64, count=len(nodes))
-        return self.gmap_emit_block(dists[:, None], part_id)
+        return self.gmap_emit_block((dists,), part_id)
 
     def columnar_reduce(self):
         from repro.engine import ColumnarReduce

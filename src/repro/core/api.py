@@ -1,7 +1,7 @@
 """The partial-synchronization programming API (§IV of the paper).
 
 Two spec flavours implement the same two-level (local/global) scheme,
-with one step between them:
+with one local loop between them:
 
 * :class:`AsyncMapReduceSpec` — the faithful record-at-a-time API with
   the paper's four user functions (``lmap``, ``lreduce``, ``greduce``
@@ -19,13 +19,16 @@ with one step between them:
   thread pool to extract further parallelism" (§IV); on a NumPy
   substrate that lever is vectorising the local iteration.
 
-* :class:`BlockSpec` — the vectorised per-partition variant the
-  simulator's ``BlockBackend`` runs.  A BlockSpec reports per-iteration
-  operation counts and shuffle bytes so the simulated cluster charges
-  exactly the same quantities the record-at-a-time path would, while
-  the benchmark sweeps stay laptop-fast.  Its ``local_solve`` is now a
-  *duplicate* of the block-level local step (same arrays, same
-  per-iteration ops) and is the next thing to collapse onto it.
+* :class:`BlockSpec` — the per-partition spec the simulator's
+  ``BlockBackend`` runs on a flat state vector; ``local_solve`` reports
+  per-iteration operation counts and shuffle bytes for the simulated
+  cluster to price.  PageRank's and SSSP's ``local_solve`` is the block
+  step above — ``run_local_block`` over the hooks their engine-path
+  specs declare, on columns cut from the flat state — so both layers
+  run one loop.  They price it differently: an engine iteration counts
+  the per-record loop's ``3n + m`` operations, a simulated one ``n + m``
+  (one per node and per internal edge; ``docs/local_loop.md``).
+  K-means, components and Jacobi keep loops of their own.
 
 Both flavours share :class:`LocalSolveReport` (what a gmap hands to the
 global synchronization) and the convergence protocol from
@@ -196,10 +199,10 @@ class AsyncMapReduceSpec(abc.ABC):
 
     # -- block-level local step (opt-in, see local_agg) -----------------
     def local_columns(self, part_id: int, xs: list) -> Any:
-        """The hashtable's mutable columns as one ``(n, c)`` float64
-        array, row ``i`` = ``xs[i]`` (the leading ``c`` fields of each
-        value tuple); ``ValueError`` when ``xs`` is not the partition
-        the spec's static arrays describe."""
+        """The hashtable's mutable columns: a tuple of ``c`` ``(n,)``
+        float64 arrays, column ``j`` the ``j``-th field of every value
+        tuple, row ``i`` = ``xs[i]``; ``ValueError`` when ``xs`` is not
+        the partition the spec's static arrays describe."""
         raise NotImplementedError
 
     def lmap_block(self, part_id: int, cols: Any) -> "tuple[Any, Any]":
@@ -211,7 +214,9 @@ class AsyncMapReduceSpec(abc.ABC):
     def lreduce_block(self, part_id: int, cols: Any, acc: Any) -> Any:
         """``lreduce``'s epilogue for every row at once: ``acc[i]`` is
         row ``i``'s contributions folded by :attr:`local_agg` (its
-        identity where none arrived); returns the new ``cols``."""
+        identity where none arrived); returns the new ``cols``.  ``acc``
+        is this iteration's own array and may become a new column; the
+        input columns must not be written."""
         raise NotImplementedError
 
     def local_converged_block(self, prev_cols: Any, cols: Any) -> bool:

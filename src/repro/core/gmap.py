@@ -65,7 +65,8 @@ class GmapFunction:
         spec = self.spec
         block = getattr(spec, "local_agg", None) is not None
         if block:
-            result = run_local_block(spec, part_id, xs,
+            result = run_local_block(spec, part_id,
+                                     spec.local_columns(part_id, xs),
                                      max_local_iters=self.max_local_iters)
         else:
             result = run_local_mapreduce(spec, xs,

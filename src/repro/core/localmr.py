@@ -23,8 +23,12 @@ That per-record loop is the oracle and the teaching API.
 :func:`run_local_block` is the same loop on arrays, for specs that
 declare a block-level local step (``spec.local_agg``) — **bitwise** the
 per-record loop: same tables, same iteration counts, same
-``per_iter_ops``.  :class:`per_record` is the view that reaches the
-oracle for such a spec; ``docs/local_loop.md`` states the contract.
+``per_iter_ops``.  It is the one array loop: the engine's gmap runs it
+on the columns ``spec.local_columns`` cuts from the gmap input, and the
+simulator's ``PageRankBlockSpec``/``SsspBlockSpec.local_solve`` on
+columns cut from the flat state.  :class:`per_record` is the view that
+reaches the oracle for such a spec; ``docs/local_loop.md`` states the
+contract.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ class LocalRunResult:
     """Outcome of one gmap's local MapReduce loop."""
 
     #: Local state at local convergence: the hashtable — or, from
-    #: :func:`run_local_block`, its mutable columns as an ``(n, c)``
-    #: float64 array in ``xs`` order (see :func:`block_table`).
+    #: :func:`run_local_block`, its mutable columns as a tuple of
+    #: ``(n,)`` float64 arrays in row order (see :func:`block_table`).
     table: Any
     #: Number of local iterations executed.
     local_iters: int
@@ -127,12 +131,14 @@ def run_local_mapreduce(
 def run_local_block(
     spec: AsyncMapReduceSpec,
     part_id: int,
-    xs: "list[tuple[Any, Any]]",
+    cols: "tuple[np.ndarray, ...]",
     *,
     max_local_iters: int,
 ) -> LocalRunResult:
     """:func:`run_local_mapreduce` on arrays, for a spec declaring
-    ``local_agg``; ``result.table`` is the final column array.
+    ``local_agg``: ``cols`` are the partition's mutable columns (one
+    ``(n,)`` float64 array each, row ``i`` = the partition's ``i``-th
+    key), ``result.table`` the final ones.
 
     One iteration is ``lmap_block`` → ``ufunc.at(acc, rows, values)`` →
     ``lreduce_block``.  The local shuffle is ``np.add.at`` /
@@ -152,18 +158,15 @@ def run_local_block(
     """
     if max_local_iters < 1:
         raise ValueError("max_local_iters must be >= 1")
-    if len({k for k, _ in xs}) != len(xs):
-        raise ValueError("duplicate key in gmap input")
-    cols = spec.local_columns(part_id, xs)
     scatter = resolve_agg(spec.local_agg).at
-    identity = _AGG_IDENTITY[spec.local_agg]
-    n = len(xs)
+    n = len(cols[0])
+    start = np.full(n, _AGG_IDENTITY[spec.local_agg])
     per_iter_ops: list[float] = []
     converged = False
     iters = 0
     while iters < max_local_iters and not converged:
         rows, values = spec.lmap_block(part_id, cols)
-        acc = np.full(n, identity)
+        acc = start.copy()
         scatter(acc, rows, values)
         new_cols = spec.lreduce_block(part_id, cols, acc)
         per_iter_ops.append(float(3 * n + len(rows)))
@@ -174,23 +177,29 @@ def run_local_block(
                           per_iter_ops=per_iter_ops, converged=converged)
 
 
-def xs_columns(xs: "list[tuple[Any, Any]]", keys: list, width: int) -> np.ndarray:
-    """The leading ``width`` fields of every ``xs`` value as an
-    ``(n, width)`` float64 array — what a spec's ``local_columns``
-    returns once it has named the ``keys`` its static arrays are for."""
-    if [k for k, _ in xs] != keys:
+def xs_columns(xs: "list[tuple[Any, Any]]", keys: list,
+               width: int) -> "tuple[np.ndarray, ...]":
+    """The leading ``width`` fields of every ``xs`` value as ``width``
+    ``(n,)`` float64 columns — what a spec's ``local_columns`` returns
+    once it has named the ``keys`` its static arrays are for."""
+    ks = [k for k, _ in xs]
+    if len(set(ks)) != len(ks):
+        raise ValueError("duplicate key in gmap input")
+    if ks != keys:
         raise ValueError("gmap input is not the partition the spec's "
                          "static arrays describe")
-    return np.array([v[:width] for _, v in xs],
-                    dtype=np.float64).reshape(len(xs), width)
+    rows = np.array([v[:width] for _, v in xs], dtype=np.float64)
+    return tuple(np.ascontiguousarray(rows.reshape(len(xs), width).T))
 
 
-def block_table(xs: "list[tuple[Any, Any]]", cols: np.ndarray) -> dict:
+def block_table(xs: "list[tuple[Any, Any]]",
+                cols: "tuple[np.ndarray, ...]") -> dict:
     """The hashtable :func:`run_local_mapreduce` would return, rebuilt
-    from ``xs`` and a final column array: each value tuple's leading
-    fields replaced by its row, the static rest carried over."""
-    width = cols.shape[1]
-    return {k: (*row, *v[width:]) for (k, v), row in zip(xs, cols.tolist())}
+    from ``xs`` and the final columns: each value tuple's leading fields
+    replaced by its row, the static rest carried over."""
+    width = len(cols)
+    rows = zip(*(c.tolist() for c in cols))
+    return {k: (*row, *v[width:]) for (k, v), row in zip(xs, rows)}
 
 
 class per_record:

@@ -75,7 +75,7 @@ def pagerank_reference(spec, part_id, state, *, max_local_iters):
         iters += 1
         delta = float(np.abs(x_new - x).max())
         x = x_new
-        if delta < spec.local_tol:
+        if delta < spec.tol:
             break
     return LocalSolveReport(
         partition=part_id, updates=(nodes, x), local_iters=iters,
@@ -168,7 +168,7 @@ def jacobi_reference(spec, part_id, state, *, max_local_iters):
         iters += 1
         delta = float(np.abs(x_new - x).max())
         x = x_new
-        if delta < spec.local_tol:
+        if delta < spec.tol:
             break
     records = len(nodes) + len(e_r)
     return LocalSolveReport(
@@ -197,7 +197,7 @@ def kmeans_reference(spec, part_id, state, *, max_local_iters):
         iters += 1
         shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
         centroids = new_centroids
-        if shift < spec.local_threshold:
+        if shift < spec.threshold:
             break
     return LocalSolveReport(
         partition=part_id, updates=(sums, counts), local_iters=iters,

@@ -6,7 +6,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.apps import PageRankBlockSpec, pagerank, pagerank_reference
+from repro.apps import (
+    PageRankBlockSpec,
+    PageRankKVSpec,
+    pagerank,
+    pagerank_reference,
+)
 from repro.cluster import SimCluster
 from repro.core import DriverConfig
 from repro.graph import (
@@ -78,6 +83,14 @@ class TestCorrectness:
             PageRankBlockSpec(small_graph, small_partition, tol=0)
         with pytest.raises(ValueError):
             pagerank(small_graph, small_partition, path="quantum")
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-5])
+    def test_kv_spec_rejects_nonpositive_tol(self, small_graph,
+                                             small_partition, tol):
+        """Both specs validate through one constructor: a tolerance no
+        residual can drop below never stops the engine path either."""
+        with pytest.raises(ValueError, match="tol"):
+            PageRankKVSpec(small_graph, small_partition, tol=tol)
 
 
 class TestPaperBehaviour:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.apps import SsspBlockSpec, sssp, sssp_reference
+from repro.apps import SsspBlockSpec, SsspKVSpec, sssp, sssp_reference
 from repro.cluster import SimCluster
 from repro.graph import (
     DiGraph,
@@ -81,6 +81,13 @@ class TestCorrectness:
         g = DiGraph(2, [0], [1], [-1.0])
         with pytest.raises(ValueError, match="non-negative"):
             SsspBlockSpec(g, chunk_partition(g, 1))
+
+    def test_kv_spec_rejects_negative_weights(self):
+        """The min-plus fixed point over a negative edge is no shortest
+        path: the engine-path spec refuses it as the block spec does."""
+        g = DiGraph(2, [0], [1], [-1.0])
+        with pytest.raises(ValueError, match="non-negative"):
+            SsspKVSpec(g, chunk_partition(g, 1))
 
 
 class TestPaperBehaviour:

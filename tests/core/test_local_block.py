@@ -14,8 +14,8 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.apps.pagerank import PageRankKVSpec
-from repro.apps.sssp import SsspKVSpec
+from repro.apps.pagerank import PageRankBlockSpec, PageRankKVSpec
+from repro.apps.sssp import SsspBlockSpec, SsspKVSpec
 from repro.cluster import SimCluster
 from repro.core import (
     DriverConfig,
@@ -37,12 +37,15 @@ from repro.graph import (
     preferential_attachment,
 )
 
+from tests.apps.test_local_solve_reference import _messy_graph, _partitions
+
 CAPS = (1, 2, 3, 7, 10_000)
 
 
 def assert_same_local_run(spec, part_id, xs, cap):
     """One partition, one cap: block loop == per-record loop, exactly."""
-    block = run_local_block(spec, part_id, xs, max_local_iters=cap)
+    block = run_local_block(spec, part_id, spec.local_columns(part_id, xs),
+                            max_local_iters=cap)
     oracle = run_local_mapreduce(spec, xs, max_local_iters=cap)
     assert block_table(xs, block.table) == oracle.table
     assert list(block_table(xs, block.table)) == list(oracle.table)
@@ -97,6 +100,55 @@ class TestLocalLoopMatrix:
         xs = spec.partition_input(0, spec.initial_state())
         res = assert_same_local_run(spec, 0, xs, 10_000)
         assert len(set(res.per_iter_ops)) > 1
+
+
+class TestOneLoopForBothLayers:
+    """The simulator's ``local_solve`` is the engine's block step: from
+    the same ``(value, ext)`` columns — ``ext`` folded from the in-view
+    as ``local_solve`` folds it — ``run_local_block`` over the KV spec's
+    hooks yields the block spec's ranks / distances to the byte, in as
+    many local iterations, through several global rounds."""
+
+    def _compare(self, block_spec, kv_spec, fold, identity, cap):
+        state = block_spec.init_state()
+        for _ in range(4):
+            reports = []
+            for p in range(block_spec.num_partitions()):
+                got = block_spec.local_solve(p, state, max_local_iters=cap)
+                reports.append(got)
+                b = kv_spec._blocks[p]
+                if len(b.nodes) == 0:
+                    assert got.local_iters == 0
+                    continue
+                ext = np.full(len(b.nodes), identity)
+                fold(ext, b.in_dst, state[b.in_src], b.in_w)
+                want = run_local_block(kv_spec, p, (state[b.nodes], ext),
+                                       max_local_iters=cap)
+                assert got.updates[1].tobytes() == want.table[0].tobytes()
+                assert got.local_iters == want.local_iters
+            state = block_spec.global_combine(state, reports)[0]
+
+    @pytest.mark.parametrize("cap", [1, 2, 50])
+    def test_pagerank(self, cap):
+        def fold(ext, rows, values, w):
+            np.add.at(ext, rows, values * w)
+
+        g = _messy_graph(1)
+        for part in _partitions(g):
+            self._compare(PageRankBlockSpec(g, part), PageRankKVSpec(g, part),
+                          fold, 0.0, cap)
+
+    @pytest.mark.parametrize("cap", [1, 2, 50])
+    def test_sssp(self, cap):
+        def fold(ext, rows, values, w):
+            np.minimum.at(ext, rows, values + w)
+
+        g = attach_random_weights(_messy_graph(2), low=1.0, high=10.0, seed=5)
+        source = int(g.out_dst[0])
+        for part in _partitions(g):
+            self._compare(SsspBlockSpec(g, part, source=source),
+                          SsspKVSpec(g, part, source=source),
+                          fold, np.inf, cap)
 
 
 def _hub_graph(fan_in: int) -> "tuple[DiGraph, Partition]":
@@ -165,7 +217,7 @@ class TestTraps:
         xs = spec.partition_input(1, spec.initial_state())
         res = assert_same_local_run(spec, 1, xs, 10_000)
         assert res.converged and res.local_iters == 1
-        assert np.isinf(res.table[:, 0]).all()
+        assert np.isinf(res.table[0]).all()
         assert res.per_iter_ops == [9.0]  # 3 n, no live edge
 
     def test_parallel_edges_to_one_target(self):
@@ -177,9 +229,9 @@ class TestTraps:
         assert_same_everywhere(PageRankKVSpec(g, part))
         spec = SsspKVSpec(g, part, source=0)
         assert_same_everywhere(spec)
-        res = run_local_block(spec, 0, spec.partition_input(
-            0, spec.initial_state()), max_local_iters=10_000)
-        assert res.table[:, 0].tolist() == [0.0, 2.0, 3.0]
+        res = run_local_block(spec, 0, spec.local_columns(0, spec.partition_input(
+            0, spec.initial_state())), max_local_iters=10_000)
+        assert res.table[0].tolist() == [0.0, 2.0, 3.0]
 
 
 class TestContract:
@@ -191,13 +243,14 @@ class TestContract:
         spec = self._spec(graphs)
         xs = spec.partition_input(0, spec.initial_state())
         with pytest.raises(ValueError, match="max_local_iters"):
-            run_local_block(spec, 0, xs, max_local_iters=0)
+            run_local_block(spec, 0, spec.local_columns(0, xs),
+                            max_local_iters=0)
 
     def test_rejects_duplicate_key(self, graphs):
         spec = self._spec(graphs)
         xs = spec.partition_input(0, spec.initial_state())
         with pytest.raises(ValueError, match="duplicate key"):
-            run_local_block(spec, 0, xs + xs[:1], max_local_iters=1)
+            spec.local_columns(0, xs + xs[:1])
 
     def test_rejects_xs_of_another_partition(self, graphs):
         """The static arrays describe one partition; a reordered or
@@ -205,11 +258,9 @@ class TestContract:
         spec = self._spec(graphs)
         state = spec.initial_state()
         with pytest.raises(ValueError, match="partition"):
-            run_local_block(spec, 0, spec.partition_input(1, state),
-                            max_local_iters=1)
+            spec.local_columns(0, spec.partition_input(1, state))
         with pytest.raises(ValueError, match="partition"):
-            run_local_block(spec, 0, spec.partition_input(0, state)[::-1],
-                            max_local_iters=1)
+            spec.local_columns(0, spec.partition_input(0, state)[::-1])
 
     def test_per_record_view_hides_only_the_declaration(self, graphs):
         spec = self._spec(graphs)
@@ -286,12 +337,15 @@ class TestStaticArraysShipWithTheSpec:
     copy runs the gmap — a worker's unpickled copy already has them."""
 
     def _lazy_reference(self, spec, p, weighted):
-        """The emission arrays as the lazy per-node loop built them."""
+        """The emission arrays as the lazy per-node loop built them; an
+        unweighted (PageRank) edge carries ``gmap_emit``'s factor
+        ``1/outdeg`` of its source."""
         nodes = [int(u) for u in spec.partition.parts()[p]]
         adj = [spec._external_adj[u] for u in nodes]
         counts = [len(a) for a in adj]
         dst = [(e[0] if weighted else e) for a in adj for e in a]
-        w = [(e[1] if weighted else 1.0) for a in adj for e in a]
+        w = [(e[1] if weighted else float(spec.inv_outdeg[u]))
+             for u, a in zip(nodes, adj) for e in a]
         return nodes, np.repeat(np.arange(len(nodes)), counts), dst, w
 
     @pytest.mark.parametrize("make", ["pagerank", "sssp"])

@@ -78,7 +78,8 @@ class TestBlockLoopProperties:
         for spec, table in runs:
             for p in range(part.k):
                 xs = spec.partition_input(p, table)
-                block = run_local_block(spec, p, xs, max_local_iters=cap)
+                block = run_local_block(spec, p, spec.local_columns(p, xs),
+                                        max_local_iters=cap)
                 oracle = run_local_mapreduce(spec, xs, max_local_iters=cap)
                 assert block_table(xs, block.table) == oracle.table
                 assert block.local_iters == oracle.local_iters
