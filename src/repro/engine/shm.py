@@ -28,14 +28,14 @@ cannot unlink what the driver still needs:
   adopted and are unlinked the moment its result is discarded.
 * Reduce outputs are worker-created and consumed once: the driver
   unlinks each as it takes the block (:meth:`ShmBlockRef.take`).
-* Driver-created segments (the parked job functions, which every task
-  attempt of the run re-reads) are adopted at creation and released
-  with the map buckets.
+* Driver-created segments (the parked job functions and the round's
+  input splits, which every task attempt of the run re-reads) are
+  adopted at creation and released with the map buckets.
 * Names are deterministic (``{prefix}m{i}a{a}p{r}`` /
-  ``{prefix}r{i}a{a}`` / ``{prefix}f`` / ``{prefix}rf``), so an aborted
-  job can sweep every segment the attempts it spawned *might* have
-  created — nothing leaks even when a crash leaves
-  completed-but-unadopted results behind.  (``{prefix}g{r}``, a
+  ``{prefix}r{i}a{a}`` / ``{prefix}f`` / ``{prefix}rf`` /
+  ``{prefix}s``), so an aborted job can sweep every segment the
+  attempts it spawned *might* have created — nothing leaks even when a
+  crash leaves completed-but-unadopted results behind.  (``{prefix}g{r}``, a
   reducer's pre-grouped input, has no live producer: only
   :func:`export_groups` callers outside the runtime make one.)
 
@@ -64,10 +64,12 @@ __all__ = [
     "ShmBlockRef",
     "ShmGroupsRef",
     "ShmPickleRef",
+    "ShmSplitRef",
     "SegmentRegistry",
     "export_block",
     "export_groups",
     "export_pickled",
+    "export_splits",
 ]
 
 #: Default minimum payload (bytes) before a block rides shared memory.
@@ -242,12 +244,43 @@ class ShmPickleRef(_ShmRef):
             run = _run_prefix(self.name)
             for stale in [n for n in _PICKLE_CACHE if _run_prefix(n) != run]:
                 del _PICKLE_CACHE[stale]
-            # The loaded arrays are views of ``buffers`` and keep the
-            # private mapping alive; evicting the object unmaps it.
-            stream, *buffers = self._arrays(unlink=False)
-            obj = pickle.loads(stream, buffers=buffers)
+            # The loaded arrays keep the private mapping alive;
+            # evicting the object unmaps it.
+            obj = _unpickle(self._arrays(unlink=False))
             _PICKLE_CACHE[self.name] = obj
         return obj
+
+
+class ShmSplitRef(_ShmRef):
+    """One map task's input split, parked in its run's split segment.
+
+    ``specs[0]`` is this split's own pickle stream, the rest the
+    out-of-band buffers it refers to — which it may share with the other
+    splits of the run (:func:`export_splits`).  :meth:`load` maps the
+    segment and unpickles this stream alone, with no cache: each attempt
+    reads the split afresh, as it would unpickle a submitted one.
+    """
+
+    __slots__ = ()
+
+    def load(self) -> Any:
+        return _unpickle(self._arrays(unlink=False))
+
+
+def _unpickle(parts: "list[np.ndarray]") -> Any:
+    """Load a stream over its out-of-band buffers.  The loaded arrays
+    are views of the buffers, so they own the private mapping."""
+    stream, *buffers = parts
+    return pickle.loads(stream, buffers=buffers)
+
+
+def _pickle_parts(obj: Any) -> "tuple[np.ndarray, list[np.ndarray]]":
+    """``obj``'s protocol-5 pickle stream and its out-of-band buffers,
+    as ``uint8`` views (the buffers still alias ``obj``'s arrays)."""
+    buffers: "list[pickle.PickleBuffer]" = []
+    stream = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    return (np.frombuffer(stream, dtype=np.uint8),
+            [np.frombuffer(b.raw(), dtype=np.uint8) for b in buffers])
 
 
 def export_pickled(obj: Any, name: str,
@@ -258,14 +291,47 @@ def export_pickled(obj: Any, name: str,
     unchanged — per-task pickling of a few hundred bytes is cheaper
     than a segment round trip.
     """
-    buffers: "list[pickle.PickleBuffer]" = []
-    stream = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-    parts = [np.frombuffer(stream, dtype=np.uint8)]
-    parts += [np.frombuffer(b.raw(), dtype=np.uint8) for b in buffers]
+    stream, buffers = _pickle_parts(obj)
+    parts = [stream, *buffers]
     nbytes = sum(p.nbytes for p in parts)
     if nbytes < min_bytes:
         return obj
     return ShmPickleRef(name, _write_segment(name, parts), nbytes)
+
+
+def export_splits(splits: "list", name: str,
+                  min_bytes: int = SHM_MIN_BYTES) -> "list":
+    """Park a run's input splits in one segment if they are big enough.
+
+    Each split is pickled *alone*, so a map task unpickles its own
+    split's Python objects and nobody else's.  Their out-of-band buffers
+    are written once per distinct memory area — an array that every
+    split carries (an iterative job's state vector) lands in the segment
+    once, however many splits hold it.  Returns one
+    :class:`ShmSplitRef` per split, or ``splits`` itself when the
+    streams and distinct buffers together stay below ``min_bytes``.
+    """
+    parts: "list[np.ndarray]" = []
+    #: (address, nbytes) of a buffer -> its index in ``parts``.
+    written: "dict[tuple[int, int], int]" = {}
+    layout: "list[list[int]]" = []
+    for split in splits:
+        stream, buffers = _pickle_parts(split)
+        indices = [len(parts)]
+        parts.append(stream)
+        for buf in buffers:
+            where = (buf.__array_interface__["data"][0], buf.nbytes)
+            if where not in written:
+                written[where] = len(parts)
+                parts.append(buf)
+            indices.append(written[where])
+        layout.append(indices)
+    if sum(p.nbytes for p in parts) < min_bytes:
+        return splits
+    specs = _write_segment(name, parts)
+    return [ShmSplitRef(name, [specs[j] for j in indices],
+                        sum(parts[j].nbytes for j in indices))
+            for indices in layout]
 
 
 def export_block(block: ColumnarBlock, name: str,

@@ -25,8 +25,8 @@ the paper's MapReduce, where reducers pull their partitions from the
 map side and the master only tracks where they are (§II), the run is
 what a reduce task is handed; the task reads its buckets and groups
 them itself (:meth:`ColumnarRun.group`: the columnar grouping kernel —
-:func:`~repro.engine.columnar.stable_key_order`, a stable radix sort by
-key, then run boundaries from one neighbour comparison), so R reducers
+:func:`~repro.engine.columnar.stable_key_order`, a stable sort by key,
+then run boundaries from one neighbour comparison), so R reducers
 group in parallel and the synchronising driver copies nothing.
 :meth:`ShuffleBuffer.columnar_groups` and :meth:`ShuffleBuffer.groups`
 group the same runs in the calling process; the latter materialises

@@ -28,7 +28,7 @@ def merged_csr(num_nodes: int, us: np.ndarray, vs: np.ndarray,
     """CSR ``(ptr, nbr, w)`` of the edge list ``(us, vs, ws)`` with
     parallel edges merged into one of summed weight.
 
-    The sort by ``(u, v)`` is two stable radix passes, so a merged
+    The sort by ``(u, v)`` is two stable kernel sorts, so a merged
     edge adds its weights in input order — floating-point sums, and
     everything the partitioner derives from them, depend on that order.
     """
@@ -66,7 +66,7 @@ class DiGraph:
 
     Notes
     -----
-    Construction cost is the sort, two radix passes over the edges; all
+    Construction cost is the sort, two kernel sorts of the edges; all
     per-node accessors afterwards are O(out-degree) views, not copies.
     """
 

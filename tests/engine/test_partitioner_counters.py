@@ -16,6 +16,9 @@ from hypothesis import given, settings, strategies as st
 from repro.engine import (
     Counters,
     HashPartitioner,
+    Job,
+    JobConf,
+    MapReduceRuntime,
     RangePartitioner,
     hash_buckets,
     partitioner,
@@ -317,6 +320,63 @@ class TestRangePartitioner:
     def test_pickles(self):
         p = pickle.loads(pickle.dumps(RangePartitioner(["g", "p"])))
         assert [p(k, 3) for k in ("a", "g", "z")] == [0, 1, 2]
+
+
+def _pair_map(key, value, ctx):
+    ctx.emit(key, value)
+
+
+def _block_map(key, value, ctx):
+    ctx.emit_block(np.arange(8) + key, np.ones(8))
+
+
+class _ConstantPartitioner:
+    """A broken custom partitioner: every key to one fixed bucket."""
+
+    def __init__(self, bucket):
+        self.bucket = bucket
+
+    def __call__(self, key, num_reducers):
+        return self.bucket
+
+
+class TestOutOfRangeBucket:
+    """A custom partitioner's bucket outside ``[0, R)`` fails the job
+    with one ``IndexError`` on every shuffle path.  The object path
+    used to send bucket -1 to reducer R-1 (``buckets[-1]``) in silence,
+    and to fail bucket R with the list's own message."""
+
+    R = 3
+
+    @pytest.mark.parametrize("bucket", [-1, -R, R])
+    @pytest.mark.parametrize("map_fn,columnar", [
+        (_pair_map, False),   # the object path
+        (_block_map, False),  # columnar output forced down the object path
+        (_block_map, True),   # the columnar path
+    ], ids=["object", "forced-object", "columnar"])
+    def test_the_job_raises(self, map_fn, columnar, bucket):
+        job = Job(map_fn, "sum", partitioner=_ConstantPartitioner(bucket),
+                  conf=JobConf(num_reducers=self.R, columnar=columnar))
+        with MapReduceRuntime("serial") as rt:
+            with pytest.raises(IndexError,
+                               match=r"bucket outside \[0, 3\)"):
+                rt.run(job, [[(k, 1.0)] for k in range(4)])
+
+    def test_the_object_path_with_a_combiner_raises(self):
+        job = Job(_pair_map, "sum", combine_fn="sum",
+                  partitioner=_ConstantPartitioner(-1),
+                  conf=JobConf(num_reducers=self.R, columnar=False,
+                               combine_crossover=0))
+        with MapReduceRuntime("serial") as rt:
+            with pytest.raises(IndexError, match="outside"):
+                rt.run(job, [[(k % 2, 1.0) for k in range(6)]])
+
+    def test_an_in_range_custom_partitioner_still_routes(self):
+        job = Job(_pair_map, "sum", partitioner=_ConstantPartitioner(2),
+                  conf=JobConf(num_reducers=self.R, columnar=False))
+        with MapReduceRuntime("serial") as rt:
+            res = rt.run(job, [[(k, float(k))] for k in range(4)])
+        assert sorted(res.output) == [(k, float(k)) for k in range(4)]
 
 
 class TestCounters:

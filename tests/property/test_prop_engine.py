@@ -8,12 +8,18 @@ key types.
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import repro
 from repro.engine import (
     FaultPlan,
     HashPartitioner,
@@ -51,8 +57,9 @@ _I64 = np.iinfo(np.int64)
 def int64_key_lists(draw):
     """Duplicated int64 keys inside a window ``[lo, lo + span]``.
 
-    Spans sit on and either side of each 16-bit digit boundary (where
-    the radix sort gains a pass), up to the whole int64 range (where
+    Spans sit on and either side of each 16-bit digit boundary (2**16
+    is where the kernel leaves its radix pass), up to the whole int64
+    range (where
     ``max - min`` itself overflows int64); the window slides anywhere,
     so negatives and the int64 extremes come up.
     """
@@ -193,6 +200,97 @@ class TestStableKeyOrder:
         minor = np.array(minors, dtype=np.int64)
         assert np.array_equal(stable_pair_order(major, minor),
                               np.lexsort((minor, major)))
+
+    # -- explicit cases at the kernel's switches --------------------------
+    # One uint16 radix argsort while the span fits 16 bits, else one SIMD
+    # sort of (offset << nb | position) composites per (64 - nb)-bit
+    # digit, nb = (n - 1).bit_length().  Keys are drawn from a small pool
+    # so that every case is full of ties, which only a stable order keeps.
+
+    @pytest.mark.parametrize("span", [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1])
+    @pytest.mark.parametrize("lo", [-3, int(_I64.min)])
+    def test_radix_composite_switch(self, span, lo):
+        k = _tied_window(5000, span, lo, seed=span)
+        assert np.array_equal(stable_key_order(k), np.argsort(k, kind="stable"))
+
+    @pytest.mark.parametrize("d", [-1, 0, 1])
+    def test_one_and_two_composite_passes(self, d):
+        n = 2 ** 17 + 3
+        nb = (n - 1).bit_length()
+        assert nb == 18
+        # span < 2**46 fits one composite; 2**46 and up take two sorts
+        k = _tied_window(n, 2 ** (64 - nb) + d, -(2 ** 45), seed=d + 7)
+        assert np.array_equal(stable_key_order(k), np.argsort(k, kind="stable"))
+
+    @pytest.mark.parametrize("value", [0, -1, int(_I64.min), int(_I64.max)])
+    def test_all_equal_keys(self, value):
+        k = np.full(100_000, value, dtype=np.int64)
+        assert np.array_equal(stable_key_order(k), np.arange(len(k)))
+
+    def test_int64_extremes_at_large_n(self):
+        rng = np.random.default_rng(3)
+        pool = np.concatenate([
+            [_I64.min, _I64.max, _I64.min + 1, _I64.max - 1, 0, -1, 1],
+            rng.integers(_I64.min, _I64.max, 500, endpoint=True)])
+        k = pool[rng.integers(0, len(pool), 2 ** 17 + 3)].astype(np.int64)
+        assert k.min() == _I64.min and k.max() == _I64.max
+        assert np.array_equal(stable_key_order(k), np.argsort(k, kind="stable"))
+
+    def test_same_order_without_simd_sort(self):
+        """NumPy picks its sort kernel at run time from the CPU's
+        features; ``NPY_DISABLE_CPU_FEATURES`` (read once, at import)
+        turns every dispatched target off, leaving the baseline build's
+        non-SIMD sort.  The composites are distinct, so both kernels
+        must return the same permutation."""
+        umath = _multiarray_umath()
+        dispatch = list(umath.__cpu_dispatch__)
+        here = _kernel_digest()
+        src = str(Path(repro.__file__).resolve().parents[1])
+        root = str(Path(__file__).resolve().parents[2])
+        script = (
+            "from tests.property.test_prop_engine import (\n"
+            "    _kernel_digest, _multiarray_umath)\n"
+            "features = _multiarray_umath().__cpu_features__\n"
+            f"assert not any(features.get(f) for f in {dispatch!r})\n"
+            "print(_kernel_digest())\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120, cwd=root,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([src, root]),
+                 "NPY_DISABLE_CPU_FEATURES": " ".join(dispatch)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == here
+
+
+def _tied_window(n: int, span: int, lo: int, seed: int) -> np.ndarray:
+    """``n`` int64 keys from a 300-value pool inside ``[lo, lo + span]``,
+    both ends included: the observed span is exactly ``span``."""
+    rng = np.random.default_rng(seed)
+    offsets = rng.integers(0, span, 300, dtype=np.uint64, endpoint=True)
+    offsets[:2] = (0, span)
+    pool = (offsets + np.uint64(lo % 2 ** 64)).view(np.int64)
+    return pool[rng.integers(0, len(pool), n)]
+
+
+def _multiarray_umath():
+    core = getattr(np, "_core", None) or np.core
+    return core._multiarray_umath
+
+
+def _kernel_digest() -> str:
+    """sha256 of the kernel's orders over inputs that take every branch;
+    each order is also checked against NumPy's stable argsort."""
+    h = hashlib.sha256()
+    for n, span, lo in [(5000, 2 ** 16 - 1, -9), (5000, 2 ** 16 + 1, 0),
+                        (5000, 2 ** 40, -(2 ** 39)),
+                        (2 ** 17 + 3, 2 ** 46 - 1, 5),
+                        (2 ** 17 + 3, 2 ** 46, 5),
+                        (2 ** 17 + 3, 2 ** 64 - 1, int(_I64.min))]:
+        k = _tied_window(n, span, lo, seed=n + span.bit_length())
+        order = stable_key_order(k)
+        assert np.array_equal(order, np.argsort(k, kind="stable"))
+        h.update(order.tobytes())
+    return h.hexdigest()
 
 
 class TestJobProperties:
