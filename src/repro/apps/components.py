@@ -7,6 +7,8 @@ trees, transitive closure, and connected components", §VI).  This module
 is that extension: min-label propagation over the *undirected* view of
 the graph, with the same General (one hop per global iteration) vs Eager
 (local propagation to a fixed point per partition) pairing as SSSP.
+Its local step is ``run_local_block`` over the spec's ``*_block`` hooks,
+on int64 labels that stay int64 (``local_solve`` is the base class's).
 """
 
 from __future__ import annotations
@@ -15,15 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.apps._nodeblock import NodeBlockSpec
 from repro.cluster import SimCluster
-from repro.core import (
-    BlockBackend,
-    BlockSpec,
-    DriverConfig,
-    IterationLoop,
-    IterativeResult,
-    LocalSolveReport,
-)
+from repro.core import BlockBackend, DriverConfig, IterationLoop, IterativeResult
 from repro.graph import DiGraph, Partition, split_edges
 
 __all__ = [
@@ -33,8 +29,6 @@ __all__ = [
     "components_spec",
     "components_reference",
 ]
-
-RECORD_BYTES = 16
 
 
 @dataclass
@@ -49,11 +43,16 @@ class ComponentsResult:
     result: IterativeResult
 
 
-class ComponentsBlockSpec(BlockSpec):
-    """Min-label propagation over undirected edges, partitioned."""
+class ComponentsBlockSpec(NodeBlockSpec):
+    """Min-label propagation over undirected edges, partitioned.
 
-    #: Each partition owns a disjoint node slice of the state vector.
-    partition_scoped_state = True
+    The local step works on two int64 columns, ``(label, floor)``:
+    ``floor`` is the smallest label offered over incoming cut edges, a
+    constant floor every propagation applies — so, as in SSSP, one local
+    iteration is one synchronous round whatever the partitioning.
+    """
+
+    local_agg = "min"
 
     def __init__(self, graph: DiGraph, partition: Partition) -> None:
         self.graph = graph
@@ -62,69 +61,31 @@ class ComponentsBlockSpec(BlockSpec):
         src = np.repeat(np.arange(graph.num_nodes), np.diff(ptr))
         self._blocks = split_edges(src, nbr, w, partition)
 
-    def num_partitions(self) -> int:
-        return self.partition.k
-
     def init_state(self) -> np.ndarray:
         """Every node starts labelled with its own id."""
         return np.arange(self.graph.num_nodes, dtype=np.int64)
 
-    def local_solve(self, part_id: int, state: np.ndarray, *,
-                    max_local_iters: int) -> LocalSolveReport:
-        b = self._blocks[part_id]
-        nodes, i_src, i_dst, e_src, e_dst = (
-            b.nodes, b.int_src, b.int_dst, b.in_src, b.in_dst)
-        if len(nodes) == 0:
-            return LocalSolveReport(partition=part_id, updates=(nodes, nodes),
-                                    local_iters=0, per_iter_ops=[],
-                                    shuffle_bytes=0, update_nbytes=0)
-        # As in SSSP: the frozen cross-edge labels are a constant floor
-        # applied inside each relaxation, so one local iteration is one
-        # synchronous propagation round regardless of the partitioning.
-        x0 = x = state[nodes]
-        ext_floor = np.full(len(nodes), self.graph.num_nodes, dtype=np.int64)
-        if len(e_src):
-            np.minimum.at(ext_floor, e_dst, state[e_src])
-        per_iter_ops: list[float] = []
-        iters = 0
-        while iters < max_local_iters:
-            x_new = np.minimum(x, ext_floor)
-            if len(i_src):
-                np.minimum.at(x_new, i_dst, x[i_src])
-            per_iter_ops.append(float(len(i_src) + len(nodes)))
-            iters += 1
-            changed = bool(np.any(x_new < x))
-            x = x_new
-            if not changed:
-                break
-        records = len(b.cut_src) + len(nodes)
-        if max_local_iters == 1:
-            records += len(i_src)
-        # Frontier-driven state traffic, like SSSP: only labels lowered
-        # this round are rewritten through the state store.
-        changed = int(np.count_nonzero(x < x0))
-        return LocalSolveReport(partition=part_id, updates=(nodes, x),
-                                local_iters=iters, per_iter_ops=per_iter_ops,
-                                shuffle_bytes=records * RECORD_BYTES,
-                                update_nbytes=changed * 8)
+    def frozen_columns(self, b, state):
+        # num_nodes, above every label, where no cut edge lands
+        floor = np.full(len(b.nodes), self.graph.num_nodes, dtype=np.int64)
+        np.minimum.at(floor, b.in_dst, state[b.in_src])
+        return (floor,)
 
-    def global_combine(self, state, reports):
-        new_state = state.copy()
-        records = 0
-        for r in reports:
-            nodes, x = r.updates
-            # Fancy indexing yields a copy, so assign the elementwise min
-            # back rather than using an out= view that would be discarded.
-            new_state[nodes] = np.minimum(new_state[nodes], x)
-            records += r.shuffle_bytes // RECORD_BYTES
-        return new_state, float(records), 0
+    def lmap_block(self, part_id: int, cols):
+        b = self._blocks[part_id]
+        return b.int_dst, cols[0][b.int_src]
+
+    def lreduce_block(self, part_id: int, cols, acc: np.ndarray):
+        np.minimum(cols[0], acc, out=acc)
+        np.minimum(acc, cols[1], out=acc)
+        return acc, cols[1]
+
+    def local_converged_block(self, prev_cols, cols) -> bool:
+        return bool((cols[0] == prev_cols[0]).all())
 
     def global_converged(self, prev, curr):
         residual = float(np.abs(curr - prev).max()) if len(prev) else 0.0
         return residual == 0.0, residual
-
-    def state_nbytes(self, state) -> int:
-        return int(np.asarray(state).nbytes)
 
 
 def connected_components(

@@ -13,7 +13,8 @@ mode iterates each partition's block to local convergence against
 frozen remote values (block-Jacobi / asynchronous iteration — the
 chaotic-relaxation literature the paper cites [1, 9] guarantees
 convergence for contraction mappings regardless of the update
-schedule).
+schedule).  The local sweep is ``run_local_block`` over the spec's
+``*_block`` hooks; ``local_solve`` is the node-partitioned base class's.
 """
 
 from __future__ import annotations
@@ -22,21 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.apps._nodeblock import NodeBlockSpec
 from repro.cluster import SimCluster
 from repro.core import (
-    BlockSpec,
     DriverConfig,
     IterationLoop,
     IterativeResult,
-    LocalSolveReport,
     resolve_block_backend,
 )
 from repro.graph import Partition, split_edges
 
 __all__ = ["SparseSystem", "JacobiBlockSpec", "JacobiResult", "jacobi_solve",
            "make_diagonally_dominant_system"]
-
-RECORD_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -139,11 +137,16 @@ class JacobiResult:
     result: IterativeResult
 
 
-class JacobiBlockSpec(BlockSpec):
-    """Block-Jacobi solver over a graph partition's sparsity structure."""
+class JacobiBlockSpec(NodeBlockSpec):
+    """Block-Jacobi solver over a graph partition's sparsity structure.
 
-    #: Each partition owns a disjoint slice of the unknown vector.
-    partition_scoped_state = True
+    The block-level local step works on three columns, ``(x, b_eff,
+    diag)``: ``b_eff = b - R_ext x_ext`` is the right-hand side with the
+    remote unknowns frozen, and each local iteration is one Jacobi sweep
+    over the part's internal entries, ``x = (b_eff - R_int x) / diag``.
+    """
+
+    local_agg = "sum"
     #: Slice-overwrite combine + frozen-remote solves tolerate
     #: mixed-round neighbour state (chaotic relaxation, the literature
     #: the paper cites for exactly this kernel).
@@ -167,65 +170,34 @@ class JacobiBlockSpec(BlockSpec):
         self._blocks = split_edges(system.rows, system.cols, system.vals,
                                    partition)
 
-    def num_partitions(self) -> int:
-        return self.partition.k
-
     def init_state(self) -> np.ndarray:
         return np.zeros(self.system.n, dtype=np.float64)
 
-    def local_solve(self, part_id: int, state: np.ndarray, *,
-                    max_local_iters: int) -> LocalSolveReport:
-        blk = self._blocks[part_id]
-        nodes = blk.nodes
-        i_r, i_c, i_v = blk.int_src, blk.int_dst, blk.int_w
-        e_r, e_c, e_v = blk.cut_src, blk.cut_dst, blk.cut_w
-        if len(nodes) == 0:
-            return LocalSolveReport(partition=part_id, updates=(nodes, nodes),
-                                    local_iters=0, per_iter_ops=[],
-                                    shuffle_bytes=0, update_nbytes=0)
-        sysm = self.system
-        # Frozen remote coupling: b_eff = b - R_ext x_ext.
-        b_eff = sysm.b[nodes].copy()
-        if len(e_r):
-            np.add.at(b_eff, e_r, -e_v * state[e_c])
-        diag = sysm.diag[nodes]
-        x = state[nodes]
-        per_iter_ops: list[float] = []
-        iters = 0
-        while iters < max_local_iters:
-            rx = np.zeros(len(nodes))
-            if len(i_r):
-                np.add.at(rx, i_r, i_v * x[i_c])
-            x_new = (b_eff - rx) / diag
-            per_iter_ops.append(float(len(i_r) + len(nodes)))
-            iters += 1
-            delta = float(np.abs(x_new - x).max())
-            x = x_new
-            if delta < self.tol:
-                break
-        records = len(nodes) + len(e_r)
-        # Dense update: the whole solution slice is rewritten through
-        # the state store each round (partition-size distribution).
-        return LocalSolveReport(partition=part_id, updates=(nodes, x),
-                                local_iters=iters, per_iter_ops=per_iter_ops,
-                                shuffle_bytes=records * RECORD_BYTES,
-                                update_nbytes=int(x.nbytes))
+    def frozen_columns(self, blk, state):
+        b_eff = self.system.b[blk.nodes]
+        np.add.at(b_eff, blk.cut_src, -blk.cut_w * state[blk.cut_dst])
+        return b_eff, self.system.diag[blk.nodes]
 
-    def global_combine(self, state, reports):
-        new_state = state.copy()
-        records = 0
-        for r in reports:
-            nodes, x = r.updates
-            new_state[nodes] = x
-            records += r.shuffle_bytes // RECORD_BYTES
-        return new_state, float(records), 0
+    def shuffle_records(self, blk, max_local_iters: int) -> int:
+        # One record per unknown and per remote coupling, general mode
+        # included (no per-internal-entry records).
+        return len(blk.nodes) + len(blk.cut_src)
+
+    def lmap_block(self, part_id: int, cols):
+        blk = self._blocks[part_id]
+        # Row r's terms of R_int x, one record per internal entry.
+        return blk.int_src, blk.int_w * cols[0][blk.int_dst]
+
+    def lreduce_block(self, part_id: int, cols, acc: np.ndarray):
+        _, b_eff, diag = cols
+        return (b_eff - acc) / diag, b_eff, diag
+
+    def local_converged_block(self, prev_cols, cols) -> bool:
+        return bool(np.abs(cols[0] - prev_cols[0]).max(initial=0.0) < self.tol)
 
     def global_converged(self, prev, curr):
         residual = float(np.abs(curr - prev).max()) if len(prev) else 0.0
         return residual < self.tol, residual
-
-    def state_nbytes(self, state) -> int:
-        return int(np.asarray(state).nbytes)
 
 
 def jacobi_solve(

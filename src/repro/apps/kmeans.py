@@ -56,6 +56,19 @@ __all__ = [
 _WEIGHTINGS = ("count", "uniform")
 
 
+def _checked_points(points: np.ndarray, k: int, threshold: float) -> np.ndarray:
+    """Check the arguments both k-means specs take; return ``points`` as
+    a float64 ``(n, d)`` matrix."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or len(points) == 0:
+        raise ValueError("points must be a non-empty (n, d) matrix")
+    if not 1 <= k <= len(points):
+        raise ValueError(f"k must be in [1, n], got {k}")
+    if threshold <= 0:
+        raise ValueError("threshold must be > 0")
+    return points
+
+
 def assign_points(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Index of the closest centroid for every point (squared Euclidean).
 
@@ -143,15 +156,9 @@ class KMeansBlockSpec(BlockSpec):
                  oscillation_detection: bool = True,
                  max_global_oscillation_window: int = 4,
                  seed: "int | np.random.Generator | None" = 0) -> None:
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or len(points) == 0:
-            raise ValueError("points must be a non-empty (n, d) matrix")
-        if not 1 <= k <= len(points):
-            raise ValueError(f"k must be in [1, n], got {k}")
+        points = _checked_points(points, k, threshold)
         if num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
-        if threshold <= 0:
-            raise ValueError("threshold must be > 0")
         if weighting not in _WEIGHTINGS:
             raise ValueError(f"weighting must be one of {_WEIGHTINGS}")
         if reshuffle_every < 0:
@@ -317,12 +324,7 @@ class KMeansKVSpec:
     def __init__(self, points: np.ndarray, k: int, *,
                  num_partitions: int = 4, threshold: float = 1e-3,
                  seed: "int | np.random.Generator | None" = 0) -> None:
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or len(points) == 0:
-            raise ValueError("points must be a non-empty (n, d) matrix")
-        if not 1 <= k <= len(points):
-            raise ValueError(f"k must be in [1, n], got {k}")
-        self.points = points
+        points = self.points = _checked_points(points, k, threshold)
         self.k = k
         self.threshold = threshold
         rng = as_rng(seed)

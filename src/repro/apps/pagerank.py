@@ -31,19 +31,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.apps._nodeblock import NodeBlockSpec
 from repro.cluster import SimCluster
 from repro.core import (
     AdaptiveSyncPolicy,
     AsyncMapReduceSpec,
-    BlockSpec,
     DenseKVState,
     DriverConfig,
     EngineBackend,
     IterationLoop,
     IterativeResult,
-    LocalSolveReport,
     resolve_block_backend,
-    run_local_block,
 )
 from repro.core.localmr import xs_columns
 from repro.engine import MapReduceRuntime
@@ -57,9 +55,6 @@ __all__ = [
     "pagerank_spec",
     "pagerank_reference",
 ]
-
-#: Bytes of one shuffled (key, value) record in our cost accounting.
-RECORD_BYTES = 16
 
 
 @dataclass
@@ -129,7 +124,7 @@ class _PageRank:
         return residual < self.tol, residual
 
 
-class PageRankBlockSpec(_PageRank, BlockSpec):
+class PageRankBlockSpec(_PageRank, NodeBlockSpec):
     """PageRank over a :class:`~repro.graph.Partition`, state a flat
     rank vector.
 
@@ -139,8 +134,6 @@ class PageRankBlockSpec(_PageRank, BlockSpec):
     whole scheme the classic synchronous power iteration.
     """
 
-    #: Each partition owns a disjoint node slice of the state vector.
-    partition_scoped_state = True
     #: The asynchronous power method tolerates mixed-round neighbour
     #: ranks (§VI: "PageRank ... relies on an asynchronous mat-vec");
     #: the combine overwrites disjoint slices, so arrival order is
@@ -151,53 +144,12 @@ class PageRankBlockSpec(_PageRank, BlockSpec):
         """All nodes start with PageRank 1 (§V-B)."""
         return np.ones(self.graph.num_nodes, dtype=np.float64)
 
-    def local_solve(self, part_id: int, state: np.ndarray, *,
-                    max_local_iters: int) -> LocalSolveReport:
-        b = self._blocks[part_id]
-        nodes = b.nodes
-        if len(nodes) == 0:
-            return LocalSolveReport(partition=part_id, updates=(nodes, nodes),
-                                    local_iters=0, per_iter_ops=[],
-                                    shuffle_bytes=0, update_nbytes=0)
-        ext = np.zeros(len(nodes), dtype=np.float64)
+    def frozen_columns(self, b, state):
+        ext = np.zeros(len(b.nodes), dtype=np.float64)
         push = state[b.in_src]
         push *= b.in_w
         np.add.at(ext, b.in_dst, push)
-        run = run_local_block(self, part_id, (state[nodes], ext),
-                              max_local_iters=max_local_iters)
-        x = run.table[0]
-        # The simulator prices a sweep at one op per internal edge and
-        # per node, not at the per-record loop's ``3n + m``.
-        per_iter_ops = [float(len(b.int_src) + len(nodes))] * run.local_iters
-
-        # Shuffle volume: at local convergence the gmap emits one rank
-        # record per node plus one contribution record per outgoing cut
-        # edge.  The general baseline (single local sweep) instead ships a
-        # contribution per *every* outgoing edge — the full intermediate
-        # volume the paper's general formulation pays each iteration.
-        records = len(b.cut_src) + len(nodes)
-        if max_local_iters == 1:
-            records += len(b.int_src)
-        # State-store traffic: every rank in the partition's slice is
-        # rewritten each round (dense update), so the per-partition
-        # distribution is the partition-size profile — and the vector
-        # sums to state_nbytes exactly, keeping aggregate charges
-        # identical to the historical scalar accounting.
-        return LocalSolveReport(partition=part_id, updates=(nodes, x),
-                                local_iters=run.local_iters,
-                                per_iter_ops=per_iter_ops,
-                                shuffle_bytes=records * RECORD_BYTES,
-                                update_nbytes=int(x.nbytes))
-
-    def global_combine(self, state, reports):
-        new_state = state.copy()
-        records = 0
-        for r in reports:
-            nodes, x = r.updates
-            new_state[nodes] = x
-            records += r.shuffle_bytes // RECORD_BYTES
-        # greduce touches every shuffled record once.
-        return new_state, float(records), 0
+        return (ext,)
 
 
 # ----------------------------------------------------------------------

@@ -27,19 +27,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.apps._nodeblock import NodeBlockSpec
 from repro.cluster import SimCluster
 from repro.core import (
     AdaptiveSyncPolicy,
     AsyncMapReduceSpec,
-    BlockSpec,
     DenseKVState,
     DriverConfig,
     EngineBackend,
     IterationLoop,
     IterativeResult,
-    LocalSolveReport,
     resolve_block_backend,
-    run_local_block,
 )
 from repro.core.localmr import xs_columns
 from repro.engine import MapReduceRuntime
@@ -53,8 +51,6 @@ __all__ = [
     "sssp_spec",
     "sssp_reference",
 ]
-
-RECORD_BYTES = 16
 
 
 @dataclass
@@ -126,13 +122,11 @@ class _Sssp:
         return residual == 0.0, residual
 
 
-class SsspBlockSpec(_Sssp, BlockSpec):
+class SsspBlockSpec(_Sssp, NodeBlockSpec):
     """SSSP over a partition, state a flat distance vector: ``local_solve``
     folds the incoming cut edges into the frozen ``ext`` column and runs
     the block-level local step on ``(dist, ext)``."""
 
-    #: Each partition owns a disjoint node slice of the state vector.
-    partition_scoped_state = True
     #: Min-plus relaxation is monotone (distances only improve) and the
     #: combine is a commutative min-fold, the textbook async-safe shape:
     #: stale reads only delay relaxations, never corrupt them.
@@ -144,50 +138,12 @@ class SsspBlockSpec(_Sssp, BlockSpec):
         dist[self.source] = 0.0
         return dist
 
-    def local_solve(self, part_id: int, state: np.ndarray, *,
-                    max_local_iters: int) -> LocalSolveReport:
-        b = self._blocks[part_id]
-        nodes = b.nodes
-        if len(nodes) == 0:
-            return LocalSolveReport(partition=part_id, updates=(nodes, nodes),
-                                    local_iters=0, per_iter_ops=[],
-                                    shuffle_bytes=0, update_nbytes=0)
-        ext = np.full(len(nodes), np.inf, dtype=np.float64)
+    def frozen_columns(self, b, state):
+        ext = np.full(len(b.nodes), np.inf, dtype=np.float64)
         cand = state[b.in_src]
         cand += b.in_w
         np.minimum.at(ext, b.in_dst, cand)
-        x0 = state[nodes]
-        run = run_local_block(self, part_id, (x0, ext),
-                              max_local_iters=max_local_iters)
-        x = run.table[0]
-        # The simulator prices a relaxation at one op per internal edge
-        # and per node, not at the per-record loop's ``3n + live edges``.
-        per_iter_ops = [float(len(b.int_src) + len(nodes))] * run.local_iters
-
-        records = len(b.cut_src) + len(nodes)
-        if max_local_iters == 1:
-            records += len(b.int_src)
-        # State-store traffic is frontier-driven: only distances that
-        # improved this round are (re)written, so partitions the wave
-        # is currently sweeping dominate the store's key range —
-        # SSSP's naturally skewed update distribution.
-        changed = int(np.count_nonzero(x < x0))
-        return LocalSolveReport(partition=part_id, updates=(nodes, x),
-                                local_iters=run.local_iters,
-                                per_iter_ops=per_iter_ops,
-                                shuffle_bytes=records * RECORD_BYTES,
-                                update_nbytes=changed * 8)
-
-    def global_combine(self, state, reports):
-        new_state = state.copy()
-        records = 0
-        for r in reports:
-            nodes, x = r.updates
-            # Fancy indexing yields a copy, so assign the elementwise min
-            # back rather than using an out= view that would be discarded.
-            new_state[nodes] = np.minimum(new_state[nodes], x)
-            records += r.shuffle_bytes // RECORD_BYTES
-        return new_state, float(records), 0
+        return (ext,)
 
 
 # ----------------------------------------------------------------------

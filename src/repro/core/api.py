@@ -22,13 +22,15 @@ with one local loop between them:
 * :class:`BlockSpec` — the per-partition spec the simulator's
   ``BlockBackend`` runs on a flat state vector; ``local_solve`` reports
   per-iteration operation counts and shuffle bytes for the simulated
-  cluster to price.  PageRank's and SSSP's ``local_solve`` is the block
-  step above — ``run_local_block`` over the hooks their engine-path
-  specs declare, on columns cut from the flat state — so both layers
-  run one loop.  They price it differently: an engine iteration counts
-  the per-record loop's ``3n + m`` operations, a simulated one ``n + m``
-  (one per node and per internal edge; ``docs/local_loop.md``).
-  K-means, components and Jacobi keep loops of their own.
+  cluster to price.  The four node-partitioned apps (PageRank, SSSP,
+  components, Jacobi) share one ``local_solve``: the block step above,
+  ``run_local_block`` over each app's hooks on columns cut from the
+  flat state — for PageRank and SSSP the hooks their engine-path specs
+  declare, so both layers run one loop.  The layers price it
+  differently: an engine iteration counts the per-record loop's
+  ``3n + m`` operations, a simulated one ``n + m`` (one per node and
+  per internal edge; ``docs/local_loop.md``).  Only k-means keeps a
+  loop of its own.
 
 Both flavours share :class:`LocalSolveReport` (what a gmap hands to the
 global synchronization) and the convergence protocol from

@@ -25,10 +25,10 @@ declare a block-level local step (``spec.local_agg``) — **bitwise** the
 per-record loop: same tables, same iteration counts, same
 ``per_iter_ops``.  It is the one array loop: the engine's gmap runs it
 on the columns ``spec.local_columns`` cuts from the gmap input, and the
-simulator's ``PageRankBlockSpec``/``SsspBlockSpec.local_solve`` on
-columns cut from the flat state.  :class:`per_record` is the view that
-reaches the oracle for such a spec; ``docs/local_loop.md`` states the
-contract.
+simulator's ``local_solve`` of every node-partitioned app (PageRank,
+SSSP, components, Jacobi) on columns cut from the flat state.
+:class:`per_record` is the view that reaches the oracle for such a
+spec; ``docs/local_loop.md`` states the contract.
 """
 
 from __future__ import annotations
@@ -45,9 +45,18 @@ from repro.engine.columnar import resolve_agg
 __all__ = ["LocalRunResult", "run_local_mapreduce", "run_local_block",
            "xs_columns", "block_table", "per_record"]
 
-#: What ``lreduce`` starts a key's fold from (a row no record reaches
-#: keeps it): ``contrib = 0.0`` / ``best = inf`` in the per-record code.
-_AGG_IDENTITY = {"sum": 0.0, "min": np.inf, "max": -np.inf}
+
+def _agg_identity(agg: str, dtype: np.dtype) -> Any:
+    """What ``lreduce`` starts a key's fold from (a row no record reaches
+    keeps it): ``contrib = 0.0`` / ``best = inf`` in the per-record code,
+    and for an integer column the dtype's own extreme, so it stays
+    integer."""
+    if agg == "sum":
+        return 0
+    if dtype.kind in "iu":
+        info = np.iinfo(dtype)
+        return info.max if agg == "min" else info.min
+    return np.inf if agg == "min" else -np.inf
 
 
 @dataclass
@@ -137,8 +146,9 @@ def run_local_block(
 ) -> LocalRunResult:
     """:func:`run_local_mapreduce` on arrays, for a spec declaring
     ``local_agg``: ``cols`` are the partition's mutable columns (one
-    ``(n,)`` float64 array each, row ``i`` = the partition's ``i``-th
-    key), ``result.table`` the final ones.
+    ``(n,)`` array each, row ``i`` = the partition's ``i``-th key),
+    ``result.table`` the final ones.  The fold ``acc`` takes the first
+    column's dtype: float64, or int64 for component labels.
 
     One iteration is ``lmap_block`` → ``ufunc.at(acc, rows, values)`` →
     ``lreduce_block``.  The local shuffle is ``np.add.at`` /
@@ -159,8 +169,8 @@ def run_local_block(
     if max_local_iters < 1:
         raise ValueError("max_local_iters must be >= 1")
     scatter = resolve_agg(spec.local_agg).at
-    n = len(cols[0])
-    start = np.full(n, _AGG_IDENTITY[spec.local_agg])
+    n, dtype = len(cols[0]), cols[0].dtype
+    start = np.full(n, _agg_identity(spec.local_agg, dtype), dtype=dtype)
     per_iter_ops: list[float] = []
     converged = False
     iters = 0

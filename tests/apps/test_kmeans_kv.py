@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.apps import KMeansKVSpec, kmeans_reference, sse
+from repro.apps import KMeansBlockSpec, KMeansKVSpec, kmeans_reference, sse
 from repro.core import (
     AsyncMapReduceSpec,
     DriverConfig,
@@ -71,6 +71,15 @@ class TestKMeansKV:
             KMeansKVSpec(pts, 0)
         with pytest.raises(ValueError):
             KMeansKVSpec(np.zeros((0, 2)), 1)
+
+    @pytest.mark.parametrize("threshold", [0, -1])
+    def test_rejects_nonpositive_threshold(self, pts, threshold):
+        """The block spec's check: a threshold no shift can fall below
+        would never let a local or global round converge."""
+        with pytest.raises(ValueError, match="threshold"):
+            KMeansKVSpec(pts, 3, threshold=threshold)
+        with pytest.raises(ValueError, match="threshold"):
+            KMeansBlockSpec(pts, 3, threshold=threshold)
 
     def test_local_convergence_definition(self, pts):
         spec = KMeansKVSpec(pts, 2, threshold=0.5, seed=1)

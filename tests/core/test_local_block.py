@@ -196,6 +196,33 @@ class TestTraps:
         res = assert_same_local_run(ss, 0, xs, 10_000)
         assert block_table(xs, res.table)[1][0] == float("inf")
 
+    @pytest.mark.parametrize("agg,fold", [("min", np.minimum),
+                                          ("max", np.maximum)])
+    def test_integer_column_keeps_its_dtype(self, agg, fold):
+        """An int64 column folds from the dtype's own extreme, not from
+        a float ``inf``: a row no record reaches comes back int64 and
+        unchanged, even where float64 cannot hold its value."""
+        class IntLabels:
+            local_agg = agg
+
+            def lmap_block(self, part_id, cols):
+                return np.array([0]), np.array([3], dtype=np.int64)
+
+            def lreduce_block(self, part_id, cols, acc):
+                return (fold(cols[0], acc, out=acc),)
+
+            def local_converged_block(self, prev_cols, cols):
+                return bool((cols[0] == prev_cols[0]).all())
+
+        far = 2**62 + 1 if agg == "min" else -(2**62 + 1)
+        col = np.array([7 if agg == "min" else -7, far], dtype=np.int64)
+        res = run_local_block(IntLabels(), 0, (col,), max_local_iters=10)
+        out = res.table[0]
+        assert out.dtype == np.int64
+        assert out[1] == far
+        assert out[0] == 3  # the one record beats ±7
+        assert col.tolist()[1] == far  # the input column is not written
+
     def test_empty_partition(self):
         g = DiGraph(4, [0, 1, 2, 3], [1, 0, 3, 2])
         part = Partition(g, np.array([0, 0, 2, 2]), 3)  # part 1 is empty
