@@ -23,10 +23,9 @@ Plus one enhancement of our own runtime rather than the paper's design:
    before any task runs, via ``Job``'s / ``Session.submit``'s
    ``lint="warn"|"strict"`` knob or the ``repro lint`` CLI.
 6. **Columnar end to end** — string keys ride the fast path through
-   dictionary encoding, the process executor ships blocks as named
-   shared-memory segments instead of pickles, and iterative specs can
-   keep their global state as a dense array (``dense_state=True``) —
-   all pinned bitwise-identical to the object/dict oracles.
+   dictionary encoding, and the process executor ships blocks as named
+   shared-memory segments instead of pickles — pinned bitwise-identical
+   to the in-process run.
 7. **Barrier to chaos** — the ``AsyncBackend`` walks the paper's whole
    synchronization axis on one workload: ``staleness=0`` is the
    barrier, a finite bound is stale-synchronous coupling, ``None`` is
@@ -223,17 +222,16 @@ def main() -> None:
     print(f"   probe(subtract):  {probe_commutative(net_change_fold).summary()}")
 
     # ------------------------------------------------------------------
-    # 6. Columnar end to end: string keys, shared-memory transport,
-    # and array-backed state.
+    # 6. Columnar end to end: string keys over the shared-memory
+    # transport.
     #
     # The process executor ships every above-threshold columnar payload
-    # as a named ``multiprocessing.shared_memory`` segment: the worker
-    # writes the raw buffers once and returns only the segment name
-    # plus dtype/shape metadata; the driver attaches, copies, and
-    # unlinks.  One memcpy per side, zero pipe traffic for the data —
-    # and a fat map function is parked the same way, once per run
-    # instead of once per task.  Segment lifetime is driver-owned: the
-    # registry is empty after every job, retries included.
+    # as a named shared-memory segment: the worker writes the raw
+    # buffers once and returns only the segment name plus dtype/shape
+    # metadata; the reader maps it in place.  Zero pipe traffic for the
+    # data — and a fat map function is parked the same way, once per
+    # run instead of once per task.  Segment lifetime is driver-owned:
+    # the registry is empty after every job, retries included.
     # ------------------------------------------------------------------
     docs = ["the quick brown fox jumps over the lazy dog"] * 4
     splits = [[(i, d)] for i, d in enumerate(docs)]
@@ -251,20 +249,7 @@ def main() -> None:
         [["shared memory (processes)",
           str(dict(over_shm.output)), str(leftover)],
          ["in-process (serial)", str(dict(over_pipe.output)), "-"]],
-        title="6a. String-key wordcount over the shm transport"))
-
-    # Array-backed global state: the kv PageRank keeps rank state as a
-    # dense float64 array keyed by node id instead of rebuilding a
-    # per-node dict every round — bitwise-identical values.
-    dense_pr = run_single(
-        EngineBackend(PageRankKVSpec(graph, partition, dense_state=True)),
-        DriverConfig(mode="eager"))
-    assert dense_pr.global_iters == fast_pr.global_iters
-    print()
-    print("6b. dense-state PageRank: "
-          f"{dense_pr.global_iters} iters, state kept as a "
-          f"({graph.num_nodes}, 2) float64 array — same fixed point "
-          "as the dict path.")
+        title="6. String-key wordcount over the shm transport"))
 
     # ------------------------------------------------------------------
     # 7. Barrier to chaos: the same PageRank workload across the whole

@@ -39,7 +39,6 @@ from repro.apps.jacobi import (
 )
 from repro.apps.kmeans import (
     KMeansBlockSpec,
-    KMeansKVSpec,
     KMeansResult,
     assign_points,
     kmeans,
@@ -88,7 +87,6 @@ __all__ = [
     "kmeans",
     "kmeans_reference",
     "KMeansBlockSpec",
-    "KMeansKVSpec",
     "KMeansResult",
     "assign_points",
     "sse",

@@ -18,9 +18,8 @@ convergence condition adds *oscillation detection* to the Euclidean
 metric.
 
 The global combine weights each partition's updated centroid by its
-assigned-point count by default (``weighting="count"``), which makes the
-general mode exactly Lloyd's algorithm; ``weighting="uniform"`` is the
-paper's literal "mean of all updated-centroids" wording.
+assigned-point count, which makes the general mode exactly Lloyd's
+algorithm.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import numpy as np
 from repro.cluster import SimCluster
 from repro.core import (
     AdaptiveSyncPolicy,
-    AsyncMapReduceSpec,
     BlockBackend,
     BlockSpec,
     CentroidShiftCriterion,
@@ -52,22 +50,6 @@ __all__ = [
     "assign_points",
     "sse",
 ]
-
-_WEIGHTINGS = ("count", "uniform")
-
-
-def _checked_points(points: np.ndarray, k: int, threshold: float) -> np.ndarray:
-    """Check the arguments both k-means specs take; return ``points`` as
-    a float64 ``(n, d)`` matrix."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or len(points) == 0:
-        raise ValueError("points must be a non-empty (n, d) matrix")
-    if not 1 <= k <= len(points):
-        raise ValueError(f"k must be in [1, n], got {k}")
-    if threshold <= 0:
-        raise ValueError("threshold must be > 0")
-    return points
-
 
 def assign_points(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Index of the closest centroid for every point (squared Euclidean).
@@ -130,9 +112,6 @@ class KMeansBlockSpec(BlockSpec):
         Global map tasks per iteration (the paper fixes 52 for Figs 8-9).
     threshold:
         Centroid-movement convergence bound (the figures' x axis).
-    weighting:
-        ``"count"`` (exact Lloyd in general mode) or ``"uniform"`` (the
-        paper's literal unweighted mean).
     reshuffle_every:
         Repartition the points across gmaps every this many global
         iterations (eager mode; Yom-Tov & Slonim).  0 disables.
@@ -141,7 +120,8 @@ class KMeansBlockSpec(BlockSpec):
         paper adds it only to the *eager* convergence check ("the
         convergence condition includes detection of oscillations along
         with the Euclidean metric", §V-D); the general baseline uses the
-        plain centroid-movement threshold.
+        plain centroid-movement threshold.  Oscillation is no new
+        minimum of the shift within the last 4 global iterations.
     seed:
         Controls the random initial centroids ("initial centroids are
         chosen at random for the sake of generality", §V-D) and the
@@ -151,29 +131,29 @@ class KMeansBlockSpec(BlockSpec):
     def __init__(self, points: np.ndarray, k: int, *,
                  num_partitions: int = 52,
                  threshold: float = 1e-3,
-                 weighting: str = "count",
                  reshuffle_every: int = 5,
                  oscillation_detection: bool = True,
-                 max_global_oscillation_window: int = 4,
                  seed: "int | np.random.Generator | None" = 0) -> None:
-        points = _checked_points(points, k, threshold)
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 2 or len(points) == 0:
+            raise ValueError("points must be a non-empty (n, d) matrix")
+        if not 1 <= k <= len(points):
+            raise ValueError(f"k must be in [1, n], got {k}")
+        if threshold <= 0:
+            raise ValueError("threshold must be > 0")
         if num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
-        if weighting not in _WEIGHTINGS:
-            raise ValueError(f"weighting must be one of {_WEIGHTINGS}")
         if reshuffle_every < 0:
             raise ValueError("reshuffle_every must be >= 0")
         self.points = points
         self.k = k
         self.threshold = threshold
-        self.weighting = weighting
         self.reshuffle_every = reshuffle_every
         self.num_parts = min(num_partitions, len(points))
         self.oscillation_detection = oscillation_detection
         self._rng = as_rng(seed)
         self._init_rng_state = self._rng.bit_generator.state
-        self._criterion = CentroidShiftCriterion(
-            threshold, window=max_global_oscillation_window)
+        self._criterion = CentroidShiftCriterion(threshold, window=4)
         self._repartition()
 
     def _repartition(self) -> None:
@@ -258,21 +238,10 @@ class KMeansBlockSpec(BlockSpec):
         centroids = np.asarray(state, dtype=np.float64)
         total_sums = np.zeros_like(centroids)
         total_counts = np.zeros(self.k, dtype=np.float64)
-        if self.weighting == "count":
-            for r in reports:
-                sums, counts = r.updates
-                total_sums += sums
-                total_counts += counts
-        else:
-            # Unweighted mean of each partition's updated centroid.
-            for r in reports:
-                sums, counts = r.updates
-                nonempty = counts > 0
-                upd = np.where(nonempty[:, None],
-                               sums / np.maximum(counts, 1.0)[:, None],
-                               centroids)
-                total_sums += upd
-                total_counts += 1.0
+        for r in reports:
+            sums, counts = r.updates
+            total_sums += sums
+            total_counts += counts
         new_centroids = centroids.copy()
         nonempty = total_counts > 0
         new_centroids[nonempty] = (total_sums[nonempty]
@@ -303,122 +272,6 @@ class KMeansBlockSpec(BlockSpec):
 
 
 # ----------------------------------------------------------------------
-# Record-at-a-time (§IV API) implementation
-# ----------------------------------------------------------------------
-
-class KMeansKVSpec:
-    """K-Means through lmap/lreduce/greduce on the real engine.
-
-    Hashtable layout per partition: point records ``("pt", i) ->
-    ndarray`` plus centroid records ``("c", j) -> ndarray``.  The current
-    centroids are pulled from the table before every local iteration via
-    :meth:`before_local_iteration` — the record-at-a-time analogue of
-    Hadoop's distributed cache (a map function cannot otherwise see
-    shared per-iteration data).
-
-    Intended for the serial engine runtime (the broadcast attribute is
-    per-instance, so thread-pool executors would race on it); the block
-    spec is the parallel-scale implementation.
-    """
-
-    def __init__(self, points: np.ndarray, k: int, *,
-                 num_partitions: int = 4, threshold: float = 1e-3,
-                 seed: "int | np.random.Generator | None" = 0) -> None:
-        points = self.points = _checked_points(points, k, threshold)
-        self.k = k
-        self.threshold = threshold
-        rng = as_rng(seed)
-        self._init_idx = rng.choice(len(points), size=k, replace=False)
-        self._parts = np.array_split(rng.permutation(len(points)),
-                                     min(num_partitions, len(points)))
-        self._centroids: "np.ndarray | None" = None
-
-    # -- plumbing --------------------------------------------------------
-    def initial_state(self) -> dict:
-        return {("c", j): self.points[self._init_idx[j]].copy()
-                for j in range(self.k)}
-
-    def num_partitions(self) -> int:
-        return len(self._parts)
-
-    def partition_input(self, part_id: int, state: dict) -> list:
-        xs = [(("c", j), state[("c", j)]) for j in range(self.k)]
-        xs += [(("pt", int(i)), self.points[int(i)])
-               for i in self._parts[part_id]]
-        return xs
-
-    def before_local_iteration(self, table: dict) -> None:
-        self._centroids = np.stack([table[("c", j)] for j in range(self.k)])
-
-    # -- the four user functions ------------------------------------------
-    def lmap(self, key, value, ctx) -> None:
-        tag = key[0]
-        if tag != "pt":
-            return  # centroid records carry state; points do the work
-        assert self._centroids is not None
-        j = int(assign_points(value[None, :], self._centroids)[0])
-        ctx.emit_local_intermediate(("c", j), (value, 1.0))
-        ctx.add_ops(float(self.k))
-
-    def lreduce(self, key, values, ctx) -> None:
-        total = np.zeros(self.points.shape[1])
-        count = 0.0
-        for vec, c in values:
-            total += vec
-            count += c
-        if count > 0:
-            ctx.emit_local(key, total / count)
-
-    def greduce(self, key, values, ctx) -> None:
-        sums = np.zeros(self.points.shape[1])
-        counts = 0.0
-        for vec, c in values:
-            sums += vec * c
-            counts += c
-        if counts > 0:
-            ctx.emit(key, sums / counts)
-
-    # -- emission & convergence --------------------------------------------
-    def gmap_emit(self, table: dict, part_id: int) -> list:
-        """Emit (input-centroid -> updated-centroid, weight) pairs."""
-        assert self._centroids is not None
-        counts = np.zeros(self.k)
-        idx = np.array([i for (tag, i) in table if tag == "pt"], dtype=np.int64)
-        if len(idx):
-            a = assign_points(self.points[idx], self._centroids)
-            counts = np.bincount(a, minlength=self.k).astype(np.float64)
-        return [(("c", j), (table[("c", j)], float(max(counts[j], 0.0))))
-                for j in range(self.k)]
-
-    def state_from_output(self, output: list, prev_state: dict) -> dict:
-        new_state = dict(prev_state)
-        new_state.update(output)
-        return new_state
-
-    def local_converged(self, prev_table: dict, curr_table: dict) -> bool:
-        shift = 0.0
-        for j in range(self.k):
-            shift = max(shift, float(np.linalg.norm(
-                curr_table[("c", j)] - prev_table[("c", j)])))
-        return shift < self.threshold
-
-    def global_converged(self, prev_state: dict, curr_state: dict):
-        shift = 0.0
-        for j in range(self.k):
-            shift = max(shift, float(np.linalg.norm(
-                curr_state[("c", j)] - prev_state[("c", j)])))
-        return shift < self.threshold, shift
-
-    def on_global_iteration(self, iteration: int, state):
-        return None
-
-
-# Register as a virtual subclass: KMeansKVSpec implements the complete
-# AsyncMapReduceSpec surface and is accepted wherever the ABC is.
-AsyncMapReduceSpec.register(KMeansKVSpec)
-
-
-# ----------------------------------------------------------------------
 # High-level entry points
 # ----------------------------------------------------------------------
 
@@ -429,7 +282,6 @@ def kmeans(
     mode: str = "eager",
     num_partitions: int = 52,
     threshold: float = 1e-3,
-    weighting: str = "count",
     reshuffle_every: int = 5,
     cluster: "SimCluster | None" = None,
     config: "DriverConfig | None" = None,
@@ -439,7 +291,7 @@ def kmeans(
     """Cluster ``points`` into ``k`` groups, General or Eager formulation."""
     cfg = config if config is not None else DriverConfig(mode=mode)
     spec = _kmeans_block_spec(points, k, num_partitions=num_partitions,
-                              threshold=threshold, weighting=weighting,
+                              threshold=threshold,
                               reshuffle_every=reshuffle_every, seed=seed,
                               cfg=cfg)
     res = IterationLoop(BlockBackend(spec, cluster=cluster), cfg,
@@ -450,13 +302,12 @@ def kmeans(
                         result=res)
 
 
-def _kmeans_block_spec(points, k, *, num_partitions, threshold, weighting,
+def _kmeans_block_spec(points, k, *, num_partitions, threshold,
                        reshuffle_every, seed, cfg) -> KMeansBlockSpec:
     return KMeansBlockSpec(
         points, k,
         num_partitions=num_partitions,
         threshold=threshold,
-        weighting=weighting,
         reshuffle_every=(reshuffle_every if cfg.mode == "eager" else 0),
         oscillation_detection=(cfg.mode == "eager"),
         seed=seed,
@@ -470,7 +321,6 @@ def kmeans_spec(
     mode: str = "eager",
     num_partitions: int = 52,
     threshold: float = 1e-3,
-    weighting: str = "count",
     reshuffle_every: int = 5,
     config: "DriverConfig | None" = None,
     seed: "int | np.random.Generator | None" = 0,
@@ -492,7 +342,7 @@ def kmeans_spec(
         sync_policy=sync_policy,
         make_backend=lambda session: BlockBackend(
             _kmeans_block_spec(points, k, num_partitions=num_partitions,
-                               threshold=threshold, weighting=weighting,
+                               threshold=threshold,
                                reshuffle_every=reshuffle_every, seed=seed,
                                cfg=cfg),
             cluster=session.cluster),

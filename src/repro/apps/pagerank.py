@@ -36,15 +36,12 @@ from repro.cluster import SimCluster
 from repro.core import (
     AdaptiveSyncPolicy,
     AsyncMapReduceSpec,
-    DenseKVState,
     DriverConfig,
-    EngineBackend,
     IterationLoop,
     IterativeResult,
     resolve_block_backend,
 )
 from repro.core.localmr import xs_columns
-from repro.engine import MapReduceRuntime
 from repro.graph import DiGraph, Partition, split_edges
 
 __all__ = [
@@ -165,13 +162,7 @@ class PageRankKVSpec(_PageRank, AsyncMapReduceSpec):
     round and the adjacency splits are precomputed once from the
     partition (the off-line locality-enhancing step).
 
-    Global state: ``ranks`` dict ``node -> (rank, ext_contrib)`` — or,
-    with ``dense_state=True``, a :class:`~repro.core.DenseKVState`
-    holding the same ``(rank, ext_contrib)`` rows as one ``(n, 2)``
-    float64 array, so a columnar round folds its output back in with a
-    single scatter instead of rebuilding ~n tuples.  Both
-    representations hold bit-identical values; the dict stays the
-    oracle.
+    Global state: ``ranks`` dict ``node -> (rank, ext_contrib)``.
 
     The spec opts into the engine's columnar shuffle fast path: the
     gmap's boundary data becomes ``(node, (rank, contribution))`` rows —
@@ -190,10 +181,8 @@ class PageRankKVSpec(_PageRank, AsyncMapReduceSpec):
     columnar_combine = "sum"
 
     def __init__(self, graph: DiGraph, partition: Partition, *,
-                 damping: float = 0.85, tol: float = 1e-5,
-                 dense_state: bool = False) -> None:
+                 damping: float = 0.85, tol: float = 1e-5) -> None:
         super().__init__(graph, partition, damping=damping, tol=tol)
-        self.dense_state = dense_state
         assign = partition.assign
         # node -> ([internal successors], [external successors])
         self._internal_adj: dict[int, list[int]] = {}
@@ -213,8 +202,6 @@ class PageRankKVSpec(_PageRank, AsyncMapReduceSpec):
         for b in self._blocks:  # rank 1 over every incoming cut edge
             np.add.at(ext, b.nodes[b.in_dst], b.in_w)
         rows = np.column_stack([np.ones_like(ext), ext])
-        if self.dense_state:
-            return DenseKVState(rows)
         return dict(enumerate(map(tuple, rows.tolist())))
 
     def partition_input(self, part_id: int, state: dict) -> list:
@@ -276,16 +263,11 @@ class PageRankKVSpec(_PageRank, AsyncMapReduceSpec):
         return delta < self.tol
 
     def global_converged(self, prev_state, curr_state):
-        if isinstance(curr_state, DenseKVState):
-            prev, curr = prev_state.column(0), curr_state.column(0)
-        else:
-            prev = np.array([prev_state[u][0] for u in curr_state])
-            curr = np.array([curr_state[u][0] for u in curr_state])
+        prev = np.array([prev_state[u][0] for u in curr_state])
+        curr = np.array([curr_state[u][0] for u in curr_state])
         return super().global_converged(prev, curr)
 
     def state_from_output(self, output: list, prev_state):
-        if isinstance(prev_state, DenseKVState):
-            return prev_state.scatter_pairs(output)
         new_state = dict(prev_state)
         new_state.update(output)
         return new_state
@@ -319,14 +301,6 @@ class PageRankKVSpec(_PageRank, AsyncMapReduceSpec):
     def columnar_reduce(self):
         return "sum"
 
-    def state_from_columnar(self, block, prev_state):
-        if isinstance(prev_state, DenseKVState):
-            # Pure array scatter — no per-node tuples on the dense path.
-            return prev_state.scatter(block.keys, block.values)
-        # Dict state: the base default (materialise + dict update) is
-        # exactly this spec's state_from_output semantics.
-        return super().state_from_columnar(block, prev_state)
-
 
 # ----------------------------------------------------------------------
 # High-level entry points
@@ -341,14 +315,14 @@ def pagerank(
     tol: float = 1e-5,
     cluster: "SimCluster | None" = None,
     config: "DriverConfig | None" = None,
-    path: str = "block",
-    runtime: "MapReduceRuntime | None" = None,
     sync_policy: "AdaptiveSyncPolicy | None" = None,
-    dense_state: bool = False,
     backend: str = "block",
     staleness: "int | None" = 0,
 ) -> PageRankResult:
-    """Compute PageRank with the General or Eager formulation.
+    """Compute PageRank with the General or Eager formulation, on the
+    simulator's block path.  (An engine run is
+    ``IterationLoop(EngineBackend(PageRankKVSpec(graph, partition)),
+    config).run()``.)
 
     Parameters
     ----------
@@ -359,46 +333,24 @@ def pagerank(
     damping, tol:
         Eq. 1's chi and the inf-norm convergence bound.
     cluster:
-        Optional simulated cluster for time accounting (block path).
+        Optional simulated cluster for time accounting.
     config:
         Full driver configuration; overrides ``mode`` when given.
-    path:
-        ``"block"`` (vectorised) or ``"kv"`` (record-at-a-time engine).
-    runtime:
-        Engine runtime for the kv path.
     sync_policy:
         Optional :class:`~repro.core.AdaptiveSyncPolicy` retuning the
         local-iteration budget per round.
-    dense_state:
-        Keep the kv path's global state as a
-        :class:`~repro.core.DenseKVState` array instead of a per-node
-        dict (identical values, array-speed round transitions).
     backend, staleness:
         ``backend="async"`` (or any nonzero ``staleness``) runs the
         block path without a per-round barrier — see
-        :class:`~repro.core.AsyncBackend`.  Block path only.
+        :class:`~repro.core.AsyncBackend`.
     """
     cfg = config if config is not None else DriverConfig(mode=mode)
-    if (backend != "block" or staleness != 0) and path != "block":
-        raise ValueError("the async backend needs path='block'")
-    if path == "block":
-        spec = PageRankBlockSpec(graph, partition, damping=damping, tol=tol)
-        be = resolve_block_backend(spec, backend=backend,
-                                   staleness=staleness, cluster=cluster)
-        res = IterationLoop(be, cfg, sync_policy=sync_policy).run()
-        ranks = np.asarray(res.state)
-    elif path == "kv":
-        kv_spec = PageRankKVSpec(graph, partition, damping=damping, tol=tol,
-                                 dense_state=dense_state)
-        kv_backend = EngineBackend(kv_spec, runtime=runtime)
-        res = IterationLoop(kv_backend, cfg, sync_policy=sync_policy).run()
-        if isinstance(res.state, DenseKVState):
-            ranks = res.state.column(0).copy()
-        else:
-            ranks = np.array([res.state[u][0] for u in range(graph.num_nodes)])
-    else:
-        raise ValueError(f"path must be 'block' or 'kv', got {path!r}")
-    return PageRankResult(ranks=ranks, global_iters=res.global_iters,
+    spec = PageRankBlockSpec(graph, partition, damping=damping, tol=tol)
+    be = resolve_block_backend(spec, backend=backend, staleness=staleness,
+                               cluster=cluster)
+    res = IterationLoop(be, cfg, sync_policy=sync_policy).run()
+    return PageRankResult(ranks=np.asarray(res.state),
+                          global_iters=res.global_iters,
                           converged=res.converged, sim_time=res.sim_time,
                           result=res)
 

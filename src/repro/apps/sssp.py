@@ -32,15 +32,12 @@ from repro.cluster import SimCluster
 from repro.core import (
     AdaptiveSyncPolicy,
     AsyncMapReduceSpec,
-    DenseKVState,
     DriverConfig,
-    EngineBackend,
     IterationLoop,
     IterativeResult,
     resolve_block_backend,
 )
 from repro.core.localmr import xs_columns
-from repro.engine import MapReduceRuntime
 from repro.graph import DiGraph, Partition, edge_blocks
 
 __all__ = [
@@ -186,9 +183,8 @@ class SsspKVSpec(_Sssp, AsyncMapReduceSpec):
     columnar_combine = "min"
 
     def __init__(self, graph: DiGraph, partition: Partition, *,
-                 source: int = 0, dense_state: bool = False) -> None:
+                 source: int = 0) -> None:
         super().__init__(graph, partition, source=source)
-        self.dense_state = dense_state
         assign = partition.assign
         self._internal_adj: dict[int, list] = {}
         self._external_adj: dict[int, list] = {}
@@ -207,8 +203,6 @@ class SsspKVSpec(_Sssp, AsyncMapReduceSpec):
         rows[self.source, 0] = 0.0
         for v, w in self._external_adj[self.source]:
             rows[v, 1] = min(rows[v, 1], w)
-        if self.dense_state:
-            return DenseKVState(rows)
         return dict(enumerate(map(tuple, rows.tolist())))
 
     def partition_input(self, part_id: int, state: dict) -> list:
@@ -267,16 +261,11 @@ class SsspKVSpec(_Sssp, AsyncMapReduceSpec):
         return True
 
     def global_converged(self, prev_state, curr_state):
-        if isinstance(curr_state, DenseKVState):
-            prev, curr = prev_state.column(0), curr_state.column(0)
-        else:
-            prev = np.array([prev_state[u][0] for u in curr_state])
-            curr = np.array([curr_state[u][0] for u in curr_state])
+        prev = np.array([prev_state[u][0] for u in curr_state])
+        curr = np.array([curr_state[u][0] for u in curr_state])
         return super().global_converged(prev, curr)
 
     def state_from_output(self, output: list, prev_state):
-        if isinstance(prev_state, DenseKVState):
-            return prev_state.scatter_pairs(output)
         new_state = dict(prev_state)
         new_state.update(output)
         return new_state
@@ -312,14 +301,6 @@ class SsspKVSpec(_Sssp, AsyncMapReduceSpec):
 
         return ColumnarReduce("min", finish=_sssp_columnar_finish)
 
-    def state_from_columnar(self, block, prev_state):
-        if isinstance(prev_state, DenseKVState):
-            # Pure array scatter — no per-node tuples on the dense path.
-            return prev_state.scatter(block.keys, block.values)
-        # Dict state: the base default (materialise + dict update) is
-        # exactly this spec's state_from_output semantics.
-        return super().state_from_columnar(block, prev_state)
-
 
 # ----------------------------------------------------------------------
 # High-level entry points
@@ -333,43 +314,25 @@ def sssp(
     mode: str = "eager",
     cluster: "SimCluster | None" = None,
     config: "DriverConfig | None" = None,
-    path: str = "block",
-    runtime: "MapReduceRuntime | None" = None,
     sync_policy: "AdaptiveSyncPolicy | None" = None,
-    dense_state: bool = False,
     backend: str = "block",
     staleness: "int | None" = 0,
 ) -> SsspResult:
-    """Single-source shortest distances, General or Eager formulation.
+    """Single-source shortest distances, General or Eager formulation,
+    on the simulator's block path.  (An engine run is
+    ``IterationLoop(EngineBackend(SsspKVSpec(graph, partition)),
+    config).run()``.)
 
-    ``dense_state=True`` keeps the kv path's global state as a
-    :class:`~repro.core.DenseKVState` array instead of a per-node dict
-    (identical values, array-speed round transitions).
-    ``backend="async"`` (or any nonzero ``staleness``) runs the block
-    path without a per-round barrier — see
-    :class:`~repro.core.AsyncBackend`.
+    ``backend="async"`` (or any nonzero ``staleness``) runs it without
+    a per-round barrier — see :class:`~repro.core.AsyncBackend`.
     """
     cfg = config if config is not None else DriverConfig(mode=mode)
-    if (backend != "block" or staleness != 0) and path != "block":
-        raise ValueError("the async backend needs path='block'")
-    if path == "block":
-        spec = SsspBlockSpec(graph, partition, source=source)
-        be = resolve_block_backend(spec, backend=backend,
-                                   staleness=staleness, cluster=cluster)
-        res = IterationLoop(be, cfg, sync_policy=sync_policy).run()
-        dist = np.asarray(res.state)
-    elif path == "kv":
-        kv_spec = SsspKVSpec(graph, partition, source=source,
-                             dense_state=dense_state)
-        kv_backend = EngineBackend(kv_spec, runtime=runtime)
-        res = IterationLoop(kv_backend, cfg, sync_policy=sync_policy).run()
-        if isinstance(res.state, DenseKVState):
-            dist = res.state.column(0).copy()
-        else:
-            dist = np.array([res.state[u][0] for u in range(graph.num_nodes)])
-    else:
-        raise ValueError(f"path must be 'block' or 'kv', got {path!r}")
-    return SsspResult(distances=dist, global_iters=res.global_iters,
+    spec = SsspBlockSpec(graph, partition, source=source)
+    be = resolve_block_backend(spec, backend=backend, staleness=staleness,
+                               cluster=cluster)
+    res = IterationLoop(be, cfg, sync_policy=sync_policy).run()
+    return SsspResult(distances=np.asarray(res.state),
+                      global_iters=res.global_iters,
                       converged=res.converged, sim_time=res.sim_time,
                       result=res)
 

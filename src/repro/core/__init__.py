@@ -45,7 +45,6 @@ from repro.core.emitter import (
 )
 from repro.core.gmap import GmapFunction, GreduceFunction
 from repro.core.hierarchy import HierarchyConfig, make_racks
-from repro.core.state import DenseKVState
 from repro.core.jobsched import (
     FairSharePolicy,
     FifoPolicy,
@@ -88,7 +87,6 @@ __all__ = [
     "make_policy",
     "AsyncMapReduceSpec",
     "BlockSpec",
-    "DenseKVState",
     "LocalSolveReport",
     "DriverConfig",
     "GENERAL",

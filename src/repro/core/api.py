@@ -6,8 +6,8 @@ with one local loop between them:
 * :class:`AsyncMapReduceSpec` — the faithful record-at-a-time API with
   the paper's four user functions (``lmap``, ``lreduce``, ``greduce``
   and the generated ``gmap``) and the EmitLocal* data flow.  It runs on
-  the real MapReduce engine and is what the correctness tests and small
-  examples use.
+  the real MapReduce engine; ``PageRankKVSpec`` and ``SsspKVSpec`` are
+  the bundled ones.
 
 * the **block-level local step** of an :class:`AsyncMapReduceSpec`
   (opt-in, declared by :attr:`AsyncMapReduceSpec.local_agg`) — the same
@@ -29,8 +29,8 @@ with one local loop between them:
   declare, so both layers run one loop.  The layers price it
   differently: an engine iteration counts the per-record loop's
   ``3n + m`` operations, a simulated one ``n + m`` (one per node and
-  per internal edge; ``docs/local_loop.md``).  Only k-means keeps a
-  loop of its own.
+  per internal edge; ``docs/local_loop.md``).  Only k-means, which has
+  a block spec and no engine-path spec, keeps a loop of its own.
 
 Both flavours share :class:`LocalSolveReport` (what a gmap hands to the
 global synchronization) and the convergence protocol from
@@ -189,15 +189,6 @@ class AsyncMapReduceSpec(abc.ABC):
         state (e.g. K-Means' periodic repartitioning, §V-D).  Returning
         ``None`` keeps the state unchanged."""
         return None
-
-    def before_local_iteration(self, table: dict) -> None:
-        """Hook called before every local iteration with the hashtable.
-
-        The record-at-a-time model gives ``lmap`` only its own record;
-        jobs that need shared per-iteration data (K-Means' current
-        centroids — Hadoop would use the distributed cache / job
-        configuration) pull it from the table here.  Default: no-op.
-        """
 
     # -- block-level local step (opt-in, see local_agg) -----------------
     def local_columns(self, part_id: int, xs: list) -> Any:

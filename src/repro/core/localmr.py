@@ -112,7 +112,6 @@ def run_local_mapreduce(
     converged = False
     iters = 0
     while iters < max_local_iters:
-        spec.before_local_iteration(table)
         mctx = LocalMapContext()
         for k, v in table.items():
             spec.lmap(k, v, mctx)
@@ -163,8 +162,6 @@ def run_local_block(
     ``per_iter_ops`` is what the per-record loop counts: a table scan
     (``n``), lmap's emissions (``n`` carried ``rec`` records plus the
     contribution records) and one ``EmitLocal`` per entry (``n``).
-    ``spec.before_local_iteration`` has no hashtable to be handed and is
-    not called.
     """
     if max_local_iters < 1:
         raise ValueError("max_local_iters must be >= 1")

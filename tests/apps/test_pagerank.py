@@ -13,7 +13,7 @@ from repro.apps import (
     pagerank_reference,
 )
 from repro.cluster import SimCluster
-from repro.core import DriverConfig
+from repro.core import DriverConfig, EngineBackend, IterationLoop
 from repro.graph import (
     DiGraph,
     chunk_partition,
@@ -81,8 +81,6 @@ class TestCorrectness:
             pagerank(small_graph, small_partition, damping=1.0)
         with pytest.raises(ValueError):
             PageRankBlockSpec(small_graph, small_partition, tol=0)
-        with pytest.raises(ValueError):
-            pagerank(small_graph, small_partition, path="quantum")
 
     @pytest.mark.parametrize("tol", [0.0, -1e-5])
     def test_kv_spec_rejects_nonpositive_tol(self, small_graph,
@@ -154,21 +152,29 @@ class TestPaperBehaviour:
         assert it_good <= it_bad
 
 
+def _engine_run(graph, partition, mode):
+    """PageRankKVSpec on the engine; the ranks read off the dict state."""
+    res = IterationLoop(EngineBackend(PageRankKVSpec(graph, partition)),
+                        DriverConfig(mode=mode)).run()
+    ranks = np.array([res.state[u][0] for u in range(graph.num_nodes)])
+    return res, ranks
+
+
 class TestKVPath:
     def test_kv_general_matches_block(self, small_graph, small_partition):
-        kv = pagerank(small_graph, small_partition, mode="general", path="kv")
+        kv, ranks = _engine_run(small_graph, small_partition, "general")
         block = pagerank(small_graph, small_partition, mode="general")
-        assert np.abs(kv.ranks - block.ranks).max() < 100 * TOL
+        assert np.abs(ranks - block.ranks).max() < 100 * TOL
         assert kv.global_iters == block.global_iters
 
     def test_kv_eager_matches_oracle(self, small_graph, small_partition):
-        kv = pagerank(small_graph, small_partition, mode="eager", path="kv")
+        _, ranks = _engine_run(small_graph, small_partition, "eager")
         expected = pagerank_reference(small_graph)
-        assert np.abs(kv.ranks - expected).max() < 100 * TOL
+        assert np.abs(ranks - expected).max() < 100 * TOL
 
     def test_kv_eager_fewer_global_iters(self, small_graph, small_partition):
-        gen = pagerank(small_graph, small_partition, mode="general", path="kv")
-        eag = pagerank(small_graph, small_partition, mode="eager", path="kv")
+        gen, _ = _engine_run(small_graph, small_partition, "general")
+        eag, _ = _engine_run(small_graph, small_partition, "eager")
         assert eag.global_iters < gen.global_iters / 2
 
 

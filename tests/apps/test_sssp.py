@@ -7,6 +7,7 @@ import pytest
 
 from repro.apps import SsspBlockSpec, SsspKVSpec, sssp, sssp_reference
 from repro.cluster import SimCluster
+from repro.core import DriverConfig, EngineBackend, IterationLoop
 from repro.graph import (
     DiGraph,
     chunk_partition,
@@ -74,8 +75,6 @@ class TestCorrectness:
     def test_invalid_args(self, weighted_graph, weighted_partition):
         with pytest.raises(ValueError, match="source"):
             sssp(weighted_graph, weighted_partition, source=-1)
-        with pytest.raises(ValueError, match="path"):
-            sssp(weighted_graph, weighted_partition, path="bogus")
 
     def test_negative_weights_rejected(self):
         g = DiGraph(2, [0], [1], [-1.0])
@@ -123,13 +122,29 @@ class TestPaperBehaviour:
         assert gen.global_iters <= weighted_graph.num_nodes
 
 
+def _engine_run(graph, partition, mode):
+    """SsspKVSpec on the engine; the distances read off the dict state."""
+    res = IterationLoop(EngineBackend(SsspKVSpec(graph, partition)),
+                        DriverConfig(mode=mode)).run()
+    dist = np.array([res.state[u][0] for u in range(graph.num_nodes)])
+    return res, dist
+
+
 class TestKVPath:
     @pytest.mark.parametrize("mode", ["general", "eager"])
     def test_kv_matches_dijkstra(self, weighted_graph, weighted_partition, mode):
-        res = sssp(weighted_graph, weighted_partition, mode=mode, path="kv")
-        assert np.allclose(res.distances, sssp_reference(weighted_graph))
+        _, dist = _engine_run(weighted_graph, weighted_partition, mode)
+        assert np.allclose(dist, sssp_reference(weighted_graph))
+
+    def test_kv_matches_block(self, weighted_graph, weighted_partition):
+        # Same distances to the bit (min-plus is exact); the round counts
+        # may differ by one, as the KV initial state already offers the
+        # source's cross edges.
+        _, dist = _engine_run(weighted_graph, weighted_partition, "general")
+        block = sssp(weighted_graph, weighted_partition, mode="general")
+        assert dist.tobytes() == block.distances.tobytes()
 
     def test_kv_eager_fewer_rounds(self, weighted_graph, weighted_partition):
-        gen = sssp(weighted_graph, weighted_partition, mode="general", path="kv")
-        eag = sssp(weighted_graph, weighted_partition, mode="eager", path="kv")
+        gen, _ = _engine_run(weighted_graph, weighted_partition, "general")
+        eag, _ = _engine_run(weighted_graph, weighted_partition, "eager")
         assert eag.global_iters < gen.global_iters

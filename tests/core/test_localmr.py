@@ -129,14 +129,3 @@ class TestRunLocalMapReduce:
                                   max_local_iters=10)
         assert res.table["static"] == 99  # untouched entry survived
         assert res.table["a"] == 0
-
-    def test_before_local_iteration_hook_called(self):
-        calls = []
-
-        class Hooked(CountdownSpec):
-            def before_local_iteration(self, table):
-                calls.append(dict(table))
-
-        run_local_mapreduce(Hooked(), [("a", 2)], max_local_iters=10)
-        assert len(calls) == 2
-        assert calls[0] == {"a": 2}

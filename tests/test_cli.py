@@ -215,6 +215,16 @@ class TestCommands:
         assert rc == 2
         assert "mutually exclusive" in capsys.readouterr().err
 
+    # Known defect: every fair-share batch member is priced on the same
+    # rack-0 slot prefix, so killing rack 0 leaves a phase with no live
+    # slot ("every slot died mid-phase").
+    @pytest.mark.xfail(strict=True, raises=RuntimeError,
+                       reason="fair-share slot shares all sit on rack 0")
+    def test_schedule_kill_rack_recovers(self, capsys):
+        rc = main(["schedule", "--jobs", "pagerank,sssp", "--scale", "0.003",
+                   "-k", "2", "--kill-rack", "0"])
+        assert rc == 0
+
     def test_schedule_kill_node_reports_recovery(self, capsys):
         rc = main(["schedule", "--jobs", "pagerank,sssp", "--scale", "0.003",
                    "-k", "2", "--kill-node", "1", "--kill-round", "1",
