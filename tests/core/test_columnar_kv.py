@@ -16,7 +16,7 @@ from repro.apps.pagerank import PageRankKVSpec, pagerank_reference
 from repro.apps.sssp import SsspKVSpec, sssp_reference
 from repro.cluster import SimCluster
 from repro.core import DriverConfig, EngineBackend, IterationLoop
-from repro.engine import MapReduceRuntime
+from repro.engine import ColumnarBlock, MapReduceRuntime
 from repro.graph import (
     attach_random_weights,
     multilevel_partition,
@@ -134,3 +134,68 @@ class TestSsspColumnar:
         # frontier saturates and the "min" combiner has duplicates to
         # fold, it is.
         assert fast.history[-1].shuffle_bytes < oracle.history[-1].shuffle_bytes
+
+
+def _kv_spec(app, setup):
+    g, part, wg = setup
+    if app == "pagerank":
+        return PageRankKVSpec(g, part)
+    return SsspKVSpec(wg, multilevel_partition(wg, 3, seed=0))
+
+
+@pytest.mark.parametrize("app", ["pagerank", "sssp"])
+class TestStateFromColumnar:
+    """The columnar reduce output folds into the per-node dict exactly
+    as its materialised pairs fold through ``state_from_output``."""
+
+    def test_fold_is_the_dict_update(self, setup, app):
+        spec = _kv_spec(app, setup)
+        prev = spec.initial_state()
+        block = ColumnarBlock(np.array([2, 0], dtype=np.int64),
+                              np.array([[5.0, 0.25], [7.0, np.inf]]))
+        new = spec.state_from_columnar(block, prev)
+        want = dict(prev)
+        want.update({2: (5.0, 0.25), 0: (7.0, float("inf"))})
+        assert new == want
+        assert list(new) == list(want)
+        assert new == spec.state_from_output(block.to_pairs(), prev)
+        assert all(type(v) is tuple for v in new.values())
+
+    def test_fold_leaves_the_previous_state_alone(self, setup, app):
+        spec = _kv_spec(app, setup)
+        prev = spec.initial_state()
+        before = dict(prev)
+        block = ColumnarBlock(np.array([1], dtype=np.int64),
+                              np.array([[9.0, 9.0]]))
+        new = spec.state_from_columnar(block, prev)
+        assert new is not prev and prev == before
+        assert new[1] == (9.0, 9.0) and prev[1] == before[1]
+
+    def test_empty_block_is_an_unshared_copy(self, setup, app):
+        spec = _kv_spec(app, setup)
+        prev = spec.initial_state()
+        block = ColumnarBlock(np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
+        new = spec.state_from_columnar(block, prev)
+        assert new == prev and new is not prev
+        new[0] = (5.0, 5.0)
+        assert prev[0] != (5.0, 5.0)
+
+
+class TestModeParity:
+    """Both modes reach the object path's fixed point in as many rounds
+    on the columnar lane — SSSP's ``min`` bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["general", "eager"])
+    @pytest.mark.parametrize("app", ["pagerank", "sssp"])
+    def test_columnar_matches_object_path(self, setup, app, mode):
+        fast = _run(_kv_spec(app, setup), columnar=True, mode=mode)
+        oracle = _run(_kv_spec(app, setup), columnar=False, mode=mode)
+        assert fast.converged and oracle.converged
+        assert fast.global_iters == oracle.global_iters
+        n = len(oracle.state)
+        a = np.array([fast.state[u][0] for u in range(n)])
+        b = np.array([oracle.state[u][0] for u in range(n)])
+        if app == "sssp":
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert np.allclose(a, b, rtol=0, atol=1e-9)
