@@ -17,16 +17,11 @@ Plus one enhancement of our own runtime rather than the paper's design:
 4. **Columnar shuffle fast path** — a custom engine job that ships
    typed ``(int64, float64)`` batches with a map-side combiner instead
    of one Python object per record, and how an iterative spec opts in.
-5. **Linting your job** — the ``repro.analysis`` linter catches the
-   mistakes that silently break deterministic replay and map-side
-   combining (clock reads, impure state, non-commutative combiners)
-   before any task runs, via ``Job``'s / ``Session.submit``'s
-   ``lint="warn"|"strict"`` knob or the ``repro lint`` CLI.
-6. **Columnar end to end** — string keys ride the fast path through
+5. **Columnar end to end** — string keys ride the fast path through
    dictionary encoding, and the process executor ships blocks as named
    shared-memory segments instead of pickles — pinned bitwise-identical
    to the in-process run.
-7. **Barrier to chaos** — the ``AsyncBackend`` walks the paper's whole
+6. **Barrier to chaos** — the ``AsyncBackend`` walks the paper's whole
    synchronization axis on one workload: ``staleness=0`` is the
    barrier, a finite bound is stale-synchronous coupling, ``None`` is
    pure chaotic relaxation, and a ``DivergenceDetector`` rescues a
@@ -183,46 +178,7 @@ def main() -> None:
               "map-side combiner pre-folds contributions)"))
 
     # ------------------------------------------------------------------
-    # 5. Linting your job.
-    #
-    # Replay is the engine's only fault-tolerance mechanism, and
-    # map-side combining reorders and regroups arrivals — so job
-    # functions must be deterministic, pure, and (for combiners)
-    # commutative.  The linter catches violations statically; the
-    # ``lint`` knob on JobConf / Session.submit enforces them before
-    # any task runs.  From the shell:  python -m repro lint <target>
-    # (see docs/lint_rules.md for the RPR rule catalog).
-    # ------------------------------------------------------------------
-    from repro.analysis import LintError, lint_callable, probe_commutative
-
-    def bad_clock_fn(key, value, ctx):
-        ctx.emit(key, time.time())  # RPR001: replay would differ
-
-    for finding in lint_callable(bad_clock_fn, role="map"):
-        print(f"5. lint finding: {finding.code} {finding.message}")
-
-    strict_job = Job(map_fn=bad_clock_fn, reduce_fn="sum",
-                     conf=JobConf(name="tour-bad", lint="strict"))
-    try:
-        with MapReduceRuntime("serial") as rt2:
-            rt2.run(strict_job, [[(0, 1.0)]])
-    except LintError as exc:
-        print(f"   lint=strict stopped the job: {exc}")
-
-    # The runtime probe checks the combiner contract semantically:
-    # permuting or regrouping a combiner's inputs must not change its
-    # result (sum commutes; subtraction does not).
-    def net_change_fold(values):
-        total = 0.0
-        for v in values:
-            total -= v
-        return total
-
-    print(f"   probe('sum'):     {probe_commutative('sum').summary()}")
-    print(f"   probe(subtract):  {probe_commutative(net_change_fold).summary()}")
-
-    # ------------------------------------------------------------------
-    # 6. Columnar end to end: string keys over the shared-memory
+    # 5. Columnar end to end: string keys over the shared-memory
     # transport.
     #
     # The process executor ships every above-threshold columnar payload
@@ -249,10 +205,10 @@ def main() -> None:
         [["shared memory (processes)",
           str(dict(over_shm.output)), str(leftover)],
          ["in-process (serial)", str(dict(over_pipe.output)), "-"]],
-        title="6. String-key wordcount over the shm transport"))
+        title="5. String-key wordcount over the shm transport"))
 
     # ------------------------------------------------------------------
-    # 7. Barrier to chaos: the same PageRank workload across the whole
+    # 6. Barrier to chaos: the same PageRank workload across the whole
     # synchronization axis.  staleness=0 reproduces the barrier charge
     # for charge; each relaxed round drops the per-round job startup,
     # reduce wave, and barrier drain, trading rounds for cheaper rounds.
@@ -274,7 +230,7 @@ def main() -> None:
     print()
     print(ascii_table(
         ["staleness bound", "global iters", "s/round", "sim time (s)"],
-        rows, title="7a. Barrier -> chaotic spectrum (PageRank)"))
+        rows, title="6a. Barrier -> chaotic spectrum (PageRank)"))
 
     # The guard rail: a Jacobi system with rho(M) < 1 < rho(|M|)
     # contracts under the barrier but oscillates divergently under pure
@@ -300,7 +256,7 @@ def main() -> None:
         f"{'None' if old is None else old}@{it}" for it, old, _ in
         detector.events) + " -> 0"
     print()
-    print("7b. divergence rescue: chaotic Jacobi on a rho(|M|) > 1 "
+    print("6b. divergence rescue: chaotic Jacobi on a rho(|M|) > 1 "
           "system "
           f"{'converged' if rescued.converged else 'failed'} in "
           f"{rescued.global_iters} iters after tightening "

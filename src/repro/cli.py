@@ -8,7 +8,6 @@
     python -m repro schedule --jobs pagerank,kmeans,sssp --policy fair
     python -m repro sweep    --figure 2            # any of 2..9
     python -m repro autotune --graph A --scale 0.01 --candidates 2,8,32
-    python -m repro lint     src/repro/apps examples --strict
 
 ``schedule`` multiplexes several heterogeneous iterative jobs onto ONE
 shared simulated cluster through the Session API
@@ -190,19 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_at.add_argument("--candidates", default="2,4,8,16,32",
                       help="comma-separated partition counts to probe")
     p_at.add_argument("--probe-iters", type=int, default=3)
-
-    p_li = sub.add_parser(
-        "lint",
-        help="statically check job functions (repro.analysis rule catalog)")
-    p_li.add_argument("targets", nargs="+", metavar="TARGET",
-                      help="a .py file, a directory, a dotted module "
-                           "(repro.apps.pagerank), or a bundled app name "
-                           "(pagerank)")
-    p_li.add_argument("--format", choices=["text", "json"], default="text",
-                      dest="fmt", help="finding output format")
-    p_li.add_argument("--strict", action="store_true",
-                      help="fail (exit 1) on warning-severity findings too, "
-                           "not only errors")
 
     return parser
 
@@ -543,33 +529,6 @@ def _cmd_autotune(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    """Static lint; exit 0 clean, 1 findings, 2 usage error.
-
-    "Findings" for the exit code means error severity (``--strict``:
-    warning severity too); informational notes — e.g. the RPR041
-    columnar-eligibility explainer — never fail the run.  Unresolvable
-    targets raise ``ValueError``, which :func:`main` maps to exit 2.
-    """
-    import json
-
-    from repro.analysis import Severity, lint_targets
-
-    findings = lint_targets(args.targets)
-    if args.fmt == "json":
-        print(json.dumps([f.as_dict() for f in findings], indent=2))
-    else:
-        for f in findings:
-            print(f.format())
-            print(f"    hint: {f.hint}")
-    threshold = Severity.WARNING if args.strict else Severity.ERROR
-    failing = [f for f in findings if f.severity >= threshold]
-    if args.fmt == "text":
-        print(f"{len(findings)} finding(s), {len(failing)} at or above "
-              f"{threshold} severity")
-    return 1 if failing else 0
-
-
 _COMMANDS = {
     "pagerank": _cmd_pagerank,
     "sssp": _cmd_sssp,
@@ -578,7 +537,6 @@ _COMMANDS = {
     "schedule": _cmd_schedule,
     "sweep": _cmd_sweep,
     "autotune": _cmd_autotune,
-    "lint": _cmd_lint,
 }
 
 

@@ -250,8 +250,9 @@ class AsyncBackend(BlockBackend):
     def _start_tables(self, state: Any) -> None:
         P = self.spec.num_partitions()
         # Views share the initial state object: combines are pure (they
-        # write into a copy — lint rule RPR051 polices exactly this), so
-        # per-reader views only ever fork, never alias-mutate.
+        # write into a copy — tools/reprolint's rule RPR051 polices
+        # exactly this), so per-reader views only ever fork, never
+        # alias-mutate.
         self._views: "list[Any]" = [state] * P
         self._seen: "list[list[int]]" = [[0] * P for _ in range(P)]
         self._ptime: "list[float]" = list(self.phase)

@@ -21,7 +21,6 @@ __all__ = ["DriverConfig", "GENERAL", "EAGER"]
 
 _MODES = ("general", "eager")
 _RATES = ("map", "local")
-_LINT_MODES = ("off", "warn", "strict")
 
 @dataclass(frozen=True)
 class DriverConfig:
@@ -83,12 +82,6 @@ class DriverConfig:
         construction.  Must be a positive integer or ``None``; zero and
         negative values are rejected at construction rather than
         surfacing as a modulo error deep in the accountant.
-    lint:
-        Default :mod:`repro.analysis` lint mode for jobs submitted with
-        this config: ``"off"`` (skip), ``"warn"`` (one
-        :class:`~repro.analysis.LintWarning` per finding), ``"strict"``
-        (raise :class:`~repro.analysis.LintError` on error-severity
-        findings before any task runs).
     speculate:
         Speculative re-execution of straggling tasks (Hadoop's backup
         tasks, LATE-style).  ``False`` (default) disables; ``True``
@@ -108,10 +101,6 @@ class DriverConfig:
     record_history: bool = True
     state_store: "Union[str, StateStore, Callable[[], StateStore]]" = "dfs"
     checkpoint_every: "int | None" = 10
-    #: Default lint mode for jobs submitted with this config
-    #: (:mod:`repro.analysis`): ``"off"`` / ``"warn"`` / ``"strict"``.
-    #: ``Session.submit(lint=...)`` overrides per submission.
-    lint: str = "off"
     #: Speculative re-execution of stragglers: ``False`` / ``True`` /
     #: a :class:`~repro.cluster.SpeculationConfig`.
     speculate: "Union[bool, SpeculationConfig]" = False
@@ -119,9 +108,6 @@ class DriverConfig:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.lint not in _LINT_MODES:
-            raise ValueError(
-                f"lint must be one of {_LINT_MODES}, got {self.lint!r}")
         if self.max_global_iters < 1:
             raise ValueError("max_global_iters must be >= 1")
         if self.max_local_iters < 1:

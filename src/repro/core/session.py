@@ -147,8 +147,7 @@ class Session:
     def submit(self, job: "JobSpec | IterationBackend",
                config: "DriverConfig | None" = None, *,
                priority: int = 0, name: "str | None" = None,
-               sync_policy: "AdaptiveSyncPolicy | None" = None,
-               lint: "str | None" = None) -> JobHandle:
+               sync_policy: "AdaptiveSyncPolicy | None" = None) -> JobHandle:
         """Register a job without running it; returns its handle.
 
         ``job`` is a :class:`JobSpec` (config/sync-policy default from
@@ -156,14 +155,6 @@ class Session:
         ``config`` is required).  ``priority`` orders jobs under the
         ordering policies (higher runs earlier).  Drive the admitted
         jobs with :meth:`run` (or :meth:`step` for one scheduling step).
-
-        ``lint`` runs the :mod:`repro.analysis` linter over the job's
-        spec at submission time — before any task executes: ``"warn"``
-        emits a :class:`~repro.analysis.LintWarning` per finding,
-        ``"strict"`` raises :class:`~repro.analysis.LintError` when any
-        error-severity finding (nondeterminism, impure state writes,
-        non-commutative combiner, unpicklable capture) is present.
-        ``None`` (default) defers to the job config's ``lint`` field.
         """
         job_id = self._next_id
         if isinstance(job, JobSpec):
@@ -182,11 +173,6 @@ class Session:
             raise TypeError(
                 f"submit() takes a JobSpec or an IterationBackend, "
                 f"got {type(job).__name__}")
-        lint_mode = lint if lint is not None else cfg.lint
-        if lint_mode != "off":
-            from repro.analysis import enforce, lint_backend
-
-            enforce(lint_backend(backend), lint_mode)
         bcluster = backend.cluster
         if bcluster is not None and bcluster is not self.cluster:
             raise ValueError(

@@ -63,13 +63,6 @@ class JobConf:
     #: columnar and object paths (callable combiners always run), so
     #: output stays byte-identical.  0 forces combining at any size.
     combine_crossover: int = 64
-    #: Lint the job's user functions (:mod:`repro.analysis`) before any
-    #: task runs: ``"off"`` (default) skips the check, ``"warn"`` emits
-    #: a :class:`~repro.analysis.LintWarning` per finding, ``"strict"``
-    #: raises :class:`~repro.analysis.LintError` on error-severity
-    #: findings (nondeterminism, impurity, non-commutative combiners,
-    #: unpicklable captures).
-    lint: str = "off"
 
     def __post_init__(self) -> None:
         if self.num_reducers < 1:
@@ -78,9 +71,6 @@ class JobConf:
             raise ValueError("combine_crossover must be >= 0")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.lint not in ("off", "warn", "strict"):
-            raise ValueError(
-                f"lint must be 'off', 'warn' or 'strict', got {self.lint!r}")
 
 
 @dataclass

@@ -401,12 +401,6 @@ class MapReduceRuntime:
         deaths on (a standalone job is round 0).
         """
         conf = job.conf
-        if conf.lint != "off":
-            # Deferred import: the analysis package inspects engine/core
-            # types, so importing it at module scope would be circular.
-            from repro.analysis import enforce, lint_job
-
-            enforce(lint_job(job), conf.lint)
         splits = [list(s) for s in splits]
         counters = Counters()
         # Scripted node deaths for this round: known up front, so only

@@ -1,31 +1,22 @@
-"""Linting live objects and the lint="off"|"warn"|"strict" knob."""
+"""Linting live objects: callables, specs, engine jobs and backends."""
 
 from __future__ import annotations
 
-import warnings
-
 import lint_fixtures as fixtures
-import numpy as np
-import pytest
 
-from repro.analysis import (
-    LintError,
+from repro.apps.pagerank import PageRankBlockSpec, PageRankKVSpec
+from repro.apps.wordcount import wordcount_job
+from repro.core.api import AsyncMapReduceSpec, BlockSpec, LocalSolveReport
+from repro.core.loop import EngineBackend
+from repro.engine.job import Job, JobConf
+from tools.reprolint import (
     LintReport,
-    LintWarning,
     Severity,
-    enforce,
     lint_backend,
     lint_callable,
     lint_job,
     lint_spec,
 )
-from repro.apps.pagerank import PageRankBlockSpec, PageRankKVSpec
-from repro.apps.wordcount import wordcount_job
-from repro.core import DriverConfig, Session
-from repro.core.api import AsyncMapReduceSpec, BlockSpec, LocalSolveReport
-from repro.core.loop import BlockBackend, EngineBackend
-from repro.engine import MapReduceRuntime
-from repro.engine.job import Job, JobConf
 
 
 class SubtractingBlockSpec(BlockSpec):
@@ -216,38 +207,9 @@ class TestLintJob:
         assert "PageRankKVSpec" in report.subject
 
 
-class TestEnforce:
-    def _report(self, *findings):
-        return LintReport(subject="test", findings=tuple(findings))
-
-    def test_off_is_noop(self):
-        report = lint_job(Job(map_fn=fixtures.clock_map, reduce_fn="sum",
-                              conf=JobConf(name="bad")))
-        assert enforce(report, "off") is report
-
-    def test_warn_emits_lint_warnings(self):
-        report = lint_job(Job(map_fn=fixtures.clock_map, reduce_fn="sum",
-                              conf=JobConf(name="bad")))
-        with pytest.warns(LintWarning, match="RPR001"):
-            enforce(report, "warn")
-
-    def test_strict_raises_on_errors(self):
-        report = lint_job(Job(map_fn=fixtures.clock_map, reduce_fn="sum",
-                              conf=JobConf(name="bad")))
-        with pytest.raises(LintError, match="RPR001") as exc_info:
-            enforce(report, "strict")
-        assert exc_info.value.report is report
-
-    def test_strict_passes_clean_report(self):
-        report = lint_job(wordcount_job())
-        assert enforce(report, "strict") is report
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="lint must be one of"):
-            enforce(self._report(), "aggressive")
-
+class TestLintReport:
     def test_clean_report_formats_as_one_line(self):
-        assert self._report().format() == "test: clean"
+        assert LintReport(subject="test", findings=()).format() == "test: clean"
 
     def test_report_format_lists_findings_then_a_summary(self):
         report = lint_job(Job(map_fn=fixtures.clock_map, reduce_fn="sum",
@@ -259,72 +221,3 @@ class TestEnforce:
             f"{report.subject}: {len(report)} findings "
             f"({len(report.errors)} errors, {len(report.warnings)} warnings)")
         assert len(report.errors) >= 2  # RPR001 and RPR021
-
-
-class TestRuntimeKnob:
-    def test_jobconf_validates_lint(self):
-        with pytest.raises(ValueError, match="lint must be"):
-            JobConf(lint="strictest")
-
-    def test_strict_rejects_before_any_task(self):
-        calls = []
-
-        def counting_bad_map(key, value, ctx):
-            calls.append(key)
-            ctx.emit(key, np.random.rand())
-
-        job = Job(map_fn=counting_bad_map, reduce_fn="sum",
-                  conf=JobConf(name="bad", lint="strict"))
-        with MapReduceRuntime("serial") as rt:
-            with pytest.raises(LintError):
-                rt.run(job, [[(0, 1.0)], [(1, 2.0)]])
-        assert calls == []  # rejected before any task executed
-
-    def test_warn_still_runs(self):
-        job = Job(map_fn=fixtures.clock_map, reduce_fn="sum",
-                  conf=JobConf(name="warny", lint="warn"))
-        with MapReduceRuntime("serial") as rt:
-            with pytest.warns(LintWarning):
-                result = rt.run(job, [[(0, 1.0)]])
-        assert result.output
-
-    def test_off_by_default(self):
-        job = Job(map_fn=fixtures.clock_map, reduce_fn="sum",
-                  conf=JobConf(name="quiet"))
-        with MapReduceRuntime("serial") as rt:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", LintWarning)
-                rt.run(job, [[(0, 1.0)]])
-
-
-class TestSessionKnob:
-    def test_submit_strict_rejects_noncommutative_combiner(self):
-        spec = SubtractingBlockSpec()
-        with Session() as session:
-            with pytest.raises(LintError, match="RPR021"):
-                session.submit(BlockBackend(spec), DriverConfig(),
-                               lint="strict")
-            assert session.jobs == []  # nothing was admitted
-
-    def test_submit_strict_accepts_clean_spec(self):
-        with Session() as session:
-            handle = session.submit(BlockBackend(SummingBlockSpec()),
-                                    DriverConfig(), lint="strict")
-            assert handle in session.jobs
-
-    def test_config_lint_default_applies(self):
-        cfg = DriverConfig(lint="strict")
-        with Session() as session:
-            with pytest.raises(LintError):
-                session.submit(BlockBackend(SubtractingBlockSpec()), cfg)
-
-    def test_submit_overrides_config_lint(self):
-        cfg = DriverConfig(lint="strict")
-        with Session() as session:
-            handle = session.submit(BlockBackend(SubtractingBlockSpec()),
-                                    cfg, lint="off")
-            assert handle in session.jobs
-
-    def test_driverconfig_validates_lint(self):
-        with pytest.raises(ValueError, match="lint must be one of"):
-            DriverConfig(lint="loose")

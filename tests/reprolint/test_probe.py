@@ -6,7 +6,7 @@ import lint_fixtures as fixtures
 import numpy as np
 import pytest
 
-from repro.analysis import (
+from tools.reprolint import (
     probe_commutative,
     probe_permutation_invariant,
     results_equal,

@@ -3,7 +3,7 @@
 Map-side combining (and the arbitrary-arrival asynchronous discipline
 the paper studies) is only sound when each app's combine step is
 order- and grouping-insensitive.  This parametrizes the runtime probes
-of :mod:`repro.analysis` over all seven bundled applications:
+of :mod:`tools.reprolint` over all seven bundled applications:
 
 * KV specs declare ``columnar_combine`` by name — probed directly as
   a fold (pagerank/sum, sssp/min), plus the wordcount reduce, which
@@ -22,13 +22,13 @@ import copy
 import numpy as np
 import pytest
 
-from repro.analysis import probe_commutative, probe_permutation_invariant
 from repro.apps.components import ComponentsBlockSpec
 from repro.apps.jacobi import JacobiBlockSpec, make_diagonally_dominant_system
 from repro.apps.kmeans import KMeansBlockSpec
 from repro.apps.pagerank import PageRankBlockSpec, PageRankKVSpec
 from repro.apps.sssp import SsspBlockSpec, SsspKVSpec
 from repro.apps.wordcount import wordcount_reduce
+from tools.reprolint import probe_commutative, probe_permutation_invariant
 
 
 class TestKVCombiners:

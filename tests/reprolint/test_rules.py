@@ -7,7 +7,7 @@ import pytest
 
 import lint_fixtures as fixtures
 
-from repro.analysis import RULES, Severity, lint_callable
+from tools.reprolint import RULES, Severity, lint_callable
 
 
 def _codes(fn, role):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -262,64 +261,10 @@ class TestParseStaleness:
             _parse_staleness(text)
 
 
-class TestLint:
-    """The `repro lint` exit-code contract: 0 clean, 1 findings, 2 usage."""
-
-    FIXTURES = str(Path(__file__).parent / "analysis" / "lint_fixtures.py")
-
-    def test_parser_accepts_lint_options(self):
-        args = build_parser().parse_args(
-            ["lint", "src/repro/apps", "examples", "--format", "json",
-             "--strict"])
-        assert args.command == "lint"
-        assert args.targets == ["src/repro/apps", "examples"]
-        assert args.fmt == "json"
-        assert args.strict
-
-    def test_clean_target_exits_zero(self, tmp_path, capsys):
-        clean = tmp_path / "clean_job.py"
-        clean.write_text(
-            "def count_map(key, value, ctx):\n"
-            "    ctx.emit(key, 1)\n"
-            "\n"
-            "def sum_reduce(key, values, ctx):\n"
-            "    ctx.emit(key, sum(values))\n")
-        rc = main(["lint", str(clean)])
-        assert rc == 0
-        assert "0 at or above" in capsys.readouterr().out
-
-    def test_findings_exit_one(self, capsys):
-        rc = main(["lint", self.FIXTURES])
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "RPR001" in out
-        assert "hint:" in out
-
-    def test_unknown_target_exits_two(self, capsys):
-        rc = main(["lint", "no/such/target.py"])
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_json_format(self, capsys):
-        rc = main(["lint", self.FIXTURES, "--format", "json"])
-        assert rc == 1
-        findings = json.loads(capsys.readouterr().out)
-        assert findings
-        assert {"code", "severity", "message", "function", "file",
-                "line", "hint"} <= set(findings[0])
-        assert any(f["code"] == "RPR021" for f in findings)
-
-    def test_strict_lowers_threshold_to_warnings(self, tmp_path, capsys):
-        warny = tmp_path / "warny_job.py"
-        warny.write_text(
-            "def fanout_map(key, value, ctx):\n"
-            "    for n in {value, value + 1}:\n"
-            "        ctx.emit(n, 1)\n")
-        assert main(["lint", str(warny)]) == 0
-        capsys.readouterr()
-        assert main(["lint", str(warny), "--strict"]) == 1
-        assert "RPR002" in capsys.readouterr().out
-
-    def test_module_target_resolves(self, capsys):
-        rc = main(["lint", "repro.apps.pagerank", "--strict"])
-        assert rc == 0
+class TestNoLintCommand:
+    def test_lint_is_an_unknown_subcommand(self, capsys):
+        # The linter is a developer tool (python -m tools.reprolint).
+        with pytest.raises(SystemExit) as exc_info:
+            main(["lint", "src/repro/apps"])
+        assert exc_info.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err

@@ -7,16 +7,24 @@ ties the simulator to the runtime it prices (``engine/faults.py`` and
 ``cluster/workerpool.py`` rely on the cluster package never importing
 the engine).  Imports under ``if TYPE_CHECKING:`` never run and are
 exempt.
+
+Above the library sit the developer tools (``tools/``, e.g. the
+``tools.reprolint`` linter) and the test suite: they import ``repro``,
+never the other way round — no module under ``src/repro`` names either,
+not even deferred or for type checking.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.core import DriverConfig, Session
+from repro.engine.job import JobConf
 
 ROOT = Path(repro.__file__).parent
 LOWER = ("cluster", "graph", "data", "util")
@@ -83,3 +91,38 @@ def test_the_walk_sees_deferred_and_relative_imports():
     names = {name for _, name in visitor.found}
     assert {"repro.engine", "repro.apps.kmeans", "repro.engine.task"} <= names
     assert not any(name.startswith("repro.core") for name in names)
+
+
+def test_the_library_never_imports_the_tools_or_the_tests():
+    bad = []
+    for path in sorted(ROOT.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            bad += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+                    for name in names
+                    if name.split(".")[0] in ("tools", "tests")]
+    assert not bad, f"the library imports a tool or a test: {bad}"
+
+
+class TestNoLintHook:
+    """The linter runs beside the library; no run-time option reaches it."""
+
+    def test_the_analysis_package_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            __import__("repro.analysis")
+
+    def test_jobconf_takes_no_lint(self):
+        with pytest.raises(TypeError, match="lint"):
+            JobConf(lint="strict")
+
+    def test_driverconfig_takes_no_lint(self):
+        with pytest.raises(TypeError, match="lint"):
+            DriverConfig(lint="strict")
+
+    def test_submit_takes_no_lint(self):
+        assert "lint" not in inspect.signature(Session.submit).parameters

@@ -1,39 +1,37 @@
-"""Static + runtime analysis of user job functions ("repro lint").
+"""reprolint: static + runtime checks of user job functions.
 
 The paper's relaxation spectrum — eager-synchronous through fully
 asynchronous — is only correct when the user's map/combine/reduce
 functions are pure, deterministic, order-insensitive, and safe to ship
-to worker processes.  This package checks those properties *before* any
-task runs:
+to worker processes.  This developer tool checks those properties; the
+``repro`` library never imports it.
 
-* :mod:`~repro.analysis.findings` — the ``RPR0xx`` rule catalog
+* :mod:`~tools.reprolint.findings` — the ``RPR0xx`` rule catalog
   (code, severity, fix hint) and the :class:`Finding` record.
-* :mod:`~repro.analysis.rules` — AST rules over one function.
-* :mod:`~repro.analysis.linter` — linting live objects (``Job``, specs,
-  backends) plus the ``lint="off"|"warn"|"strict"`` enforcement knob.
-* :mod:`~repro.analysis.discovery` — static lint over files,
+* :mod:`~tools.reprolint.rules` — AST rules over one function.
+* :mod:`~tools.reprolint.linter` — linting live objects (``Job``,
+  specs, backends) into a :class:`LintReport`.
+* :mod:`~tools.reprolint.discovery` — static lint over files,
   directories, modules, and bundled app names (the CLI path).
-* :mod:`~repro.analysis.probe` — runtime property probes
+* :mod:`~tools.reprolint.probe` — runtime property probes
   (:func:`probe_commutative`): random permutations and regroupings of
   sampled values must leave a combiner's result unchanged.
+* :mod:`~tools.reprolint.cli` — ``python -m tools.reprolint [--strict]
+  [--format json] TARGET...``; exit 0 clean, 1 findings, 2 usage error.
 
 See ``docs/lint_rules.md`` for the catalog with bad/good examples.
 """
 
-from repro.analysis.discovery import lint_path, lint_source, lint_targets
-from repro.analysis.findings import Finding, RULES, Rule, Severity
-from repro.analysis.linter import (
-    LINT_MODES,
-    LintError,
+from tools.reprolint.discovery import lint_path, lint_source, lint_targets
+from tools.reprolint.findings import Finding, RULES, Rule, Severity
+from tools.reprolint.linter import (
     LintReport,
-    LintWarning,
-    enforce,
     lint_backend,
     lint_callable,
     lint_job,
     lint_spec,
 )
-from repro.analysis.probe import (
+from tools.reprolint.probe import (
     ProbeResult,
     probe_commutative,
     probe_permutation_invariant,
@@ -41,16 +39,12 @@ from repro.analysis.probe import (
 )
 
 __all__ = [
-    "LINT_MODES",
     "RULES",
     "Finding",
-    "LintError",
     "LintReport",
-    "LintWarning",
     "ProbeResult",
     "Rule",
     "Severity",
-    "enforce",
     "lint_backend",
     "lint_callable",
     "lint_job",

@@ -1,13 +1,14 @@
 """Static lint over source targets: files, directories, modules, apps.
 
-This is the ``repro lint`` entry path: targets are resolved to ``.py``
-files, parsed (never imported or executed), and every role-named
+This is the ``python -m tools.reprolint`` entry path: targets are
+resolved to ``.py`` files, parsed (never imported or executed), and
+every role-named
 function — ``lmap``/``lreduce``/``greduce``/``global_combine``, the
 engine's ``map_fn``/``reduce_fn``/``combine_fn``, and the
 ``*_map``/``*_reduce``/``*_combine`` convention — is run through the
 static rule families.  Rules needing live objects (the RPR031 hazard
-scan, the runtime probes) apply on the ``Job``/``Session`` path
-instead; see :mod:`repro.analysis.linter`.
+scan, the runtime probes) apply to live ``Job``/spec/backend objects
+instead; see :mod:`tools.reprolint.linter`.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import importlib.util
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis.findings import Finding
-from repro.analysis.rules import (
+from tools.reprolint.findings import Finding
+from tools.reprolint.rules import (
     FunctionLint,
     analyze_function,
     iter_role_functions,
@@ -39,14 +40,27 @@ def lint_source(source: str, filename: str = "<string>") -> "list[Finding]":
 
 
 def lint_path(path: "Path | str") -> "list[Finding]":
-    """Lint one ``.py`` file or every ``.py`` file under a directory."""
+    """Lint one ``.py`` file or every ``.py`` file under a directory.
+
+    A file that is not UTF-8 or does not parse raises ``ValueError``
+    naming ``path:line`` (the CLI maps that to exit code 2).
+    """
     path = Path(path)
     if path.is_dir():
         findings: "list[Finding]" = []
         for py in sorted(path.rglob("*.py")):
             findings.extend(lint_path(py))
         return findings
-    return lint_source(path.read_text(encoding="utf-8"), str(path))
+    data = path.read_bytes()
+    try:
+        return lint_source(data.decode("utf-8"), str(path))
+    except UnicodeDecodeError as exc:
+        line = data[:exc.start].count(b"\n") + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 ({exc.reason} at "
+                         f"byte {exc.start})") from exc
+    except SyntaxError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: cannot parse "
+                         f"({exc.msg})") from exc
 
 
 def _module_origin(name: str) -> "Path | None":

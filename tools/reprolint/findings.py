@@ -128,7 +128,7 @@ def _catalog(*rules: Rule) -> "dict[str, Rule]":
 
 #: The rule catalog, keyed by code.  ``docs/lint_rules.md`` documents
 #: each entry with a triggering and a near-miss example; the fixture
-#: specs in ``tests/analysis/lint_fixtures.py`` pin both.
+#: specs in ``tests/reprolint/lint_fixtures.py`` pin both.
 RULES: "dict[str, Rule]" = _catalog(
     Rule(
         code="RPR001",

@@ -1,6 +1,6 @@
 """Linting runtime objects: jobs, specs, backends, bare callables.
 
-This module turns the static rules (:mod:`~repro.analysis.rules`), the
+This module turns the static rules (:mod:`~tools.reprolint.rules`), the
 process-hazard scan (RPR031) and the columnar-eligibility explainer
 (RPR041) into one entry point per engine object:
 
@@ -12,12 +12,7 @@ process-hazard scan (RPR031) and the columnar-eligibility explainer
   :class:`~repro.core.api.BlockSpec`,
 * :func:`lint_backend` — an :class:`~repro.core.loop.IterationBackend`,
 
-each returning a :class:`LintReport`.  :func:`enforce` applies the
-``lint="off"|"warn"|"strict"`` knob shared by
-:class:`~repro.engine.job.JobConf` and ``Session.submit``: ``warn``
-emits a :class:`LintWarning` per finding, ``strict`` raises
-:class:`LintError` when any error-severity finding is present — before
-any task runs.
+each returning a :class:`LintReport`.
 """
 
 from __future__ import annotations
@@ -28,33 +23,21 @@ import io
 import pickle
 import random
 import textwrap
-import warnings
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 import numpy as np
 
-from repro.analysis.findings import Finding, Severity
-from repro.analysis.rules import FunctionLint, analyze_function
+from tools.reprolint.findings import Finding, Severity
+from tools.reprolint.rules import FunctionLint, analyze_function
 
 __all__ = [
-    "LINT_MODES",
-    "LintError",
     "LintReport",
-    "LintWarning",
-    "enforce",
     "lint_backend",
     "lint_callable",
     "lint_job",
     "lint_spec",
 ]
-
-#: The three enforcement levels of the ``lint`` knob.
-LINT_MODES = ("off", "warn", "strict")
-
-
-class LintWarning(UserWarning):
-    """Emitted per finding under ``lint="warn"``."""
 
 
 def _plural(n: int, noun: str) -> str:
@@ -99,37 +82,6 @@ class LintReport:
             f"{self.subject}: {_plural(len(self.findings), 'finding')} "
             f"({len(self.errors)} errors, {len(self.warnings)} warnings)")
         return "\n".join(lines)
-
-
-class LintError(ValueError):
-    """Raised by ``lint="strict"`` before any task of the job runs."""
-
-    def __init__(self, report: LintReport) -> None:
-        self.report = report
-        errors = report.errors
-        summary = "; ".join(
-            f"{f.code} {f.message} [{f.function}]" for f in errors[:3])
-        if len(errors) > 3:
-            summary += f"; and {len(errors) - 3} more"
-        super().__init__(
-            f"lint=strict rejected {report.subject}: "
-            f"{_plural(len(errors), 'error-severity finding')} — {summary}")
-
-
-def enforce(report: LintReport, mode: str) -> LintReport:
-    """Apply a lint mode to a report; returns the report for chaining."""
-    if mode not in LINT_MODES:
-        raise ValueError(f"lint must be one of {LINT_MODES}, got {mode!r}")
-    if mode == "off":
-        return report
-    if mode == "strict" and report.errors:
-        raise LintError(report)
-    for finding in report.findings:
-        if finding.severity >= Severity.WARNING:
-            warnings.warn(f"{report.subject}: {finding.format()} "
-                          f"(hint: {finding.hint})",
-                          LintWarning, stacklevel=3)
-    return report
 
 
 # ----------------------------------------------------------------------

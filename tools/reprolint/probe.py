@@ -1,6 +1,6 @@
 """Runtime property probes for combine functions.
 
-Static rules (:mod:`repro.analysis.rules`) catch syntactic smells; the
+Static rules (:mod:`tools.reprolint.rules`) catch syntactic smells; the
 probes here check the *semantic* contract directly: a combine function
 folds partial aggregates that arrive in arbitrary order and grouping,
 so permuting or regrouping its inputs must not change its output.

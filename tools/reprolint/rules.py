@@ -1,13 +1,13 @@
 """AST rules over user job functions.
 
 :func:`analyze_function` runs the static rule families of
-:mod:`repro.analysis.findings` over one parsed ``def``.  The rules are
+:mod:`tools.reprolint.findings` over one parsed ``def``.  The rules are
 deliberately *narrow*: each pattern is a construct whose presence in a
 map/reduce/combine function is near-certain to break deterministic
 replay, order-insensitive combining, or process-executor shipping —
 the analyzer's job is to prove the bundled and user specs clean, so a
 false positive is as much a bug as a false negative.  (The runtime
-:mod:`~repro.analysis.probe` complements these with property testing
+:mod:`~tools.reprolint.probe` complements these with property testing
 for the semantic cases no static rule can decide.)
 
 Which rules run depends on the function's *role*:
@@ -36,7 +36,7 @@ import ast
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from repro.analysis.findings import Finding
+from tools.reprolint.findings import Finding
 
 __all__ = ["FunctionLint", "analyze_function", "role_for_name", "ROLES"]
 
