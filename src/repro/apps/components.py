@@ -7,8 +7,9 @@ trees, transitive closure, and connected components", §VI).  This module
 is that extension: min-label propagation over the *undirected* view of
 the graph, with the same General (one hop per global iteration) vs Eager
 (local propagation to a fixed point per partition) pairing as SSSP.
-Its local step is ``run_local_block`` over the spec's ``*_block`` hooks,
-on int64 labels that stay int64 (``local_solve`` is the base class's).
+Its local step is ``run_local_block`` over the spec's hooks (a gather
+and ``np.minimum.at`` per iteration), on int64 labels that stay int64
+(``local_solve`` is the base class's).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from repro.apps._nodeblock import NodeBlockSpec
 from repro.cluster import SimCluster
 from repro.core import BlockBackend, DriverConfig, IterationLoop, IterativeResult
+from repro.core.localmr import scatter_fold
 from repro.graph import DiGraph, Partition, split_edges
 
 __all__ = [
@@ -71,9 +73,9 @@ class ComponentsBlockSpec(NodeBlockSpec):
         np.minimum.at(floor, b.in_dst, state[b.in_src])
         return (floor,)
 
-    def lmap_block(self, part_id: int, cols):
+    def local_fold(self, part_id: int, cols):
         b = self._blocks[part_id]
-        return b.int_dst, cols[0][b.int_src]
+        return scatter_fold(self.local_agg, cols[0], b.int_dst, cols[0][b.int_src])
 
     def lreduce_block(self, part_id: int, cols, acc: np.ndarray):
         np.minimum(cols[0], acc, out=acc)

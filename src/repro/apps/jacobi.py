@@ -14,7 +14,8 @@ frozen remote values (block-Jacobi / asynchronous iteration — the
 chaotic-relaxation literature the paper cites [1, 9] guarantees
 convergence for contraction mappings regardless of the update
 schedule).  The local sweep is ``run_local_block`` over the spec's
-``*_block`` hooks; ``local_solve`` is the node-partitioned base class's.
+hooks, one CSR mat-vec per sweep; ``local_solve`` is the
+node-partitioned base class's.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps._nodeblock import NodeBlockSpec
+from repro.apps._nodeblock import NodeBlockSpec, sum_fold_matrices
 from repro.cluster import SimCluster
 from repro.core import (
     DriverConfig,
@@ -169,6 +170,8 @@ class JacobiBlockSpec(NodeBlockSpec):
         # are its outgoing cut edges.
         self._blocks = split_edges(system.rows, system.cols, system.vals,
                                    partition)
+        # R_int x: rows are the entries' own (source) rows
+        self._fold = sum_fold_matrices(self._blocks, into_target=False)
 
     def init_state(self) -> np.ndarray:
         return np.zeros(self.system.n, dtype=np.float64)
@@ -183,10 +186,9 @@ class JacobiBlockSpec(NodeBlockSpec):
         # included (no per-internal-entry records).
         return len(blk.nodes) + len(blk.cut_src)
 
-    def lmap_block(self, part_id: int, cols):
-        blk = self._blocks[part_id]
+    def local_fold(self, part_id: int, cols):
         # Row r's terms of R_int x, one record per internal entry.
-        return blk.int_src, blk.int_w * cols[0][blk.int_dst]
+        return self._fold[part_id] @ cols[0], len(self._blocks[part_id].int_src)
 
     def lreduce_block(self, part_id: int, cols, acc: np.ndarray):
         _, b_eff, diag = cols

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps._nodeblock import NodeBlockSpec
+from repro.apps._nodeblock import NodeBlockSpec, sum_fold_matrices
 from repro.cluster import SimCluster
 from repro.core import (
     AdaptiveSyncPolicy,
@@ -68,11 +68,12 @@ class PageRankResult:
 class _PageRank:
     """What both PageRank specs share.
 
-    The block-level local step (``local_agg`` and the ``*_block``
-    hooks, contract in ``docs/local_loop.md``) works on two columns,
-    ``(rank, ext)``: ``ext`` is the frozen sum of remote contributions,
-    and each local iteration is one damped Jacobi sweep over the
-    partition's internal edges, ``rank = ((1-d) + d*ext) + d*contrib``.
+    The block-level local step (``local_agg``, ``local_fold`` and the
+    ``*_block`` hooks, contract in ``docs/local_loop.md``) works on two
+    columns, ``(rank, ext)``: ``ext`` is the frozen sum of remote
+    contributions, and each local iteration is one damped Jacobi sweep
+    over the partition's internal edges, ``rank = ((1-d) + d*ext) +
+    d*contrib``, where ``contrib`` is one CSR mat-vec per part.
     """
 
     local_agg = "sum"
@@ -95,17 +96,14 @@ class _PageRank:
         # that with the edges once, here, so it ships with the spec.
         src, dst, _ = graph.edge_arrays()
         self._blocks = split_edges(src, dst, self.inv_outdeg[src], partition)
+        # contrib[dst] = sum of rank[src] * w: rows are the target rows
+        self._fold = sum_fold_matrices(self._blocks, into_target=True)
 
     def num_partitions(self) -> int:
         return self.partition.k
 
-    def lmap_block(self, part_id: int, cols):
-        b = self._blocks[part_id]
-        # Gather, then scale in place: one edge-sized temporary per
-        # sweep, not two.
-        push = cols[0][b.int_src]
-        push *= b.int_w
-        return b.int_dst, push
+    def local_fold(self, part_id: int, cols):
+        return self._fold[part_id] @ cols[0], len(self._blocks[part_id].int_src)
 
     def lreduce_block(self, part_id: int, cols, acc: np.ndarray):
         d, ext = self.damping, cols[1]

@@ -37,7 +37,7 @@ from repro.core import (
     IterativeResult,
     resolve_block_backend,
 )
-from repro.core.localmr import xs_columns
+from repro.core.localmr import scatter_fold, xs_columns
 from repro.graph import DiGraph, Partition, edge_blocks
 
 __all__ = [
@@ -64,12 +64,12 @@ class SsspResult:
 class _Sssp:
     """What both SSSP specs share.
 
-    The block-level local step (``local_agg`` and the ``*_block``
-    hooks, contract in ``docs/local_loop.md``) works on two columns,
-    ``(dist, ext)``: ``ext`` is the best distance offered over incoming
-    cut edges, a constant floor each relaxation applies.  So a single
-    local iteration is exactly one synchronous Bellman-Ford round over
-    *all* edges (general mode must be partition-independent), while
+    The block-level local step (``local_agg``, ``local_fold`` and the
+    ``*_block`` hooks, contract in ``docs/local_loop.md``) works on two
+    columns, ``(dist, ext)``: ``ext`` is the best distance offered over
+    incoming cut edges, a constant floor each relaxation applies.  So a
+    single local iteration is exactly one synchronous Bellman-Ford round
+    over *all* edges (general mode must be partition-independent), while
     iterating to a fixed point resolves every intra-partition path
     (eager).
     """
@@ -90,16 +90,17 @@ class _Sssp:
     def num_partitions(self) -> int:
         return self.partition.k
 
-    def lmap_block(self, part_id: int, cols):
+    def local_fold(self, part_id: int, cols):
         b = self._blocks[part_id]
         # Gather, then add in place: one edge-sized temporary per
         # relaxation, not two.
         cand = cols[0][b.int_src]
         live = np.isfinite(cand)  # an unreached source emits nothing
         cand += b.int_w
-        if live.all():
-            return b.int_dst, cand
-        return b.int_dst[live], cand[live]
+        rows = b.int_dst
+        if not live.all():
+            rows, cand = rows[live], cand[live]
+        return scatter_fold(self.local_agg, cols[0], rows, cand)
 
     def lreduce_block(self, part_id: int, cols, acc: np.ndarray):
         np.minimum(cols[0], acc, out=acc)

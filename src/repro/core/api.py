@@ -112,9 +112,10 @@ class AsyncMapReduceSpec(abc.ABC):
 
     Independently of the shuffle path, a spec whose hashtable values
     lead with float columns may declare a **block-level local step**
-    (:attr:`local_agg` plus the ``*_block`` hooks); the gmap then runs
-    the local loop on arrays — :func:`repro.core.localmr.run_local_block`,
-    contract in ``docs/local_loop.md``.
+    (:attr:`local_agg`, :meth:`local_fold` and the ``*_block`` hooks);
+    the gmap then runs the local loop on arrays —
+    :func:`repro.core.localmr.run_local_block`, contract in
+    ``docs/local_loop.md``.
     """
 
     #: Aggregator ("sum"/"min"/"max") ``lreduce`` folds a key's
@@ -198,16 +199,21 @@ class AsyncMapReduceSpec(abc.ABC):
         the partition the spec's static arrays describe."""
         raise NotImplementedError
 
-    def lmap_block(self, part_id: int, cols: Any) -> "tuple[Any, Any]":
-        """``lmap`` over the whole partition: its contribution records
-        as ``(target_rows, values)`` arrays in per-record emission order
-        (row-major by source row); the carried ``rec`` is implied."""
+    def local_fold(self, part_id: int, cols: Any) -> "tuple[Any, int]":
+        """``lmap`` over the whole partition, the local shuffle and
+        ``lreduce``'s fold, as ``(acc, records)``: ``acc[i]`` is row
+        ``i``'s contribution records folded by :attr:`local_agg` one by
+        one in per-record emission order (row-major by source row),
+        from the aggregator's identity where none arrived — bitwise the
+        per-record fold; ``records`` is how many contribution records
+        ``lmap`` emitted (the carried ``rec`` is implied).  A sum is a
+        sequential CSR mat-vec, a min a gather plus
+        :func:`repro.core.localmr.scatter_fold`."""
         raise NotImplementedError
 
     def lreduce_block(self, part_id: int, cols: Any, acc: Any) -> Any:
-        """``lreduce``'s epilogue for every row at once: ``acc[i]`` is
-        row ``i``'s contributions folded by :attr:`local_agg` (its
-        identity where none arrived); returns the new ``cols``.  ``acc``
+        """``lreduce``'s epilogue for every row at once, over
+        :meth:`local_fold`'s ``acc``; returns the new ``cols``.  ``acc``
         is this iteration's own array and may become a new column; the
         input columns must not be written."""
         raise NotImplementedError

@@ -43,7 +43,7 @@ from repro.core.emitter import LocalMapContext, LocalReduceContext
 from repro.engine.columnar import resolve_agg
 
 __all__ = ["LocalRunResult", "run_local_mapreduce", "run_local_block",
-           "xs_columns", "block_table", "per_record"]
+           "scatter_fold", "xs_columns", "block_table", "per_record"]
 
 
 def _agg_identity(agg: str, dtype: np.dtype) -> Any:
@@ -146,42 +146,49 @@ def run_local_block(
     """:func:`run_local_mapreduce` on arrays, for a spec declaring
     ``local_agg``: ``cols`` are the partition's mutable columns (one
     ``(n,)`` array each, row ``i`` = the partition's ``i``-th key),
-    ``result.table`` the final ones.  The fold ``acc`` takes the first
-    column's dtype: float64, or int64 for component labels.
+    ``result.table`` the final ones.
 
-    One iteration is ``lmap_block`` → ``ufunc.at(acc, rows, values)`` →
-    ``lreduce_block``.  The local shuffle is ``np.add.at`` /
-    ``np.minimum.at`` and not a sort plus ``ufunc.reduceat`` (the
-    engine's columnar kernel) because it must be *bitwise* the
-    per-record fold: ``ufunc.at`` applies the records one by one in
-    emission order — ``contrib = 0.0; contrib += payload`` exactly —
-    whereas ``np.add.reduceat`` sums a segment of >= 8 values with
-    NumPy's unrolled pairwise loop (last-digit differences that move
-    digests) and pays a sort the scatter does not need.
+    One iteration is ``local_fold`` → ``lreduce_block``.  The fold is
+    lmap plus the local shuffle plus ``lreduce``'s fold in one call:
+    ``acc[i]`` is row ``i``'s contribution records folded by
+    ``local_agg``, *bitwise* the per-record fold (``contrib = 0.0;
+    contrib += payload`` in emission order).  The sum apps do it as one
+    sequential CSR mat-vec, the min apps as a gather and
+    :func:`scatter_fold`; ``docs/local_loop.md`` says why both are
+    bitwise and ``reduceat`` is not.
 
     ``per_iter_ops`` is what the per-record loop counts: a table scan
     (``n``), lmap's emissions (``n`` carried ``rec`` records plus the
-    contribution records) and one ``EmitLocal`` per entry (``n``).
+    fold's ``records``) and one ``EmitLocal`` per entry (``n``).
     """
     if max_local_iters < 1:
         raise ValueError("max_local_iters must be >= 1")
-    scatter = resolve_agg(spec.local_agg).at
-    n, dtype = len(cols[0]), cols[0].dtype
-    start = np.full(n, _agg_identity(spec.local_agg, dtype), dtype=dtype)
+    n = len(cols[0])
     per_iter_ops: list[float] = []
     converged = False
     iters = 0
     while iters < max_local_iters and not converged:
-        rows, values = spec.lmap_block(part_id, cols)
-        acc = start.copy()
-        scatter(acc, rows, values)
+        acc, records = spec.local_fold(part_id, cols)
         new_cols = spec.lreduce_block(part_id, cols, acc)
-        per_iter_ops.append(float(3 * n + len(rows)))
+        per_iter_ops.append(float(3 * n + records))
         iters += 1
         converged = spec.local_converged_block(cols, new_cols)
         cols = new_cols
     return LocalRunResult(table=cols, local_iters=iters,
                           per_iter_ops=per_iter_ops, converged=converged)
+
+
+def scatter_fold(agg: str, col: np.ndarray, rows: np.ndarray,
+                 values: np.ndarray) -> "tuple[np.ndarray, int]":
+    """A ``local_fold`` of contribution records ``(rows, values)``:
+    ``ufunc.at`` of ``agg`` into an ``acc`` shaped and typed like
+    ``col`` (float64, or int64 for component labels) that starts from
+    the aggregator's identity.  ``ufunc.at`` is unbuffered, so repeated
+    rows all land, one by one in array order.  Returns ``(acc,
+    len(rows))``."""
+    acc = np.full(len(col), _agg_identity(agg, col.dtype), dtype=col.dtype)
+    resolve_agg(agg).at(acc, rows, values)
+    return acc, len(rows)
 
 
 def xs_columns(xs: "list[tuple[Any, Any]]", keys: list,

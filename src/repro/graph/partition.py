@@ -166,9 +166,12 @@ class EdgeBlock(NamedTuple):
     set keeps the order of the edge arrays it was split from (for a
     graph: adjacency order, row-major by source — the order a
     per-record scan of the part emits in), so a scatter over a set adds
-    its terms in the order a scan of the whole edge list would: that
-    order is what makes a floating-point scatter sum bitwise.  The
-    arrays are views of one table per view; treat them as read-only.
+    each row's terms in the order a scan of the whole edge list would:
+    that per-row order is what makes a floating-point sum bitwise.  A
+    *stable* sort of a set by target row keeps it, and changes no bit
+    of a row's sum (the sum apps' CSR fold relies on that); an unstable
+    sort, or any regrouping of one row's terms, moves the last bits.
+    The arrays are views of one table per view; treat them as read-only.
     """
 
     nodes: np.ndarray      #: ``(n,)`` int64 node ids of the part

@@ -14,6 +14,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.apps.jacobi import JacobiBlockSpec, SparseSystem
 from repro.apps.pagerank import PageRankBlockSpec, PageRankKVSpec
 from repro.apps.sssp import SsspBlockSpec, SsspKVSpec
 from repro.cluster import SimCluster
@@ -27,7 +28,7 @@ from repro.core import (
     run_local_mapreduce,
 )
 from repro.core import gmap as gmap_module
-from repro.core.localmr import block_table
+from repro.core.localmr import block_table, scatter_fold
 from repro.engine import MapReduceRuntime, TaskContext
 from repro.graph import (
     DiGraph,
@@ -167,6 +168,24 @@ def _hub_graph(fan_in: int) -> "tuple[DiGraph, Partition]":
     return g, Partition(g, np.zeros(n, dtype=np.int64), 1)
 
 
+def _assert_sum_fold(spec, into_target, seed):
+    """A sum app's ``local_fold`` (one CSR mat-vec) is the per-record
+    fold — ``np.add.at`` over the part's internal edges from 0 — to the
+    bit, on every part, and counts one record per internal edge."""
+    rng = np.random.default_rng(seed)
+    for p, b in enumerate(spec._blocks):
+        rows, gathered = ((b.int_dst, b.int_src) if into_target
+                          else (b.int_src, b.int_dst))
+        for scale in (1.0, 1e-3, 1e7):
+            x = rng.uniform(-1.0, 1.0, len(b.nodes)) * scale
+            want = np.zeros(len(b.nodes))
+            np.add.at(want, rows, b.int_w * x[gathered])
+            acc, records = spec.local_fold(p, (x, x))
+            assert acc.tobytes() == want.tobytes()
+            # the engine prices 3n + records per local iteration
+            assert records == len(b.int_src)
+
+
 class TestTraps:
     @pytest.mark.parametrize("fan_in", [8, 9, 129, 200])
     def test_many_internal_in_edges(self, fan_in):
@@ -196,6 +215,41 @@ class TestTraps:
         res = assert_same_local_run(ss, 0, xs, 10_000)
         assert block_table(xs, res.table)[1][0] == float("inf")
 
+    def test_sum_fold_keeps_parallel_edges(self):
+        """PageRank's parallel edges stay separate terms of the CSR
+        fold, in stored order (a matrix built from COO triples merges
+        them into one and fails here)."""
+        rng = np.random.default_rng(3)
+        n = 60
+        src = rng.integers(0, n, 240)
+        dst = np.where(rng.random(240) < 0.4, 0, rng.integers(0, n, 240))
+        reps = rng.integers(1, 5, 240)  # each edge one to four times over
+        g = DiGraph(n, np.repeat(src, reps), np.repeat(dst, reps))
+        for part in (Partition(g, np.zeros(n, dtype=np.int64), 1),
+                     Partition(g, np.arange(n) % 3, 3)):
+            _assert_sum_fold(PageRankKVSpec(g, part), True, 0)
+            _assert_sum_fold(PageRankBlockSpec(g, part), True, 1)
+
+    def test_sum_fold_keeps_duplicate_entries(self):
+        """Jacobi's duplicate ``(row, col)`` entries of different values,
+        listed out of row order, stay separate terms of the CSR fold."""
+        rng = np.random.default_rng(4)
+        n, m = 50, 400
+        rows = rng.integers(0, n, m)
+        cols = (rows + rng.integers(1, n, m)) % n  # no diagonal entry
+        # every entry once more, with another value, in reverse order
+        rows = np.concatenate([rows, rows[::-1]])
+        cols = np.concatenate([cols, cols[::-1]])
+        vals = -rng.uniform(0.1, 10.0, len(rows))
+        offsum = np.zeros(n)
+        np.add.at(offsum, rows, np.abs(vals))
+        system = SparseSystem(n=n, rows=rows, cols=cols, vals=vals,
+                              diag=2.0 * offsum + 1.0, b=rng.uniform(-1, 1, n))
+        g = DiGraph(n, rows, cols)
+        for part in (Partition(g, np.zeros(n, dtype=np.int64), 1),
+                     Partition(g, np.arange(n) % 4, 4)):
+            _assert_sum_fold(JacobiBlockSpec(system, part), False, 2)
+
     @pytest.mark.parametrize("agg,fold", [("min", np.minimum),
                                           ("max", np.maximum)])
     def test_integer_column_keeps_its_dtype(self, agg, fold):
@@ -205,8 +259,9 @@ class TestTraps:
         class IntLabels:
             local_agg = agg
 
-            def lmap_block(self, part_id, cols):
-                return np.array([0]), np.array([3], dtype=np.int64)
+            def local_fold(self, part_id, cols):
+                return scatter_fold(agg, cols[0], np.array([0]),
+                                    np.array([3], dtype=np.int64))
 
             def lreduce_block(self, part_id, cols, acc):
                 return (fold(cols[0], acc, out=acc),)
