@@ -48,7 +48,6 @@ def landmark_apsp(
     num_landmarks: int = 4,
     mode: str = "eager",
     cluster: "SimCluster | None" = None,
-    config: "DriverConfig | None" = None,
     seed: "int | np.random.Generator | None" = 0,
 ) -> LandmarkApspResult:
     """Exact SSSP from ``num_landmarks`` random sources, forward and reverse.
@@ -65,7 +64,7 @@ def landmark_apsp(
     rng = as_rng(seed)
     landmarks = np.sort(rng.choice(graph.num_nodes, size=num_landmarks,
                                    replace=False))
-    cfg = config if config is not None else DriverConfig(mode=mode)
+    cfg = DriverConfig(mode=mode)
 
     rev_graph = graph.reverse()
     rev_partition = Partition(rev_graph, partition.assign, partition.k)

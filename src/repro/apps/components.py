@@ -96,12 +96,11 @@ def connected_components(
     *,
     mode: str = "eager",
     cluster: "SimCluster | None" = None,
-    config: "DriverConfig | None" = None,
 ) -> ComponentsResult:
     """Weakly-connected component labels, General or Eager formulation."""
-    cfg = config if config is not None else DriverConfig(mode=mode)
     spec = ComponentsBlockSpec(graph, partition)
-    res = IterationLoop(BlockBackend(spec, cluster=cluster), cfg).run()
+    res = IterationLoop(BlockBackend(spec, cluster=cluster),
+                        DriverConfig(mode=mode)).run()
     labels = np.asarray(res.state)
     return ComponentsResult(
         labels=labels,
@@ -118,7 +117,6 @@ def components_spec(
     partition: Partition,
     *,
     mode: str = "eager",
-    config: "DriverConfig | None" = None,
     name: "str | None" = None,
 ) -> "JobSpec":
     """A submittable connected-components job for
@@ -126,10 +124,9 @@ def components_spec(
     ``np.asarray(handle.result.state)``."""
     from repro.core.session import JobSpec
 
-    cfg = config if config is not None else DriverConfig(mode=mode)
     return JobSpec(
         name=name if name is not None else "components",
-        config=cfg,
+        config=DriverConfig(mode=mode),
         make_backend=lambda session: BlockBackend(
             ComponentsBlockSpec(graph, partition),
             cluster=session.cluster),

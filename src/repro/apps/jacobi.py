@@ -212,7 +212,6 @@ def jacobi_solve(
     config: "DriverConfig | None" = None,
     backend: str = "block",
     staleness: "int | None" = 0,
-    pace=None,
     phase=None,
     detector=None,
     require_dominant: bool = True,
@@ -220,8 +219,8 @@ def jacobi_solve(
     """Solve ``A x = b`` with the General or Eager block-Jacobi scheme.
 
     ``backend="async"`` (or any nonzero ``staleness``) runs without a
-    barrier; ``pace``/``phase``/``detector`` are the async timeline and
-    safety knobs (see :class:`~repro.core.AsyncBackend`).
+    barrier; ``phase``/``detector`` are the async timeline and safety
+    knobs (see :class:`~repro.core.AsyncBackend`).
     ``require_dominant=False`` skips the dominance precondition — only
     sensible for divergence studies of the chaotic path.
     """
@@ -229,7 +228,7 @@ def jacobi_solve(
     spec = JacobiBlockSpec(system, partition, tol=tol,
                            require_dominant=require_dominant)
     be = resolve_block_backend(spec, backend=backend, staleness=staleness,
-                               cluster=cluster, pace=pace, phase=phase,
+                               cluster=cluster, phase=phase,
                                detector=detector)
     res = IterationLoop(be, cfg).run()
     x = np.asarray(res.state)

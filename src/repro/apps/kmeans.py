@@ -78,12 +78,10 @@ def assign_points(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
-def sse(points: np.ndarray, centroids: np.ndarray,
-        assignment: "np.ndarray | None" = None) -> float:
+def sse(points: np.ndarray, centroids: np.ndarray) -> float:
     """Within-cluster sum of squared errors (the K-Means objective)."""
     points = np.asarray(points, dtype=np.float64)
-    if assignment is None:
-        assignment = assign_points(points, centroids)
+    assignment = assign_points(points, centroids)
     diffs = points - np.asarray(centroids)[assignment]
     return float((diffs ** 2).sum())
 
@@ -282,18 +280,20 @@ def kmeans(
     mode: str = "eager",
     num_partitions: int = 52,
     threshold: float = 1e-3,
-    reshuffle_every: int = 5,
     cluster: "SimCluster | None" = None,
     config: "DriverConfig | None" = None,
     seed: "int | np.random.Generator | None" = 0,
     sync_policy: "AdaptiveSyncPolicy | None" = None,
 ) -> KMeansResult:
-    """Cluster ``points`` into ``k`` groups, General or Eager formulation."""
+    """Cluster ``points`` into ``k`` groups, General or Eager formulation.
+
+    Eager mode repartitions the points every 5 global iterations and
+    adds the oscillation stopping condition (see
+    :class:`KMeansBlockSpec`); general mode does neither.
+    """
     cfg = config if config is not None else DriverConfig(mode=mode)
     spec = _kmeans_block_spec(points, k, num_partitions=num_partitions,
-                              threshold=threshold,
-                              reshuffle_every=reshuffle_every, seed=seed,
-                              cfg=cfg)
+                              threshold=threshold, seed=seed, cfg=cfg)
     res = IterationLoop(BlockBackend(spec, cluster=cluster), cfg,
                         sync_policy=sync_policy).run()
     return KMeansResult(centroids=np.asarray(res.state),
@@ -303,12 +303,12 @@ def kmeans(
 
 
 def _kmeans_block_spec(points, k, *, num_partitions, threshold,
-                       reshuffle_every, seed, cfg) -> KMeansBlockSpec:
+                       seed, cfg) -> KMeansBlockSpec:
     return KMeansBlockSpec(
         points, k,
         num_partitions=num_partitions,
         threshold=threshold,
-        reshuffle_every=(reshuffle_every if cfg.mode == "eager" else 0),
+        reshuffle_every=(5 if cfg.mode == "eager" else 0),
         oscillation_detection=(cfg.mode == "eager"),
         seed=seed,
     )
@@ -321,30 +321,25 @@ def kmeans_spec(
     mode: str = "eager",
     num_partitions: int = 52,
     threshold: float = 1e-3,
-    reshuffle_every: int = 5,
-    config: "DriverConfig | None" = None,
     seed: "int | np.random.Generator | None" = 0,
-    sync_policy: "AdaptiveSyncPolicy | None" = None,
     name: "str | None" = None,
 ) -> "JobSpec":
     """A submittable K-Means job for :meth:`~repro.core.Session.submit`.
 
-    Same job :func:`kmeans` runs privately, as a
+    Same job :func:`kmeans` runs privately (with its default driver
+    configuration for ``mode``), as a
     :class:`~repro.core.session.JobSpec`; the final centroids are
     ``np.asarray(handle.result.state)``.
     """
     from repro.core.session import JobSpec
 
-    cfg = config if config is not None else DriverConfig(mode=mode)
+    cfg = DriverConfig(mode=mode)
     return JobSpec(
         name=name if name is not None else "kmeans",
         config=cfg,
-        sync_policy=sync_policy,
         make_backend=lambda session: BlockBackend(
             _kmeans_block_spec(points, k, num_partitions=num_partitions,
-                               threshold=threshold,
-                               reshuffle_every=reshuffle_every, seed=seed,
-                               cfg=cfg),
+                               threshold=threshold, seed=seed, cfg=cfg),
             cluster=session.cluster),
     )
 

@@ -173,14 +173,16 @@ class PageRankKVSpec(_PageRank, AsyncMapReduceSpec):
     Block-level local step: the hashtable's ``(rank, ext_contrib)``
     columns; ``lreduce``'s fold of a node's internal contributions is a
     **sum** — bitwise the ``lmap``/``lreduce`` below.
+
+    The damping factor and tolerance are the defaults of the shared
+    base (0.85 and 1e-5).
     """
 
     supports_columnar = True
     columnar_combine = "sum"
 
-    def __init__(self, graph: DiGraph, partition: Partition, *,
-                 damping: float = 0.85, tol: float = 1e-5) -> None:
-        super().__init__(graph, partition, damping=damping, tol=tol)
+    def __init__(self, graph: DiGraph, partition: Partition) -> None:
+        super().__init__(graph, partition)
         assign = partition.assign
         # node -> ([internal successors], [external successors])
         self._internal_adj: dict[int, list[int]] = {}

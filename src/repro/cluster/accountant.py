@@ -6,10 +6,10 @@ copies drifted — the hierarchical path silently skipped the block path's
 periodic durability checkpoint and charged ``extra_bytes`` shuffle
 differently.  :class:`RoundAccountant` centralises every charge an
 iterative round can incur (job startup, map phase under eager/lockstep
-scheduling, plain/overlapped shuffle, reduce phase, barrier, state round
-trip, periodic checkpoint, rack-local rounds) so all backends of
-:mod:`repro.core.loop` — and the engine's own per-job accounting —
-flow through one code path and cannot diverge again.
+scheduling, shuffle, reduce phase, barrier, state round trip, periodic
+checkpoint, rack-local rounds) so all backends of :mod:`repro.core.loop`
+— and the engine's own per-job accounting — flow through one code path
+and cannot diverge again.
 
 Inter-round state is charged through a partitioned
 :class:`~repro.cluster.statestore.StateStore` (resolved from the
@@ -178,15 +178,6 @@ class RoundAccountant:
             return 0.0
         return self._count(self.cluster.charge_shuffle(
             nbytes, label=self._label(label), share=self.slot_share))
-
-    def charge_overlapped_shuffle(self, nbytes: float, *,
-                                  overlap_seconds: float,
-                                  label: str = "shuffle") -> float:
-        if self.cluster is None:
-            return 0.0
-        return self._count(self.cluster.charge_overlapped_shuffle(
-            nbytes, overlap_seconds=overlap_seconds,
-            label=self._label(label), share=self.slot_share))
 
     def charge_barrier(self, *, label: str = "barrier") -> float:
         if self.cluster is None:
@@ -368,12 +359,6 @@ class RoundAccountant:
     # ------------------------------------------------------------------
     # Driver-level composites (need a DriverConfig)
     # ------------------------------------------------------------------
-    def _local_rate(self):
-        cm = self.cluster.cost_model
-        return (cm.map_compute_seconds
-                if self._config().charge_local_ops_at == "map"
-                else cm.local_compute_seconds)
-
     def gmap_task_cost(self, report, lo: int = 0, hi: "int | None" = None) -> float:
         """Compute seconds of one gmap's local iterations ``[lo, hi)``.
 
@@ -381,16 +366,15 @@ class RoundAccountant:
         invocation over freshly-read input and is charged at the
         per-record map rate; subsequent local iterations run over the
         in-memory hashtable (§V-A) and are charged at the cheaper local
-        rate (or at the map rate under the pessimistic
-        ``charge_local_ops_at="map"`` ablation setting).
+        rate.
         """
         cm = self.cluster.cost_model
-        local_rate = self._local_rate()
         ops = report.per_iter_ops
         hi = len(ops) if hi is None else min(hi, len(ops))
         total = 0.0
         for l in range(lo, hi):
-            total += cm.map_compute_seconds(ops[l]) if l == 0 else local_rate(ops[l])
+            total += (cm.map_compute_seconds(ops[l]) if l == 0
+                      else cm.local_compute_seconds(ops[l]))
         return total
 
     def charge_map_phase(self, reports, *, label: str) -> float:
@@ -423,12 +407,12 @@ class RoundAccountant:
     def charge_global_sync(self, *, iteration: int, extra_bytes: int,
                            reduce_ops: float,
                            state_partition_bytes: Sequence[float],
-                           num_reduce_tasks: "int | None" = None,
                            label: str) -> float:
         """Charge everything after the global combine, in the audited
         order: the combine's own ``extra_bytes`` shuffle, the reduce
-        phase, the barrier, the inter-iteration state round trip
-        (per-partition bytes through the attached
+        phase (``reduce_ops`` split evenly over one task per reduce slot
+        of the cluster), the barrier, the inter-iteration state round
+        trip (per-partition bytes through the attached
         :class:`~repro.cluster.statestore.StateStore`), and — for
         non-durable stores — the periodic durability checkpoint
         (§VIII's fault-tolerance caveat: a full replicated DFS write of
@@ -440,7 +424,7 @@ class RoundAccountant:
         start = self.cluster.clock
         if extra_bytes:
             self.charge_shuffle(int(extra_bytes), label=f"{label}:shuffle+")
-        r_tasks = num_reduce_tasks or self.cluster.total_reduce_slots
+        r_tasks = self.cluster.total_reduce_slots
         per_task = self.cluster.cost_model.reduce_compute_seconds(reduce_ops) / r_tasks
         self.run_reduce_phase([per_task] * r_tasks, label=f"{label}:reduce")
         self.charge_barrier(label=f"{label}:barrier")

@@ -483,6 +483,11 @@ class SimCluster:
         in excess of ``overlap_seconds`` extends the critical path; a
         fully-hidden transfer advances the clock by nothing.  Returns
         the residual seconds actually charged.
+
+        No iterative backend or engine job charges through this method.
+        It stays because ``perfbench/probes.py`` looks it up by name on
+        this class when ``perfbench`` is imported, so deleting it would
+        fail that import.
         """
         if overlap_seconds < 0:
             raise ValueError("overlap_seconds must be >= 0")

@@ -29,9 +29,8 @@ Each backend round advances *every* partition exactly one logical round
 compute + publish seconds on top of whatever wait its bound imposed, and
 the shared cluster clock advances by how far the furthest timeline moved
 (:meth:`~repro.cluster.accountant.RoundAccountant.charge_async_step`).
-``pace`` and ``phase`` shape those per-partition timelines
-(heterogeneous compute rates and staggered starts) — they are what make
-reads actually stale in simulation.
+Uneven solve times on a priced cluster, and ``phase`` (staggered starts),
+are what make reads actually stale in simulation.
 
 Correctness is the classical chaotic-relaxation story (Chazan &
 Miranker): a linear update ``x <- Mx + b`` converges synchronously iff
@@ -63,12 +62,12 @@ class DivergenceDetector:
     Chaotic iteration can diverge where synchronous iteration converges
     (``rho(M) < 1 < rho(|M|)``).  The detector observes the global
     residual after every no-barrier round and declares non-contraction
-    when the newest residual in a sliding ``window`` is no smaller than
-    the oldest (or any residual goes non-finite).  Each trigger tightens
-    the staleness bound one notch — ``None`` (unbounded) drops to
-    ``chaotic_fallback``, a finite bound halves — and clears the window
-    so the iteration is re-observed under the new bound before it can
-    tighten again.  The fixed point of repeated tightening is
+    when the newest of the last :attr:`WINDOW` (6) residuals is no
+    smaller than the oldest (or any residual goes non-finite).  Each
+    trigger tightens the staleness bound one notch — ``None``
+    (unbounded) drops to :attr:`CHAOTIC_FALLBACK` (4), a finite bound
+    halves — and clears the window so the iteration is re-observed
+    under the new bound before it can tighten again.  The fixed point of repeated tightening is
     ``staleness=0``: barrier semantics, where the synchronous
     convergence guarantee applies.
 
@@ -79,13 +78,12 @@ class DivergenceDetector:
         in order — the observable trace of a rescued run.
     """
 
-    def __init__(self, window: int = 6, chaotic_fallback: int = 4) -> None:
-        if window < 2:
-            raise ValueError("window must be >= 2")
-        if chaotic_fallback < 1:
-            raise ValueError("chaotic_fallback must be >= 1")
-        self.window = int(window)
-        self.chaotic_fallback = int(chaotic_fallback)
+    #: Residuals compared per check: the newest against the oldest.
+    WINDOW = 6
+    #: The finite bound an unbounded (``None``) staleness drops to.
+    CHAOTIC_FALLBACK = 4
+
+    def __init__(self) -> None:
         self.events: "list[tuple]" = []
         self._residuals: "list[float]" = []
 
@@ -99,15 +97,15 @@ class DivergenceDetector:
         if not math.isfinite(r):
             return self._tighten(iteration, bound)
         self._residuals.append(r)
-        if len(self._residuals) < self.window:
+        if len(self._residuals) < self.WINDOW:
             return bound
-        recent = self._residuals[-self.window:]
+        recent = self._residuals[-self.WINDOW:]
         if recent[-1] >= recent[0]:
             return self._tighten(iteration, bound)
         return bound
 
     def _tighten(self, iteration: int, bound: "int | None") -> int:
-        new = self.chaotic_fallback if bound is None else bound // 2
+        new = self.CHAOTIC_FALLBACK if bound is None else bound // 2
         self.events.append((iteration, bound, new))
         self._residuals.clear()
         return new
@@ -115,26 +113,26 @@ class DivergenceDetector:
 
 def resolve_block_backend(spec: BlockSpec, *, backend: str = "block",
                           staleness: "int | None" = 0, cluster=None,
-                          pace=None, phase=None,
+                          phase=None,
                           detector: "DivergenceDetector | None" = None):
     """Map the ``(backend, staleness)`` pair the app entry points and the
     CLI expose onto a bound backend.
 
     Any nonzero (or unbounded) staleness implies the async backend;
     ``backend="async"`` at ``staleness=0`` is the barrier-equivalent
-    async path — useful for the parity pins.  ``pace``/``phase``/
-    ``detector`` are async-only knobs and are rejected on the barrier
-    path rather than silently dropped.
+    async path — useful for the parity pins.  ``phase``/``detector``
+    are async-only knobs and are rejected on the barrier path rather
+    than silently dropped.
     """
     if staleness is None or staleness != 0:
         backend = "async"
     if backend == "async":
         return AsyncBackend(spec, staleness=staleness, cluster=cluster,
-                            pace=pace, phase=phase, detector=detector)
+                            phase=phase, detector=detector)
     if backend != "block":
         raise ValueError(f"backend must be 'block' or 'async', got {backend!r}")
-    if pace is not None or phase is not None or detector is not None:
-        raise ValueError("pace/phase/detector apply to the async backend only")
+    if phase is not None or detector is not None:
+        raise ValueError("phase/detector apply to the async backend only")
     return BlockBackend(spec, cluster=cluster)
 
 
@@ -152,28 +150,24 @@ class AsyncBackend(BlockBackend):
         ``0`` (barrier semantics, the default), a positive bound, or
         ``None`` for pure chaotic iteration.  Negative values are
         rejected.
-    pace:
-        Per-partition compute-time multipliers (default all ``1.0``) —
-        heterogeneous progress rates, the reason reads go stale.
     phase:
         Per-partition initial timeline offsets in simulated seconds
-        (default all ``0.0``) — staggered starts, so equal-pace
-        partitions still read across round boundaries.
+        (default all ``0.0``) — staggered starts, so partitions read
+        across round boundaries.  A partition's round costs its
+        consume + solve + publish seconds on a priced cluster, and one
+        time unit without one.
     detector:
         Optional :class:`DivergenceDetector`; fed the residual after
         every no-barrier round, its tightened bound takes effect from
         the next round.
-    cluster / num_reduce_tasks:
-        As :class:`BlockBackend` (``num_reduce_tasks`` only matters for
-        rounds that run at ``staleness=0``).
+    cluster:
+        As :class:`BlockBackend`.
     """
 
     def __init__(self, spec: BlockSpec, *, staleness: "int | None" = 0,
-                 cluster=None, num_reduce_tasks: "int | None" = None,
-                 pace=None, phase=None,
+                 cluster=None, phase=None,
                  detector: "DivergenceDetector | None" = None) -> None:
-        super().__init__(spec, cluster=cluster,
-                         num_reduce_tasks=num_reduce_tasks)
+        super().__init__(spec, cluster=cluster)
         if not spec.partition_scoped_state:
             raise ValueError(
                 "no-barrier iteration requires a spec with partition-scoped "
@@ -188,12 +182,8 @@ class AsyncBackend(BlockBackend):
                 raise ValueError("staleness must be >= 0 (or None for "
                                  "unbounded chaotic iteration)")
         P = spec.num_partitions()
-        self.pace = tuple(float(x) for x in
-                          (pace if pace is not None else (1.0,) * P))
         self.phase = tuple(float(x) for x in
                            (phase if phase is not None else (0.0,) * P))
-        if len(self.pace) != P or any(x <= 0 for x in self.pace):
-            raise ValueError("pace needs one positive entry per partition")
         if len(self.phase) != P or any(x < 0 for x in self.phase):
             raise ValueError("phase needs one non-negative entry per partition")
         self.initial_staleness = staleness
@@ -337,11 +327,12 @@ class AsyncBackend(BlockBackend):
             publish = acct.state_publish_seconds(p, nb, version=it + 1,
                                                  num_partitions=P)
             if acct.active:
-                end = t + consume + solve * self.pace[p] + publish
+                end = t + consume + solve + publish
             else:
-                # Pure-compute runs still need timelines to drift, or no
-                # read would ever be stale: one round costs pace[p].
-                end = t + self.pace[p]
+                # Without a cluster a round costs one time unit, so a
+                # phase offset becomes a fixed version lag; with no phase
+                # every read is fresh.
+                end = t + 1.0
             view, _, _ = spec.global_combine(view, [report])
             self._views[p] = view
             self._seen[p][p] = it + 1

@@ -29,6 +29,10 @@ from repro.core.loop import BlockBackend, IterationLoop
 
 __all__ = ["ProbeResult", "AutotuneReport", "autotune_partitions"]
 
+#: Residual at which a full run would stop: the probes' contraction
+#: rate is extrapolated towards it.
+_TARGET_RESIDUAL = 1e-5
+
 
 @dataclass(frozen=True)
 class ProbeResult:
@@ -80,10 +84,7 @@ def autotune_partitions(
     spec_factory: "Callable[[int], BlockSpec]",
     candidates: Sequence[int],
     *,
-    target_residual: float = 1e-5,
     probe_iters: int = 3,
-    config: "DriverConfig | None" = None,
-    cluster_factory: "Callable[[], SimCluster] | None" = None,
 ) -> AutotuneReport:
     """Pick the partition count with the lowest predicted time-to-converge.
 
@@ -95,16 +96,12 @@ def autotune_partitions(
         the app spec).
     candidates:
         Partition counts to probe.
-    target_residual:
-        Residual at which the full run would stop; used to extrapolate
-        the probe's contraction rate into a round count.
     probe_iters:
-        Global iterations to execute per probe.
-    config:
-        Driver configuration for the probes (eager by default).
-    cluster_factory:
-        Builds a fresh simulated cluster per probe (defaults to the
-        Table I testbed).
+        Global iterations to execute per probe.  Each probe runs the
+        eager driver (``DriverConfig(mode="eager")`` defaults) on a
+        fresh Table I :class:`~repro.cluster.SimCluster`, and its
+        contraction rate is extrapolated into the rounds a full run
+        needs to reach a residual of 1e-5.
 
     Returns
     -------
@@ -116,28 +113,13 @@ def autotune_partitions(
         raise ValueError("need at least one candidate partition count")
     if probe_iters < 2:
         raise ValueError("probe_iters must be >= 2 (rate estimation)")
-    if target_residual <= 0:
-        raise ValueError("target_residual must be > 0")
-    base = config if config is not None else DriverConfig(mode="eager")
-    if cluster_factory is None:
-        cluster_factory = SimCluster
+    probe_cfg = DriverConfig(mode="eager", max_global_iters=probe_iters)
 
     probes: list[ProbeResult] = []
     total_probe_time = 0.0
     for k in candidates:
         spec = spec_factory(int(k))
-        cluster = cluster_factory()
-        probe_cfg = DriverConfig(
-            mode=base.mode,
-            max_global_iters=probe_iters,
-            max_local_iters=base.max_local_iters,
-            eager_schedule=base.eager_schedule,
-            charge_local_ops_at=base.charge_local_ops_at,
-            record_history=True,
-            state_store=base.state_store,
-            checkpoint_every=base.checkpoint_every,
-        )
-        res = IterationLoop(BlockBackend(spec, cluster=cluster),
+        res = IterationLoop(BlockBackend(spec, cluster=SimCluster()),
                             probe_cfg).run()
         total_probe_time += res.sim_time
         per_round = res.sim_time / max(res.global_iters, 1)
@@ -148,10 +130,10 @@ def autotune_partitions(
             contraction = _estimate_contraction(res.residuals)
             last = next((r for r in reversed(res.residuals)
                          if r > 0 and math.isfinite(r)), 1.0)
-            if last <= target_residual:
+            if last <= _TARGET_RESIDUAL:
                 rounds = res.global_iters
             else:
-                extra = math.log(target_residual / last) / math.log(contraction)
+                extra = math.log(_TARGET_RESIDUAL / last) / math.log(contraction)
                 rounds = res.global_iters + max(0, math.ceil(extra))
         probes.append(ProbeResult(
             k=int(k),

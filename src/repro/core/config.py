@@ -20,11 +20,17 @@ from repro.cluster.statestore import StateStore
 __all__ = ["DriverConfig", "GENERAL", "EAGER"]
 
 _MODES = ("general", "eager")
-_RATES = ("map", "local")
 
 @dataclass(frozen=True)
 class DriverConfig:
     """Knobs of one iterative run.
+
+    Local-iteration operations are always priced at the cost model's
+    in-memory local rate: local map/reduce runs over a hashtable inside
+    the gmap's JVM (§V-A), with none of the per-record framework
+    envelope a real map invocation pays.  The *operation counts* are
+    measured, honouring the paper's "serial operation counts are
+    higher" accounting.  Every run keeps its per-iteration history.
 
     Attributes
     ----------
@@ -46,18 +52,6 @@ class DriverConfig:
         partitions is smoothed.  When False, local iterations run in
         lockstep across partitions (a barrier per local round) — the
         ablation that isolates eager scheduling's contribution.
-    charge_local_ops_at:
-        ``"local"`` (default, faithful to the paper's implementation)
-        charges local-iteration operations at the in-memory rate: local
-        map/reduce runs over a hashtable inside the gmap's JVM (§V-A),
-        with none of the per-record serialisation/framework envelope a
-        real map invocation pays.  ``"map"`` prices every local op at
-        the full per-record map rate instead — the pessimistic
-        sensitivity setting for the cost-model ablations.  Either way
-        the *operation counts* are measured, honouring the paper's
-        "serial operation counts are higher" accounting.
-    record_history:
-        Keep per-iteration records (residuals, iteration counts, times).
     state_store:
         Where inter-iteration state round-trips (§VIII) — a
         :class:`~repro.cluster.statestore.StateStore` instance, a
@@ -97,8 +91,6 @@ class DriverConfig:
     max_global_iters: int = 500
     max_local_iters: int = 200
     eager_schedule: bool = True
-    charge_local_ops_at: str = "local"
-    record_history: bool = True
     state_store: "Union[str, StateStore, Callable[[], StateStore]]" = "dfs"
     checkpoint_every: "int | None" = 10
     #: Speculative re-execution of stragglers: ``False`` / ``True`` /
@@ -112,11 +104,6 @@ class DriverConfig:
             raise ValueError("max_global_iters must be >= 1")
         if self.max_local_iters < 1:
             raise ValueError("max_local_iters must be >= 1")
-        if self.charge_local_ops_at not in _RATES:
-            raise ValueError(
-                f"charge_local_ops_at must be one of {_RATES}, "
-                f"got {self.charge_local_ops_at!r}"
-            )
         if not (self.state_store == "dfs"
                 or isinstance(self.state_store, StateStore)
                 or callable(self.state_store)):

@@ -256,9 +256,6 @@ class EngineBackend(IterationBackend):
         time.
     num_reducers:
         Reduce tasks per global iteration.
-    eager_reduce:
-        Charge each global iteration's shuffle as overlapping its map
-        phase (see :class:`~repro.engine.JobConf`); identical results.
     columnar:
         Route each job through the engine's columnar shuffle fast path
         (typed batches, vectorised routing/grouping, map-side combiner
@@ -270,13 +267,12 @@ class EngineBackend(IterationBackend):
 
     def __init__(self, spec: AsyncMapReduceSpec, *,
                  runtime: "MapReduceRuntime | None" = None,
-                 num_reducers: int = 8, eager_reduce: bool = False,
+                 num_reducers: int = 8,
                  columnar: "bool | None" = None) -> None:
         self.spec = spec
         self.owns_runtime = runtime is None
         self.runtime = runtime if runtime is not None else MapReduceRuntime("serial")
         self.num_reducers = num_reducers
-        self.eager_reduce = eager_reduce
         # getattr: duck-typed specs that predate the columnar hooks
         # simply stay on the object path.
         if columnar is None:
@@ -317,8 +313,7 @@ class EngineBackend(IterationBackend):
                        else self._greduce),
             combine_fn=(spec.columnar_combine if self.columnar else None),
             conf=JobConf(num_reducers=self.num_reducers,
-                         name=f"iter{iteration}",
-                         eager_reduce=self.eager_reduce),
+                         name=f"iter{iteration}"),
         )
         # round_index keys the runtime's NodeFaultPlan: scripted deaths
         # fire in their scripted global iteration, at most once — a
@@ -371,18 +366,17 @@ class BlockBackend(IterationBackend):
     phase (gmap task costs from reported per-iteration op counts,
     honouring ``config.eager_schedule``), the shuffle of reported
     boundary bytes, the combine's ``extra_bytes`` shuffle, the reduce
-    phase, the barrier, the inter-iteration state round trip — the
-    **per-partition** update bytes through the config's
+    phase (one task per reduce slot of the cluster), the barrier, the
+    inter-iteration state round trip — the **per-partition** update
+    bytes through the config's
     :class:`~repro.cluster.statestore.StateStore`, so a tablet-sharded
     online store sees the real skew — and a non-durable store's
     periodic checkpoint, all through the accountant.
     """
 
-    def __init__(self, spec: BlockSpec, *, cluster=None,
-                 num_reduce_tasks: "int | None" = None) -> None:
+    def __init__(self, spec: BlockSpec, *, cluster=None) -> None:
         self.spec = spec
         self._cluster = cluster
-        self.num_reduce_tasks = num_reduce_tasks
 
     @property
     def cluster(self):
@@ -450,7 +444,6 @@ class BlockBackend(IterationBackend):
                 extra_bytes=int(extra_bytes),
                 reduce_ops=reduce_ops,
                 state_partition_bytes=state_pb,
-                num_reduce_tasks=self.num_reduce_tasks,
                 label=label,
             )
         return RoundOutcome(
@@ -484,12 +477,10 @@ class HierarchicalBackend(BlockBackend):
     """
 
     def __init__(self, spec: BlockSpec, racks: "Sequence[Sequence[int]]", *,
-                 hierarchy=None, cluster=None,
-                 num_reduce_tasks: "int | None" = None) -> None:
+                 hierarchy=None, cluster=None) -> None:
         from repro.core.hierarchy import HierarchyConfig
 
-        super().__init__(spec, cluster=cluster,
-                         num_reduce_tasks=num_reduce_tasks)
+        super().__init__(spec, cluster=cluster)
         if not spec.partition_scoped_state:
             raise ValueError(
                 "hierarchical synchronization requires a spec with "
@@ -764,27 +755,26 @@ class IterationLoop:
         done, residual = backend.global_converged(self._state, outcome.state)
         self._iters = it + 1
         self._busy += acct.clock - round_start
-        if config.record_history:
-            self._history.append(RoundRecord(
-                iteration=it,
-                residual=residual,
-                local_iters=outcome.local_iters,
-                sim_seconds=acct.clock - round_start,
-                shuffle_bytes=outcome.shuffle_bytes,
-                state_partition_bytes=outcome.state_partition_bytes,
-                partition_clocks=outcome.partition_clocks,
-                version_vector=outcome.version_vector,
-                backups=acct.backups_launched - backups0,
-                backups_won=acct.backups_won - won0,
-                wasted_seconds=acct.wasted_seconds - wasted0,
-                tablet_splits=acct.tablet_splits - splits0,
-                tablet_map_version=acct.tablet_map_version,
-                tablet_merges=acct.tablet_merges - merges0,
-                node_deaths=acct.node_deaths - deaths0,
-                lost_map_outputs=acct.lost_map_outputs - lost0,
-                recovery_seconds=acct.recovery_seconds - recovery0,
-                rounds_replayed=acct.rounds_replayed - replayed0,
-            ))
+        self._history.append(RoundRecord(
+            iteration=it,
+            residual=residual,
+            local_iters=outcome.local_iters,
+            sim_seconds=acct.clock - round_start,
+            shuffle_bytes=outcome.shuffle_bytes,
+            state_partition_bytes=outcome.state_partition_bytes,
+            partition_clocks=outcome.partition_clocks,
+            version_vector=outcome.version_vector,
+            backups=acct.backups_launched - backups0,
+            backups_won=acct.backups_won - won0,
+            wasted_seconds=acct.wasted_seconds - wasted0,
+            tablet_splits=acct.tablet_splits - splits0,
+            tablet_map_version=acct.tablet_map_version,
+            tablet_merges=acct.tablet_merges - merges0,
+            node_deaths=acct.node_deaths - deaths0,
+            lost_map_outputs=acct.lost_map_outputs - lost0,
+            recovery_seconds=acct.recovery_seconds - recovery0,
+            rounds_replayed=acct.rounds_replayed - replayed0,
+        ))
         if (self._checkpoint is not None and config.checkpoint_every
                 and (it + 1) % config.checkpoint_every == 0):
             self._checkpoint = (it, copy.deepcopy(outcome.state),

@@ -32,7 +32,14 @@ ReduceFn = Callable[[Any, list, Any], None]
 
 @dataclass(frozen=True)
 class JobConf:
-    """Static configuration of one MapReduce job."""
+    """Static configuration of one MapReduce job.
+
+    Every job runs through the same task driver, which streams map
+    results into the shuffle buffer and resubmits failed attempts at
+    once; the reduce phase starts when the buffer is sealed.  With a
+    cluster attached, the shuffle is charged in full after the map
+    phase.
+    """
 
     #: Number of reduce tasks (R).  Map task count follows the input splits.
     num_reducers: int = 8
@@ -42,14 +49,6 @@ class JobConf:
     sort_keys: bool = True
     #: Human-readable job name for traces and errors.
     name: str = "job"
-    #: Model §V-B.2's eager reduce-side consumption: with a cluster
-    #: attached, the shuffle transfer is charged as overlapping the map
-    #: phase (only the residual past the map makespan extends the
-    #: clock).  That charge is all the flag selects — every job runs
-    #: through the same task driver, which already streams map results
-    #: into the shuffle buffer and resubmits failed attempts at once;
-    #: the reduce phase starts when the buffer is sealed either way.
-    eager_reduce: bool = False
     #: Allow the columnar fast path when map tasks emit typed batches
     #: (``ctx.emit_block``): vectorised routing/combining/grouping and
     #: dtype-math byte accounting.  ``False`` forces such jobs through

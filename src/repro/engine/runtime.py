@@ -766,15 +766,8 @@ class MapReduceRuntime:
         times["map"] = acct.run_map_phase(
             [cm.map_compute_seconds(r.ops) for r in map_results],
             label=f"{job.conf.name}:map")
-        if job.conf.eager_reduce:
-            # Streaming copy: the transfer rode along with the map phase;
-            # only the residual past the map makespan extends the clock.
-            times["shuffle"] = acct.charge_overlapped_shuffle(
-                sbytes, overlap_seconds=times["map"],
-                label=f"{job.conf.name}:shuffle")
-        else:
-            times["shuffle"] = acct.charge_shuffle(
-                sbytes, label=f"{job.conf.name}:shuffle")
+        times["shuffle"] = acct.charge_shuffle(
+            sbytes, label=f"{job.conf.name}:shuffle")
         times["reduce"] = acct.run_reduce_phase(
             [cm.reduce_compute_seconds(r.ops) for r in reduce_results],
             label=f"{job.conf.name}:reduce")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,11 @@ from repro.apps import (
     assign_points,
     kmeans,
     kmeans_reference,
+    kmeans_spec,
     sse,
 )
 from repro.cluster import SimCluster
-from repro.core import BlockSpec, LocalSolveReport
+from repro.core import BlockSpec, DriverConfig, LocalSolveReport
 
 from tests.inputs import gaussian_mixture
 
@@ -285,6 +288,25 @@ class TestPaperBehaviour:
         spec.on_global_iteration(2, None)
         after = spec._parts
         assert any(not np.array_equal(b, a) for b, a in zip(before, after))
+
+    @pytest.mark.parametrize("mode,every", [("eager", 5), ("general", 0)])
+    def test_entry_points_reshuffle_every_five_eager_rounds(
+            self, census_points, monkeypatch, mode, every):
+        """Both entry points repartition every 5 global rounds in eager
+        mode and never in general mode."""
+        built = []
+        init = KMeansBlockSpec.__init__
+
+        def recording_init(spec, *args, **kwargs):
+            init(spec, *args, **kwargs)
+            built.append(spec.reshuffle_every)
+
+        monkeypatch.setattr(KMeansBlockSpec, "__init__", recording_init)
+        kmeans(census_points, 4, mode=mode, num_partitions=6, seed=0,
+               config=DriverConfig(mode=mode, max_global_iters=1))
+        kmeans_spec(census_points, 4, mode=mode, num_partitions=6,
+                    seed=0).make_backend(SimpleNamespace(cluster=None))
+        assert built == [every, every]
 
     def test_no_repartitioning_when_disabled(self, census_points):
         spec = KMeansBlockSpec(census_points, 4, num_partitions=6,

@@ -83,12 +83,20 @@ class TestCorrectness:
             PageRankBlockSpec(small_graph, small_partition, tol=0)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-5])
-    def test_kv_spec_rejects_nonpositive_tol(self, small_graph,
-                                             small_partition, tol):
-        """Both specs validate through one constructor: a tolerance no
-        residual can drop below never stops the engine path either."""
+    def test_block_spec_rejects_nonpositive_tol(self, small_graph,
+                                                small_partition, tol):
+        """The shared constructor refuses a tolerance no residual can
+        drop below."""
         with pytest.raises(ValueError, match="tol"):
-            PageRankKVSpec(small_graph, small_partition, tol=tol)
+            PageRankBlockSpec(small_graph, small_partition, tol=tol)
+
+    def test_kv_spec_runs_at_the_base_defaults(self, small_graph,
+                                               small_partition):
+        """The engine spec takes no damping or tolerance: it runs at the
+        shared base's defaults, the block spec's too."""
+        kv = PageRankKVSpec(small_graph, small_partition)
+        block = PageRankBlockSpec(small_graph, small_partition)
+        assert (kv.damping, kv.tol) == (block.damping, block.tol) == (0.85, 1e-5)
 
 
 class TestPaperBehaviour:

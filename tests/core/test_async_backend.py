@@ -46,6 +46,11 @@ from repro.graph import (
 )
 
 
+#: Staggered starts that make reads stale on a priced cluster: the last
+#: partition starts five simulated seconds (about four rounds) late.
+LATE_START = (0.0, 0.0, 0.0, 5.0)
+
+
 @pytest.fixture(scope="module")
 def workload():
     g = preferential_attachment(300, num_conn=3, locality_prob=0.92,
@@ -145,13 +150,14 @@ class TestBoundedStaleness:
         bound = 2
         res = IterationLoop(
             AsyncBackend(PageRankBlockSpec(g, part), staleness=bound,
-                         pace=(1.0, 1.4, 1.9, 2.6)),
-            DriverConfig(mode="eager")).run()
+                         cluster=SimCluster(), phase=LATE_START),
+            DriverConfig(mode="eager",
+                         state_store=OnlineStateStore(num_tablets=4))).run()
         stale = [r.max_staleness for r in res.history]
         assert all(r.partition_clocks == (r.iteration + 1,) * part.k
                    for r in res.history)
         assert all(s <= bound for s in stale)
-        # Heterogeneous pace makes reads actually stale, or the async
+        # The late start makes reads actually stale, or the async
         # machinery was never exercised.
         assert max(stale) > 0
 
@@ -159,25 +165,40 @@ class TestBoundedStaleness:
         g, part = workload
         res = IterationLoop(
             AsyncBackend(PageRankBlockSpec(g, part, tol=1e-7),
-                         staleness=None, pace=(1.0, 1.0, 1.0, 4.0)),
-            DriverConfig(mode="eager")).run()
+                         staleness=None, cluster=SimCluster(),
+                         phase=LATE_START),
+            DriverConfig(mode="eager",
+                         state_store=OnlineStateStore(num_tablets=4))).run()
         assert max(r.max_staleness for r in res.history) > 2
 
-    def test_bounded_staleness_waits_cost_time(self, workload):
-        """A tight bound drags fast partitions behind the slow one, so
-        the same heterogeneous schedule finishes earlier (in simulated
-        seconds per round) the looser the bound."""
+    def test_unpriced_step_costs_one_time_unit(self, workload):
+        """Without a cluster every partition's round costs one unit, so
+        a partition starting 2.5 units late is read at version
+        ``it - 3`` by the others from round 3 on."""
         g, part = workload
-        pace = (1.0, 1.0, 1.0, 3.0)
+        res = IterationLoop(
+            AsyncBackend(PageRankBlockSpec(g, part, tol=1e-12),
+                         staleness=None, phase=(0.0, 0.0, 0.0, 2.5)),
+            DriverConfig(mode="eager", max_global_iters=8)).run()
+        assert [r.version_vector for r in res.history] == [
+            (max(0, it - 3),) * 3 + (it,) for it in range(8)]
+
+    def test_bounded_staleness_waits_cost_time(self, workload):
+        """A tight bound drags the early partitions behind the late one,
+        so the same staggered schedule covers a fixed number of rounds
+        in fewer simulated seconds the looser the bound."""
+        g, part = workload
 
         def run(bound):
             cl = SimCluster()
-            cfg = DriverConfig(mode="eager",
+            cfg = DriverConfig(mode="eager", max_global_iters=10,
                                state_store=OnlineStateStore(num_tablets=4))
             res = IterationLoop(
-                AsyncBackend(PageRankBlockSpec(g, part), staleness=bound,
-                             cluster=cl, pace=pace), cfg).run()
-            return res.sim_time / res.global_iters
+                AsyncBackend(PageRankBlockSpec(g, part, tol=1e-12),
+                             staleness=bound, cluster=cl, phase=LATE_START),
+                cfg).run()
+            assert res.global_iters == 10
+            return res.sim_time
 
         assert run(None) <= run(1) * (1 + 1e-9)
 
@@ -244,26 +265,34 @@ class TestDivergenceRescue:
         assert det.events[-1][2] == 0
 
     def test_detector_unit_behavior(self):
-        det = DivergenceDetector(window=3, chaotic_fallback=4)
-        # Non-contraction across the window tightens None -> fallback.
-        assert det.observe(0, 1.0, None) is None
-        assert det.observe(1, 0.9, None) is None
-        assert det.observe(2, 1.1, None) == 4
-        # The window resets: two more observations are needed.
-        assert det.observe(3, 1.0, 4) == 4
-        assert det.observe(4, 1.0, 4) == 4
-        assert det.observe(5, 1.0, 4) == 2
+        det = DivergenceDetector()
+        # Non-contraction across the six-residual window tightens
+        # None -> 4.
+        for i, r in enumerate((1.0, 0.9, 0.8, 0.9, 1.0)):
+            assert det.observe(i, r, None) is None
+        assert det.observe(5, 1.1, None) == 4
+        # The window resets: six more observations are needed.
+        for i in range(6, 11):
+            assert det.observe(i, 1.0, 4) == 4
+        assert det.observe(11, 1.0, 4) == 2
         # Non-finite residuals tighten immediately; 0 is a fixed point.
-        assert det.observe(6, math.inf, 2) == 1
-        assert det.observe(7, math.nan, 1) == 0
-        assert det.observe(8, math.inf, 0) == 0
-        assert det.events == [(2, None, 4), (5, 4, 2), (6, 2, 1), (7, 1, 0)]
+        assert det.observe(12, math.inf, 2) == 1
+        assert det.observe(13, math.nan, 1) == 0
+        assert det.observe(14, math.inf, 0) == 0
+        assert det.events == [(5, None, 4), (11, 4, 2), (12, 2, 1),
+                              (13, 1, 0)]
 
-    def test_detector_validation(self):
-        with pytest.raises(ValueError, match="window"):
-            DivergenceDetector(window=1)
-        with pytest.raises(ValueError, match="chaotic_fallback"):
-            DivergenceDetector(chaotic_fallback=0)
+    def test_detector_window_is_six(self):
+        """A window compares its newest residual with the oldest of the
+        last six: a contracting sixth residual keeps the bound, and a
+        rise over only five residuals never trips it."""
+        det = DivergenceDetector()
+        for i, r in enumerate((1.0, 2.0, 3.0, 4.0, 5.0)):
+            assert det.observe(i, r, None) is None
+        assert det.observe(5, 0.5, None) is None
+        # Now the window is (2, 3, 4, 5, 0.5, 6): 6 >= 2 trips it.
+        assert det.observe(6, 6.0, None) == 4
+        assert det.events == [(6, None, 4)]
 
 
 class TestValidation:
@@ -272,10 +301,8 @@ class TestValidation:
         spec = PageRankBlockSpec(g, part)
         with pytest.raises(ValueError, match="staleness"):
             AsyncBackend(spec, staleness=-1)
-        with pytest.raises(ValueError, match="pace"):
-            AsyncBackend(spec, pace=(1.0,))
-        with pytest.raises(ValueError, match="pace"):
-            AsyncBackend(spec, pace=(1.0, 0.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="phase"):
+            AsyncBackend(spec, phase=(0.0,))
         with pytest.raises(ValueError, match="phase"):
             AsyncBackend(spec, phase=(0.0, -1.0, 0.0, 0.0))
 
@@ -308,7 +335,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="backend"):
             resolve_block_backend(spec, backend="engine")
         with pytest.raises(ValueError, match="async backend only"):
-            resolve_block_backend(spec, backend="block", pace=(1.0,) * 4)
+            resolve_block_backend(spec, backend="block", phase=(0.0,) * 4)
+        with pytest.raises(ValueError, match="async backend only"):
+            resolve_block_backend(spec, backend="block",
+                                  detector=DivergenceDetector())
         # Nonzero staleness implies async regardless of the name.
         assert isinstance(resolve_block_backend(spec, staleness=3),
                           AsyncBackend)
@@ -347,7 +377,7 @@ class TestAsyncCharges:
         cfg = DriverConfig(mode="eager", state_store=store)
         res = IterationLoop(
             AsyncBackend(PageRankBlockSpec(g, part), staleness=3,
-                         cluster=SimCluster(), pace=(1.0, 1.5, 2.1, 2.9)),
+                         cluster=SimCluster(), phase=LATE_START),
             cfg).run()
         assert res.converged
         assert store.stale_reads > 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster import SimCluster
+from repro.cluster import RoundAccountant, SimCluster, ec2_nodes
 from repro.core import (
     BlockBackend,
     BlockSpec,
@@ -35,8 +35,6 @@ class TestDriverConfig:
             DriverConfig(max_global_iters=0)
         with pytest.raises(ValueError):
             DriverConfig(max_local_iters=0)
-        with pytest.raises(ValueError):
-            DriverConfig(charge_local_ops_at="gpu")
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -109,10 +107,13 @@ class TestBlockDriver:
         assert all(len(r.local_iters) == 2 for r in res.history)
         assert res.total_local_iters > res.global_iters  # locals iterated
 
-    def test_history_disabled(self):
-        cfg = DriverConfig(mode="eager", record_history=False)
-        res = run_block(GeometricSpec(), cfg)
-        assert res.history == []
+    def test_history_kept_when_capped(self):
+        """Every round leaves one record, also when the iteration cap
+        rather than convergence ends the run."""
+        cfg = DriverConfig(mode="general", max_global_iters=2)
+        res = run_block(GeometricSpec(tol=1e-12), cfg)
+        assert not res.converged
+        assert [r.iteration for r in res.history] == [0, 1]
 
     def test_max_global_iters_cap(self):
         cfg = DriverConfig(mode="general", max_global_iters=3)
@@ -162,14 +163,35 @@ class TestBlockDriverAccounting:
         assert eager_on.global_iters == eager_off.global_iters
         assert eager_on.sim_time <= eager_off.sim_time
 
-    def test_local_rate_cheaper_when_configured(self):
-        at_map = run_block(
-            GeometricSpec(), DriverConfig(mode="eager", charge_local_ops_at="map"),
-            cluster=SimCluster())
-        at_local = run_block(
-            GeometricSpec(), DriverConfig(mode="eager", charge_local_ops_at="local"),
-            cluster=SimCluster())
-        assert at_local.sim_time <= at_map.sim_time
+    def test_local_iterations_priced_at_the_local_rate(self):
+        """A gmap's first iteration is the map invocation (map rate);
+        every later one runs over the in-memory table (local rate)."""
+        cl = SimCluster()
+        cm = cl.cost_model
+        acct = RoundAccountant(cl, EAGER)
+        report = LocalSolveReport(partition=0, updates=None, local_iters=3,
+                                  per_iter_ops=[100.0, 40.0, 7.0])
+        assert acct.gmap_task_cost(report) == (
+            cm.map_compute_seconds(100.0) + cm.local_compute_seconds(40.0)
+            + cm.local_compute_seconds(7.0))
+        assert acct.gmap_task_cost(report, 1, 3) < (
+            cm.map_compute_seconds(40.0) + cm.map_compute_seconds(7.0))
+
+    @pytest.mark.parametrize("nodes", [None, 3])
+    def test_global_sync_prices_every_reduce_slot(self, nodes):
+        """A block round's reduce phase is one task per reduce slot of
+        the cluster, each an even share of the combine's ops plus the
+        task dispatch."""
+        cl = SimCluster(None if nodes is None else ec2_nodes(nodes))
+        run_block(GeometricSpec(), DriverConfig(mode="eager",
+                                                max_global_iters=1),
+                  cluster=cl)
+        reduce = [e for e in cl.trace.events if e.phase == "iter0:reduce"]
+        assert len(reduce) == cl.total_reduce_slots
+        cm = cl.cost_model
+        per_task = (cm.task_dispatch_seconds
+                    + cm.reduce_compute_seconds(1.0) / len(reduce))
+        assert all(e.duration == pytest.approx(per_task) for e in reduce)
 
     def test_shuffle_bytes_recorded(self):
         res = run_block(GeometricSpec(), EAGER, cluster=SimCluster())

@@ -57,17 +57,18 @@ class TestKvDriver:
         for rec in res.history:
             assert rec.local_iters == (1, 1, 1)
 
-    def test_eager_reduce_pipeline_same_results(self, kv_setup):
+    def test_each_round_charges_its_whole_shuffle(self, kv_setup):
+        """A round's shuffle is priced in full after its map phase (no
+        overlap with the map phase hides any of it)."""
         g, part = kv_setup
-        base = run_kv(PageRankKVSpec(g, part),
-                      DriverConfig(mode="eager"))
-        eager = run_kv(PageRankKVSpec(g, part),
-                       DriverConfig(mode="eager"),
-                       eager_reduce=True)
-        assert eager.global_iters == base.global_iters
-        ra = np.array([base.state[u][0] for u in range(g.num_nodes)])
-        rb = np.array([eager.state[u][0] for u in range(g.num_nodes)])
-        assert np.allclose(ra, rb)
+        cl = SimCluster()
+        rt = MapReduceRuntime("serial", cluster=cl)
+        res = run_kv(PageRankKVSpec(g, part),
+                     DriverConfig(mode="eager"), runtime=rt)
+        phases = cl.trace.phases()
+        for r in res.history:
+            assert phases[f"iter{r.iteration}:shuffle"] == pytest.approx(
+                cl.cost_model.shuffle_seconds(r.shuffle_bytes))
 
     def test_supplied_runtime_kept_open_with_one_pool(self, kv_setup):
         g, part = kv_setup
@@ -83,11 +84,12 @@ class TestKvDriver:
         assert rt.pool is pool
         rt.close()
 
-    def test_history_disabled(self, kv_setup):
+    def test_history_kept_when_capped(self, kv_setup):
         g, part = kv_setup
         res = run_kv(PageRankKVSpec(g, part),
-                     DriverConfig(mode="eager", record_history=False))
-        assert res.history == []
+                     DriverConfig(mode="general", max_global_iters=2))
+        assert not res.converged
+        assert [r.iteration for r in res.history] == [0, 1]
 
     def test_residuals_eventually_below_tol(self, kv_setup):
         g, part = kv_setup

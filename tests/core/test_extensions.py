@@ -3,6 +3,8 @@ granularity autotuning, and the online state store."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -185,8 +187,26 @@ class TestAutotune:
             autotune_partitions(factory, [])
         with pytest.raises(ValueError):
             autotune_partitions(factory, [2], probe_iters=1)
-        with pytest.raises(ValueError):
-            autotune_partitions(factory, [2], target_residual=0)
+
+    def test_probe_is_a_capped_eager_run(self, setup):
+        """A probe is ``probe_iters`` eager rounds on a fresh default
+        cluster, extrapolated towards a residual of 1e-5."""
+        g, _ = setup
+
+        def factory(k):
+            return PageRankBlockSpec(g, multilevel_partition(g, k, seed=0))
+
+        report = autotune_partitions(factory, [8], probe_iters=3)
+        run = run_block(factory(8),
+                        DriverConfig(mode="eager", max_global_iters=3),
+                        cluster=SimCluster())
+        [probe] = report.probes
+        assert report.probe_seconds == run.sim_time
+        assert probe.seconds_per_round == run.sim_time / 3
+        assert not run.converged and run.residuals[-1] > 1e-5
+        extra = (math.log(1e-5 / run.residuals[-1])
+                 / math.log(probe.contraction))
+        assert probe.predicted_rounds == 3 + math.ceil(extra)
 
 
 class TestOnlineStateStore:
@@ -199,8 +219,6 @@ class TestOnlineStateStore:
             DriverConfig(checkpoint_every=0)  # None disables, not 0
         with pytest.raises(ValueError):
             DriverConfig(checkpoint_every=2.5)
-        with pytest.raises(ValueError):
-            DriverConfig(charge_local_ops_at="gpu")
         DriverConfig(checkpoint_every=None)  # the disable spelling
 
     def test_online_store_cheaper_than_dfs(self, setup):

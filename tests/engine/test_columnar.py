@@ -595,15 +595,14 @@ class TestColumnarJobs:
         assert fast.output_nbytes == shuffle_bytes([[oracle.output]])
         assert oracle.output_nbytes == 0
 
-    def test_eager_reduce_pipeline_identical(self):
+    def test_threaded_pipeline_identical_to_serial(self):
         splits = self._splits()
+        job = Job(_emit_block_map, "sum", combine_fn="sum",
+                  conf=JobConf(num_reducers=4))
         with MapReduceRuntime("threads", workers=3) as rt:
-            eager = rt.run(Job(_emit_block_map, "sum", combine_fn="sum",
-                               conf=JobConf(num_reducers=4,
-                                            eager_reduce=True)), splits)
-            barrier = rt.run(Job(_emit_block_map, "sum", combine_fn="sum",
-                                 conf=JobConf(num_reducers=4)), splits)
-        assert eager.output == barrier.output
+            threads = rt.run(job, splits)
+        serial = MapReduceRuntime("serial").run(job, splits)
+        assert threads.output == serial.output
 
     def test_combiner_reduces_measured_shuffle_bytes(self):
         splits = self._splits(num_splits=2, n=400)

@@ -1,9 +1,11 @@
 """Tests for the persistent-pool, streaming-shuffle runtime pipeline.
 
 Covers the pool lifecycle (one pool reused across phases, attempts, and
-jobs; context-manager close), the ``eager_reduce`` streaming mode's
-output equivalence with the barrier path, fault-injection retries under
-the persistent pool, and the overlapped-shuffle accounting.
+jobs; context-manager close), the streaming pipeline's output
+equivalence with the serial reference, fault-injection retries under
+the persistent pool, and the shuffle accounting (the engine charges its
+whole shuffle; ``SimCluster.charge_overlapped_shuffle`` prices only the
+residual past an overlap).
 """
 
 from __future__ import annotations
@@ -114,66 +116,66 @@ class TestBrokenPoolRecovery:
         rt.close()
 
 
-class TestEagerReduce:
-    @pytest.mark.parametrize("executor", ["serial", "threads"])
-    def test_output_equivalent_to_barrier(self, executor, reference):
-        with MapReduceRuntime(executor, workers=3) as rt:
-            eager = rt.run(_job(num_reducers=4, eager_reduce=True), DOCS)
-            barrier = rt.run(_job(num_reducers=4, eager_reduce=False), DOCS)
-        assert eager.as_dict() == barrier.as_dict() == reference.as_dict()
-        assert eager.output == barrier.output  # byte-identical order too
-        assert (eager.counters.get(SHUFFLE_BYTES)
-                == barrier.counters.get(SHUFFLE_BYTES))
+class TestStreamingPipeline:
+    """Every job streams map results into the shuffle buffer and
+    resubmits failed attempts at once; the output never depends on the
+    executor or on which attempts failed."""
 
-    def test_eager_with_scripted_faults(self, reference):
+    @pytest.mark.parametrize("executor", ["serial", "threads"])
+    def test_output_equivalent_to_reference(self, executor, reference):
+        with MapReduceRuntime(executor, workers=3) as rt:
+            first = rt.run(_job(num_reducers=4), DOCS)
+            again = rt.run(_job(num_reducers=4), DOCS)
+        assert first.as_dict() == again.as_dict() == reference.as_dict()
+        assert first.output == again.output  # byte-identical order too
+        assert (first.counters.get(SHUFFLE_BYTES)
+                == again.counters.get(SHUFFLE_BYTES))
+
+    def test_scripted_faults(self, reference):
         plan = FaultPlan.script({("map", 0): 1, ("map", 2): 2, ("reduce", 1): 1})
         with MapReduceRuntime("threads", workers=3, fault_plan=plan) as rt:
-            res = rt.run(_job(num_reducers=4, eager_reduce=True), DOCS)
+            res = rt.run(_job(num_reducers=4), DOCS)
         assert res.as_dict() == reference.as_dict()
         assert res.counters.get(TASK_RETRIES) == 4
 
-    def test_eager_with_random_faults(self, reference):
+    def test_random_faults(self, reference):
         plan = FaultPlan.random(0.4, seed=13)
         with MapReduceRuntime("threads", workers=3, fault_plan=plan) as rt:
-            res = rt.run(_job(num_reducers=2, eager_reduce=True), DOCS)
+            res = rt.run(_job(num_reducers=2), DOCS)
         assert res.as_dict() == reference.as_dict()
 
-    def test_eager_exhausted_attempts_fail_job(self):
+    def test_exhausted_attempts_fail_job(self):
         plan = FaultPlan.script({("map", 0): 99})
         with MapReduceRuntime("threads", workers=2, fault_plan=plan) as rt:
             with pytest.raises(JobFailedError):
-                rt.run(_job(eager_reduce=True), DOCS)
+                rt.run(_job(), DOCS)
 
-    def test_eager_retry_counter_matches_barrier(self, reference):
-        # retries are a function of the fault plan, not of the pipeline
+    def test_retry_counter_depends_only_on_the_plan(self, reference):
+        # retries are a function of the fault plan, not of the run
         plan = FaultPlan.random(0.3, seed=21)
         with MapReduceRuntime("threads", workers=3, fault_plan=plan) as rt:
-            eager = rt.run(_job(num_reducers=2, eager_reduce=True), DOCS)
-            barrier = rt.run(_job(num_reducers=2, eager_reduce=False), DOCS)
-        assert (eager.counters.get(TASK_RETRIES)
-                == barrier.counters.get(TASK_RETRIES))
+            first = rt.run(_job(num_reducers=2), DOCS)
+            again = rt.run(_job(num_reducers=2), DOCS)
+        assert (first.counters.get(TASK_RETRIES)
+                == again.counters.get(TASK_RETRIES))
 
 
 class TestOverlappedAccounting:
-    def test_eager_shuffle_never_costlier(self):
-        barrier = MapReduceRuntime("serial", cluster=SimCluster()).run(
-            _job(eager_reduce=False), DOCS)
-        eager = MapReduceRuntime("serial", cluster=SimCluster()).run(
-            _job(eager_reduce=True), DOCS)
-        assert eager.sim_times["shuffle"] <= barrier.sim_times["shuffle"]
-        assert eager.sim_time_total <= barrier.sim_time_total
-        # phases all present either way
+    def test_engine_charges_the_whole_shuffle(self):
+        cl = SimCluster()
+        res = MapReduceRuntime("serial", cluster=cl).run(_job(), DOCS)
+        assert res.sim_times["shuffle"] == cl.cost_model.shuffle_seconds(
+            res.counters.get(SHUFFLE_BYTES))
         for phase in ("startup", "map", "shuffle", "reduce", "barrier", "dfs"):
-            assert phase in eager.sim_times
+            assert phase in res.sim_times
 
     def test_overlap_is_residual(self):
-        eager = MapReduceRuntime("serial", cluster=SimCluster()).run(
-            _job(eager_reduce=True), DOCS)
-        barrier = MapReduceRuntime("serial", cluster=SimCluster()).run(
-            _job(eager_reduce=False), DOCS)
-        hidden = min(barrier.sim_times["shuffle"], eager.sim_times["map"])
-        assert eager.sim_times["shuffle"] == pytest.approx(
-            barrier.sim_times["shuffle"] - hidden)
+        cl = SimCluster()
+        full = cl.cost_model.shuffle_seconds(10**9)
+        charged = cl.charge_overlapped_shuffle(10**9,
+                                               overlap_seconds=full / 4)
+        assert charged == pytest.approx(full * 3 / 4)
+        assert cl.clock == charged
 
     def test_charge_overlapped_shuffle_validation(self):
         cl = SimCluster()

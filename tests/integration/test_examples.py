@@ -18,6 +18,11 @@ EXAMPLES_DIR = pathlib.Path(__file__).resolve().parents[2] / "examples"
 FAST_EXAMPLES = [
     "quickstart.py",
     "custom_async_algorithm.py",
+    "census_clustering.py",
+    "extensions_tour.py",
+    "multi_job_scheduling.py",
+    "transaction_paths.py",
+    "web_ranking.py",
 ]
 
 
@@ -62,5 +67,6 @@ def test_all_examples_exist():
         "census_clustering.py",
         "custom_async_algorithm.py",
         "extensions_tour.py",
+        "multi_job_scheduling.py",
     }
     assert expected <= present

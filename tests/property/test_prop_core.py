@@ -73,7 +73,10 @@ class TestBlockLoopProperties:
     def test_block_loop_is_bitwise_the_per_record_loop(self, case, cap, damping):
         g, part, state = case
         finite = [(min(v, 100.0), min(e, 100.0)) for v, e in state]
-        runs = [(PageRankKVSpec(g, part, damping=damping), dict(enumerate(finite))),
+        pagerank = PageRankKVSpec(g, part)
+        # Both loops read the shared base's damping at call time.
+        pagerank.damping = damping
+        runs = [(pagerank, dict(enumerate(finite))),
                 (SsspKVSpec(g, part, source=0), dict(enumerate(state)))]
         for spec, table in runs:
             for p in range(part.k):

@@ -347,16 +347,14 @@ class TestJobProperties:
     @settings(deadline=None, max_examples=10,
               suppress_health_check=[HealthCheck.too_slow])
     @given(docs, st.integers(min_value=0, max_value=10_000))
-    def test_eager_reduce_equivalent_under_faults(self, documents, seed):
-        # streaming pipeline + immediate retries vs the serial barrier
+    def test_streaming_pipeline_equivalent_under_faults(self, documents, seed):
+        # streaming pipeline + immediate retries vs the serial
         # reference: byte-identical output, with and without faults
         splits = _split(documents, 3)
-        barrier = MapReduceRuntime("serial").run(
-            Job(_wc_map, _wc_reduce, conf=JobConf(num_reducers=2)), splits)
-        eager_job = Job(_wc_map, _wc_reduce,
-                        conf=JobConf(num_reducers=2, eager_reduce=True))
+        job = Job(_wc_map, _wc_reduce, conf=JobConf(num_reducers=2))
+        serial = MapReduceRuntime("serial").run(job, splits)
         with MapReduceRuntime(
                 "threads", workers=3,
                 fault_plan=FaultPlan.random(0.3, seed=seed)) as rt:
-            eager = rt.run(eager_job, splits)
-        assert eager.output == barrier.output
+            threads = rt.run(job, splits)
+        assert threads.output == serial.output
