@@ -41,7 +41,8 @@ from repro.core import (
     IterativeResult,
     resolve_block_backend,
 )
-from repro.core.localmr import xs_columns
+from repro.core.gmap import owner_and_cut_pairs
+from repro.core.localmr import NodeRowState
 from repro.graph import DiGraph, Partition, split_edges
 
 __all__ = [
@@ -151,16 +152,20 @@ class PageRankBlockSpec(_PageRank, NodeBlockSpec):
 # Record-at-a-time (§IV API) implementation
 # ----------------------------------------------------------------------
 
-class PageRankKVSpec(_PageRank, AsyncMapReduceSpec):
+class PageRankKVSpec(NodeRowState, _PageRank, AsyncMapReduceSpec):
     """PageRank through lmap/lreduce/greduce on the real engine.
 
     Hashtable layout per partition: ``node -> (rank, ext_contrib,
     internal_adj, external_adj, inv_outdeg)`` where ``ext_contrib`` is
     the frozen sum of remote contributions from the previous global
-    round and the adjacency splits are precomputed once from the
-    partition (the off-line locality-enhancing step).
+    round and the adjacency splits are the partition's edge blocks (the
+    off-line locality-enhancing step).  Only the per-record oracle
+    (:class:`~repro.core.per_record`) builds that table; the block loop
+    runs on its two float columns.
 
-    Global state: ``ranks`` dict ``node -> (rank, ext_contrib)``.
+    Global state: an ``(N, 2)`` float64 array, row ``u`` = ``(rank,
+    ext_contrib)`` of node ``u`` (:class:`~repro.core.localmr.
+    NodeRowState`), so ``state[u][0]`` is ``u``'s rank.
 
     The spec opts into the engine's columnar shuffle fast path: the
     gmap's boundary data becomes ``(node, (rank, contribution))`` rows —
@@ -183,35 +188,25 @@ class PageRankKVSpec(_PageRank, AsyncMapReduceSpec):
 
     def __init__(self, graph: DiGraph, partition: Partition) -> None:
         super().__init__(graph, partition)
-        assign = partition.assign
-        # node -> ([internal successors], [external successors])
-        self._internal_adj: dict[int, list[int]] = {}
-        self._external_adj: dict[int, list[int]] = {}
-        for u in range(graph.num_nodes):
-            succ = graph.successors(u)
-            same = assign[succ] == assign[u]
-            self._internal_adj[u] = succ[same].tolist()
-            self._external_adj[u] = succ[~same].tolist()
 
     # -- iteration plumbing ----------------------------------------------
-    def initial_state(self) -> dict:
+    def initial_state(self) -> np.ndarray:
         """All ranks 1, with external contributions consistent with that
         (so the first global round matches the block/general trajectory
         exactly rather than starting from zero remote input)."""
         ext = np.zeros(self.graph.num_nodes, dtype=np.float64)
         for b in self._blocks:  # rank 1 over every incoming cut edge
             np.add.at(ext, b.nodes[b.in_dst], b.in_w)
-        rows = np.column_stack([np.ones_like(ext), ext])
-        return dict(enumerate(map(tuple, rows.tolist())))
+        return np.column_stack([np.ones_like(ext), ext])
 
-    def partition_input(self, part_id: int, state: dict) -> list:
-        xs = []
-        for u in self.partition.parts()[part_id]:
-            u = int(u)
-            rank, ext = state[u]
-            xs.append((u, (rank, ext, self._internal_adj[u],
-                           self._external_adj[u], float(self.inv_outdeg[u]))))
-        return xs
+    def table_records(self, part_id: int, rows: np.ndarray) -> list:
+        b = self._blocks[part_id]
+        n = len(b.nodes)
+        internal = self._per_row(b.int_src, b.nodes[b.int_dst].tolist(), n)
+        external = self._per_row(b.cut_src, b.cut_dst.tolist(), n)
+        inv_out = self.inv_outdeg[b.nodes].tolist()
+        return [(u, (rank, ext, i, e, w)) for u, (rank, ext), i, e, w
+                in zip(b.node_list, rows.tolist(), internal, external, inv_out)]
 
     # -- the four user functions ------------------------------------------
     def lmap(self, key, value, ctx) -> None:
@@ -262,19 +257,6 @@ class PageRankKVSpec(_PageRank, AsyncMapReduceSpec):
             delta = max(delta, abs(rec[0] - prev_table[u][0]))
         return delta < self.tol
 
-    def global_converged(self, prev_state, curr_state):
-        prev = np.array([prev_state[u][0] for u in curr_state])
-        curr = np.array([curr_state[u][0] for u in curr_state])
-        return super().global_converged(prev, curr)
-
-    def state_from_output(self, output: list, prev_state):
-        new_state = dict(prev_state)
-        new_state.update(output)
-        return new_state
-
-    def local_columns(self, part_id: int, xs: list):
-        return xs_columns(xs, self._blocks[part_id].node_list, 2)
-
     # -- columnar fast path ------------------------------------------------
     def gmap_emit_block(self, cols, part_id: int):
         """The columnar emission from the rank column: one
@@ -287,6 +269,14 @@ class PageRankKVSpec(_PageRank, AsyncMapReduceSpec):
         rows[:n, 0] = ranks
         rows[n:, 1] = ranks[b.cut_src] * b.cut_w
         return keys, rows
+
+    def gmap_emit_pairs(self, cols, part_id: int) -> list:
+        """:meth:`gmap_emit` from the rank column and the partition's
+        outgoing cut edges (each weighted ``1/outdeg`` of its source)."""
+        b = self._blocks[part_id]
+        ranks = cols[0]
+        return owner_and_cut_pairs(b.nodes, "rank", ranks, b.cut_src,
+                                   b.cut_dst, "c", ranks[b.cut_src] * b.cut_w)
 
     def gmap_emit_columnar(self, table: dict, part_id: int):
         """Same records as :meth:`gmap_emit`, as typed rows: the owning

@@ -37,7 +37,8 @@ from repro.core import (
     IterativeResult,
     resolve_block_backend,
 )
-from repro.core.localmr import scatter_fold, xs_columns
+from repro.core.gmap import owner_and_cut_pairs
+from repro.core.localmr import NodeRowState, scatter_fold
 from repro.graph import DiGraph, Partition, edge_blocks
 
 __all__ = [
@@ -157,14 +158,19 @@ def _sssp_columnar_finish(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-class SsspKVSpec(_Sssp, AsyncMapReduceSpec):
+class SsspKVSpec(NodeRowState, _Sssp, AsyncMapReduceSpec):
     """SSSP through lmap/lreduce/greduce on the real engine.
 
     Hashtable layout: ``node -> (dist, ext_best, internal_adj,
     external_adj)`` with weighted adjacency lists split at partition
     boundaries; ``ext_best`` is the best known distance via cross edges,
-    frozen during local iterations.  Global state: ``node -> (dist,
-    ext_best)``.
+    frozen during local iterations.  Only the per-record oracle
+    (:class:`~repro.core.per_record`) builds that table; the block loop
+    runs on its two float columns.
+
+    Global state: an ``(N, 2)`` float64 array, row ``u`` = ``(dist,
+    ext_best)`` of node ``u`` (:class:`~repro.core.localmr.
+    NodeRowState`), so ``state[u][0]`` is ``u``'s distance.
 
     Columnar fast path: boundary records become ``(node, (dist, d))``
     rows — the owner's distance record is ``(dist, inf)``, each
@@ -183,36 +189,26 @@ class SsspKVSpec(_Sssp, AsyncMapReduceSpec):
     supports_columnar = True
     columnar_combine = "min"
 
-    def __init__(self, graph: DiGraph, partition: Partition, *,
-                 source: int = 0) -> None:
-        super().__init__(graph, partition, source=source)
-        assign = partition.assign
-        self._internal_adj: dict[int, list] = {}
-        self._external_adj: dict[int, list] = {}
-        for u in range(graph.num_nodes):
-            succ = graph.successors(u)
-            w = graph.out_weights(u)
-            same = assign[succ] == assign[u]
-            self._internal_adj[u] = list(zip(succ[same].tolist(), w[same].tolist()))
-            self._external_adj[u] = list(zip(succ[~same].tolist(), w[~same].tolist()))
-
-    def initial_state(self) -> dict:
+    def initial_state(self) -> np.ndarray:
         """Source at 0, rest unreached; cross-edge floors consistent with
         that initial state (the source's cross out-edges already offer
         candidate distances to their remote endpoints)."""
         rows = np.full((self.graph.num_nodes, 2), np.inf, dtype=np.float64)
         rows[self.source, 0] = 0.0
-        for v, w in self._external_adj[self.source]:
-            rows[v, 1] = min(rows[v, 1], w)
-        return dict(enumerate(map(tuple, rows.tolist())))
+        b = self._blocks[self.partition.assign[self.source]]
+        out = b.nodes[b.cut_src] == self.source
+        np.minimum.at(rows[:, 1], b.cut_dst[out], b.cut_w[out])
+        return rows
 
-    def partition_input(self, part_id: int, state: dict) -> list:
-        xs = []
-        for u in self.partition.parts()[part_id]:
-            u = int(u)
-            dist, ext = state[u]
-            xs.append((u, (dist, ext, self._internal_adj[u], self._external_adj[u])))
-        return xs
+    def table_records(self, part_id: int, rows: np.ndarray) -> list:
+        b = self._blocks[part_id]
+        n = len(b.nodes)
+        internal = self._per_row(b.int_src, list(zip(
+            b.nodes[b.int_dst].tolist(), b.int_w.tolist())), n)
+        external = self._per_row(b.cut_src, list(zip(
+            b.cut_dst.tolist(), b.cut_w.tolist())), n)
+        return [(u, (dist, ext, i, e)) for u, (dist, ext), i, e
+                in zip(b.node_list, rows.tolist(), internal, external)]
 
     def lmap(self, key, value, ctx) -> None:
         dist, ext, internal, external = value
@@ -261,19 +257,6 @@ class SsspKVSpec(_Sssp, AsyncMapReduceSpec):
                 return False
         return True
 
-    def global_converged(self, prev_state, curr_state):
-        prev = np.array([prev_state[u][0] for u in curr_state])
-        curr = np.array([curr_state[u][0] for u in curr_state])
-        return super().global_converged(prev, curr)
-
-    def state_from_output(self, output: list, prev_state):
-        new_state = dict(prev_state)
-        new_state.update(output)
-        return new_state
-
-    def local_columns(self, part_id: int, xs: list):
-        return xs_columns(xs, self._blocks[part_id].node_list, 2)
-
     # -- columnar fast path ------------------------------------------------
     def gmap_emit_block(self, cols, part_id: int):
         """The columnar emission from the distance column: one
@@ -287,6 +270,17 @@ class SsspKVSpec(_Sssp, AsyncMapReduceSpec):
         rows[:n, 0] = dists
         rows[n:, 1] = dists[b.cut_src[live]] + b.cut_w[live]
         return keys, rows
+
+    def gmap_emit_pairs(self, cols, part_id: int) -> list:
+        """:meth:`gmap_emit` from the distance column and the
+        partition's live outgoing cut edges."""
+        b = self._blocks[part_id]
+        dists = cols[0]
+        live = np.isfinite(dists[b.cut_src])
+        src = b.cut_src[live]
+        return owner_and_cut_pairs(b.nodes, "dist", dists, src,
+                                   b.cut_dst[live], "d",
+                                   dists[src] + b.cut_w[live])
 
     def gmap_emit_columnar(self, table: dict, part_id: int):
         """Same records as :meth:`gmap_emit`, as typed rows: the owner's

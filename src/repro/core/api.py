@@ -154,8 +154,13 @@ class AsyncMapReduceSpec(abc.ABC):
         """Number of partitions (= global map tasks per iteration)."""
 
     @abc.abstractmethod
-    def partition_input(self, part_id: int, state: Any) -> list:
-        """Build the gmap input ``xs`` (key-value list) for a partition.
+    def partition_input(self, part_id: int, state: Any) -> Any:
+        """Build the gmap input ``xs`` for a partition: the key-value
+        list the per-record loop iterates — or, for a spec declaring the
+        block-level local step, whatever :meth:`local_columns` cuts its
+        columns from (the KV graph specs ship their part's rows of an
+        array state, ``state[nodes]``, and build records only in the
+        :class:`~repro.core.localmr.per_record` oracle).
 
         This is the "functions to convert data into the formats required
         by the local map and local reduce functions" of §IV.
@@ -192,11 +197,13 @@ class AsyncMapReduceSpec(abc.ABC):
         return None
 
     # -- block-level local step (opt-in, see local_agg) -----------------
-    def local_columns(self, part_id: int, xs: list) -> Any:
-        """The hashtable's mutable columns: a tuple of ``c`` ``(n,)``
-        float64 arrays, column ``j`` the ``j``-th field of every value
-        tuple, row ``i`` = ``xs[i]``; ``ValueError`` when ``xs`` is not
-        the partition the spec's static arrays describe."""
+    def local_columns(self, part_id: int, xs: Any) -> Any:
+        """The hashtable's mutable columns from the gmap input: a tuple
+        of ``c`` ``(n,)`` float64 arrays, column ``j`` the ``j``-th field
+        of every value, row ``i`` the partition's ``i``-th key — for an
+        ``(n, c)`` row block from :meth:`partition_input`, its
+        transpose; ``ValueError`` when ``xs`` does not have the row
+        count of the partition the spec's static arrays describe."""
         raise NotImplementedError
 
     def local_fold(self, part_id: int, cols: Any) -> "tuple[Any, int]":
@@ -225,6 +232,12 @@ class AsyncMapReduceSpec(abc.ABC):
     def gmap_emit_block(self, cols: Any, part_id: int) -> "tuple[Any, Any]":
         """:meth:`gmap_emit_columnar` from the column arrays (the
         columnar gmap never rebuilds the hashtable)."""
+        raise NotImplementedError
+
+    def gmap_emit_pairs(self, cols: Any, part_id: int) -> list:
+        """:meth:`gmap_emit` from the column arrays: the same pairs in
+        the same order, built without the hashtable (what the object
+        shuffle path ships)."""
         raise NotImplementedError
 
     # -- columnar fast-path hooks (opt-in, see supports_columnar) -------

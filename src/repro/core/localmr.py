@@ -24,11 +24,13 @@ That per-record loop is the oracle and the teaching API.
 declare a block-level local step (``spec.local_agg``) — **bitwise** the
 per-record loop: same tables, same iteration counts, same
 ``per_iter_ops``.  It is the one array loop: the engine's gmap runs it
-on the columns ``spec.local_columns`` cuts from the gmap input, and the
-simulator's ``local_solve`` of every node-partitioned app (PageRank,
-SSSP, components, Jacobi) on columns cut from the flat state.
+on the columns ``spec.local_columns`` cuts from the gmap input (the
+part's rows of a :class:`NodeRowState`), and the simulator's
+``local_solve`` of every node-partitioned app (PageRank, SSSP,
+components, Jacobi) on columns cut from the flat state.
 :class:`per_record` is the view that reaches the oracle for such a
-spec; ``docs/local_loop.md`` states the contract.
+spec, and the one place its hashtable records are still built;
+``docs/local_loop.md`` states the contract.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from repro.core.api import AsyncMapReduceSpec
 from repro.core.emitter import LocalMapContext, LocalReduceContext
 from repro.engine.columnar import resolve_agg
 
-__all__ = ["LocalRunResult", "run_local_mapreduce", "run_local_block",
-           "scatter_fold", "xs_columns", "block_table", "per_record"]
+__all__ = ["LocalRunResult", "NodeRowState", "run_local_mapreduce",
+           "run_local_block", "scatter_fold", "per_record"]
 
 
 def _agg_identity(agg: str, dtype: np.dtype) -> Any:
@@ -65,7 +67,7 @@ class LocalRunResult:
 
     #: Local state at local convergence: the hashtable — or, from
     #: :func:`run_local_block`, its mutable columns as a tuple of
-    #: ``(n,)`` float64 arrays in row order (see :func:`block_table`).
+    #: ``(n,)`` float64 arrays in row order.
     table: Any
     #: Number of local iterations executed.
     local_iters: int
@@ -191,29 +193,57 @@ def scatter_fold(agg: str, col: np.ndarray, rows: np.ndarray,
     return acc, len(rows)
 
 
-def xs_columns(xs: "list[tuple[Any, Any]]", keys: list,
-               width: int) -> "tuple[np.ndarray, ...]":
-    """The leading ``width`` fields of every ``xs`` value as ``width``
-    ``(n,)`` float64 columns — what a spec's ``local_columns`` returns
-    once it has named the ``keys`` its static arrays are for."""
-    ks = [k for k, _ in xs]
-    if len(set(ks)) != len(ks):
-        raise ValueError("duplicate key in gmap input")
-    if ks != keys:
-        raise ValueError("gmap input is not the partition the spec's "
-                         "static arrays describe")
-    rows = np.array([v[:width] for _, v in xs], dtype=np.float64)
-    return tuple(np.ascontiguousarray(rows.reshape(len(xs), width).T))
+class NodeRowState:
+    """The global state of a node-partitioned KV spec as one ``(N, c)``
+    float64 array: row ``u`` holds node ``u``'s ``c`` mutable hashtable
+    fields (``state[u][0]`` is its value).  A round builds no per-node
+    object from it: a gmap's input is its part's rows, the block loop's
+    columns are their transpose, and the global reduce's output is one
+    scatter into a copy of the previous state.
 
+    A spec lists it before the app's shared base, whose
+    ``global_converged`` takes the value vectors; sets ``_blocks``, one
+    :class:`~repro.graph.EdgeBlock` per part; and writes
+    :meth:`table_records` for the :class:`per_record` oracle.
+    """
 
-def block_table(xs: "list[tuple[Any, Any]]",
-                cols: "tuple[np.ndarray, ...]") -> dict:
-    """The hashtable :func:`run_local_mapreduce` would return, rebuilt
-    from ``xs`` and the final columns: each value tuple's leading fields
-    replaced by its row, the static rest carried over."""
-    width = len(cols)
-    rows = zip(*(c.tolist() for c in cols))
-    return {k: (*row, *v[width:]) for (k, v), row in zip(xs, rows)}
+    def partition_input(self, part_id: int, state: np.ndarray) -> np.ndarray:
+        return state[self._blocks[part_id].nodes]
+
+    def local_columns(self, part_id: int, xs: np.ndarray):
+        if len(xs) != len(self._blocks[part_id].nodes):
+            raise ValueError("gmap input is not the partition the spec's "
+                             "static arrays describe")
+        return tuple(np.ascontiguousarray(xs.T))
+
+    def state_from_output(self, output: list, prev_state: np.ndarray):
+        state = prev_state.copy()
+        if output:
+            keys, rows = zip(*output)
+            state[list(keys)] = rows
+        return state
+
+    def state_from_columnar(self, block: Any, prev_state: np.ndarray):
+        state = prev_state.copy()
+        state[block.keys] = block.values
+        return state
+
+    def global_converged(self, prev_state, curr_state):
+        return super().global_converged(prev_state[:, 0], curr_state[:, 0])
+
+    def table_records(self, part_id: int, rows: np.ndarray) -> list:
+        """The hashtable the per-record loop starts from: one ``(node,
+        value)`` record per row of :meth:`partition_input`, the value
+        the row's fields followed by the static adjacency ``lmap``
+        walks."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _per_row(src_rows: np.ndarray, items: list, n: int) -> list:
+        """``items`` of edges listed row-major by source row, as ``n``
+        lists: list ``i`` holds row ``i``'s items in order."""
+        ends = np.cumsum(np.bincount(src_rows, minlength=n)).tolist()
+        return [items[a:b] for a, b in zip([0, *ends[:-1]], ends)]
 
 
 class per_record:
@@ -224,6 +254,12 @@ class per_record:
 
     def __init__(self, spec: AsyncMapReduceSpec) -> None:
         self._spec = spec
+
+    def partition_input(self, part_id: int, state: Any) -> list:
+        """The spec's gmap input as the hashtable records
+        :func:`run_local_mapreduce` reads."""
+        spec = self._spec
+        return spec.table_records(part_id, spec.partition_input(part_id, state))
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._spec, name)

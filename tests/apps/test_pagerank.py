@@ -161,7 +161,7 @@ class TestPaperBehaviour:
 
 
 def _engine_run(graph, partition, mode):
-    """PageRankKVSpec on the engine; the ranks read off the dict state."""
+    """PageRankKVSpec on the engine; the ranks read off the state rows."""
     res = IterationLoop(EngineBackend(PageRankKVSpec(graph, partition)),
                         DriverConfig(mode=mode)).run()
     ranks = np.array([res.state[u][0] for u in range(graph.num_nodes)])

@@ -123,7 +123,7 @@ class TestPaperBehaviour:
 
 
 def _engine_run(graph, partition, mode):
-    """SsspKVSpec on the engine; the distances read off the dict state."""
+    """SsspKVSpec on the engine; the distances read off the state rows."""
     res = IterationLoop(EngineBackend(SsspKVSpec(graph, partition)),
                         DriverConfig(mode=mode)).run()
     dist = np.array([res.state[u][0] for u in range(graph.num_nodes)])

@@ -145,40 +145,71 @@ def _kv_spec(app, setup):
 
 @pytest.mark.parametrize("app", ["pagerank", "sssp"])
 class TestStateFromColumnar:
-    """The columnar reduce output folds into the per-node dict exactly
-    as its materialised pairs fold through ``state_from_output``."""
+    """The columnar reduce output folds into the ``(N, 2)`` state array
+    exactly as its materialised pairs fold through
+    ``state_from_output``: one scatter into a copy."""
 
-    def test_fold_is_the_dict_update(self, setup, app):
+    def test_fold_is_a_scatter(self, setup, app):
         spec = _kv_spec(app, setup)
         prev = spec.initial_state()
         block = ColumnarBlock(np.array([2, 0], dtype=np.int64),
                               np.array([[5.0, 0.25], [7.0, np.inf]]))
         new = spec.state_from_columnar(block, prev)
-        want = dict(prev)
-        want.update({2: (5.0, 0.25), 0: (7.0, float("inf"))})
-        assert new == want
-        assert list(new) == list(want)
-        assert new == spec.state_from_output(block.to_pairs(), prev)
-        assert all(type(v) is tuple for v in new.values())
+        want = prev.copy()
+        want[2] = (5.0, 0.25)
+        want[0] = (7.0, np.inf)
+        assert new.tobytes() == want.tobytes()
+        assert new.shape == prev.shape and new.dtype == np.float64
+        assert (new.tobytes()
+                == spec.state_from_output(block.to_pairs(), prev).tobytes())
 
     def test_fold_leaves_the_previous_state_alone(self, setup, app):
         spec = _kv_spec(app, setup)
         prev = spec.initial_state()
-        before = dict(prev)
+        before = prev.copy()
         block = ColumnarBlock(np.array([1], dtype=np.int64),
                               np.array([[9.0, 9.0]]))
         new = spec.state_from_columnar(block, prev)
-        assert new is not prev and prev == before
-        assert new[1] == (9.0, 9.0) and prev[1] == before[1]
+        assert new is not prev and prev.tobytes() == before.tobytes()
+        assert not np.shares_memory(new, prev)
+        assert tuple(new[1]) == (9.0, 9.0)
+        assert tuple(prev[1]) == tuple(before[1])
 
     def test_empty_block_is_an_unshared_copy(self, setup, app):
         spec = _kv_spec(app, setup)
         prev = spec.initial_state()
         block = ColumnarBlock(np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
         new = spec.state_from_columnar(block, prev)
-        assert new == prev and new is not prev
+        assert new.tobytes() == prev.tobytes() and new is not prev
         new[0] = (5.0, 5.0)
-        assert prev[0] != (5.0, 5.0)
+        assert tuple(prev[0]) != (5.0, 5.0)
+
+    def test_partial_output_keeps_the_other_rows(self, setup, app):
+        """``state_from_output`` over pairs for some keys only rewrites
+        those rows — the rest keep the previous state's bits, as
+        ``dict.update`` kept them — writes nothing into ``prev_state``,
+        and is ``state_from_columnar`` on the same block, bit for bit."""
+        spec = _kv_spec(app, setup)
+        rng = np.random.default_rng(7)
+        prev = spec.initial_state()
+        prev[:, 0] = rng.uniform(0.0, 3.0, len(prev))
+        before = prev.copy()
+        keys = rng.choice(len(prev), size=len(prev) // 3, replace=False)
+        rows = np.column_stack([rng.uniform(0.0, 3.0, len(keys)),
+                                np.where(rng.random(len(keys)) < 0.3, np.inf,
+                                         rng.uniform(0.0, 3.0, len(keys)))])
+        output = list(zip(keys.tolist(), map(tuple, rows.tolist())))
+        new = spec.state_from_output(output, prev)
+        assert prev.tobytes() == before.tobytes()
+        assert not np.shares_memory(new, prev)
+        other = np.setdiff1d(np.arange(len(prev)), keys)
+        assert new[other].tobytes() == before[other].tobytes()
+        assert new[keys].tobytes() == rows.tobytes()
+        block = ColumnarBlock(keys.astype(np.int64), rows)
+        assert (new.tobytes()
+                == spec.state_from_columnar(block, prev).tobytes())
+        assert spec.state_from_output([], prev).tobytes() == prev.tobytes()
+        assert spec.state_from_output([], prev) is not prev
 
 
 class TestModeParity:

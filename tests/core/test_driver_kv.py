@@ -142,12 +142,20 @@ class TestKvDriver:
     def test_hook_can_replace_state(self, kv_setup):
         g, part = kv_setup
 
+        returned, read = [], []
+
         class Resetting(PageRankKVSpec):
             def on_global_iteration(self, iteration, state):
                 if iteration == 0:
                     # returning a new state object must be honoured
-                    return dict(state)
+                    returned.append(state.copy())
+                    return returned[0]
                 return None
+
+            def partition_input(self, part_id, state):
+                read.append(state)
+                return super().partition_input(part_id, state)
 
         res = run_kv(Resetting(g, part), DriverConfig(mode="eager"))
         assert res.converged
+        assert all(s is returned[0] for s in read[:part.k])

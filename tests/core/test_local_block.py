@@ -27,8 +27,7 @@ from repro.core import (
     run_local_block,
     run_local_mapreduce,
 )
-from repro.core import gmap as gmap_module
-from repro.core.localmr import block_table, scatter_fold
+from repro.core.localmr import scatter_fold
 from repro.engine import MapReduceRuntime, TaskContext
 from repro.graph import (
     DiGraph,
@@ -43,13 +42,50 @@ from tests.apps.test_local_solve_reference import _messy_graph, _partitions
 CAPS = (1, 2, 3, 7, 10_000)
 
 
-def assert_same_local_run(spec, part_id, xs, cap):
+def adjacency(spec, u):
+    """Node ``u``'s ``(internal, external)`` successor lists as the
+    per-record ``lmap`` / ``gmap_emit`` walk them, read off the graph:
+    node ids for PageRank, ``(node, weight)`` pairs for SSSP."""
+    g, assign = spec.graph, spec.partition.assign
+    succ = g.successors(u)
+    same = assign[succ] == assign[u]
+    if isinstance(spec, PageRankKVSpec):
+        return succ[same].tolist(), succ[~same].tolist()
+    w = g.out_weights(u)
+    return (list(zip(succ[same].tolist(), w[same].tolist())),
+            list(zip(succ[~same].tolist(), w[~same].tolist())))
+
+
+def graph_records(spec, part_id, state) -> list:
+    """The per-record loop's input for one part, built here from the
+    graph and the state rows: ``(u, (value, ext, internal, external))``
+    plus PageRank's ``1/outdeg``."""
+    out = []
+    for u in spec.partition.parts()[part_id].tolist():
+        value = (*state[u].tolist(), *adjacency(spec, u))
+        if isinstance(spec, PageRankKVSpec):
+            value += (float(spec.inv_outdeg[u]),)
+        out.append((u, value))
+    return out
+
+
+def block_table(records, cols) -> dict:
+    """The hashtable the per-record loop would return, rebuilt from its
+    input ``records`` and the block loop's final columns: each value's
+    leading fields replaced by its row, the static rest carried over."""
+    rows = zip(*(c.tolist() for c in cols))
+    return {k: (*row, *v[len(cols):]) for (k, v), row in zip(records, rows)}
+
+
+def assert_same_local_run(spec, part_id, state, cap):
     """One partition, one cap: block loop == per-record loop, exactly."""
-    block = run_local_block(spec, part_id, spec.local_columns(part_id, xs),
-                            max_local_iters=cap)
-    oracle = run_local_mapreduce(spec, xs, max_local_iters=cap)
-    assert block_table(xs, block.table) == oracle.table
-    assert list(block_table(xs, block.table)) == list(oracle.table)
+    records = graph_records(spec, part_id, state)
+    assert per_record(spec).partition_input(part_id, state) == records
+    block = run_local_block(spec, part_id, spec.local_columns(
+        part_id, spec.partition_input(part_id, state)), max_local_iters=cap)
+    oracle = run_local_mapreduce(spec, records, max_local_iters=cap)
+    assert block_table(records, block.table) == oracle.table
+    assert list(block_table(records, block.table)) == list(oracle.table)
     assert block.local_iters == oracle.local_iters
     assert block.per_iter_ops == oracle.per_iter_ops
     assert block.converged == oracle.converged
@@ -60,8 +96,7 @@ def assert_same_everywhere(spec, states=None):
     for state in states or [spec.initial_state()]:
         for cap in CAPS:
             for p in range(spec.num_partitions()):
-                assert_same_local_run(spec, p, spec.partition_input(p, state),
-                                      cap)
+                assert_same_local_run(spec, p, state, cap)
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +133,7 @@ class TestLocalLoopMatrix:
         grows, so the contribution-record count does."""
         _, wg = graphs
         spec = SsspKVSpec(wg, multilevel_partition(wg, 1, seed=0), source=3)
-        xs = spec.partition_input(0, spec.initial_state())
-        res = assert_same_local_run(spec, 0, xs, 10_000)
+        res = assert_same_local_run(spec, 0, spec.initial_state(), 10_000)
         assert len(set(res.per_iter_ops)) > 1
 
 
@@ -207,13 +241,11 @@ class TestTraps:
         g, part = _hub_graph(8)
         assert g.in_degree()[1] == 0
         pr = PageRankKVSpec(g, part)
-        xs = pr.partition_input(0, pr.initial_state())
-        res = assert_same_local_run(pr, 0, xs, 3)
-        assert block_table(xs, res.table)[1][0] == (1.0 - pr.damping)
+        res = assert_same_local_run(pr, 0, pr.initial_state(), 3)
+        assert res.table[0][1] == (1.0 - pr.damping)  # row 1 is node 1
         ss = SsspKVSpec(g, part, source=2)
-        xs = ss.partition_input(0, ss.initial_state())
-        res = assert_same_local_run(ss, 0, xs, 10_000)
-        assert block_table(xs, res.table)[1][0] == float("inf")
+        res = assert_same_local_run(ss, 0, ss.initial_state(), 10_000)
+        assert res.table[0][1] == float("inf")
 
     def test_sum_fold_keeps_parallel_edges(self):
         """PageRank's parallel edges stay separate terms of the CSR
@@ -282,8 +314,10 @@ class TestTraps:
         g = DiGraph(4, [0, 1, 2, 3], [1, 0, 3, 2])
         part = Partition(g, np.array([0, 0, 2, 2]), 3)  # part 1 is empty
         for spec in (PageRankKVSpec(g, part), SsspKVSpec(g, part, source=0)):
-            assert spec.partition_input(1, spec.initial_state()) == []
-            res = assert_same_local_run(spec, 1, [], 10_000)
+            state = spec.initial_state()
+            assert spec.partition_input(1, state).shape == (0, 2)
+            assert per_record(spec).partition_input(1, state) == []
+            res = assert_same_local_run(spec, 1, state, 10_000)
             assert res.local_iters == 1 and res.converged
             assert res.per_iter_ops == [0.0]
             assert_same_everywhere(spec)
@@ -296,8 +330,7 @@ class TestTraps:
         part = Partition(g, np.array([0, 0, 0, 1, 1, 1]), 2)
         spec = SsspKVSpec(g, part, source=0)
         assert_same_everywhere(spec)
-        xs = spec.partition_input(1, spec.initial_state())
-        res = assert_same_local_run(spec, 1, xs, 10_000)
+        res = assert_same_local_run(spec, 1, spec.initial_state(), 10_000)
         assert res.converged and res.local_iters == 1
         assert np.isinf(res.table[0]).all()
         assert res.per_iter_ops == [9.0]  # 3 n, no live edge
@@ -329,20 +362,28 @@ class TestContract:
                             max_local_iters=0)
 
     def test_rejects_duplicate_key(self, graphs):
-        spec = self._spec(graphs)
-        xs = spec.partition_input(0, spec.initial_state())
-        with pytest.raises(ValueError, match="duplicate key"):
-            spec.local_columns(0, xs + xs[:1])
-
-    def test_rejects_xs_of_another_partition(self, graphs):
-        """The static arrays describe one partition; a reordered or
-        foreign ``xs`` must not be silently solved against them."""
+        """A repeated row is one row too many for the block loop, and a
+        repeated key a duplicate for the per-record one."""
         spec = self._spec(graphs)
         state = spec.initial_state()
+        xs = spec.partition_input(0, state)
         with pytest.raises(ValueError, match="partition"):
-            spec.local_columns(0, spec.partition_input(1, state))
-        with pytest.raises(ValueError, match="partition"):
-            spec.local_columns(0, spec.partition_input(0, state)[::-1])
+            spec.local_columns(0, np.vstack([xs, xs[:1]]))
+        records = per_record(spec).partition_input(0, state)
+        with pytest.raises(ValueError, match="duplicate key"):
+            run_local_mapreduce(spec, records + records[:1],
+                                max_local_iters=1)
+
+    def test_rejects_xs_of_another_partition(self, graphs):
+        """The static arrays describe one partition; another part's
+        rows must not be silently solved against them."""
+        spec = self._spec(graphs)
+        state = spec.initial_state()
+        sizes = spec.partition.part_sizes()
+        assert len(set(sizes.tolist())) == len(sizes)
+        for p in (1, 2):
+            with pytest.raises(ValueError, match="partition"):
+                spec.local_columns(0, spec.partition_input(p, state))
 
     def test_per_record_view_hides_only_the_declaration(self, graphs):
         spec = self._spec(graphs)
@@ -362,13 +403,14 @@ class TestContract:
                 if make == "pagerank" else
                 SsspKVSpec(wg, multilevel_partition(wg, 3, seed=0), source=3))
         state = spec.initial_state()
+        oracle = per_record(spec)
         for cap in (1, 10_000):
             for p in range(3):
-                xs = spec.partition_input(p, state)
                 got, want = TaskContext("m", 0), TaskContext("m", 0)
-                GmapFunction(spec, cap, columnar=columnar)(p, xs, got)
-                GmapFunction(per_record(spec), cap,
-                             columnar=columnar)(p, xs, want)
+                GmapFunction(spec, cap, columnar=columnar)(
+                    p, spec.partition_input(p, state), got)
+                GmapFunction(oracle, cap, columnar=columnar)(
+                    p, oracle.partition_input(p, state), want)
                 assert got.counters.as_dict() == want.counters.as_dict()
                 assert got.ops == want.ops
                 assert got.output == want.output
@@ -377,18 +419,25 @@ class TestContract:
                     assert a.keys.tobytes() == b.keys.tobytes()
                     assert a.values.tobytes() == b.values.tobytes()
 
-    def test_columnar_gmap_never_rebuilds_the_table(self, graphs, monkeypatch):
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_gmap_never_builds_the_table(self, graphs, monkeypatch,
+                                         columnar):
+        """On either shuffle path the block spec's gmap emits from its
+        columns: no hashtable record is built, none is read."""
         spec = self._spec(graphs)
 
         def boom(*_a):
-            raise AssertionError("dict table rebuilt on the columnar path")
+            raise AssertionError("per-node table built in the gmap")
 
-        monkeypatch.setattr(gmap_module, "block_table", boom)
-        monkeypatch.setattr(spec, "gmap_emit_columnar", boom)
+        for name in ("table_records", "gmap_emit", "gmap_emit_columnar",
+                     "lmap", "lreduce", "local_converged"):
+            monkeypatch.setattr(spec, name, boom)
+        xs = spec.partition_input(0, spec.initial_state())
+        assert isinstance(xs, np.ndarray)
         ctx = TaskContext("m", 0)
-        GmapFunction(spec, 5, columnar=True)(
-            0, spec.partition_input(0, spec.initial_state()), ctx)
-        assert len(ctx.columnar_output) == 1
+        GmapFunction(spec, 5, columnar=columnar)(0, xs, ctx)
+        assert len(ctx.columnar_output) == (1 if columnar else 0)
+        assert bool(ctx.output) is not columnar
 
     def test_duck_typed_proxy_takes_the_block_loop(self, graphs, monkeypatch):
         """perfbench wraps the spec in a proxy that pre-binds public
@@ -418,16 +467,24 @@ class TestStaticArraysShipWithTheSpec:
     """The arrays are built at construction, not lazily in whichever
     copy runs the gmap — a worker's unpickled copy already has them."""
 
-    def _lazy_reference(self, spec, p, weighted):
-        """The emission arrays as the lazy per-node loop built them; an
-        unweighted (PageRank) edge carries ``gmap_emit``'s factor
-        ``1/outdeg`` of its source."""
+    @staticmethod
+    def _weighted(spec, u, internal):
+        """Node ``u``'s internal (or external) out-edges as ``(target,
+        weight)`` pairs, read off the graph; an unweighted (PageRank)
+        edge carries ``gmap_emit``'s factor ``1/outdeg`` of its
+        source."""
+        adj = adjacency(spec, u)[0 if internal else 1]
+        if isinstance(spec, PageRankKVSpec):
+            return [(v, float(spec.inv_outdeg[u])) for v in adj]
+        return adj
+
+    def _lazy_reference(self, spec, p):
+        """The emission arrays as the lazy per-node loop built them."""
         nodes = [int(u) for u in spec.partition.parts()[p]]
-        adj = [spec._external_adj[u] for u in nodes]
+        adj = [self._weighted(spec, u, False) for u in nodes]
         counts = [len(a) for a in adj]
-        dst = [(e[0] if weighted else e) for a in adj for e in a]
-        w = [(e[1] if weighted else float(spec.inv_outdeg[u]))
-             for u, a in zip(nodes, adj) for e in a]
+        dst = [v for a in adj for v, _ in a]
+        w = [x for a in adj for _, x in a]
         return nodes, np.repeat(np.arange(len(nodes)), counts), dst, w
 
     @pytest.mark.parametrize("make", ["pagerank", "sssp"])
@@ -441,8 +498,7 @@ class TestStaticArraysShipWithTheSpec:
             here, there = spec._blocks[p], shipped._blocks[p]
             for a, b in zip(here, there, strict=True):
                 assert np.array_equal(a, b)
-            nodes, src, dst, w = self._lazy_reference(spec, p,
-                                                      make == "sssp")
+            nodes, src, dst, w = self._lazy_reference(spec, p)
             assert there.node_list == nodes
             assert there.nodes.tolist() == nodes
             assert there.cut_src.tolist() == src.tolist()
@@ -450,10 +506,10 @@ class TestStaticArraysShipWithTheSpec:
             assert there.cut_w.tolist() == w
             # ... and the internal edges are the adjacency lists lmap walks.
             row = {u: i for i, u in enumerate(nodes)}
-            internal = [(row[u], row[e[0] if make == "sssp" else e])
-                        for u in nodes for e in spec._internal_adj[u]]
-            assert list(zip(there.int_src.tolist(),
-                            there.int_dst.tolist())) == internal
+            internal = [(row[u], row[v], w) for u in nodes
+                        for v, w in self._weighted(spec, u, True)]
+            assert list(zip(there.int_src.tolist(), there.int_dst.tolist(),
+                            there.int_w.tolist())) == internal
 
 
 def _state_bytes(state, n):

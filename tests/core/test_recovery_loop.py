@@ -191,4 +191,4 @@ class TestRollbackOnEnginePath:
         assert rec.rounds_replayed == 0  # nothing simulated was lost
         assert all(r.node_deaths == 0 for i, r in enumerate(res.history)
                    if i != 2)
-        assert res.state == base.state
+        assert np.array_equal(res.state, base.state)

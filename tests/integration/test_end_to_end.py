@@ -68,7 +68,7 @@ class TestCrossExecutorEquivalence:
         clean = run()
         faulty = run(runtime=MapReduceRuntime(
             "serial", fault_plan=FaultPlan.random(0.15, seed=2)))
-        for u in clean.state:
+        for u in range(graph.num_nodes):
             assert clean.state[u][0] == pytest.approx(faulty.state[u][0])
         assert clean.global_iters == faulty.global_iters
 

@@ -6,19 +6,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.apps.pagerank import PageRankKVSpec
 from repro.apps.sssp import SsspKVSpec
 from repro.core import (
     CentroidShiftCriterion,
     DriverConfig,
+    per_record,
     run_local_block,
     run_local_mapreduce,
 )
-from repro.core.localmr import block_table
 from repro.graph import DiGraph, Partition
 
+from tests.core.test_local_block import block_table, graph_records
 from tests.core.test_localmr import CountdownSpec
 
 
@@ -76,18 +77,55 @@ class TestBlockLoopProperties:
         pagerank = PageRankKVSpec(g, part)
         # Both loops read the shared base's damping at call time.
         pagerank.damping = damping
-        runs = [(pagerank, dict(enumerate(finite))),
-                (SsspKVSpec(g, part, source=0), dict(enumerate(state)))]
-        for spec, table in runs:
+        runs = [(pagerank, np.array(finite, dtype=np.float64)),
+                (SsspKVSpec(g, part, source=0),
+                 np.array(state, dtype=np.float64))]
+        for spec, rows in runs:
             for p in range(part.k):
-                xs = spec.partition_input(p, table)
-                block = run_local_block(spec, p, spec.local_columns(p, xs),
-                                        max_local_iters=cap)
-                oracle = run_local_mapreduce(spec, xs, max_local_iters=cap)
-                assert block_table(xs, block.table) == oracle.table
+                records = graph_records(spec, p, rows)
+                assert per_record(spec).partition_input(p, rows) == records
+                block = run_local_block(spec, p, spec.local_columns(
+                    p, spec.partition_input(p, rows)), max_local_iters=cap)
+                oracle = run_local_mapreduce(spec, records,
+                                             max_local_iters=cap)
+                assert block_table(records, block.table) == oracle.table
                 assert block.local_iters == oracle.local_iters
                 assert block.per_iter_ops == oracle.per_iter_ops
                 assert block.converged == oracle.converged
+
+
+def _every_emission_case():
+    """Part 2 is empty; node 0 has two parallel cut edges, unreached
+    node 1 (SSSP ``inf``) one, and node 3 none."""
+    g = DiGraph(4, [0, 0, 1, 2], [2, 2, 3, 3], [1.5, 0.25, 2.0, 3.0])
+    part = Partition(g, np.array([0, 0, 1, 1], dtype=np.int64), 3)
+    inf = float("inf")
+    return g, part, [(0.0, inf), (inf, inf), (1.5, 2.0), (inf, 4.0)]
+
+
+class TestObjectPathEmission:
+    @settings(deadline=None, max_examples=80,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(partitioned_digraphs())
+    @example(_every_emission_case())
+    def test_pairs_from_columns_are_the_oracles_gmap_emit(self, case):
+        """The object path's pairs built from the final columns and the
+        part's cut-edge arrays are the oracle's ``gmap_emit`` over the
+        per-record table, pair for pair: keys, tags, float values, order
+        (an unreached SSSP row emits its distance and no candidate)."""
+        g, part, state = case
+        finite = [(min(v, 100.0), min(e, 100.0)) for v, e in state]
+        runs = [(PageRankKVSpec(g, part), np.array(finite, dtype=np.float64)),
+                (SsspKVSpec(g, part, source=0),
+                 np.array(state, dtype=np.float64))]
+        for spec, rows in runs:
+            for p in range(part.k):
+                want = spec.gmap_emit(dict(graph_records(spec, p, rows)), p)
+                cols = spec.local_columns(p, spec.partition_input(p, rows))
+                got = spec.gmap_emit_pairs(cols, p)
+                assert got == want
+                assert all(type(k) is int and type(tag) is str
+                           and type(v) is float for k, (tag, v) in got)
 
 
 @st.composite
