@@ -26,17 +26,29 @@ shuffle can run on NumPy instead:
   :class:`~repro.engine.partitioner.HashPartitioner`), one kernel sort
   of the bucket ids and bincount-derived slices instead of a per-pair
   append loop.
-* :func:`combine_columnar` — map-side combine (the paper's partial
-  aggregation lever, §V-B): one kernel sort of the records by key, run
-  boundaries from one neighbour comparison, a segmented
-  ``ufunc.reduceat``.
-* :func:`route_combine_columnar` — the fused map tail: combine, then
-  route the combined uniques.
+* :func:`route_combine_columnar` — the fused map tail (the paper's
+  partial aggregation lever, §V-B): one kernel sort of the records by
+  key, run boundaries from one neighbour comparison, a segmented
+  ``ufunc.reduceat``, then routing of the combined uniques;
+  :func:`combine_columnar` is the same tail with one reducer.
 * :class:`ColumnarGroups` — reduce-side grouping by the same sort +
   run-boundary layout instead of dict-of-lists; aggregates with the
   same segmented primitive and can materialise the exact object-path
   ``groups()`` output on demand (the oracle contract the equivalence
   tests pin).
+
+Plan and apply.  Both the map tail and the reduce-side grouping are
+split in two: a *plan* built from the keys alone
+(:class:`RouteCombinePlan`: stable order, segment starts, output
+permutation, bucket bounds, output keys; :class:`GroupPlan`: stable
+order, distinct keys, run bounds, group output order), and an *apply*
+over the values (a gather, the one :func:`segment_aggregate`, a
+gather).  :func:`route_combine_columnar` and :func:`group_columnar`
+are build-then-apply, so every executor runs the same arithmetic.  An
+iterative job re-emits the same keys every round; a process-pool worker
+keeps each task slot's last plan and applies it again when the keys are
+exactly equal (:func:`repro.engine.task.keep_plans`), which skips every
+sort and gives the same bits as a fresh build.
 
 The kernel lives in :mod:`repro.util.radix` (the graph layer sorts
 edge lists through it too) and is re-exported here; its module
@@ -87,6 +99,8 @@ __all__ = [
     "stable_key_order",
     "route_columnar",
     "route_combine_columnar",
+    "RouteCombinePlan",
+    "GroupPlan",
     "combine_columnar",
     "group_columnar",
     "segment_aggregate",
@@ -437,24 +451,33 @@ def hash_buckets(keys: np.ndarray, num_reducers: int) -> np.ndarray:
     return (h % np.uint64(num_reducers)).astype(np.int64)
 
 
-def _bucket_ids(block: ColumnarBlock, num_reducers: int,
+def _hash_routed(partitioner: "Callable[[Any, int], int] | None") -> bool:
+    """True when ``partitioner`` is the default hash routing.
+
+    Exact type check: a :class:`HashPartitioner` subclass may override
+    ``__call__`` and must be honoured through the per-key fallback.
+    """
+    return partitioner is None or type(partitioner) is HashPartitioner
+
+
+def _bucket_ids(keys: np.ndarray, dictionary: "StringDictionary | None",
+                num_reducers: int,
                 partitioner: "Callable[[Any, int], int] | None") -> np.ndarray:
-    """Reducer assignment of every record, matching the object path.
+    """Reducer assignment of every key, matching the object path.
 
     A (default) :class:`HashPartitioner` routes with one vectorised
     hash sweep (over decoded-word hashes for dictionary-encoded keys);
     any other partitioner is honoured through a per-key fallback call
     on the object-path key (correct, but not the fast path).
     """
-    # Exact type check: a HashPartitioner subclass may override __call__
-    # and must be honoured through the per-key fallback.
-    if partitioner is None or type(partitioner) is HashPartitioner:
-        if block.dictionary is not None:
-            return block.dictionary.buckets(block.keys, num_reducers)
-        return hash_buckets(block.keys, num_reducers)
+    if _hash_routed(partitioner):
+        if dictionary is not None:
+            return dictionary.buckets(keys, num_reducers)
+        return hash_buckets(keys, num_reducers)
+    objects = dictionary.decode(keys) if dictionary is not None else keys.tolist()
     buckets = np.fromiter(
-        (partitioner(k, num_reducers) for k in block.key_objects()),
-        dtype=np.int64, count=len(block))
+        (partitioner(k, num_reducers) for k in objects),
+        dtype=np.int64, count=len(keys))
     if len(buckets) and not (0 <= buckets.min()
                              and buckets.max() < num_reducers):
         # The object path raises the same IndexError for a broken
@@ -478,7 +501,8 @@ def route_columnar(block: ColumnarBlock, num_reducers: int,
         raise ValueError("num_reducers must be >= 1")
     if num_reducers == 1:
         return [block]
-    buckets = _bucket_ids(block, num_reducers, partitioner)
+    buckets = _bucket_ids(block.keys, block.dictionary, num_reducers,
+                          partitioner)
     order = stable_key_order(buckets)
     counts = np.bincount(buckets, minlength=num_reducers)
     bounds = np.concatenate([[0], np.cumsum(counts)])
@@ -494,6 +518,7 @@ def route_columnar(block: ColumnarBlock, num_reducers: int,
 def route_combine_columnar(
     block: ColumnarBlock, num_reducers: int, agg: str,
     partitioner: "Callable[[Any, int], int] | None" = None,
+    keep: "Callable | None" = None,
 ) -> "list[ColumnarBlock]":
     """Fused map tail: map-side combine, then route the combined rows.
 
@@ -508,9 +533,25 @@ def route_combine_columnar(
     paths and each bucket's rows come out byte-identical to the object
     path's combine-then-route, floats included (one shared
     :func:`segment_aggregate`).
+
+    It is :meth:`RouteCombinePlan.build` over the keys, then
+    :meth:`RouteCombinePlan.apply` over the values.  ``keep(keys, tag,
+    build)`` — a pool worker's plan lookup for this task's slot —
+    may hand back the plan of equal keys instead of building one; it
+    is consulted for integer keys under the default hash routing only
+    (a custom partitioner is called every run, and dictionary ids are
+    the run's own).
     """
-    return route_columnar(combine_columnar(block, agg), num_reducers,
-                          partitioner)
+    def build() -> RouteCombinePlan:
+        return RouteCombinePlan.build(block.keys, num_reducers, partitioner,
+                                      block.dictionary)
+
+    if (keep is None or block.dictionary is not None
+            or not _hash_routed(partitioner)):
+        plan = build()
+    else:
+        plan = keep(block.keys, num_reducers, build)
+    return plan.apply(block.values, agg, block.dictionary)
 
 
 # ----------------------------------------------------------------------
@@ -569,14 +610,123 @@ def combine_columnar(block: ColumnarBlock, agg: str) -> ColumnarBlock:
 
     Output keys follow first-emission order, matching the object-path
     combiner's dict insertion order so the routed buckets stay
-    byte-identical between the two paths.
+    byte-identical between the two paths.  It is the fused map tail
+    routed to a single reducer.
     """
-    if len(block) == 0:
-        return block
-    ufunc = resolve_agg(agg)
-    order, uk, bounds, out_order = _group_layout(block.keys, sort_keys=False)
-    rows = segment_aggregate(block.values[order], bounds[:-1], ufunc)
-    return ColumnarBlock(uk[out_order], rows[out_order], block.dictionary)
+    [combined] = route_combine_columnar(block, 1, agg)
+    return combined
+
+
+# ----------------------------------------------------------------------
+# Plans: the key-only half of the map tail and of reduce-side grouping
+# ----------------------------------------------------------------------
+
+def _narrow(index: np.ndarray, n: int) -> np.ndarray:
+    """``index`` (positions below ``n``) as int32 when ``n`` allows.
+
+    A plan may outlive its task in a pool worker; half-width indices
+    halve what it holds and gather the same elements.
+    """
+    return index.astype(np.int32) if n <= np.iinfo(np.int32).max else index
+
+
+@dataclass(frozen=True, eq=False)
+class RouteCombinePlan:
+    """Everything the fused map tail derives from the keys alone.
+
+    Built once per key array by :meth:`build`; :meth:`apply` then
+    combines and routes any value array of the same length with two
+    gathers around one :func:`segment_aggregate`, so a caller holding
+    the plan of unchanged keys skips every sort.
+    """
+
+    #: Stable sort of the records by key.
+    order: np.ndarray
+    #: Start of each distinct key's run in the sorted layout.
+    starts: np.ndarray
+    #: Output row -> combined group: first emission, then by bucket.
+    perm: np.ndarray
+    #: Bucket ``r`` is output rows ``bounds[r]:bounds[r + 1]``.
+    bounds: "tuple[int, ...]"
+    #: The output keys (``perm`` applied to the distinct keys).
+    keys: np.ndarray
+
+    @classmethod
+    def build(cls, keys: np.ndarray, num_reducers: int,
+              partitioner: "Callable[[Any, int], int] | None" = None,
+              dictionary: "StringDictionary | None" = None,
+              ) -> "RouteCombinePlan":
+        """Plan the combine-then-route of ``keys`` over ``num_reducers``.
+
+        The partitioner runs here, once per distinct key in
+        first-emission order (a single-reducer job calls it never).
+        """
+        if num_reducers < 1:
+            raise ValueError("num_reducers must be >= 1")
+        order, uk, bounds, out_order = _group_layout(keys, sort_keys=False)
+        out_keys = uk[out_order]
+        n = len(keys)
+        perm, edges = out_order, (0, len(out_keys))
+        if num_reducers > 1:
+            buckets = _bucket_ids(out_keys, dictionary, num_reducers,
+                                  partitioner)
+            by_bucket = stable_key_order(buckets)
+            perm, out_keys = out_order[by_bucket], out_keys[by_bucket]
+            counts = np.bincount(buckets, minlength=num_reducers)
+            edges = (0, *np.cumsum(counts).tolist())
+        return cls(_narrow(order, n), _narrow(bounds[:-1], n),
+                   _narrow(perm, n), edges, out_keys)
+
+    def apply(self, values: np.ndarray, agg: str,
+              dictionary: "StringDictionary | None" = None,
+              ) -> "list[ColumnarBlock]":
+        """Combine ``values`` (one row per planned key) and route them."""
+        ufunc = resolve_agg(agg)
+        rows = segment_aggregate(values[self.order], self.starts, ufunc)
+        rows = rows[self.perm]
+        b = self.bounds
+        return [ColumnarBlock(self.keys[b[r]:b[r + 1]], rows[b[r]:b[r + 1]],
+                              dictionary)
+                for r in range(len(b) - 1)]
+
+
+@dataclass(frozen=True, eq=False)
+class GroupPlan:
+    """Everything reduce-side grouping derives from the keys alone.
+
+    :meth:`apply` gathers a value array of the same length into the
+    grouped layout; :meth:`ColumnarGroups.aggregate` does the rest.
+    """
+
+    #: Stable sort of the records by key.
+    order: np.ndarray
+    #: Distinct keys, in sorted-key layout order.
+    keys: np.ndarray
+    #: Group ``g`` is sorted records ``bounds[g]:bounds[g + 1]``.
+    bounds: np.ndarray
+    #: Output permutation over groups.
+    out_order: np.ndarray
+
+    @classmethod
+    def build(cls, keys: np.ndarray, sort_keys: bool = True,
+              dictionary: "StringDictionary | None" = None) -> "GroupPlan":
+        """Plan the grouping of ``keys``: sorted output groups when
+        ``sort_keys`` (in decoded word order for dictionary ids), else
+        first-emission order."""
+        order, uk, bounds, out_order = _group_layout(
+            keys, sort_keys and dictionary is None)
+        if sort_keys and dictionary is not None and len(uk):
+            out_order = dictionary.sort_order(uk)
+        n = len(keys)
+        return cls(_narrow(order, n), uk, _narrow(bounds, n), out_order)
+
+    def apply(self, values: np.ndarray,
+              dictionary: "StringDictionary | None" = None) -> "ColumnarGroups":
+        """Group ``values`` (one row per planned key)."""
+        return ColumnarGroups(keys=self.keys, values=values[self.order],
+                              starts=self.bounds[:-1],
+                              counts=np.diff(self.bounds),
+                              order=self.out_order, dictionary=dictionary)
 
 
 # ----------------------------------------------------------------------
@@ -655,22 +805,25 @@ class ColumnarGroups:
 
 
 def group_columnar(blocks: "Sequence[ColumnarBlock]", *,
-                   sort_keys: bool = True) -> ColumnarGroups:
+                   sort_keys: bool = True,
+                   keep: "Callable | None" = None) -> ColumnarGroups:
     """Group one reducer's blocks (in map-task order) by key.
 
     Dictionary-encoded keys group by id (bijective with the words) but
     honour ``sort_keys`` in *decoded word* order — the object path's
-    ``sorted(table)`` over string keys.
+    ``sorted(table)`` over string keys.  It is :meth:`GroupPlan.build`
+    then :meth:`GroupPlan.apply`; ``keep`` is the plan lookup of
+    :func:`route_combine_columnar`, consulted for integer keys only.
     """
     merged = ColumnarBlock.concat(blocks)
     dic = merged.dictionary
-    order, uk, bounds, out_order = _group_layout(
-        merged.keys, sort_keys and dic is None)
-    if sort_keys and dic is not None and len(uk):
-        out_order = dic.sort_order(uk)
-    return ColumnarGroups(keys=uk, values=merged.values[order],
-                          starts=bounds[:-1], counts=np.diff(bounds),
-                          order=out_order, dictionary=dic)
+
+    def build() -> GroupPlan:
+        return GroupPlan.build(merged.keys, sort_keys, dic)
+
+    plan = (build() if keep is None or dic is not None
+            else keep(merged.keys, sort_keys, build))
+    return plan.apply(merged.values, dic)
 
 
 # ----------------------------------------------------------------------

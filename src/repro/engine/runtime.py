@@ -98,7 +98,12 @@ from repro.engine.shm import (
     export_splits,
 )
 from repro.engine.shuffle import ShuffleBuffer
-from repro.engine.task import TaskResult, run_map_task, run_reduce_task
+from repro.engine.task import (
+    TaskResult,
+    keep_plans,
+    run_map_task,
+    run_reduce_task,
+)
 
 __all__ = ["JobResult", "MapReduceRuntime", "JobFailedError"]
 
@@ -357,12 +362,15 @@ class MapReduceRuntime:
         if self.executor == "serial":
             return _InlineExecutor()
         if self._pool is None:
-            pool_cls = (
-                concurrent.futures.ThreadPoolExecutor
-                if self.executor == "threads"
-                else concurrent.futures.ProcessPoolExecutor
-            )
-            self._pool = pool_cls(max_workers=self.workers)
+            if self.executor == "threads":
+                self._pool = concurrent.futures.ThreadPoolExecutor(
+                    max_workers=self.workers)
+            else:
+                # Process workers keep each task slot's shuffle plan
+                # across runs (repro.engine.task.keep_plans); the driver,
+                # where serial and thread tasks run, keeps none.
+                self._pool = concurrent.futures.ProcessPoolExecutor(
+                    max_workers=self.workers, initializer=keep_plans)
         return self._pool
 
     def _abort_phase(self, futures: "dict[concurrent.futures.Future, Attempt]",
@@ -418,6 +426,7 @@ class MapReduceRuntime:
         shm_threshold = self.shm_min_bytes if shm else None
         shm_prefix = self.segments.new_prefix() if shm else None
         map_fn, reduce_fn, inputs = job.map_fn, job.reduce_fn, splits
+        job_shape = (len(splits), conf.num_reducers)
 
         def park(export, payload, suffix: str):
             """Export ``payload`` under this run's prefix; a parked
@@ -467,7 +476,7 @@ class MapReduceRuntime:
                     i, attempt, inputs[i], map_fn, job.combine_fn,
                     job.partitioner, conf.num_reducers, self.fault_plan,
                     conf.columnar, conf.combine_crossover, shm_threshold,
-                    shm_prefix,
+                    shm_prefix, job_shape,
                 ),
                 runner=run_map_task,
                 max_attempts=conf.max_attempts,
@@ -497,7 +506,7 @@ class MapReduceRuntime:
                 make_args=lambda i, attempt: (
                     i, attempt, grouped[i], reduce_fn, self.fault_plan,
                     self.cluster is not None,  # output bytes feed the charges
-                    shm_threshold, shm_prefix,
+                    shm_threshold, shm_prefix, job_shape,
                 ),
                 runner=run_reduce_task,
                 max_attempts=conf.max_attempts,

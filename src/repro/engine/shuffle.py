@@ -44,7 +44,7 @@ on exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.cluster.dfs import estimate_nbytes
 from repro.engine.columnar import ColumnarBlock, ColumnarGroups, group_columnar
@@ -66,7 +66,7 @@ class ColumnarRun:
     blocks: "list[ColumnarBlock | ShmBlockRef]"
     sort_keys: bool = True
 
-    def group(self) -> ColumnarGroups:
+    def group(self, keep: "Callable | None" = None) -> ColumnarGroups:
         """Read the buckets and group them by key.
 
         Parked buckets are read in place and their segments left — a
@@ -74,10 +74,13 @@ class ColumnarRun:
         and stable (see :func:`~repro.engine.columnar.group_columnar`),
         so each group's value rows sit in (map task index, emission
         order) — the object path's exact value order.
+
+        ``keep`` is a pool worker's plan lookup for this reducer's slot
+        (see :func:`~repro.engine.columnar.group_columnar`).
         """
         blocks = [b.take(unlink=False) if isinstance(b, ShmBlockRef) else b
                   for b in self.blocks]
-        return group_columnar(blocks, sort_keys=self.sort_keys)
+        return group_columnar(blocks, sort_keys=self.sort_keys, keep=keep)
 
 
 class ShuffleBuffer:

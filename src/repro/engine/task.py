@@ -33,9 +33,10 @@ the same inputs and a bumped attempt number.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -70,7 +71,8 @@ from repro.engine.shm import (
 )
 from repro.engine.shuffle import ColumnarRun, shuffle_bytes
 
-__all__ = ["TaskContext", "TaskResult", "run_map_task", "run_reduce_task"]
+__all__ = ["TaskContext", "TaskResult", "run_map_task", "run_reduce_task",
+           "keep_plans", "kept_plans"]
 
 #: Default combine crossover: batches below this many records skip the
 #: map-side combiner entirely.  For tiny batches the grouping sort costs
@@ -87,6 +89,72 @@ def _skip_combine(combine_fn: Any, n_records: int, crossover: int) -> bool:
     are pure aggregations, so eliding them could change output.
     """
     return isinstance(combine_fn, str) and n_records < crossover
+
+
+#: Plans kept across runs, one per task slot (``("map", i)`` or
+#: ``("reduce", r)``): slot -> (tag, copy of the keys, plan).  Only a
+#: process-pool worker fills it (see :func:`keep_plans`).
+_PLANS: "dict[tuple[str, int], tuple[Any, np.ndarray, Any]]" = {}
+#: The ``(maps, reducers)`` shape of the job the kept plans belong to.
+_PLANS_SHAPE: "tuple[int, int] | None" = None
+#: Set in pool workers only: serial and thread tasks run in the driver,
+#: whose peak memory a kept plan would raise.
+_KEEP_PLANS = False
+_INT32 = np.iinfo(np.int32)
+
+
+def keep_plans() -> None:
+    """Pool initializer: this process keeps each task slot's last plan.
+
+    An iterative job re-runs the same map over the same partitions, so
+    a slot usually sees the keys it saw last round; a kept plan turns
+    the map tail's and the reducer's sorts into one exact comparison.
+    The plans die with the worker.
+    """
+    global _KEEP_PLANS
+    _KEEP_PLANS = True
+
+
+def kept_plans() -> int:
+    """How many plans this process keeps (submit it to a pool to ask
+    a worker)."""
+    return len(_PLANS)
+
+
+def _key_copy(keys: np.ndarray) -> np.ndarray:
+    """A private copy of ``keys`` for the exact check, int32 if they fit."""
+    if keys.size and _INT32.min <= keys.min() and keys.max() <= _INT32.max:
+        return keys.astype(np.int32)
+    return keys.copy()
+
+
+def _kept_plan(slot: "tuple[str, int]", keys: np.ndarray, tag: Any,
+               build: "Callable[[], Any]") -> Any:
+    """The slot's kept plan if it was built from exactly ``keys`` (and
+    ``tag``), else ``build()``, which replaces it."""
+    kept = _PLANS.get(slot)
+    if kept is not None and kept[0] == tag and np.array_equal(kept[1], keys):
+        return kept[2]
+    plan = build()
+    _PLANS[slot] = (tag, _key_copy(keys), plan)
+    return plan
+
+
+def _plan_keeper(slot: "tuple[str, int]",
+                 job_shape: "tuple[int, int] | None") -> "Callable | None":
+    """The plan lookup ``keep(keys, tag, build)`` of one task slot, or
+    None outside a plan-keeping worker.
+
+    A task of another job shape empties the memo first, so it never
+    holds more than one plan per slot of the job it last ran.
+    """
+    global _PLANS_SHAPE
+    if not _KEEP_PLANS or job_shape is None:
+        return None
+    if job_shape != _PLANS_SHAPE:
+        _PLANS.clear()
+        _PLANS_SHAPE = job_shape
+    return functools.partial(_kept_plan, slot)
 
 
 class TaskContext:
@@ -207,6 +275,7 @@ def run_map_task(
     combine_crossover: int = COMBINE_CROSSOVER,
     shm_threshold: "int | None" = None,
     shm_prefix: "str | None" = None,
+    job_shape: "tuple[int, int] | None" = None,
 ) -> TaskResult:
     """Execute one map task attempt over its input split.
 
@@ -226,8 +295,13 @@ def run_map_task(
     :class:`~repro.engine.shm.ShmBlockRef` handles instead of being
     pickled back to the driver.  ``split`` may likewise arrive as the
     :class:`~repro.engine.shm.ShmSplitRef` of a split the driver parked.
+
+    ``job_shape`` is the job's ``(maps, reducers)``: a pool worker keeps
+    the combine+route plan of slot ``("map", task_index)`` for it (see
+    :func:`keep_plans`); without it nothing is kept.
     """
     task_id = f"m{task_index}"
+    keep = _plan_keeper(("map", task_index), job_shape)
     if fault_plan is not None:
         _stall(fault_plan, "map", task_index, attempt)
         fault_plan.maybe_fail("map", task_index, attempt)
@@ -255,7 +329,8 @@ def run_map_task(
                 num_reducers, combine_crossover=combine_crossover,
                 shm_threshold=shm_threshold,
                 shm_prefix=f"{shm_prefix}m{task_index}a{attempt}"
-                if shm_prefix is not None else None)
+                if shm_prefix is not None else None,
+                keep=keep)
         pairs = block.to_pairs()
 
     ctx.counters.incr(MAP_OUTPUT_RECORDS, len(pairs))
@@ -287,8 +362,10 @@ def _finish_columnar_map(task_id: str, attempt: int, ctx: TaskContext,
                          partitioner: Any, num_reducers: int, *,
                          combine_crossover: int = COMBINE_CROSSOVER,
                          shm_threshold: "int | None" = None,
-                         shm_prefix: "str | None" = None) -> TaskResult:
-    """Vectorised tail of a columnar map task: fused combine+route, measure."""
+                         shm_prefix: "str | None" = None,
+                         keep: "Callable | None" = None) -> TaskResult:
+    """Vectorised tail of a columnar map task: fused combine+route
+    (through the slot's plan lookup ``keep``, if any), measure."""
     ctx.counters.incr(MAP_OUTPUT_RECORDS, len(block))
     if combine_fn is not None and not isinstance(combine_fn, str):
         raise TypeError(
@@ -299,7 +376,7 @@ def _finish_columnar_map(task_id: str, attempt: int, ctx: TaskContext,
             combine_fn, len(block), combine_crossover):
         n_in = len(block)
         buckets = route_combine_columnar(block, num_reducers, combine_fn,
-                                         partitioner)
+                                         partitioner, keep)
         n_out = sum(len(b) for b in buckets)
         ctx.counters.incr(COMBINE_INPUT_RECORDS, n_in)
         ctx.counters.incr(COMBINE_OUTPUT_RECORDS, n_out)
@@ -345,6 +422,7 @@ def run_reduce_task(
     measure_output: bool = True,
     shm_threshold: "int | None" = None,
     shm_prefix: "str | None" = None,
+    job_shape: "tuple[int, int] | None" = None,
 ) -> TaskResult:
     """Execute one reduce task attempt over its input.
 
@@ -375,16 +453,19 @@ def run_reduce_task(
     shared-memory handle (:class:`~repro.engine.shm.ShmGroupsRef`,
     read in place, the segment left for a retry).  With
     ``shm_threshold`` set, a large columnar output block is parked in
-    shared memory for the driver to take.
+    shared memory for the driver to take.  ``job_shape`` lets a pool
+    worker keep the grouping plan of slot ``("reduce", task_index)``,
+    as :func:`run_map_task` keeps its map's.
     """
     task_id = f"r{task_index}"
+    keep = _plan_keeper(("reduce", task_index), job_shape)
     if fault_plan is not None:
         _stall(fault_plan, "reduce", task_index, attempt)
         fault_plan.maybe_fail("reduce", task_index, attempt)
     if isinstance(reduce_fn, ShmPickleRef):
         reduce_fn = reduce_fn.load()  # parked once per run, cached
     if isinstance(groups, ColumnarRun):
-        groups = groups.group()
+        groups = groups.group(keep)
     elif isinstance(groups, ShmGroupsRef):
         groups = groups.take(unlink=False)
     if isinstance(groups, ColumnarGroups):

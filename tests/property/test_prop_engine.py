@@ -3,11 +3,12 @@
 Invariants: shuffle loses nothing; combiners never change reduce output
 for associative-commutative reducers; executors and fault injection are
 observationally equivalent; stable_hash is total and stable on supported
-key types.
+key types; a shuffle plan, fresh or kept, is bitwise the object path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import subprocess
@@ -21,17 +22,30 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import repro
 from repro.engine import (
+    ColumnarBlock,
+    ColumnarRun,
     FaultPlan,
     HashPartitioner,
     Job,
     JobConf,
     MapReduceRuntime,
     ShuffleBuffer,
+    TaskContext,
+    run_map_task,
+    run_reduce_task,
     shuffle,
     stable_hash,
 )
-from repro.engine.columnar import stable_key_order
+from repro.engine.columnar import (
+    GroupPlan,
+    RouteCombinePlan,
+    object_combiner,
+    object_reducer,
+    stable_key_order,
+)
+from repro.engine import task
 from repro.engine.shm import SHM_MIN_BYTES
+from repro.engine.task import _apply_combiner
 
 from tests.engine.test_partitioner_counters import reference_hash
 
@@ -358,3 +372,189 @@ class TestJobProperties:
                 fault_plan=FaultPlan.random(0.3, seed=seed)) as rt:
             threads = rt.run(job, splits)
         assert threads.output == serial.output
+
+
+# -- shuffle plans --------------------------------------------------------
+
+@st.composite
+def plan_inputs(draw):
+    """``(keys, values, values2)`` for the plan properties.
+
+    Keys sit in a window near zero or anywhere in ``±2**40`` (negatives
+    and keys past the int32 range come up), of a span either side of 2**16, drawn from a
+    pool small enough for heavy duplicates.  Values are ``(n,)`` or
+    ``(n, 2)``; ``values2`` is a second draw of the same shape.
+    """
+    span = draw(st.sampled_from([0, 5, 2 ** 16 - 1, 2 ** 16 + 1, 2 ** 33]))
+    lo = draw(st.one_of(st.integers(-1000, 1000),
+                        st.integers(-(2 ** 40), 2 ** 40)))
+    pool = draw(st.lists(st.integers(lo, lo + span), min_size=1,
+                         max_size=draw(st.sampled_from([3, 40]))))
+    keys = np.array(draw(st.lists(st.sampled_from(pool), min_size=3,
+                                  max_size=150)), dtype=np.int64)
+    shape = (len(keys),) if draw(st.booleans()) else (len(keys), 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return keys, rng.standard_normal(shape), rng.standard_normal(shape)
+
+
+aggs = st.sampled_from(["sum", "min", "max"])
+reducer_counts = st.integers(min_value=1, max_value=5)
+
+
+def _as_block(pairs, width):
+    """Object pairs as one block, to compare with a columnar one bitwise."""
+    keys = np.array([k for k, _ in pairs], dtype=np.int64)
+    values = np.array([v for _, v in pairs], dtype=np.float64)
+    return keys, values.reshape((len(pairs),) if width == 1
+                                else (len(pairs), width))
+
+
+def _assert_bitwise(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.keys, w.keys)
+        assert g.values.shape == w.values.shape
+        assert g.values.tobytes() == w.values.tobytes()
+
+
+def _map_oracle(keys, values, agg, reducers):
+    """The object path's map tail: `_apply_combiner`, then route every
+    combined pair with `HashPartitioner`."""
+    ctx = TaskContext("m0", 0)
+    pairs = _apply_combiner(ColumnarBlock(keys, values).to_pairs(),
+                            object_combiner(agg), ctx)
+    buckets = [[] for _ in range(reducers)]
+    part = HashPartitioner()
+    for k, v in pairs:
+        buckets[part(k, reducers)].append((k, v))
+    width = 1 if values.ndim == 1 else values.shape[1]
+    return [ColumnarBlock(*_as_block(b, width)) for b in buckets]
+
+
+def _emit_block_map(key, value, ctx):
+    ctx.emit_block(*value)
+
+
+@contextlib.contextmanager
+def _worker_memo():
+    """Run the body as a plan-keeping pool worker would, on an empty
+    memo; the process's own memo state comes back afterwards."""
+    saved = (task._KEEP_PLANS, task._PLANS_SHAPE, dict(task._PLANS))
+    task._KEEP_PLANS, task._PLANS_SHAPE = True, None
+    task._PLANS.clear()
+    try:
+        yield task._PLANS
+    finally:
+        task._KEEP_PLANS, task._PLANS_SHAPE = saved[:2]
+        task._PLANS.clear()
+        task._PLANS.update(saved[2])
+
+
+def _map_task(keys, values, agg, reducers, job_shape=None):
+    # crossover 0: the combine runs on every batch size
+    return run_map_task(0, 0, [(0, (keys, values))], _emit_block_map, agg,
+                        None, reducers, None, True, 0, None, None,
+                        job_shape).data
+
+
+def _changed_middle(keys, i):
+    """``keys`` with one key strictly inside flipped to another value."""
+    out = keys.copy()
+    out[1 + i % (len(keys) - 2)] ^= 1
+    return out
+
+
+class TestShufflePlans:
+    @settings(deadline=None, max_examples=150)
+    @given(plan_inputs(), aggs, reducer_counts)
+    def test_map_plan_is_the_object_combine_and_route(self, inp, agg,
+                                                      reducers):
+        keys, values, values2 = inp
+        plan = RouteCombinePlan.build(keys, reducers)
+        _assert_bitwise(plan.apply(values, agg),
+                        _map_oracle(keys, values, agg, reducers))
+        # the same plan over new values: a fresh build's bits
+        _assert_bitwise(plan.apply(values2, agg),
+                        RouteCombinePlan.build(keys, reducers)
+                        .apply(values2, agg))
+        _assert_bitwise(plan.apply(values2, agg),
+                        _map_oracle(keys, values2, agg, reducers))
+
+    @settings(deadline=None, max_examples=150)
+    @given(plan_inputs(), aggs, st.integers(min_value=1, max_value=4),
+           st.booleans())
+    def test_group_plan_is_the_object_groups_and_reduce(self, inp, agg, maps,
+                                                        sort_keys):
+        keys, values, values2 = inp
+        cuts = np.linspace(0, len(keys), maps + 1).astype(int)
+        buf = ShuffleBuffer(maps, 1, sort_keys=sort_keys)
+        for m in range(maps):
+            lo, hi = cuts[m], cuts[m + 1]
+            buf.add(m, [ColumnarBlock(keys[lo:hi], values[lo:hi]).to_pairs()])
+        groups = buf.groups()[0]
+        ctx = TaskContext("r0", 0)
+        reduce_fn = object_reducer(agg)
+        for k, vs in groups:
+            reduce_fn(k, vs, ctx)
+        width = 1 if values.ndim == 1 else values.shape[1]
+        want = ColumnarBlock(*_as_block(ctx.output, width))
+
+        plan = GroupPlan.build(keys, sort_keys)
+        grouped = plan.apply(values)
+        assert grouped.to_pairs() == groups
+        _assert_bitwise([ColumnarBlock(*grouped.aggregate(agg))], [want])
+        fresh = GroupPlan.build(keys, sort_keys).apply(values2).aggregate(agg)
+        _assert_bitwise([ColumnarBlock(*plan.apply(values2).aggregate(agg))],
+                        [ColumnarBlock(*fresh)])
+
+    @settings(deadline=None, max_examples=100)
+    @given(plan_inputs(), aggs, reducer_counts)
+    def test_a_kept_map_plan_equals_a_fresh_build(self, inp, agg, reducers):
+        keys, values, values2 = inp
+        shape = (1, reducers)
+        with _worker_memo() as plans:
+            _map_task(keys, values, agg, reducers, shape)
+            kept = plans[("map", 0)][2]
+            got = _map_task(keys, values2, agg, reducers, shape)
+            assert plans[("map", 0)][2] is kept  # applied, not rebuilt
+        _assert_bitwise(got, _map_task(keys, values2, agg, reducers))
+
+    @settings(deadline=None, max_examples=100)
+    @given(plan_inputs(), aggs, reducer_counts, st.integers(0, 10 ** 6))
+    def test_a_changed_middle_key_rebuilds_the_map_plan(self, inp, agg,
+                                                        reducers, i):
+        keys, values, _ = inp
+        changed = _changed_middle(keys, i)
+        assert changed[0] == keys[0] and changed[-1] == keys[-1]
+        shape = (1, reducers)
+        with _worker_memo() as plans:
+            _map_task(keys, values, agg, reducers, shape)
+            kept = plans[("map", 0)][2]
+            got = _map_task(changed, values, agg, reducers, shape)
+            assert plans[("map", 0)][2] is not kept
+        _assert_bitwise(got, _map_task(changed, values, agg, reducers))
+        _assert_bitwise(got, _map_oracle(changed, values, agg, reducers))
+
+    @settings(deadline=None, max_examples=100)
+    @given(plan_inputs(), aggs, st.booleans(), st.integers(0, 10 ** 6))
+    def test_reduce_plans_hit_on_equal_keys_and_rebuild_on_a_change(
+            self, inp, agg, sort_keys, i):
+        keys, values, values2 = inp
+        changed = _changed_middle(keys, i)
+
+        def reduce_task(k, v, job_shape=None):
+            half = len(k) // 2
+            run = ColumnarRun([ColumnarBlock(k[:half], v[:half]),
+                               ColumnarBlock(k[half:], v[half:])], sort_keys)
+            return run_reduce_task(0, 0, run, agg, None, True, None, None,
+                                   job_shape).data
+
+        with _worker_memo() as plans:
+            reduce_task(keys, values, (2, 1))
+            kept = plans[("reduce", 0)][2]
+            hit = reduce_task(keys, values2, (2, 1))
+            assert plans[("reduce", 0)][2] is kept
+            rebuilt = reduce_task(changed, values2, (2, 1))
+            assert plans[("reduce", 0)][2] is not kept
+        _assert_bitwise([hit], [reduce_task(keys, values2)])
+        _assert_bitwise([rebuilt], [reduce_task(changed, values2)])
