@@ -1,11 +1,16 @@
-"""The simulator's spec for a node-partitioned app, written once."""
+"""A node-partitioned app, written once: the simulator's spec
+(:class:`NodeBlockSpec`) and the engine's view of it
+(:class:`NodeRowState`)."""
 
 from __future__ import annotations
+
+from typing import Any
 
 import numpy as np
 from scipy.sparse import csr_array
 
 from repro.core import BlockSpec, LocalSolveReport, run_local_block
+from repro.core.localmr import agg_identity
 from repro.graph import EdgeBlock
 from repro.util.radix import stable_key_order
 
@@ -76,6 +81,30 @@ class NodeBlockSpec(BlockSpec):
         the part this round (row ``i`` for node ``b.nodes[i]``)."""
         raise NotImplementedError
 
+    # -- the local step's hooks (contract in docs/local_loop.md) --------
+    def local_fold(self, part_id: int, cols: tuple) -> "tuple[Any, int]":
+        """``lmap`` over the whole partition, the local shuffle and
+        ``lreduce``'s fold, as ``(acc, records)``: ``acc[i]`` is row
+        ``i``'s contribution records folded by ``local_agg`` one by one
+        in per-record emission order (row-major by source row), from the
+        aggregator's identity where none arrived — bitwise the
+        per-record fold; ``records`` is how many contribution records
+        ``lmap`` emitted (the carried ``rec`` is implied).  A sum is a
+        sequential CSR mat-vec, a min a gather plus
+        :func:`repro.core.localmr.scatter_fold`."""
+        raise NotImplementedError
+
+    def lreduce_block(self, part_id: int, cols: tuple, acc: Any) -> tuple:
+        """``lreduce``'s epilogue for every row at once, over
+        :meth:`local_fold`'s ``acc``; returns the new ``cols``.  ``acc``
+        is this iteration's own array and may become a new column; the
+        input columns must not be written."""
+        raise NotImplementedError
+
+    def local_converged_block(self, prev_cols: tuple, cols: tuple) -> bool:
+        """The local termination test on the column arrays."""
+        raise NotImplementedError
+
     def shuffle_records(self, b: EdgeBlock, max_local_iters: int) -> int:
         """Records the part's gmap ships: one per node and per outgoing
         cut edge, plus, in general mode, one per internal edge — the full
@@ -131,3 +160,158 @@ class NodeBlockSpec(BlockSpec):
             records += r.shuffle_bytes // RECORD_BYTES
         # greduce touches every shuffled record once.
         return new_state, float(records), 0
+
+
+def owner_and_cut_pairs(nodes: np.ndarray, own_tag: str, own: np.ndarray,
+                        cut_src: np.ndarray, cut_keys: np.ndarray,
+                        cut_tag: str, cut: np.ndarray) -> list:
+    """The pairs a per-record ``gmap_emit`` scan of a node table emits,
+    built from arrays: for each row ``i`` in order, ``(nodes[i],
+    (own_tag, own[i]))``, then ``(cut_keys[j], (cut_tag, cut[j]))`` for
+    every cut record ``j`` out of row ``i``.  ``cut_src`` (each cut
+    record's source row) must be ascending, as an ``EdgeBlock``'s is.
+    Keys come out as Python ints, values as Python floats, and every
+    tag is one of the two ``str`` objects passed in."""
+    n, c = len(nodes), len(cut_src)
+    # Row i lands after the i rows and the cut records out of rows < i;
+    # cut record j after its source row's owner and the j records before.
+    own_at = np.arange(n) + np.searchsorted(cut_src, np.arange(n))
+    cut_at = cut_src + np.arange(1, c + 1)
+    keys = np.empty(n + c, dtype=np.int64)
+    values = np.empty(n + c, dtype=np.float64)
+    is_cut = np.ones(n + c, dtype=np.intp)
+    keys[own_at], keys[cut_at] = nodes, cut_keys
+    values[own_at], values[cut_at] = own, cut
+    is_cut[own_at] = 0
+    tags = np.array([own_tag, cut_tag], dtype=object)[is_cut].tolist()
+    return list(zip(keys.tolist(), zip(tags, values.tolist())))
+
+
+class NodeRowState:
+    """The engine's view of a :class:`NodeBlockSpec`: what turns an
+    app's block spec plus its §IV functions into an
+    :class:`~repro.core.AsyncMapReduceSpec` (``docs/local_loop.md``).
+
+    The global state is one ``(N, 2)`` float64 array, row ``u`` =
+    ``(value, ext)`` of node ``u``: the block state's value, then the
+    frozen column the part's incoming cut messages fold into
+    (``state[u][0]`` is ``u``'s value).  A round builds no per-node
+    object from it: a gmap's input is its part's rows, the block loop's
+    columns are their transpose — so the engine's gmap runs the block
+    spec's own local step — and the global reduce's output is one
+    scatter into a copy of the previous state.
+
+    A KV spec lists this view first, then the app's block spec, then
+    ``AsyncMapReduceSpec``, so :meth:`global_converged` hands the block
+    spec's rule the value column.  It writes the §IV functions,
+    :meth:`table_records` for the :class:`~repro.core.per_record`
+    oracle, its two record tags and :meth:`cut_messages`.  The map-side
+    combiner is ``local_agg``: a class attribute, set per subclass.
+    """
+
+    supports_columnar = True
+    #: Tag of a row's own value record in the object shuffle.
+    own_tag: str
+    #: Tag of a cut message, the next round's ``ext`` input.
+    cut_tag: str
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "columnar_combine" not in cls.__dict__:
+            cls.columnar_combine = cls.local_agg
+
+    def cut_messages(self, part_id: int, x: np.ndarray
+                     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """What the part's value column ``x`` sends over its outgoing
+        cut edges: ``(src_rows, dst_keys, values)``, one message per
+        edge in ``EdgeBlock`` order (ascending source row) — the
+        boundary records ``gmap_emit`` adds after each row's own."""
+        raise NotImplementedError
+
+    def table_records(self, part_id: int, rows: np.ndarray) -> list:
+        """The hashtable the per-record loop starts from: one ``(node,
+        value)`` record per row of :meth:`partition_input`, the value
+        the row's fields followed by the static adjacency ``lmap``
+        walks."""
+        raise NotImplementedError
+
+    def initial_state(self) -> np.ndarray:
+        """``init_state()`` beside what it offers each part over the
+        incoming cut edges, so the first engine round starts where the
+        block path's first ``local_solve`` does."""
+        x = self.init_state()
+        state = np.empty((len(x), 2), dtype=np.float64)
+        state[:, 0] = x
+        for b in self._blocks:
+            (state[b.nodes, 1],) = self.frozen_columns(b, x)
+        return state
+
+    def partition_input(self, part_id: int, state: np.ndarray) -> np.ndarray:
+        return state[self._blocks[part_id].nodes]
+
+    def local_columns(self, part_id: int, xs: np.ndarray) -> tuple:
+        """The block loop's columns from a gmap input: the transpose of
+        the part's ``(n, 2)`` rows; ``ValueError`` when ``xs`` does not
+        have the row count of the partition ``_blocks`` describes."""
+        if len(xs) != len(self._blocks[part_id].nodes):
+            raise ValueError("gmap input is not the partition the spec's "
+                             "static arrays describe")
+        return tuple(np.ascontiguousarray(xs.T))
+
+    def gmap_emit_block(self, cols: tuple, part_id: int):
+        """The columnar emission from the final columns: each row's
+        ``(value, identity)``, then each cut message's ``(identity,
+        value)``, so the reduce's per-key ``local_agg`` yields the next
+        ``(value, ext)`` row."""
+        b = self._blocks[part_id]
+        x = cols[0]
+        _, keys, values = self.cut_messages(part_id, x)
+        n = len(x)
+        rows = np.full((n + len(keys), 2),
+                       agg_identity(self.local_agg, x.dtype), dtype=np.float64)
+        rows[:n, 0] = x
+        rows[n:, 1] = values
+        return np.concatenate([b.nodes, keys]), rows
+
+    def gmap_emit_pairs(self, cols: tuple, part_id: int) -> list:
+        """``gmap_emit`` from the final columns: the same pairs in the
+        same order, built without the hashtable (what the object
+        shuffle ships)."""
+        x = cols[0]
+        src, keys, values = self.cut_messages(part_id, x)
+        return owner_and_cut_pairs(self._blocks[part_id].nodes, self.own_tag,
+                                   x, src, keys, self.cut_tag, values)
+
+    def gmap_emit_columnar(self, table: dict, part_id: int):
+        """:meth:`gmap_emit_block` fed from the per-record hashtable."""
+        nodes = self._blocks[part_id].node_list
+        x = np.fromiter((table[u][0] for u in nodes),
+                        dtype=np.float64, count=len(nodes))
+        return self.gmap_emit_block((x,), part_id)
+
+    def columnar_reduce(self) -> Any:
+        return self.local_agg
+
+    def state_from_output(self, output: list, prev_state: np.ndarray):
+        state = prev_state.copy()
+        if output:
+            keys, rows = zip(*output)
+            state[list(keys)] = rows
+        return state
+
+    def state_from_columnar(self, block: Any, prev_state: np.ndarray):
+        state = prev_state.copy()
+        state[block.keys] = block.values
+        return state
+
+    def global_converged(self, prev_state, curr_state):
+        if prev_state.ndim == 2:  # the engine's rows; a block run's is flat
+            prev_state, curr_state = prev_state[:, 0], curr_state[:, 0]
+        return super().global_converged(prev_state, curr_state)
+
+    @staticmethod
+    def _per_row(src_rows: np.ndarray, items: list, n: int) -> list:
+        """``items`` of edges listed row-major by source row, as ``n``
+        lists: list ``i`` holds row ``i``'s items in order."""
+        ends = np.cumsum(np.bincount(src_rows, minlength=n)).tolist()
+        return [items[a:b] for a, b in zip([0, *ends[:-1]], ends)]

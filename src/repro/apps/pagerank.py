@@ -16,10 +16,9 @@ below 1e-5).
   number of *global* synchronizations is much lower — exactly the
   tradeoff of §II.
 
-Two specs share that math, and one local step, through one base class:
-:class:`PageRankBlockSpec` (the simulator's, used by the benchmark
-sweeps) and :class:`PageRankKVSpec` (the record-at-a-time §IV API —
-lmap/lreduce/greduce — on the real engine).
+:class:`PageRankBlockSpec` is the simulator's spec (used by the
+benchmark sweeps); :class:`PageRankKVSpec` is that spec plus the
+record-at-a-time §IV API — lmap/lreduce/greduce — on the real engine.
 
 :func:`pagerank` is the high-level entry point; :func:`pagerank_reference`
 is an independent dense power-iteration oracle.
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps._nodeblock import NodeBlockSpec, sum_fold_matrices
+from repro.apps._nodeblock import NodeBlockSpec, NodeRowState, sum_fold_matrices
 from repro.cluster import SimCluster
 from repro.core import (
     AdaptiveSyncPolicy,
@@ -41,8 +40,6 @@ from repro.core import (
     IterativeResult,
     resolve_block_backend,
 )
-from repro.core.gmap import owner_and_cut_pairs
-from repro.core.localmr import NodeRowState
 from repro.graph import DiGraph, Partition, split_edges
 
 __all__ = [
@@ -66,18 +63,25 @@ class PageRankResult:
     result: IterativeResult
 
 
-class _PageRank:
-    """What both PageRank specs share.
+class PageRankBlockSpec(NodeBlockSpec):
+    """PageRank over a :class:`~repro.graph.Partition`, state a flat
+    rank vector.
 
-    The block-level local step (``local_agg``, ``local_fold`` and the
-    ``*_block`` hooks, contract in ``docs/local_loop.md``) works on two
-    columns, ``(rank, ext)``: ``ext`` is the frozen sum of remote
-    contributions, and each local iteration is one damped Jacobi sweep
-    over the partition's internal edges, ``rank = ((1-d) + d*ext) +
-    d*contrib``, where ``contrib`` is one CSR mat-vec per part.
+    The local step works on two columns, ``(rank, ext)``: ``ext`` is
+    the frozen sum of remote contributions over the incoming cut edges,
+    and each local iteration is one damped Jacobi sweep over the
+    partition's internal edges, ``rank = ((1-d) + d*ext) + d*contrib``,
+    where ``contrib`` is one CSR mat-vec per part.  In general mode
+    (``max_local_iters == 1``) a single sweep makes the whole scheme the
+    classic synchronous power iteration.
     """
 
     local_agg = "sum"
+    #: The asynchronous power method tolerates mixed-round neighbour
+    #: ranks (§VI: "PageRank ... relies on an asynchronous mat-vec");
+    #: the combine overwrites disjoint slices, so arrival order is
+    #: irrelevant.
+    supports_async = True
 
     def __init__(self, graph: DiGraph, partition: Partition, *,
                  damping: float = 0.85, tol: float = 1e-5) -> None:
@@ -100,8 +104,16 @@ class _PageRank:
         # contrib[dst] = sum of rank[src] * w: rows are the target rows
         self._fold = sum_fold_matrices(self._blocks, into_target=True)
 
-    def num_partitions(self) -> int:
-        return self.partition.k
+    def init_state(self) -> np.ndarray:
+        """All nodes start with PageRank 1 (§V-B)."""
+        return np.ones(self.graph.num_nodes, dtype=np.float64)
+
+    def frozen_columns(self, b, state):
+        ext = np.zeros(len(b.nodes), dtype=np.float64)
+        push = state[b.in_src]
+        push *= b.in_w
+        np.add.at(ext, b.in_dst, push)
+        return (ext,)
 
     def local_fold(self, part_id: int, cols):
         return self._fold[part_id] @ cols[0], len(self._blocks[part_id].int_src)
@@ -120,84 +132,38 @@ class _PageRank:
         return residual < self.tol, residual
 
 
-class PageRankBlockSpec(_PageRank, NodeBlockSpec):
-    """PageRank over a :class:`~repro.graph.Partition`, state a flat
-    rank vector.
-
-    ``local_solve`` folds the incoming cut edges into the frozen ``ext``
-    column and runs the block-level local step on ``(rank, ext)``; in
-    general mode (``max_local_iters == 1``) a single sweep makes the
-    whole scheme the classic synchronous power iteration.
-    """
-
-    #: The asynchronous power method tolerates mixed-round neighbour
-    #: ranks (§VI: "PageRank ... relies on an asynchronous mat-vec");
-    #: the combine overwrites disjoint slices, so arrival order is
-    #: irrelevant.
-    supports_async = True
-
-    def init_state(self) -> np.ndarray:
-        """All nodes start with PageRank 1 (§V-B)."""
-        return np.ones(self.graph.num_nodes, dtype=np.float64)
-
-    def frozen_columns(self, b, state):
-        ext = np.zeros(len(b.nodes), dtype=np.float64)
-        push = state[b.in_src]
-        push *= b.in_w
-        np.add.at(ext, b.in_dst, push)
-        return (ext,)
-
-
 # ----------------------------------------------------------------------
 # Record-at-a-time (§IV API) implementation
 # ----------------------------------------------------------------------
 
-class PageRankKVSpec(NodeRowState, _PageRank, AsyncMapReduceSpec):
-    """PageRank through lmap/lreduce/greduce on the real engine.
+class PageRankKVSpec(NodeRowState, PageRankBlockSpec, AsyncMapReduceSpec):
+    """:class:`PageRankBlockSpec` plus the paper's §IV functions, on the
+    real engine (its state and emission: :class:`~repro.apps._nodeblock.
+    NodeRowState`; damping and tolerance at the defaults, 0.85 and 1e-5).
 
     Hashtable layout per partition: ``node -> (rank, ext_contrib,
     internal_adj, external_adj, inv_outdeg)`` where ``ext_contrib`` is
     the frozen sum of remote contributions from the previous global
     round and the adjacency splits are the partition's edge blocks (the
     off-line locality-enhancing step).  Only the per-record oracle
-    (:class:`~repro.core.per_record`) builds that table; the block loop
-    runs on its two float columns.
+    (:class:`~repro.core.per_record`) builds that table.
 
-    Global state: an ``(N, 2)`` float64 array, row ``u`` = ``(rank,
-    ext_contrib)`` of node ``u`` (:class:`~repro.core.localmr.
-    NodeRowState`), so ``state[u][0]`` is ``u``'s rank.
-
-    The spec opts into the engine's columnar shuffle fast path: the
-    gmap's boundary data becomes ``(node, (rank, contribution))`` rows —
-    a rank record ``(rank, 0)`` from the owning partition plus one
-    ``(0, contribution)`` row per outgoing cut edge — so ``greduce``
-    collapses to a per-key segmented **sum** and the map-side ``"sum"``
+    Boundary records: a node's ``("rank", rank)`` from its owning
+    partition and one ``("c", rank/outdeg)`` per outgoing cut edge, so
+    ``greduce`` is a per-key **sum**, and the map-side ``"sum"``
     combiner (§V-B's partial aggregation) pre-folds each partition's
     contributions to one row per remote target before the shuffle.
-
-    Block-level local step: the hashtable's ``(rank, ext_contrib)``
-    columns; ``lreduce``'s fold of a node's internal contributions is a
-    **sum** — bitwise the ``lmap``/``lreduce`` below.
-
-    The damping factor and tolerance are the defaults of the shared
-    base (0.85 and 1e-5).
     """
 
-    supports_columnar = True
-    columnar_combine = "sum"
+    own_tag = "rank"
+    cut_tag = "c"
 
     def __init__(self, graph: DiGraph, partition: Partition) -> None:
         super().__init__(graph, partition)
 
-    # -- iteration plumbing ----------------------------------------------
-    def initial_state(self) -> np.ndarray:
-        """All ranks 1, with external contributions consistent with that
-        (so the first global round matches the block/general trajectory
-        exactly rather than starting from zero remote input)."""
-        ext = np.zeros(self.graph.num_nodes, dtype=np.float64)
-        for b in self._blocks:  # rank 1 over every incoming cut edge
-            np.add.at(ext, b.nodes[b.in_dst], b.in_w)
-        return np.column_stack([np.ones_like(ext), ext])
+    def cut_messages(self, part_id: int, x: np.ndarray):
+        b = self._blocks[part_id]
+        return b.cut_src, b.cut_dst, x[b.cut_src] * b.cut_w
 
     def table_records(self, part_id: int, rows: np.ndarray) -> list:
         b = self._blocks[part_id]
@@ -242,7 +208,6 @@ class PageRankKVSpec(NodeRowState, _PageRank, AsyncMapReduceSpec):
                 ext += payload
         ctx.emit(key, (rank, ext))
 
-    # -- convergence & emission --------------------------------------------
     def gmap_emit(self, table: dict, part_id: int) -> list:
         out = []
         for u, (rank, ext, internal, external, inv_out) in table.items():
@@ -256,40 +221,6 @@ class PageRankKVSpec(NodeRowState, _PageRank, AsyncMapReduceSpec):
         for u, rec in curr_table.items():
             delta = max(delta, abs(rec[0] - prev_table[u][0]))
         return delta < self.tol
-
-    # -- columnar fast path ------------------------------------------------
-    def gmap_emit_block(self, cols, part_id: int):
-        """The columnar emission from the rank column: one
-        gather-multiply over the partition's outgoing cut edges."""
-        b = self._blocks[part_id]
-        ranks = cols[0]
-        n = len(b.nodes)
-        keys = np.concatenate([b.nodes, b.cut_dst])
-        rows = np.zeros((len(keys), 2), dtype=np.float64)
-        rows[:n, 0] = ranks
-        rows[n:, 1] = ranks[b.cut_src] * b.cut_w
-        return keys, rows
-
-    def gmap_emit_pairs(self, cols, part_id: int) -> list:
-        """:meth:`gmap_emit` from the rank column and the partition's
-        outgoing cut edges (each weighted ``1/outdeg`` of its source)."""
-        b = self._blocks[part_id]
-        ranks = cols[0]
-        return owner_and_cut_pairs(b.nodes, "rank", ranks, b.cut_src,
-                                   b.cut_dst, "c", ranks[b.cut_src] * b.cut_w)
-
-    def gmap_emit_columnar(self, table: dict, part_id: int):
-        """Same records as :meth:`gmap_emit`, as typed rows: the owning
-        rank record is ``(rank, 0)``, each cut-edge contribution
-        ``(0, rank/outdeg)`` — so a per-key sum yields exactly
-        ``(rank, ext_contrib)``."""
-        nodes = self._blocks[part_id].node_list
-        ranks = np.fromiter((table[u][0] for u in nodes),
-                            dtype=np.float64, count=len(nodes))
-        return self.gmap_emit_block((ranks,), part_id)
-
-    def columnar_reduce(self):
-        return "sum"
 
 
 # ----------------------------------------------------------------------

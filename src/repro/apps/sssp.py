@@ -15,9 +15,9 @@ sub-graph asynchronously").
 This is the min-plus (tropical) analogue of the PageRank block-Jacobi
 scheme; distances are monotonically non-increasing, so both formulations
 terminate at the exact Dijkstra distances — which the tests verify
-against a SciPy oracle.  :class:`SsspBlockSpec` (the simulator's) and
-:class:`SsspKVSpec` (the engine's) share validation, the edge split and
-the block-level local step through one private base class.
+against a SciPy oracle.  :class:`SsspBlockSpec` is the simulator's
+spec; :class:`SsspKVSpec` is that spec plus the §IV functions, on the
+real engine.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps._nodeblock import NodeBlockSpec
+from repro.apps._nodeblock import NodeBlockSpec, NodeRowState
 from repro.cluster import SimCluster
 from repro.core import (
     AdaptiveSyncPolicy,
@@ -37,8 +37,7 @@ from repro.core import (
     IterativeResult,
     resolve_block_backend,
 )
-from repro.core.gmap import owner_and_cut_pairs
-from repro.core.localmr import NodeRowState, scatter_fold
+from repro.core.localmr import scatter_fold
 from repro.graph import DiGraph, Partition, edge_blocks
 
 __all__ = [
@@ -62,20 +61,22 @@ class SsspResult:
     result: IterativeResult
 
 
-class _Sssp:
-    """What both SSSP specs share.
+class SsspBlockSpec(NodeBlockSpec):
+    """SSSP over a partition, state a flat distance vector.
 
-    The block-level local step (``local_agg``, ``local_fold`` and the
-    ``*_block`` hooks, contract in ``docs/local_loop.md``) works on two
-    columns, ``(dist, ext)``: ``ext`` is the best distance offered over
-    incoming cut edges, a constant floor each relaxation applies.  So a
-    single local iteration is exactly one synchronous Bellman-Ford round
-    over *all* edges (general mode must be partition-independent), while
-    iterating to a fixed point resolves every intra-partition path
-    (eager).
+    The local step works on two columns, ``(dist, ext)``: ``ext`` is the
+    best distance offered over incoming cut edges, a constant floor each
+    relaxation applies.  So a single local iteration is exactly one
+    synchronous Bellman-Ford round over *all* edges (general mode must
+    be partition-independent), while iterating to a fixed point resolves
+    every intra-partition path (eager).
     """
 
     local_agg = "min"
+    #: Min-plus relaxation is monotone (distances only improve) and the
+    #: combine is a commutative min-fold, the textbook async-safe shape:
+    #: stale reads only delay relaxations, never corrupt them.
+    supports_async = True
 
     def __init__(self, graph: DiGraph, partition: Partition, *,
                  source: int = 0) -> None:
@@ -88,8 +89,18 @@ class _Sssp:
         self.source = source
         self._blocks = edge_blocks(graph, partition)  # ships with the spec
 
-    def num_partitions(self) -> int:
-        return self.partition.k
+    def init_state(self) -> np.ndarray:
+        """Source at distance 0, everything else unreached (inf), §V-C."""
+        dist = np.full(self.graph.num_nodes, np.inf, dtype=np.float64)
+        dist[self.source] = 0.0
+        return dist
+
+    def frozen_columns(self, b, state):
+        ext = np.full(len(b.nodes), np.inf, dtype=np.float64)
+        cand = state[b.in_src]
+        cand += b.in_w
+        np.minimum.at(ext, b.in_dst, cand)
+        return (ext,)
 
     def local_fold(self, part_id: int, cols):
         b = self._blocks[part_id]
@@ -121,30 +132,6 @@ class _Sssp:
         return residual == 0.0, residual
 
 
-class SsspBlockSpec(_Sssp, NodeBlockSpec):
-    """SSSP over a partition, state a flat distance vector: ``local_solve``
-    folds the incoming cut edges into the frozen ``ext`` column and runs
-    the block-level local step on ``(dist, ext)``."""
-
-    #: Min-plus relaxation is monotone (distances only improve) and the
-    #: combine is a commutative min-fold, the textbook async-safe shape:
-    #: stale reads only delay relaxations, never corrupt them.
-    supports_async = True
-
-    def init_state(self) -> np.ndarray:
-        """Source at distance 0, everything else unreached (inf), §V-C."""
-        dist = np.full(self.graph.num_nodes, np.inf, dtype=np.float64)
-        dist[self.source] = 0.0
-        return dist
-
-    def frozen_columns(self, b, state):
-        ext = np.full(len(b.nodes), np.inf, dtype=np.float64)
-        cand = state[b.in_src]
-        cand += b.in_w
-        np.minimum.at(ext, b.in_dst, cand)
-        return (ext,)
-
-
 # ----------------------------------------------------------------------
 # Record-at-a-time (§IV API) implementation
 # ----------------------------------------------------------------------
@@ -158,47 +145,33 @@ def _sssp_columnar_finish(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-class SsspKVSpec(NodeRowState, _Sssp, AsyncMapReduceSpec):
-    """SSSP through lmap/lreduce/greduce on the real engine.
+class SsspKVSpec(NodeRowState, SsspBlockSpec, AsyncMapReduceSpec):
+    """:class:`SsspBlockSpec` plus the paper's §IV functions, on the
+    real engine (its state and emission: :class:`~repro.apps._nodeblock.
+    NodeRowState`).
 
     Hashtable layout: ``node -> (dist, ext_best, internal_adj,
     external_adj)`` with weighted adjacency lists split at partition
     boundaries; ``ext_best`` is the best known distance via cross edges,
     frozen during local iterations.  Only the per-record oracle
-    (:class:`~repro.core.per_record`) builds that table; the block loop
-    runs on its two float columns.
+    (:class:`~repro.core.per_record`) builds that table.
 
-    Global state: an ``(N, 2)`` float64 array, row ``u`` = ``(dist,
-    ext_best)`` of node ``u`` (:class:`~repro.core.localmr.
-    NodeRowState`), so ``state[u][0]`` is ``u``'s distance.
-
-    Columnar fast path: boundary records become ``(node, (dist, d))``
-    rows — the owner's distance record is ``(dist, inf)``, each
-    cross-edge relaxation candidate ``(inf, dist + w)`` — reduced by a
-    per-key segmented **min** (exact, so the columnar run is
+    Boundary records: a node's ``("dist", dist)`` and one ``("d", dist +
+    w)`` relaxation candidate per outgoing cut edge of a reached node,
+    reduced by a per-key **min** (exact, so the columnar run is
     bit-identical to the classic path) with a vectorised epilogue
     folding the cross-edge floor into the distance.  The map-side
     ``"min"`` combiner ships one row per remote target per partition.
-
-    Block-level local step: the hashtable's ``(dist, ext_best)``
-    columns; ``lreduce``'s fold of a node's relaxation candidates is a
-    **min**, edges out of unreached nodes emit nothing — bitwise the
-    ``lmap``/``lreduce`` below.
     """
 
-    supports_columnar = True
-    columnar_combine = "min"
+    own_tag = "dist"
+    cut_tag = "d"
 
-    def initial_state(self) -> np.ndarray:
-        """Source at 0, rest unreached; cross-edge floors consistent with
-        that initial state (the source's cross out-edges already offer
-        candidate distances to their remote endpoints)."""
-        rows = np.full((self.graph.num_nodes, 2), np.inf, dtype=np.float64)
-        rows[self.source, 0] = 0.0
-        b = self._blocks[self.partition.assign[self.source]]
-        out = b.nodes[b.cut_src] == self.source
-        np.minimum.at(rows[:, 1], b.cut_dst[out], b.cut_w[out])
-        return rows
+    def cut_messages(self, part_id: int, x: np.ndarray):
+        b = self._blocks[part_id]
+        live = np.isfinite(x[b.cut_src])  # an unreached source emits nothing
+        src = b.cut_src[live]
+        return src, b.cut_dst[live], x[src] + b.cut_w[live]
 
     def table_records(self, part_id: int, rows: np.ndarray) -> list:
         b = self._blocks[part_id]
@@ -256,40 +229,6 @@ class SsspKVSpec(NodeRowState, _Sssp, AsyncMapReduceSpec):
             if rec[0] != prev and not (math.isinf(rec[0]) and math.isinf(prev)):
                 return False
         return True
-
-    # -- columnar fast path ------------------------------------------------
-    def gmap_emit_block(self, cols, part_id: int):
-        """The columnar emission from the distance column: one
-        gather-add over the partition's live outgoing cut edges."""
-        b = self._blocks[part_id]
-        dists = cols[0]
-        n = len(b.nodes)
-        live = np.isfinite(dists[b.cut_src])
-        keys = np.concatenate([b.nodes, b.cut_dst[live]])
-        rows = np.full((len(keys), 2), np.inf, dtype=np.float64)
-        rows[:n, 0] = dists
-        rows[n:, 1] = dists[b.cut_src[live]] + b.cut_w[live]
-        return keys, rows
-
-    def gmap_emit_pairs(self, cols, part_id: int) -> list:
-        """:meth:`gmap_emit` from the distance column and the
-        partition's live outgoing cut edges."""
-        b = self._blocks[part_id]
-        dists = cols[0]
-        live = np.isfinite(dists[b.cut_src])
-        src = b.cut_src[live]
-        return owner_and_cut_pairs(b.nodes, "dist", dists, src,
-                                   b.cut_dst[live], "d",
-                                   dists[src] + b.cut_w[live])
-
-    def gmap_emit_columnar(self, table: dict, part_id: int):
-        """Same records as :meth:`gmap_emit`, as typed rows: the owner's
-        distance record is ``(dist, inf)``, each finite-source cross
-        edge a ``(inf, dist + w)`` relaxation candidate."""
-        nodes = self._blocks[part_id].node_list
-        dists = np.fromiter((table[u][0] for u in nodes),
-                            dtype=np.float64, count=len(nodes))
-        return self.gmap_emit_block((dists,), part_id)
 
     def columnar_reduce(self):
         from repro.engine import ColumnarReduce

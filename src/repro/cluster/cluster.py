@@ -259,6 +259,9 @@ class SimCluster:
                     "every node is dead; the job cannot make progress")
             deaths = pool.pending_deaths()
         if slot_share < 1.0:
+            # Every node's first slot before any node's second, so a
+            # share spans the racks instead of taking rack 0's prefix.
+            slots = sorted(slots, key=lambda s: (s[1], s[0]))
             slots = slots[:max(1, round(len(slots) * slot_share))]
         dispatch = self.cost_model.task_dispatch_seconds
         start_clock = self.clock

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.cluster.costmodel import CostModel, check_share
+from repro.cluster.costmodel import check_share
 from repro.cluster.dfs import estimate_nbytes
 
 __all__ = ["OnlineStoreModel", "SimKVStore"]
@@ -143,8 +143,3 @@ class SimKVStore:
 
     def __len__(self) -> int:
         return len(self._store)
-
-
-def _dfs_roundtrip_seconds(cm: CostModel, nbytes: float) -> float:
-    """DFS write+read for comparison in docs/tests."""
-    return cm.dfs_write_seconds(nbytes) + cm.dfs_read_seconds(nbytes)

@@ -1,39 +1,34 @@
 """The partial-synchronization programming API (§IV of the paper).
 
-Two spec flavours implement the same two-level (local/global) scheme,
+Two spec classes implement the same two-level (local/global) scheme,
 with one local loop between them:
-
-* :class:`AsyncMapReduceSpec` — the faithful record-at-a-time API with
-  the paper's four user functions (``lmap``, ``lreduce``, ``greduce``
-  and the generated ``gmap``) and the EmitLocal* data flow.  It runs on
-  the real MapReduce engine; ``PageRankKVSpec`` and ``SsspKVSpec`` are
-  the bundled ones.
-
-* the **block-level local step** of an :class:`AsyncMapReduceSpec`
-  (opt-in, declared by :attr:`AsyncMapReduceSpec.local_agg`) — the same
-  ``lmap``/``lreduce`` written once more over arrays keyed by
-  partition-local row, so Figure 1's loop runs at array speed inside the
-  gmap (:func:`repro.core.localmr.run_local_block`) and stays bitwise
-  the per-record loop, which remains the oracle and the teaching API.
-  The paper notes that "local map and local reduce operations can use a
-  thread pool to extract further parallelism" (§IV); on a NumPy
-  substrate that lever is vectorising the local iteration.
 
 * :class:`BlockSpec` — the per-partition spec the simulator's
   ``BlockBackend`` runs on a flat state vector; ``local_solve`` reports
   per-iteration operation counts and shuffle bytes for the simulated
   cluster to price.  The four node-partitioned apps (PageRank, SSSP,
-  components, Jacobi) share one ``local_solve``: the block step above,
-  ``run_local_block`` over each app's hooks on columns cut from the
-  flat state — for PageRank and SSSP the hooks their engine-path specs
-  declare, so both layers run one loop.  The layers price it
-  differently: an engine iteration counts the per-record loop's
-  ``3n + m`` operations, a simulated one ``n + m`` (one per node and
-  per internal edge; ``docs/local_loop.md``).  Only k-means, which has
-  a block spec and no engine-path spec, keeps a loop of its own.
+  components, Jacobi) share one ``local_solve``,
+  :func:`repro.core.localmr.run_local_block` over each app's hooks on
+  columns cut from the flat state — the paper notes that "local map and
+  local reduce operations can use a thread pool to extract further
+  parallelism" (§IV); on a NumPy substrate that lever is vectorising the
+  local iteration.  Only k-means keeps a loop of its own.
 
-Both flavours share :class:`LocalSolveReport` (what a gmap hands to the
-global synchronization) and the convergence protocol from
+* :class:`AsyncMapReduceSpec` — the faithful record-at-a-time API with
+  the paper's four user functions (``lmap``, ``lreduce``, ``greduce``
+  and the generated ``gmap``) and the EmitLocal* data flow, run on the
+  real MapReduce engine.  A KV spec is a block spec plus the §IV
+  functions: ``PageRankKVSpec`` and ``SsspKVSpec`` subclass their
+  app's block spec, so the engine's gmap runs the same block-level local
+  step (declared by :attr:`AsyncMapReduceSpec.local_agg`) and stays
+  bitwise the per-record loop, which remains the oracle and the
+  teaching API.  The layers price that loop differently: an engine
+  iteration counts the per-record loop's ``3n + m`` operations, a
+  simulated one ``n + m`` (one per node and per internal edge;
+  ``docs/local_loop.md``).
+
+Both share :class:`LocalSolveReport` (what a gmap hands to the global
+synchronization) and the convergence protocol from
 :mod:`repro.core.convergence`.
 """
 
@@ -110,17 +105,17 @@ class AsyncMapReduceSpec(abc.ABC):
     ``gmap_emit``/``greduce`` path stays intact as the fallback and the
     equivalence oracle (``EngineBackend(..., columnar=False)``).
 
-    Independently of the shuffle path, a spec whose hashtable values
-    lead with float columns may declare a **block-level local step**
-    (:attr:`local_agg`, :meth:`local_fold` and the ``*_block`` hooks);
-    the gmap then runs the local loop on arrays —
-    :func:`repro.core.localmr.run_local_block`, contract in
-    ``docs/local_loop.md``.
+    Independently of the shuffle path, a spec may declare a
+    **block-level local step** (:attr:`local_agg`); the gmap then runs
+    the local loop on arrays — :func:`repro.core.localmr.run_local_block`
+    over hooks a node-partitioned app writes once, on
+    ``repro.apps._nodeblock``'s ``NodeBlockSpec`` and ``NodeRowState``
+    (contract in ``docs/local_loop.md``).
     """
 
     #: Aggregator ("sum"/"min"/"max") ``lreduce`` folds a key's
     #: contribution records with; naming one declares the block-level
-    #: local step (hooks below), None keeps the per-record loop.
+    #: local step, None keeps the per-record loop.
     local_agg: "str | None" = None
     #: Set True when the spec implements the columnar hooks below.
     supports_columnar: bool = False
@@ -157,9 +152,8 @@ class AsyncMapReduceSpec(abc.ABC):
     def partition_input(self, part_id: int, state: Any) -> Any:
         """Build the gmap input ``xs`` for a partition: the key-value
         list the per-record loop iterates — or, for a spec declaring the
-        block-level local step, whatever :meth:`local_columns` cuts its
-        columns from (the KV graph specs ship their part's rows of an
-        array state, ``state[nodes]``, and build records only in the
+        block-level local step, whatever its ``local_columns`` cuts the
+        columns from (records are then built only in the
         :class:`~repro.core.localmr.per_record` oracle).
 
         This is the "functions to convert data into the formats required
@@ -195,50 +189,6 @@ class AsyncMapReduceSpec(abc.ABC):
         state (e.g. K-Means' periodic repartitioning, §V-D).  Returning
         ``None`` keeps the state unchanged."""
         return None
-
-    # -- block-level local step (opt-in, see local_agg) -----------------
-    def local_columns(self, part_id: int, xs: Any) -> Any:
-        """The hashtable's mutable columns from the gmap input: a tuple
-        of ``c`` ``(n,)`` float64 arrays, column ``j`` the ``j``-th field
-        of every value, row ``i`` the partition's ``i``-th key — for an
-        ``(n, c)`` row block from :meth:`partition_input`, its
-        transpose; ``ValueError`` when ``xs`` does not have the row
-        count of the partition the spec's static arrays describe."""
-        raise NotImplementedError
-
-    def local_fold(self, part_id: int, cols: Any) -> "tuple[Any, int]":
-        """``lmap`` over the whole partition, the local shuffle and
-        ``lreduce``'s fold, as ``(acc, records)``: ``acc[i]`` is row
-        ``i``'s contribution records folded by :attr:`local_agg` one by
-        one in per-record emission order (row-major by source row),
-        from the aggregator's identity where none arrived — bitwise the
-        per-record fold; ``records`` is how many contribution records
-        ``lmap`` emitted (the carried ``rec`` is implied).  A sum is a
-        sequential CSR mat-vec, a min a gather plus
-        :func:`repro.core.localmr.scatter_fold`."""
-        raise NotImplementedError
-
-    def lreduce_block(self, part_id: int, cols: Any, acc: Any) -> Any:
-        """``lreduce``'s epilogue for every row at once, over
-        :meth:`local_fold`'s ``acc``; returns the new ``cols``.  ``acc``
-        is this iteration's own array and may become a new column; the
-        input columns must not be written."""
-        raise NotImplementedError
-
-    def local_converged_block(self, prev_cols: Any, cols: Any) -> bool:
-        """:meth:`local_converged` on the column arrays."""
-        raise NotImplementedError
-
-    def gmap_emit_block(self, cols: Any, part_id: int) -> "tuple[Any, Any]":
-        """:meth:`gmap_emit_columnar` from the column arrays (the
-        columnar gmap never rebuilds the hashtable)."""
-        raise NotImplementedError
-
-    def gmap_emit_pairs(self, cols: Any, part_id: int) -> list:
-        """:meth:`gmap_emit` from the column arrays: the same pairs in
-        the same order, built without the hashtable (what the object
-        shuffle path ships)."""
-        raise NotImplementedError
 
     # -- columnar fast-path hooks (opt-in, see supports_columnar) -------
     def gmap_emit_columnar(self, table: dict, part_id: int

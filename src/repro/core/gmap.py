@@ -13,14 +13,12 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
 from repro.core.api import AsyncMapReduceSpec
 from repro.core.emitter import GlobalReduceContext
 from repro.core.localmr import run_local_block, run_local_mapreduce
 
 __all__ = ["GmapFunction", "GreduceFunction", "LOCAL_ITER_COUNTER",
-           "LOCAL_OPS_COUNTER", "local_iter_counter", "owner_and_cut_pairs"]
+           "LOCAL_OPS_COUNTER", "local_iter_counter"]
 
 #: Engine counter: total local iterations performed inside gmaps.
 LOCAL_ITER_COUNTER = "core.local.iterations"
@@ -38,31 +36,6 @@ def local_iter_counter(part_id: Any) -> str:
     return f"{LOCAL_ITER_COUNTER}.part{part_id}"
 
 
-def owner_and_cut_pairs(nodes: np.ndarray, own_tag: str, own: np.ndarray,
-                        cut_src: np.ndarray, cut_keys: np.ndarray,
-                        cut_tag: str, cut: np.ndarray) -> list:
-    """The pairs a per-record ``gmap_emit`` scan of a node table emits,
-    built from arrays: for each row ``i`` in order, ``(nodes[i],
-    (own_tag, own[i]))``, then ``(cut_keys[j], (cut_tag, cut[j]))`` for
-    every cut record ``j`` out of row ``i``.  ``cut_src`` (each cut
-    record's source row) must be ascending, as an ``EdgeBlock``'s is.
-    Keys come out as Python ints, values as Python floats, and every
-    tag is one of the two ``str`` objects passed in."""
-    n, c = len(nodes), len(cut_src)
-    # Row i lands after the i rows and the cut records out of rows < i;
-    # cut record j after its source row's owner and the j records before.
-    own_at = np.arange(n) + np.searchsorted(cut_src, np.arange(n))
-    cut_at = cut_src + np.arange(1, c + 1)
-    keys = np.empty(n + c, dtype=np.int64)
-    values = np.empty(n + c, dtype=np.float64)
-    is_cut = np.ones(n + c, dtype=np.intp)
-    keys[own_at], keys[cut_at] = nodes, cut_keys
-    values[own_at], values[cut_at] = own, cut
-    is_cut[own_at] = 0
-    tags = np.array([own_tag, cut_tag], dtype=object)[is_cut].tolist()
-    return list(zip(keys.tolist(), zip(tags, values.tolist())))
-
-
 class GmapFunction:
     """Engine ``map_fn`` running Figure 1's local loop over a partition.
 
@@ -76,7 +49,9 @@ class GmapFunction:
     attribute like ``supports_columnar`` so duck-typed specs work) gets
     the array loop on either shuffle path, and emits from its final
     columns on either (``gmap_emit_block`` / ``gmap_emit_pairs``): same
-    counters, same records, and no per-node table built.
+    counters, same records, and no per-node table built.  Those hooks
+    and ``local_columns`` are the engine view of a node-partitioned app,
+    written once in ``repro.apps._nodeblock.NodeRowState``.
     """
 
     def __init__(self, spec: AsyncMapReduceSpec, max_local_iters: int, *,

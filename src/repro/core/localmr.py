@@ -24,10 +24,10 @@ That per-record loop is the oracle and the teaching API.
 declare a block-level local step (``spec.local_agg``) — **bitwise** the
 per-record loop: same tables, same iteration counts, same
 ``per_iter_ops``.  It is the one array loop: the engine's gmap runs it
-on the columns ``spec.local_columns`` cuts from the gmap input (the
-part's rows of a :class:`NodeRowState`), and the simulator's
-``local_solve`` of every node-partitioned app (PageRank, SSSP,
-components, Jacobi) on columns cut from the flat state.
+on the columns ``spec.local_columns`` cuts from the gmap input, and the
+simulator's ``local_solve`` of every node-partitioned app (PageRank,
+SSSP, components, Jacobi) on columns cut from the flat state; the hooks
+it calls are documented on ``repro.apps._nodeblock.NodeBlockSpec``.
 :class:`per_record` is the view that reaches the oracle for such a
 spec, and the one place its hashtable records are still built;
 ``docs/local_loop.md`` states the contract.
@@ -44,11 +44,11 @@ from repro.core.api import AsyncMapReduceSpec
 from repro.core.emitter import LocalMapContext, LocalReduceContext
 from repro.engine.columnar import resolve_agg
 
-__all__ = ["LocalRunResult", "NodeRowState", "run_local_mapreduce",
+__all__ = ["LocalRunResult", "agg_identity", "run_local_mapreduce",
            "run_local_block", "scatter_fold", "per_record"]
 
 
-def _agg_identity(agg: str, dtype: np.dtype) -> Any:
+def agg_identity(agg: str, dtype: np.dtype) -> Any:
     """What ``lreduce`` starts a key's fold from (a row no record reaches
     keeps it): ``contrib = 0.0`` / ``best = inf`` in the per-record code,
     and for an integer column the dtype's own extreme, so it stays
@@ -188,62 +188,9 @@ def scatter_fold(agg: str, col: np.ndarray, rows: np.ndarray,
     the aggregator's identity.  ``ufunc.at`` is unbuffered, so repeated
     rows all land, one by one in array order.  Returns ``(acc,
     len(rows))``."""
-    acc = np.full(len(col), _agg_identity(agg, col.dtype), dtype=col.dtype)
+    acc = np.full(len(col), agg_identity(agg, col.dtype), dtype=col.dtype)
     resolve_agg(agg).at(acc, rows, values)
     return acc, len(rows)
-
-
-class NodeRowState:
-    """The global state of a node-partitioned KV spec as one ``(N, c)``
-    float64 array: row ``u`` holds node ``u``'s ``c`` mutable hashtable
-    fields (``state[u][0]`` is its value).  A round builds no per-node
-    object from it: a gmap's input is its part's rows, the block loop's
-    columns are their transpose, and the global reduce's output is one
-    scatter into a copy of the previous state.
-
-    A spec lists it before the app's shared base, whose
-    ``global_converged`` takes the value vectors; sets ``_blocks``, one
-    :class:`~repro.graph.EdgeBlock` per part; and writes
-    :meth:`table_records` for the :class:`per_record` oracle.
-    """
-
-    def partition_input(self, part_id: int, state: np.ndarray) -> np.ndarray:
-        return state[self._blocks[part_id].nodes]
-
-    def local_columns(self, part_id: int, xs: np.ndarray):
-        if len(xs) != len(self._blocks[part_id].nodes):
-            raise ValueError("gmap input is not the partition the spec's "
-                             "static arrays describe")
-        return tuple(np.ascontiguousarray(xs.T))
-
-    def state_from_output(self, output: list, prev_state: np.ndarray):
-        state = prev_state.copy()
-        if output:
-            keys, rows = zip(*output)
-            state[list(keys)] = rows
-        return state
-
-    def state_from_columnar(self, block: Any, prev_state: np.ndarray):
-        state = prev_state.copy()
-        state[block.keys] = block.values
-        return state
-
-    def global_converged(self, prev_state, curr_state):
-        return super().global_converged(prev_state[:, 0], curr_state[:, 0])
-
-    def table_records(self, part_id: int, rows: np.ndarray) -> list:
-        """The hashtable the per-record loop starts from: one ``(node,
-        value)`` record per row of :meth:`partition_input`, the value
-        the row's fields followed by the static adjacency ``lmap``
-        walks."""
-        raise NotImplementedError
-
-    @staticmethod
-    def _per_row(src_rows: np.ndarray, items: list, n: int) -> list:
-        """``items`` of edges listed row-major by source row, as ``n``
-        lists: list ``i`` holds row ``i``'s items in order."""
-        ends = np.cumsum(np.bincount(src_rows, minlength=n)).tolist()
-        return [items[a:b] for a, b in zip([0, *ends[:-1]], ends)]
 
 
 class per_record:

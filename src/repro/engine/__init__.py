@@ -15,7 +15,6 @@ from repro.engine.columnar import (
     ColumnarGroups,
     ColumnarReduce,
     StringDictionary,
-    combine_columnar,
     group_columnar,
     hash_buckets,
     route_columnar,
@@ -46,7 +45,6 @@ __all__ = [
     "ColumnarGroups",
     "ColumnarReduce",
     "StringDictionary",
-    "combine_columnar",
     "group_columnar",
     "hash_buckets",
     "route_columnar",

@@ -29,8 +29,7 @@ shuffle can run on NumPy instead:
 * :func:`route_combine_columnar` — the fused map tail (the paper's
   partial aggregation lever, §V-B): one kernel sort of the records by
   key, run boundaries from one neighbour comparison, a segmented
-  ``ufunc.reduceat``, then routing of the combined uniques;
-  :func:`combine_columnar` is the same tail with one reducer.
+  ``ufunc.reduceat``, then routing of the combined uniques.
 * :class:`ColumnarGroups` — reduce-side grouping by the same sort +
   run-boundary layout instead of dict-of-lists; aggregates with the
   same segmented primitive and can materialise the exact object-path
@@ -101,7 +100,6 @@ __all__ = [
     "route_combine_columnar",
     "RouteCombinePlan",
     "GroupPlan",
-    "combine_columnar",
     "group_columnar",
     "segment_aggregate",
     "resolve_agg",
@@ -603,18 +601,6 @@ def _group_layout(keys: np.ndarray, sort_keys: bool
         # A stable sort puts each key's first emission at its run start.
         out_order = stable_key_order(order[starts])
     return order, sk[starts], bounds, out_order
-
-
-def combine_columnar(block: ColumnarBlock, agg: str) -> ColumnarBlock:
-    """Map-side combine: one aggregated value row per distinct key.
-
-    Output keys follow first-emission order, matching the object-path
-    combiner's dict insertion order so the routed buckets stay
-    byte-identical between the two paths.  It is the fused map tail
-    routed to a single reducer.
-    """
-    [combined] = route_combine_columnar(block, 1, agg)
-    return combined
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,6 @@ from repro.engine import (
     MapReduceRuntime,
     ShuffleBuffer,
     TaskContext,
-    combine_columnar,
     hash_buckets,
     route_columnar,
     route_combine_columnar,
@@ -223,7 +222,7 @@ class TestCombine:
     def test_matches_object_combiner_bitwise(self, agg, width):
         rng = np.random.default_rng(3)
         block = _random_block(rng, 400, key_range=25, width=width)
-        combined = combine_columnar(block, agg)
+        [combined] = route_combine_columnar(block, 1, agg)
 
         # object oracle: group by first emission, combine per group
         groups: dict = {}
@@ -260,7 +259,7 @@ class TestCombine:
                              for c in range(width)])
         values = np.array(rows)[:, 0] if width == 1 else np.array(rows)
         block = ColumnarBlock(keys, values)
-        combined = combine_columnar(block, agg)
+        [combined] = route_combine_columnar(block, 1, agg)
 
         groups: dict = {}
         for k, v in block.to_pairs():
@@ -286,7 +285,7 @@ class TestCombine:
 
     def test_unknown_agg_rejected(self):
         with pytest.raises(ValueError, match="unknown aggregation"):
-            combine_columnar(ColumnarBlock([1], [1.0]), "median")
+            route_combine_columnar(ColumnarBlock([1], [1.0]), 1, "median")
         with pytest.raises(ValueError, match="unknown aggregation"):
             object_combiner("median")
 
@@ -334,7 +333,7 @@ class TestFusedMapTail:
         values = rng.random(400) if width == 1 else rng.random((400, width))
         block = ColumnarBlock(keys, values)
         fused = route_combine_columnar(block, 4, agg)
-        unfused = route_columnar(combine_columnar(block, agg), 4)
+        unfused = route_columnar(route_combine_columnar(block, 1, agg)[0], 4)
         assert sum(len(b) for b in fused) == len(np.unique(keys))
         for got, want in zip(fused, unfused):
             assert np.array_equal(got.keys, want.keys)
@@ -440,7 +439,7 @@ class TestColumnarShuffleBuffer:
         paths must combine to bitwise-identical values."""
         rng = np.random.default_rng(7)
         raw = [_random_block(rng, 120, key_range=15) for _ in range(3)]
-        col = [route_columnar(combine_columnar(b, agg), 2) for b in raw]
+        col = [route_columnar(route_combine_columnar(b, 1, agg)[0], 2) for b in raw]
         obj = []
         for b in raw:
             res = run_map_task(0, 0, [(0, None)],

@@ -174,6 +174,19 @@ class TestLintSpec:
         assert info.severity is Severity.INFO
         assert not local_infos(PageRankKVSpec(small_graph, small_partition))
 
+    def test_kv_spec_that_is_a_block_spec_still_explained(
+            self, small_graph, small_partition):
+        # A KV spec subclasses its app's block spec; being a BlockSpec
+        # must not drop it out of the columnar explainer.
+        class ObjectPathPageRank(PageRankKVSpec):
+            supports_columnar = False
+
+        spec = ObjectPathPageRank(small_graph, small_partition)
+        assert isinstance(spec, BlockSpec)
+        [info] = [f for f in lint_spec(spec).findings if f.code == "RPR041"]
+        assert "supports_columnar" in info.message
+        assert info.severity is Severity.INFO
+
 
 class TestLintJob:
     def test_wordcount_job_clean(self):

@@ -214,15 +214,25 @@ class TestCommands:
         assert rc == 2
         assert "mutually exclusive" in capsys.readouterr().err
 
-    # Known defect: every fair-share batch member is priced on the same
-    # rack-0 slot prefix, so killing rack 0 leaves a phase with no live
-    # slot ("every slot died mid-phase").
-    @pytest.mark.xfail(strict=True, raises=RuntimeError,
-                       reason="fair-share slot shares all sit on rack 0")
+    # A fair share takes every node's first slot before any node's
+    # second, so killing rack 0 leaves each batch member live slots.
     def test_schedule_kill_rack_recovers(self, capsys):
         rc = main(["schedule", "--jobs", "pagerank,sssp", "--scale", "0.003",
                    "-k", "2", "--kill-rack", "0"])
         assert rc == 0
+
+    def test_schedule_kill_rack_mid_round_costs_recovery(self, capsys):
+        # At the default kill clock the rack dies before any task runs;
+        # 20.5 s into round 1 it takes running work down with it.
+        rc = main(["schedule", "--jobs", "pagerank,sssp", "--scale", "0.003",
+                   "-k", "2", "--kill-rack", "0", "--kill-round", "1",
+                   "--kill-at", "20.5"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        [recovery] = [line.split("|") for line in out.splitlines()
+                      if line.startswith("| pagerank#0 ")][1:]
+        assert recovery[2].strip() == "4"  # the rack's four nodes
+        assert float(recovery[5]) > 0.0
 
     def test_schedule_kill_node_reports_recovery(self, capsys):
         rc = main(["schedule", "--jobs", "pagerank,sssp", "--scale", "0.003",

@@ -254,10 +254,10 @@ def _info(message: str, subject: Any) -> Finding:
 def explain_columnar_spec(spec: Any) -> "list[Finding]":
     """Why an :class:`AsyncMapReduceSpec` is not on the columnar path,
     or runs its local iterations record by record."""
-    from repro.core.api import AsyncMapReduceSpec, BlockSpec
+    from repro.core.api import AsyncMapReduceSpec
 
-    if isinstance(spec, BlockSpec):
-        return []  # block specs are already vectorised end to end
+    # Checked first: a KV spec is also a BlockSpec; a plain block spec is
+    # already vectorised end to end.
     if not isinstance(spec, AsyncMapReduceSpec):
         return []
     findings: "list[Finding]" = []
