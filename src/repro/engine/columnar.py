@@ -75,6 +75,7 @@ just approximately.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -95,6 +96,7 @@ __all__ = [
     "StringDictionary",
     "AGG_UFUNCS",
     "hash_buckets",
+    "partition_each",
     "stable_key_order",
     "route_columnar",
     "route_combine_columnar",
@@ -473,17 +475,30 @@ def _bucket_ids(keys: np.ndarray, dictionary: "StringDictionary | None",
             return dictionary.buckets(keys, num_reducers)
         return hash_buckets(keys, num_reducers)
     objects = dictionary.decode(keys) if dictionary is not None else keys.tolist()
-    buckets = np.fromiter(
-        (partitioner(k, num_reducers) for k in objects),
-        dtype=np.int64, count=len(keys))
-    if len(buckets) and not (0 <= buckets.min()
-                             and buckets.max() < num_reducers):
-        # The object path raises the same IndexError for a broken
-        # partitioner (run_map_task's routing loop); never silently drop or
-        # re-route the out-of-range records.
-        raise IndexError(
-            f"partitioner returned bucket outside [0, {num_reducers})")
-    return buckets
+    return partition_each(objects, partitioner, num_reducers)
+
+
+def partition_each(keys: "Sequence[Any]",
+                   partitioner: "Callable[[Any, int], int]",
+                   num_reducers: int) -> np.ndarray:
+    """``partitioner(k, num_reducers)`` for every key, in order, as an
+    int64 array — the per-key route of both shuffle paths.
+
+    Each reducer id is checked as it is returned: one outside
+    ``[0, num_reducers)`` raises ``IndexError`` (never silently dropped,
+    nor sent to reducer R-1 the way ``buckets[-1]`` would), and one that
+    is not an integer raises ``TypeError``, as indexing a bucket list
+    with it would.
+    """
+    ids = []
+    append, index = ids.append, operator.index
+    for k in keys:
+        b = partitioner(k, num_reducers)
+        if not 0 <= b < num_reducers:
+            raise IndexError(
+                f"partitioner returned bucket outside [0, {num_reducers})")
+        append(index(b))
+    return np.array(ids, dtype=np.int64)
 
 
 def route_columnar(block: ColumnarBlock, num_reducers: int,

@@ -100,6 +100,7 @@ from repro.engine.shm import (
 from repro.engine.shuffle import ShuffleBuffer
 from repro.engine.task import (
     TaskResult,
+    collector_held,
     keep_plans,
     run_map_task,
     run_reduce_task,
@@ -393,6 +394,7 @@ class MapReduceRuntime:
             self._pool = None
 
     # ------------------------------------------------------------------
+    @collector_held()
     def run(self, job: Job, splits: "Sequence[Sequence[tuple[Any, Any]]]", *,
             accountant=None, round_index: int = 0) -> JobResult:
         """Run ``job`` over ``splits`` (one map task per split).
@@ -407,6 +409,10 @@ class MapReduceRuntime:
         ``round_index`` names the global iteration this job implements,
         which is what the :class:`NodeFaultPlan` keys its scripted
         deaths on (a standalone job is round 0).
+
+        The cyclic garbage collector is held off for the span of the
+        job and turned back on when it returns or raises, if it was on
+        (:func:`~repro.engine.task.collector_held`).
         """
         conf = job.conf
         splits = [list(s) for s in splits]

@@ -10,19 +10,25 @@ Two data representations flow through the runners:
 
 * **Object path** — the classic one-pair-at-a-time flow (``ctx.emit``),
   any hashable key / any value.  The reference semantics and the oracle.
-  Its bookkeeping touches each record once: the map task's tail
-  routes a pair (``partitioner(key, R)``), sizes it
-  (:func:`~repro.cluster.dfs.estimate_nbytes`, into
-  ``TaskResult.nbytes``) and buckets the tuple the map emitted, in one
-  loop; the reduce task counts groups and records in locals and writes
-  the counters once, then sizes its output in one ``shuffle_bytes``
-  scan.  ``docs/object_path.md`` is the accounting contract.
+  Its bookkeeping runs over whole columns: the map task's tail routes
+  the task's keys at once (one vectorised hash for int64 keys under the
+  default partitioner, else ``partitioner(key, R)`` per key), sizes
+  them (:func:`~repro.cluster.dfs.estimate_nbytes`, into
+  ``TaskResult.nbytes``) and buckets the tuples the map emitted by one
+  stable grouping; the reduce task counts groups and records in locals
+  and writes the counters once, then sizes its output in one
+  ``shuffle_bytes`` scan.  ``docs/object_path.md`` is the accounting
+  contract.
 * **Columnar path** — map functions emit typed array batches
   (``ctx.emit_block``); routing, map-side combining, grouping and byte
   accounting all run as whole-array NumPy ops (see
   :mod:`repro.engine.columnar`).  ``JobConf.columnar=False`` forces a
   columnar-emitting job back through the object path (materialised
   pairs), which is how the equivalence tests cross-check the two.
+
+Both runners, like :meth:`MapReduceRuntime.run
+<repro.engine.runtime.MapReduceRuntime.run>`, hold the cyclic garbage
+collector off while they run (:func:`collector_held`).
 
 Failure injection happens *inside* the runner (so it behaves identically
 under every executor) via a :class:`~repro.engine.faults.FaultPlan`
@@ -33,10 +39,12 @@ the same inputs and a bumped attempt number.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -44,11 +52,15 @@ from repro.cluster.dfs import estimate_nbytes
 from repro.engine.columnar import (
     ColumnarBlock,
     ColumnarGroups,
+    _hash_routed,
     as_columnar_reduce,
+    hash_buckets,
     object_combiner,
     object_reducer,
+    partition_each,
     route_columnar,
     route_combine_columnar,
+    stable_key_order,
 )
 from repro.engine.counters import (
     COMBINE_INPUT_RECORDS,
@@ -63,6 +75,7 @@ from repro.engine.counters import (
     REDUCE_OUTPUT_RECORDS,
 )
 from repro.engine.faults import FaultPlan
+from repro.engine.partitioner import HashPartitioner
 from repro.engine.shm import (
     ShmGroupsRef,
     ShmPickleRef,
@@ -72,7 +85,7 @@ from repro.engine.shm import (
 from repro.engine.shuffle import ColumnarRun, shuffle_bytes
 
 __all__ = ["TaskContext", "TaskResult", "run_map_task", "run_reduce_task",
-           "keep_plans", "kept_plans"]
+           "keep_plans", "kept_plans", "collector_held"]
 
 #: Default combine crossover: batches below this many records skip the
 #: map-side combiner entirely.  For tiny batches the grouping sort costs
@@ -89,6 +102,34 @@ def _skip_combine(combine_fn: Any, n_records: int, crossover: int) -> bool:
     are pure aggregations, so eliding them could change output.
     """
     return isinstance(combine_fn, str) and n_records < crossover
+
+
+@contextlib.contextmanager
+def collector_held() -> "Iterator[None]":
+    """Hold Python's cyclic garbage collector off for the span of the
+    block (or, as ``@collector_held()``, of each call).
+
+    A job allocates a container per shuffle record and frees none of
+    them through a cycle, so every collection inside it is a scan of
+    live tuples that frees nothing; reference counting still frees
+    everything that is not in a cycle, and a cycle made inside is freed
+    by the first collection after.  The collector is re-enabled on every
+    exit path, and only if it was enabled on entry: a nested hold (a
+    task inside a run, a job inside a task) leaves it to the outermost
+    one, a caller that had disabled it finds it disabled, and of two
+    threads holding at once the first to leave turns it back on.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        # Only a hold that saw it on switches it at all: a thread that
+        # disabled it after reading "off" could outlast the holder that
+        # turned it back on, and leave it off for good.
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 #: Plans kept across runs, one per task slot (``("map", i)`` or
@@ -262,6 +303,7 @@ def _stall(fault_plan: FaultPlan, phase: str, task_index: int,
         time.sleep(delay)
 
 
+@collector_held()
 def run_map_task(
     task_index: int,
     attempt: int,
@@ -338,23 +380,54 @@ def run_map_task(
             combine_fn, len(pairs), combine_crossover):
         pairs = _apply_combiner(pairs, object_combiner(combine_fn), ctx)
 
-    # One pass routes and sizes each record and buckets the tuple the
-    # map emitted; nbytes == shuffle_bytes([buckets]).
-    buckets: list[list[tuple[Any, Any]]] = [[] for _ in range(num_reducers)]
-    nbytes = 0
-    for pair in pairs:
-        k, v = pair
-        b = partitioner(k, num_reducers)
-        if not 0 <= b < num_reducers:
-            # buckets[-1] would be reducer R-1, in silence; the columnar
-            # path raises the same error.
-            raise IndexError(
-                f"partitioner returned bucket outside [0, {num_reducers})")
-        buckets[b].append(pair)
-        nbytes += estimate_nbytes(k) + estimate_nbytes(v)
+    buckets, nbytes = _route_pairs(pairs, partitioner, num_reducers)
     ctx.counters.incr(MAP_OPS, int(ctx.ops))
     return TaskResult(task_id=task_id, attempt=attempt, data=buckets,
                       counters=ctx.counters, ops=ctx.ops, nbytes=nbytes)
+
+
+def _route_pairs(pairs: "list[tuple[Any, Any]]", partitioner: Any,
+                 num_reducers: int) -> "tuple[list[list[tuple[Any, Any]]], int]":
+    """Route, size and bucket an object map task's pairs in bulk.
+
+    The reducer ids come from the key column at once: one
+    :func:`~repro.engine.columnar.hash_buckets` sweep under the default
+    hash routing when every key is exactly ``int`` within int64 (the
+    same ``stable_hash(k) % R``), else one ``partitioner(k, R)`` call
+    per key, in order, each checked.  One stable grouping by id then
+    fills bucket ``r`` with the emitted tuples themselves, in emission
+    order.  ``nbytes`` is the summed ``estimate_nbytes`` of the keys
+    and of the values, which equals ``shuffle_bytes([buckets])``.  A
+    task without pairs calls no partitioner.
+    """
+    if not pairs:
+        return [[] for _ in range(num_reducers)], 0
+    keys = [k for k, _ in pairs]
+    values = [v for _, v in pairs]
+    ids = None
+    if _hash_routed(partitioner) and set(map(type, keys)) == {int}:
+        try:
+            column = np.array(keys, dtype=np.int64)
+        except OverflowError:  # a key beyond int64 takes stable_hash
+            pass
+        else:
+            ids = hash_buckets(column, num_reducers)
+            # estimate_nbytes sizes by exact type: every int is 8.
+            key_bytes = estimate_nbytes(keys[0]) * len(keys)
+    if ids is None:
+        if partitioner is None:
+            partitioner = HashPartitioner()
+        ids = partition_each(keys, partitioner, num_reducers)
+        key_bytes = sum(map(estimate_nbytes, keys))
+    nbytes = key_bytes + sum(map(estimate_nbytes, values))
+    order = stable_key_order(ids).tolist()
+    ordered = [pairs[i] for i in order]
+    buckets = []
+    lo = 0
+    for hi in np.cumsum(np.bincount(ids, minlength=num_reducers)).tolist():
+        buckets.append(ordered[lo:hi])
+        lo = hi
+    return buckets, nbytes
 
 
 def _finish_columnar_map(task_id: str, attempt: int, ctx: TaskContext,
@@ -413,6 +486,7 @@ def _apply_combiner(pairs: "list[tuple[Any, Any]]", combine_fn: Any,
     return cctx.output
 
 
+@collector_held()
 def run_reduce_task(
     task_index: int,
     attempt: int,

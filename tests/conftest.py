@@ -6,6 +6,8 @@ mutate inputs must copy them.
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,17 @@ from repro.graph import (
 )
 
 from tests.inputs import gaussian_mixture
+
+
+@pytest.fixture(autouse=True)
+def _collector_left_enabled():
+    """Fail a test that leaves the cyclic garbage collector disabled:
+    the engine holds it off for a job and must always hand it back."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled and not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 @pytest.fixture(scope="session")
