@@ -4,11 +4,11 @@ This package provides the measurement substrate: an explicit
 :class:`~repro.cluster.costmodel.CostModel` with EC2-like and HPC-like
 presets, :class:`~repro.cluster.node.SimNode` machines with map/reduce
 slots, greedy list scheduling with a full event
-:class:`~repro.cluster.trace.Trace`, a replicated
-:class:`~repro.cluster.dfs.SimDFS`, and the partitioned inter-round
+:class:`~repro.cluster.trace.Trace`, and the partitioned inter-round
 state stores of :mod:`repro.cluster.statestore`
 (:class:`~repro.cluster.statestore.DFSStateStore` /
-tablet-sharded :class:`~repro.cluster.statestore.OnlineStateStore`).
+tablet-sharded :class:`~repro.cluster.statestore.OnlineStateStore`),
+which price state round trips from byte counts and hold no data.
 All "time to converge" numbers in the figure benchmarks are simulated
 seconds produced here from *measured* operation counts, byte counts,
 and task counts.
@@ -25,11 +25,11 @@ from repro.cluster.costmodel import (
     CostModel,
     EC2_DEFAULTS,
     HPC_DEFAULTS,
+    OnlineStoreModel,
     ZERO_COST,
     scaled_model,
 )
-from repro.cluster.dfs import SimDFS, estimate_nbytes
-from repro.cluster.kvstore import OnlineStoreModel, SimKVStore
+from repro.cluster.dfs import estimate_nbytes
 from repro.cluster.node import SimNode, ec2_nodes
 from repro.cluster.statestore import (
     DFSStateStore,
@@ -39,7 +39,7 @@ from repro.cluster.statestore import (
     resolve_state_store,
 )
 from repro.cluster.trace import Event, Trace
-from repro.cluster.workerpool import WorkerInfo, WorkerPool
+from repro.cluster.workerpool import WorkerPool
 
 __all__ = [
     "SimCluster",
@@ -52,9 +52,7 @@ __all__ = [
     "HPC_DEFAULTS",
     "ZERO_COST",
     "scaled_model",
-    "SimDFS",
     "estimate_nbytes",
-    "SimKVStore",
     "OnlineStoreModel",
     "StateStore",
     "DFSStateStore",
@@ -65,6 +63,5 @@ __all__ = [
     "ec2_nodes",
     "Event",
     "Trace",
-    "WorkerInfo",
     "WorkerPool",
 ]

@@ -282,11 +282,17 @@ class RoundAccountant:
                                         share=self.slot_share)
         return self._count(self.cluster.charge_fixed(self._label(label), t))
 
-    def charge_state_checkpoint(self, partition_bytes: Sequence[float], *,
-                                label: str = "checkpoint") -> float:
-        """Charge the periodic durability checkpoint of a non-durable
-        state store (a full replicated DFS write of the state)."""
+    def charge_due_checkpoint(self, partition_bytes: Sequence[float], *,
+                              iteration: int, label: str) -> float:
+        """Charge the periodic durability checkpoint (a full replicated
+        DFS write of the state) if round ``iteration`` is due one: the
+        store is not durable and the round closes a
+        ``config.checkpoint_every`` period.  Every backend's one rule."""
         if self.cluster is None:
+            return 0.0
+        config = self._config()
+        if (self.state_store.durable or not config.checkpoint_every
+                or (iteration + 1) % config.checkpoint_every):
             return 0.0
         t = self.state_store.checkpoint(partition_bytes,
                                         share=self.slot_share)
@@ -303,13 +309,11 @@ class RoundAccountant:
         """
         if self.cluster is None:
             return 0.0
-        config = self._config()
+        self._config()  # fail before charging
         start = self.cluster.clock
         self.charge_state_round(state_partition_bytes, label=f"{label}:state")
-        if (not self.state_store.durable and config.checkpoint_every
-                and (iteration + 1) % config.checkpoint_every == 0):
-            self.charge_state_checkpoint(state_partition_bytes,
-                                         label=f"{label}:checkpoint")
+        self.charge_due_checkpoint(state_partition_bytes, iteration=iteration,
+                                   label=f"{label}:checkpoint")
         return self.cluster.clock - start
 
     # ------------------------------------------------------------------

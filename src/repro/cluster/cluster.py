@@ -22,8 +22,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.cluster.costmodel import CostModel, EC2_DEFAULTS
-from repro.cluster.dfs import SimDFS
+from repro.cluster.costmodel import CostModel, EC2_DEFAULTS, OnlineStoreModel
 from repro.cluster.node import SimNode, ec2_nodes
 from repro.cluster.trace import Event, Trace
 
@@ -122,7 +121,8 @@ class SimCluster:
         :class:`~repro.engine.StragglerPlan`): per-node slowdown
         multipliers and deterministic transient stalls applied to every
         scheduled task, so phase charges reflect per-task slowdowns
-        instead of uniform node speed.
+        instead of uniform node speed.  Every slowed node id must be a
+        node of this cluster.
     node_faults:
         Optional correlated-failure injection (duck-typed
         :class:`~repro.engine.NodeFaultPlan`).  Creates a
@@ -131,7 +131,8 @@ class SimCluster:
         attempts running on them are truncated at the death clock,
         completed map outputs on the domain are invalidated, and the
         lost work is re-queued on the survivors no earlier than the
-        heartbeat-priced detection point.
+        heartbeat-priced detection point.  The plan's node ids
+        (``range(num_nodes)``) must be exactly this cluster's.
 
     Attributes
     ----------
@@ -139,20 +140,29 @@ class SimCluster:
         Current simulated time in seconds.  Phases advance it.
     trace:
         Full event log of everything scheduled so far.
-    dfs:
-        The cluster's simulated distributed filesystem.
     """
 
     def __init__(self, nodes: Sequence[SimNode] | None = None,
                  cost_model: CostModel = EC2_DEFAULTS,
                  online_model: "OnlineStoreModel | None" = None,
                  stragglers=None, node_faults=None) -> None:
-        from repro.cluster.kvstore import OnlineStoreModel
         from repro.cluster.workerpool import WorkerPool
 
         self.nodes: list[SimNode] = list(nodes) if nodes is not None else ec2_nodes()
         if not self.nodes:
             raise ValueError("cluster needs at least one node")
+        node_ids = {n.node_id for n in self.nodes}
+        if (node_faults is not None
+                and set(range(node_faults.num_nodes)) != node_ids):
+            raise ValueError(
+                f"node_faults covers nodes 0..{node_faults.num_nodes - 1} "
+                f"but the cluster's node ids are {sorted(node_ids)}")
+        unknown = (sorted(set(stragglers.node_slowdown) - node_ids)
+                   if stragglers is not None else [])
+        if unknown:
+            raise ValueError(
+                f"stragglers slow nodes {unknown} that the cluster lacks "
+                f"(node ids {sorted(node_ids)})")
         self.cost_model = cost_model
         self.online_model = (online_model if online_model is not None
                              else OnlineStoreModel())
@@ -163,7 +173,6 @@ class SimCluster:
             if node_faults is not None else None)
         self.clock: float = 0.0
         self.trace = Trace()
-        self.dfs = SimDFS(cost_model)
 
     # ------------------------------------------------------------------
     @property
@@ -175,7 +184,7 @@ class SimCluster:
         return sum(n.reduce_slots for n in self.nodes)
 
     def reset(self) -> None:
-        """Zero the clock and clear the trace (DFS contents retained)."""
+        """Zero the clock and clear the trace."""
         self.clock = 0.0
         self.trace = Trace()
 

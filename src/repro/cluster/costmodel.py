@@ -25,6 +25,9 @@ Constants are calibrated to public Hadoop-era magnitudes:
   over an in-memory hashtable, §V-A), hence cheaper.
 * network/DFS rates — effective (not peak) cloud throughputs.
 
+:class:`OnlineStoreModel` prices the §VIII alternative to the DFS round
+trip, one tablet server of a Bigtable-like online store.
+
 ``HPC_DEFAULTS`` models a tightly-coupled cluster (fast barriers, fast
 interconnect) and is used by the barrier-cost-sensitivity ablation to
 reproduce the paper's §II observation that asynchrony pays off *more* on
@@ -36,8 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["CostModel", "EC2_DEFAULTS", "HPC_DEFAULTS", "ZERO_COST",
-           "scaled_model", "check_share"]
+__all__ = ["CostModel", "OnlineStoreModel", "EC2_DEFAULTS", "HPC_DEFAULTS",
+           "ZERO_COST", "scaled_model", "check_share"]
 
 
 def check_share(share: float) -> None:
@@ -147,6 +150,53 @@ class CostModel:
             raise ValueError("nbytes must be >= 0")
         check_share(share)
         return nbytes / (self.dfs_read_bps * share)
+
+
+@dataclass(frozen=True)
+class OnlineStoreModel:
+    """Cost constants of one tablet server of the Bigtable-like store.
+
+    §VIII: "Using online data structures (for example, Bigtable)
+    provides credible alternatives" to the DFS round trip.  Defaults: an
+    order of magnitude faster than the DFS for state-sized round trips —
+    writes go to a memtable + commit log (no 3x block replication on the
+    critical path), reads are served from memory.
+    """
+
+    #: Sustained write throughput (bytes/second).
+    write_bps: float = 200.0e6
+    #: Sustained read throughput (bytes/second).
+    read_bps: float = 400.0e6
+    #: Fixed per-operation latency (tablet lookup + RPC).
+    op_latency_seconds: float = 0.05
+
+    def __post_init__(self) -> None:
+        if self.write_bps <= 0 or self.read_bps <= 0:
+            raise ValueError("throughputs must be > 0")
+        if self.op_latency_seconds < 0:
+            raise ValueError("op_latency_seconds must be >= 0")
+
+    def write_seconds(self, nbytes: float, *, share: float = 1.0) -> float:
+        if nbytes < 0:
+            raise ValueError("nbytes must be >= 0")
+        check_share(share)
+        return self.op_latency_seconds + nbytes / (self.write_bps * share)
+
+    def read_seconds(self, nbytes: float, *, share: float = 1.0) -> float:
+        if nbytes < 0:
+            raise ValueError("nbytes must be >= 0")
+        check_share(share)
+        return self.op_latency_seconds + nbytes / (self.read_bps * share)
+
+    def roundtrip_seconds(self, nbytes: float, *, share: float = 1.0) -> float:
+        """One iteration's state write + next iteration's read.
+
+        ``share`` models a job holding only a fraction of the tablet
+        servers' throughput while other jobs of a session run
+        concurrently (per-operation latency does not divide).
+        """
+        return (self.write_seconds(nbytes, share=share)
+                + self.read_seconds(nbytes, share=share))
 
 
 #: Table I testbed: 8 EC2 extra-large instances running Hadoop 0.20.1.

@@ -1,23 +1,21 @@
-"""A simulated distributed file system (DFS).
+"""Byte sizes of the records and state that pay the DFS toll.
 
 Iterative MapReduce pays a DFS round trip between iterations: "the output
 from a reduction is written to the (distributed) file system and must be
 accessed from the DFS by the next set of maps.  This involves significant
-overhead." (§VIII).  :class:`SimDFS` holds real Python objects (so jobs
-actually round-trip their data) while charging write/read time through
-the :class:`~repro.cluster.costmodel.CostModel`, replication included.
+overhead." (§VIII).  The simulator prices that toll from byte counts
+alone (:meth:`~repro.cluster.costmodel.CostModel.dfs_write_seconds` /
+``dfs_read_seconds``, replication included); :func:`estimate_nbytes`
+supplies those counts for Python objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from repro.cluster.costmodel import CostModel
-
-__all__ = ["SimDFS", "estimate_nbytes"]
+__all__ = ["estimate_nbytes"]
 
 
 #: Exact-type sizes of the fixed-width builtin scalars — the first lookup
@@ -102,62 +100,3 @@ def _estimate_by_isinstance(obj: Any) -> int:
     # Fallback: flat object of a few machine words.
     return 32
 
-
-@dataclass
-class SimDFS:
-    """Replicated key -> object store with time accounting.
-
-    Attributes
-    ----------
-    cost_model:
-        Supplies write/read bandwidths and the replication factor.
-    time_spent:
-        Cumulative simulated seconds charged for all I/O so far.
-    """
-
-    cost_model: CostModel
-    _store: dict[str, Any] = field(default_factory=dict)
-    _sizes: dict[str, int] = field(default_factory=dict)
-    time_spent: float = 0.0
-    bytes_written: int = 0
-    bytes_read: int = 0
-
-    def put(self, key: str, value: Any, *, nbytes: int | None = None) -> float:
-        """Store ``value`` under ``key``; returns the charged write time."""
-        size = estimate_nbytes(value) if nbytes is None else int(nbytes)
-        if size < 0:
-            raise ValueError("nbytes must be >= 0")
-        self._store[key] = value
-        self._sizes[key] = size
-        t = self.cost_model.dfs_write_seconds(size)
-        self.time_spent += t
-        self.bytes_written += size
-        return t
-
-    def get(self, key: str) -> tuple[Any, float]:
-        """Fetch ``(value, charged read time)``; raises ``KeyError`` if absent."""
-        if key not in self._store:
-            raise KeyError(f"DFS has no file {key!r}")
-        size = self._sizes[key]
-        t = self.cost_model.dfs_read_seconds(size)
-        self.time_spent += t
-        self.bytes_read += size
-        return self._store[key], t
-
-    def exists(self, key: str) -> bool:
-        return key in self._store
-
-    def delete(self, key: str) -> None:
-        """Remove ``key`` (no time charge; deletes are metadata ops)."""
-        self._store.pop(key, None)
-        self._sizes.pop(key, None)
-
-    def size_of(self, key: str) -> int:
-        """Stored size estimate of ``key`` in bytes."""
-        return self._sizes[key]
-
-    def keys(self) -> list[str]:
-        return sorted(self._store)
-
-    def __len__(self) -> int:
-        return len(self._store)

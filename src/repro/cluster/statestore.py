@@ -16,8 +16,8 @@ between iterations and answers in simulated seconds:
   structure is irrelevant to the charge (one 3x-replicated block write
   of the sum), which is exactly today's — and the paper's — semantics.
 * :class:`OnlineStateStore` — the Bigtable substitute: ``num_tablets``
-  tablets (each a :class:`~repro.cluster.kvstore.SimKVStore` priced by
-  one shared :class:`~repro.cluster.kvstore.OnlineStoreModel`) split the
+  tablets (each priced by one shared
+  :class:`~repro.cluster.costmodel.OnlineStoreModel`) split the
   state key space into contiguous key ranges.  Partitions own contiguous
   key ranges too, so each partition's bytes land on the tablets its
   range overlaps.  Tablets serve in parallel: a round costs the
@@ -28,6 +28,8 @@ Both backends accept a ``share`` on every charge — the slot/bandwidth
 fraction a multi-job scheduler granted the calling job — so sessions
 whose jobs contend on one store see per-job throughput shrink with
 their share (see :class:`~repro.cluster.accountant.RoundAccountant`).
+A store holds no state values: it prices byte counts and keeps the
+per-tablet ledgers those charges leave behind.
 
 :func:`resolve_state_store` turns a ``DriverConfig.state_store`` value
 — the default ``"dfs"``, a :class:`StateStore` instance or a factory —
@@ -40,8 +42,7 @@ import abc
 import bisect
 from typing import Sequence, TYPE_CHECKING
 
-from repro.cluster.costmodel import CostModel
-from repro.cluster.kvstore import OnlineStoreModel, SimKVStore
+from repro.cluster.costmodel import CostModel, OnlineStoreModel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import SimCluster
@@ -212,10 +213,6 @@ class OnlineStateStore(StateStore):
     boundaries:
         The live tablet map: ``num_tablets + 1`` ascending key-space
         cut points from 0.0 to 1.0.
-    tablets:
-        One :class:`~repro.cluster.kvstore.SimKVStore` per tablet; rows
-        can be stored/retrieved for real (engine-path state), and each
-        tablet's ``time_spent`` accumulates its served load.
     tablet_bytes:
         Cumulative bytes served per tablet (all jobs of a session) —
         the observable load-skew profile, and the trigger for
@@ -271,7 +268,6 @@ class OnlineStateStore(StateStore):
         self.max_tablets = int(max_tablets)
         self.model = model
         self.cost_model = cost_model
-        self._tablets: "list[SimKVStore] | None" = None
         self.tablet_bytes: "list[int]" = [0] * num_tablets
         self.last_round_tablet_seconds: "list[float]" = [0.0] * num_tablets
         self.versions: "dict[int, int]" = {}
@@ -311,13 +307,6 @@ class OnlineStateStore(StateStore):
 
             self.cost_model = EC2_DEFAULTS
         return self.cost_model
-
-    @property
-    def tablets(self) -> "list[SimKVStore]":
-        if self._tablets is None:
-            self._tablets = [SimKVStore(model=self._model())
-                             for _ in range(self.num_tablets)]
-        return self._tablets
 
     # -- sharding -------------------------------------------------------
     def _range_tablets(self, lo: float, hi: float) -> "tuple[int, int]":
@@ -379,7 +368,6 @@ class OnlineStateStore(StateStore):
         secs = [seconds_of(model, b, share) for b in tb]
         for t, (b, s) in enumerate(zip(tb, secs)):
             self.tablet_bytes[t] += int(b)
-            self.tablets[t].time_spent += s
             self.last_round_tablet_seconds[t] += s
         if read:
             self.bytes_read += int(sum(tb))
@@ -433,7 +421,7 @@ class OnlineStateStore(StateStore):
         """Split tablet ``t`` at its load-aware split key.
 
         The two children each inherit half the parent's cumulative
-        statistics (bytes, served seconds, stale reads), so the load
+        statistics (bytes, last-round seconds, stale reads), so the load
         profile and the split trigger stay meaningful across the split.
         """
         mid = self._split_point(t)
@@ -444,12 +432,6 @@ class OnlineStateStore(StateStore):
         self.last_round_tablet_seconds[t:t + 1] = [s / 2.0, s / 2.0]
         r = self.tablet_stale_reads[t]
         self.tablet_stale_reads[t:t + 1] = [r - r // 2, r // 2]
-        if self._tablets is not None:
-            child = SimKVStore(model=self._model())
-            parent = self._tablets[t]
-            child.time_spent = parent.time_spent / 2.0
-            parent.time_spent -= child.time_spent
-            self._tablets.insert(t + 1, child)
         self.tablet_map_version += 1
         self.split_events.append((self.tablet_map_version, t, mid, self.rounds))
 
@@ -473,7 +455,7 @@ class OnlineStateStore(StateStore):
     def _merge(self, t: int) -> None:
         """Tablet ``t`` absorbs its right neighbour: the boundary
         between them disappears and the survivor inherits the absorbed
-        tablet's cumulative statistics and rows."""
+        tablet's cumulative statistics."""
         removed = self.boundaries[t + 1]
         del self.boundaries[t + 1]
         self.tablet_bytes[t:t + 2] = [
@@ -483,13 +465,6 @@ class OnlineStateStore(StateStore):
             + self.last_round_tablet_seconds[t + 1]]
         self.tablet_stale_reads[t:t + 2] = [
             self.tablet_stale_reads[t] + self.tablet_stale_reads[t + 1]]
-        if self._tablets is not None:
-            absorbed = self._tablets.pop(t + 1)
-            survivor = self._tablets[t]
-            survivor.time_spent += absorbed.time_spent
-            # Key ranges are disjoint, so row moves cannot collide.
-            survivor._store.update(absorbed._store)
-            survivor._sizes.update(absorbed._sizes)
         self.tablet_map_version += 1
         self.merge_events.append(
             (self.tablet_map_version, t, removed, self.rounds))
@@ -577,7 +552,6 @@ class OnlineStateStore(StateStore):
                 continue
             s = model.write_seconds(b, share=share)
             self.tablet_bytes[t] += int(b)
-            self.tablets[t].time_spent += s
             secs = max(secs, s)
         self.bytes_written += int(nbytes)
         self.versions[partition] = max(version, self.versions.get(partition, 0))
@@ -609,7 +583,6 @@ class OnlineStateStore(StateStore):
                 continue
             s = model.read_seconds(b, share=share)
             self.tablet_bytes[t] += int(b)
-            self.tablets[t].time_spent += s
             secs = max(secs, s)
         self.bytes_read += int(sum(pb))
         if read_versions is not None:

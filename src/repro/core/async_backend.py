@@ -352,10 +352,8 @@ class AsyncBackend(BlockBackend):
                 self._startup_charged = True
             acct.charge_async_step(max(0.0, horizon - self._horizon),
                                    label=f"iter{it}:async")
-            if (not acct.state_store.durable and self.config.checkpoint_every
-                    and (it + 1) % self.config.checkpoint_every == 0):
-                acct.charge_state_checkpoint(pub_bytes,
-                                             label=f"iter{it}:checkpoint")
+            acct.charge_due_checkpoint(pub_bytes, iteration=it,
+                                       label=f"iter{it}:checkpoint")
         self._horizon = horizon
         self._prune()
 

@@ -40,6 +40,11 @@ __all__ = ["SimulatedTaskFailure", "FaultPlan", "StragglerPlan",
            "NodeDeath", "NodeFaultPlan"]
 
 
+def _draw(*key) -> float:
+    """Uniform in ``[0, 1)`` and decided by ``key`` alone: every plan's coin."""
+    return (stable_hash(key) % 10_000_000) / 10_000_000.0
+
+
 class SimulatedTaskFailure(RuntimeError):
     """Raised inside a task runner to simulate a machine/task failure."""
 
@@ -132,12 +137,11 @@ class FaultPlan:
             raise SimulatedTaskFailure(
                 f"scripted failure: {phase} task {task_index} attempt {attempt}"
             )
-        if self.probability > 0.0:
-            h = stable_hash((self.seed, phase, task_index, attempt))
-            if (h % 10_000_000) / 10_000_000.0 < self.probability:
-                raise SimulatedTaskFailure(
-                    f"random failure: {phase} task {task_index} attempt {attempt}"
-                )
+        if (self.probability > 0.0
+                and _draw(self.seed, phase, task_index, attempt) < self.probability):
+            raise SimulatedTaskFailure(
+                f"random failure: {phase} task {task_index} attempt {attempt}"
+            )
 
     @property
     def is_empty(self) -> bool:
@@ -211,8 +215,7 @@ class StragglerPlan:
         """Deterministic stall seconds for one task of one phase."""
         if self.stall_probability <= 0.0 or self.stall_seconds <= 0.0:
             return 0.0
-        h = stable_hash((self.seed, "stall", phase, task_index))
-        if (h % 10_000_000) / 10_000_000.0 < self.stall_probability:
+        if _draw(self.seed, "stall", phase, task_index) < self.stall_probability:
             return self.stall_seconds
         return 0.0
 
@@ -392,8 +395,7 @@ class NodeFaultPlan:
             for n in range(self.num_nodes):
                 if n in out:
                     continue
-                h = stable_hash((self.seed, "death", round, n))
-                if (h % 10_000_000) / 10_000_000.0 < self.probability:
+                if _draw(self.seed, "death", round, n) < self.probability:
                     out[n] = NodeDeath(n, round=round)
         return out
 

@@ -1,4 +1,5 @@
-"""Tests for SimCluster scheduling, trace, nodes, and DFS."""
+"""Tests for SimCluster scheduling, trace, nodes, DFS pricing, and byte
+sizing."""
 
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ from repro.cluster import (
     EC2_DEFAULTS,
     Event,
     SimCluster,
-    SimDFS,
     SimNode,
     Trace,
     ZERO_COST,
@@ -89,44 +89,34 @@ class TestTrace:
 
 
 class TestDFS:
-    def test_put_get_roundtrip(self):
-        dfs = SimDFS(EC2_DEFAULTS)
-        t_w = dfs.put("f", {"a": 1})
-        value, t_r = dfs.get("f")
-        assert value == {"a": 1}
+    """The DFS is priced, not stored: a round trip is one replicated
+    write plus one read of the caller's byte count (§VIII)."""
+
+    def test_put_get_roundtrip(self, cluster):
+        t_w = EC2_DEFAULTS.dfs_write_seconds(10**6)
+        t_r = EC2_DEFAULTS.dfs_read_seconds(10**6)
         assert t_w > 0 and t_r > 0
-        assert dfs.time_spent == pytest.approx(t_w + t_r)
+        t = cluster.charge_dfs_roundtrip(10**6, label="state")
+        assert t == pytest.approx(t_w + t_r)
+        (event,) = cluster.trace.events
+        assert event.label == "state"
+        assert event.duration == pytest.approx(t_w + t_r)
 
-    def test_get_missing(self):
-        dfs = SimDFS(EC2_DEFAULTS)
-        with pytest.raises(KeyError):
-            dfs.get("nope")
+    def test_explicit_nbytes(self, cluster):
+        """The charge prices the byte count as given, at the share of
+        the DFS bandwidth the job holds."""
+        full = cluster.charge_dfs_roundtrip(10**6)
+        half = cluster.charge_dfs_roundtrip(10**6, share=0.5)
+        assert half == pytest.approx(
+            EC2_DEFAULTS.dfs_write_seconds(10**6, share=0.5)
+            + EC2_DEFAULTS.dfs_read_seconds(10**6, share=0.5))
+        assert half > full
+        assert cluster.charge_dfs_roundtrip(10**7) > full
 
-    def test_delete_free(self):
-        dfs = SimDFS(EC2_DEFAULTS)
-        dfs.put("f", 1)
-        before = dfs.time_spent
-        dfs.delete("f")
-        assert dfs.time_spent == before
-        assert not dfs.exists("f")
-
-    def test_explicit_nbytes(self):
-        dfs = SimDFS(EC2_DEFAULTS)
-        dfs.put("f", "x", nbytes=10**6)
-        assert dfs.size_of("f") == 10**6
-
-    def test_keys_sorted(self):
-        dfs = SimDFS(ZERO_COST)
-        dfs.put("b", 1)
-        dfs.put("a", 2)
-        assert dfs.keys() == ["a", "b"]
-        assert len(dfs) == 2
-
-    def test_zero_cost_model_free_io(self):
-        dfs = SimDFS(ZERO_COST)
-        dfs.put("f", np.zeros(1000))
-        dfs.get("f")
-        assert dfs.time_spent == 0.0
+    def test_zero_cost_model_free_io(self, zero_cluster):
+        assert zero_cluster.charge_dfs_roundtrip(8000) == 0.0
+        assert zero_cluster.clock == 0.0
+        assert len(zero_cluster.trace) == 0
 
 
 class TestEstimateNbytes:

@@ -1,16 +1,14 @@
-"""Tests for the online state store (Bigtable substitute, §VIII)."""
+"""Tests for the online store's cost model (Bigtable substitute, §VIII)
+and the cluster's scalar state round-trip charge."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.cluster import (
     EC2_DEFAULTS,
     OnlineStoreModel,
     SimCluster,
-    SimDFS,
-    SimKVStore,
 )
 
 
@@ -34,49 +32,6 @@ class TestOnlineStoreModel:
             OnlineStoreModel(op_latency_seconds=-1)
         with pytest.raises(ValueError):
             OnlineStoreModel().read_seconds(-1)
-
-
-class TestSimKVStore:
-    def test_put_get_roundtrip(self):
-        store = SimKVStore()
-        t_w = store.put("state", {"x": 1})
-        value, t_r = store.get("state")
-        assert value == {"x": 1}
-        assert store.time_spent == pytest.approx(t_w + t_r)
-
-    def test_missing_row(self):
-        with pytest.raises(KeyError):
-            SimKVStore().get("nope")
-
-    def test_exists_and_len(self):
-        store = SimKVStore()
-        store.put("a", 1)
-        assert store.exists("a") and not store.exists("b")
-        assert len(store) == 1
-
-    def test_checkpoint_and_restore(self):
-        store = SimKVStore()
-        store.put("ranks", np.arange(5))
-        store.put("meta", "iteration-7")
-        dfs = SimDFS(EC2_DEFAULTS)
-        t = store.checkpoint(dfs)
-        assert t > 0
-        assert dfs.exists("ckpt/ranks")
-
-        fresh = SimKVStore()
-        fresh.restore(dfs)
-        value, _ = fresh.get("ranks")
-        assert np.array_equal(value, np.arange(5))
-        value, _ = fresh.get("meta")
-        assert value == "iteration-7"
-
-    def test_checkpoint_costs_dfs_time(self):
-        store = SimKVStore()
-        store.put("big", np.zeros(10**6))
-        dfs = SimDFS(EC2_DEFAULTS)
-        t = store.checkpoint(dfs)
-        # replicated write of 8 MB + touch must dominate the online put
-        assert t > store.time_spent
 
 
 class TestClusterIntegration:

@@ -397,6 +397,28 @@ class TestBackendShapeEquivalence:
         assert sum(vectors[-1]) < sum(vectors[0])
 
 
+class TestDueCheckpoint:
+    """One rule for every backend: a non-durable store checkpoints at
+    the end of each ``checkpoint_every``-round period, a durable one
+    never."""
+
+    def _due(self, store, checkpoint_every):
+        cl = SimCluster()
+        acct = RoundAccountant(cl, DriverConfig(
+            mode="eager", checkpoint_every=checkpoint_every),
+            state_store=store.bind(cl))
+        return [it for it in range(9)
+                if acct.charge_due_checkpoint((1 << 20,), iteration=it,
+                                              label=f"iter{it}:checkpoint")]
+
+    def test_online_store_checkpoints_each_period(self):
+        assert self._due(OnlineStateStore(1), 3) == [2, 5, 8]
+        assert self._due(OnlineStateStore(1), None) == []
+
+    def test_durable_store_never_checkpoints(self):
+        assert self._due(DFSStateStore(), 3) == []
+
+
 # ----------------------------------------------------------------------
 # Slot-share scaling (the ROADMAP shuffle/DFS gap)
 # ----------------------------------------------------------------------
@@ -565,7 +587,7 @@ class TestAutoSplit:
         assert len(store.boundaries) == store.num_tablets + 1
         assert len(store.tablet_bytes) == store.num_tablets
         assert len(store.tablet_stale_reads) == store.num_tablets
-        assert len(store.tablets) == store.num_tablets
+        assert len(store.last_round_tablet_seconds) == store.num_tablets
         for version, tablet, midpoint, rnd in store.split_events:
             assert 0.0 < midpoint < 1.0
 
@@ -695,26 +717,26 @@ class TestTabletMerge:
         assert len(store.tablet_bytes) == 2
         assert len(store.last_round_tablet_seconds) == 2
         assert len(store.tablet_stale_reads) == 2
-        assert len(store.tablets) == 2
         assert sum(store.tablet_stale_reads) == total_stale
         # cumulative bytes only grow (merge moved, round added)
         assert sum(store.tablet_bytes) > total_bytes
         assert sum(store.shard_bytes(skew)) == pytest.approx(sum(skew))
 
     def test_merge_absorbs_rows(self):
-        """The survivor inherits the absorbed tablet's rows: reads keep
-        working across the remap (key ranges are disjoint)."""
+        """The survivor inherits the absorbed tablets' row bytes and
+        stale reads: the ledgers keep their history across the remap
+        (key ranges are disjoint)."""
         store = OnlineStateStore(4, merge_threshold=10 ** 9)
-        store.tablets[1].put("row-a", {"x": 1}, nbytes=64)
-        store.tablets[3].put("row-b", {"y": 2}, nbytes=64)
-        spent = sum(t.time_spent for t in store.tablets)
-        store.round_trip([100.0] * 4)
+        store.publish(1, 64, version=2, num_partitions=4)
+        store.publish(3, 64, version=2, num_partitions=4)
+        store.consume((0, 64, 0, 64), read_versions=(0, 1, 0, 1))
+        assert store.tablet_bytes == [0, 128, 0, 128]
+        assert store.tablet_stale_reads == [0, 1, 0, 1]
         store.round_trip([100.0] * 4)
         assert store.num_tablets == 1
-        survivor = store.tablets[0]
-        assert survivor.get("row-a")[0] == {"x": 1}
-        assert survivor.get("row-b")[0] == {"y": 2}
-        assert survivor.time_spent > spent  # charges carried over
+        assert store.tablet_stale_reads == [2]
+        # 256 carried over, plus this round's write and read-back
+        assert store.tablet_bytes == [256 + 2 * 400]
 
     def test_merge_surfaces_through_accountant(self):
         cluster = SimCluster()

@@ -1,56 +1,48 @@
-"""Worker lifecycle and correlated mid-phase deaths in the simulator.
+"""The simulator's dead-node set and correlated mid-phase deaths.
 
-Covers the Skywriting-style :class:`WorkerPool` bookkeeping (register /
-heartbeat / mark-dead / reassign) and the scheduler semantics it
-enables: a scripted death truncates in-flight tasks at the death clock,
-invalidates the doomed node's completed map outputs, and re-queues the
-lost work on the survivors no earlier than detection
-(``death_clock + heartbeat_seconds``).
+Covers :class:`WorkerPool` (a scripted death fires once per (round,
+node), the scheduler skips dead slots until the next round restores the
+fleet) and the scheduler semantics it enables: a scripted death
+truncates in-flight tasks at the death clock, invalidates the doomed
+node's completed map outputs, and re-queues the lost work on the
+survivors no earlier than detection (``death_clock + heartbeat_seconds``).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cluster import SimCluster
-from repro.cluster.workerpool import WorkerInfo, WorkerPool
-from repro.engine import NodeDeath, NodeFaultPlan
+from repro.cluster import SimCluster, ec2_nodes
+from repro.cluster.workerpool import WorkerPool
+from repro.engine import NodeDeath, NodeFaultPlan, StragglerPlan
 
 
 class TestWorkerPoolLifecycle:
     def test_registration_and_heartbeats(self):
-        pool = WorkerPool(range(4))
-        assert pool.alive_nodes == {0, 1, 2, 3}
-        pool.heartbeat(2, 5.0)
-        assert pool.workers[2].last_heartbeat == 5.0
-        assert all(w.incarnation == 1 for w in pool.workers.values())
+        """The pool registers every cluster node alive, by id or by
+        machine, and takes its heartbeat interval from the plan."""
+        assert WorkerPool(range(4)).alive_nodes == {0, 1, 2, 3}
+        assert WorkerPool(ec2_nodes(3)).alive_nodes == {0, 1, 2}
+        assert WorkerPool(range(4)).heartbeat_seconds == 0.0
+        plan = NodeFaultPlan(num_nodes=4, heartbeat_seconds=2.0)
+        assert WorkerPool(range(4), plan).heartbeat_seconds == 2.0
 
     def test_mark_dead_and_zombie_heartbeat(self):
-        pool = WorkerPool(range(4))
-        pool.mark_dead(1, 7.0)
-        assert not pool.is_alive(1)
-        assert pool.workers[1].died_at == 7.0
-        # a partitioned worker's late beat must not resurrect it
-        pool.heartbeat(1, 8.0)
-        assert not pool.is_alive(1)
+        """A fired node stays dead for the rest of the round: a late
+        second fire neither revives it nor re-arms it."""
+        pool = WorkerPool(range(4), NodeFaultPlan(num_nodes=4))
+        pool.fire(1, 7.0)
         assert pool.alive_nodes == {0, 2, 3}
+        pool.fire(1, 8.0)
+        assert pool.alive_nodes == {0, 2, 3}
+        assert pool.pending_deaths() == {}
 
     def test_expiry_sweep(self):
+        """A death is noticed one heartbeat interval after it happens;
+        without a plan it is noticed at once."""
         plan = NodeFaultPlan(num_nodes=4, heartbeat_seconds=2.0)
-        pool = WorkerPool(range(4), plan)
-        pool.heartbeat(0, 10.0)
-        pool.heartbeat(1, 10.0)
-        # nodes 2 and 3 have been silent since registration at clock 0
-        assert pool.expired(11.0) == [2, 3]
-        assert WorkerInfo(0, last_heartbeat=3.0).expired(10.0, 2.0)
-
-    def test_begin_round_replaces_dead_workers(self):
-        pool = WorkerPool(range(4))
-        pool.mark_dead(3, 6.0)
-        pool.begin_round(1, 9.0)
-        assert pool.is_alive(3)
-        assert pool.workers[3].incarnation == 2
-        assert pool.workers[3].registered_at == 9.0
+        assert WorkerPool(range(4), plan).detection_clock(10.0) == 12.0
+        assert WorkerPool(range(4)).detection_clock(10.0) == 10.0
 
     def test_deaths_armed_per_round_and_fire_once(self):
         plan = NodeFaultPlan.kill_node(2, round=1, at_seconds=4.0,
@@ -61,14 +53,64 @@ class TestWorkerPoolLifecycle:
         assert pool.pending_deaths() == {2: 14.0}   # armed absolute clock
         assert pool.detection_clock(14.0) == 14.0 + plan.heartbeat_seconds
         pool.fire(2, 14.0)
-        assert not pool.is_alive(2)
-        assert (1, 2) in pool.fired
+        assert pool.alive_nodes == {0, 1, 3}
+        # the next round of the plan has no death for node 2
+        pool.begin_round(2, 30.0)
         assert pool.pending_deaths() == {}
-        # a rollback replay of round 1 must not re-arm the fired death
+
+    def test_pending_deaths_drops_a_fired_node(self):
+        plan = NodeFaultPlan.kill_rack(0, at_seconds=1.0, num_nodes=4,
+                                       nodes_per_rack=2)
+        pool = WorkerPool(range(4), plan)
+        assert pool.pending_deaths() == {0: 1.0, 1: 1.0}
+        pool.fire(0, 1.0)
+        assert pool.pending_deaths() == {1: 1.0}
+
+    def test_begin_round_replaces_dead_workers(self):
+        pool = WorkerPool(range(4), NodeFaultPlan(num_nodes=4))
+        pool.fire(3, 6.0)
+        pool.fire(1, 6.0)
+        assert pool.alive_nodes == {0, 2}
+        pool.begin_round(1, 9.0)
+        assert pool.alive_nodes == {0, 1, 2, 3}
+
+    def test_rollback_replay_does_not_rekill(self):
+        plan = NodeFaultPlan.kill_node(2, round=1, at_seconds=4.0,
+                                       num_nodes=4)
+        pool = WorkerPool(range(4), plan)
+        pool.begin_round(1, 10.0)
+        pool.fire(2, 14.0)
+        # a rollback replay of round 1 must not re-arm the fired death,
+        # but it runs on a full fleet
         pool.begin_round(1, 20.0)
         assert pool.pending_deaths() == {}
-        # but the worker was replaced for the (re-begun) round
-        assert pool.is_alive(2)
+        assert pool.alive_nodes == {0, 1, 2, 3}
+
+
+class TestPlansMatchTheCluster:
+    def test_fault_plan_naming_a_missing_node_is_an_error(self):
+        with pytest.raises(ValueError, match="node_faults"):
+            SimCluster(ec2_nodes(4),
+                       node_faults=NodeFaultPlan.kill_node(6, at_seconds=0.5))
+
+    def test_fault_plan_smaller_than_the_cluster_is_an_error(self):
+        with pytest.raises(ValueError, match="node_faults"):
+            SimCluster(node_faults=NodeFaultPlan.kill_node(1, num_nodes=4))
+
+    def test_stragglers_slowing_a_missing_node_is_an_error(self):
+        with pytest.raises(ValueError, match="stragglers"):
+            SimCluster(ec2_nodes(4),
+                       stragglers=StragglerPlan.slow_nodes({9: 4.0}))
+
+    def test_default_eight_node_pairs_construct(self):
+        cl = SimCluster(node_faults=NodeFaultPlan.kill_node(6),
+                        stragglers=StragglerPlan.slow_nodes({7: 4.0}))
+        assert cl.worker_pool.alive_nodes == set(range(8))
+        SimCluster(node_faults=NodeFaultPlan.none(),
+                   stragglers=StragglerPlan.none())
+        SimCluster(ec2_nodes(4),
+                   node_faults=NodeFaultPlan.kill_node(3, num_nodes=4),
+                   stragglers=StragglerPlan.slow_nodes({3: 2.0}))
 
 
 def _plan_node(at=1.5, hb=3.0):
@@ -89,7 +131,7 @@ class TestSimClusterDeaths:
         labels = [e.label for e in cl.trace.events]
         assert any(lab.endswith(":killed") for lab in labels)
         assert any(lab.endswith(":replay") for lab in labels)
-        assert not cl.worker_pool.is_alive(1)
+        assert 1 not in cl.worker_pool.alive_nodes
 
     def test_detection_latency_prices_recovery(self):
         """A longer heartbeat interval delays the re-queued work and

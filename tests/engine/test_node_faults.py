@@ -13,14 +13,18 @@ import pytest
 
 from repro.cluster import RoundAccountant, SimCluster
 from repro.engine import (
+    FaultPlan,
     Job,
     JobConf,
     MapReduceRuntime,
     NodeDeath,
     NodeFaultPlan,
     ShuffleBuffer,
+    SimulatedTaskFailure,
+    StragglerPlan,
 )
 from repro.engine.counters import LOST_MAP_OUTPUTS, MAP_OPS, NODE_DEATHS
+from repro.engine.partitioner import stable_hash
 
 
 def _word_map(key, value, ctx):
@@ -103,6 +107,48 @@ class TestNodeFaultPlanModel:
     def test_death_triggers_must_be_non_negative(self, kwargs):
         with pytest.raises(ValueError, match="must be >= 0"):
             NodeDeath(node=0, **kwargs)
+
+
+def _coin(*key):
+    """The keyed draw every fault plan decides by, written out."""
+    return (stable_hash(key) % 10_000_000) / 10_000_000.0
+
+
+class TestKeyedDraw:
+    """Task failures, transient stalls and random node deaths all flip
+    the same keyed coin; each plan's outcome is pinned to it so no plan
+    can drift from the others (or from earlier runs' draws)."""
+
+    def test_task_failure_draw(self):
+        plan = FaultPlan(probability=0.3, seed=5)
+        outcomes = set()
+        for phase in ("map", "reduce"):
+            for task in range(20):
+                for attempt in range(3):
+                    try:
+                        plan.maybe_fail(phase, task, attempt)
+                        failed = False
+                    except SimulatedTaskFailure:
+                        failed = True
+                    assert failed == (_coin(5, phase, task, attempt) < 0.3)
+                    outcomes.add(failed)
+        assert outcomes == {False, True}
+
+    def test_transient_stall_draw(self):
+        plan = StragglerPlan(stall_probability=0.3, stall_seconds=2.0, seed=5)
+        stalls = [plan.transient_stall(phase, task)
+                  for phase in ("map", "reduce") for task in range(40)]
+        assert stalls == [
+            2.0 if _coin(5, "stall", phase, task) < 0.3 else 0.0
+            for phase in ("map", "reduce") for task in range(40)]
+        assert 0.0 in stalls and 2.0 in stalls
+
+    def test_random_node_death_draw(self):
+        plan = NodeFaultPlan.random(0.3, seed=5)
+        for r in range(10):
+            assert sorted(plan.deaths_in_round(r)) == [
+                n for n in range(plan.num_nodes)
+                if _coin(5, "death", r, n) < 0.3]
 
 
 class TestEngineNodeDeaths:

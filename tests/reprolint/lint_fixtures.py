@@ -352,7 +352,7 @@ def make_lookup_map(weights):
 
 # ---------------------------------------------------------------------
 # RPR071 — cluster/store handles cached across attempts (stale after
-# a node death revives the worker under a new incarnation)
+# a node death replaces the machine at the next round)
 # ---------------------------------------------------------------------
 
 _CLUSTER = None

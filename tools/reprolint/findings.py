@@ -223,7 +223,7 @@ RULES: "dict[str, Rule]" = _catalog(
         severity=Severity.WARNING,
         hint="a cluster/runtime/store handle cached in a module global "
              "(or closure) outlives failure recovery: after a node death "
-             "the worker is revived under a new incarnation and tablets "
+             "the machine is replaced at the next round and tablets "
              "remap, but the cached handle still points at pre-failure "
              "state; construct handles per attempt or take them from "
              "the framework each call",

@@ -594,7 +594,7 @@ def _check_reexecution_safety(info: FunctionLint) -> "Iterator[tuple[str, str, a
 #: Constructors whose result is a live execution-substrate handle.
 _HANDLE_FACTORIES = frozenset({
     "SimCluster", "MapReduceRuntime", "Session", "WorkerPool",
-    "OnlineStateStore", "DFSStateStore", "SimKVStore", "SimDFS",
+    "OnlineStateStore", "DFSStateStore",
 })
 
 #: Name fragments that mark an identifier as handle-like.  Deliberately
@@ -633,7 +633,7 @@ def _check_handle_caching(info: FunctionLint) -> "Iterator[tuple[str, str, ast.A
     """Cluster/store handles cached across task attempts.
 
     Failure recovery makes a cached handle silently wrong: a node death
-    revives the worker under a new incarnation, tablet maps remap on
+    replaces the machine at the next round, tablet maps remap on
     splits/merges, and the process executor gives every worker its own
     divergent copy.  Two shapes are flagged: *storing* a handle where
     it outlives the attempt (assignment through a ``global``/
@@ -683,8 +683,8 @@ def _check_handle_caching(info: FunctionLint) -> "Iterator[tuple[str, str, ast.A
             if _free(root) and _handleish_name(root):
                 yield ("RPR071",
                        f"call through cached handle {root}: after a node "
-                       f"death the revived worker (new incarnation) no "
-                       f"longer matches this handle's state",
+                       f"death the replacement worker no longer matches "
+                       f"this handle's state",
                        node)
 
 
