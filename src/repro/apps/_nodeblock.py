@@ -4,10 +4,11 @@
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 from scipy.sparse import csr_array
+from scipy.sparse._sparsetools import csr_matvec
 
 from repro.core import BlockSpec, LocalSolveReport, run_local_block
 from repro.core.localmr import agg_identity
@@ -20,8 +21,8 @@ RECORD_BYTES = 16
 
 def sum_fold_matrices(blocks: "list[EdgeBlock]", *,
                       into_target: bool) -> list:
-    """One ``csr_array`` per part whose mat-vec is a sum app's
-    ``local_fold``: ``M @ x`` equals, to the bit, ``np.add.at(acc,
+    """One ``csr_array`` per part whose mat-vec is a sum app's local
+    fold: ``M @ x`` equals, to the bit, ``np.add.at(acc,
     rows, int_w * x[gathered])`` from ``acc = 0`` over the part's
     internal edges, with ``rows, gathered = int_dst, int_src`` when
     ``into_target`` (PageRank pushes along an edge) and ``int_src,
@@ -54,19 +55,42 @@ def sum_fold_matrices(blocks: "list[EdgeBlock]", *,
     return mats
 
 
+def csr_fold(mat: csr_array) -> "Callable[[np.ndarray], np.ndarray]":
+    """``x -> mat @ x`` as a sum app's step calls it, once per local
+    iteration: a fresh ``acc = np.zeros(n)`` and SciPy's CSR kernel,
+    ``_sparsetools.csr_matvec``, called directly.  That is the very call
+    ``csr_array.__matmul__`` ends in for a float64 vector, so the result
+    is the same to the bit; what it skips is the operator's dispatch,
+    which costs more than the arithmetic on a part of a few hundred rows.
+    The kernel reads ``x`` where ``indices`` point and checks nothing,
+    so the fold checks the length ``mat @ x`` would (the matrix was
+    validated when it was built) and never writes ``x``."""
+    indptr, indices, data = mat.indptr, mat.indices, mat.data
+    n_rows, n_cols = mat.shape
+
+    def fold(x: np.ndarray) -> np.ndarray:
+        if len(x) != n_cols:
+            raise ValueError(f"fold of a {n_cols}-row part got {len(x)} rows")
+        acc = np.zeros(n_rows)
+        csr_matvec(n_rows, n_cols, indptr, indices, data, x, acc)
+        return acc
+
+    return fold
+
+
 class NodeBlockSpec(BlockSpec):
     """PageRank, SSSP, components and Jacobi: part ``p`` owns the node
-    slice ``_blocks[p].nodes`` of a flat state vector, and its local step
-    is ``run_local_block`` over the spec's three hooks, ``local_fold``,
-    ``lreduce_block`` and ``local_converged_block``
-    (``docs/local_loop.md``).  This class is everything around them: the
-    columns cut from the state, the simulator's price and the global
-    combine.  ``local_agg`` decides what differs: a ``"sum"`` app
-    rewrites its whole slice each round, a ``"min"`` app lowers entries.
+    slice ``_blocks[p].nodes`` of a flat state vector, and its local
+    solve is ``run_local_block`` over the spec's one hook,
+    :meth:`local_step` (``docs/local_loop.md``).  This class is
+    everything around it: the columns cut from the state, the
+    simulator's price and the global combine.  ``local_agg`` decides
+    what differs: a ``"sum"`` app rewrites its whole slice each round, a
+    ``"min"`` app lowers entries.
 
     A subclass sets ``partition``, ``_blocks`` (one ``EdgeBlock`` per
     part) and ``local_agg``, and writes ``init_state``,
-    :meth:`frozen_columns`, the hooks and ``global_converged``.
+    :meth:`frozen_columns`, :meth:`local_step` and ``global_converged``.
     """
 
     #: Each partition owns a disjoint node slice of the state vector.
@@ -81,28 +105,30 @@ class NodeBlockSpec(BlockSpec):
         the part this round (row ``i`` for node ``b.nodes[i]``)."""
         raise NotImplementedError
 
-    # -- the local step's hooks (contract in docs/local_loop.md) --------
-    def local_fold(self, part_id: int, cols: tuple) -> "tuple[Any, int]":
-        """``lmap`` over the whole partition, the local shuffle and
-        ``lreduce``'s fold, as ``(acc, records)``: ``acc[i]`` is row
-        ``i``'s contribution records folded by ``local_agg`` one by one
-        in per-record emission order (row-major by source row), from the
-        aggregator's identity where none arrived — bitwise the
-        per-record fold; ``records`` is how many contribution records
-        ``lmap`` emitted (the carried ``rec`` is implied).  A sum is a
-        sequential CSR mat-vec, a min a gather plus
-        :func:`repro.core.localmr.scatter_fold`."""
-        raise NotImplementedError
+    def local_step(self, part_id: int, cols: tuple
+                   ) -> "Callable[[np.ndarray], tuple[np.ndarray, int, bool]]":
+        """One local iteration over every row of part ``part_id``, built
+        once per solve from its columns ``cols`` (``cols[0]`` the value
+        column the solve starts from, the rest frozen for the solve).
 
-    def lreduce_block(self, part_id: int, cols: tuple, acc: Any) -> tuple:
-        """``lreduce``'s epilogue for every row at once, over
-        :meth:`local_fold`'s ``acc``; returns the new ``cols``.  ``acc``
-        is this iteration's own array and may become a new column; the
-        input columns must not be written."""
-        raise NotImplementedError
+        ``step(x) -> (x_new, records, converged)`` is ``lmap`` over the
+        whole partition, the local shuffle, ``lreduce`` and the local
+        termination test: ``x_new[i]`` is row ``i``'s contribution
+        records folded by ``local_agg`` one by one in per-record emission
+        order (row-major by source row), from the aggregator's identity
+        where none arrived, then ``lreduce``'s epilogue — bitwise the
+        per-record loop; ``records`` is how many contribution records
+        ``lmap`` emitted (the carried ``rec`` is implied; SSSP's count
+        changes as its frontier grows); ``converged`` compares ``x_new``
+        with ``x``.  A sum is :func:`csr_fold`, a min a gather plus
+        :func:`repro.core.localmr.scatter_fold`.
 
-    def local_converged_block(self, prev_cols: tuple, cols: tuple) -> bool:
-        """The local termination test on the column arrays."""
+        What is constant for the solve — the part's edge arrays, the
+        frozen columns' share of the update, a scratch buffer — is
+        hoisted into the step.  The step never writes ``x``, the
+        caller's column (``local_solve`` compares the result with it),
+        and is never stored on the spec, which is pickled to pool
+        workers."""
         raise NotImplementedError
 
     def shuffle_records(self, b: EdgeBlock, max_local_iters: int) -> int:
@@ -116,6 +142,8 @@ class NodeBlockSpec(BlockSpec):
 
     def local_solve(self, part_id: int, state: np.ndarray, *,
                     max_local_iters: int) -> LocalSolveReport:
+        if max_local_iters < 1:
+            raise ValueError("max_local_iters must be >= 1")
         b = self._blocks[part_id]
         nodes = b.nodes
         if len(nodes) == 0:

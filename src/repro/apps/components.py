@@ -7,8 +7,9 @@ trees, transitive closure, and connected components", §VI).  This module
 is that extension: min-label propagation over the *undirected* view of
 the graph, with the same General (one hop per global iteration) vs Eager
 (local propagation to a fixed point per partition) pairing as SSSP.
-Its local step is ``run_local_block`` over the spec's hooks (a gather
-and ``np.minimum.at`` per iteration), on int64 labels that stay int64
+Its local solve is ``run_local_block`` over the spec's ``local_step``
+(a gather and ``np.minimum.at`` per iteration, the part's edge arrays
+and floor bound once per solve), on int64 labels that stay int64
 (``local_solve`` is the base class's).
 """
 
@@ -73,17 +74,18 @@ class ComponentsBlockSpec(NodeBlockSpec):
         np.minimum.at(floor, b.in_dst, state[b.in_src])
         return (floor,)
 
-    def local_fold(self, part_id: int, cols):
+    def local_step(self, part_id: int, cols):
         b = self._blocks[part_id]
-        return scatter_fold(self.local_agg, cols[0], b.int_dst, cols[0][b.int_src])
+        src, dst, floor = b.int_src, b.int_dst, cols[1]
+        fold = scatter_fold("min", cols[0])
 
-    def lreduce_block(self, part_id: int, cols, acc: np.ndarray):
-        np.minimum(cols[0], acc, out=acc)
-        np.minimum(acc, cols[1], out=acc)
-        return acc, cols[1]
+        def step(x):
+            acc, records = fold(dst, x[src])
+            np.minimum(x, acc, out=acc)
+            np.minimum(acc, floor, out=acc)
+            return acc, records, bool((acc == x).all())
 
-    def local_converged_block(self, prev_cols, cols) -> bool:
-        return bool((cols[0] == prev_cols[0]).all())
+        return step
 
     def global_converged(self, prev, curr):
         residual = float(np.abs(curr - prev).max()) if len(prev) else 0.0

@@ -14,8 +14,9 @@ frozen remote values (block-Jacobi / asynchronous iteration — the
 chaotic-relaxation literature the paper cites [1, 9] guarantees
 convergence for contraction mappings regardless of the update
 schedule).  The local sweep is ``run_local_block`` over the spec's
-hooks, one CSR mat-vec per sweep; ``local_solve`` is the
-node-partitioned base class's.
+``local_step``, one CSR mat-vec per sweep through the kernel SciPy's
+``@`` calls (``csr_fold``), built once per partition solve;
+``local_solve`` is the node-partitioned base class's.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps._nodeblock import NodeBlockSpec, sum_fold_matrices
+from repro.apps._nodeblock import NodeBlockSpec, csr_fold, sum_fold_matrices
 from repro.cluster import SimCluster
 from repro.core import (
     DriverConfig,
@@ -144,7 +145,8 @@ class JacobiBlockSpec(NodeBlockSpec):
     The block-level local step works on three columns, ``(x, b_eff,
     diag)``: ``b_eff = b - R_ext x_ext`` is the right-hand side with the
     remote unknowns frozen, and each local iteration is one Jacobi sweep
-    over the part's internal entries, ``x = (b_eff - R_int x) / diag``.
+    over the part's internal entries, ``x = (b_eff - R_int x) / diag``;
+    ``b_eff`` and ``diag`` are the same arrays for the whole solve.
     """
 
     local_agg = "sum"
@@ -186,16 +188,23 @@ class JacobiBlockSpec(NodeBlockSpec):
         # included (no per-internal-entry records).
         return len(blk.nodes) + len(blk.cut_src)
 
-    def local_fold(self, part_id: int, cols):
+    def local_step(self, part_id: int, cols):
         # Row r's terms of R_int x, one record per internal entry.
-        return self._fold[part_id] @ cols[0], len(self._blocks[part_id].int_src)
-
-    def lreduce_block(self, part_id: int, cols, acc: np.ndarray):
+        fold = csr_fold(self._fold[part_id])
+        records = len(self._blocks[part_id].int_src)
         _, b_eff, diag = cols
-        return (b_eff - acc) / diag, b_eff, diag
+        tol = self.tol
+        delta = np.empty(len(b_eff))
 
-    def local_converged_block(self, prev_cols, cols) -> bool:
-        return bool(np.abs(cols[0] - prev_cols[0]).max(initial=0.0) < self.tol)
+        def step(x):
+            acc = fold(x)
+            np.subtract(b_eff, acc, out=acc)
+            acc /= diag  # (b_eff - R_int x) / diag
+            np.subtract(acc, x, out=delta)
+            np.abs(delta, out=delta)
+            return acc, records, bool(np.maximum.reduce(delta, initial=0.0) < tol)
+
+        return step
 
     def global_converged(self, prev, curr):
         residual = float(np.abs(curr - prev).max()) if len(prev) else 0.0

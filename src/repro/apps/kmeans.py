@@ -186,6 +186,8 @@ class KMeansBlockSpec(BlockSpec):
 
     def local_solve(self, part_id: int, state: np.ndarray, *,
                     max_local_iters: int) -> LocalSolveReport:
+        if max_local_iters < 1:
+            raise ValueError("max_local_iters must be >= 1")
         idx = self._parts[part_id]
         pts = self.points[idx]
         centroids = np.asarray(state, dtype=np.float64).copy()

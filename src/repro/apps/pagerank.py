@@ -30,7 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps._nodeblock import NodeBlockSpec, NodeRowState, sum_fold_matrices
+from repro.apps._nodeblock import (
+    NodeBlockSpec,
+    NodeRowState,
+    csr_fold,
+    sum_fold_matrices,
+)
 from repro.cluster import SimCluster
 from repro.core import (
     AdaptiveSyncPolicy,
@@ -71,7 +76,8 @@ class PageRankBlockSpec(NodeBlockSpec):
     the frozen sum of remote contributions over the incoming cut edges,
     and each local iteration is one damped Jacobi sweep over the
     partition's internal edges, ``rank = ((1-d) + d*ext) + d*contrib``,
-    where ``contrib`` is one CSR mat-vec per part.  In general mode
+    where ``contrib`` is one CSR mat-vec per part and ``(1-d) + d*ext``
+    is computed once per solve.  In general mode
     (``max_local_iters == 1``) a single sweep makes the whole scheme the
     classic synchronous power iteration.
     """
@@ -115,17 +121,22 @@ class PageRankBlockSpec(NodeBlockSpec):
         np.add.at(ext, b.in_dst, push)
         return (ext,)
 
-    def local_fold(self, part_id: int, cols):
-        return self._fold[part_id] @ cols[0], len(self._blocks[part_id].int_src)
+    def local_step(self, part_id: int, cols):
+        fold = csr_fold(self._fold[part_id])
+        records = len(self._blocks[part_id].int_src)
+        d, tol = self.damping, self.tol
+        base = (1.0 - d) + d * cols[1]
+        delta = np.empty(len(base))
 
-    def lreduce_block(self, part_id: int, cols, acc: np.ndarray):
-        d, ext = self.damping, cols[1]
-        acc *= d
-        acc += (1.0 - d) + d * ext  # ((1-d) + d*ext) + d*acc: + commutes
-        return acc, ext
+        def step(x):
+            acc = fold(x)
+            acc *= d
+            acc += base  # ((1-d) + d*ext) + d*acc: + commutes
+            np.subtract(acc, x, out=delta)
+            np.abs(delta, out=delta)
+            return acc, records, bool(np.maximum.reduce(delta, initial=0.0) < tol)
 
-    def local_converged_block(self, prev_cols, cols) -> bool:
-        return bool(np.abs(cols[0] - prev_cols[0]).max(initial=0.0) < self.tol)
+        return step
 
     def global_converged(self, prev, curr):
         residual = float(np.abs(curr - prev).max()) if len(prev) else 0.0

@@ -102,26 +102,27 @@ class SsspBlockSpec(NodeBlockSpec):
         np.minimum.at(ext, b.in_dst, cand)
         return (ext,)
 
-    def local_fold(self, part_id: int, cols):
+    def local_step(self, part_id: int, cols):
         b = self._blocks[part_id]
-        # Gather, then add in place: one edge-sized temporary per
-        # relaxation, not two.
-        cand = cols[0][b.int_src]
-        live = np.isfinite(cand)  # an unreached source emits nothing
-        cand += b.int_w
-        rows = b.int_dst
-        if not live.all():
-            rows, cand = rows[live], cand[live]
-        return scatter_fold(self.local_agg, cols[0], rows, cand)
+        src, dst, w, ext = b.int_src, b.int_dst, b.int_w, cols[1]
+        fold = scatter_fold("min", cols[0])
 
-    def lreduce_block(self, part_id: int, cols, acc: np.ndarray):
-        np.minimum(cols[0], acc, out=acc)
-        np.minimum(acc, cols[1], out=acc)
-        return acc, cols[1]
+        def step(x):
+            # Gather, then add in place: one edge-sized temporary per
+            # relaxation, not two.
+            cand = x[src]
+            live = np.isfinite(cand)  # an unreached source emits nothing
+            cand += w
+            rows = dst
+            if not live.all():
+                rows, cand = rows[live], cand[live]
+            acc, records = fold(rows, cand)
+            np.minimum(x, acc, out=acc)
+            np.minimum(acc, ext, out=acc)
+            # inf == inf: unreached rows compare equal (no distance is -inf)
+            return acc, records, bool((acc == x).all())
 
-    def local_converged_block(self, prev_cols, cols) -> bool:
-        # inf == inf: unreached rows compare equal (no distance is -inf)
-        return bool((cols[0] == prev_cols[0]).all())
+        return step
 
     def global_converged(self, prev, curr):
         both_inf = np.isinf(prev) & np.isinf(curr)

@@ -8,11 +8,11 @@ with one local loop between them:
   per-iteration operation counts and shuffle bytes for the simulated
   cluster to price.  The four node-partitioned apps (PageRank, SSSP,
   components, Jacobi) share one ``local_solve``,
-  :func:`repro.core.localmr.run_local_block` over each app's hooks on
-  columns cut from the flat state — the paper notes that "local map and
-  local reduce operations can use a thread pool to extract further
-  parallelism" (§IV); on a NumPy substrate that lever is vectorising the
-  local iteration.  Only k-means keeps a loop of its own.
+  :func:`repro.core.localmr.run_local_block` over each app's
+  ``local_step`` on columns cut from the flat state — the paper notes
+  that "local map and local reduce operations can use a thread pool to
+  extract further parallelism" (§IV); on a NumPy substrate that lever
+  is vectorising the local iteration.  Only k-means keeps a loop of its own.
 
 * :class:`AsyncMapReduceSpec` — the faithful record-at-a-time API with
   the paper's four user functions (``lmap``, ``lreduce``, ``greduce``
@@ -108,7 +108,7 @@ class AsyncMapReduceSpec(abc.ABC):
     Independently of the shuffle path, a spec may declare a
     **block-level local step** (:attr:`local_agg`); the gmap then runs
     the local loop on arrays — :func:`repro.core.localmr.run_local_block`
-    over hooks a node-partitioned app writes once, on
+    over the ``local_step`` a node-partitioned app writes once, on
     ``repro.apps._nodeblock``'s ``NodeBlockSpec`` and ``NodeRowState``
     (contract in ``docs/local_loop.md``).
     """

@@ -26,8 +26,9 @@ per-record loop: same tables, same iteration counts, same
 ``per_iter_ops``.  It is the one array loop: the engine's gmap runs it
 on the columns ``spec.local_columns`` cuts from the gmap input, and the
 simulator's ``local_solve`` of every node-partitioned app (PageRank,
-SSSP, components, Jacobi) on columns cut from the flat state; the hooks
-it calls are documented on ``repro.apps._nodeblock.NodeBlockSpec``.
+SSSP, components, Jacobi) on columns cut from the flat state; the one
+hook it calls, ``local_step``, is documented on
+``repro.apps._nodeblock.NodeBlockSpec``.
 :class:`per_record` is the view that reaches the oracle for such a
 spec, and the one place its hashtable records are still built;
 ``docs/local_loop.md`` states the contract.
@@ -36,7 +37,7 @@ spec, and the one place its hashtable records are still built;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -146,51 +147,58 @@ def run_local_block(
     max_local_iters: int,
 ) -> LocalRunResult:
     """:func:`run_local_mapreduce` on arrays, for a spec declaring
-    ``local_agg``: ``cols`` are the partition's mutable columns (one
-    ``(n,)`` array each, row ``i`` = the partition's ``i``-th key),
-    ``result.table`` the final ones.
+    ``local_agg``: ``cols`` are the partition's columns (one ``(n,)``
+    array each, row ``i`` = the partition's ``i``-th key), ``cols[0]``
+    the one the loop rewrites and the rest frozen for the whole solve;
+    ``result.table`` is ``(x, *cols[1:])``, the frozen columns the same
+    objects that came in.
 
-    One iteration is ``local_fold`` → ``lreduce_block``.  The fold is
-    lmap plus the local shuffle plus ``lreduce``'s fold in one call:
-    ``acc[i]`` is row ``i``'s contribution records folded by
-    ``local_agg``, *bitwise* the per-record fold (``contrib = 0.0;
-    contrib += payload`` in emission order).  The sum apps do it as one
-    sequential CSR mat-vec, the min apps as a gather and
-    :func:`scatter_fold`; ``docs/local_loop.md`` says why both are
+    ``step = spec.local_step(part_id, cols)`` is built once per solve;
+    one iteration is ``x, records, converged = step(x)``: lmap, the
+    local shuffle, ``lreduce`` and the local termination test over every
+    row at once.  The fold inside it is *bitwise* the per-record fold
+    (``contrib = 0.0; contrib += payload`` in emission order): the sum
+    apps do it as one sequential CSR mat-vec, the min apps as a gather
+    and :func:`scatter_fold`; ``docs/local_loop.md`` says why both are
     bitwise and ``reduceat`` is not.
 
     ``per_iter_ops`` is what the per-record loop counts: a table scan
     (``n``), lmap's emissions (``n`` carried ``rec`` records plus the
-    fold's ``records``) and one ``EmitLocal`` per entry (``n``).
+    step's ``records``) and one ``EmitLocal`` per entry (``n``).
     """
     if max_local_iters < 1:
         raise ValueError("max_local_iters must be >= 1")
-    n = len(cols[0])
+    step = spec.local_step(part_id, cols)
+    x = cols[0]
+    n = len(x)
     per_iter_ops: list[float] = []
     converged = False
-    iters = 0
-    while iters < max_local_iters and not converged:
-        acc, records = spec.local_fold(part_id, cols)
-        new_cols = spec.lreduce_block(part_id, cols, acc)
+    while len(per_iter_ops) < max_local_iters and not converged:
+        x, records, converged = step(x)
         per_iter_ops.append(float(3 * n + records))
-        iters += 1
-        converged = spec.local_converged_block(cols, new_cols)
-        cols = new_cols
-    return LocalRunResult(table=cols, local_iters=iters,
+    return LocalRunResult(table=(x, *cols[1:]), local_iters=len(per_iter_ops),
                           per_iter_ops=per_iter_ops, converged=converged)
 
 
-def scatter_fold(agg: str, col: np.ndarray, rows: np.ndarray,
-                 values: np.ndarray) -> "tuple[np.ndarray, int]":
-    """A ``local_fold`` of contribution records ``(rows, values)``:
-    ``ufunc.at`` of ``agg`` into an ``acc`` shaped and typed like
-    ``col`` (float64, or int64 for component labels) that starts from
-    the aggregator's identity.  ``ufunc.at`` is unbuffered, so repeated
-    rows all land, one by one in array order.  Returns ``(acc,
-    len(rows))``."""
-    acc = np.full(len(col), agg_identity(agg, col.dtype), dtype=col.dtype)
-    resolve_agg(agg).at(acc, rows, values)
-    return acc, len(rows)
+def scatter_fold(agg: str, col: np.ndarray
+                 ) -> "Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, int]]":
+    """A min/max app's fold, built once per solve for columns shaped and
+    typed like ``col`` (float64, or int64 for component labels):
+    ``fold(rows, values)`` is ``ufunc.at`` of ``agg`` of the
+    contribution records ``(rows, values)`` into a fresh ``acc`` that
+    starts from the aggregator's identity, and returns ``(acc,
+    len(rows))``.  ``ufunc.at`` is unbuffered, so repeated rows all
+    land, one by one in array order.  The identity row and the ufunc
+    are looked up once, not per iteration."""
+    identity = np.full(len(col), agg_identity(agg, col.dtype), dtype=col.dtype)
+    at = resolve_agg(agg).at
+
+    def fold(rows: np.ndarray, values: np.ndarray) -> "tuple[np.ndarray, int]":
+        acc = identity.copy()
+        at(acc, rows, values)
+        return acc, len(rows)
+
+    return fold
 
 
 class per_record:

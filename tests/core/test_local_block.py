@@ -203,19 +203,28 @@ def _hub_graph(fan_in: int) -> "tuple[DiGraph, Partition]":
 
 
 def _assert_sum_fold(spec, into_target, seed):
-    """A sum app's ``local_fold`` (one CSR mat-vec) is the per-record
-    fold — ``np.add.at`` over the part's internal edges from 0 — to the
-    bit, on every part, and counts one record per internal edge."""
+    """A sum app's step folds with one CSR mat-vec that is the
+    per-record fold — ``np.add.at`` over the part's internal edges from
+    0 — to the bit, on every part, then applies ``lreduce``'s epilogue,
+    and counts one record per internal edge."""
     rng = np.random.default_rng(seed)
     for p, b in enumerate(spec._blocks):
         rows, gathered = ((b.int_dst, b.int_src) if into_target
                           else (b.int_src, b.int_dst))
+        n = len(b.nodes)
         for scale in (1.0, 1e-3, 1e7):
-            x = rng.uniform(-1.0, 1.0, len(b.nodes)) * scale
-            want = np.zeros(len(b.nodes))
+            x = rng.uniform(-1.0, 1.0, n) * scale
+            frozen = rng.uniform(-1.0, 1.0, n)
+            want = np.zeros(n)
             np.add.at(want, rows, b.int_w * x[gathered])
-            acc, records = spec.local_fold(p, (x, x))
-            assert acc.tobytes() == want.tobytes()
+            if into_target:  # PageRank: ((1-d) + d*ext) + d*contrib
+                cols, d = (x, frozen), spec.damping
+                want = ((1.0 - d) + d * frozen) + d * want
+            else:  # Jacobi: (b_eff - R_int x) / diag
+                diag = rng.uniform(1.0, 2.0, n)
+                cols, want = (x, frozen, diag), (frozen - want) / diag
+            got, records, _ = spec.local_step(p, cols)(x)
+            assert got.tobytes() == want.tobytes()
             # the engine prices 3n + records per local iteration
             assert records == len(b.int_src)
 
@@ -291,15 +300,16 @@ class TestTraps:
         class IntLabels:
             local_agg = agg
 
-            def local_fold(self, part_id, cols):
-                return scatter_fold(agg, cols[0], np.array([0]),
-                                    np.array([3], dtype=np.int64))
+            def local_step(self, part_id, cols):
+                fold_one = scatter_fold(agg, cols[0])
 
-            def lreduce_block(self, part_id, cols, acc):
-                return (fold(cols[0], acc, out=acc),)
+                def step(x):
+                    acc, records = fold_one(np.array([0]),
+                                            np.array([3], dtype=np.int64))
+                    fold(x, acc, out=acc)
+                    return acc, records, bool((acc == x).all())
 
-            def local_converged_block(self, prev_cols, cols):
-                return bool((cols[0] == prev_cols[0]).all())
+                return step
 
         far = 2**62 + 1 if agg == "min" else -(2**62 + 1)
         col = np.array([7 if agg == "min" else -7, far], dtype=np.int64)

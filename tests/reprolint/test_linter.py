@@ -172,6 +172,7 @@ class TestLintSpec:
 
         [info] = local_infos(PlainKVSpec())
         assert info.severity is Severity.INFO
+        assert "local_step" in info.message  # the one hook to write
         assert not local_infos(PageRankKVSpec(small_graph, small_partition))
 
     def test_kv_spec_that_is_a_block_spec_still_explained(

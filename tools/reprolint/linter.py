@@ -281,7 +281,7 @@ def explain_columnar_spec(spec: Any) -> "list[Finding]":
         findings.append(_info(
             "spec names no local_agg, so the gmap interprets every local "
             "iteration record by record (declare 'sum'/'min'/'max' and "
-            "local_fold + the *_block hooks when lreduce folds with one of them — "
+            "local_step when lreduce folds with one of them — "
             "docs/local_loop.md)", spec))
     return findings
 
