@@ -127,12 +127,6 @@ class SweepResult:
         ys = [getattr(p, value) for p in self.points if p.mode == mode]
         return xs, ys
 
-    def point(self, mode: str, x: object) -> SweepPoint:
-        for p in self.points:
-            if p.mode == mode and p.x == x:
-                return p
-        raise KeyError(f"no point mode={mode} x={x}")
-
 
 # ----------------------------------------------------------------------
 # Cached inputs

@@ -119,9 +119,8 @@ class SimCluster:
     stragglers:
         Optional straggler injection (duck-typed
         :class:`~repro.engine.StragglerPlan`): per-node slowdown
-        multipliers and deterministic transient stalls applied to every
-        scheduled task, so phase charges reflect per-task slowdowns
-        instead of uniform node speed.  Every slowed node id must be a
+        multipliers applied to every scheduled task, so phase charges
+        reflect per-node slowdowns instead of uniform node speed.  Every slowed node id must be a
         node of this cluster.
     node_faults:
         Optional correlated-failure injection (duck-typed
@@ -183,11 +182,6 @@ class SimCluster:
     def total_reduce_slots(self) -> int:
         return sum(n.reduce_slots for n in self.nodes)
 
-    def reset(self) -> None:
-        """Zero the clock and clear the trace."""
-        self.clock = 0.0
-        self.trace = Trace()
-
     # ------------------------------------------------------------------
     # Phase scheduling
     # ------------------------------------------------------------------
@@ -233,12 +227,6 @@ class SimCluster:
             return speed
         return speed / self.stragglers.node_factor(node_id)
 
-    def _task_stall(self, kind: str, task_index: int) -> float:
-        """Deterministic transient stall for one task (0 without a plan)."""
-        if self.stragglers is None:
-            return 0.0
-        return self.stragglers.transient_stall(kind, task_index)
-
     def _run_phase(self, task_costs: Sequence[float], *, kind: str,
                    label: str, slot_share: float = 1.0,
                    speculate: "SpeculationConfig | bool | None" = None,
@@ -279,7 +267,7 @@ class SimCluster:
 
         # LPT greedy: longest task first, onto the slot that can finish it
         # earliest (accounts for heterogeneous node speeds, including the
-        # straggler plan's per-node slowdowns and transient stalls).
+        # straggler plan's per-node slowdowns).
         order = sorted(range(len(costs)), key=lambda i: -costs[i])
         # Heap of (available_time, slot_idx, node_id, effective_speed):
         # the slot index outranks the node id so ties at equal
@@ -306,7 +294,7 @@ class SimCluster:
                         "every slot died mid-phase; nothing can finish "
                         f"{label}")
                 avail, sidx, nid, speed = heapq.heappop(heap)
-            dur = dispatch + self._task_stall(kind, i) + costs[i] / speed
+            dur = dispatch + costs[i] / speed
             end = avail + dur
             death_clock = deaths.get(nid)
             if death_clock is not None and end > death_clock:
@@ -433,7 +421,7 @@ class SimCluster:
             if i in late_set:
                 continue
             avail, sidx, nid, speed = heapq.heappop(heap)
-            end = avail + dispatch + self._task_stall(kind, i) + costs[i] / speed
+            end = avail + dispatch + costs[i] / speed
             heapq.heappush(heap, (end, sidx, nid, speed))
         backups = backups_won = 0
         wasted = 0.0
@@ -447,8 +435,6 @@ class SimCluster:
                        + dispatch + costs[i] / e[3])
             avail, sidx, nid, speed = best
             bstart = max(avail, detect)
-            # Backups skip the transient stall: stalls are transient and
-            # the backup is a fresh attempt.
             bend = bstart + dispatch + costs[i] / speed
             self.trace.add(Event(phase=label, label=f"{label}:{i}:backup",
                                  node_id=nid, slot=sidx, start=bstart,
@@ -558,18 +544,3 @@ class SimCluster:
         self.trace.add(Event(phase=label, label=label, node_id=-1, slot=0,
                              start=self.clock, end=self.clock + seconds))
         self.clock += seconds
-
-    # ------------------------------------------------------------------
-    def lower_bound_makespan(self, task_costs: Sequence[float],
-                             kind: str = "map") -> float:
-        """Trivial scheduling lower bound: max(longest task, work/slots).
-
-        Tests assert ``phase makespan >= lower bound`` (dispatch excluded).
-        """
-        costs = [float(c) for c in task_costs]
-        if not costs:
-            return 0.0
-        slots = self._slots(kind)
-        speed_sum = sum(s for _, _, s in slots)
-        max_speed = max(s for _, _, s in slots)
-        return max(max(costs) / max_speed, sum(costs) / speed_sum)

@@ -153,11 +153,6 @@ class JobHandle:
         """Slot share granted per round (the contention profile)."""
         return [r.slot_share for r in self.round_shares]
 
-    @property
-    def charged_seconds(self) -> float:
-        """Audited per-job charge total from the job's accountant."""
-        return self.accountant.charged
-
 
 # ----------------------------------------------------------------------
 # Policies

@@ -136,10 +136,6 @@ class Session:
         return self._runtime
 
     @property
-    def jobs(self) -> "list[JobHandle]":
-        return list(self.scheduler.jobs)
-
-    @property
     def policy(self) -> SchedulingPolicy:
         return self.scheduler.policy
 

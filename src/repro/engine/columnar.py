@@ -186,11 +186,6 @@ class StringDictionary:
     def __len__(self) -> int:
         return len(self._words)
 
-    @property
-    def words(self) -> "list[str]":
-        """The vocabulary, indexed by id (do not mutate)."""
-        return self._words
-
     def intern(self, word: str) -> int:
         """Return ``word``'s id, assigning the next dense id if new."""
         if not isinstance(word, str):
@@ -213,9 +208,6 @@ class StringDictionary:
         """Materialise words for an id array (the oracle direction)."""
         words = self._words
         return [words[i] for i in ids.tolist()]
-
-    def word(self, wid: int) -> str:
-        return self._words[wid]
 
     def _hash_table(self) -> np.ndarray:
         if self._hash is None or len(self._hash) != len(self._words):
@@ -342,13 +334,6 @@ class ColumnarBlock:
         return int(self.keys.nbytes + self.values.nbytes)
 
     @classmethod
-    def empty(cls, width: int = 1,
-              dictionary: "StringDictionary | None" = None) -> "ColumnarBlock":
-        shape = (0,) if width == 1 else (0, width)
-        return cls(np.empty(0, dtype=np.int64),
-                   np.empty(shape, dtype=np.float64), dictionary)
-
-    @classmethod
     def concat(cls, blocks: "Sequence[ColumnarBlock]") -> "ColumnarBlock":
         """Concatenate batches in order (emission / map-index order).
 
@@ -359,7 +344,7 @@ class ColumnarBlock:
         """
         blocks = list(blocks)
         if not blocks:
-            return cls.empty()
+            return cls(np.empty(0, dtype=np.int64), np.empty(0))
         if len(blocks) == 1:
             return blocks[0]
         widths = {b.width for b in blocks}
@@ -763,10 +748,6 @@ class ColumnarGroups:
     @property
     def num_records(self) -> int:
         return int(self.values.shape[0])
-
-    @property
-    def width(self) -> int:
-        return 1 if self.values.ndim == 1 else int(self.values.shape[1])
 
     def aggregate(self, agg: str) -> "tuple[np.ndarray, np.ndarray]":
         """Reduce every group with a named aggregation (vectorised).

@@ -82,12 +82,6 @@ class Counters:
         """Snapshot as a plain dict (sorted keys)."""
         return {k: self._data[k] for k in sorted(self._data)}
 
-    def __getitem__(self, name: str) -> int:
-        return self.get(name)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
         return f"Counters({inner})"

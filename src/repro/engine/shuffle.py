@@ -137,16 +137,6 @@ class ShuffleBuffer:
         self._next = 0
 
     @property
-    def consumed(self) -> int:
-        """Map tasks merged into the tables so far (a prefix of 0..M).
-
-        Under ``defer_merge`` nothing merges until seal time, so this
-        stays 0 while the buffer fills; :attr:`complete` is the
-        mode-independent progress signal.
-        """
-        return self._next
-
-    @property
     def complete(self) -> bool:
         """True once every map task's buckets are merged or parked."""
         return self._next + len(self._parked) == self.num_maps

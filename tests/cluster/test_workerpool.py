@@ -107,7 +107,7 @@ class TestPlansMatchTheCluster:
                         stragglers=StragglerPlan.slow_nodes({7: 4.0}))
         assert cl.worker_pool.alive_nodes == set(range(8))
         SimCluster(node_faults=NodeFaultPlan.none(),
-                   stragglers=StragglerPlan.none())
+                   stragglers=StragglerPlan())
         SimCluster(ec2_nodes(4),
                    node_faults=NodeFaultPlan.kill_node(3, num_nodes=4),
                    stragglers=StragglerPlan.slow_nodes({3: 2.0}))

@@ -47,11 +47,12 @@ def adjacency(spec, u):
     per-record ``lmap`` / ``gmap_emit`` walk them, read off the graph:
     node ids for PageRank, ``(node, weight)`` pairs for SSSP."""
     g, assign = spec.graph, spec.partition.assign
-    succ = g.successors(u)
+    lo, hi = g.out_ptr[u], g.out_ptr[u + 1]
+    succ = g.out_dst[lo:hi]
     same = assign[succ] == assign[u]
     if isinstance(spec, PageRankKVSpec):
         return succ[same].tolist(), succ[~same].tolist()
-    w = g.out_weights(u)
+    w = g.out_w[lo:hi]
     return (list(zip(succ[same].tolist(), w[same].tolist())),
             list(zip(succ[~same].tolist(), w[~same].tolist())))
 

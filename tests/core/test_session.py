@@ -276,9 +276,9 @@ class TestContentionMetrics:
         session.run()
         # under FIFO the timeline is a pure concatenation, so the
         # audited per-job charges partition the final clock exactly
-        assert h1.charged_seconds + h2.charged_seconds == pytest.approx(
+        assert h1.accountant.charged + h2.accountant.charged == pytest.approx(
             cluster.clock)
-        assert h1.charged_seconds == pytest.approx(h1.busy_seconds)
+        assert h1.accountant.charged == pytest.approx(h1.busy_seconds)
         assert h1.result.sim_time == pytest.approx(h1.busy_seconds)
 
     def test_job_labels_prefix_the_shared_trace(self, workload):
@@ -309,8 +309,8 @@ class TestContentionMetrics:
                 cfg, name="kv-b")
             session.run()
         for h in (h1, h2):
-            assert h.charged_seconds == pytest.approx(h.busy_seconds)
-            assert h.charged_seconds > 0
+            assert h.accountant.charged == pytest.approx(h.busy_seconds)
+            assert h.accountant.charged > 0
         phases = {e.phase.split(":", 1)[0] for e in cluster.trace.events}
         assert {"kv-a", "kv-b"} <= phases
 
@@ -381,6 +381,6 @@ class TestHeterogeneousSession:
             ]
             session.run()
         assert all(h.done and h.result.converged for h in handles)
-        assert sum(h.charged_seconds for h in handles) > 0
+        assert sum(h.accountant.charged for h in handles) > 0
         # all three charged the ONE shared timeline
         assert cluster.clock >= max(h.finished_at for h in handles)

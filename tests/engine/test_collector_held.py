@@ -67,7 +67,7 @@ class TestTheCallersStateComesBack:
     def test_after_a_run_whose_task_fails_for_good(self, collector_on,
                                                    phase):
         with MapReduceRuntime("serial") as rt:
-            rt.fault_plan = FaultPlan.script({(phase, 1): 9})
+            rt.fault_plan = FaultPlan(scripted={(phase, 1): 9})
             with pytest.raises(JobFailedError):
                 rt.run(_job(max_attempts=2), SPLITS)
         assert gc.isenabled()

@@ -109,7 +109,8 @@ class TestColumnarBlock:
     def test_concat_merges_vocabularies_in_block_order(self):
         merged = ColumnarBlock.concat([ColumnarBlock(["b", "a"], [1.0, 2.0]),
                                        ColumnarBlock(["c", "b"], [3.0, 4.0])])
-        assert merged.dictionary.words == ["b", "a", "c"]
+        assert merged.dictionary.decode(np.arange(3)) == ["b", "a", "c"]
+        assert len(merged.dictionary) == 3
         assert merged.keys.tolist() == [0, 1, 2, 0]
         assert merged.to_pairs() == [("b", 1.0), ("a", 2.0), ("c", 3.0),
                                      ("b", 4.0)]
@@ -123,7 +124,7 @@ class TestColumnarBlock:
         with pytest.raises(TypeError, match="must be str"):
             vocab.intern(3)
         assert vocab.intern("x") == 0 and vocab.intern("y") == 1
-        assert vocab.word(1) == "y" and len(vocab) == 2
+        assert vocab.decode(np.array([1])) == ["y"] and len(vocab) == 2
 
 
 class TestHashRouting:
@@ -386,7 +387,7 @@ class TestFusedMapTail:
         block = ColumnarBlock([5, 1, 5], [1.0, 2.0, 4.0])
         [only] = route_combine_columnar(block, 1, "sum")
         assert only.to_pairs() == [(5, 5.0), (1, 2.0)]
-        empties = route_combine_columnar(ColumnarBlock.empty(), 3, "sum")
+        empties = route_combine_columnar(ColumnarBlock([], []), 3, "sum")
         assert [len(b) for b in empties] == [0, 0, 0]
         with pytest.raises(ValueError, match="num_reducers"):
             route_combine_columnar(block, 0, "sum")
@@ -399,7 +400,8 @@ class TestColumnarShuffleBuffer:
         per_map = []
         for m in range(num_maps):
             if m in empty:
-                block = ColumnarBlock.empty(width)
+                block = ColumnarBlock(
+                    [], np.empty((0, width)) if width > 1 else [])
             else:
                 block = _random_block(rng, 50 + 10 * m, key_range=12,
                                       width=width)
@@ -471,7 +473,7 @@ class TestColumnarShuffleBuffer:
         buf.add(0, [[], []])  # object-shaped empties first
         buf.add(1, [ColumnarBlock([1, 2], [1.0, 2.0]),
                     ColumnarBlock([3], [3.0])])
-        buf.add(2, [ColumnarBlock.empty(), ColumnarBlock.empty()])
+        buf.add(2, [ColumnarBlock([], []), ColumnarBlock([], [])])
         assert buf.columnar
         assert buf.groups() == [[(1, [1.0]), (2, [2.0])], [(3, [3.0])]]
 

@@ -9,22 +9,20 @@ matter which domain died or what it took with it.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.cluster import RoundAccountant, SimCluster
 from repro.engine import (
-    FaultPlan,
     Job,
     JobConf,
     MapReduceRuntime,
     NodeDeath,
     NodeFaultPlan,
     ShuffleBuffer,
-    SimulatedTaskFailure,
-    StragglerPlan,
 )
 from repro.engine.counters import LOST_MAP_OUTPUTS, MAP_OPS, NODE_DEATHS
-from repro.engine.partitioner import stable_hash
 
 
 def _word_map(key, value, ctx):
@@ -52,7 +50,12 @@ class TestNodeFaultPlanModel:
     def test_none_is_empty(self):
         assert NodeFaultPlan.none().is_empty
         assert not NodeFaultPlan.kill_node(0).is_empty
-        assert not NodeFaultPlan.random(0.1).is_empty
+
+    def test_plan_pickles_to_an_equal_plan(self):
+        plan = NodeFaultPlan.kill_rack(1, round=2, at_seconds=1.5)
+        back = pickle.loads(pickle.dumps(plan))
+        assert back == plan
+        assert back.deaths_in_round(2) == plan.deaths_in_round(2)
 
     def test_rack_topology(self):
         plan = NodeFaultPlan(num_nodes=8, nodes_per_rack=4)
@@ -74,23 +77,11 @@ class TestNodeFaultPlanModel:
         assert sorted(plan.deaths_in_round(1)) == [2]
         assert plan.deaths_in_round(0) == {}
 
-    def test_random_mode_is_deterministic(self):
-        a = NodeFaultPlan.random(0.5, seed=3)
-        b = NodeFaultPlan.random(0.5, seed=3)
-        for r in range(6):
-            assert sorted(a.deaths_in_round(r)) == sorted(b.deaths_in_round(r))
-        # probability 0 never kills; some round of p=0.5 over 8 nodes does
-        assert all(not NodeFaultPlan.random(0.0).deaths_in_round(r)
-                   for r in range(6))
-        assert any(a.deaths_in_round(r) for r in range(6))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             NodeFaultPlan(num_nodes=0)
         with pytest.raises(ValueError):
             NodeFaultPlan(num_nodes=4, nodes_per_rack=8)
-        with pytest.raises(ValueError):
-            NodeFaultPlan(probability=1.0)
         with pytest.raises(ValueError):
             NodeFaultPlan(heartbeat_seconds=-1.0)
         with pytest.raises(ValueError):
@@ -108,47 +99,18 @@ class TestNodeFaultPlanModel:
         with pytest.raises(ValueError, match="must be >= 0"):
             NodeDeath(node=0, **kwargs)
 
-
-def _coin(*key):
-    """The keyed draw every fault plan decides by, written out."""
-    return (stable_hash(key) % 10_000_000) / 10_000_000.0
-
-
-class TestKeyedDraw:
-    """Task failures, transient stalls and random node deaths all flip
-    the same keyed coin; each plan's outcome is pinned to it so no plan
-    can drift from the others (or from earlier runs' draws)."""
-
-    def test_task_failure_draw(self):
-        plan = FaultPlan(probability=0.3, seed=5)
-        outcomes = set()
-        for phase in ("map", "reduce"):
-            for task in range(20):
-                for attempt in range(3):
-                    try:
-                        plan.maybe_fail(phase, task, attempt)
-                        failed = False
-                    except SimulatedTaskFailure:
-                        failed = True
-                    assert failed == (_coin(5, phase, task, attempt) < 0.3)
-                    outcomes.add(failed)
-        assert outcomes == {False, True}
-
-    def test_transient_stall_draw(self):
-        plan = StragglerPlan(stall_probability=0.3, stall_seconds=2.0, seed=5)
-        stalls = [plan.transient_stall(phase, task)
-                  for phase in ("map", "reduce") for task in range(40)]
-        assert stalls == [
-            2.0 if _coin(5, "stall", phase, task) < 0.3 else 0.0
-            for phase in ("map", "reduce") for task in range(40)]
-        assert 0.0 in stalls and 2.0 in stalls
-
-    def test_random_node_death_draw(self):
-        plan = NodeFaultPlan.random(0.3, seed=5)
-        for r in range(10):
-            assert sorted(plan.deaths_in_round(r)) == [
-                n for n in range(plan.num_nodes)
-                if _coin(5, "death", r, n) < 0.3]
+    # A nan clock compares false against every death clock, so the
+    # death would silently never fire; an infinite one is the same.
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("make", [
+        lambda x: NodeDeath(node=0, at_seconds=x),
+        lambda x: NodeFaultPlan.kill_node(1, round=1, at_seconds=x),
+        lambda x: NodeFaultPlan.kill_rack(0, at_seconds=x),
+        lambda x: NodeFaultPlan(heartbeat_seconds=x),
+    ], ids=["death", "kill_node", "kill_rack", "heartbeat"])
+    def test_clocks_must_be_finite(self, make, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make(bad)
 
 
 class TestEngineNodeDeaths:

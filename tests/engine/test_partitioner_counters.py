@@ -385,7 +385,6 @@ class TestCounters:
         c.incr("x")
         c.incr("x", 4)
         assert c.get("x") == 5
-        assert c["x"] == 5
 
     def test_unknown_counter_zero(self):
         assert Counters().get("nope") == 0
@@ -412,9 +411,3 @@ class TestCounters:
         c.incr("b")
         c.incr("a")
         assert list(c.as_dict()) == ["a", "b"]
-
-    def test_len(self):
-        c = Counters()
-        c.incr("a")
-        c.incr("b")
-        assert len(c) == 2

@@ -81,33 +81,36 @@ class TestParallelExecutors:
 class TestFaultTolerance:
     def test_map_retry_recovers(self):
         rt = MapReduceRuntime("serial",
-                              fault_plan=FaultPlan.script({("map", 1): 2}))
+                              fault_plan=FaultPlan(scripted={("map", 1): 2}))
         res = rt.run(wordcount_job(), DOCS)
         assert res.as_dict() == EXPECTED
         assert res.counters.get(TASK_RETRIES) == 2
 
     def test_reduce_retry_recovers(self):
         rt = MapReduceRuntime("serial",
-                              fault_plan=FaultPlan.script({("reduce", 0): 1}))
+                              fault_plan=FaultPlan(scripted={("reduce", 0): 1}))
         res = rt.run(wordcount_job(), DOCS)
         assert res.as_dict() == EXPECTED
 
     def test_exhausted_attempts_fail_job(self):
         rt = MapReduceRuntime("serial",
-                              fault_plan=FaultPlan.script({("map", 0): 99}))
+                              fault_plan=FaultPlan(scripted={("map", 0): 99}))
         with pytest.raises(JobFailedError):
             rt.run(wordcount_job(), DOCS)
 
-    def test_random_faults_same_output(self):
+    def test_every_task_failing_same_output(self):
+        # every map and reduce task fails all but its last attempt
+        scripted = {(phase, i): 3 for phase, n in (("map", 3), ("reduce", 2))
+                    for i in range(n)}
         rt = MapReduceRuntime(
-            "serial", fault_plan=FaultPlan.random(0.3, seed=5))
+            "serial", fault_plan=FaultPlan(scripted=scripted))
         res = rt.run(wordcount_job(), DOCS)
         assert res.as_dict() == EXPECTED
 
     @pytest.mark.parametrize("executor", ["threads"])
     def test_faults_under_parallel_executor(self, executor):
         rt = MapReduceRuntime(
-            executor, fault_plan=FaultPlan.script({("map", 0): 1, ("reduce", 1): 1}))
+            executor, fault_plan=FaultPlan(scripted={("map", 0): 1, ("reduce", 1): 1}))
         res = rt.run(wordcount_job(), DOCS)
         assert res.as_dict() == EXPECTED
 
@@ -148,7 +151,7 @@ class TestSimAccounting:
         clean = clean_rt.run(wordcount_job(), DOCS)
         faulty_rt = MapReduceRuntime(
             "serial", cluster=SimCluster(),
-            fault_plan=FaultPlan.script({("map", 0): 1}))
+            fault_plan=FaultPlan(scripted={("map", 0): 1}))
         faulty = faulty_rt.run(wordcount_job(), DOCS)
         assert faulty.as_dict() == clean.as_dict()
 

@@ -60,7 +60,7 @@ class TestPersistentPool:
         # map retries + the reduce phase all hit the one pool
         rt = MapReduceRuntime(
             "threads", workers=2,
-            fault_plan=FaultPlan.script({("map", 1): 2, ("reduce", 0): 1}))
+            fault_plan=FaultPlan(scripted={("map", 1): 2, ("reduce", 0): 1}))
         res = rt.run(wordcount_job(), DOCS)
         pool = rt.pool
         assert pool is not None
@@ -132,32 +132,36 @@ class TestStreamingPipeline:
                 == again.counters.get(SHUFFLE_BYTES))
 
     def test_scripted_faults(self, reference):
-        plan = FaultPlan.script({("map", 0): 1, ("map", 2): 2, ("reduce", 1): 1})
+        plan = FaultPlan(scripted={("map", 0): 1, ("map", 2): 2, ("reduce", 1): 1})
         with MapReduceRuntime("threads", workers=3, fault_plan=plan) as rt:
             res = rt.run(_job(num_reducers=4), DOCS)
         assert res.as_dict() == reference.as_dict()
         assert res.counters.get(TASK_RETRIES) == 4
 
-    def test_random_faults(self, reference):
-        plan = FaultPlan.random(0.4, seed=13)
+    def test_every_task_failing(self, reference):
+        # every map and reduce task fails all but its last attempt
+        plan = FaultPlan(scripted={(phase, i): 3 for phase, n
+                                   in (("map", len(DOCS)), ("reduce", 2))
+                                   for i in range(n)})
         with MapReduceRuntime("threads", workers=3, fault_plan=plan) as rt:
             res = rt.run(_job(num_reducers=2), DOCS)
         assert res.as_dict() == reference.as_dict()
+        assert res.counters.get(TASK_RETRIES) == 3 * (len(DOCS) + 2)
 
     def test_exhausted_attempts_fail_job(self):
-        plan = FaultPlan.script({("map", 0): 99})
+        plan = FaultPlan(scripted={("map", 0): 99})
         with MapReduceRuntime("threads", workers=2, fault_plan=plan) as rt:
             with pytest.raises(JobFailedError):
                 rt.run(_job(), DOCS)
 
     def test_retry_counter_depends_only_on_the_plan(self, reference):
         # retries are a function of the fault plan, not of the run
-        plan = FaultPlan.random(0.3, seed=21)
+        plan = FaultPlan(scripted={("map", 1): 2, ("reduce", 0): 1})
         with MapReduceRuntime("threads", workers=3, fault_plan=plan) as rt:
             first = rt.run(_job(num_reducers=2), DOCS)
             again = rt.run(_job(num_reducers=2), DOCS)
         assert (first.counters.get(TASK_RETRIES)
-                == again.counters.get(TASK_RETRIES))
+                == again.counters.get(TASK_RETRIES) == 3)
 
 
 class TestOverlappedAccounting:

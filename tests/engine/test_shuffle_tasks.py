@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.engine import (
@@ -112,14 +114,13 @@ class TestShuffleBuffer:
             buf.add(m, self.BUCKETS[m])
         assert buf.groups() == shuffle(self.BUCKETS, 2)
 
-    def test_consumed_tracks_merged_prefix(self):
+    def test_complete_once_the_last_map_lands(self):
         buf = ShuffleBuffer(3, 2)
         buf.add(2, self.BUCKETS[2])
-        assert buf.consumed == 0  # parked: map 0 and 1 still missing
+        assert not buf.complete  # parked: map 0 and 1 still missing
         buf.add(0, self.BUCKETS[0])
-        assert buf.consumed == 1
+        assert not buf.complete
         buf.add(1, self.BUCKETS[1])
-        assert buf.consumed == 3
         assert buf.complete
 
     def test_incomplete_groups_raises(self):
@@ -279,7 +280,7 @@ class TestRunMapTask:
         assert res.counters.get(COMBINE_OUTPUT_RECORDS) == 2
 
     def test_fault_injection(self):
-        plan = FaultPlan.script({("map", 0): 1})
+        plan = FaultPlan(scripted={("map", 0): 1})
         with pytest.raises(SimulatedTaskFailure):
             run_map_task(0, 0, [], _emit_words, None, HashPartitioner(), 1, plan)
         # attempt 1 succeeds (deterministic replay)
@@ -352,7 +353,7 @@ class TestRunReduceTask:
             assert res.nbytes == shuffle_bytes([[res.data]]) == 4 * 9
 
     def test_fault_injection(self):
-        plan = FaultPlan.script({("reduce", 1): 2})
+        plan = FaultPlan(scripted={("reduce", 1): 2})
         with pytest.raises(SimulatedTaskFailure):
             run_reduce_task(1, 0, [], _sum_reduce, plan)
         with pytest.raises(SimulatedTaskFailure):
@@ -366,44 +367,37 @@ class TestFaultPlan:
         plan = FaultPlan.none()
         for attempt in range(5):
             plan.maybe_fail("map", 0, attempt)
-        assert plan.is_empty
 
     def test_script_validation(self):
         with pytest.raises(ValueError):
-            FaultPlan.script({("bogus", 0): 1})
+            FaultPlan(scripted={("bogus", 0): 1})
         with pytest.raises(ValueError):
-            FaultPlan.script({("map", -1): 1})
+            FaultPlan(scripted={("map", -1): 1})
 
-    def test_random_plan_deterministic(self):
-        a = FaultPlan.random(0.5, seed=1)
-        b = FaultPlan.random(0.5, seed=1)
-        for t in range(20):
-            fa = fb = False
-            try:
-                a.maybe_fail("map", t, 0)
-            except SimulatedTaskFailure:
-                fa = True
-            try:
-                b.maybe_fail("map", t, 0)
-            except SimulatedTaskFailure:
-                fb = True
-            assert fa == fb
+    def test_scripted_fails_exactly_the_counted_attempts(self):
+        plan = FaultPlan(scripted={("map", 3): 2})
+        for attempt in (0, 1):
+            with pytest.raises(SimulatedTaskFailure, match="attempt"):
+                plan.maybe_fail("map", 3, attempt)
+        plan.maybe_fail("map", 3, 2)
+        plan.maybe_fail("map", 2, 0)  # other tasks,
+        plan.maybe_fail("reduce", 3, 0)  # other phases run clean
 
-    def test_random_plan_bounded_failures(self):
-        plan = FaultPlan.random(0.99, seed=0, max_failures_per_task=2)
-        plan.maybe_fail("map", 0, 2)  # attempts >= 2 always succeed
-
-    def test_probability_bounds(self):
-        with pytest.raises(ValueError):
-            FaultPlan.random(1.0)
+    def test_plan_pickles_to_an_equal_plan(self):
+        plan = FaultPlan(scripted={("reduce", 1): 1},
+                         stalls={("map", 0): 0.25})
+        back = pickle.loads(pickle.dumps(plan))
+        assert back == plan
+        assert back.stall_seconds_for("map", 0, 0) == 0.25
+        with pytest.raises(SimulatedTaskFailure):
+            back.maybe_fail("reduce", 1, 0)
 
     def test_scripted_counts_must_be_non_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
-            FaultPlan.script({("map", 0): -1})
+            FaultPlan(scripted={("map", 0): -1})
 
     def test_stall_delays_only_the_first_attempt(self):
-        plan = FaultPlan.stall({("map", 3): 0.5})
-        assert not plan.is_empty
+        plan = FaultPlan(stalls={("map", 3): 0.5})
         assert plan.stall_seconds_for("map", 3, 0) == 0.5
         assert plan.stall_seconds_for("map", 3, 1) == 0.0  # retry / backup
         assert plan.stall_seconds_for("reduce", 3, 0) == 0.0
@@ -412,7 +406,10 @@ class TestFaultPlan:
 
     @pytest.mark.parametrize("stalls", [{("shuffle", 0): 1.0},
                                         {("map", -1): 1.0},
-                                        {("reduce", 0): -0.5}])
+                                        {("reduce", 0): -0.5},
+                                        # sleep(nan) raises, sleep(inf) hangs
+                                        {("map", 0): float("nan")},
+                                        {("map", 0): float("inf")}])
     def test_stall_validation(self, stalls):
         with pytest.raises(ValueError):
-            FaultPlan.stall(stalls)
+            FaultPlan(stalls=stalls)

@@ -31,12 +31,14 @@ class TestPreferentialAttachment:
     def test_deterministic_with_seed(self):
         a = preferential_attachment(300, seed=42)
         b = preferential_attachment(300, seed=42)
-        assert a == b
+        assert all(np.array_equal(x, y) for x, y in
+                   zip(a.edge_arrays(), b.edge_arrays()))
 
     def test_different_seeds_differ(self):
         a = preferential_attachment(300, seed=1)
         b = preferential_attachment(300, seed=2)
-        assert a != b
+        assert not all(np.array_equal(x, y) for x, y in
+                       zip(a.edge_arrays(), b.edge_arrays()))
 
     def test_no_self_loops(self):
         g = preferential_attachment(400, seed=3)
@@ -111,14 +113,14 @@ class TestSimpleGenerators:
     def test_ring(self):
         g = ring_graph(5)
         assert g.num_edges == 5
-        assert g.successors(4).tolist() == [0]
+        assert g.out_dst[g.out_ptr[4]:g.out_ptr[5]].tolist() == [0]
 
     def test_grid_bidirectional(self):
         g = grid_graph(3, 4)
         assert g.num_nodes == 12
-        assert g.has_edge(0, 1) and g.has_edge(1, 0)
-        assert g.has_edge(0, 4) and g.has_edge(4, 0)
-        assert not g.has_edge(0, 5)
+        edges = set(zip(*(a.tolist() for a in g.edge_arrays()[:2])))
+        assert {(0, 1), (1, 0), (0, 4), (4, 0)} <= edges
+        assert (0, 5) not in edges
 
     def test_grid_edge_count(self):
         rows, cols = 3, 4

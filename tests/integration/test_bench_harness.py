@@ -8,7 +8,6 @@ import pytest
 from repro.bench import (
     PAPER_KMEANS_THRESHOLDS,
     PAPER_PARTITION_COUNTS,
-    SweepPoint,
     SweepResult,
     get_graph,
     get_partition,
@@ -86,7 +85,9 @@ class TestCachedInputs:
         assert get_graph("A", scale, weighted=True) is gw
         fresh = attach_random_weights(make_paper_graph("A", scale=scale, seed=0),
                                       low=1.0, high=10.0, seed=1)
-        assert gw == fresh
+        assert gw.num_nodes == fresh.num_nodes
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(gw.edge_arrays(), fresh.edge_arrays()))
         assert all(np.array_equal(a, b) for a, b in
                    zip(gw.edge_arrays()[:2], g.edge_arrays()[:2]))
 
@@ -107,12 +108,6 @@ class TestSweeps:
         assert xs_e == xs_g
         assert len(xs_e) >= 3
 
-    def test_point_lookup(self, tiny_sweep):
-        p = tiny_sweep.point("eager", tiny_sweep.points[0].x)
-        assert isinstance(p, SweepPoint)
-        with pytest.raises(KeyError):
-            tiny_sweep.point("eager", -1)
-
     def test_all_points_converged(self, tiny_sweep):
         assert all(p.converged for p in tiny_sweep.points)
 
@@ -131,11 +126,10 @@ class TestSweeps:
         assert all(p.converged for p in result.points)
         xs, _ = result.series("eager")
         assert xs == result.series("general")[0] and len(xs) >= 3
-        for x in xs:
-            eager = result.point("eager", x)
-            general = result.point("general", x)
-            assert eager.iterations < general.iterations
-            assert eager.sim_time < general.sim_time
+        for value in ("iterations", "sim_time"):
+            eager = result.series("eager", value=value)[1]
+            general = result.series("general", value=value)[1]
+            assert all(e < g for e, g in zip(eager, general)), value
 
 
 class TestReporting:

@@ -38,19 +38,23 @@ class TestDigraphProperties:
     @given(digraphs())
     def test_reverse_preserves_edge_multiset(self, g):
         r = g.reverse()
-        fwd = sorted(zip(g.edge_src.tolist(), g.out_dst.tolist(), g.out_w.tolist()))
-        rev = sorted(zip(r.out_dst.tolist(), r.edge_src.tolist(), r.out_w.tolist()))
+        fwd = sorted(zip(*(a.tolist() for a in g.edge_arrays())))
+        rs, rd, rw = (a.tolist() for a in r.edge_arrays())
+        rev = sorted(zip(rd, rs, rw))
         assert fwd == rev
 
     @settings(deadline=None, max_examples=40)
     @given(digraphs())
     def test_edge_arrays_rebuild_the_graph(self, g):
-        assert DiGraph(g.num_nodes, *g.edge_arrays()) == g
+        again = DiGraph(g.num_nodes, *g.edge_arrays())
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(again.edge_arrays(), g.edge_arrays()))
 
     @settings(deadline=None, max_examples=60)
     @given(digraphs())
     def test_successor_slices_partition_edges(self, g):
-        total = sum(len(g.successors(u)) for u in range(g.num_nodes))
+        total = sum(len(g.out_dst[g.out_ptr[u]:g.out_ptr[u + 1]])
+                    for u in range(g.num_nodes))
         assert total == g.num_edges
 
     @settings(deadline=None, max_examples=40)

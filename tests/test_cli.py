@@ -214,6 +214,17 @@ class TestCommands:
         assert rc == 2
         assert "mutually exclusive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--kill-at", "nan"],
+                                       ["--kill-at", "inf"],
+                                       ["--heartbeat", "nan"],
+                                       ["--heartbeat", "-1"]])
+    def test_schedule_rejects_a_bad_fault_clock(self, capsys, flags):
+        rc = main(["schedule", "--jobs", "pagerank", "--scale", "0.003",
+                   "-k", "2", "--kill-node", "1", *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     # A fair share takes every node's first slot before any node's
     # second, so killing rack 0 leaves each batch member live slots.
     def test_schedule_kill_rack_recovers(self, capsys):

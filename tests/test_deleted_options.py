@@ -33,12 +33,20 @@ from repro.core import (
     autotune_partitions,
     resolve_block_backend,
 )
-from repro.engine import JobConf
+from repro.engine import FaultPlan, JobConf, NodeFaultPlan, StragglerPlan
 
 FIELDS = [
     (JobConf, "eager_reduce"),
     (DriverConfig, "charge_local_ops_at"),
     (DriverConfig, "record_history"),
+    (FaultPlan, "probability"),
+    (FaultPlan, "seed"),
+    (FaultPlan, "always_succeed_from"),
+    (StragglerPlan, "stall_probability"),
+    (StragglerPlan, "stall_seconds"),
+    (StragglerPlan, "seed"),
+    (NodeFaultPlan, "probability"),
+    (NodeFaultPlan, "seed"),
 ]
 
 KEYWORDS = [
@@ -65,6 +73,9 @@ KEYWORDS = [
     (PageRankKVSpec, "damping"),
     (PageRankKVSpec, "tol"),
     (sse, "assignment"),
+    (StragglerPlan.slow_nodes, "stall_probability"),
+    (StragglerPlan.slow_nodes, "stall_seconds"),
+    (StragglerPlan.slow_nodes, "seed"),
 ]
 
 
