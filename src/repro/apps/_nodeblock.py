@@ -89,8 +89,8 @@ class NodeBlockSpec(BlockSpec):
     ``"min"`` app lowers entries.
 
     A subclass sets ``partition``, ``_blocks`` (one ``EdgeBlock`` per
-    part) and ``local_agg``, and writes ``init_state``,
-    :meth:`frozen_columns`, :meth:`local_step` and ``global_converged``.
+    part) and ``local_agg`` (and a ``"sum"`` app a ``tol``), and writes
+    ``init_state``, :meth:`frozen_columns` and :meth:`local_step`.
     """
 
     #: Each partition owns a disjoint node slice of the state vector.
@@ -173,6 +173,21 @@ class NodeBlockSpec(BlockSpec):
             local_iters=run.local_iters, per_iter_ops=per_iter_ops,
             shuffle_bytes=self.shuffle_records(b, max_local_iters) * RECORD_BYTES,
             update_nbytes=update_nbytes)
+
+    def global_converged(self, prev, curr):
+        """The residual is the largest ``|curr - prev|``, an entry equal
+        on both sides (``inf == inf`` too) counting 0.  A ``"sum"`` app
+        has converged below ``tol``; a ``"min"`` app only lowers
+        entries, so it has converged when nothing moved."""
+        residual = 0.0
+        if len(prev):
+            with np.errstate(invalid="ignore"):  # inf - inf, masked below
+                diff = np.abs(curr - prev)
+            diff[curr == prev] = 0
+            residual = float(diff.max())
+        if self.local_agg == "sum":
+            return residual < self.tol, residual
+        return residual == 0.0, residual
 
     def global_combine(self, state, reports):
         new_state = state.copy()

@@ -87,10 +87,6 @@ class ComponentsBlockSpec(NodeBlockSpec):
 
         return step
 
-    def global_converged(self, prev, curr):
-        residual = float(np.abs(curr - prev).max()) if len(prev) else 0.0
-        return residual == 0.0, residual
-
 
 def connected_components(
     graph: DiGraph,

@@ -206,10 +206,6 @@ class JacobiBlockSpec(NodeBlockSpec):
 
         return step
 
-    def global_converged(self, prev, curr):
-        residual = float(np.abs(curr - prev).max()) if len(prev) else 0.0
-        return residual < self.tol, residual
-
 
 def jacobi_solve(
     system: SparseSystem,

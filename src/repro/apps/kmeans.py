@@ -152,12 +152,18 @@ class KMeansBlockSpec(BlockSpec):
         self._rng = as_rng(seed)
         self._init_rng_state = self._rng.bit_generator.state
         self._criterion = CentroidShiftCriterion(threshold, window=4)
-        self._repartition()
+        self._draws: "dict[int, list]" = {}
+        self._parts = self._epoch_parts(0)
 
-    def _repartition(self) -> None:
-        """Shuffle points into ``num_parts`` roughly equal subsets."""
-        perm = self._rng.permutation(len(self.points))
-        self._parts = np.array_split(perm, self.num_parts)
+    def _epoch_parts(self, epoch: int) -> list:
+        """The ``num_parts`` roughly equal point subsets of reshuffle
+        epoch ``epoch``, shuffled the first time the epoch is asked for
+        and kept, so a rollback's replay reuses the draw."""
+        parts = self._draws.get(epoch)
+        if parts is None:
+            perm = self._rng.permutation(len(self.points))
+            parts = self._draws[epoch] = np.array_split(perm, self.num_parts)
+        return parts
 
     # -- BlockSpec interface --------------------------------------------
     def num_partitions(self) -> int:
@@ -173,15 +179,19 @@ class KMeansBlockSpec(BlockSpec):
         self._rng.bit_generator.state = self._init_rng_state
         self._criterion.reset()
         idx = self._rng.choice(len(self.points), size=self.k, replace=False)
-        self._repartition()
+        self._draws.clear()
+        self._parts = self._epoch_parts(0)
         return self.points[idx].copy()
 
     def on_global_iteration(self, iteration: int, state):
         """Yom-Tov & Slonim: repartition the points every few iterations
-        so gmaps do not repeatedly cluster the same subsets (§V-D)."""
-        if self.reshuffle_every and iteration > 0 \
-                and iteration % self.reshuffle_every == 0:
-            self._repartition()
+        so gmaps do not repeatedly cluster the same subsets (§V-D).
+
+        Iteration ``i`` uses the subsets of epoch ``i // reshuffle_every``,
+        each drawn once, in epoch order; a checkpoint rollback that calls
+        the hook again for a replayed round gets that round's subsets."""
+        if self.reshuffle_every:
+            self._parts = self._epoch_parts(iteration // self.reshuffle_every)
         return None
 
     def local_solve(self, part_id: int, state: np.ndarray, *,

@@ -138,10 +138,6 @@ class PageRankBlockSpec(NodeBlockSpec):
 
         return step
 
-    def global_converged(self, prev, curr):
-        residual = float(np.abs(curr - prev).max()) if len(prev) else 0.0
-        return residual < self.tol, residual
-
 
 # ----------------------------------------------------------------------
 # Record-at-a-time (§IV API) implementation

@@ -124,14 +124,6 @@ class SsspBlockSpec(NodeBlockSpec):
 
         return step
 
-    def global_converged(self, prev, curr):
-        both_inf = np.isinf(prev) & np.isinf(curr)
-        with np.errstate(invalid="ignore"):  # inf - inf handled via mask
-            diff = np.abs(curr - prev)
-        diff[both_inf] = 0.0
-        residual = float(diff.max()) if len(diff) else 0.0
-        return residual == 0.0, residual
-
 
 # ----------------------------------------------------------------------
 # Record-at-a-time (§IV API) implementation

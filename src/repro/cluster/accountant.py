@@ -26,6 +26,7 @@ so callers never branch on ``cluster is None``.
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from typing import Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # avoid a runtime repro.cluster <-> repro.core cycle
@@ -34,7 +35,29 @@ if TYPE_CHECKING:  # avoid a runtime repro.cluster <-> repro.core cycle
     from repro.cluster.statestore import StateStore
     from repro.core.config import DriverConfig
 
-__all__ = ["RoundAccountant"]
+__all__ = ["RoundAccountant", "RoundLedger"]
+
+
+@dataclass
+class RoundLedger:
+    """One global round's speculation, failure and recovery facts,
+    written as each charge happens; the fields are
+    :class:`~repro.core.loop.RoundRecord`'s, by the same names."""
+
+    #: Speculative backup copies the round's phases launched.
+    backups: int = 0
+    #: Backups that finished before their primary.
+    backups_won: int = 0
+    #: Duplicate seconds speculation burned (the discarded copies).
+    wasted_seconds: float = 0.0
+    #: Worker deaths that fired during the round.
+    node_deaths: int = 0
+    #: Completed map outputs the deaths invalidated.
+    lost_map_outputs: int = 0
+    #: Detection, re-execution, checkpoint restore and replay seconds.
+    recovery_seconds: float = 0.0
+    #: Global iterations a checkpoint rollback re-executed.
+    rounds_replayed: int = 0
 
 
 class RoundAccountant:
@@ -54,15 +77,16 @@ class RoundAccountant:
         Optional job name.  When several jobs share one cluster (see
         :mod:`repro.core.session`) each runs through its *own*
         accountant over the shared clock: the name prefixes every trace
-        label (``"jobname:iter3:shuffle"``) and :attr:`charged`
-        accumulates only this job's seconds, so per-job cost attribution
+        label (``"jobname:iter3:shuffle"``), so per-job cost attribution
         falls out of the shared timeline.
 
     Attributes
     ----------
-    charged:
-        Total simulated seconds charged through this accountant — the
-        per-job split of the shared cluster's clock advance.
+    ledger:
+        The open round's :class:`RoundLedger`, replaced by
+        :meth:`begin_round`.  Charges made outside any round (a
+        standalone engine job) land in the one built with the
+        accountant.
     slot_share:
         Fraction of the cluster's slots the owning job currently holds
         (set per round by the multi-job scheduler; 1.0 when the job has
@@ -77,21 +101,10 @@ class RoundAccountant:
         self.cluster = cluster
         self.config = config
         self.job = job
-        self.charged: float = 0.0
         self.slot_share: float = 1.0
         self._state_store = state_store
-        # Cumulative speculation stats across every phase this
-        # accountant scheduled (per-round deltas are the caller's job).
-        self.backups_launched: int = 0
-        self.backups_won: int = 0
-        self.wasted_seconds: float = 0.0
-        # Cumulative correlated-failure / recovery stats, fed by the sim
-        # scheduler's PhaseResults and by the engine's recovery charge.
-        self.node_deaths: int = 0
-        self.lost_map_outputs: int = 0
-        self.lost_seconds: float = 0.0
-        self.recovery_seconds: float = 0.0
-        self.rounds_replayed: int = 0
+        self.ledger = RoundLedger()
+        self._splits_at_open = 0
 
     @property
     def state_store(self) -> "StateStore":
@@ -113,42 +126,39 @@ class RoundAccountant:
                 self.config.state_store, self.cluster)
         return self._state_store
 
-    @property
-    def tablet_map_version(self) -> int:
-        """Tablet-map version of the attached state store (0 when the
+    def _split_count(self) -> int:
+        """Tablet splits the attached state store has made (0 when the
         store was never touched or has no mutable tablet map)."""
-        return getattr(self._state_store, "tablet_map_version", 0)
-
-    @property
-    def tablet_splits(self) -> int:
-        """Total tablet splits the attached state store performed."""
         return len(getattr(self._state_store, "split_events", ()))
 
-    @property
-    def tablet_merges(self) -> int:
-        """Total tablet merges the attached state store performed."""
-        return len(getattr(self._state_store, "merge_events", ()))
-
     def begin_round(self, iteration: int) -> None:
-        """Open one global iteration: arm the cluster's worker pool.
+        """Open one global iteration: a fresh :attr:`ledger`, and the
+        cluster's worker pool armed.
 
         The pool replaces workers lost in earlier rounds and converts
         the fault plan's scripted deaths for this round into absolute
         death clocks.  A checkpoint-rollback *replay* of a round must
-        not call this — replays run on the surviving fleet.
+        not call this — replays run on the surviving fleet, and their
+        charges belong to the round that rolled back.
         """
+        self.ledger = RoundLedger()
+        self._splits_at_open = self._split_count()
         if self.cluster is None:
             return
         pool = getattr(self.cluster, "worker_pool", None)
         if pool is not None:
             pool.begin_round(iteration, self.cluster.clock)
 
+    def round_facts(self) -> dict:
+        """The open round's ledger as :class:`~repro.core.loop.RoundRecord`
+        fields, with the tablet splits the state store made since
+        :meth:`begin_round`.  A session runs one job's round at a time,
+        so a store its jobs share still splits per job."""
+        return {**vars(self.ledger),
+                "tablet_splits": self._split_count() - self._splits_at_open}
+
     def _label(self, label: str) -> str:
         return f"{self.job}:{label}" if self.job else label
-
-    def _count(self, seconds: float) -> float:
-        self.charged += seconds
-        return seconds
 
     @property
     def active(self) -> bool:
@@ -171,24 +181,24 @@ class RoundAccountant:
     def charge_job_startup(self, *, label: str = "job-startup") -> float:
         if self.cluster is None:
             return 0.0
-        return self._count(self.cluster.charge_job_startup(label=self._label(label)))
+        return self.cluster.charge_job_startup(label=self._label(label))
 
     def charge_shuffle(self, nbytes: float, *, label: str = "shuffle") -> float:
         if self.cluster is None:
             return 0.0
-        return self._count(self.cluster.charge_shuffle(
-            nbytes, label=self._label(label), share=self.slot_share))
+        return self.cluster.charge_shuffle(
+            nbytes, label=self._label(label), share=self.slot_share)
 
     def charge_barrier(self, *, label: str = "barrier") -> float:
         if self.cluster is None:
             return 0.0
-        return self._count(self.cluster.charge_barrier(label=self._label(label)))
+        return self.cluster.charge_barrier(label=self._label(label))
 
     def charge_dfs_roundtrip(self, nbytes: float, *, label: str = "dfs") -> float:
         if self.cluster is None:
             return 0.0
-        return self._count(self.cluster.charge_dfs_roundtrip(
-            nbytes, label=self._label(label), share=self.slot_share))
+        return self.cluster.charge_dfs_roundtrip(
+            nbytes, label=self._label(label), share=self.slot_share)
 
     def _speculate(self):
         """Speculation setting forwarded to every scheduled phase
@@ -197,34 +207,34 @@ class RoundAccountant:
         return spec if spec else None
 
     def _phase_stats(self, result) -> float:
-        self.backups_launched += result.backups
-        self.backups_won += result.backups_won
-        self.wasted_seconds += result.wasted_seconds
-        self.node_deaths += result.node_deaths
-        self.lost_map_outputs += result.lost_map_outputs
-        self.lost_seconds += result.lost_seconds
-        self.recovery_seconds += result.recovery_seconds
+        ledger = self.ledger
+        ledger.backups += result.backups
+        ledger.backups_won += result.backups_won
+        ledger.wasted_seconds += result.wasted_seconds
+        ledger.node_deaths += result.node_deaths
+        ledger.lost_map_outputs += result.lost_map_outputs
+        ledger.recovery_seconds += result.recovery_seconds
         return result.makespan
 
     def run_map_phase(self, task_costs: Sequence[float], *, label: str) -> float:
         """Schedule map tasks; returns the phase makespan."""
         if self.cluster is None:
             return 0.0
-        return self._count(self._phase_stats(self.cluster.run_map_phase(
+        return self._phase_stats(self.cluster.run_map_phase(
             task_costs, label=self._label(label),
-            slot_share=self.slot_share, speculate=self._speculate())))
+            slot_share=self.slot_share, speculate=self._speculate()))
 
     def run_reduce_phase(self, task_costs: Sequence[float], *, label: str) -> float:
         if self.cluster is None:
             return 0.0
-        return self._count(self._phase_stats(self.cluster.run_reduce_phase(
+        return self._phase_stats(self.cluster.run_reduce_phase(
             task_costs, label=self._label(label),
-            slot_share=self.slot_share, speculate=self._speculate())))
+            slot_share=self.slot_share, speculate=self._speculate()))
 
     def charge_fixed(self, label: str, seconds: float) -> float:
         if self.cluster is None:
             return 0.0
-        return self._count(self.cluster.charge_fixed(self._label(label), seconds))
+        return self.cluster.charge_fixed(self._label(label), seconds)
 
     def charge_recovery(self, seconds: float, *, node_deaths: int = 0,
                         lost_map_outputs: int = 0,
@@ -240,12 +250,12 @@ class RoundAccountant:
         Stats are recorded even without a cluster (a cluster-less
         engine run still surfaces ``lost_map_outputs``).
         """
-        self.node_deaths += node_deaths
-        self.lost_map_outputs += lost_map_outputs
+        self.ledger.node_deaths += node_deaths
+        self.ledger.lost_map_outputs += lost_map_outputs
         if self.cluster is None:
             return 0.0
         t = self.charge_fixed(label, seconds)
-        self.recovery_seconds += t
+        self.ledger.recovery_seconds += t
         return t
 
     def charge_state_restore(self, partition_bytes: Sequence[float], *,
@@ -258,13 +268,8 @@ class RoundAccountant:
         t = cm.dfs_read_seconds(float(sum(partition_bytes)),
                                 share=self.slot_share)
         t = self.charge_fixed(label, t)
-        self.recovery_seconds += t
+        self.ledger.recovery_seconds += t
         return t
-
-    def record_replay(self, rounds: int) -> None:
-        """Record that a rollback replayed ``rounds`` global iterations
-        (their phase charges re-accrue through the normal paths)."""
-        self.rounds_replayed += rounds
 
     def charge_state_round(self, partition_bytes: Sequence[float], *,
                            label: str = "state") -> float:
@@ -280,7 +285,7 @@ class RoundAccountant:
             return 0.0
         t = self.state_store.round_trip(partition_bytes,
                                         share=self.slot_share)
-        return self._count(self.cluster.charge_fixed(self._label(label), t))
+        return self.cluster.charge_fixed(self._label(label), t)
 
     def charge_due_checkpoint(self, partition_bytes: Sequence[float], *,
                               iteration: int, label: str) -> float:
@@ -296,7 +301,7 @@ class RoundAccountant:
             return 0.0
         t = self.state_store.checkpoint(partition_bytes,
                                         share=self.slot_share)
-        return self._count(self.cluster.charge_fixed(self._label(label), t))
+        return self.cluster.charge_fixed(self._label(label), t)
 
     def charge_state_tail(self, *, iteration: int,
                           state_partition_bytes: Sequence[float],
@@ -335,17 +340,13 @@ class RoundAccountant:
             partition, nbytes, version=version,
             num_partitions=num_partitions, share=self.slot_share)
 
-    def state_consume_seconds(self, partition_bytes: Sequence[float], *,
-                              read_versions: "Sequence[int] | None" = None)\
-            -> float:
-        """Price one partition's read of neighbour slices (with staleness
-        accounting when ``read_versions`` is given).  Pricing only, like
-        :meth:`state_publish_seconds`."""
+    def state_consume_seconds(self, partition_bytes: Sequence[float]) -> float:
+        """Price one partition's read of neighbour slices.  Pricing only,
+        like :meth:`state_publish_seconds`."""
         if self.cluster is None:
             return 0.0
-        return self.state_store.consume(
-            partition_bytes, read_versions=read_versions,
-            share=self.slot_share)
+        return self.state_store.consume(partition_bytes,
+                                        share=self.slot_share)
 
     def local_solve_seconds(self, report) -> float:
         """Compute seconds of one partition's whole local solve (every

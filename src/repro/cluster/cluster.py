@@ -80,10 +80,7 @@ def late_threshold(values: Sequence[float], *, slowdown_threshold: float,
 class PhaseResult:
     """Outcome of scheduling one phase onto the cluster."""
 
-    phase: str
     makespan: float
-    total_work: float
-    num_tasks: int
     #: Speculative backup attempts launched for this phase.
     backups: int = 0
     #: Backups that finished before their primary (the wins).
@@ -92,18 +89,13 @@ class PhaseResult:
     wasted_seconds: float = 0.0
     #: Correlated failures that fired during this phase.
     node_deaths: int = 0
-    #: In-flight attempts a node death truncated.
-    killed_tasks: int = 0
     #: Completed map outputs orphaned by a death (re-executed).
     lost_map_outputs: int = 0
-    #: Work thrown away by deaths: truncated partial attempts plus the
-    #: full durations of invalidated completed tasks.
-    lost_seconds: float = 0.0
     #: Death-to-last-rerun span: detection latency plus re-execution.
     recovery_seconds: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.makespan < 0 or self.total_work < 0:
+        if self.makespan < 0:
             raise ValueError("negative time in PhaseResult")
 
 
@@ -263,7 +255,7 @@ class SimCluster:
         dispatch = self.cost_model.task_dispatch_seconds
         start_clock = self.clock
         if not costs:
-            return PhaseResult(phase=label, makespan=0.0, total_work=0.0, num_tasks=0)
+            return PhaseResult(makespan=0.0)
 
         # LPT greedy: longest task first, onto the slot that can finish it
         # earliest (accounts for heterogeneous node speeds, including the
@@ -283,7 +275,6 @@ class SimCluster:
         lost: "list[int]" = []       # in-flight attempts a death truncated
         doomed_done: "list[int]" = []  # completed on a node that later dies
         killer: "dict[int, int]" = {}  # task -> the dying node it ran on
-        lost_seconds = 0.0
         for i in order:
             avail, sidx, nid, speed = heapq.heappop(heap)
             # Slots already past their node's death clock are gone for
@@ -306,7 +297,6 @@ class SimCluster:
                                      end=death_clock))
                 lost.append(i)
                 killer[i] = nid
-                lost_seconds += death_clock - avail
                 continue
             self.trace.add(Event(phase=label, label=f"{label}:{i}", node_id=nid,
                                  slot=sidx, start=avail, end=end))
@@ -329,18 +319,14 @@ class SimCluster:
         fired = {n: d for n, d in deaths.items()
                  if n in killed_nodes or d <= phase_end}
 
-        node_deaths = killed_tasks = lost_outputs = 0
+        lost_outputs = 0
         recovery = 0.0
         if fired:
             assert pool is not None
             for n, d in fired.items():
                 pool.fire(n, d)
-            node_deaths = len(fired)
-            killed_tasks = len(lost)
             doomed_fired = [i for i in doomed_done if killer[i] in fired]
             lost_outputs = len(doomed_fired)
-            for i in doomed_fired:
-                lost_seconds += durations[i]  # the whole attempt re-runs
             # Recovery pass: re-queue the lost work on the survivors.
             # Nothing restarts before the master *detects* the death —
             # one heartbeat interval of silence after the death clock.
@@ -376,13 +362,11 @@ class SimCluster:
                 slots=slots, order=order, start_clock=start_clock, spec=spec)
         makespan = max(completion) - start_clock
         self.clock = start_clock + makespan
-        return PhaseResult(phase=label, makespan=makespan,
-                           total_work=sum(costs), num_tasks=len(costs),
+        return PhaseResult(makespan=makespan,
                            backups=backups, backups_won=backups_won,
                            wasted_seconds=wasted,
-                           node_deaths=node_deaths, killed_tasks=killed_tasks,
+                           node_deaths=len(fired),
                            lost_map_outputs=lost_outputs,
-                           lost_seconds=lost_seconds,
                            recovery_seconds=recovery)
 
     def _speculate(self, costs: "list[float]", completion: "list[float]",

@@ -100,8 +100,6 @@ class StateStore(abc.ABC):
         "issues of fault tolerance must be resolved" caveat.
     rounds:
         Rounds charged through this store so far (all jobs).
-    bytes_written / bytes_read:
-        Cumulative bytes routed through the store (all jobs).
     """
 
     name: str = "?"
@@ -109,8 +107,6 @@ class StateStore(abc.ABC):
 
     def __init__(self) -> None:
         self.rounds: int = 0
-        self.bytes_written: int = 0
-        self.bytes_read: int = 0
 
     def bind(self, cluster: "SimCluster | None") -> "StateStore":
         """Adopt the cluster's cost/online models for any the caller did
@@ -174,13 +170,11 @@ class DFSStateStore(StateStore):
     def write_round(self, partition_bytes: Sequence[float], *,
                     share: float = 1.0) -> float:
         total = sum(_validated(partition_bytes))
-        self.bytes_written += int(total)
         return self._cm().dfs_write_seconds(total, share=share)
 
     def read_round(self, partition_bytes: Sequence[float], *,
                    share: float = 1.0) -> float:
         total = sum(_validated(partition_bytes))
-        self.bytes_read += int(total)
         return self._cm().dfs_read_seconds(total, share=share)
 
 
@@ -224,10 +218,6 @@ class OnlineStateStore(StateStore):
         Latest published version per partition (the no-barrier
         :meth:`publish` path; empty for round-trip-only usage).
         Partition-keyed, so the ledger survives tablet splits intact.
-    stale_reads / tablet_stale_reads / max_staleness_served:
-        Staleness accounting for the :meth:`consume` path: how many
-        slice reads were served from a non-latest version, which
-        tablets served them, and the largest version lag ever served.
     tablet_map_version / split_events:
         Version of the tablet map (bumped once per split or merge) and
         the split log: ``(map_version, tablet_index, split_key, round)``
@@ -271,9 +261,6 @@ class OnlineStateStore(StateStore):
         self.tablet_bytes: "list[int]" = [0] * num_tablets
         self.last_round_tablet_seconds: "list[float]" = [0.0] * num_tablets
         self.versions: "dict[int, int]" = {}
-        self.stale_reads: int = 0
-        self.tablet_stale_reads: "list[int]" = [0] * num_tablets
-        self.max_staleness_served: int = 0
         self.tablet_map_version: int = 0
         self.split_events: "list[tuple[int, int, float, int]]" = []
         self.merge_events: "list[tuple[int, int, float, int]]" = []
@@ -361,7 +348,7 @@ class OnlineStateStore(StateStore):
 
     # -- charges --------------------------------------------------------
     def _serve(self, partition_bytes: Sequence[float], seconds_of, *,
-               share: float, read: bool) -> float:
+               share: float) -> float:
         model = self._model()
         self._note_profile(_validated(partition_bytes))
         tb = self.shard_bytes(partition_bytes)
@@ -369,10 +356,6 @@ class OnlineStateStore(StateStore):
         for t, (b, s) in enumerate(zip(tb, secs)):
             self.tablet_bytes[t] += int(b)
             self.last_round_tablet_seconds[t] += s
-        if read:
-            self.bytes_read += int(sum(tb))
-        else:
-            self.bytes_written += int(sum(tb))
         return max(secs)
 
     # -- auto-splitting -------------------------------------------------
@@ -421,7 +404,7 @@ class OnlineStateStore(StateStore):
         """Split tablet ``t`` at its load-aware split key.
 
         The two children each inherit half the parent's cumulative
-        statistics (bytes, last-round seconds, stale reads), so the load
+        statistics (bytes, last-round seconds), so the load
         profile and the split trigger stay meaningful across the split.
         """
         mid = self._split_point(t)
@@ -430,8 +413,6 @@ class OnlineStateStore(StateStore):
         self.tablet_bytes[t:t + 1] = [b - b // 2, b // 2]
         s = self.last_round_tablet_seconds[t]
         self.last_round_tablet_seconds[t:t + 1] = [s / 2.0, s / 2.0]
-        r = self.tablet_stale_reads[t]
-        self.tablet_stale_reads[t:t + 1] = [r - r // 2, r // 2]
         self.tablet_map_version += 1
         self.split_events.append((self.tablet_map_version, t, mid, self.rounds))
 
@@ -463,8 +444,6 @@ class OnlineStateStore(StateStore):
         self.last_round_tablet_seconds[t:t + 2] = [
             self.last_round_tablet_seconds[t]
             + self.last_round_tablet_seconds[t + 1]]
-        self.tablet_stale_reads[t:t + 2] = [
-            self.tablet_stale_reads[t] + self.tablet_stale_reads[t + 1]]
         self.tablet_map_version += 1
         self.merge_events.append(
             (self.tablet_map_version, t, removed, self.rounds))
@@ -499,14 +478,14 @@ class OnlineStateStore(StateStore):
         return self._serve(
             partition_bytes,
             lambda m, b, s: m.write_seconds(b, share=s),
-            share=share, read=False)
+            share=share)
 
     def read_round(self, partition_bytes: Sequence[float], *,
                    share: float = 1.0) -> float:
         return self._serve(
             partition_bytes,
             lambda m, b, s: m.read_seconds(b, share=s),
-            share=share, read=True)
+            share=share)
 
     def checkpoint(self, partition_bytes: Sequence[float], *,
                    share: float = 1.0) -> float:
@@ -517,12 +496,6 @@ class OnlineStateStore(StateStore):
         return self._cm().dfs_write_seconds(total, share=share)
 
     # -- no-barrier publish/consume (the AsyncBackend path) -------------
-    def _partition_tablets(self, partition: int,
-                           num_partitions: int) -> "tuple[int, int]":
-        """Inclusive tablet index range partition ``partition`` overlaps."""
-        return self._range_tablets(partition / num_partitions,
-                                   (partition + 1) / num_partitions)
-
     def publish(self, partition: int, nbytes: float, *, version: int,
                 num_partitions: int, share: float = 1.0) -> float:
         """Seconds to publish one partition's slice at ``version``.
@@ -553,7 +526,6 @@ class OnlineStateStore(StateStore):
             s = model.write_seconds(b, share=share)
             self.tablet_bytes[t] += int(b)
             secs = max(secs, s)
-        self.bytes_written += int(nbytes)
         self.versions[partition] = max(version, self.versions.get(partition, 0))
         # No-barrier path has no round boundary; split as soon as the
         # publish that crossed the threshold lands.  Version ledgers are
@@ -562,16 +534,13 @@ class OnlineStateStore(StateStore):
         return secs
 
     def consume(self, partition_bytes: Sequence[float], *,
-                read_versions: "Sequence[int] | None" = None,
                 share: float = 1.0) -> float:
         """Seconds for one partition to read its neighbours' slices.
 
         ``partition_bytes`` carries the bytes read per source partition
-        (0 for slices the reader already holds); ``read_versions`` the
-        version actually served per source, so reads older than the
-        latest :meth:`publish` are accounted per tablet — the observable
-        cost of running without a barrier.  Served time is the slowest
-        touched tablet.
+        (0 for slices the reader already holds).  Served time is the
+        slowest touched tablet.  How stale the served versions were is
+        the reader's record (``RoundRecord.version_vector``).
         """
         pb = _validated(partition_bytes)
         model = self._model()
@@ -584,19 +553,6 @@ class OnlineStateStore(StateStore):
             s = model.read_seconds(b, share=share)
             self.tablet_bytes[t] += int(b)
             secs = max(secs, s)
-        self.bytes_read += int(sum(pb))
-        if read_versions is not None:
-            for q, (b, v) in enumerate(zip(pb, read_versions)):
-                if b == 0:
-                    continue
-                lag = self.versions.get(q, 0) - int(v)
-                if lag > 0:
-                    self.stale_reads += 1
-                    self.max_staleness_served = max(
-                        self.max_staleness_served, lag)
-                    t_first, t_last = self._partition_tablets(q, len(pb))
-                    for t in range(t_first, t_last + 1):
-                        self.tablet_stale_reads[t] += 1
         self._maybe_split()
         return secs
 

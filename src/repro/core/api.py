@@ -187,7 +187,12 @@ class AsyncMapReduceSpec(abc.ABC):
     def on_global_iteration(self, iteration: int, state: Any) -> Any:
         """Hook called before each global iteration; may return a new
         state (e.g. K-Means' periodic repartitioning, §V-D).  Returning
-        ``None`` keeps the state unchanged."""
+        ``None`` keeps the state unchanged.
+
+        A checkpoint rollback calls the hook again for every round it
+        replays, with the checkpointed state, so a hook that draws or
+        keeps anything must give a replayed round what it gave the
+        round the first time."""
         return None
 
     # -- columnar fast-path hooks (opt-in, see supports_columnar) -------
@@ -269,5 +274,6 @@ class BlockSpec(abc.ABC):
         return estimate_nbytes(state)
 
     def on_global_iteration(self, iteration: int, state: Any) -> Any:
-        """Pre-iteration hook (see :meth:`AsyncMapReduceSpec.on_global_iteration`)."""
+        """Pre-iteration hook (see :meth:`AsyncMapReduceSpec.on_global_iteration`);
+        a checkpoint rollback calls it again for every replayed round."""
         return None

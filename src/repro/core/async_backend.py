@@ -186,7 +186,6 @@ class AsyncBackend(BlockBackend):
                            (phase if phase is not None else (0.0,) * P))
         if len(self.phase) != P or any(x < 0 for x in self.phase):
             raise ValueError("phase needs one non-negative entry per partition")
-        self.initial_staleness = staleness
         self.detector = detector
         self._staleness = staleness
         self._async_started = False
@@ -196,7 +195,7 @@ class AsyncBackend(BlockBackend):
     @property
     def staleness(self) -> "int | None":
         """The bound currently in effect (the detector may have
-        tightened it below :attr:`initial_staleness`)."""
+        tightened it below the one the backend was built with)."""
         return self._staleness
 
     def bind(self, config, accountant=None) -> None:
@@ -215,15 +214,8 @@ class AsyncBackend(BlockBackend):
         self._rounds_done = iteration + 1
         if self._staleness == 0:
             # Barrier semantics: the synchronous path, charge for charge.
-            outcome = super().run_round(iteration, state,
-                                        max_local_iters=max_local_iters)
-            if self._async_started:
-                # Mid-run fallback (detector tightened to 0): keep the
-                # logical-clock record going so history stays uniform.
-                P = self.spec.num_partitions()
-                outcome.partition_clocks = (iteration + 1,) * P
-                outcome.version_vector = (iteration,) * P
-            return outcome
+            return super().run_round(iteration, state,
+                                     max_local_iters=max_local_iters)
         return self._run_async_round(iteration, state,
                                      max_local_iters=max_local_iters)
 
@@ -301,7 +293,6 @@ class AsyncBackend(BlockBackend):
             view = self._views[p]
             fold: "list[Any]" = []
             read_bytes = [0.0] * P
-            read_versions = [0] * P
             oldest = it
             for q in range(P):
                 if q == p:
@@ -311,13 +302,11 @@ class AsyncBackend(BlockBackend):
                     rep, nb = self._pub_report[q][v]
                     fold.append(rep)
                     read_bytes[q] += nb
-                read_versions[q] = tv
                 self._seen[p][q] = tv
                 oldest = min(oldest, tv)
             if fold:
                 view, _, _ = spec.global_combine(view, fold)
-            consume = acct.state_consume_seconds(read_bytes,
-                                                read_versions=read_versions)
+            consume = acct.state_consume_seconds(read_bytes)
             report = spec.local_solve(p, view, max_local_iters=max_local_iters)
             reports[p] = report
             solve = acct.local_solve_seconds(report)
@@ -363,6 +352,5 @@ class AsyncBackend(BlockBackend):
             local_iters=tuple(r.local_iters for r in reports),
             shuffle_bytes=0,
             state_partition_bytes=tuple(pub_bytes),
-            partition_clocks=(it + 1,) * P,
             version_vector=tuple(vv),
         )

@@ -95,8 +95,9 @@ class JobHandle:
         scheduler granted and when the round ran.
     accountant:
         The job's private :class:`~repro.cluster.accountant.RoundAccountant`
-        over the shared cluster; ``accountant.charged`` is the audited
-        per-job cost split.
+        over the shared cluster: its trace labels carry the job's name,
+        and its per-round ledger feeds the job's round records.  The
+        job's share of the clock is :attr:`busy_seconds`.
     """
 
     def __init__(self, *, job_id: int, name: str, priority: int,

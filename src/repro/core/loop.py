@@ -83,17 +83,13 @@ class RoundRecord:
     #: Per-partition bytes routed through the inter-round state store
     #: (one entry per partition; the shape every backend reports).
     state_partition_bytes: tuple = ()
-    #: Per-partition logical clocks: how many rounds each partition has
-    #: completed after this round.  Barrier backends leave it empty (all
-    #: partitions implicitly share the global round counter); the async
-    #: backend fills it, where the invariant "one step advances every
-    #: partition exactly one logical round" is worth recording.
-    partition_clocks: tuple = ()
     #: Version-vector view of "which partition has seen which round":
     #: entry ``p`` is the *oldest* neighbour version partition ``p``
-    #: consumed this round (== the previous iteration number under a
-    #: barrier; lower when a staleness bound let reads lag behind).
+    #: consumed this round (lower than ``iteration`` when a staleness
+    #: bound let reads lag behind).  Barrier rounds leave it empty.
     version_vector: tuple = ()
+    # The fields from here on come from the accountant's per-round
+    # ledger, by name (RoundAccountant.round_facts).
     #: Speculative backup copies launched in this round's phases
     #: (``DriverConfig.speculate``; 0 when speculation is off).
     backups: int = 0
@@ -106,10 +102,6 @@ class RoundRecord:
     #: Tablet splits the state store performed during this round
     #: (load-triggered auto-splitting; 0 for static tablet maps).
     tablet_splits: int = 0
-    #: State-store tablet-map version after this round (0 = never split).
-    tablet_map_version: int = 0
-    #: Adjacent cold tablets the state store merged during this round.
-    tablet_merges: int = 0
     #: Worker deaths that fired during this round (correlated-failure
     #: injection via a :class:`~repro.engine.NodeFaultPlan`).
     node_deaths: int = 0
@@ -166,8 +158,6 @@ class RoundOutcome:
     shuffle_bytes: int
     #: Per-partition bytes this round wrote through the state store.
     state_partition_bytes: tuple = ()
-    #: Per-partition logical clocks after this round (async backend).
-    partition_clocks: tuple = ()
     #: Oldest neighbour version each partition consumed (async backend).
     version_vector: tuple = ()
 
@@ -209,10 +199,6 @@ class IterationBackend(abc.ABC):
     @abc.abstractmethod
     def initial_state(self) -> Any:
         """Global state before the first iteration."""
-
-    @abc.abstractmethod
-    def num_partitions(self) -> int:
-        """Number of partitions (global map tasks per iteration)."""
 
     @abc.abstractmethod
     def on_global_iteration(self, iteration: int, state: Any) -> Any:
@@ -290,9 +276,6 @@ class EngineBackend(IterationBackend):
 
     def initial_state(self) -> Any:
         return self.spec.initial_state()
-
-    def num_partitions(self) -> int:
-        return self._parts
 
     def on_global_iteration(self, iteration: int, state: Any) -> Any:
         return self.spec.on_global_iteration(iteration, state)
@@ -384,9 +367,6 @@ class BlockBackend(IterationBackend):
 
     def initial_state(self) -> Any:
         return self.spec.init_state()
-
-    def num_partitions(self) -> int:
-        return self.spec.num_partitions()
 
     def on_global_iteration(self, iteration: int, state: Any) -> Any:
         return self.spec.on_global_iteration(iteration, state)
@@ -740,17 +720,8 @@ class IterationLoop:
         acct = backend.accountant
         acct.begin_round(it)
         round_start = acct.clock
-        backups0 = acct.backups_launched
-        won0 = acct.backups_won
-        wasted0 = acct.wasted_seconds
-        splits0 = acct.tablet_splits
-        merges0 = acct.tablet_merges
-        deaths0 = acct.node_deaths
-        lost0 = acct.lost_map_outputs
-        recovery0 = acct.recovery_seconds
-        replayed0 = acct.rounds_replayed
         outcome = backend.run_round(it, self._state, max_local_iters=budget)
-        if acct.node_deaths > deaths0:
+        if acct.ledger.node_deaths:
             outcome = self._recover(it, outcome)
         done, residual = backend.global_converged(self._state, outcome.state)
         self._iters = it + 1
@@ -762,18 +733,8 @@ class IterationLoop:
             sim_seconds=acct.clock - round_start,
             shuffle_bytes=outcome.shuffle_bytes,
             state_partition_bytes=outcome.state_partition_bytes,
-            partition_clocks=outcome.partition_clocks,
             version_vector=outcome.version_vector,
-            backups=acct.backups_launched - backups0,
-            backups_won=acct.backups_won - won0,
-            wasted_seconds=acct.wasted_seconds - wasted0,
-            tablet_splits=acct.tablet_splits - splits0,
-            tablet_map_version=acct.tablet_map_version,
-            tablet_merges=acct.tablet_merges - merges0,
-            node_deaths=acct.node_deaths - deaths0,
-            lost_map_outputs=acct.lost_map_outputs - lost0,
-            recovery_seconds=acct.recovery_seconds - recovery0,
-            rounds_replayed=acct.rounds_replayed - replayed0,
+            **acct.round_facts(),
         ))
         if (self._checkpoint is not None and config.checkpoint_every
                 and (it + 1) % config.checkpoint_every == 0):
@@ -825,9 +786,9 @@ class IterationLoop:
             state = outcome.state
         # The replay's re-execution time is recovery time: it re-accrues
         # through the normal charge paths (so the trace stays honest)
-        # and is mirrored into the recovery ledger here.
-        acct.recovery_seconds += acct.clock - replay_start
-        acct.record_replay(it - ck_it)
+        # and is mirrored into the round's ledger here.
+        acct.ledger.recovery_seconds += acct.clock - replay_start
+        acct.ledger.rounds_replayed += it - ck_it
         return outcome
 
     def close(self) -> None:

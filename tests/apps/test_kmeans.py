@@ -15,8 +15,9 @@ from repro.apps import (
     kmeans_spec,
     sse,
 )
-from repro.cluster import SimCluster
+from repro.cluster import OnlineStateStore, SimCluster
 from repro.core import BlockSpec, DriverConfig, LocalSolveReport
+from repro.engine import NodeFaultPlan
 
 from tests.inputs import gaussian_mixture
 
@@ -323,3 +324,53 @@ class TestPaperBehaviour:
         reports = [spec.local_solve(0, state, max_local_iters=1)]
         new_state, _, _ = spec.global_combine(state, reports)
         assert np.allclose(new_state[1], [100.0, 100.0])
+
+
+class TestRollbackTwin:
+    """A node death rolls the run back to its last checkpoint and
+    replays forward; the replay calls ``on_global_iteration`` again for
+    every replayed round.  K-Means draws a fresh repartition every five
+    rounds, so a replay that crosses a reshuffle must reuse the draw,
+    not take a new one, for the run to land on its failure-free twin."""
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        return np.random.default_rng(0).normal(size=(4000, 3))
+
+    @staticmethod
+    def _run(points, node_faults=None):
+        cfg = DriverConfig(state_store=OnlineStateStore(4), checkpoint_every=4)
+        return kmeans(points, 8, num_partitions=8, threshold=1e-6, seed=1,
+                      cluster=SimCluster(node_faults=node_faults), config=cfg)
+
+    @pytest.mark.parametrize("kill_round", [3, 6, 7])
+    def test_rollback_is_bitwise_the_failure_free_run(self, points,
+                                                      kill_round):
+        base = self._run(points)
+        plan = NodeFaultPlan.kill_node(1, round=kill_round, at_seconds=20.5,
+                                       num_nodes=8)
+        res = self._run(points, plan)
+        rec = res.result.history[kill_round]
+        assert rec.node_deaths == 1 and rec.rounds_replayed > 0
+        assert res.global_iters == base.global_iters
+        assert np.array_equal(res.centroids, base.centroids)
+
+    def test_each_epoch_is_drawn_once(self, mixture):
+        spec = KMeansBlockSpec(mixture, 4, num_partitions=6,
+                               reshuffle_every=2, seed=0)
+        spec.init_state()
+        epochs = []
+        for it in range(6):
+            spec.on_global_iteration(it, None)
+            epochs.append(spec._parts)
+        # a replay of rounds 2..4 gets the subsets those rounds had
+        for it in range(2, 5):
+            spec.on_global_iteration(it, None)
+            assert spec._parts is epochs[it]
+        assert epochs[0] is epochs[1] and epochs[2] is epochs[3]
+        assert epochs[1] is not epochs[2]
+        # a new run draws again, in the same order
+        first = [p.copy() for p in epochs[2]]
+        spec.init_state()
+        spec.on_global_iteration(2, None)
+        assert all(np.array_equal(a, b) for a, b in zip(first, spec._parts))

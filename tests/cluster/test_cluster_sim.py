@@ -151,8 +151,12 @@ class TestScheduling:
         lb = max([*costs, sum(costs) / cluster.total_map_slots])
         res = cluster.run_map_phase(costs)
         assert res.makespan >= lb
-        assert res.num_tasks == len(costs)
-        assert res.total_work == pytest.approx(sum(costs))
+        # one trace event per task, each its cost plus the dispatch
+        tasks = [e for e in cluster.trace.events if e.phase == "map"]
+        assert len(tasks) == len(costs)
+        dispatch = cluster.cost_model.task_dispatch_seconds
+        assert sum(e.duration for e in tasks) == pytest.approx(
+            sum(costs) + len(costs) * dispatch)
 
     def test_trace_has_no_slot_overlap(self, cluster):
         cluster.run_map_phase([1.0] * 100)

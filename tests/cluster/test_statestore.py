@@ -157,7 +157,6 @@ class TestOnlineStateStoreSharding:
         assert store.imbalance() == 1.0
         store.round_trip((600, 200))
         assert store.rounds == 1
-        assert store.bytes_written == 800 and store.bytes_read == 800
         assert store.tablet_bytes == [1200, 400]  # write + read per tablet
         assert store.imbalance() == pytest.approx(1.5)
 
@@ -187,7 +186,7 @@ class TestPublishConsume:
         vec = [0.0, float(nbytes), 0.0, 0.0]
         assert a.publish(1, nbytes, version=1, num_partitions=4) == \
             pytest.approx(b.write_round(vec))
-        assert a.bytes_written == nbytes
+        assert a.tablet_bytes == b.tablet_bytes == [0, nbytes, 0, 0]
         assert a.versions == {1: 1}
 
     def test_consume_prices_like_read_round(self):
@@ -197,7 +196,8 @@ class TestPublishConsume:
         b.last_round_tablet_seconds = [0.0] * 4
         pb = (1 << 20, 0, 1 << 10, 0)
         assert a.consume(pb) == pytest.approx(b.read_round(pb))
-        assert a.bytes_read == sum(pb)
+        assert a.tablet_bytes == b.tablet_bytes
+        assert sum(a.tablet_bytes) == sum(pb)
 
     def test_version_monotonicity_enforced(self):
         store = OnlineStateStore(num_tablets=2)
@@ -214,29 +214,22 @@ class TestPublishConsume:
         with pytest.raises(ValueError):
             OnlineStateStore(2).publish(0, -1, version=1, num_partitions=2)
 
-    def test_stale_read_accounting(self):
+    def test_consume_loads_only_the_read_slices_tablets(self):
         store = OnlineStateStore(num_tablets=4)
         for p in range(2):
             for v in (1, 2, 3):
                 store.publish(p, 256, version=v, num_partitions=2)
-        assert store.stale_reads == 0
-        # Reader got version 1 of partition 0 (two behind) and the
-        # latest of partition 1.
-        store.consume((512, 0), read_versions=(1, 3))
-        assert store.stale_reads == 1
-        assert store.max_staleness_served == 2
+        published = list(store.tablet_bytes)
         # partition 0's key range spans tablets 0-1 of 4
-        assert store.tablet_stale_reads == [1, 1, 0, 0]
-        # Zero-byte slices never count as reads, stale or otherwise.
-        store.consume((0, 0), read_versions=(1, 1))
-        assert store.stale_reads == 1
-
-    def test_fresh_reads_stay_unflagged(self):
-        store = OnlineStateStore(num_tablets=2)
-        store.publish(0, 100, version=4, num_partitions=2)
-        store.consume((100, 0), read_versions=(4, 0))
-        assert store.stale_reads == 0
-        assert store.max_staleness_served == 0
+        assert store.consume((512, 0)) > 0
+        assert [b - a for a, b in zip(published, store.tablet_bytes)] \
+            == [256, 256, 0, 0]
+        # A read moves no version: the ledger is the publishers'.
+        assert store.versions == {0: 3, 1: 3}
+        # Zero-byte slices are no reads: free, and no tablet is touched.
+        before = list(store.tablet_bytes)
+        assert store.consume((0, 0)) == 0.0
+        assert store.tablet_bytes == before
 
 
 class TestResolveStateStore:
@@ -586,7 +579,6 @@ class TestAutoSplit:
                    zip(store.boundaries, store.boundaries[1:]))
         assert len(store.boundaries) == store.num_tablets + 1
         assert len(store.tablet_bytes) == store.num_tablets
-        assert len(store.tablet_stale_reads) == store.num_tablets
         assert len(store.last_round_tablet_seconds) == store.num_tablets
         for version, tablet, midpoint, rnd in store.split_events:
             assert 0.0 < midpoint < 1.0
@@ -629,8 +621,8 @@ class TestAutoSplit:
 
     def test_publish_consume_ledgers_survive_splits(self):
         """The async path: version ledgers are partition-keyed, so a
-        split mid-stream neither loses versions nor corrupts staleness
-        accounting."""
+        split mid-stream loses no version, and the per-tablet byte
+        ledger keeps every byte across the remap."""
         store = OnlineStateStore(2, split_threshold=3000, max_tablets=16)
         for v in range(1, 5):
             for p in range(4):
@@ -638,28 +630,37 @@ class TestAutoSplit:
                               num_partitions=4)
         assert store.num_tablets > 2
         assert store.versions == {p: 4 for p in range(4)}
-        # a stale read against the *new* map still lands on the hot
-        # partition's (now multiple) tablets
-        before = store.stale_reads
-        store.consume((1000, 0, 0, 0), read_versions=(2, 4, 4, 4))
-        assert store.stale_reads == before + 1
-        assert sum(store.tablet_stale_reads) >= 1
+        # a read against the *new* map lands on the hot partition's (now
+        # multiple) tablets, and only there
+        load = store.shard_bytes((1000, 0, 0, 0))
+        assert sum(load) == pytest.approx(1000)
+        assert all(store.boundaries[t] < 0.25
+                   for t, b in enumerate(load) if b)
+        before = sum(store.tablet_bytes)
+        store.consume((1000, 0, 0, 0))
+        assert sum(store.tablet_bytes) == pytest.approx(before + 1000, abs=4)
+        assert store.versions == {p: 4 for p in range(4)}
         # publishing after the split keeps versions monotone
         store.publish(0, 10, version=5, num_partitions=4)
         assert store.versions[0] == 5
 
     def test_split_store_round_accounting_through_accountant(self):
-        """RoundAccountant surfaces the live tablet map version and the
-        split count for RoundRecord consumption."""
+        """The round's facts count the splits the store made since the
+        round opened, for RoundRecord consumption."""
         cluster = SimCluster()
         store = OnlineStateStore(2, split_threshold=3000).bind(cluster)
         acct = RoundAccountant(cluster, DriverConfig(), job="t",
                                state_store=store)
-        assert acct.tablet_map_version == 0
+        acct.begin_round(0)
+        assert acct.round_facts()["tablet_splits"] == 0
         for _ in range(4):
             acct.charge_state_round(self.SKEW)
-        assert acct.tablet_splits == len(store.split_events) > 0
-        assert acct.tablet_map_version == store.tablet_map_version
+        assert acct.round_facts()["tablet_splits"] \
+            == len(store.split_events) > 0
+        # the next round starts from the store's count at its opening
+        acct.begin_round(1)
+        assert acct.round_facts()["tablet_splits"] == 0
+        assert store.tablet_map_version == len(store.split_events)
 
 
 class TestTabletMerge:
@@ -711,43 +712,40 @@ class TestTabletMerge:
         store = OnlineStateStore(8, merge_threshold=1000)
         store.round_trip(skew)
         total_bytes = sum(store.tablet_bytes)
-        total_stale = sum(store.tablet_stale_reads)
         store.round_trip(skew)
         assert store.num_tablets == 2
         assert len(store.tablet_bytes) == 2
         assert len(store.last_round_tablet_seconds) == 2
-        assert len(store.tablet_stale_reads) == 2
-        assert sum(store.tablet_stale_reads) == total_stale
         # cumulative bytes only grow (merge moved, round added)
         assert sum(store.tablet_bytes) > total_bytes
         assert sum(store.shard_bytes(skew)) == pytest.approx(sum(skew))
 
     def test_merge_absorbs_rows(self):
-        """The survivor inherits the absorbed tablets' row bytes and
-        stale reads: the ledgers keep their history across the remap
-        (key ranges are disjoint)."""
+        """The survivor inherits the absorbed tablets' row bytes: the
+        ledger keeps its history across the remap (key ranges are
+        disjoint)."""
         store = OnlineStateStore(4, merge_threshold=10 ** 9)
         store.publish(1, 64, version=2, num_partitions=4)
         store.publish(3, 64, version=2, num_partitions=4)
-        store.consume((0, 64, 0, 64), read_versions=(0, 1, 0, 1))
+        store.consume((0, 64, 0, 64))
         assert store.tablet_bytes == [0, 128, 0, 128]
-        assert store.tablet_stale_reads == [0, 1, 0, 1]
         store.round_trip([100.0] * 4)
         assert store.num_tablets == 1
-        assert store.tablet_stale_reads == [2]
         # 256 carried over, plus this round's write and read-back
         assert store.tablet_bytes == [256 + 2 * 400]
 
     def test_merge_surfaces_through_accountant(self):
+        """Merges the accountant's state charges trigger land in the
+        store's merge log and map version, not in the round's splits."""
         cluster = SimCluster()
         store = OnlineStateStore(4, merge_threshold=10 ** 9).bind(cluster)
         acct = RoundAccountant(cluster, DriverConfig(), job="t",
                                state_store=store)
-        assert acct.tablet_merges == 0
+        acct.begin_round(0)
         for _ in range(3):
             acct.charge_state_round([100.0] * 4)
-        assert acct.tablet_merges == len(store.merge_events) == 3
-        assert acct.tablet_map_version == store.tablet_map_version
+        assert len(store.merge_events) == store.tablet_map_version == 3
+        assert acct.round_facts()["tablet_splits"] == 0
 
 
 class TestLoadAwareSplitPoint:

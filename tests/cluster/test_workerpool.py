@@ -118,14 +118,21 @@ def _plan_node(at=1.5, hb=3.0):
                                    heartbeat_seconds=hb)
 
 
+def _killed(cl: SimCluster) -> list:
+    """The trace's truncated attempts: one ``:killed`` event each, from
+    the attempt's start to its node's death."""
+    return [e for e in cl.trace.events if e.label.endswith(":killed")]
+
+
 class TestSimClusterDeaths:
     def test_mid_phase_kill_truncates_and_replays(self):
         cl = SimCluster(node_faults=_plan_node())
         healthy = SimCluster().run_map_phase([1.0] * 64, label="m")
         res = cl.run_map_phase([1.0] * 64, label="m")
         assert res.node_deaths == 1
-        assert res.killed_tasks >= 1
-        assert res.lost_seconds > 0
+        killed = _killed(cl)
+        assert killed and all(e.node_id == 1 for e in killed)
+        assert sum(e.duration for e in killed) > 0
         assert res.recovery_seconds > 0
         assert res.makespan > healthy.makespan
         labels = [e.label for e in cl.trace.events]
@@ -150,8 +157,9 @@ class TestSimClusterDeaths:
         rn = node.run_map_phase([1.0] * 64, label="m")
         rr = rack.run_map_phase([1.0] * 64, label="m")
         assert rr.node_deaths == 4 > rn.node_deaths == 1
-        assert rr.killed_tasks > rn.killed_tasks
-        assert rr.lost_seconds > rn.lost_seconds
+        assert len(_killed(rack)) > len(_killed(node))
+        assert (sum(e.duration for e in _killed(rack))
+                > sum(e.duration for e in _killed(node)))
         assert rr.makespan > rn.makespan
 
     def test_completed_outputs_on_doomed_node_are_invalidated(self):

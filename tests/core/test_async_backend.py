@@ -154,7 +154,10 @@ class TestBoundedStaleness:
             DriverConfig(mode="eager",
                          state_store=OnlineStateStore(num_tablets=4))).run()
         stale = [r.max_staleness for r in res.history]
-        assert all(r.partition_clocks == (r.iteration + 1,) * part.k
+        # every round records one read version per partition, never
+        # newer than the round before it
+        assert all(len(r.version_vector) == part.k
+                   and max(r.version_vector) <= r.iteration
                    for r in res.history)
         assert all(s <= bound for s in stale)
         # The late start makes reads actually stale, or the async
@@ -263,6 +266,11 @@ class TestDivergenceRescue:
         assert det.events
         assert det.events[0][1] is None
         assert det.events[-1][2] == 0
+        # Once the bound is 0 the rounds are barrier rounds: no version
+        # vector, no staleness.
+        barrier = res.result.history[det.events[-1][0] + 1:]
+        assert barrier and all(r.version_vector == () and r.max_staleness == 0
+                               for r in barrier)
 
     def test_detector_unit_behavior(self):
         det = DivergenceDetector()
@@ -372,6 +380,8 @@ class TestAsyncCharges:
         assert len(startup) == 1
 
     def test_store_staleness_stats(self, workload):
+        """Stale reads are the rounds' record (``version_vector``); the
+        store keeps the publishes' versions and the bytes served."""
         g, part = workload
         store = OnlineStateStore(num_tablets=4)
         cfg = DriverConfig(mode="eager", state_store=store)
@@ -380,9 +390,10 @@ class TestAsyncCharges:
                          cluster=SimCluster(), phase=LATE_START),
             cfg).run()
         assert res.converged
-        assert store.stale_reads > 0
-        assert 1 <= store.max_staleness_served <= 3
-        assert sum(store.tablet_stale_reads) >= store.stale_reads
+        assert 1 <= max(r.max_staleness for r in res.history) <= 3
+        assert store.versions == {p: res.global_iters for p in range(part.k)}
+        published = sum(sum(r.state_partition_bytes) for r in res.history)
+        assert sum(store.tablet_bytes) > published > 0
 
     def test_jacobi_async_with_cluster_converges(self, workload):
         g, part = workload

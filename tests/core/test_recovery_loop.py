@@ -31,7 +31,9 @@ from repro.core import (
     IterationLoop,
     LocalSolveReport,
 )
-from repro.engine import MapReduceRuntime, NodeFaultPlan
+from repro.cluster.accountant import RoundAccountant, RoundLedger
+from repro.core.session import Session
+from repro.engine import MapReduceRuntime, NodeFaultPlan, StragglerPlan
 from repro.graph import multilevel_partition, preferential_attachment
 
 #: Slow maps so a mid-wave kill always catches tasks in flight.
@@ -153,11 +155,84 @@ class TestRollbackOnSimPath:
         assert rec.rounds_replayed == 0
         assert np.array_equal(res.state, _run(state_store="dfs").state)
 
-    def test_tablet_merges_surface_per_round(self):
+    def test_tablet_merges_stay_on_the_store(self):
+        """Merges are the store's log (what the CLI prints); a round
+        records only its splits."""
         store = OnlineStateStore(num_tablets=4, merge_threshold=10 ** 9)
         res = _run(state_store=store, rounds=6)
-        assert sum(r.tablet_merges for r in res.history) \
-            == len(store.merge_events) > 0
+        assert store.tablet_map_version == len(store.merge_events) > 0
+        assert all(r.tablet_splits == 0 for r in res.history)
+
+
+class TestRoundLedger:
+    """The accountant keeps one ledger per round: ``begin_round`` opens
+    it, every charge writes it as it happens, and the round's record is
+    read from it once."""
+
+    @staticmethod
+    def _ledger_fields(rec):
+        return {name: getattr(rec, name) for name in vars(RoundLedger())}
+
+    def test_kill_round_fills_the_ledger_and_the_next_round_is_clean(self):
+        plan = NodeFaultPlan.kill_node(1, round=11, at_seconds=1.0,
+                                       num_nodes=8)
+        cfg = DriverConfig(mode="eager", max_global_iters=20,
+                           max_local_iters=1, checkpoint_every=4,
+                           state_store=OnlineStateStore(num_tablets=4))
+        loop = IterationLoop(
+            BlockBackend(GeoSpec(), cluster=SimCluster(cost_model=CM,
+                                                       node_faults=plan)),
+            cfg)
+        loop.start()
+        acct = loop.backend.accountant
+        for _ in range(12):
+            loop.step()
+        rec = loop._history[11]
+        ledger = acct.ledger
+        assert ledger.node_deaths == 1
+        assert ledger.rounds_replayed == 4
+        assert ledger.recovery_seconds > 0
+        assert self._ledger_fields(rec) == vars(ledger)
+        loop.step()
+        assert acct.ledger == RoundLedger()
+        assert self._ledger_fields(loop._history[12]) == vars(RoundLedger())
+        loop.close()
+
+    def test_clusterless_recovery_still_records_deaths(self):
+        acct = RoundAccountant(None)
+        acct.begin_round(0)
+        assert acct.charge_recovery(5.0, node_deaths=2,
+                                    lost_map_outputs=3) == 0.0
+        assert acct.ledger == RoundLedger(node_deaths=2, lost_map_outputs=3)
+        acct.begin_round(1)
+        assert acct.ledger == RoundLedger()
+
+    def test_interleaved_session_jobs_keep_their_own_ledgers(self):
+        """Two jobs take turns on one straggling cluster and one
+        splitting store: only the speculating job records backups, and
+        every split lands in exactly one job's round."""
+        cluster = SimCluster(cost_model=CM,
+                             stragglers=StragglerPlan.slow_nodes({0: 4.0}))
+        store = OnlineStateStore(num_tablets=2, split_threshold=2000)
+        session = Session(cluster=cluster, policy="rr", state_store=store)
+        base = dict(mode="eager", max_global_iters=8, max_local_iters=1)
+        fast = session.submit(BlockBackend(GeoSpec(64)),
+                              DriverConfig(**base, speculate=True))
+        plain = session.submit(BlockBackend(GeoSpec(96)),
+                               DriverConfig(**base))
+        session.run()
+        spec_hist, plain_hist = fast.result.history, plain.result.history
+        assert sum(r.backups for r in spec_hist) > 0
+        assert all(r.backups == r.backups_won == 0 and r.wasted_seconds == 0
+                   for r in plain_hist)
+        # Round robin alternates the jobs' rounds, one state round trip
+        # each, and a split logs the store's round count when it fired.
+        logged = [e[3] for e in store.split_events]
+        for first, hist in ((1, spec_hist), (2, plain_hist)):
+            assert [r.tablet_splits for r in hist] == [
+                logged.count(first + 2 * i) for i in range(len(hist))]
+        assert sum(r.tablet_splits for r in plain_hist) > 0
+        assert sum(r.tablet_splits for r in spec_hist) > 0
 
 
 class TestRollbackOnEnginePath:

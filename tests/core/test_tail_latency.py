@@ -86,11 +86,12 @@ class TestRoundRecordStats:
         store = OnlineStateStore(2, split_threshold=2000)
         res = _run(SimCluster(), DriverConfig(), workload,
                    state_store=store)
-        splits = sum(r.tablet_splits for r in res.history)
-        assert splits == len(store.split_events)
-        if splits:
-            assert res.history[-1].tablet_map_version == \
-                store.tablet_map_version
+        splits = [r.tablet_splits for r in res.history]
+        assert sum(splits) == len(store.split_events) > 0
+        # each split lands in the round that made it: a block round is
+        # one state round trip, and a split logs the store's round count
+        assert splits == [sum(1 for e in store.split_events if e[3] == i + 1)
+                          for i in range(len(splits))]
 
     def test_split_and_frozen_stores_converge_identically(self, workload):
         frozen = OnlineStateStore(2)

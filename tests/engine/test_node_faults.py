@@ -182,8 +182,9 @@ class TestEngineNodeDeaths:
                 MAP_OPS)
         expected = 2.5 + cluster.cost_model.map_compute_seconds(lost_ops)
         assert res.sim_times["recovery"] == pytest.approx(expected)
-        assert acct.recovery_seconds == pytest.approx(expected)
-        assert (acct.node_deaths, acct.lost_map_outputs) == (1, 2)
+        ledger = acct.ledger
+        assert ledger.recovery_seconds == pytest.approx(expected)
+        assert (ledger.node_deaths, ledger.lost_map_outputs) == (1, 2)
         assert res.output == _oracle(splits)
 
 
