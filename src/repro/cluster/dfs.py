@@ -11,6 +11,7 @@ supplies those counts for Python objects.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
@@ -22,6 +23,10 @@ __all__ = ["estimate_nbytes"]
 #: of :func:`estimate_nbytes`.  Subclasses are absent on purpose: they
 #: miss the table and fall through to :func:`_estimate_by_isinstance`.
 _FIXED_NBYTES = {int: 8, float: 8, bool: 8, type(None): 1}
+#: Lists at least this long are tried as a uniform column first
+#: (:func:`_uniform_column_nbytes`); below it the fixed cost of the
+#: column passes exceeds the per-item loop's.
+_COLUMN_MIN = 32
 
 
 def estimate_nbytes(obj: Any) -> int:
@@ -47,11 +52,17 @@ def estimate_nbytes(obj: Any) -> int:
 
     Dispatch is on the *exact* type — one dict lookup for a scalar, a
     flat loop with the same lookup inlined for a ``tuple``/``list`` of
-    scalars and strings (the shape of a shuffle record) — because the
-    engine sizes every record of every object-path task.  Anything that
-    is not exactly one of those builtins (a subclass, a NumPy value, a
-    set, ``bytes``) takes :func:`_estimate_by_isinstance`, the same
-    rules spelled as the ``isinstance`` chain the table abbreviates.
+    scalars and strings — because the engine sizes every record of
+    every object-path task, one call per task column: a map task's
+    values (``("rank", 0.25)`` each) and a reduce task's output pairs
+    (``(node, (rank, ext))``) are each one list.  A list or tuple is the
+    sum of its elements' sizes, so one call on a column is the sum of
+    one call per record, and a long list whose items share one exact
+    type is sized a field at a time (:func:`_uniform_column_nbytes`).
+    Any other element is sized by a recursive call, and whatever is not
+    exactly one of those builtins (a subclass, a NumPy value, a set,
+    ``bytes``) takes :func:`_estimate_by_isinstance`, the same rules
+    spelled as the ``isinstance`` chain the table abbreviates.
     """
     fixed = _FIXED_NBYTES.get
     t = type(obj)
@@ -59,6 +70,10 @@ def estimate_nbytes(obj: Any) -> int:
     if n is not None:
         return n
     if t is tuple or t is list:
+        if t is list and len(obj) >= _COLUMN_MIN:
+            n = _uniform_column_nbytes(obj)
+            if n is not None:
+                return n
         total = 0
         for x in obj:
             tx = type(x)
@@ -78,6 +93,35 @@ def estimate_nbytes(obj: Any) -> int:
             total += estimate_nbytes(k) + estimate_nbytes(v)
         return total
     return _estimate_by_isinstance(obj)
+
+
+def _uniform_column_nbytes(col: list) -> "int | None":
+    """The size of ``col`` when its items share one exact type, in a few
+    passes that run in C; None when they do not.
+
+    Equal to the per-item sum by the same rules: ``n`` fixed-width
+    scalars of one type are ``n`` times its size; ``n`` strings are
+    their concatenation (whose UTF-8 length is the sum of theirs, and
+    which refuses to encode exactly when one of them does); ``n``
+    tuples of one width are their fields, each field's ``n`` values
+    one column, sized by :func:`estimate_nbytes`.
+    """
+    kinds = set(map(type, col))
+    if len(kinds) != 1:
+        return None
+    (kind,) = kinds
+    n = _FIXED_NBYTES.get(kind)
+    if n is not None:
+        return n * len(col)
+    if kind is str:
+        joined = "".join(col)
+        return len(joined) if joined.isascii() else len(joined.encode("utf-8"))
+    if kind is not tuple or len(set(map(len, col))) != 1:
+        return None
+    total = 0
+    for i in range(len(col[0])):
+        total += estimate_nbytes(list(map(itemgetter(i), col)))
+    return total
 
 
 def _estimate_by_isinstance(obj: Any) -> int:

@@ -38,11 +38,7 @@ from repro.core.async_backend import (
 from repro.core.autotune import AutotuneReport, ProbeResult, autotune_partitions
 from repro.core.config import DriverConfig, EAGER, GENERAL
 from repro.core.convergence import CentroidShiftCriterion
-from repro.core.emitter import (
-    GlobalReduceContext,
-    LocalMapContext,
-    LocalReduceContext,
-)
+from repro.core.emitter import LocalMapContext, LocalReduceContext
 from repro.core.gmap import GmapFunction, GreduceFunction
 from repro.core.hierarchy import HierarchyConfig, make_racks
 from repro.core.jobsched import (
@@ -111,7 +107,6 @@ __all__ = [
     "ProbeResult",
     "LocalMapContext",
     "LocalReduceContext",
-    "GlobalReduceContext",
     "GmapFunction",
     "GreduceFunction",
     "LocalRunResult",

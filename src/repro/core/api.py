@@ -38,11 +38,8 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.core.emitter import (
-    GlobalReduceContext,
-    LocalMapContext,
-    LocalReduceContext,
-)
+from repro.core.emitter import LocalMapContext, LocalReduceContext
+from repro.engine.task import TaskContext
 
 __all__ = ["AsyncMapReduceSpec", "BlockSpec", "LocalSolveReport"]
 
@@ -135,9 +132,17 @@ class AsyncMapReduceSpec(abc.ABC):
         ``ctx.emit_local``."""
 
     @abc.abstractmethod
-    def greduce(self, key: Any, values: list, ctx: GlobalReduceContext) -> None:
+    def greduce(self, key: Any, values: list, ctx: TaskContext) -> None:
         """Global reduce over one globally-grouped key; emits via
-        ``ctx.emit``."""
+        ``ctx.emit`` (the paper's ``Emit()``).
+
+        ``ctx`` is the engine reduce task's own context, shared by every
+        key of the task: ``emit`` appends one output pair and counts one
+        op, ``add_ops`` charges extra work, ``incr`` bumps a counter.
+        The wrapper (:class:`~repro.core.gmap.GreduceFunction`) adds one
+        more op per emitted pair after the call.  A ``greduce`` must not
+        call ``ctx.emit_block``: the task raises ``RuntimeError``.
+        """
 
     # -- iteration plumbing ---------------------------------------------
     @abc.abstractmethod

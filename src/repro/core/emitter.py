@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["LocalMapContext", "LocalReduceContext", "GlobalReduceContext"]
+__all__ = ["LocalMapContext", "LocalReduceContext"]
 
 
 class LocalMapContext:
@@ -83,30 +83,3 @@ class LocalReduceContext:
     def ops(self) -> float:
         return self._ops
 
-
-class GlobalReduceContext:
-    """Context passed to ``greduce``; collects final Emit output."""
-
-    __slots__ = ("_out", "_ops")
-
-    def __init__(self) -> None:
-        self._out: list[tuple[Any, Any]] = []
-        self._ops: float = 0.0
-
-    def emit(self, key: Any, value: Any) -> None:
-        """The paper's ``Emit()``: final output of the global iteration."""
-        self._out.append((key, value))
-        self._ops += 1.0
-
-    def add_ops(self, n: float) -> None:
-        if n < 0:
-            raise ValueError("ops must be >= 0")
-        self._ops += n
-
-    @property
-    def output(self) -> list[tuple[Any, Any]]:
-        return self._out
-
-    @property
-    def ops(self) -> float:
-        return self._ops

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.api import AsyncMapReduceSpec
-from repro.core.emitter import GlobalReduceContext
 from repro.core.localmr import run_local_block, run_local_mapreduce
 
 __all__ = ["GmapFunction", "GreduceFunction", "LOCAL_ITER_COUNTER",
@@ -89,13 +88,20 @@ class GmapFunction:
 
 
 class GreduceFunction:
-    """Engine ``reduce_fn`` delegating to the spec's ``greduce``."""
+    """Engine ``reduce_fn`` delegating to the spec's ``greduce``.
+
+    ``greduce`` writes straight into the reduce task's context: its
+    ``emit`` appends the pair and counts one op, its ``add_ops`` lands
+    in the task's running total in call order, and this wrapper then
+    adds one more op per pair the key emitted, the cost of handing the
+    global reduce's output on.
+    """
 
     def __init__(self, spec: AsyncMapReduceSpec) -> None:
         self.spec = spec
 
     def __call__(self, key: Any, values: list, ctx: Any) -> None:
-        gctx = GlobalReduceContext()
-        self.spec.greduce(key, values, gctx)
-        ctx.add_ops(gctx.ops)
-        ctx.emit_pairs(gctx.output)
+        out = ctx.output
+        before = len(out)
+        self.spec.greduce(key, values, ctx)
+        ctx.add_ops(float(len(out) - before))

@@ -309,9 +309,10 @@ def shuffle_bytes(
 
     The oracle measurement: tasks measure their own bytes worker-side
     (``TaskResult.nbytes`` — dtype itemsize math on the columnar path,
-    the object map task's route-and-size pass) and the driver reuses
-    those, so this scan only runs over an object reduce task's output,
-    for direct callers, and in the tests pinning the two equal.
+    one ``estimate_nbytes`` call per column on the object path) and the
+    driver reuses those, so this scan runs only for direct callers, for
+    an iterative result that carries no measured output bytes, and in
+    the tests pinning the two equal.
     """
     total = 0
     for m_bucket in map_buckets:

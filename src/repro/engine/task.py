@@ -16,8 +16,8 @@ Two data representations flow through the runners:
   them (:func:`~repro.cluster.dfs.estimate_nbytes`, into
   ``TaskResult.nbytes``) and buckets the tuples the map emitted by one
   stable grouping; the reduce task counts groups and records in locals
-  and writes the counters once, then sizes its output in one
-  ``shuffle_bytes`` scan.  ``docs/object_path.md`` is the accounting
+  and writes the counters once, then sizes its output list in one
+  ``estimate_nbytes`` call.  ``docs/object_path.md`` is the accounting
   contract.
 * **Columnar path** — map functions emit typed array batches
   (``ctx.emit_block``); routing, map-side combining, grouping and byte
@@ -82,7 +82,7 @@ from repro.engine.shm import (
     ShmSplitRef,
     export_block,
 )
-from repro.engine.shuffle import ColumnarRun, shuffle_bytes
+from repro.engine.shuffle import ColumnarRun
 
 __all__ = ["TaskContext", "TaskResult", "run_map_task", "run_reduce_task",
            "keep_plans", "kept_plans", "collector_held"]
@@ -396,8 +396,8 @@ def _route_pairs(pairs: "list[tuple[Any, Any]]", partitioner: Any,
     same ``stable_hash(k) % R``), else one ``partitioner(k, R)`` call
     per key, in order, each checked.  One stable grouping by id then
     fills bucket ``r`` with the emitted tuples themselves, in emission
-    order.  ``nbytes`` is the summed ``estimate_nbytes`` of the keys
-    and of the values, which equals ``shuffle_bytes([buckets])``.  A
+    order.  ``nbytes`` is ``estimate_nbytes`` of the key column plus
+    that of the value column, which equals ``shuffle_bytes([buckets])``.  A
     task without pairs calls no partitioner.
     """
     if not pairs:
@@ -412,14 +412,11 @@ def _route_pairs(pairs: "list[tuple[Any, Any]]", partitioner: Any,
             pass
         else:
             ids = hash_buckets(column, num_reducers)
-            # estimate_nbytes sizes by exact type: every int is 8.
-            key_bytes = estimate_nbytes(keys[0]) * len(keys)
     if ids is None:
         if partitioner is None:
             partitioner = HashPartitioner()
         ids = partition_each(keys, partitioner, num_reducers)
-        key_bytes = sum(map(estimate_nbytes, keys))
-    nbytes = key_bytes + sum(map(estimate_nbytes, values))
+    nbytes = estimate_nbytes(keys) + estimate_nbytes(values)
     order = stable_key_order(ids).tolist()
     ordered = [pairs[i] for i in order]
     buckets = []
@@ -558,11 +555,16 @@ def run_reduce_task(
         n_records += len(values)
         ctx._ops += float(len(values))  # add_ops, minus the call
         reduce_fn(key, values, ctx)
+    if ctx.columnar_output:
+        raise RuntimeError(
+            f"reduce task {task_id} emitted emit_block() output; "
+            "a reduce emits its pairs with emit()"
+        )
     ctx.counters.incr(REDUCE_INPUT_GROUPS, n_groups)
     ctx.counters.incr(REDUCE_INPUT_RECORDS, n_records)
     ctx.counters.incr(REDUCE_OUTPUT_RECORDS, len(ctx.output))
     ctx.counters.incr(REDUCE_OPS, int(ctx.ops))
-    nbytes = shuffle_bytes([[ctx.output]]) if measure_output else 0
+    nbytes = estimate_nbytes(ctx.output) if measure_output else 0
     return TaskResult(task_id=task_id, attempt=attempt, data=ctx.output,
                       counters=ctx.counters, ops=ctx.ops, nbytes=nbytes)
 

@@ -18,7 +18,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import estimate_nbytes
-from repro.engine import HashPartitioner, run_map_task, shuffle_bytes
+from repro.engine import (
+    HashPartitioner,
+    run_map_task,
+    run_reduce_task,
+    shuffle_bytes,
+)
 
 
 def reference_nbytes(obj) -> int:
@@ -160,6 +165,8 @@ class TestPinnedEntries:
             estimate_nbytes("\ud800")
         with pytest.raises(UnicodeEncodeError):
             estimate_nbytes(("\ud800", 1))
+        with pytest.raises(UnicodeEncodeError):
+            estimate_nbytes([(1, "\ud800")])
 
 
 # -- the object map task measures what shuffle_bytes measures -----------
@@ -216,3 +223,128 @@ class TestMapTaskMeasuresInOnePass:
         for r, bucket in enumerate(res.data):
             assert bucket == [kv for kv in want if part(kv[0], 3) == r]
             assert all(type(pair) is tuple for pair in bucket)
+
+
+# -- a task column in one call: the object reduce task's output ---------
+
+class Label(str):
+    pass
+
+
+class Pair(tuple):
+    pass
+
+
+#: Leaves that miss the loop's two fast cases (an exact fixed-width
+#: scalar, an exact ASCII ``str``), with their pinned sizes.
+LEAF_SIZES = [
+    ("é", 2),                    # non-ASCII str
+    (np.str_("ab"), 2),          # a str subclass, ASCII
+    (np.str_("é"), 2),
+    (Label("abc"), 3),
+    (True, 8),
+    (None, 1),
+    (np.float64(0.25), 8),
+    (b"abc", 3),
+    (np.bool_(True), 32),
+    (Pair((1, "é")), 10),        # a tuple subclass: its fields
+    ((0.5, "x"), 9),             # an exact tuple one level deeper
+]
+#: One strategy per leaf kind, each drawing a single exact type, so a
+#: column drawn from one is uniform.
+LEAVES = [
+    _text,
+    st.text(alphabet="abé€", max_size=4),
+    st.text(alphabet="abc", max_size=4),
+    _text.map(np.str_),
+    _text.map(Label),
+    st.booleans(),
+    st.none(),
+    _floats,
+    _floats.map(np.float64),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.binary(max_size=4),
+    st.booleans().map(np.bool_),
+]
+_leaves = st.one_of(*LEAVES)
+
+
+def _nested(depth: int):
+    """Values ``depth`` containers deep: tuples, tuple subclasses, lists."""
+    inner = _leaves if depth == 1 else _nested(depth - 1)
+    items = st.lists(st.one_of(_leaves, inner), max_size=3)
+    return st.one_of(items.map(tuple), items.map(Pair), items)
+
+
+_outputs = st.lists(
+    st.tuples(_leaves, st.integers(1, 3).flatmap(_nested)), max_size=8)
+
+
+def _shapes(depth: int):
+    """Row strategies ``depth`` containers deep: every row drawn from one
+    has the same containers and the same leaf kind in each place."""
+    leaf = st.sampled_from(LEAVES)
+    part = leaf if depth == 1 else st.one_of(leaf, _shapes(depth - 1))
+    return st.tuples(st.lists(part, max_size=3),
+                     st.sampled_from([tuple, Pair, list])).map(
+        lambda shape: st.tuples(*shape[0]).map(shape[1]))
+
+
+def _emit_the_values(_key, values, ctx):
+    for k, v in values:
+        ctx.emit(k, v)
+
+
+class TestReduceTaskMeasuresInOneCall:
+    @settings(deadline=None, max_examples=200)
+    @given(_outputs)
+    def test_nbytes_is_shuffle_bytes_of_the_output(self, pairs):
+        res = run_reduce_task(0, 0, [("g", pairs)], _emit_the_values)
+        assert res.data == pairs
+        want = sum(reference_nbytes(k) + reference_nbytes(v) for k, v in pairs)
+        assert res.nbytes == shuffle_bytes([[res.data]]) == want
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_a_column_of_one_shape_is_sized_as_its_records(self, data):
+        # Up to 80 records: long uniform lists are sized a field at a
+        # time, short ones and ones with a stray record item by item.
+        key = data.draw(st.sampled_from(LEAVES))
+        value = data.draw(st.integers(1, 3).flatmap(_shapes))
+        n = data.draw(st.integers(0, 80))
+        pairs = data.draw(st.lists(st.tuples(key, value), min_size=n,
+                                   max_size=n))
+        for at, stray in data.draw(st.lists(
+                st.tuples(st.integers(0, 80), st.tuples(_leaves, values)),
+                max_size=2)):
+            pairs.insert(at, stray)
+        res = run_reduce_task(0, 0, [("g", pairs)], _emit_the_values)
+        want = sum(reference_nbytes(k) + reference_nbytes(v) for k, v in pairs)
+        assert res.nbytes == shuffle_bytes([[res.data]]) == want
+        for column in zip(*pairs):
+            assert estimate_nbytes(list(column)) == reference_nbytes(column)
+
+    @pytest.mark.parametrize("leaf, nbytes", LEAF_SIZES,
+                             ids=[repr(leaf) for leaf, _ in LEAF_SIZES])
+    def test_a_leaf_in_a_short_output_keeps_its_size(self, leaf, nbytes):
+        assert estimate_nbytes(leaf) == nbytes == reference_nbytes(leaf)
+        output = [(leaf, 0.5), ("k", leaf), (7, (leaf, leaf))]
+        assert estimate_nbytes(output) == 8 + 1 + 8 + 4 * nbytes
+        res = run_reduce_task(0, 0, [("g", output)], _emit_the_values)
+        assert res.nbytes == shuffle_bytes([[output]]) == 17 + 4 * nbytes
+
+    @pytest.mark.parametrize("leaf, nbytes", LEAF_SIZES,
+                             ids=[repr(leaf) for leaf, _ in LEAF_SIZES])
+    def test_a_long_column_of_one_leaf_keeps_its_size(self, leaf, nbytes):
+        for n in (31, 32, 100):
+            assert estimate_nbytes([leaf] * n) == n * nbytes
+            assert estimate_nbytes([(7, ("k", leaf))] * n) == n * (9 + nbytes)
+            mixed = [(7, ("k", leaf))] * n + [(7, ("k", leaf, None))]
+            assert estimate_nbytes(mixed) == n * (9 + nbytes) + 10 + nbytes
+
+    def test_a_long_column_refuses_a_lone_surrogate(self):
+        column = ["ok"] * 40 + ["\ud800"]
+        with pytest.raises(UnicodeEncodeError):
+            estimate_nbytes(column)
+        with pytest.raises(UnicodeEncodeError):
+            estimate_nbytes([(1, s) for s in column])

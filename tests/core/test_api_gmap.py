@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import GmapFunction, GreduceFunction, LocalSolveReport
 from repro.core.gmap import LOCAL_ITER_COUNTER, LOCAL_OPS_COUNTER
 from repro.core.localmr import run_local_mapreduce
-from repro.engine import TaskContext
+from repro.engine import TaskContext, run_reduce_task
+from repro.engine.counters import REDUCE_OPS
 
 from tests.core.test_localmr import CountdownSpec
 
@@ -107,5 +109,65 @@ class TestGreduceFunction:
         greduce("a", [5, 6], ctx)
         greduce("b", [], ctx)
         assert ctx.output == [(("a", 5), 5), (("a", 6), 6)]
-        # per group: greduce's own ops (2.5 + its emits), then one per pair
-        assert ctx.ops == (2.5 + 2.0) + 2.0 + 2.5
+        # per group, in order: greduce's own ops (2.5, then one per
+        # emit), then one per pair handed on
+        assert ctx.ops == 2.5 + 1.0 + 1.0 + 2.0 + 2.5
+
+    def test_a_group_that_emits_nothing_adds_no_ops(self):
+        class Silent(CountdownSpec):
+            def greduce(self, key, values, ctx):
+                pass
+
+        ctx = TaskContext("r0", 0)
+        GreduceFunction(Silent())("a", [1, 2], ctx)
+        assert ctx.output == []
+        assert ctx.ops == 0.0
+
+    def test_each_emitted_pair_costs_two_ops(self):
+        class Fanout(CountdownSpec):
+            def greduce(self, key, values, ctx):
+                for v in values:
+                    ctx.emit(key, v)
+
+        greduce = GreduceFunction(Fanout())
+        ctx = TaskContext("r0", 0)
+        greduce("a", [1, 2, 3], ctx)
+        assert ctx.ops == 6.0
+        greduce("b", [4], ctx)
+        assert ctx.ops == 8.0
+        assert ctx.output == [("a", 1), ("a", 2), ("a", 3), ("b", 4)]
+
+    def test_fractional_ops_land_in_task_order(self):
+        class Fractional(CountdownSpec):
+            def greduce(self, key, values, ctx):
+                ctx.add_ops(0.1)
+                ctx.emit(key, sum(values))
+                ctx.add_ops(0.2)
+
+        groups = [("a", [1, 2, 3]), ("b", [4]), ("c", []), ("d", [5, 6])]
+        want_ops = 0.0                  # in the order the task adds them
+        per_key = 0.0                   # each key's greduce as one subtotal
+        for _, values in groups:
+            want_ops += float(len(values))  # the reduce loop's group scan
+            want_ops += 0.1
+            want_ops += 1.0                 # the emit
+            want_ops += 0.2
+            want_ops += 1.0                 # the pair handed on
+            per_key += float(len(values))
+            per_key += 0.0 + 0.1 + 1.0 + 0.2
+            per_key += 1.0
+        res = run_reduce_task(0, 0, groups, GreduceFunction(Fractional()))
+        assert res.data == [("a", 6), ("b", 4), ("c", 0), ("d", 11)]
+        assert res.ops == want_ops
+        assert res.counters.get(REDUCE_OPS) == int(want_ops)
+        # A per-key subtotal rounds these amounts differently in the
+        # last place.
+        assert res.ops != per_key
+
+    def test_a_greduce_that_emits_a_block_fails_the_task(self):
+        class Blocky(CountdownSpec):
+            def greduce(self, key, values, ctx):
+                ctx.emit_block(np.array([0]), np.array([float(len(values))]))
+
+        with pytest.raises(RuntimeError, match="reduce task r0"):
+            run_reduce_task(0, 0, [("a", [1, 2])], GreduceFunction(Blocky()))

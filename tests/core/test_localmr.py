@@ -6,11 +6,11 @@ import pytest
 
 from repro.core import (
     AsyncMapReduceSpec,
-    GlobalReduceContext,
     LocalMapContext,
     LocalReduceContext,
     run_local_mapreduce,
 )
+from repro.engine import TaskContext
 
 
 class TestEmitters:
@@ -30,15 +30,17 @@ class TestEmitters:
         assert ctx.local_output == [("k", 2)]
         assert ctx.ops == 1.0
 
-    def test_global_reduce_context(self):
-        ctx = GlobalReduceContext()
+    def test_greduce_context_is_the_task_context(self):
+        ctx = TaskContext("r0", 0)
         ctx.emit("k", 3)
         assert ctx.output == [("k", 3)]
         assert ctx.ops == 1.0
 
-    @pytest.mark.parametrize("cls", [LocalReduceContext, GlobalReduceContext])
-    def test_reduce_contexts_account_extra_ops(self, cls):
-        ctx = cls()
+    @pytest.mark.parametrize("make", [LocalReduceContext,
+                                      lambda: TaskContext("r0", 0)],
+                             ids=["LocalReduceContext", "TaskContext"])
+    def test_reduce_contexts_account_extra_ops(self, make):
+        ctx = make()
         ctx.add_ops(2.5)
         ctx.add_ops(0)
         assert ctx.ops == 2.5

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.engine import (
     FaultPlan,
     HashPartitioner,
+    Job,
+    JobConf,
+    MapReduceRuntime,
     ShmBlockRef,
     ShuffleBuffer,
     SimulatedTaskFailure,
@@ -351,6 +355,31 @@ class TestRunReduceTask:
             }
             assert res.ops == want_ops
             assert res.nbytes == shuffle_bytes([[res.data]]) == 4 * 9
+
+    def test_a_reduce_that_emits_a_block_fails_the_task(self):
+        def block_reduce(key, values, ctx):
+            ctx.emit_block(np.array([key]), np.array([float(sum(values))]))
+
+        with pytest.raises(RuntimeError, match=r"reduce task r3 .*emit_block"):
+            run_reduce_task(3, 0, [(1, [1.0, 2.0])], block_reduce)
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_a_reduce_that_emits_a_block_fails_the_job(self, columnar):
+        def block_reduce(key, values, ctx):
+            ctx.emit_block(np.array([key]), np.array([float(sum(values))]))
+
+        if columnar:  # the groups reach the callable reduce as pairs
+            def map_fn(k, v, ctx):
+                ctx.emit_block(np.array([k % 3]), np.array([float(v)]))
+        else:
+            def map_fn(k, v, ctx):
+                ctx.emit(k % 3, float(v))
+        job = Job(map_fn=map_fn, reduce_fn=block_reduce,
+                  conf=JobConf(num_reducers=2, columnar=columnar))
+        with MapReduceRuntime("serial") as rt:
+            with pytest.raises(RuntimeError,
+                               match=r"reduce task r\d emitted emit_block"):
+                rt.run(job, [[(i, i) for i in range(10)]])
 
     def test_fault_injection(self):
         plan = FaultPlan(scripted={("reduce", 1): 2})
