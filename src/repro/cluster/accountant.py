@@ -7,17 +7,19 @@ periodic durability checkpoint and charged ``extra_bytes`` shuffle
 differently.  :class:`RoundAccountant` centralises every charge an
 iterative round can incur (job startup, map phase under eager/lockstep
 scheduling, shuffle, reduce phase, barrier, state round trip, periodic
-checkpoint, rack-local rounds) so all backends of :mod:`repro.core.loop`
-— and the engine's own per-job accounting — flow through one code path
-and cannot diverge again.
+checkpoint) so all backends of :mod:`repro.core.loop` — and the
+engine's own per-job accounting — flow through one code path and cannot
+diverge again.
 
 Inter-round state is charged through a partitioned
 :class:`~repro.cluster.statestore.StateStore` (resolved from the
 config's ``state_store``, or injected by a session so many jobs contend
-on one store), and every bandwidth-bound charge — shuffle, DFS round
-trip, state round trip, checkpoint — honours :attr:`slot_share`, so a
-fair-share scheduler's concurrent jobs each see their slice of the
-network and of the store's throughput.
+on one store).  Every phase and every bandwidth-bound charge — shuffle,
+DFS round trip, state round trip, checkpoint — runs on the cluster's
+current :attr:`~repro.cluster.SimCluster.share`, so the branches of a
+:meth:`~repro.cluster.SimCluster.concurrently` fork (a fair-share
+session's jobs, a hierarchical round's racks) each see their slice of
+the slots, the network and the store's throughput.
 
 Every method is a no-op returning ``0.0`` when no cluster is attached,
 so callers never branch on ``cluster is None``.
@@ -25,13 +27,11 @@ so callers never branch on ``cluster is None``.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # avoid a runtime repro.cluster <-> repro.core cycle
     from repro.cluster.cluster import SimCluster
-    from repro.cluster.node import SimNode
     from repro.cluster.statestore import StateStore
     from repro.core.config import DriverConfig
 
@@ -87,11 +87,6 @@ class RoundAccountant:
         :meth:`begin_round`.  Charges made outside any round (a
         standalone engine job) land in the one built with the
         accountant.
-    slot_share:
-        Fraction of the cluster's slots the owning job currently holds
-        (set per round by the multi-job scheduler; 1.0 when the job has
-        the whole cluster).  Applied to every map/reduce phase scheduled
-        through this accountant.
     """
 
     def __init__(self, cluster: "SimCluster | None",
@@ -101,7 +96,6 @@ class RoundAccountant:
         self.cluster = cluster
         self.config = config
         self.job = job
-        self.slot_share: float = 1.0
         self._state_store = state_store
         self.ledger = RoundLedger()
         self._splits_at_open = 0
@@ -186,8 +180,7 @@ class RoundAccountant:
     def charge_shuffle(self, nbytes: float, *, label: str = "shuffle") -> float:
         if self.cluster is None:
             return 0.0
-        return self.cluster.charge_shuffle(
-            nbytes, label=self._label(label), share=self.slot_share)
+        return self.cluster.charge_shuffle(nbytes, label=self._label(label))
 
     def charge_barrier(self, *, label: str = "barrier") -> float:
         if self.cluster is None:
@@ -197,8 +190,8 @@ class RoundAccountant:
     def charge_dfs_roundtrip(self, nbytes: float, *, label: str = "dfs") -> float:
         if self.cluster is None:
             return 0.0
-        return self.cluster.charge_dfs_roundtrip(
-            nbytes, label=self._label(label), share=self.slot_share)
+        return self.cluster.charge_dfs_roundtrip(nbytes,
+                                                 label=self._label(label))
 
     def _speculate(self):
         """Speculation setting forwarded to every scheduled phase
@@ -221,15 +214,13 @@ class RoundAccountant:
         if self.cluster is None:
             return 0.0
         return self._phase_stats(self.cluster.run_map_phase(
-            task_costs, label=self._label(label),
-            slot_share=self.slot_share, speculate=self._speculate()))
+            task_costs, label=self._label(label), speculate=self._speculate()))
 
     def run_reduce_phase(self, task_costs: Sequence[float], *, label: str) -> float:
         if self.cluster is None:
             return 0.0
         return self._phase_stats(self.cluster.run_reduce_phase(
-            task_costs, label=self._label(label),
-            slot_share=self.slot_share, speculate=self._speculate()))
+            task_costs, label=self._label(label), speculate=self._speculate()))
 
     def charge_fixed(self, label: str, seconds: float) -> float:
         if self.cluster is None:
@@ -266,7 +257,7 @@ class RoundAccountant:
             return 0.0
         cm = self.cluster.cost_model
         t = cm.dfs_read_seconds(float(sum(partition_bytes)),
-                                share=self.slot_share)
+                                share=self.cluster.share)
         t = self.charge_fixed(label, t)
         self.ledger.recovery_seconds += t
         return t
@@ -279,12 +270,12 @@ class RoundAccountant:
         ``partition_bytes`` is the per-partition byte vector the round
         writes (and the next round reads back); the store decides what
         that costs — in aggregate for the DFS file, max-over-tablets
-        for the online store — scaled to the job's slot share.
+        for the online store — scaled to the cluster's current share.
         """
         if self.cluster is None:
             return 0.0
         t = self.state_store.round_trip(partition_bytes,
-                                        share=self.slot_share)
+                                        share=self.cluster.share)
         return self.cluster.charge_fixed(self._label(label), t)
 
     def charge_due_checkpoint(self, partition_bytes: Sequence[float], *,
@@ -300,7 +291,7 @@ class RoundAccountant:
                 or (iteration + 1) % config.checkpoint_every):
             return 0.0
         t = self.state_store.checkpoint(partition_bytes,
-                                        share=self.slot_share)
+                                        share=self.cluster.share)
         return self.cluster.charge_fixed(self._label(label), t)
 
     def charge_state_tail(self, *, iteration: int,
@@ -330,15 +321,15 @@ class RoundAccountant:
 
         Pricing only — the async backend composes per-partition
         timelines itself and advances the shared clock once per round
-        via :meth:`charge_async_step`, so this must not touch the
-        clock.  Store-side stats (tablet bytes, version vector) do
+        by the furthest timeline's reach (:meth:`charge_fixed`), so this
+        must not touch the clock.  Store-side stats (tablet bytes, version vector) do
         accumulate.
         """
         if self.cluster is None:
             return 0.0
         return self.state_store.publish(
             partition, nbytes, version=version,
-            num_partitions=num_partitions, share=self.slot_share)
+            num_partitions=num_partitions, share=self.cluster.share)
 
     def state_consume_seconds(self, partition_bytes: Sequence[float]) -> float:
         """Price one partition's read of neighbour slices.  Pricing only,
@@ -346,7 +337,7 @@ class RoundAccountant:
         if self.cluster is None:
             return 0.0
         return self.state_store.consume(partition_bytes,
-                                        share=self.slot_share)
+                                        share=self.cluster.share)
 
     def local_solve_seconds(self, report) -> float:
         """Compute seconds of one partition's whole local solve (every
@@ -355,11 +346,6 @@ class RoundAccountant:
         if self.cluster is None:
             return 0.0
         return self.gmap_task_cost(report, 0, report.local_iters)
-
-    def charge_async_step(self, seconds: float, *, label: str) -> float:
-        """Advance the shared clock by one no-barrier step's wall time
-        (the furthest partition timeline this round reached)."""
-        return self.charge_fixed(label, seconds)
 
     # ------------------------------------------------------------------
     # Driver-level composites (need a DriverConfig)
@@ -437,53 +423,3 @@ class RoundAccountant:
                                state_partition_bytes=state_partition_bytes,
                                label=label)
         return self.cluster.clock - start
-
-    # ------------------------------------------------------------------
-    # Rack-level charges (hierarchical backend)
-    # ------------------------------------------------------------------
-    def rack_round_seconds(self, sync_reports, solve_reports, *,
-                           rack_startup_seconds: float,
-                           rack_shuffle_speedup: float,
-                           num_racks: int) -> float:
-        """Simulated seconds of one rack-local round: the intra-rack
-        synchronization of the previous round's reports followed by the
-        rack's next solves, scheduled on the rack's share of the nodes.
-
-        Not charged directly — racks run concurrently, so the caller
-        charges the slowest rack via :meth:`charge_rack_phase`.
-        """
-        if self.cluster is None:
-            return 0.0
-        cm = self.cluster.cost_model
-        costs = [self.gmap_task_cost(r) + cm.task_dispatch_seconds
-                 for r in solve_reports]
-        # Racks partition the machines and run concurrently, so one
-        # rack's compute is scheduled on its share of the nodes.
-        share = max(1, len(self.cluster.nodes) // max(1, num_racks))
-        makespan = _lpt_makespan(costs, self.cluster.nodes[:share])
-        sync_bytes = sum(r.shuffle_bytes for r in sync_reports)
-        sync = rack_startup_seconds + sync_bytes / (
-            cm.shuffle_bandwidth_bps * rack_shuffle_speedup)
-        return makespan + sync
-
-    def charge_rack_phase(self, rack_times: Sequence[float], *,
-                          label: str) -> float:
-        """Racks run concurrently: the phase costs the slowest rack."""
-        if self.cluster is None:
-            return 0.0
-        return self.charge_fixed(label, max(rack_times, default=0.0))
-
-
-def _lpt_makespan(costs: Sequence[float], nodes: "Sequence[SimNode]") -> float:
-    """Makespan of greedy longest-processing-time list scheduling of
-    ``costs`` on the map slots of ``nodes``: longest task first, each on
-    the slot free earliest, ties to the lower ``(node_id, slot)``."""
-    heap = [(0.0, n.node_id, s, n.speed) for n in nodes for s in range(n.map_slots)]
-    heapq.heapify(heap)
-    makespan = 0.0
-    for cost in sorted(map(float, costs), reverse=True):
-        avail, node_id, slot, speed = heapq.heappop(heap)
-        end = avail + cost / speed
-        makespan = max(makespan, end)
-        heapq.heappush(heap, (end, node_id, slot, speed))
-    return makespan

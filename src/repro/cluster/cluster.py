@@ -14,13 +14,18 @@ charges.  This is where the paper's central asymmetry lives: local
 synchronizations inside a gmap never touch the cluster clock beyond
 their compute time, while global synchronizations pay the full
 job-startup + shuffle + barrier toll.
+
+Work that runs side by side — the jobs of a fair-share session step,
+the racks of a hierarchical round — forks and joins through
+:meth:`SimCluster.concurrently`, which gives each branch its share of
+the slots and bandwidth.  This module is the only writer of the clock.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.cluster.costmodel import CostModel, EC2_DEFAULTS, OnlineStoreModel
 from repro.cluster.node import SimNode, ec2_nodes
@@ -128,7 +133,8 @@ class SimCluster:
     Attributes
     ----------
     clock:
-        Current simulated time in seconds.  Phases advance it.
+        Current simulated time in seconds.  Phases and charges advance
+        it; only this class writes it.
     trace:
         Full event log of everything scheduled so far.
     """
@@ -163,6 +169,7 @@ class SimCluster:
             WorkerPool(self.nodes, node_faults)
             if node_faults is not None else None)
         self.clock: float = 0.0
+        self._share = 1.0
         self.trace = Trace()
 
     # ------------------------------------------------------------------
@@ -175,34 +182,67 @@ class SimCluster:
         return sum(n.reduce_slots for n in self.nodes)
 
     # ------------------------------------------------------------------
+    # Concurrent work
+    # ------------------------------------------------------------------
+    @property
+    def share(self) -> float:
+        """Fraction of the slots and bandwidth the running work holds:
+        1.0 outside :meth:`concurrently`, the branch's share inside."""
+        return self._share
+
+    def concurrently(self, branches: "Sequence[Callable[[], object]]") -> None:
+        """Run zero-argument ``branches`` side by side (fork-join).
+
+        Each branch starts at the current clock and holds ``1/k`` of the
+        current :attr:`share` (nested forks multiply); every phase and
+        bandwidth-bound charge inside it runs on that share.  Afterwards
+        the clock is ``start + max(d_i)``, ``d_i`` being how far branch
+        ``i`` moved it: the fork costs its slowest branch.  The share is
+        restored even when a branch raises.
+
+        Branches run one after another on the same slot prefix, so they
+        never contend for a slot, and a death fired in one is seen by
+        the branches after it.
+        """
+        start, outer = self.clock, self._share
+        self._share = outer / max(1, len(branches))
+        durations = []
+        try:
+            for branch in branches:
+                self.clock = start
+                branch()
+                durations.append(self.clock - start)
+        finally:
+            self._share = outer
+        if durations:
+            self.clock = start + max(durations)
+
+    # ------------------------------------------------------------------
     # Phase scheduling
     # ------------------------------------------------------------------
     def run_map_phase(self, task_costs: Sequence[float], *,
                       label: str = "map",
-                      slot_share: float = 1.0,
                       speculate: "SpeculationConfig | bool | None" = None,
                       ) -> PhaseResult:
         """Schedule map tasks (compute seconds each) onto map slots.
 
-        ``slot_share`` caps the phase to a fraction of the cluster's
-        slots (at least one) — how a multi-job scheduler models a job
-        holding only its share of the cluster while other jobs run
-        concurrently on the rest (see :mod:`repro.core.jobsched`).
-        ``speculate`` enables LATE-style backup attempts for tasks whose
-        projected completion runs past the phase estimate (``True`` for
-        defaults, or a :class:`SpeculationConfig`).
+        The phase runs on :attr:`share` of the cluster's slots (at least
+        one): inside :meth:`concurrently`, a branch holds only its part
+        while the other branches run on the rest.  ``speculate`` enables
+        LATE-style backup attempts for tasks whose projected completion
+        runs past the phase estimate (``True`` for defaults, or a
+        :class:`SpeculationConfig`).
         """
         return self._run_phase(task_costs, kind="map", label=label,
-                               slot_share=slot_share, speculate=speculate)
+                               speculate=speculate)
 
     def run_reduce_phase(self, task_costs: Sequence[float], *,
                          label: str = "reduce",
-                         slot_share: float = 1.0,
                          speculate: "SpeculationConfig | bool | None" = None,
                          ) -> PhaseResult:
         """Schedule reduce tasks onto reduce slots."""
         return self._run_phase(task_costs, kind="reduce", label=label,
-                               slot_share=slot_share, speculate=speculate)
+                               speculate=speculate)
 
     def _slots(self, kind: str) -> list[tuple[int, int, float]]:
         """(node_id, slot_index, speed) for every slot of the given kind."""
@@ -220,14 +260,12 @@ class SimCluster:
         return speed / self.stragglers.node_factor(node_id)
 
     def _run_phase(self, task_costs: Sequence[float], *, kind: str,
-                   label: str, slot_share: float = 1.0,
+                   label: str,
                    speculate: "SpeculationConfig | bool | None" = None,
                    ) -> PhaseResult:
         costs = [float(c) for c in task_costs]
         if any(c < 0 for c in costs):
             raise ValueError("task costs must be >= 0")
-        if not 0.0 < slot_share <= 1.0:
-            raise ValueError(f"slot_share must be in (0, 1], got {slot_share}")
         spec: "SpeculationConfig | None" = None
         if speculate:
             spec = (speculate if isinstance(speculate, SpeculationConfig)
@@ -247,11 +285,11 @@ class SimCluster:
                 raise RuntimeError(
                     "every node is dead; the job cannot make progress")
             deaths = pool.pending_deaths()
-        if slot_share < 1.0:
+        if self._share < 1.0:
             # Every node's first slot before any node's second, so a
             # share spans the racks instead of taking rack 0's prefix.
             slots = sorted(slots, key=lambda s: (s[1], s[0]))
-            slots = slots[:max(1, round(len(slots) * slot_share))]
+            slots = slots[:max(1, round(len(slots) * self._share))]
         dispatch = self.cost_model.task_dispatch_seconds
         start_clock = self.clock
         if not costs:
@@ -442,22 +480,19 @@ class SimCluster:
         self._charge(label, t)
         return t
 
-    def charge_shuffle(self, nbytes: float, *, label: str = "shuffle",
-                       share: float = 1.0) -> float:
+    def charge_shuffle(self, nbytes: float, *, label: str = "shuffle") -> float:
         """Charge moving ``nbytes`` of intermediate data; returns seconds.
 
-        ``share`` is the fraction of the cluster's network the calling
-        job holds — a fair-share scheduler's jobs shuffle concurrently,
-        each at its slice of the aggregate bandwidth.
+        The transfer runs at :attr:`share` of the aggregate bandwidth:
+        concurrent branches shuffle side by side, each at its slice.
         """
-        t = self.cost_model.shuffle_seconds(nbytes, share=share)
+        t = self.cost_model.shuffle_seconds(nbytes, share=self._share)
         self._charge(label, t)
         return t
 
     def charge_overlapped_shuffle(self, nbytes: float, *,
                                   overlap_seconds: float,
-                                  label: str = "shuffle",
-                                  share: float = 1.0) -> float:
+                                  label: str = "shuffle") -> float:
         """Charge a shuffle whose transfer overlapped a concurrent phase.
 
         Streaming (eager reduce-side) shuffles copy map output while the
@@ -473,7 +508,7 @@ class SimCluster:
         """
         if overlap_seconds < 0:
             raise ValueError("overlap_seconds must be >= 0")
-        t = self.cost_model.shuffle_seconds(nbytes, share=share)
+        t = self.cost_model.shuffle_seconds(nbytes, share=self._share)
         residual = max(0.0, t - overlap_seconds)
         self._charge(label, residual)
         return residual
@@ -484,12 +519,11 @@ class SimCluster:
         self._charge(label, t)
         return t
 
-    def charge_dfs_roundtrip(self, nbytes: float, *, label: str = "dfs",
-                             share: float = 1.0) -> float:
+    def charge_dfs_roundtrip(self, nbytes: float, *, label: str = "dfs") -> float:
         """Charge writing results to the DFS and reading them back
-        (§VIII); ``share`` scales the DFS bandwidth the job holds."""
-        t = (self.cost_model.dfs_write_seconds(nbytes, share=share)
-             + self.cost_model.dfs_read_seconds(nbytes, share=share))
+        (§VIII), at :attr:`share` of the DFS bandwidth."""
+        t = (self.cost_model.dfs_write_seconds(nbytes, share=self._share)
+             + self.cost_model.dfs_read_seconds(nbytes, share=self._share))
         self._charge(label, t)
         return t
 

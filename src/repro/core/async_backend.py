@@ -28,7 +28,7 @@ Each backend round advances *every* partition exactly one logical round
 *timelines* drift: partition ``p``'s round costs its own consume +
 compute + publish seconds on top of whatever wait its bound imposed, and
 the shared cluster clock advances by how far the furthest timeline moved
-(:meth:`~repro.cluster.accountant.RoundAccountant.charge_async_step`).
+(one :meth:`~repro.cluster.accountant.RoundAccountant.charge_fixed`).
 Uneven solve times on a priced cluster, and ``phase`` (staggered starts),
 are what make reads actually stale in simulation.
 
@@ -339,8 +339,8 @@ class AsyncBackend(BlockBackend):
                 # point of dropping the barrier.
                 acct.charge_job_startup(label=f"iter{it}:startup")
                 self._startup_charged = True
-            acct.charge_async_step(max(0.0, horizon - self._horizon),
-                                   label=f"iter{it}:async")
+            acct.charge_fixed(f"iter{it}:async",
+                              max(0.0, horizon - self._horizon))
             acct.charge_due_checkpoint(pub_bytes, iteration=it,
                                        label=f"iter{it}:checkpoint")
         self._horizon = horizon

@@ -16,23 +16,16 @@ from typing import Any
 from repro.core.api import AsyncMapReduceSpec
 from repro.core.localmr import run_local_block, run_local_mapreduce
 
-__all__ = ["GmapFunction", "GreduceFunction", "LOCAL_ITER_COUNTER",
-           "LOCAL_OPS_COUNTER", "local_iter_counter"]
-
-#: Engine counter: total local iterations performed inside gmaps.
-LOCAL_ITER_COUNTER = "core.local.iterations"
-#: Engine counter: total local operations performed inside gmaps.
-LOCAL_OPS_COUNTER = "core.local.ops"
+__all__ = ["GmapFunction", "GreduceFunction", "local_iter_counter"]
 
 
 def local_iter_counter(part_id: Any) -> str:
     """Per-partition engine counter for local iterations inside one gmap.
 
-    The aggregate :data:`LOCAL_ITER_COUNTER` survives for totals; this
-    one lets the driver record a per-partition history tuple that is
+    It lets the driver record a per-partition history tuple that is
     shape-compatible with the vectorised block path's records.
     """
-    return f"{LOCAL_ITER_COUNTER}.part{part_id}"
+    return f"core.local.iterations.part{part_id}"
 
 
 class GmapFunction:
@@ -74,9 +67,7 @@ class GmapFunction:
         else:
             result = run_local_mapreduce(spec, xs,
                                          max_local_iters=self.max_local_iters)
-        ctx.incr(LOCAL_ITER_COUNTER, result.local_iters)
         ctx.incr(local_iter_counter(part_id), result.local_iters)
-        ctx.incr(LOCAL_OPS_COUNTER, int(result.total_ops))
         ctx.add_ops(result.total_ops)
         if self.columnar:
             keys, values = (spec.gmap_emit_block(result.table, part_id) if block

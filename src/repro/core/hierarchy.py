@@ -11,10 +11,12 @@ This module keeps the rack-level configuration
 :class:`~repro.core.loop.HierarchicalBackend`, which
 composes the block backend: the first inner round of local solves is
 the global job's map phase, each additional inner round is a cheap
-rack-local synchronization, and the final global synchronization
-charges through exactly the same audited
-:class:`~repro.cluster.accountant.RoundAccountant` path as the plain
-block driver (so ``inner_rounds=1`` matches it charge for charge).
+rack-local synchronization followed by the rack's solves as an ordinary
+map phase on the rack's share of the job's slots (the racks are the
+branches of one :meth:`~repro.cluster.SimCluster.concurrently` fork),
+and the final global synchronization charges through exactly the same
+audited :class:`~repro.cluster.accountant.RoundAccountant` path as the
+plain block driver (so ``inner_rounds=1`` matches it charge for charge).
 
 The scheme requires each partition's updates to own a disjoint slice of
 the state (``BlockSpec.partition_scoped_state``), which holds for the

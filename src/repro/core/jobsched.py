@@ -19,12 +19,13 @@ a pluggable :class:`SchedulingPolicy`:
   equal ``1/k`` share of the slots.
 
 Concurrency on the single simulated timeline is modelled per scheduling
-step: each job in the step's batch runs its round from the same start
-clock (the clock is rewound between batch members), and the step
-advances the shared clock by the *slowest* member's duration — exactly
-the semantics of independent jobs running side by side.  Trace events
-of concurrent rounds therefore overlap, and each lands under its own
-job-prefixed label (see
+step: the step's batch is one fork of
+:meth:`SimCluster.concurrently <repro.cluster.SimCluster.concurrently>`,
+so every member runs its round from the same start clock on ``1/k`` of
+the slots and bandwidth, and the step costs the *slowest* member —
+exactly the semantics of independent jobs running side by side.  Trace
+events of concurrent rounds therefore overlap, and each lands under its
+own job-prefixed label (see
 :class:`~repro.cluster.accountant.RoundAccountant`).
 
 Because jobs share nothing but the clock, a job's iterates, residuals
@@ -36,6 +37,7 @@ interleaving-invariance tests).
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass
 from typing import Sequence, TYPE_CHECKING
 
@@ -67,7 +69,8 @@ class RoundShare:
     start: float
     #: Clock after the round's own charges (before other batch members).
     end: float
-    #: Fraction of the cluster's slots the job held for the round.
+    #: Fraction of the cluster's slots the job held for the round
+    #: (``1/len(batch)`` in a session without a cluster).
     slot_share: float
 
     @property
@@ -160,8 +163,8 @@ class JobHandle:
 # ----------------------------------------------------------------------
 
 class SchedulingPolicy(abc.ABC):
-    """Decides, each scheduling step, which jobs run one round and on
-    what fraction of the cluster's slots."""
+    """Decides, each scheduling step, which jobs run one round side by
+    side; each holds an equal share of the cluster for it."""
 
     name: str = "?"
 
@@ -174,10 +177,6 @@ class SchedulingPolicy(abc.ABC):
         returning one time-slices it; returning ``[]`` stops the
         scheduler (only meaningful when ``pending`` is empty).
         """
-
-    def slot_share(self, batch_size: int) -> float:
-        """Slot fraction granted to each job of a batch (default: all)."""
-        return 1.0
 
 
 def _submission_order(jobs: "Sequence[JobHandle]") -> "list[JobHandle]":
@@ -222,9 +221,6 @@ class FairSharePolicy(SchedulingPolicy):
     def next_batch(self, pending):
         return _submission_order(pending)
 
-    def slot_share(self, batch_size: int) -> float:
-        return 1.0 / max(1, batch_size)
-
 
 POLICIES = {
     "fifo": FifoPolicy,
@@ -256,15 +252,14 @@ def make_policy(policy: "str | SchedulingPolicy") -> SchedulingPolicy:
 class SessionScheduler:
     """Drives admitted jobs to convergence by interleaving their rounds.
 
-    One scheduling :meth:`step`: ask the policy for a batch, run one
-    global round of every batch member from the same start clock on the
-    policy's slot share, then advance the shared clock by the slowest
-    member (concurrent semantics).  :meth:`run` steps until no job is
-    pending.
+    One scheduling :meth:`step`: ask the policy for a batch and run one
+    global round of every batch member as one fork of the cluster's
+    :meth:`~repro.cluster.SimCluster.concurrently` (concurrent
+    semantics).  :meth:`run` steps until no job is pending.
 
     The scheduler owns no cluster or runtime — the
-    :class:`~repro.core.session.Session` facade does; this class only
-    needs the cluster's clock to rewind/advance between batch members.
+    :class:`~repro.core.session.Session` facade does — and never moves
+    the clock itself.
     """
 
     def __init__(self, policy: "str | SchedulingPolicy" = "fifo",
@@ -283,18 +278,10 @@ class SessionScheduler:
         """Admitted jobs that still have rounds to run."""
         return [j for j in self.jobs if j.status in ("queued", "running")]
 
-    # -- clock plumbing -------------------------------------------------
     @property
     def clock(self) -> float:
         """Current shared simulated time (0.0 without a cluster)."""
         return self.cluster.clock if self.cluster is not None else 0.0
-
-    def _clock(self) -> float:
-        return self.clock
-
-    def _set_clock(self, value: float) -> None:
-        if self.cluster is not None:
-            self.cluster.clock = value
 
     # -- driving --------------------------------------------------------
     def step(self) -> bool:
@@ -305,28 +292,27 @@ class SessionScheduler:
         batch = self.policy.next_batch(pending)
         if not batch:
             return False
-        share = self.policy.slot_share(len(batch))
-        start = self._clock()
-        durations = []
-        for job in batch:
-            self._set_clock(start)
-            self._run_one_round(job, share, start)
-            durations.append(self._clock() - start)
-        # Concurrent batch: the step costs its slowest member.
-        self._set_clock(start + max(durations))
+        rounds = [functools.partial(self._run_one_round, job, len(batch))
+                  for job in batch]
+        if self.cluster is None:
+            for run in rounds:
+                run()
+        else:
+            self.cluster.concurrently(rounds)
         return True
 
-    def _run_one_round(self, job: JobHandle, share: float,
-                       start: float) -> None:
+    def _run_one_round(self, job: JobHandle, batch_size: int) -> None:
         loop = job.loop
+        start = self.clock
+        share = (self.cluster.share if self.cluster is not None
+                 else 1.0 / batch_size)
         try:
             if not loop.started:
                 loop.start()
                 job.status = "running"
                 job.started_at = start
-            job.accountant.slot_share = share
             loop.step()
-            end = self._clock()
+            end = self.clock
             job.round_shares.append(RoundShare(
                 iteration=loop.global_iters - 1, start=start, end=end,
                 slot_share=share))

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import abc
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -444,8 +445,11 @@ class HierarchicalBackend(BlockBackend):
     Per global iteration: the first inner round of local solves *is* the
     global job's map phase; each additional inner round is a rack-local
     synchronization (cheap: intra-rack network, no job startup) followed
-    by fresh solves against the rack-combined state, with racks
-    proceeding concurrently (the charged time is the slowest rack).  The
+    by fresh solves against the rack-combined state, priced as an
+    ordinary map phase.  Racks are the branches of one
+    :meth:`~repro.cluster.SimCluster.concurrently` fork, each on its
+    share of the job's slots (the fork costs the slowest rack), so rack
+    phases see stragglers, deaths and speculation like any other.  The
     single expensive global synchronization then merges the final
     reports — charged by the exact same accountant path as
     :class:`BlockBackend`, so ``inner_rounds=1`` is *identical* to the
@@ -493,23 +497,33 @@ class HierarchicalBackend(BlockBackend):
         acct.charge_map_phase([r for rs in reports_by_rack for r in rs],
                               label=label)
 
-        # Inner rounds 2..n: rack-local combine + fresh solves, racks
-        # concurrent on their share of the machines.
-        if hcfg.inner_rounds > 1:
-            rack_states: "list[Any]" = [state] * len(self.racks)
-            rack_times = [0.0] * len(self.racks)
+        def rack_rounds(i: int) -> None:
+            # Inner rounds 2..n of rack i: the rack combine, its
+            # intra-rack sync, and the rack's solves as a map phase.
+            rack, rack_state = self.racks[i], state
             for _ in range(hcfg.inner_rounds - 1):
-                for i, rack in enumerate(self.racks):
-                    prev = reports_by_rack[i]
-                    rack_states[i], _, _ = spec.global_combine(
-                        rack_states[i], prev)
-                    reports_by_rack[i] = solve(rack, rack_states[i])
-                    rack_times[i] += acct.rack_round_seconds(
-                        prev, reports_by_rack[i],
-                        rack_startup_seconds=hcfg.rack_startup_seconds,
-                        rack_shuffle_speedup=hcfg.rack_shuffle_speedup,
-                        num_racks=len(self.racks))
-            acct.charge_rack_phase(rack_times, label=f"{label}:racks")
+                prev = reports_by_rack[i]
+                rack_state, _, _ = spec.global_combine(rack_state, prev)
+                reports_by_rack[i] = solve(rack, rack_state)
+                if acct.active:
+                    sync_bytes = sum(r.shuffle_bytes for r in prev)
+                    acct.charge_fixed(
+                        f"{label}:rack{i}:sync",
+                        hcfg.rack_startup_seconds + sync_bytes / (
+                            acct.cluster.cost_model.shuffle_bandwidth_bps
+                            * hcfg.rack_shuffle_speedup))
+                acct.run_map_phase(
+                    [acct.local_solve_seconds(r) for r in reports_by_rack[i]],
+                    label=f"{label}:rack{i}:map")
+
+        # Racks run side by side, each on its share of the job's slots.
+        branches = [functools.partial(rack_rounds, i)
+                    for i in range(len(self.racks))]
+        if acct.active:
+            acct.cluster.concurrently(branches)
+        else:
+            for branch in branches:
+                branch()
 
         final_reports = [r for rs in reports_by_rack for r in rs]
         return self._finish_round(iteration, state, final_reports,
@@ -681,7 +695,8 @@ class IterationLoop:
                        "node_faults", None)
         if plan is not None and not getattr(plan, "is_empty", True):
             return True
-        return getattr(self.backend.cluster, "worker_pool", None) is not None
+        return getattr(self.backend.accountant.cluster, "worker_pool",
+                       None) is not None
 
     @property
     def started(self) -> bool:

@@ -104,9 +104,13 @@ class TestDFS:
 
     def test_explicit_nbytes(self, cluster):
         """The charge prices the byte count as given, at the share of
-        the DFS bandwidth the job holds."""
+        the DFS bandwidth the running branch holds."""
         full = cluster.charge_dfs_roundtrip(10**6)
-        half = cluster.charge_dfs_roundtrip(10**6, share=0.5)
+        halves = []
+        cluster.concurrently(
+            [lambda: halves.append(cluster.charge_dfs_roundtrip(10**6))] * 2)
+        half = halves[0]
+        assert halves == [half, half]
         assert half == pytest.approx(
             EC2_DEFAULTS.dfs_write_seconds(10**6, share=0.5)
             + EC2_DEFAULTS.dfs_read_seconds(10**6, share=0.5))
@@ -238,3 +242,90 @@ class TestCharges:
     def test_cluster_needs_nodes(self):
         with pytest.raises(ValueError):
             SimCluster([])
+
+
+class TestConcurrently:
+    """``SimCluster.concurrently``: the one fork-join every piece of
+    side-by-side simulated work goes through."""
+
+    def test_clock_ends_at_start_plus_slowest_branch(self, cluster):
+        cluster.charge_fixed("before", 0.1)
+        start = cluster.clock
+        ends = []
+
+        def branch(seconds):
+            def run():
+                cluster.charge_fixed("work", seconds)
+                ends.append(cluster.clock)
+            return run
+
+        cluster.concurrently([branch(0.2), branch(0.7), branch(0.3)])
+        assert cluster.clock == start + max(e - start for e in ends)
+
+    def test_each_branch_starts_at_the_fork_clock(self, cluster):
+        cluster.charge_job_startup()
+        start = cluster.clock
+        first_events = []
+
+        def branch(costs):
+            def run():
+                seen = len(cluster.trace)
+                cluster.run_map_phase(costs)
+                first_events.append(cluster.trace.events[seen])
+            return run
+
+        cluster.concurrently([branch([5.0, 1.0]), branch([2.0]),
+                              branch([3.0, 3.0, 3.0])])
+        assert [e.start for e in first_events] == [start] * 3
+
+    def test_nested_shares_multiply(self, cluster):
+        seen = []
+
+        def inner():
+            seen.append(cluster.share)
+
+        def outer():
+            seen.append(cluster.share)
+            cluster.concurrently([inner, inner])
+            seen.append(cluster.share)
+
+        assert cluster.share == 1.0
+        cluster.concurrently([outer, outer, outer])
+        assert seen[:4] == [1.0 / 3, 1.0 / 3 / 2, 1.0 / 3 / 2, 1.0 / 3]
+        assert cluster.share == 1.0
+
+    def test_share_restored_after_a_raise(self, cluster):
+        def boom():
+            raise RuntimeError("branch failed")
+
+        def outer():
+            with pytest.raises(RuntimeError):
+                cluster.concurrently([lambda: None, boom])
+            assert cluster.share == 0.5
+
+        cluster.concurrently([outer, lambda: None])
+        assert cluster.share == 1.0
+        with pytest.raises(RuntimeError):
+            cluster.concurrently([boom])
+        assert cluster.share == 1.0
+
+    def test_branch_phases_run_on_their_share_of_the_slots(self):
+        cl = SimCluster(ec2_nodes(), ZERO_COST)
+        slots = []
+
+        def branch():
+            seen = len(cl.trace)
+            cl.run_map_phase([1.0] * cl.total_map_slots)
+            slots.append({(e.node_id, e.slot)
+                          for e in cl.trace.events[seen:]})
+
+        cl.concurrently([branch, branch])
+        # every node's first two slots: half of 8 nodes x 4 slots
+        assert slots == [{(n, s) for n in range(8) for s in (0, 1)}] * 2
+        assert cl.clock == 2.0
+
+    def test_no_branches_leave_the_clock(self, cluster):
+        cluster.charge_barrier()
+        before = cluster.clock
+        cluster.concurrently([])
+        assert cluster.clock == before and cluster.share == 1.0

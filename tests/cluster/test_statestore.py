@@ -418,16 +418,21 @@ class TestDueCheckpoint:
 
 class TestSlotShareScaling:
     def test_bandwidth_charges_scale_with_share(self):
-        def charges(share):
+        def charges(branches):
+            # the charges run in the first of ``branches`` concurrent
+            # branches, so on 1/branches of the cluster
             cl = SimCluster()
             acct = RoundAccountant(cl, DriverConfig(mode="eager"))
-            acct.slot_share = share
-            return (acct.charge_shuffle(16 << 20),
-                    acct.charge_dfs_roundtrip(16 << 20),
-                    acct.charge_state_round((16 << 20,)))
+            out = []
+            cl.concurrently([lambda: out.extend((
+                acct.charge_shuffle(16 << 20),
+                acct.charge_dfs_roundtrip(16 << 20),
+                acct.charge_state_round((16 << 20,))))]
+                + [lambda: None] * (branches - 1))
+            return out
 
-        full = charges(1.0)
-        half = charges(0.5)
+        full = charges(1)
+        half = charges(2)
         for f, h in zip(full, half):
             assert h > f
         # the bandwidth term exactly doubles (latency terms do not)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import GmapFunction, GreduceFunction, LocalSolveReport
-from repro.core.gmap import LOCAL_ITER_COUNTER, LOCAL_OPS_COUNTER
+from repro.core.gmap import local_iter_counter
 from repro.core.localmr import run_local_mapreduce
 from repro.engine import TaskContext, run_reduce_task
 from repro.engine.counters import REDUCE_OPS
@@ -46,9 +46,8 @@ class TestGmapFunction:
         ctx = TaskContext("m0", 0)
         gmap(0, [("a", 2), ("b", 1)], ctx)
         assert dict(ctx.output) == {"a": 0, "b": 0}
-        assert ctx.counters.get(LOCAL_ITER_COUNTER) == 2
-        assert ctx.counters.get(LOCAL_OPS_COUNTER) > 0
-        assert ctx.ops > 0  # local work charged to the task
+        assert ctx.counters.get(local_iter_counter(0)) == 2
+        assert ctx.ops > 2  # local work charged to the task, past the 2 emits
 
     def test_general_mode_single_step(self):
         gmap = GmapFunction(CountdownSpec(), max_local_iters=1)
@@ -86,7 +85,7 @@ class TestGmapFunction:
             local = run_local_mapreduce(spec, xs, max_local_iters=100)
             assert ctx.output == [("a", 0), ("b", 0), ("c", 0)]
             assert ctx.ops == local.total_ops + 3.0
-            assert ctx.counters.get(LOCAL_OPS_COUNTER) == int(local.total_ops)
+            assert ctx.counters.get(local_iter_counter(0)) == local.local_iters
 
 
 class TestGreduceFunction:

@@ -26,9 +26,10 @@ from repro.core import (
     HierarchyConfig,
     IterationLoop,
     LocalSolveReport,
+    Session,
     make_racks,
 )
-from repro.engine import MapReduceRuntime
+from repro.engine import MapReduceRuntime, NodeFaultPlan, StragglerPlan
 from repro.graph import multilevel_partition, preferential_attachment
 
 
@@ -180,15 +181,22 @@ class TestHierarchyBlockParity:
                                 hierarchy=HierarchyConfig(inner_rounds=3),
                                 cluster=cl), cfg).run()
         assert res.converged
-        racks_phases = [p for p in cl.trace.phases() if p.endswith(":racks")]
-        assert racks_phases  # inner rounds 2..n were charged
+        # inner rounds 2..n charge each rack's sync and solves, every
+        # round, and nothing else beyond the flat driver's phases
+        flat_cl = SimCluster()
+        IterationLoop(BlockBackend(ScopedGeometricSpec(), cluster=flat_cl),
+                      cfg).run()
+        extra = set(cl.trace.phases()) - set(flat_cl.trace.phases())
+        assert extra == {f"iter{it}:rack{i}:{kind}"
+                         for it in range(res.global_iters) for i in (0, 1)
+                         for kind in ("sync", "map")}
 
     def test_rack_charges_golden_on_heterogeneous_nodes(self, workload):
-        # Fast and slow nodes interleaved: a rack's solves go longest
-        # first to the slot free earliest, ties to the lower
-        # (node_id, slot), so they fill fast node 0 before slow node 1.
-        # The literal is the commit before the rack LPT moved into
-        # cluster/accountant.py; any other tie order moves it.
+        # Fast and slow nodes interleaved: each rack's solves are a map
+        # phase on half the slots (every node's first slot before any
+        # node's second), longest first to the slot free earliest, and
+        # the fork of the two racks costs the slower one.  The literal
+        # is the first commit that priced rack rounds this way.
         g, part = workload
         cl = SimCluster(ec2_nodes(8, speeds=[1.0, 0.6] * 4))
         res = IterationLoop(
@@ -196,7 +204,86 @@ class TestHierarchyBlockParity:
                                 hierarchy=HierarchyConfig(inner_rounds=3),
                                 cluster=cl), DriverConfig(mode="eager")).run()
         assert res.global_iters == 20
-        assert res.sim_time == 547.8382594999996
+        assert res.sim_time == 548.0074463333331
+        assert res.sim_time == cl.clock
+
+
+class TestRackPhases:
+    """Each rack's inner rounds 2..n are one branch of a
+    ``SimCluster.concurrently`` fork, and its solves an ordinary map
+    phase: they meet stragglers, deaths, speculation and the job's
+    share like any other phase."""
+
+    HIER = HierarchyConfig(inner_rounds=3)
+
+    def _run(self, cl, spec, config=DriverConfig(mode="eager")):
+        return IterationLoop(
+            HierarchicalBackend(spec, make_racks(spec.num_partitions(), 2),
+                                hierarchy=self.HIER, cluster=cl),
+            config).run()
+
+    @staticmethod
+    def _rack_seconds(cl):
+        return sum(t for phase, t in cl.trace.phases().items()
+                   if ":rack" in phase)
+
+    def test_rack_phases_rise_under_stragglers(self, workload):
+        g, part = workload
+        plain, slow = SimCluster(), SimCluster(
+            stragglers=StragglerPlan.slow_nodes({n: 4.0 for n in range(8)}))
+        a = self._run(plain, PageRankBlockSpec(g, part))
+        b = self._run(slow, PageRankBlockSpec(g, part))
+        assert a.global_iters == b.global_iters
+        assert self._rack_seconds(slow) > self._rack_seconds(plain)
+
+    def test_rack_phases_never_run_on_a_dead_node(self, workload):
+        g, part = workload
+        probe = SimCluster()
+        self._run(probe, PageRankBlockSpec(g, part))
+        first = min(e.start for e in probe.trace.events
+                    if e.phase == "iter0:rack0:map")
+        # node 1 dies just after round 0's first rack phase begins
+        death = first + 0.01
+        cl = SimCluster(node_faults=NodeFaultPlan.kill_node(
+            1, round=0, at_seconds=death))
+        res = self._run(cl, PageRankBlockSpec(g, part))
+        assert res.history[0].node_deaths == 1
+        round0 = [e for e in cl.trace.events if e.phase.startswith("iter0:")]
+        (killed,) = [e for e in round0 if e.label.endswith(":killed")]
+        assert killed.phase == "iter0:rack0:map" and killed.end == death
+        assert not [e for e in round0 if e.node_id == 1 and e.end > death]
+        # the killed solve re-ran on a survivor
+        assert any(e.label.endswith(":replay") for e in round0
+                   if e.phase == "iter0:rack0:map")
+
+    def test_rack_phases_speculate(self, workload):
+        g, _ = workload
+        cl = SimCluster(stragglers=StragglerPlan.slow_nodes({0: 4.0}))
+        res = self._run(cl, PageRankBlockSpec(g, multilevel_partition(
+            g, 8, seed=0)), DriverConfig(mode="eager", speculate=True))
+        rack_backups = [e for e in cl.trace.events
+                        if ":rack" in e.phase and e.label.endswith(":backup")]
+        assert rack_backups
+        assert sum(r.backups for r in res.history) >= len(rack_backups)
+
+    def test_rack_phases_take_half_the_job_share_in_a_fair_session(self):
+        cl = SimCluster()
+        session = Session(cluster=cl, policy="fair")
+        hier = session.submit(
+            HierarchicalBackend(ScopedGeometricSpec(parts=32),
+                                make_racks(32, 2), hierarchy=self.HIER,
+                                cluster=cl),
+            DriverConfig(mode="eager"), name="hier")
+        session.submit(BlockBackend(ScopedGeometricSpec(), cluster=cl),
+                       DriverConfig(mode="eager", max_global_iters=1))
+        session.run()
+        assert hier.slot_shares[:2] == [0.5, 1.0]
+        for it, share in enumerate(hier.slot_shares[:2]):
+            for i in (0, 1):
+                slots = {(e.node_id, e.slot) for e in cl.trace.events
+                         if e.phase == f"hier:iter{it}:rack{i}:map"}
+                # 16 solves a rack, on half the job's share of 32 slots
+                assert len(slots) == round(cl.total_map_slots * share / 2)
 
 
 class TestAdaptiveSyncPolicy:

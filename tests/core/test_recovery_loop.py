@@ -144,6 +144,27 @@ class TestRollbackOnSimPath:
         assert np.array_equal(rn.state, base.state)
         assert np.array_equal(rr.state, base.state)
 
+    def test_bare_backend_in_a_faulty_session_rolls_back(self):
+        """A backend submitted without a cluster is charged through the
+        session's: a death on that cluster rolls it back exactly as it
+        rolls back the same job attached to the cluster."""
+        def run(attach):
+            cl = SimCluster(cost_model=CM, node_faults=NodeFaultPlan.kill_node(
+                1, round=11, at_seconds=1.0, num_nodes=8))
+            cfg = DriverConfig(mode="eager", max_global_iters=20,
+                               max_local_iters=1, checkpoint_every=4,
+                               state_store=OnlineStateStore(num_tablets=4))
+            session = Session(cluster=cl)
+            handle = session.submit(
+                BlockBackend(GeoSpec(), cluster=cl if attach else None), cfg)
+            session.run()
+            return handle.result
+
+        attached, bare = run(True), run(False)
+        assert attached.history[11].rounds_replayed == 4
+        assert bare.history == attached.history
+        assert np.array_equal(bare.state, attached.state)
+
     def test_durable_store_skips_rollback(self):
         """A replicated-DFS store loses nothing to a node death: the
         death is priced and recorded, but no rounds are replayed."""

@@ -5,11 +5,10 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import CostModel, SimCluster, ZERO_COST, ec2_nodes
-from repro.cluster.accountant import _lpt_makespan
 
 costs_lists = st.lists(st.floats(0.0, 50.0, allow_nan=False),
                        min_size=0, max_size=40)
-#: A rack's nodes: 1-4 of them, 1-3 map slots each, mixed speeds.
+#: A cluster's nodes: 1-4 of them, 1-3 map slots each, mixed speeds.
 node_sets = st.integers(1, 4).flatmap(lambda count: st.builds(
     lambda slots, speeds: ec2_nodes(count, map_slots=slots, speeds=speeds),
     st.integers(1, 3),
@@ -44,10 +43,10 @@ class TestSchedulingLaws:
 
     @settings(deadline=None, max_examples=60)
     @given(costs_lists, node_sets)
-    def test_rack_lpt_within_list_scheduling_bounds(self, costs, nodes):
+    def test_lpt_within_list_scheduling_bounds(self, costs, nodes):
         # area and longest-task lower bounds; any greedy list schedule
         # starts its last task before the area bound, on some slot
-        makespan = _lpt_makespan(costs, nodes)
+        makespan = SimCluster(nodes, ZERO_COST).run_map_phase(costs).makespan
         capacity = sum(n.speed * n.map_slots for n in nodes)
         area = sum(costs) / capacity
         longest = max(costs, default=0.0)
@@ -58,19 +57,20 @@ class TestSchedulingLaws:
 
     @settings(deadline=None, max_examples=40)
     @given(st.data(), costs_lists, node_sets)
-    def test_rack_lpt_ignores_submission_order(self, data, costs, nodes):
+    def test_lpt_ignores_submission_order(self, data, costs, nodes):
         shuffled = data.draw(st.permutations(costs))
-        assert _lpt_makespan(shuffled, nodes) == _lpt_makespan(costs, nodes)
+        assert (SimCluster(nodes, ZERO_COST).run_map_phase(shuffled).makespan
+                == SimCluster(nodes, ZERO_COST).run_map_phase(costs).makespan)
 
     @settings(deadline=None, max_examples=60)
     @given(costs_lists, st.integers(1, 4), st.integers(1, 3))
-    def test_rack_lpt_is_the_cluster_map_phase_on_identical_nodes(
+    def test_lpt_on_identical_nodes_is_one_node_with_every_slot(
             self, costs, count, slots):
-        # the two LPTs break ties differently, (node, slot) vs (slot,
-        # node); on identical slots that only relabels them
-        nodes = ec2_nodes(count, map_slots=slots)
-        phase = SimCluster(nodes, ZERO_COST).run_map_phase(costs)
-        assert _lpt_makespan(costs, nodes) == phase.makespan
+        # the tie order, (slot, node), only relabels identical slots
+        spread = SimCluster(ec2_nodes(count, map_slots=slots), ZERO_COST)
+        pooled = SimCluster(ec2_nodes(1, map_slots=count * slots), ZERO_COST)
+        assert (spread.run_map_phase(costs).makespan
+                == pooled.run_map_phase(costs).makespan)
 
     @settings(deadline=None, max_examples=30)
     @given(st.floats(0.0, 1e9), st.floats(0.0, 1e9))

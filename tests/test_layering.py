@@ -12,6 +12,10 @@ Above the library sit the developer tools (``tools/``, e.g. the
 ``tools.reprolint`` linter) and the test suite: they import ``repro``,
 never the other way round — no module under ``src/repro`` names either,
 not even deferred or for type checking.
+
+The simulated clock has one owner: only ``cluster/cluster.py`` assigns
+an attribute named ``clock``; every other module moves it through the
+cluster's phases, charges and ``concurrently`` fork.
 """
 
 from __future__ import annotations
@@ -126,3 +130,51 @@ class TestNoLintHook:
 
     def test_submit_takes_no_lint(self):
         assert "lint" not in inspect.signature(Session.submit).parameters
+
+
+CLOCK_OWNER = ROOT / "cluster" / "cluster.py"
+
+
+def _assigned_attributes(tree: ast.AST) -> "list[tuple[int, str]]":
+    """``(line, attr)`` of every attribute an assignment, augmented or
+    annotated assignment stores into, tuple targets unpacked."""
+
+    def unpack(target: ast.expr):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for elt in target.elts:
+                yield from unpack(elt)
+        elif isinstance(target, ast.Starred):
+            yield from unpack(target.value)
+        elif isinstance(target, ast.Attribute):
+            yield target
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        found += [(node.lineno, a.attr) for t in targets for a in unpack(t)]
+    return found
+
+
+def test_clock_owner_only_the_cluster_assigns_a_clock():
+    bad = [f"{path.relative_to(ROOT)}:{line}"
+           for path in sorted(ROOT.rglob("*.py")) if path != CLOCK_OWNER
+           for line, attr in _assigned_attributes(
+               ast.parse(path.read_text(encoding="utf-8")))
+           if attr == "clock"]
+    assert not bad, f"only cluster/cluster.py may assign a clock: {bad}"
+
+
+def test_clock_owner_scan_sees_every_assignment_form():
+    source = ("a.clock = 1\nb.clock += 2\nc.clock: float = 3\n"
+              "d.x, (e.clock, *f.clock) = g\nh.clock.x = 4\nclock = 5\n")
+    clocks = [line for line, attr in _assigned_attributes(ast.parse(source))
+              if attr == "clock"]
+    assert clocks == [1, 2, 3, 4, 4]
+    # the scan runs on the owner too: it does assign the clock
+    assert any(attr == "clock" for _, attr in _assigned_attributes(
+        ast.parse(CLOCK_OWNER.read_text(encoding="utf-8"))))
