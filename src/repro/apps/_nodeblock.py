@@ -12,7 +12,7 @@ from scipy.sparse._sparsetools import csr_matvec
 
 from repro.core import BlockSpec, LocalSolveReport, run_local_block
 from repro.core.localmr import agg_identity
-from repro.graph import EdgeBlock
+from repro.graph import EdgeBlock, join_blocks
 from repro.util.radix import stable_key_order
 
 #: Bytes of one shuffled (key, value) record in our cost accounting.
@@ -55,24 +55,31 @@ def sum_fold_matrices(blocks: "list[EdgeBlock]", *,
     return mats
 
 
-def csr_fold(mat: csr_array) -> "Callable[[np.ndarray], np.ndarray]":
-    """``x -> mat @ x`` as a sum app's step calls it, once per local
-    iteration: a fresh ``acc = np.zeros(n)`` and SciPy's CSR kernel,
-    ``_sparsetools.csr_matvec``, called directly.  That is the very call
-    ``csr_array.__matmul__`` ends in for a float64 vector, so the result
-    is the same to the bit; what it skips is the operator's dispatch,
-    which costs more than the arithmetic on a part of a few hundred rows.
-    The kernel reads ``x`` where ``indices`` point and checks nothing,
-    so the fold checks the length ``mat @ x`` would (the matrix was
-    validated when it was built) and never writes ``x``."""
-    indptr, indices, data = mat.indptr, mat.indices, mat.data
-    n_rows, n_cols = mat.shape
+def csr_fold(*mats: csr_array) -> "Callable[[np.ndarray], np.ndarray]":
+    """``x -> M @ x`` as a sum app's step calls it, once per local
+    iteration, for ``M`` the block-diagonal matrix of ``mats`` laid end
+    to end (one part's fold, or every part's): a fresh ``acc =
+    np.zeros(n)`` and, per matrix, SciPy's CSR kernel,
+    ``_sparsetools.csr_matvec``, called directly on its rows of ``x``
+    and ``acc``.  That is the very call ``csr_array.__matmul__`` ends in
+    for a float64 vector, so each part's rows are the same to the bit;
+    what it skips is the operator's dispatch, which costs more than the
+    arithmetic on a part of a few hundred rows.  The kernel reads ``x``
+    where ``indices`` point and checks nothing, so the fold checks the
+    length ``M @ x`` would (each matrix was validated when it was built)
+    and never writes ``x``."""
+    sizes = [m.shape[0] for m in mats]
+    ends = np.cumsum(sizes).tolist()
+    kernels = [(a, b, m.indptr, m.indices, m.data)
+               for a, b, m in zip([0, *ends[:-1]], ends, mats)]
+    n = ends[-1]
 
     def fold(x: np.ndarray) -> np.ndarray:
-        if len(x) != n_cols:
-            raise ValueError(f"fold of a {n_cols}-row part got {len(x)} rows")
-        acc = np.zeros(n_rows)
-        csr_matvec(n_rows, n_cols, indptr, indices, data, x, acc)
+        if len(x) != n:
+            raise ValueError(f"fold of a {n}-row part got {len(x)} rows")
+        acc = np.zeros(n)
+        for a, b, indptr, indices, data in kernels:
+            csr_matvec(b - a, b - a, indptr, indices, data, x[a:b], acc[a:b])
         return acc
 
     return fold
@@ -82,19 +89,25 @@ class NodeBlockSpec(BlockSpec):
     """PageRank, SSSP, components and Jacobi: part ``p`` owns the node
     slice ``_blocks[p].nodes`` of a flat state vector, and its local
     solve is ``run_local_block`` over the spec's one hook,
-    :meth:`local_step` (``docs/local_loop.md``).  This class is
-    everything around it: the columns cut from the state, the
-    simulator's price and the global combine.  ``local_agg`` decides
-    what differs: a ``"sum"`` app rewrites its whole slice each round, a
-    ``"min"`` app lowers entries.
+    :meth:`block_step`, on the part's block (``docs/local_loop.md``); a
+    general round is the same hook once over every part
+    (:meth:`general_round`).  This class is everything around it: the
+    columns cut from the state, the simulator's price and the global
+    combine.  ``local_agg`` decides what differs: a ``"sum"`` app
+    rewrites its whole slice each round, a ``"min"`` app lowers entries.
 
     A subclass sets ``partition``, ``_blocks`` (one ``EdgeBlock`` per
-    part) and ``local_agg`` (and a ``"sum"`` app a ``tol``), and writes
-    ``init_state``, :meth:`frozen_columns` and :meth:`local_step`.
+    part) and ``local_agg`` (and a ``"sum"`` app a ``tol`` and
+    ``_fold``), and writes ``init_state``, :meth:`frozen_columns` and
+    :meth:`block_step`.
     """
 
     #: Each partition owns a disjoint node slice of the state vector.
     partition_scoped_state = True
+    #: A sum app's fold matrices, one per part (:func:`sum_fold_matrices`).
+    _fold: "list | None" = None
+    #: The parts laid end to end, built at the first general round.
+    _joined: "tuple | None" = None
 
     def num_partitions(self) -> int:
         return self.partition.k
@@ -107,9 +120,22 @@ class NodeBlockSpec(BlockSpec):
 
     def local_step(self, part_id: int, cols: tuple
                    ) -> "Callable[[np.ndarray], tuple[np.ndarray, int, bool]]":
-        """One local iteration over every row of part ``part_id``, built
-        once per solve from its columns ``cols`` (``cols[0]`` the value
-        column the solve starts from, the rest frozen for the solve).
+        """One local iteration over every row of part ``part_id``:
+        :meth:`block_step` over the part's block and, for a sum app, its
+        fold matrix."""
+        mats = () if self._fold is None else (self._fold[part_id],)
+        return self.block_step(self._blocks[part_id], mats, cols)
+
+    def block_step(self, b: EdgeBlock, mats: tuple, cols: tuple
+                   ) -> "Callable[[np.ndarray], tuple[np.ndarray, int, bool]]":
+        """One local iteration over every row of block ``b``, built once
+        per solve from its columns ``cols`` (``cols[0]`` the value
+        column the solve starts from, the rest frozen for the solve);
+        ``mats`` are a sum app's fold matrices of ``b``'s parts, laid end
+        to end as ``b`` lays them, for :func:`csr_fold` (empty for a min
+        app).  ``b`` is one part (:meth:`local_step`) or every part laid
+        end to end (:meth:`general_round`): the step reads the block it
+        is given, never ``_blocks``.
 
         ``step(x) -> (x_new, records, converged)`` is ``lmap`` over the
         whole partition, the local shuffle, ``lreduce`` and the local
@@ -123,7 +149,7 @@ class NodeBlockSpec(BlockSpec):
         with ``x``.  A sum is :func:`csr_fold`, a min a gather plus
         :func:`repro.core.localmr.scatter_fold`.
 
-        What is constant for the solve — the part's edge arrays, the
+        What is constant for the solve — the block's edge arrays, the
         frozen columns' share of the update, a scratch buffer — is
         hoisted into the step.  The step never writes ``x``, the
         caller's column (``local_solve`` compares the result with it),
@@ -173,6 +199,50 @@ class NodeBlockSpec(BlockSpec):
             local_iters=run.local_iters, per_iter_ops=per_iter_ops,
             shuffle_bytes=self.shuffle_records(b, max_local_iters) * RECORD_BYTES,
             update_nbytes=update_nbytes)
+
+    def general_round(self, state: np.ndarray) -> "list[LocalSolveReport]":
+        """One local iteration of every part as ONE step over the parts
+        laid end to end (:func:`repro.graph.join_blocks`, built at the
+        spec's first general round): the frozen columns are cut once, the
+        step runs once, and each part's report is sliced out of the
+        result, equal field for field to ``local_solve(p, state,
+        max_local_iters=1)`` (``docs/local_loop.md``, "A general round
+        is one sweep")."""
+        join, bounds, parts = self._join()
+        x0 = state[join.nodes]
+        x, _, _ = self.block_step(join, () if self._fold is None else self._fold,
+                                  (x0, *self.frozen_columns(join, state)))(x0)
+        if self.local_agg == "min":
+            # entries the round lowered, before each part's first row
+            lowered = np.concatenate(([0], np.cumsum(x < x0)))[bounds].tolist()
+        reports = []
+        for p, (nodes, ops, shuffle_bytes) in enumerate(parts):
+            a, b = bounds[p], bounds[p + 1]
+            if a == b:
+                reports.append(LocalSolveReport(
+                    partition=p, updates=(nodes, nodes), local_iters=0,
+                    per_iter_ops=[], shuffle_bytes=0, update_nbytes=0))
+                continue
+            reports.append(LocalSolveReport(
+                partition=p, updates=(nodes, x[a:b]), local_iters=1,
+                per_iter_ops=[ops], shuffle_bytes=shuffle_bytes,
+                update_nbytes=(x.itemsize * (b - a) if self.local_agg == "sum"
+                               else (lowered[p + 1] - lowered[p]) * 8)))
+        return reports
+
+    def _join(self) -> "tuple[EdgeBlock, list, list]":
+        """The parts laid end to end, each part's first row in it (and
+        the end), and what each part's general-round report holds
+        constant: ``(nodes, ops, shuffle_bytes)``.  Built once."""
+        if self._joined is None:
+            sizes = [len(b.nodes) for b in self._blocks]
+            self._joined = (
+                join_blocks(self._blocks),
+                np.cumsum([0, *sizes]).tolist(),
+                [(b.nodes, float(len(b.int_src) + n),
+                  self.shuffle_records(b, 1) * RECORD_BYTES)
+                 for b, n in zip(self._blocks, sizes)])
+        return self._joined
 
     def global_converged(self, prev, curr):
         """The residual is the largest ``|curr - prev|``, an entry equal

@@ -7,7 +7,7 @@ trees, transitive closure, and connected components", §VI).  This module
 is that extension: min-label propagation over the *undirected* view of
 the graph, with the same General (one hop per global iteration) vs Eager
 (local propagation to a fixed point per partition) pairing as SSSP.
-Its local solve is ``run_local_block`` over the spec's ``local_step``
+Its local solve is ``run_local_block`` over the spec's ``block_step``
 (a gather and ``np.minimum.at`` per iteration, the part's edge arrays
 and floor bound once per solve), on int64 labels that stay int64
 (``local_solve`` is the base class's).
@@ -74,8 +74,7 @@ class ComponentsBlockSpec(NodeBlockSpec):
         np.minimum.at(floor, b.in_dst, state[b.in_src])
         return (floor,)
 
-    def local_step(self, part_id: int, cols):
-        b = self._blocks[part_id]
+    def block_step(self, b, mats, cols):
         src, dst, floor = b.int_src, b.int_dst, cols[1]
         fold = scatter_fold("min", cols[0])
 

@@ -14,7 +14,7 @@ frozen remote values (block-Jacobi / asynchronous iteration — the
 chaotic-relaxation literature the paper cites [1, 9] guarantees
 convergence for contraction mappings regardless of the update
 schedule).  The local sweep is ``run_local_block`` over the spec's
-``local_step``, one CSR mat-vec per sweep through the kernel SciPy's
+``block_step``, one CSR mat-vec per sweep through the kernel SciPy's
 ``@`` calls (``csr_fold``), built once per partition solve;
 ``local_solve`` is the node-partitioned base class's.
 """
@@ -188,10 +188,10 @@ class JacobiBlockSpec(NodeBlockSpec):
         # included (no per-internal-entry records).
         return len(blk.nodes) + len(blk.cut_src)
 
-    def local_step(self, part_id: int, cols):
+    def block_step(self, blk, mats, cols):
         # Row r's terms of R_int x, one record per internal entry.
-        fold = csr_fold(self._fold[part_id])
-        records = len(self._blocks[part_id].int_src)
+        fold = csr_fold(*mats)
+        records = len(blk.int_src)
         _, b_eff, diag = cols
         tol = self.tol
         delta = np.empty(len(b_eff))

@@ -20,6 +20,13 @@ metric.
 The global combine weights each partition's updated centroid by its
 assigned-point count, which makes the general mode exactly Lloyd's
 algorithm.
+
+Lloyd's step is written once, :func:`lloyd_partials`: an eager
+``local_solve`` calls it for its one part every local iteration, and a
+general round (:meth:`KMeansBlockSpec.general_round`) calls it for
+groups of whole parts at once, each part's partials bitwise what its
+own solve computes (``docs/local_loop.md``, "A general round is one
+sweep").
 """
 
 from __future__ import annotations
@@ -76,6 +83,47 @@ def assign_points(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         d += c_sq
         out[lo: lo + block] = d.argmin(axis=1)
     return out
+
+
+#: A general round's (point, feature) cells per :func:`lloyd_partials`
+#: call: parts are gathered and summed in groups of about this many, so
+#: its temporaries stay near 512 KiB each, not d times the points.
+_GROUP_CELLS = 1 << 16
+
+
+def lloyd_partials(pts: np.ndarray, ends: "list[int]",
+                   centroids: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """One Lloyd step's partials for parts laid end to end, part ``p``
+    the rows ``pts[ends[p-1]:ends[p]]``: ``(sums, counts)``, shaped
+    ``(P, k, d)`` and ``(P, k)``, part ``p``'s per-centroid feature
+    sums and point counts, each point assigned to its closest centroid
+    as :func:`assign_points` assigns it.
+
+    Bitwise the per-part arithmetic whatever ``P`` is: each part's
+    distances are its own ``matmul`` calls, cut as ``assign_points``
+    cuts them, so no row's bits depend on how BLAS tiles the rows of
+    other parts; the sums are ONE flat ``bincount`` over ``(part,
+    centroid, feature)`` cells, and a cell adds its part's points one by
+    one in point order from 0.0, as a per-part ``np.add.at(sums,
+    assignment, pts)`` does, without that call's generic slow path."""
+    k, d = centroids.shape
+    dist = np.empty((len(pts), k))
+    block = max(1, 2_000_000 // k)
+    start = 0
+    for end in ends:
+        for lo in range(start, end, block):
+            hi = min(lo + block, end)
+            np.matmul(pts[lo:hi], centroids.T, out=dist[lo:hi])
+        start = end
+    dist *= -2.0
+    dist += (centroids ** 2).sum(axis=1)
+    cell = dist.argmin(axis=1)
+    if len(ends) > 1:
+        cell += np.repeat(np.arange(0, len(ends) * k, k), np.diff(ends, prepend=0))
+    sums = np.bincount(((cell * d)[:, None] + np.arange(d)).ravel(),
+                       weights=pts.ravel(), minlength=len(ends) * k * d)
+    counts = np.bincount(cell, minlength=len(ends) * k).astype(np.float64)
+    return sums.reshape(len(ends), k, d), counts.reshape(len(ends), k)
 
 
 def sse(points: np.ndarray, centroids: np.ndarray) -> float:
@@ -198,25 +246,12 @@ class KMeansBlockSpec(BlockSpec):
                     max_local_iters: int) -> LocalSolveReport:
         if max_local_iters < 1:
             raise ValueError("max_local_iters must be >= 1")
-        idx = self._parts[part_id]
-        pts = self.points[idx]
+        pts = self.points[self._parts[part_id]]
         centroids = np.asarray(state, dtype=np.float64).copy()
-        # Per-cluster feature sums as ONE flat scatter over (cluster,
-        # feature) cells: each cell still accumulates its points in
-        # point order, as a 2-D ``np.add.at(sums, assignment, pts)``
-        # does, without that call's generic slow path.
-        d = pts.shape[1]
-        flat_pts, feature = pts.ravel(), np.arange(d)
         per_iter_ops: list[float] = []
         iters = 0
-        sums = np.zeros_like(centroids)
-        counts = np.zeros(self.k, dtype=np.float64)
         while iters < max_local_iters:
-            assignment = assign_points(pts, centroids)
-            cells = ((assignment * d)[:, None] + feature).ravel()
-            sums = np.bincount(cells, weights=flat_pts,
-                               minlength=self.k * d).reshape(self.k, d)
-            counts = np.bincount(assignment, minlength=self.k).astype(np.float64)
+            (sums,), (counts,) = lloyd_partials(pts, [len(pts)], centroids)
             new_centroids = centroids.copy()
             nonempty = counts > 0
             new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
@@ -243,6 +278,32 @@ class KMeansBlockSpec(BlockSpec):
             per_iter_ops=per_iter_ops,
             shuffle_bytes=shuffle_records * (self.points.shape[1] + 1) * 8,
         )
+
+    def general_round(self, state: np.ndarray) -> "list[LocalSolveReport]":
+        """One Lloyd step of every part against the same centroids: the
+        parts' points gathered and summed a group of parts at a time by
+        :func:`lloyd_partials`, each report equal to ``local_solve(p,
+        state, max_local_iters=1)`` field for field."""
+        centroids = np.asarray(state, dtype=np.float64)
+        d = self.points.shape[1]
+        shuffle_bytes = self.k * (d + 1) * 8
+        reports: "list[LocalSolveReport]" = []
+        first = rows = 0
+        for p, idx in enumerate(self._parts):
+            rows += len(idx)
+            if rows * d < _GROUP_CELLS and p + 1 < self.num_parts:
+                continue
+            group = self._parts[first: p + 1]
+            sizes = [len(i) for i in group]
+            sums, counts = lloyd_partials(
+                self.points[np.concatenate(group)], np.cumsum(sizes).tolist(),
+                centroids)
+            reports += [LocalSolveReport(
+                partition=first + i, updates=(sums[i], counts[i]),
+                local_iters=1, per_iter_ops=[float(n + self.k)],
+                shuffle_bytes=shuffle_bytes) for i, n in enumerate(sizes)]
+            first, rows = p + 1, 0
+        return reports
 
     def global_combine(self, state, reports):
         centroids = np.asarray(state, dtype=np.float64)

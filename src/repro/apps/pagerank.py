@@ -121,9 +121,9 @@ class PageRankBlockSpec(NodeBlockSpec):
         np.add.at(ext, b.in_dst, push)
         return (ext,)
 
-    def local_step(self, part_id: int, cols):
-        fold = csr_fold(self._fold[part_id])
-        records = len(self._blocks[part_id].int_src)
+    def block_step(self, b, mats, cols):
+        fold = csr_fold(*mats)
+        records = len(b.int_src)
         d, tol = self.damping, self.tol
         base = (1.0 - d) + d * cols[1]
         delta = np.empty(len(base))

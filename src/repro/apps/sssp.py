@@ -102,8 +102,7 @@ class SsspBlockSpec(NodeBlockSpec):
         np.minimum.at(ext, b.in_dst, cand)
         return (ext,)
 
-    def local_step(self, part_id: int, cols):
-        b = self._blocks[part_id]
+    def block_step(self, b, mats, cols):
         src, dst, w, ext = b.int_src, b.int_dst, b.int_w, cols[1]
         fold = scatter_fold("min", cols[0])
 

@@ -3,11 +3,13 @@ every table and figure of the paper (see DESIGN.md's experiment index).
 """
 
 from repro.bench.harness import (
+    KMEANS_SSE_RATIO,
     PAPER_KMEANS_PARTITIONS,
     PAPER_KMEANS_THRESHOLDS,
     PAPER_PARTITION_COUNTS,
     SweepPoint,
     SweepResult,
+    check_answers,
     get_graph,
     get_partition,
     graph_scale,
@@ -25,8 +27,10 @@ __all__ = [
     "PAPER_PARTITION_COUNTS",
     "PAPER_KMEANS_THRESHOLDS",
     "PAPER_KMEANS_PARTITIONS",
+    "KMEANS_SSE_RATIO",
     "SweepPoint",
     "SweepResult",
+    "check_answers",
     "graph_scale",
     "kmeans_rows",
     "scaled_partitions",

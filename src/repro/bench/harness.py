@@ -26,7 +26,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.apps import kmeans, pagerank, sssp
+from repro.apps import (
+    kmeans,
+    kmeans_reference,
+    pagerank,
+    pagerank_reference,
+    sse,
+    sssp,
+    sssp_reference,
+)
 from repro.cluster import EC2_DEFAULTS, SimCluster, ec2_nodes
 from repro.core import DriverConfig
 from repro.data import census_sample
@@ -46,8 +54,10 @@ __all__ = [
     "PAPER_PARTITION_COUNTS",
     "PAPER_KMEANS_THRESHOLDS",
     "PAPER_KMEANS_PARTITIONS",
+    "KMEANS_SSE_RATIO",
     "SweepPoint",
     "SweepResult",
+    "check_answers",
     "get_graph",
     "get_partition",
     "pagerank_sweep",
@@ -64,6 +74,12 @@ PAPER_PARTITION_COUNTS = (100, 200, 400, 800, 1600, 3200, 6400)
 PAPER_KMEANS_THRESHOLDS = (0.1, 0.01, 0.001, 0.0001)
 #: Figure 8-9 partition count ("a fixed number of partitions (52)").
 PAPER_KMEANS_PARTITIONS = 52
+
+#: The most k-means' SSE may exceed the serial Lloyd reference's by, as
+#: a ratio: eager's repartitioned local solves may settle a hair off
+#: Lloyd's optimum (1.000028 at 10,000 census rows), a wrong answer
+#: lands far off it.
+KMEANS_SSE_RATIO = 1.001
 
 _DEFAULT_GRAPH_SCALE = 0.1
 _DEFAULT_KMEANS_ROWS = 100_000
@@ -112,6 +128,11 @@ class SweepPoint:
     iterations: int
     sim_time: float
     converged: bool
+    #: How far the output is from the right answer: PageRank's largest
+    #: distance to the true fixed point (power iteration to 1e-13),
+    #: SSSP's to Dijkstra (0 when equal), k-means' SSE over the serial
+    #: Lloyd reference's on the same seed (a ratio, 1 when equal).
+    answer_error: float
     extra: dict = field(default_factory=dict)
 
 
@@ -165,6 +186,49 @@ def get_partition(which: str, scale: float, k: int, *, weighted: bool = False,
 
 
 # ----------------------------------------------------------------------
+# Answers
+# ----------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=8)
+def _true_ranks(which: str, scale: float) -> np.ndarray:
+    """The cached graph's PageRank fixed point, to 1e-13 — not
+    ``pagerank_reference``'s default 1e-5 stop, which general mode
+    shares by construction and eager does not."""
+    return pagerank_reference(get_graph(which, scale), tol=1e-13)
+
+
+def _max_abs_diff(got: np.ndarray, want: np.ndarray) -> float:
+    """The largest ``|got - want|``, equal entries (``inf == inf``
+    included) counting 0."""
+    with np.errstate(invalid="ignore"):  # inf - inf, masked below
+        diff = np.abs(got - want)
+    diff[got == want] = 0.0
+    return float(diff.max()) if len(diff) else 0.0
+
+
+def check_answers(result: SweepResult) -> None:
+    """The harness's answer gate, run by every sweep before it returns:
+    at each x, a PageRank point lies within 2x of the general run's
+    distance to the true fixed point, an SSSP point equals Dijkstra,
+    and a k-means point's SSE ratio is at most
+    :data:`KMEANS_SSE_RATIO`.  Raises ``AssertionError`` naming the
+    first point that fails."""
+    general = {p.x: p.answer_error for p in result.points
+               if p.mode == "general"}
+    for p in result.points:
+        if result.name.startswith("pagerank"):
+            ok = p.answer_error <= 2 * general[p.x]
+        elif result.name.startswith("sssp"):
+            ok = p.answer_error == 0.0
+        else:
+            ok = p.answer_error <= KMEANS_SSE_RATIO
+        if not ok:
+            raise AssertionError(
+                f"{result.name}: {p.mode} at x={p.x} is off the answer "
+                f"(answer_error {p.answer_error!r})")
+
+
+# ----------------------------------------------------------------------
 # Sweeps (Figures 2-9)
 # ----------------------------------------------------------------------
 
@@ -187,9 +251,12 @@ def pagerank_sweep(which: str, *, scale: "float | None" = None,
                 x=paper_k, effective_x=k, mode=mode,
                 iterations=res.global_iters, sim_time=res.sim_time,
                 converged=res.converged,
+                answer_error=_max_abs_diff(res.ranks, _true_ranks(which, s)),
                 extra={"cut_fraction": part.cut_fraction()},
             ))
-    return SweepResult(name=f"pagerank-{which}", points=points)
+    result = SweepResult(name=f"pagerank-{which}", points=points)
+    check_answers(result)
+    return result
 
 
 @functools.lru_cache(maxsize=8)
@@ -198,6 +265,7 @@ def sssp_sweep(*, scale: "float | None" = None, method: str = "multilevel",
     """Figures 6 (iterations) and 7 (time): SSSP on Graph A vs #partitions."""
     s = scale if scale is not None else graph_scale()
     g = get_graph("A", s, weighted=True)
+    dijkstra = sssp_reference(g, source=source)
     points: list[SweepPoint] = []
     for paper_k, k in scaled_partitions(s):
         if k > g.num_nodes:
@@ -209,9 +277,12 @@ def sssp_sweep(*, scale: "float | None" = None, method: str = "multilevel",
                 x=paper_k, effective_x=k, mode=mode,
                 iterations=res.global_iters, sim_time=res.sim_time,
                 converged=res.converged,
+                answer_error=_max_abs_diff(res.distances, dijkstra),
                 extra={"cut_fraction": part.cut_fraction()},
             ))
-    return SweepResult(name="sssp-A", points=points)
+    result = SweepResult(name="sssp-A", points=points)
+    check_answers(result)
+    return result
 
 
 @functools.lru_cache(maxsize=8)
@@ -232,6 +303,7 @@ def kmeans_sweep(*, rows: "int | None" = None, k: int = 8,
     pts = census_sample(n, noise=0.35, num_profiles=12, seed=0)
     points: list[SweepPoint] = []
     for thr in PAPER_KMEANS_THRESHOLDS:
+        lloyd_sse = sse(pts, kmeans_reference(pts, k, threshold=thr, seed=3))
         for mode in ("general", "eager"):
             res = kmeans(pts, k, mode=mode, threshold=thr,
                          num_partitions=partitions, cluster=make_cluster(),
@@ -240,8 +312,11 @@ def kmeans_sweep(*, rows: "int | None" = None, k: int = 8,
                 x=thr, effective_x=thr, mode=mode,
                 iterations=res.global_iters, sim_time=res.sim_time,
                 converged=res.converged,
+                answer_error=sse(pts, res.centroids) / lloyd_sse,
             ))
-    return SweepResult(name="kmeans", points=points)
+    result = SweepResult(name="kmeans", points=points)
+    check_answers(result)
+    return result
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,9 @@ with one local loop between them:
   cluster to price.  The four node-partitioned apps (PageRank, SSSP,
   components, Jacobi) share one ``local_solve``,
   :func:`repro.core.localmr.run_local_block` over each app's
-  ``local_step`` on columns cut from the flat state — the paper notes
+  ``local_step`` on columns cut from the flat state, and a general
+  round (one local iteration per part) is one ``general_round`` call
+  over every part at once — the paper notes
   that "local map and local reduce operations can use a thread pool to
   extract further parallelism" (§IV); on a NumPy substrate that lever
   is vectorising the local iteration.  Only k-means keeps a loop of its own.
@@ -105,7 +107,8 @@ class AsyncMapReduceSpec(abc.ABC):
     Independently of the shuffle path, a spec may declare a
     **block-level local step** (:attr:`local_agg`); the gmap then runs
     the local loop on arrays — :func:`repro.core.localmr.run_local_block`
-    over the ``local_step`` a node-partitioned app writes once, on
+    over the ``local_step`` a node-partitioned app builds from its one
+    ``block_step``, on
     ``repro.apps._nodeblock``'s ``NodeBlockSpec`` and ``NodeRowState``
     (contract in ``docs/local_loop.md``).
     """
@@ -257,6 +260,20 @@ class BlockSpec(abc.ABC):
                     max_local_iters: int) -> LocalSolveReport:
         """Run local iterations for one partition against frozen remote
         state; must stop at local convergence or ``max_local_iters``."""
+
+    def general_round(self, state: Any) -> "list[LocalSolveReport]":
+        """Every partition's report for a general round, in partition
+        order: one local iteration each against the same ``state``,
+        ``local_solve(p, state, max_local_iters=1)`` for every ``p``.
+
+        ``BlockBackend`` calls this whenever a round's budget is one
+        local iteration (general mode, or an adaptive budget at 1).  A
+        spec that can compute the whole round in one pass overrides it;
+        its reports must equal the per-part ones field for field, so
+        no output bit, op count or simulated second moves
+        (``docs/local_loop.md``, "A general round is one sweep")."""
+        return [self.local_solve(p, state, max_local_iters=1)
+                for p in range(self.num_partitions())]
 
     @abc.abstractmethod
     def global_combine(self, state: Any,

@@ -346,6 +346,10 @@ class EngineBackend(IterationBackend):
 class BlockBackend(IterationBackend):
     """One global iteration = local solves + combine on a :class:`BlockSpec`.
 
+    A round with a budget of one local iteration is the spec's
+    :meth:`~BlockSpec.general_round`, every partition in one call;
+    any other budget runs ``local_solve`` part by part.
+
     When a cluster is attached, each round charges: job startup, the map
     phase (gmap task costs from reported per-iteration op counts,
     honouring ``config.eager_schedule``), the shuffle of reported
@@ -378,10 +382,13 @@ class BlockBackend(IterationBackend):
     def run_round(self, iteration: int, state: Any, *,
                   max_local_iters: int) -> RoundOutcome:
         spec = self.spec
-        reports = [
-            spec.local_solve(p, state, max_local_iters=max_local_iters)
-            for p in range(spec.num_partitions())
-        ]
+        if max_local_iters == 1:
+            reports = spec.general_round(state)
+        else:
+            reports = [
+                spec.local_solve(p, state, max_local_iters=max_local_iters)
+                for p in range(spec.num_partitions())
+            ]
         self.accountant.charge_map_phase(reports, label=f"iter{iteration}")
         return self._finish_round(iteration, state, reports,
                                   tuple(r.local_iters for r in reports))

@@ -35,6 +35,7 @@ from repro.graph.partition import (
     chunk_partition,
     edge_blocks,
     hash_partition,
+    join_blocks,
     multilevel_partition,
     partition_graph,
     random_partition,
@@ -57,6 +58,7 @@ __all__ = [
     "EdgeBlock",
     "split_edges",
     "edge_blocks",
+    "join_blocks",
     "partition_graph",
     "multilevel_partition",
     "bfs_partition",

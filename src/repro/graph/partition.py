@@ -38,6 +38,7 @@ __all__ = [
     "EdgeBlock",
     "split_edges",
     "edge_blocks",
+    "join_blocks",
     "hash_partition",
     "random_partition",
     "chunk_partition",
@@ -200,9 +201,11 @@ def split_edges(src: np.ndarray, dst: np.ndarray, w: np.ndarray,
                 partition: Partition) -> "list[EdgeBlock]":
     """Split the edge list ``(src, dst, w)`` over ``partition``'s nodes
     into one :class:`EdgeBlock` per part: two stable sorts — every edge
-    by (source part, internal before cut) for the out-view, the cut
+    by (internal before cut, source part) for the out-view, the cut
     edges by destination part for the in-view — and O(n + m) besides,
-    whatever ``k`` is.
+    whatever ``k`` is.  Each field of the parts is a run of consecutive
+    slices of one table, in part order (:func:`join_blocks` relies on
+    it).
 
     ``w`` is whatever per-edge value the caller wants carried along:
     graph weights, matrix entries, ``1/outdeg[src]``.
@@ -221,7 +224,9 @@ def split_edges(src: np.ndarray, dst: np.ndarray, w: np.ndarray,
     src_part, dst_part = part_of[src], part_of[dst]
     cut = src_part != dst_part
 
-    order, out_at = _grouped(2 * src_part + cut, 2 * k)
+    # Every part's internal edges, then every part's cut edges, so each
+    # field of the parts lies end to end in its table (join_blocks).
+    order, out_at = _grouped(cut * part_of.dtype.type(k) + src_part, 2 * k)
     # an internal edge's target is a row, a cut edge's stays a node id
     out_dst = np.where(cut, dst, row_of[dst])[order]
     out_src, out_w = row_of[src[order]], w[order]
@@ -233,14 +238,64 @@ def split_edges(src: np.ndarray, dst: np.ndarray, w: np.ndarray,
 
     blocks = []
     for p, nodes in enumerate(parts):
-        a, b, c = out_at[2 * p: 2 * p + 3]
+        a, b = out_at[p: p + 2]
+        c, d = out_at[k + p: k + p + 2]
         i, j = in_at[p: p + 2]
         blocks.append(EdgeBlock(
             nodes, nodes.tolist(),
             out_src[a:b], out_dst[a:b], out_w[a:b],
-            out_src[b:c], out_dst[b:c], out_w[b:c],
+            out_src[c:d], out_dst[c:d], out_w[c:d],
             in_src[i:j], in_dst[i:j], in_w[i:j]))
     return blocks
+
+
+def join_blocks(blocks: "list[EdgeBlock]") -> EdgeBlock:
+    """The parts laid end to end as one :class:`EdgeBlock`.  Part
+    ``p``'s row ``i`` is the join's row ``first[p] + i`` (``first[p]``
+    the number of rows in the parts before it), and every edge set lists
+    part 0's edges, then part 1's, and so on.  So each row's edges keep
+    their order, and a fold over the join adds a row's terms exactly as
+    the fold over its own part does.
+
+    The join's row ids are new int32 arrays.  Its per-edge values and
+    remote node ids are views of :func:`split_edges`' tables, which
+    already hold them end to end, so they cost nothing; parts from
+    anywhere else are copied."""
+    sizes = [len(b.nodes) for b in blocks]
+    first = np.cumsum([0, *sizes[:-1]]).tolist()
+
+    def rows(field: str) -> np.ndarray:
+        cols = [getattr(b, field) for b in blocks]
+        joined = np.empty(sum(len(c) for c in cols), dtype=np.int32)
+        at = 0
+        for col, offset in zip(cols, first):
+            np.add(col, offset, out=joined[at: at + len(col)], casting="unsafe")
+            at += len(col)
+        return joined
+
+    def shared(field: str) -> np.ndarray:
+        return _end_to_end([getattr(b, field) for b in blocks])
+
+    return EdgeBlock(
+        nodes=shared("nodes"), node_list=[u for b in blocks for u in b.node_list],
+        int_src=rows("int_src"), int_dst=rows("int_dst"), int_w=shared("int_w"),
+        cut_src=rows("cut_src"), cut_dst=shared("cut_dst"), cut_w=shared("cut_w"),
+        in_src=shared("in_src"), in_dst=rows("in_dst"), in_w=shared("in_w"))
+
+
+def _end_to_end(cols: "list[np.ndarray]") -> np.ndarray:
+    """``np.concatenate(cols)`` without the copy when ``cols`` already
+    lie end to end in one 1-D table (consecutive slices of it, as the
+    parts :func:`split_edges` makes are): that table's slice."""
+    base, at = cols[0].base, cols[0].ctypes.data
+    for col in cols:
+        if (base is None or col.base is not base or base.ndim != 1
+                or col.dtype != base.dtype or col.strides != base.strides
+                or col.ctypes.data != at):
+            return np.concatenate(cols)
+        at += col.nbytes
+    start = (cols[0].ctypes.data - base.ctypes.data) // base.itemsize
+    return base[start: start + sum(len(c) for c in cols)]
 
 
 def edge_blocks(graph: DiGraph, partition: Partition) -> "list[EdgeBlock]":

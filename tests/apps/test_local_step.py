@@ -303,9 +303,11 @@ class TestStepContract:
                                  ComponentsBlockSpec, JacobiBlockSpec,
                                  PageRankKVSpec, SsspKVSpec])
 def test_one_hook_per_solve(cls):
-    """Each app writes ``local_step``; the three per-iteration hooks it
-    replaced are gone, so no second loop can run beside it."""
-    assert cls.local_step is not NodeBlockSpec.local_step
+    """Each app writes ``block_step``, which a part's ``local_step`` and
+    a general round both build their step from; the three per-iteration
+    hooks it replaced are gone, so no second loop can run beside it."""
+    assert cls.block_step is not NodeBlockSpec.block_step
+    assert cls.local_step is NodeBlockSpec.local_step
     for name in ("local_fold", "lreduce_block", "local_converged_block"):
         assert not hasattr(cls, name)
 

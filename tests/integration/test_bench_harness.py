@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from repro.bench import (
+    KMEANS_SSE_RATIO,
     PAPER_KMEANS_THRESHOLDS,
     PAPER_PARTITION_COUNTS,
+    SweepPoint,
     SweepResult,
+    check_answers,
     get_graph,
     get_partition,
     graph_scale,
@@ -130,6 +133,50 @@ class TestSweeps:
             eager = result.series("eager", value=value)[1]
             general = result.series("general", value=value)[1]
             assert all(e < g for e, g in zip(eager, general)), value
+
+
+class TestAnswers:
+    """Every sweep point carries its distance to the right answer, and
+    the sweep refuses to return one that is off."""
+
+    def test_pagerank_points_near_the_true_fixed_point(self):
+        result = pagerank_sweep("A", scale=TINY)
+        general = {p.x: p.answer_error for p in result.points
+                   if p.mode == "general"}
+        for p in result.points:
+            assert 0.0 < p.answer_error < 1e-4       # tol 1e-5, not 1e-13
+            assert p.answer_error <= 2 * general[p.x]
+
+    def test_sssp_points_are_dijkstra(self):
+        assert all(p.answer_error == 0.0 for p in sssp_sweep(scale=TINY).points)
+
+    def test_kmeans_points_near_lloyd(self):
+        result = kmeans_sweep(rows=2000, k=4, partitions=8)
+        for p in result.points:
+            assert 1.0 - 1e-9 < p.answer_error <= KMEANS_SSE_RATIO
+
+    @staticmethod
+    def _point(mode, error, x=100):
+        return SweepPoint(x=x, effective_x=x, mode=mode, iterations=1,
+                          sim_time=1.0, converged=True, answer_error=error)
+
+    @pytest.mark.parametrize("name, general, eager, ok", [
+        ("pagerank-A", 5e-5, 1e-4, True),
+        ("pagerank-A", 5e-5, 1.01e-4, False),
+        ("sssp-A", 0.0, 0.0, True),
+        ("sssp-A", 0.0, 1.0, False),
+        ("sssp-A", float("inf"), 0.0, False),
+        ("kmeans", 1.0, KMEANS_SSE_RATIO, True),
+        ("kmeans", 1.0, 1.01, False),
+    ])
+    def test_the_gate(self, name, general, eager, ok):
+        result = SweepResult(name=name, points=[
+            self._point("general", general), self._point("eager", eager)])
+        if ok:
+            check_answers(result)
+        else:
+            with pytest.raises(AssertionError, match="off the answer"):
+                check_answers(result)
 
 
 class TestReporting:

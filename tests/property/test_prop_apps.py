@@ -12,7 +12,12 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps import (
+    ComponentsBlockSpec,
+    JacobiBlockSpec,
+    PageRankBlockSpec,
+    SsspBlockSpec,
     kmeans_reference,
+    make_diagonally_dominant_system,
     pagerank,
     pagerank_reference,
     sssp,
@@ -20,7 +25,7 @@ from repro.apps import (
     connected_components,
     components_reference,
 )
-from repro.graph import DiGraph, partition_graph
+from repro.graph import DiGraph, Partition, partition_graph
 
 
 @st.composite
@@ -120,3 +125,44 @@ class TestKMeansProperties:
                      num_partitions=parts, seed=seed)
         expected = kmeans_reference(pts, k, threshold=1e-4, seed=seed)
         assert np.allclose(got.centroids, expected, atol=1e-6)
+
+
+@st.composite
+def graph_and_any_assignment(draw, max_nodes=25, max_edges=80):
+    """A random weighted digraph and a random assignment of its nodes
+    to ``k`` parts, ``k`` up to ``n + 3``: empty parts and ``k >= n``
+    included."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    m = draw(st.integers(min_value=0, max_value=max_edges))
+    src = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    dst = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    w = draw(st.lists(st.floats(0.5, 20.0, allow_nan=False),
+                      min_size=m, max_size=m))
+    k = draw(st.integers(min_value=1, max_value=n + 3))
+    assign = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    g = DiGraph(n, src, dst, w)
+    return g, Partition(g, np.array(assign, dtype=np.int64), k)
+
+
+class TestGeneralRoundProperty:
+    """On any graph and assignment, a node-partitioned app's one-pass
+    general round is the per-part solves, report for report, bytes
+    included."""
+
+    @settings(deadline=None, max_examples=40,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(graph_and_any_assignment(), st.integers(0, 2**32 - 1))
+    def test_equals_the_per_part_solves(self, gp, seed):
+        from tests.apps.test_general_round import rounds_agree
+
+        g, part = gp
+        rng = np.random.default_rng(seed)
+        system = make_diagonally_dominant_system(part, seed=seed)
+        source = int(rng.integers(g.num_nodes))
+        for spec in (PageRankBlockSpec(g, part), SsspBlockSpec(g, part, source=source),
+                     ComponentsBlockSpec(g, part), JacobiBlockSpec(system, part)):
+            state = spec.init_state()
+            if state.dtype.kind == "f":
+                pick = rng.random(len(state)) < 0.5
+                state[pick] = rng.uniform(0.0, 3.0, pick.sum())
+            rounds_agree(spec, state, rounds=2)
