@@ -20,6 +20,8 @@ eager jobs (K-Means and SSSP).  This is the classic convoy scenario:
 Expected: fair-share (and round-robin) cut *mean job latency* well
 below FIFO; per-job iterates, round counts and residual histories are
 identical across policies (scheduling shares the clock, not the math).
+Every policy's answers are checked against the apps' references, and
+``answer_ok`` per policy lands in ``BENCH_multi_job.json``.
 """
 
 from __future__ import annotations
@@ -28,8 +30,24 @@ import os
 
 import numpy as np
 
-from repro.apps import kmeans_spec, pagerank_spec, sssp_spec
-from repro.bench import get_graph, get_partition, graph_scale, make_cluster
+from conftest import record
+from repro.apps import (
+    kmeans_reference,
+    kmeans_spec,
+    pagerank,
+    pagerank_reference,
+    pagerank_spec,
+    sse,
+    sssp_reference,
+    sssp_spec,
+)
+from repro.bench import (
+    KMEANS_SSE_RATIO,
+    get_graph,
+    get_partition,
+    graph_scale,
+    make_cluster,
+)
 from repro.core import Session
 from repro.data import census_sample
 from repro.util import ascii_table
@@ -38,16 +56,19 @@ from repro.util import ascii_table
 _QUICK = bool(os.environ.get("BENCH_QUICK"))
 
 
-def _submit_mix(session: Session):
-    """The convoy mix: long general PageRank first, short eager jobs after."""
+def _inputs():
+    """``(k, graph, partition, weighted twin, its partition, points)``."""
     scale = graph_scale()
     k = max(2, int(round((40 if _QUICK else 100) * scale)))
-    g = get_graph("A", scale)
-    part = get_partition("A", scale, k)
-    gw = get_graph("A", scale, weighted=True)
-    partw = get_partition("A", scale, k, weighted=True)
-    rows = 1_000 if _QUICK else 5_000
-    pts = census_sample(rows, seed=0)
+    return (k, get_graph("A", scale), get_partition("A", scale, k),
+            get_graph("A", scale, weighted=True),
+            get_partition("A", scale, k, weighted=True),
+            census_sample(1_000 if _QUICK else 5_000, seed=0))
+
+
+def _submit_mix(session: Session):
+    """The convoy mix: long general PageRank first, short eager jobs after."""
+    k, g, part, gw, partw, pts = _inputs()
     return [
         session.submit(pagerank_spec(g, part, mode="general",
                                      name="pagerank-general")),
@@ -108,3 +129,24 @@ def test_multi_job_fifo_vs_fair(once):
     # fair-share's pay none
     assert fifo["handles"][1].queue_wait > 0
     assert fair["handles"][1].queue_wait == 0
+
+    # Answers, not only latencies: PageRank within 2x of a solo run's
+    # distance to the true fixed point (1e-13), SSSP equal to Dijkstra,
+    # k-means' SSE within KMEANS_SSE_RATIO of serial Lloyd's.
+    k, g, part, gw, _, pts = _inputs()
+    ranks = pagerank_reference(g, tol=1e-13)
+    solo = np.abs(pagerank(g, part, mode="general").ranks - ranks).max()
+    dist = sssp_reference(gw)
+    lloyd = sse(pts, kmeans_reference(pts, 8, seed=0))
+    answers = {}
+    for r in runs:
+        pr, km, sp = (np.asarray(h.result.state) for h in r["handles"])
+        error, ratio = np.abs(pr - ranks).max(), sse(pts, km) / lloyd
+        print(f"{r['policy']}: PageRank error {error:.3g} (solo {solo:.3g}), "
+              f"SSSP exact {np.array_equal(sp, dist)}, k-means SSE ratio "
+              f"{ratio:.6f}")
+        answers[f"{r['policy']}_answer_ok"] = float(
+            error <= 2 * solo and np.array_equal(sp, dist)
+            and ratio <= KMEANS_SSE_RATIO)
+    record("BENCH_multi_job.json", "answers", answers)
+    assert all(ok == 1.0 for ok in answers.values()), answers

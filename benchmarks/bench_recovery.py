@@ -22,7 +22,10 @@ Three sweeps, three gates:
   serial oracle.
 
 Emits every recovery bill into ``BENCH_recovery.json`` so the
-fault-tolerance trajectory is machine-readable across PRs.
+fault-tolerance trajectory is machine-readable across PRs, with an
+``answer_ok`` per sweep: every recovered state equals ``GeoSpec``'s
+closed form, and the engine's replayed outputs equal the serial
+oracle's.
 """
 
 from __future__ import annotations
@@ -101,6 +104,14 @@ class GeoSpec(BlockSpec):
         return res < 1e-9, res
 
 
+def _answer_ok(*results) -> float:
+    """1.0 when every run halved every slot once a round: ``2**-rounds``
+    exactly, ``GeoSpec``'s closed form."""
+    return float(all(np.array_equal(r.state, np.full(len(r.state),
+                                                     0.5 ** r.global_iters))
+                     for r in results))
+
+
 def _run(parts=12, *, node_faults=None, checkpoint_every=4):
     cfg = DriverConfig(mode="eager", max_global_iters=ROUNDS,
                        max_local_iters=1,
@@ -144,11 +155,13 @@ def test_checkpoint_cadence_prices_recovery(once):
         out[f"cadence_{cadence}_makespan_s"] = sweep[cadence].sim_time
         costs.append(rec.recovery_seconds)
     out["failure_free_makespan_s"] = base.sim_time
+    out["answer_ok"] = _answer_ok(base, *sweep.values())
     print(ascii_table(
         ["checkpoint_every", "rounds replayed", "recovery (s)",
          "makespan (s)"], rows,
         title=f"node death in round {KILL_ROUND}"))
     record("BENCH_recovery.json", "cadence_sweep", out)
+    assert out["answer_ok"] == 1.0
 
     # Gate: strictly decreasing recovery as the cadence tightens.
     assert costs == sorted(costs) and len(set(costs)) == len(costs), \
@@ -177,9 +190,11 @@ def test_kill_time_prices_replay_depth(once):
         out[f"kill_round_{r}_recovery_s"] = rec.recovery_seconds
         out[f"kill_round_{r}_rounds_replayed"] = rec.rounds_replayed
         costs.append(rec.recovery_seconds)
+    out["answer_ok"] = _answer_ok(*sweep.values())
     print("kill-time sweep (cadence 4):",
           {r: f"{c:.1f}s" for r, c in zip(KILL_ROUNDS, costs)})
     record("BENCH_recovery.json", "kill_time_sweep", out)
+    assert out["answer_ok"] == 1.0
     assert costs == sorted(costs) and len(set(costs)) == len(costs)
     assert [sweep[r].history[r].rounds_replayed for r in KILL_ROUNDS] \
         == [r % 4 + 1 for r in KILL_ROUNDS]
@@ -203,7 +218,8 @@ def test_rack_domain_costs_more_than_node(once):
            "node_makespan_s": node.sim_time,
            "rack_deaths": rrec.node_deaths,
            "rack_recovery_s": rrec.recovery_seconds,
-           "rack_makespan_s": rack.sim_time}
+           "rack_makespan_s": rack.sim_time,
+           "answer_ok": _answer_ok(base, node, rack)}
     print(ascii_table(
         ["domain", "deaths", "recovery (s)", "makespan (s)"],
         [["node", nrec.node_deaths, f"{nrec.recovery_seconds:.1f}",
@@ -213,6 +229,7 @@ def test_rack_domain_costs_more_than_node(once):
         title=f"same trace, death in round {KILL_ROUND}"))
     record("BENCH_recovery.json", "domain_size", out)
 
+    assert out["answer_ok"] == 1.0
     assert rrec.node_deaths == 4 and nrec.node_deaths == 1
     assert rrec.recovery_seconds > nrec.recovery_seconds
     assert np.array_equal(node.state, base.state)
@@ -257,7 +274,8 @@ def test_engine_lineage_replay_is_oracle_identical(once):
            "rack_deaths": rack.counters.get(NODE_DEATHS),
            "rack_lost_map_outputs": rack.counters.get(LOST_MAP_OUTPUTS),
            "node_identical": float(node.output == oracle.output),
-           "rack_identical": float(rack.output == oracle.output)}
+           "rack_identical": float(rack.output == oracle.output),
+           "answer_ok": float(node.output == rack.output == oracle.output)}
     print("engine lineage replay:", out)
     record("BENCH_recovery.json", "engine_identity", out)
 

@@ -22,7 +22,10 @@ Two mechanisms, two gates:
   uniform-load win.
 
 Emits makespans and p50/p99 round times into ``BENCH_stragglers.json``
-so the tail-latency trajectory is machine-readable across PRs.
+so the tail-latency trajectory is machine-readable across PRs, with an
+``answer_ok`` per configuration: the ranks lie within 2x of the
+failure-free run's distance to the true fixed point, and the engine's
+raced outputs equal the oracle's.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import replace
 import numpy as np
 
 from conftest import record
-from repro.apps.pagerank import pagerank
+from repro.apps.pagerank import pagerank, pagerank_reference
 from repro.bench import get_graph, get_partition, graph_scale
 from repro.cluster import (
     DFSStateStore,
@@ -106,11 +109,15 @@ def test_speculation_kills_the_straggler_tail(once):
         return uniform, plain, spec
 
     uniform, plain, spec = once(run)
+    ranks = pagerank_reference(g, tol=1e-13)     # the true fixed point
+    failure_free = np.abs(uniform.ranks - ranks).max()
 
     rows = []
     out = {}
     for label, res in (("uniform", uniform), ("straggler", plain),
                        ("straggler+speculation", spec)):
+        out[f"{label}_answer_ok"] = float(
+            np.abs(res.ranks - ranks).max() <= 2 * failure_free)
         p50, p99 = _percentiles(res.result.history)
         backups = sum(r.backups for r in res.result.history)
         won = sum(r.backups_won for r in res.result.history)
@@ -132,6 +139,8 @@ def test_speculation_kills_the_straggler_tail(once):
           f"(gate: >= {MIN_SPECULATION_GAIN:.0%})")
     record("BENCH_stragglers.json", "pagerank_straggler", out)
 
+    assert all(out[f"{label}_answer_ok"] == 1.0 for label in
+               ("uniform", "straggler", "straggler+speculation")), out
     # Gate 1a: strict improvement under injected stragglers.
     assert spec.result.sim_time < plain.result.sim_time
     # Gate 1b: the acceptance bar — one node 4x slow, >= 25% off.
@@ -184,6 +193,9 @@ def test_engine_racing_is_bitwise_oracle_identical(once):
         }
 
     outs = once(run)
+    record("BENCH_stragglers.json", "engine_racing", {
+        f"{path}_answer_ok": float(raced == oracle)
+        for path, (raced, oracle) in outs.items()})
     for path, (raced, oracle) in outs.items():
         assert raced == oracle, f"{path} path diverged under speculation"
     print("engine racing: object and columnar outputs bitwise identical")

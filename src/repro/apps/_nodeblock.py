@@ -100,23 +100,49 @@ class NodeBlockSpec(BlockSpec):
     part) and ``local_agg`` (and a ``"sum"`` app a ``tol`` and
     ``_fold``), and writes ``init_state``, :meth:`frozen_columns` and
     :meth:`block_step`.
+
+    A part's solve reads the state at its own rows and at
+    :meth:`read_rows`, nowhere else: :meth:`frozen_columns` is handed
+    the state at the block's ``remote`` rows only.  The async backend
+    relies on it (:meth:`refresh_view`).
     """
 
     #: Each partition owns a disjoint node slice of the state vector.
     partition_scoped_state = True
+    #: The edge field holding the remote rows the frozen columns fold:
+    #: each incoming cut edge's source for an app that pushes along its
+    #: edges; Jacobi, whose row owns the entry, reads its cut targets.
+    remote = "in_src"
     #: A sum app's fold matrices, one per part (:func:`sum_fold_matrices`).
     _fold: "list | None" = None
     #: The parts laid end to end, built at the first general round.
     _joined: "tuple | None" = None
+    #: Per part, where its read rows lie in the other parts' slices.
+    _routes: "list | None" = None
 
     def num_partitions(self) -> int:
         return self.partition.k
 
-    def frozen_columns(self, b: EdgeBlock, state: np.ndarray) -> tuple:
+    def frozen_columns(self, b: EdgeBlock, remote: np.ndarray) -> tuple:
         """The columns the local loop holds constant beside the part's
         own slice ``state[b.nodes]``: what the rest of the state offers
-        the part this round (row ``i`` for node ``b.nodes[i]``)."""
+        the part this round (row ``i`` for node ``b.nodes[i]``), from
+        ``remote``, the state at the block's remote rows (entry ``j``
+        at ``getattr(b, self.remote)[j]``; a fresh array the method may
+        overwrite)."""
         raise NotImplementedError
+
+    def _columns(self, b: EdgeBlock, state: np.ndarray) -> tuple:
+        """The loop's columns for block ``b``: its slice of ``state``,
+        then the frozen columns."""
+        return (state[b.nodes],
+                *self.frozen_columns(b, state[getattr(b, self.remote)]))
+
+    def read_rows(self, part_id: int) -> np.ndarray:
+        """The state rows outside part ``part_id``'s own slice that its
+        local solve reads: its block's remote rows, in edge order, with
+        repeats."""
+        return getattr(self._blocks[part_id], self.remote)
 
     def local_step(self, part_id: int, cols: tuple
                    ) -> "Callable[[np.ndarray], tuple[np.ndarray, int, bool]]":
@@ -176,9 +202,9 @@ class NodeBlockSpec(BlockSpec):
             return LocalSolveReport(partition=part_id, updates=(nodes, nodes),
                                     local_iters=0, per_iter_ops=[],
                                     shuffle_bytes=0, update_nbytes=0)
-        x0 = state[nodes]
-        run = run_local_block(self, part_id,
-                              (x0, *self.frozen_columns(b, state)),
+        cols = self._columns(b, state)
+        x0 = cols[0]
+        run = run_local_block(self, part_id, cols,
                               max_local_iters=max_local_iters)
         x = run.table[0]
         # The simulator prices a sweep at one op per internal edge and
@@ -209,9 +235,10 @@ class NodeBlockSpec(BlockSpec):
         max_local_iters=1)`` (``docs/local_loop.md``, "A general round
         is one sweep")."""
         join, bounds, parts = self._join()
-        x0 = state[join.nodes]
+        cols = self._columns(join, state)
+        x0 = cols[0]
         x, _, _ = self.block_step(join, () if self._fold is None else self._fold,
-                                  (x0, *self.frozen_columns(join, state)))(x0)
+                                  cols)(x0)
         if self.local_agg == "min":
             # entries the round lowered, before each part's first row
             lowered = np.concatenate(([0], np.cumsum(x < x0)))[bounds].tolist()
@@ -233,11 +260,24 @@ class NodeBlockSpec(BlockSpec):
     def _join(self) -> "tuple[EdgeBlock, list, list]":
         """The parts laid end to end, each part's first row in it (and
         the end), and what each part's general-round report holds
-        constant: ``(nodes, ops, shuffle_bytes)``.  Built once."""
+        constant: ``(nodes, ops, shuffle_bytes)``.  Built once.
+
+        The join keeps only the internal row ids its step reads: a sum
+        app folds through the parts' own matrices and keeps none; a min
+        app gathers and scatters through them, so it keeps them at
+        ``intp`` width, which NumPy would otherwise cast to on every
+        call."""
         if self._joined is None:
             sizes = [len(b.nodes) for b in self._blocks]
+            join = join_blocks(self._blocks)
+            if self._fold is not None:
+                none = np.empty(0, dtype=np.int32)
+                join = join._replace(int_src=none, int_dst=none)
+            else:
+                join = join._replace(int_src=join.int_src.astype(np.intp),
+                                     int_dst=join.int_dst.astype(np.intp))
             self._joined = (
-                join_blocks(self._blocks),
+                join,
                 np.cumsum([0, *sizes]).tolist(),
                 [(b.nodes, float(len(b.int_src) + n),
                   self.shuffle_records(b, 1) * RECORD_BYTES)
@@ -259,20 +299,56 @@ class NodeBlockSpec(BlockSpec):
             return residual < self.tol, residual
         return residual == 0.0, residual
 
-    def global_combine(self, state, reports):
-        new_state = state.copy()
-        records = 0
-        for r in reports:
-            nodes, x = r.updates
-            if self.local_agg == "sum":
-                new_state[nodes] = x
-            else:
+    def combine_rows(self, into: np.ndarray, updates) -> None:
+        """The combine rule, in place: for each ``(rows, x)`` of
+        ``updates`` in order, a sum app overwrites ``into[rows]`` with
+        ``x``, a min app lowers them to it."""
+        if self.local_agg == "sum":
+            for rows, x in updates:
+                into[rows] = x
+        else:
+            for rows, x in updates:
                 # Fancy indexing yields a copy, so assign the elementwise
                 # min back rather than using an out= view.
-                new_state[nodes] = np.minimum(new_state[nodes], x)
-            records += r.shuffle_bytes // RECORD_BYTES
+                into[rows] = np.minimum(into[rows], x)
+
+    def global_combine(self, state, reports):
+        new_state = state.copy()
+        self.combine_rows(new_state, [r.updates for r in reports])
         # greduce touches every shuffled record once.
+        records = sum(r.shuffle_bytes // RECORD_BYTES for r in reports)
         return new_state, float(records), 0
+
+    def refresh_view(self, view: np.ndarray, part_id: int,
+                     reports: list) -> None:
+        """Fold ``reports`` into part ``part_id``'s private view, in place
+        and only where its solve reads: all of the slice of its own
+        report, the part's :meth:`read_rows` in another's.  By
+        :meth:`combine_rows`, in order, so those rows equal a full-view
+        ``global_combine`` of the same reports."""
+        route = self._route(part_id)
+        self.combine_rows(view, [(hit[0], r.updates[1][hit[1]]) for r in reports
+                                 if (hit := route.get(r.partition))])
+
+    def _route(self, part_id: int) -> dict:
+        """``{q: (rows, at)}``: where part ``part_id`` reads each part
+        ``q``'s slice, as state rows and their positions in ``q``'s
+        report — its own whole slice, and its read rows (distinct,
+        ascending) in the other parts that hold any.  Built once, for
+        every part at the first call."""
+        if self._routes is None:
+            row_of = np.empty(len(self.partition.assign), dtype=np.intp)
+            for b in self._blocks:
+                row_of[b.nodes] = np.arange(len(b.nodes))
+            self._routes = []
+            for p, b in enumerate(self._blocks):
+                rows = np.unique(self.read_rows(p))
+                owner = self.partition.assign[rows]
+                route = {q: (rows[owner == q], row_of[rows[owner == q]])
+                         for q in np.unique(owner).tolist()}
+                route[p] = (b.nodes, slice(None))
+                self._routes.append(route)
+        return self._routes[part_id]
 
 
 def owner_and_cut_pairs(nodes: np.ndarray, own_tag: str, own: np.ndarray,
@@ -356,7 +432,7 @@ class NodeRowState:
         state = np.empty((len(x), 2), dtype=np.float64)
         state[:, 0] = x
         for b in self._blocks:
-            (state[b.nodes, 1],) = self.frozen_columns(b, x)
+            (state[b.nodes, 1],) = self._columns(b, x)[1:]
         return state
 
     def partition_input(self, part_id: int, state: np.ndarray) -> np.ndarray:

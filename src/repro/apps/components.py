@@ -68,10 +68,10 @@ class ComponentsBlockSpec(NodeBlockSpec):
         """Every node starts labelled with its own id."""
         return np.arange(self.graph.num_nodes, dtype=np.int64)
 
-    def frozen_columns(self, b, state):
+    def frozen_columns(self, b, remote):
         # num_nodes, above every label, where no cut edge lands
         floor = np.full(len(b.nodes), self.graph.num_nodes, dtype=np.int64)
-        np.minimum.at(floor, b.in_dst, state[b.in_src])
+        np.minimum.at(floor, b.in_dst, remote)
         return (floor,)
 
     def block_step(self, b, mats, cols):

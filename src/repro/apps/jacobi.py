@@ -154,6 +154,8 @@ class JacobiBlockSpec(NodeBlockSpec):
     #: mixed-round neighbour state (chaotic relaxation, the literature
     #: the paper cites for exactly this kernel).
     supports_async = True
+    #: A row's remote unknowns are its cut entries' columns.
+    remote = "cut_dst"
 
     def __init__(self, system: SparseSystem, partition: Partition, *,
                  tol: float = 1e-8, require_dominant: bool = True) -> None:
@@ -178,9 +180,9 @@ class JacobiBlockSpec(NodeBlockSpec):
     def init_state(self) -> np.ndarray:
         return np.zeros(self.system.n, dtype=np.float64)
 
-    def frozen_columns(self, blk, state):
+    def frozen_columns(self, blk, remote):
         b_eff = self.system.b[blk.nodes]
-        np.add.at(b_eff, blk.cut_src, -blk.cut_w * state[blk.cut_dst])
+        np.add.at(b_eff, blk.cut_src, -blk.cut_w * remote)
         return b_eff, self.system.diag[blk.nodes]
 
     def shuffle_records(self, blk, max_local_iters: int) -> int:
@@ -191,7 +193,7 @@ class JacobiBlockSpec(NodeBlockSpec):
     def block_step(self, blk, mats, cols):
         # Row r's terms of R_int x, one record per internal entry.
         fold = csr_fold(*mats)
-        records = len(blk.int_src)
+        records = sum(m.nnz for m in mats)
         _, b_eff, diag = cols
         tol = self.tol
         delta = np.empty(len(b_eff))

@@ -114,16 +114,15 @@ class PageRankBlockSpec(NodeBlockSpec):
         """All nodes start with PageRank 1 (§V-B)."""
         return np.ones(self.graph.num_nodes, dtype=np.float64)
 
-    def frozen_columns(self, b, state):
+    def frozen_columns(self, b, remote):
         ext = np.zeros(len(b.nodes), dtype=np.float64)
-        push = state[b.in_src]
-        push *= b.in_w
-        np.add.at(ext, b.in_dst, push)
+        remote *= b.in_w
+        np.add.at(ext, b.in_dst, remote)
         return (ext,)
 
     def block_step(self, b, mats, cols):
         fold = csr_fold(*mats)
-        records = len(b.int_src)
+        records = sum(m.nnz for m in mats)  # one per internal edge
         d, tol = self.damping, self.tol
         base = (1.0 - d) + d * cols[1]
         delta = np.empty(len(base))

@@ -95,11 +95,10 @@ class SsspBlockSpec(NodeBlockSpec):
         dist[self.source] = 0.0
         return dist
 
-    def frozen_columns(self, b, state):
+    def frozen_columns(self, b, remote):
         ext = np.full(len(b.nodes), np.inf, dtype=np.float64)
-        cand = state[b.in_src]
-        cand += b.in_w
-        np.minimum.at(ext, b.in_dst, cand)
+        remote += b.in_w
+        np.minimum.at(ext, b.in_dst, remote)
         return (ext,)
 
     def block_step(self, b, mats, cols):

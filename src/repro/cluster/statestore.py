@@ -269,6 +269,10 @@ class OnlineStateStore(StateStore):
         # count of the served vectors changes (a different job shape).
         self._profile: "dict[int, float]" = {}
         self._profile_parts: int = 0
+        # Per-partition routes onto the tablets, for one tablet map and
+        # one partition count (:meth:`_routes`).
+        self._route_key: "tuple[int, int] | None" = None
+        self._route_list: "list[tuple]" = []
 
     @property
     def num_tablets(self) -> int:
@@ -304,25 +308,50 @@ class OnlineStateStore(StateStore):
         t_last = min(T - 1, max(0, bisect.bisect_left(bounds, hi - 1e-12) - 1))
         return t_first, t_last
 
+    def _routes(self, P: int) -> "list[tuple]":
+        """Per partition of ``P``, the ``(tablet, factor)`` pairs its key
+        range spreads over: its bytes times ``factor`` land on
+        ``tablet`` (``1.0`` for a range inside one tablet).  Cached until
+        the tablet map or ``P`` changes."""
+        if self._route_key != (self.tablet_map_version, P):
+            bounds = self.boundaries
+            routes = []
+            for p in range(P):
+                lo, hi = p / P, (p + 1) / P
+                t_first, t_last = self._range_tablets(lo, hi)
+                routes.append(((t_first, 1.0),) if t_first == t_last else tuple(
+                    # overlap / (hi - lo)
+                    (t, (min(hi, bounds[t + 1]) - max(lo, bounds[t])) * P)
+                    for t in range(t_first, t_last + 1)))
+            self._route_key, self._route_list = (self.tablet_map_version, P), routes
+        return self._route_list
+
+    def _load(self, partition_bytes: Sequence[float], *,
+              note: bool) -> "dict[int, float]":
+        """Bytes per touched tablet of one partition byte vector, summed
+        in partition order, in one pass that also checks the vector
+        and, with ``note``, folds it into the load profile."""
+        P = len(partition_bytes)
+        routes = self._routes(P)
+        profile = self._profile_of(P) if note and P else None
+        load: "dict[int, float]" = {}
+        for p, b in enumerate(partition_bytes):
+            if b <= 0:
+                if b < 0:
+                    raise ValueError("partition byte counts must be >= 0")
+                continue
+            b = float(b)
+            if profile is not None:
+                profile[p] = profile.get(p, 0.0) + b
+            for t, factor in routes[p]:
+                load[t] = load.get(t, 0.0) + b * factor
+        return load
+
     def shard_bytes(self, partition_bytes: Sequence[float]) -> "list[float]":
         """Per-tablet byte load of one round's partition byte vector."""
-        pb = _validated(partition_bytes)
-        bounds = self.boundaries
         out = [0.0] * self.num_tablets
-        P = len(pb)
-        if P == 0:
-            return out
-        for p, b in enumerate(pb):
-            if b == 0:
-                continue
-            lo, hi = p / P, (p + 1) / P
-            t_first, t_last = self._range_tablets(lo, hi)
-            if t_first == t_last:          # partition inside one tablet
-                out[t_first] += b
-                continue
-            for t in range(t_first, t_last + 1):
-                overlap = min(hi, bounds[t + 1]) - max(lo, bounds[t])
-                out[t] += b * (overlap * P)   # overlap / (hi - lo)
+        for t, b in self._load(partition_bytes, note=False).items():
+            out[t] = b
         return out
 
     def imbalance(self) -> float:
@@ -333,18 +362,22 @@ class OnlineStateStore(StateStore):
             return 1.0
         return max(self.tablet_bytes) * self.num_tablets / total
 
+    def _profile_of(self, P: int) -> "dict[int, float]":
+        """The load profile of ``P``-partition vectors: a fresh one when
+        ``P`` differs from the vectors served before (another job shape)."""
+        if P != self._profile_parts:
+            self._profile, self._profile_parts = {}, P
+        return self._profile
+
     def _note_profile(self, partition_bytes: "list[float]") -> None:
         """Fold one served byte vector into the per-partition load
         profile the load-aware split point is computed from."""
-        P = len(partition_bytes)
-        if P == 0:
+        if not partition_bytes:
             return
-        if P != self._profile_parts:
-            self._profile = {}
-            self._profile_parts = P
+        profile = self._profile_of(len(partition_bytes))
         for p, b in enumerate(partition_bytes):
             if b:
-                self._profile[p] = self._profile.get(p, 0.0) + b
+                profile[p] = profile.get(p, 0.0) + b
 
     # -- charges --------------------------------------------------------
     def _serve(self, partition_bytes: Sequence[float], seconds_of, *,
@@ -514,18 +547,17 @@ class OnlineStateStore(StateStore):
             raise ValueError(
                 f"publish version {version} for partition {partition} would "
                 f"go backwards (latest is {self.versions.get(partition, 0)})")
-        vec = [0.0] * num_partitions
-        vec[partition] = float(nbytes)
-        model = self._model()
-        self._note_profile(vec)
-        tb = self.shard_bytes(vec)
-        secs = 0.0
-        for t, b in enumerate(tb):
-            if b == 0:
-                continue
-            s = model.write_seconds(b, share=share)
-            self.tablet_bytes[t] += int(b)
-            secs = max(secs, s)
+        profile = self._profile_of(num_partitions)
+        top, b = 0.0, float(nbytes)
+        if b:
+            profile[partition] = profile.get(partition, 0.0) + b
+            # only the publisher's route: the other partitions send nothing
+            for t, factor in self._routes(num_partitions)[partition]:
+                tb = b * factor
+                self.tablet_bytes[t] += int(tb)
+                top = max(top, tb)
+        # A tablet's seconds grow with its bytes: the fullest is the slowest.
+        secs = self._model().write_seconds(top, share=share) if top else 0.0
         self.versions[partition] = max(version, self.versions.get(partition, 0))
         # No-barrier path has no round boundary; split as soon as the
         # publish that crossed the threshold lands.  Version ledgers are
@@ -542,17 +574,11 @@ class OnlineStateStore(StateStore):
         slowest touched tablet.  How stale the served versions were is
         the reader's record (``RoundRecord.version_vector``).
         """
-        pb = _validated(partition_bytes)
-        model = self._model()
-        self._note_profile(pb)
-        tb = self.shard_bytes(pb)
-        secs = 0.0
-        for t, b in enumerate(tb):
-            if b == 0:
-                continue
-            s = model.read_seconds(b, share=share)
+        load = self._load(partition_bytes, note=True)
+        for t, b in load.items():
             self.tablet_bytes[t] += int(b)
-            secs = max(secs, s)
+        top = max(load.values(), default=0.0)
+        secs = self._model().read_seconds(top, share=share) if top else 0.0
         self._maybe_split()
         return secs
 

@@ -245,6 +245,11 @@ class BlockSpec(abc.ABC):
     #: slices from *different* rounds (chaotic relaxation, §VII), and
     #: ``global_combine`` must be insensitive to report arrival order.
     #: Specs opt in explicitly; the async backend refuses otherwise.
+    #: An async spec also names the rows its solve reads outside its
+    #: own slice, ``read_rows(part_id)``, and keeps a partition's
+    #: private view current there, ``refresh_view(view, part_id,
+    #: reports)``: ``global_combine``'s rule, in place, at those rows
+    #: only (``docs/async_backend.md``; ``NodeBlockSpec`` writes both).
     supports_async: bool = False
 
     @abc.abstractmethod

@@ -32,16 +32,16 @@ the shared cluster clock advances by how far the furthest timeline moved
 Uneven solve times on a priced cluster, and ``phase`` (staggered starts),
 are what make reads actually stale in simulation.
 
+A partition reads through a private view of the state that its spec
+refreshes only at the rows its solve reads (:class:`VersionLog`).
+
 Correctness is the classical chaotic-relaxation story (Chazan &
 Miranker): a linear update ``x <- Mx + b`` converges synchronously iff
-``rho(M) < 1`` but chaotically iff ``rho(|M|) < 1``, and the gap between
-the two is real — Jacobi systems exist that contract under a barrier and
-*oscillate divergently* without one.  :class:`DivergenceDetector` guards
-that gap at runtime: it watches the residual trajectory, and when a
-window stops contracting (or goes non-finite) it tightens the bound —
-unbounded drops to a finite fallback, a finite bound halves — until, at
-worst, ``staleness=0`` restores barrier semantics and the synchronous
-convergence guarantee.
+``rho(M) < 1`` but chaotically iff ``rho(|M|) < 1``, and Jacobi systems
+exist that contract under a barrier and *oscillate divergently* without
+one.  :class:`DivergenceDetector` guards that gap at runtime: when the
+residual stops contracting it tightens the bound, at worst to
+``staleness=0`` and the synchronous guarantee.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ class DivergenceDetector:
     trigger tightens the staleness bound one notch — ``None``
     (unbounded) drops to :attr:`CHAOTIC_FALLBACK` (4), a finite bound
     halves — and clears the window so the iteration is re-observed
-    under the new bound before it can tighten again.  The fixed point of repeated tightening is
-    ``staleness=0``: barrier semantics, where the synchronous
-    convergence guarantee applies.
+    under the new bound before it can tighten again.  Repeated
+    tightening ends at ``staleness=0``: barrier semantics, where the
+    synchronous convergence guarantee applies.
 
     Attributes
     ----------
@@ -109,6 +109,70 @@ class DivergenceDetector:
         self.events.append((iteration, bound, new))
         self._residuals.clear()
         return new
+
+
+class VersionLog:
+    """What a no-barrier run remembers between rounds, per partition:
+    every version it published (when, how many bytes, the report), the
+    newest version of every other partition it has consumed, where its
+    timeline stands, and its private view of the state.
+
+    Version 0 is the initial state, published at ``-inf``.  A version's
+    report is dropped once every partition has consumed it; its time is
+    kept, because a bound's wait reads it.  Each view is a copy of the
+    initial state made once; the spec refreshes it in place where its
+    partition reads (:meth:`BlockSpec.refresh_view`).
+    """
+
+    def __init__(self, state: Any, phase: "tuple[float, ...]") -> None:
+        P = len(phase)
+        self.views = [state.copy() for _ in range(P)]
+        self.timeline = list(phase)
+        self.time: "list[dict]" = [{0: -math.inf} for _ in range(P)]
+        self.reports: "list[dict]" = [{} for _ in range(P)]
+        self.latest = [0] * P
+        self.seen = [[0] * P for _ in range(P)]
+
+    def publish(self, q: int, version: int, t: float, report: Any,
+                nbytes: int) -> None:
+        """Partition ``q`` publishes ``report`` (``nbytes`` bytes) as
+        ``version`` at time ``t``, which its timeline reaches."""
+        self.time[q][version] = t
+        self.reports[q][version] = (report, nbytes)
+        self.latest[q] = self.seen[q][q] = version
+        self.timeline[q] = t
+
+    def newest_at(self, q: int, t: float) -> int:
+        """Newest version of partition ``q`` published by time ``t``."""
+        v, times = self.latest[q], self.time[q]
+        while v > 0 and times[v] > t:
+            v -= 1
+        return v
+
+    def consume_since(self, p: int, t: float) -> "tuple[list, list, float]":
+        """Partition ``p`` reads every other partition at time ``t``:
+        the reports of the versions published by then that it has not
+        consumed, oldest first per partition; the bytes it read from
+        each partition; and the oldest version it read."""
+        seen, fold = self.seen[p], []
+        nbytes = [0.0] * len(seen)
+        for q, reports in enumerate(self.reports):
+            if q == p:
+                continue
+            tv = self.newest_at(q, t)
+            for v in range(seen[q] + 1, tv + 1):
+                report, nb = reports[v]
+                fold.append(report)
+                nbytes[q] += nb
+            seen[q] = tv
+        return fold, nbytes, min(seen[:p] + seen[p + 1:], default=math.inf)
+
+    def prune(self) -> None:
+        """Drop the reports every partition has consumed."""
+        for reports, read in zip(self.reports, zip(*self.seen)):
+            done = min(read)
+            for v in [v for v in reports if v <= done]:
+                del reports[v]
 
 
 def resolve_block_backend(spec: BlockSpec, *, backend: str = "block",
@@ -188,8 +252,8 @@ class AsyncBackend(BlockBackend):
             raise ValueError("phase needs one non-negative entry per partition")
         self.detector = detector
         self._staleness = staleness
-        self._async_started = False
-        self._startup_charged = False
+        self._log: "VersionLog | None" = None
+        self._horizon = 0.0
         self._rounds_done = 0
 
     @property
@@ -222,66 +286,27 @@ class AsyncBackend(BlockBackend):
     def global_converged(self, prev_state, curr_state):
         done, residual = self.spec.global_converged(prev_state, curr_state)
         if self.detector is not None and self._staleness != 0:
-            new = self.detector.observe(self._rounds_done - 1, residual,
-                                        self._staleness)
-            if new != self._staleness:
-                self._staleness = new
+            self._staleness = self.detector.observe(
+                self._rounds_done - 1, residual, self._staleness)
         return done, residual
 
     # -- the no-barrier round -------------------------------------------
-    def _start_tables(self, state: Any) -> None:
-        P = self.spec.num_partitions()
-        # Views share the initial state object: combines are pure (they
-        # write into a copy — tools/reprolint's rule RPR051 polices
-        # exactly this), so per-reader views only ever fork, never
-        # alias-mutate.
-        self._views: "list[Any]" = [state] * P
-        self._seen: "list[list[int]]" = [[0] * P for _ in range(P)]
-        self._ptime: "list[float]" = list(self.phase)
-        self._pub_time: "list[dict]" = [{0: float("-inf")} for _ in range(P)]
-        self._pub_report: "list[dict]" = [{} for _ in range(P)]
-        self._latest: "list[int]" = [0] * P
-        self._horizon: float = 0.0
-        self._async_started = True
-
-    def _newest_at(self, q: int, t: float) -> int:
-        """Newest version of partition ``q`` published by time ``t``
-        (version 0, the initial state, is published at -inf)."""
-        v = self._latest[q]
-        times = self._pub_time[q]
-        while v > 0 and times[v] > t:
-            v -= 1
-        return v
-
-    def _prune(self) -> None:
-        """Drop report payloads no reader can still need."""
-        P = len(self._views)
-        for q in range(P):
-            min_seen = min(self._seen[p][q] for p in range(P))
-            reports = self._pub_report[q]
-            for v in [v for v in reports if v <= min_seen]:
-                del reports[v]
-
     def _run_async_round(self, iteration: int, state: Any, *,
                          max_local_iters: int) -> RoundOutcome:
         spec, acct, it = self.spec, self.accountant, iteration
-        P = spec.num_partitions()
-        if not self._async_started:
-            self._start_tables(state)
-        S = self._staleness
+        P, first = spec.num_partitions(), self._log is None
+        if first:
+            self._log = VersionLog(state, self.phase)
+        log, S = self._log, self._staleness
 
         # Effective start per partition: its own timeline, plus — under
         # a finite bound — the wait until every neighbour has published
         # version it - S (all from earlier rounds, so already known).
-        starts = []
-        for p in range(P):
-            t = self._ptime[p]
-            if S is not None:
-                rv = max(0, it - S)
-                for q in range(P):
-                    if q != p:
-                        t = max(t, self._pub_time[q][rv])
-            starts.append(t)
+        starts = list(log.timeline)
+        if S is not None:
+            waits = [times[max(0, it - S)] for times in log.time]
+            for p in range(P):
+                starts[p] = max([starts[p], *waits[:p], *waits[p + 1:]])
 
         reports: "list[Any]" = [None] * P
         pub_bytes = [0] * P
@@ -290,22 +315,9 @@ class AsyncBackend(BlockBackend):
         # can consume a same-round version — true chaotic freshness.
         for p in sorted(range(P), key=lambda p: (starts[p], p)):
             t = starts[p]
-            view = self._views[p]
-            fold: "list[Any]" = []
-            read_bytes = [0.0] * P
-            oldest = it
-            for q in range(P):
-                if q == p:
-                    continue
-                tv = self._newest_at(q, t)
-                for v in range(self._seen[p][q] + 1, tv + 1):
-                    rep, nb = self._pub_report[q][v]
-                    fold.append(rep)
-                    read_bytes[q] += nb
-                self._seen[p][q] = tv
-                oldest = min(oldest, tv)
-            if fold:
-                view, _, _ = spec.global_combine(view, fold)
+            view = log.views[p]
+            fold, read_bytes, oldest = log.consume_since(p, t)
+            spec.refresh_view(view, p, fold)
             consume = acct.state_consume_seconds(read_bytes)
             report = spec.local_solve(p, view, max_local_iters=max_local_iters)
             reports[p] = report
@@ -315,42 +327,29 @@ class AsyncBackend(BlockBackend):
                   else even_split(int(spec.state_nbytes(view)), P)[p])
             publish = acct.state_publish_seconds(p, nb, version=it + 1,
                                                  num_partitions=P)
-            if acct.active:
-                end = t + consume + solve + publish
-            else:
-                # Without a cluster a round costs one time unit, so a
-                # phase offset becomes a fixed version lag; with no phase
-                # every read is fresh.
-                end = t + 1.0
-            view, _, _ = spec.global_combine(view, [report])
-            self._views[p] = view
-            self._seen[p][p] = it + 1
-            self._pub_time[p][it + 1] = end
-            self._pub_report[p][it + 1] = (report, nb)
-            self._latest[p] = it + 1
-            self._ptime[p] = end
+            # Without a cluster a round costs one time unit, so a phase
+            # offset becomes a fixed version lag.
+            end = t + consume + solve + publish if acct.active else t + 1.0
+            spec.refresh_view(view, p, [report])
+            log.publish(p, it + 1, end, report, nb)
             pub_bytes[p] = nb
-            vv[p] = oldest
+            vv[p] = min(it, oldest)
 
-        horizon = max(self._ptime)
+        horizon = max(log.timeline)
         if acct.active:
-            if not self._startup_charged:
+            if first:
                 # One continuous job, not one per round — the whole
                 # point of dropping the barrier.
                 acct.charge_job_startup(label=f"iter{it}:startup")
-                self._startup_charged = True
             acct.charge_fixed(f"iter{it}:async",
                               max(0.0, horizon - self._horizon))
             acct.charge_due_checkpoint(pub_bytes, iteration=it,
                                        label=f"iter{it}:checkpoint")
         self._horizon = horizon
-        self._prune()
+        log.prune()
 
-        new_state, _, _ = spec.global_combine(state, list(reports))
+        new_state, _, _ = spec.global_combine(state, reports)
         return RoundOutcome(
-            state=new_state,
-            local_iters=tuple(r.local_iters for r in reports),
-            shuffle_bytes=0,
-            state_partition_bytes=tuple(pub_bytes),
-            version_vector=tuple(vv),
-        )
+            state=new_state, local_iters=tuple(r.local_iters for r in reports),
+            shuffle_bytes=0, state_partition_bytes=tuple(pub_bytes),
+            version_vector=tuple(vv))

@@ -217,7 +217,7 @@ def _states(spec, rng):
 
 def _block_cols(spec, p, state):
     b = spec._blocks[p]
-    return (state[b.nodes], *spec.frozen_columns(b, state))
+    return (state[b.nodes], *spec.frozen_columns(b, state[getattr(b, spec.remote)]))
 
 
 class TestStepContract:
