@@ -20,7 +20,6 @@ from repro.core import (
     BlockBackend,
     DriverConfig,
     HierarchicalBackend,
-    HierarchyConfig,
     IterationLoop,
     make_racks,
 )
@@ -43,7 +42,7 @@ def test_extension_hierarchical_synchronization(once):
             hier = IterationLoop(
                 HierarchicalBackend(
                     PageRankBlockSpec(g, part), make_racks(k, racks),
-                    hierarchy=HierarchyConfig(inner_rounds=inner),
+                    inner_rounds=inner,
                     cluster=make_cluster()),
                 DriverConfig(mode="eager")).run()
             rows.append((f"3-level: {racks} racks x {inner} inner rounds",

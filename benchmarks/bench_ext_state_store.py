@@ -13,13 +13,16 @@ DFS, a single-tablet online store (the historical scalar model),
 a properly sharded 8-tablet online store, and the online store with
 periodic DFS checkpoints (the resolved-fault-tolerance variant).
 
-Emits its per-config simulated seconds into ``BENCH_state_store.json``
-(shared with ``bench_state_skew.py``) so the perf trajectory is
-machine-readable across PRs.
+The store prices bytes and never touches values, so every variant must
+end on ranks bit-for-bit equal to the DFS run's; ``answer_ok`` records
+that.  Emits its per-config simulated seconds and ``answer_ok`` into
+``BENCH_state_store.json`` (shared with ``bench_state_skew.py``) so the
+perf trajectory is machine-readable across changes.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from conftest import record
 from repro.apps.pagerank import PageRankBlockSpec
 from repro.bench import get_graph, get_partition, graph_scale, make_cluster
@@ -48,24 +51,29 @@ def test_extension_online_state_store(once):
             res = IterationLoop(
                 BlockBackend(PageRankBlockSpec(g, part),
                              cluster=make_cluster()), cfg).run()
-            out[name] = (res.global_iters, res.sim_time)
+            out[name] = (res.global_iters, res.sim_time, np.asarray(res.state))
         return out
 
     results = once(run)
     print()
     print(ascii_table(
         ["state store", "global iters", "sim time (s)"],
-        [[n, it, f"{t:.0f}"] for n, (it, t) in results.items()],
+        [[n, it, f"{t:.0f}"] for n, (it, t, _) in results.items()],
         title="Extension: inter-iteration state store (General PageRank)"))
+    ranks_dfs = results["DFS (Hadoop baseline)"][2]
+    same_ranks = {name: np.array_equal(ranks, ranks_dfs)
+                  for name, (_, _, ranks) in results.items()}
     record("BENCH_state_store.json", "ext_state_store",
-           {name: t for name, (_, t) in results.items()})
+           {**{name: t for name, (_, t, _) in results.items()},
+            "answer_ok": float(all(same_ranks.values()))})
 
-    it_dfs, t_dfs = results["DFS (Hadoop baseline)"]
-    it_one, t_one = results["online, 1 tablet"]
-    it_many, t_many = results["online, 8 tablets"]
-    it_ckpt, t_ckpt = results["online, 8 tablets + ckpt/5"]
-    # identical algorithm whatever the store
+    it_dfs, t_dfs, _ = results["DFS (Hadoop baseline)"]
+    it_one, t_one, _ = results["online, 1 tablet"]
+    it_many, t_many, _ = results["online, 8 tablets"]
+    it_ckpt, t_ckpt, _ = results["online, 8 tablets + ckpt/5"]
+    # identical algorithm whatever the store: same rounds, same bits
     assert it_dfs == it_one == it_many == it_ckpt
+    assert all(same_ranks.values()), same_ranks
     # online store saves time; tablets serve in parallel, so sharding
     # saves more; checkpoints give back part of the saving
     assert t_one < t_dfs

@@ -44,7 +44,6 @@ from repro.core import (
     DriverConfig,
     EngineBackend,
     HierarchicalBackend,
-    HierarchyConfig,
     Session,
     autotune_partitions,
     make_racks,
@@ -98,7 +97,7 @@ def main() -> None:
     racks = make_racks(k, max(2, k // 4))
     hier = run_single(
         HierarchicalBackend(PageRankBlockSpec(graph, partition), racks,
-                            hierarchy=HierarchyConfig(inner_rounds=3)),
+                            inner_rounds=3),
         DriverConfig(mode="eager"))
     print()
     print(ascii_table(

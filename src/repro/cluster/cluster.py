@@ -141,7 +141,6 @@ class SimCluster:
 
     def __init__(self, nodes: Sequence[SimNode] | None = None,
                  cost_model: CostModel = EC2_DEFAULTS,
-                 online_model: "OnlineStoreModel | None" = None,
                  stragglers=None, node_faults=None) -> None:
         from repro.cluster.workerpool import WorkerPool
 
@@ -161,8 +160,7 @@ class SimCluster:
                 f"stragglers slow nodes {unknown} that the cluster lacks "
                 f"(node ids {sorted(node_ids)})")
         self.cost_model = cost_model
-        self.online_model = (online_model if online_model is not None
-                             else OnlineStoreModel())
+        self.online_model = OnlineStoreModel()
         self.stragglers = stragglers
         self.node_faults = node_faults
         self.worker_pool: "WorkerPool | None" = (

@@ -40,7 +40,7 @@ from repro.core.config import DriverConfig, EAGER, GENERAL
 from repro.core.convergence import CentroidShiftCriterion
 from repro.core.emitter import LocalMapContext, LocalReduceContext
 from repro.core.gmap import GmapFunction, GreduceFunction
-from repro.core.hierarchy import HierarchyConfig, make_racks
+from repro.core.hierarchy import make_racks
 from repro.core.jobsched import (
     FairSharePolicy,
     FifoPolicy,
@@ -48,7 +48,6 @@ from repro.core.jobsched import (
     RoundRobinPolicy,
     RoundShare,
     SchedulingPolicy,
-    SessionScheduler,
     make_policy,
 )
 from repro.core.localmr import (
@@ -75,7 +74,6 @@ __all__ = [
     "JobSpec",
     "JobHandle",
     "RoundShare",
-    "SessionScheduler",
     "SchedulingPolicy",
     "FifoPolicy",
     "RoundRobinPolicy",
@@ -100,7 +98,6 @@ __all__ = [
     "RoundOutcome",
     "IterativeResult",
     "RoundRecord",
-    "HierarchyConfig",
     "make_racks",
     "autotune_partitions",
     "AutotuneReport",

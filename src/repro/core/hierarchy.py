@@ -5,9 +5,9 @@
     configuration of the system into account, one may support a
     hierarchy of synchronizations."
 
-This module keeps the rack-level configuration
-(:class:`HierarchyConfig`) and the rack grouping helper
-(:func:`make_racks`) for the unified iteration core's
+This module keeps the rack-level cost constants
+(:data:`RACK_STARTUP_SECONDS`, :data:`RACK_SHUFFLE_SPEEDUP`) and the
+rack grouping helper (:func:`make_racks`) for the unified iteration core's
 :class:`~repro.core.loop.HierarchicalBackend`, which
 composes the block backend: the first inner round of local solves is
 the global job's map phase, each additional inner round is a cheap
@@ -28,40 +28,15 @@ this is two nested block-Jacobi levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = ["HierarchyConfig", "make_racks"]
+__all__ = ["RACK_STARTUP_SECONDS", "RACK_SHUFFLE_SPEEDUP", "make_racks"]
 
 
-@dataclass(frozen=True)
-class HierarchyConfig:
-    """Rack-level synchronization parameters.
-
-    Attributes
-    ----------
-    inner_rounds:
-        Rack-local synchronization rounds per global iteration (1 makes
-        the scheme identical to the plain two-level eager driver —
-        including, post-unification, its exact cluster charges).
-    rack_startup_seconds:
-        Fixed cost of one rack-level synchronization (intra-rack barrier
-        + scheduling); far below a global job startup.
-    rack_shuffle_speedup:
-        Intra-rack network speedup over the global shuffle bandwidth
-        (top-of-rack switch vs cross-rack links).
-    """
-
-    inner_rounds: int = 2
-    rack_startup_seconds: float = 1.0
-    rack_shuffle_speedup: float = 8.0
-
-    def __post_init__(self) -> None:
-        if self.inner_rounds < 1:
-            raise ValueError("inner_rounds must be >= 1")
-        if self.rack_startup_seconds < 0:
-            raise ValueError("rack_startup_seconds must be >= 0")
-        if self.rack_shuffle_speedup <= 0:
-            raise ValueError("rack_shuffle_speedup must be > 0")
+#: Fixed cost of one rack-level synchronization (intra-rack barrier +
+#: scheduling); far below a global job startup.
+RACK_STARTUP_SECONDS = 1.0
+#: Intra-rack network speedup over the global shuffle bandwidth
+#: (top-of-rack switch vs cross-rack links).
+RACK_SHUFFLE_SPEEDUP = 8.0
 
 
 def make_racks(num_partitions: int, num_racks: int) -> "list[list[int]]":

@@ -7,8 +7,8 @@ stepped one global round at a time, so a scheduler can interleave the
 ``step`` calls of many jobs on one shared
 :class:`~repro.cluster.SimCluster` clock.
 
-:class:`SessionScheduler` drives all admitted jobs to convergence under
-a pluggable :class:`SchedulingPolicy`:
+:class:`~repro.core.session.Session` drives all admitted jobs to
+convergence under a pluggable :class:`SchedulingPolicy`:
 
 * :class:`FifoPolicy` — Hadoop's default: strictly one job at a time,
   in priority-then-submission order, holding the whole cluster.
@@ -37,13 +37,11 @@ interleaving-invariance tests).
 from __future__ import annotations
 
 import abc
-import functools
 from dataclasses import dataclass
 from typing import Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.cluster.accountant import RoundAccountant
-    from repro.cluster.cluster import SimCluster
     from repro.core.loop import IterationLoop, IterativeResult
 
 __all__ = [
@@ -55,7 +53,6 @@ __all__ = [
     "FairSharePolicy",
     "POLICIES",
     "make_policy",
-    "SessionScheduler",
 ]
 
 
@@ -82,7 +79,7 @@ class JobHandle:
     """One submitted job: its loop, lifecycle, and contention metrics.
 
     Returned by :meth:`~repro.core.session.Session.submit`; the
-    scheduler mutates it as rounds run.  All timestamps are shared
+    session mutates it as rounds run.  All timestamps are shared
     simulated-cluster clock readings (0.0 without a cluster).
 
     Attributes
@@ -175,7 +172,7 @@ class SchedulingPolicy(abc.ABC):
         ``pending`` holds every admitted-but-unfinished job.  Returning
         more than one job space-shares the cluster for the step;
         returning one time-slices it; returning ``[]`` stops the
-        scheduler (only meaningful when ``pending`` is empty).
+        session's step loop (only meaningful when ``pending`` is empty).
         """
 
 
@@ -243,110 +240,3 @@ def make_policy(policy: "str | SchedulingPolicy") -> SchedulingPolicy:
             f"unknown scheduling policy {policy!r}; "
             f"expected one of {sorted(set(POLICIES))}"
         ) from None
-
-
-# ----------------------------------------------------------------------
-# The scheduler
-# ----------------------------------------------------------------------
-
-class SessionScheduler:
-    """Drives admitted jobs to convergence by interleaving their rounds.
-
-    One scheduling :meth:`step`: ask the policy for a batch and run one
-    global round of every batch member as one fork of the cluster's
-    :meth:`~repro.cluster.SimCluster.concurrently` (concurrent
-    semantics).  :meth:`run` steps until no job is pending.
-
-    The scheduler owns no cluster or runtime — the
-    :class:`~repro.core.session.Session` facade does — and never moves
-    the clock itself.
-    """
-
-    def __init__(self, policy: "str | SchedulingPolicy" = "fifo",
-                 cluster: "SimCluster | None" = None) -> None:
-        self.policy = make_policy(policy)
-        self.cluster = cluster
-        self.jobs: "list[JobHandle]" = []
-
-    # -- admission ------------------------------------------------------
-    def admit(self, handle: JobHandle) -> JobHandle:
-        self.jobs.append(handle)
-        return handle
-
-    @property
-    def pending(self) -> "list[JobHandle]":
-        """Admitted jobs that still have rounds to run."""
-        return [j for j in self.jobs if j.status in ("queued", "running")]
-
-    @property
-    def clock(self) -> float:
-        """Current shared simulated time (0.0 without a cluster)."""
-        return self.cluster.clock if self.cluster is not None else 0.0
-
-    # -- driving --------------------------------------------------------
-    def step(self) -> bool:
-        """Run one scheduling step; returns False when nothing is left."""
-        pending = self.pending
-        if not pending:
-            return False
-        batch = self.policy.next_batch(pending)
-        if not batch:
-            return False
-        rounds = [functools.partial(self._run_one_round, job, len(batch))
-                  for job in batch]
-        if self.cluster is None:
-            for run in rounds:
-                run()
-        else:
-            self.cluster.concurrently(rounds)
-        return True
-
-    def _run_one_round(self, job: JobHandle, batch_size: int) -> None:
-        loop = job.loop
-        start = self.clock
-        share = (self.cluster.share if self.cluster is not None
-                 else 1.0 / batch_size)
-        try:
-            if not loop.started:
-                loop.start()
-                job.status = "running"
-                job.started_at = start
-            loop.step()
-            end = self.clock
-            job.round_shares.append(RoundShare(
-                iteration=loop.global_iters - 1, start=start, end=end,
-                slot_share=share))
-            if loop.finished:
-                job.result = loop.finish()
-                job.status = "done"
-                job.finished_at = end
-        except BaseException:
-            job.status = "failed"
-            loop.close()
-            raise
-
-    def run(self) -> "list[JobHandle]":
-        """Step until every admitted job has finished."""
-        while self.step():
-            pass
-        return list(self.jobs)
-
-    # -- aggregate metrics ---------------------------------------------
-    @property
-    def finished_jobs(self) -> "list[JobHandle]":
-        return [j for j in self.jobs if j.done]
-
-    def makespan(self) -> float:
-        """First submission to last completion on the shared timeline."""
-        done = self.finished_jobs
-        if not done:
-            return 0.0
-        return (max(j.finished_at for j in done)
-                - min(j.submitted_at for j in done))
-
-    def mean_latency(self) -> float:
-        """Mean submission-to-completion latency over finished jobs."""
-        done = self.finished_jobs
-        if not done:
-            return 0.0
-        return sum(j.makespan for j in done) / len(done)

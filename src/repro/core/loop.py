@@ -52,6 +52,7 @@ from repro.cluster.statestore import even_split
 from repro.core.api import AsyncMapReduceSpec, BlockSpec, LocalSolveReport
 from repro.core.config import DriverConfig
 from repro.core.gmap import GmapFunction, GreduceFunction, local_iter_counter
+from repro.core.hierarchy import RACK_SHUFFLE_SPEEDUP, RACK_STARTUP_SECONDS
 from repro.engine import Job, JobConf, MapReduceRuntime
 from repro.engine.counters import SHUFFLE_BYTES
 from repro.engine.shuffle import shuffle_bytes as _measure_output_bytes
@@ -468,10 +469,10 @@ class HierarchicalBackend(BlockBackend):
     """
 
     def __init__(self, spec: BlockSpec, racks: "Sequence[Sequence[int]]", *,
-                 hierarchy=None, cluster=None) -> None:
-        from repro.core.hierarchy import HierarchyConfig
-
+                 inner_rounds: int = 2, cluster=None) -> None:
         super().__init__(spec, cluster=cluster)
+        if inner_rounds < 1:
+            raise ValueError("inner_rounds must be >= 1")
         if not spec.partition_scoped_state:
             raise ValueError(
                 "hierarchical synchronization requires a spec with "
@@ -481,11 +482,11 @@ class HierarchicalBackend(BlockBackend):
         all_parts = sorted(p for rack in self.racks for p in rack)
         if all_parts != list(range(spec.num_partitions())):
             raise ValueError("racks must cover every partition exactly once")
-        self.hierarchy = hierarchy if hierarchy is not None else HierarchyConfig()
+        self.inner_rounds = inner_rounds
 
     def run_round(self, iteration: int, state: Any, *,
                   max_local_iters: int) -> RoundOutcome:
-        spec, hcfg, acct = self.spec, self.hierarchy, self.accountant
+        spec, acct = self.spec, self.accountant
         label = f"iter{iteration}"
         total_local = [0] * spec.num_partitions()
 
@@ -508,7 +509,7 @@ class HierarchicalBackend(BlockBackend):
             # Inner rounds 2..n of rack i: the rack combine, its
             # intra-rack sync, and the rack's solves as a map phase.
             rack, rack_state = self.racks[i], state
-            for _ in range(hcfg.inner_rounds - 1):
+            for _ in range(self.inner_rounds - 1):
                 prev = reports_by_rack[i]
                 rack_state, _, _ = spec.global_combine(rack_state, prev)
                 reports_by_rack[i] = solve(rack, rack_state)
@@ -516,9 +517,9 @@ class HierarchicalBackend(BlockBackend):
                     sync_bytes = sum(r.shuffle_bytes for r in prev)
                     acct.charge_fixed(
                         f"{label}:rack{i}:sync",
-                        hcfg.rack_startup_seconds + sync_bytes / (
+                        RACK_STARTUP_SECONDS + sync_bytes / (
                             acct.cluster.cost_model.shuffle_bandwidth_bps
-                            * hcfg.rack_shuffle_speedup))
+                            * RACK_SHUFFLE_SPEEDUP))
                 acct.run_map_phase(
                     [acct.local_solve_seconds(r) for r in reports_by_rack[i]],
                     label=f"{label}:rack{i}:map")
@@ -541,51 +542,48 @@ class HierarchicalBackend(BlockBackend):
 # Adaptive synchronization policy
 # ----------------------------------------------------------------------
 
-@dataclass
+#: The adaptive policy's budget for a run's first round.
+INITIAL_BUDGET = 4
+#: Budget factor after a budget-limited round.
+BUDGET_GROW = 2.0
+#: Budget factor after a round whose residual contracted fast.
+BUDGET_SHRINK = 0.5
+#: A residual ratio below this is a fast contraction.
+FAST_CONTRACTION = 0.05
+
+
 class AdaptiveSyncPolicy:
     """Retunes the per-round local-iteration budget from round feedback.
 
     The paper fixes ``max_local_iters`` for a whole run; with one loop
     and per-round budgets, the tradeoff can be steered online instead.
-    The policy starts shallow (cheap early rounds, when local solves
-    against far-from-converged remote state are mostly wasted) and
-    *grows* the budget whenever a round was budget-limited — some
-    partition spent its whole budget without reaching local convergence,
-    so the expensive global synchronization fired earlier than the
-    partial-sync discipline wanted.  When the global residual contracts
-    very fast (ratio below ``fast_contraction``), deep local solves are
-    over-solving against stale remote state, and the budget *shrinks*.
-    Budgets are always clamped to ``[1, config.effective_local_iters]``
-    (so the general baseline stays exactly one local step).
+    The policy starts shallow (:data:`INITIAL_BUDGET`: cheap early
+    rounds, when local solves against far-from-converged remote state
+    are mostly wasted) and *grows* the budget by :data:`BUDGET_GROW`
+    whenever a round was budget-limited — some partition spent its
+    whole budget without reaching local convergence, so the expensive
+    global synchronization fired earlier than the partial-sync
+    discipline wanted.  When the global residual contracts very fast
+    (ratio below :data:`FAST_CONTRACTION`), deep local solves are
+    over-solving against stale remote state, and the budget *shrinks*
+    by :data:`BUDGET_SHRINK`.  Budgets are always clamped to
+    ``[1, config.effective_local_iters]`` (so the general baseline
+    stays exactly one local step).
 
     A policy instance is stateful per run; :class:`IterationLoop` resets
     it at the start of each run and appends the budget actually used
     each round to :attr:`budgets` for inspection.
     """
 
-    initial_budget: int = 4
-    grow: float = 2.0
-    shrink: float = 0.5
-    fast_contraction: float = 0.05
-    #: Budget handed to the backend each round (filled during a run).
-    budgets: "list[int]" = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.initial_budget < 1:
-            raise ValueError("initial_budget must be >= 1")
-        if self.grow <= 1.0:
-            raise ValueError("grow must be > 1")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must be in (0, 1)")
-        if not 0.0 < self.fast_contraction < 1.0:
-            raise ValueError("fast_contraction must be in (0, 1)")
+    def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
         """Forget all observations (called by the loop per run)."""
-        self._budget = int(self.initial_budget)
+        self._budget = INITIAL_BUDGET
         self._prev_residual: "float | None" = None
-        self.budgets = []
+        #: Budget handed to the backend each round (filled during a run).
+        self.budgets: "list[int]" = []
 
     def budget(self) -> int:
         """The local-iteration budget to use for the next round."""
@@ -603,10 +601,10 @@ class AdaptiveSyncPolicy:
         # loop), so the internal budget never runs away past the cap and
         # a shrink engages immediately after sustained growth.
         budget_limited = bool(local_iters) and max(local_iters) >= budget
-        if contraction is not None and contraction < self.fast_contraction:
-            self._budget = max(1, int(budget * self.shrink))
+        if contraction is not None and contraction < FAST_CONTRACTION:
+            self._budget = max(1, int(budget * BUDGET_SHRINK))
         elif budget_limited:
-            self._budget = max(1, math.ceil(budget * self.grow))
+            self._budget = max(1, math.ceil(budget * BUDGET_GROW))
         else:
             self._budget = budget
         self._prev_residual = residual

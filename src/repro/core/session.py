@@ -1,11 +1,12 @@
 """The Session API: submit many iterative jobs to one shared cluster.
 
 This is the public face of multi-job scheduling (see
-:mod:`repro.core.jobsched` for the scheduler itself).  A
-:class:`Session` owns the shared :class:`~repro.cluster.SimCluster` and
+:mod:`repro.core.jobsched` for the policies and the job handles).  A
+:class:`Session` owns the shared :class:`~repro.cluster.SimCluster`,
 one persistent :class:`~repro.engine.MapReduceRuntime` (lazily built,
-worker pool reused by every engine-path job), and
-:meth:`Session.submit` registers work without running it:
+worker pool reused by every engine-path job) and the step loop that
+interleaves its jobs' rounds; :meth:`Session.submit` registers work
+without running it:
 
 >>> from repro.apps import pagerank_spec, sssp_spec
 >>> session = Session(cluster=SimCluster(), policy="fair")
@@ -29,13 +30,19 @@ timeline.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.cluster.accountant import RoundAccountant
 from repro.cluster.statestore import StateStore, resolve_state_store
 from repro.core.config import DriverConfig
-from repro.core.jobsched import JobHandle, SchedulingPolicy, SessionScheduler
+from repro.core.jobsched import (
+    JobHandle,
+    RoundShare,
+    SchedulingPolicy,
+    make_policy,
+)
 from repro.core.loop import AdaptiveSyncPolicy, IterationBackend, IterationLoop
 
 __all__ = ["JobSpec", "Session", "JobHandle"]
@@ -67,11 +74,6 @@ class Session:
         The shared :class:`~repro.cluster.SimCluster` every job charges
         (``None`` runs jobs without simulated time — iterates are still
         exact, all timestamps 0).
-    runtime:
-        The shared persistent :class:`~repro.engine.MapReduceRuntime`
-        for engine-path jobs.  ``None`` builds a serial runtime over
-        ``cluster`` lazily on first use; a session-built runtime is
-        closed by :meth:`close`, a caller-supplied one is left open.
     policy:
         Scheduling policy: ``"fifo"`` / ``"rr"`` / ``"fair"`` or a
         :class:`~repro.core.jobsched.SchedulingPolicy` instance.
@@ -84,6 +86,11 @@ class Session:
         ``"dfs"`` share one DFS store per session, while a config
         carrying an explicit instance/factory keeps it.
 
+    One scheduling :meth:`step` asks the policy for a batch and runs one
+    global round of every batch member as one fork of the cluster's
+    :meth:`~repro.cluster.SimCluster.concurrently`; :meth:`run` steps
+    until no job is pending.  The session never moves the clock itself.
+
     Use as a context manager to release the runtime's worker pool::
 
         with Session(cluster=SimCluster(), policy="fair") as s:
@@ -91,14 +98,14 @@ class Session:
             s.run()
     """
 
-    def __init__(self, *, cluster=None, runtime=None,
+    def __init__(self, *, cluster=None,
                  policy: "str | SchedulingPolicy" = "fifo",
                  state_store: "StateStore | None" = None) -> None:
         self.cluster = cluster
-        self._runtime = runtime
-        self._owns_runtime = False
-        self.scheduler = SessionScheduler(policy, cluster=cluster)
-        self._next_id = 0
+        self.policy = make_policy(policy)
+        #: Every submitted job, in submission order.
+        self.jobs: "list[JobHandle]" = []
+        self._runtime = None
         if state_store is not None and not isinstance(state_store, StateStore):
             raise TypeError(
                 f"state_store must be a StateStore instance or None, "
@@ -127,17 +134,22 @@ class Session:
     # -- shared resources ----------------------------------------------
     @property
     def runtime(self):
-        """The shared engine runtime (lazily built over the cluster)."""
+        """The shared serial engine runtime over the cluster, built on
+        first use and closed by :meth:`close`."""
         if self._runtime is None:
             from repro.engine import MapReduceRuntime
 
             self._runtime = MapReduceRuntime("serial", cluster=self.cluster)
-            self._owns_runtime = True
         return self._runtime
 
+    def _clock(self) -> float:
+        """Current shared simulated time (0.0 without a cluster)."""
+        return self.cluster.clock if self.cluster is not None else 0.0
+
     @property
-    def policy(self) -> SchedulingPolicy:
-        return self.scheduler.policy
+    def _pending(self) -> "list[JobHandle]":
+        """Submitted jobs that still have rounds to run."""
+        return [j for j in self.jobs if j.status in ("queued", "running")]
 
     # -- submission -----------------------------------------------------
     def submit(self, job: "JobSpec | IterationBackend",
@@ -152,7 +164,7 @@ class Session:
         ordering policies (higher runs earlier).  Drive the admitted
         jobs with :meth:`run` (or :meth:`step` for one scheduling step).
         """
-        job_id = self._next_id
+        job_id = len(self.jobs)
         if isinstance(job, JobSpec):
             cfg = config if config is not None else job.config
             policy = sync_policy if sync_policy is not None else job.sync_policy
@@ -179,42 +191,88 @@ class Session:
         # budgets, so a policy already attached to another job of this
         # session is copied (each job observes only its own rounds).
         if policy is not None and any(policy is j.loop.sync_policy
-                                      for j in self.scheduler.jobs):
+                                      for j in self.jobs):
             policy = copy.deepcopy(policy)
-        self._next_id += 1
         accountant = RoundAccountant(self.cluster, cfg, job=jname,
                                      state_store=self._store_for(cfg))
         loop = IterationLoop(backend, cfg, sync_policy=policy,
                              accountant=accountant)
         handle = JobHandle(job_id=job_id, name=jname, priority=priority,
                            loop=loop, accountant=accountant,
-                           submitted_at=self.scheduler.clock)
-        return self.scheduler.admit(handle)
+                           submitted_at=self._clock())
+        self.jobs.append(handle)
+        return handle
 
     # -- driving --------------------------------------------------------
     def step(self) -> bool:
         """Run one scheduling step; returns False when nothing pends."""
-        return self.scheduler.step()
+        pending = self._pending
+        if not pending:
+            return False
+        batch = self.policy.next_batch(pending)
+        if not batch:
+            return False
+        rounds = [functools.partial(self._run_one_round, job, len(batch))
+                  for job in batch]
+        if self.cluster is None:
+            for run in rounds:
+                run()
+        else:
+            self.cluster.concurrently(rounds)
+        return True
+
+    def _run_one_round(self, job: JobHandle, batch_size: int) -> None:
+        loop = job.loop
+        start = self._clock()
+        share = (self.cluster.share if self.cluster is not None
+                 else 1.0 / batch_size)
+        try:
+            if not loop.started:
+                loop.start()
+                job.status = "running"
+                job.started_at = start
+            loop.step()
+            end = self._clock()
+            job.round_shares.append(RoundShare(
+                iteration=loop.global_iters - 1, start=start, end=end,
+                slot_share=share))
+            if loop.finished:
+                job.result = loop.finish()
+                job.status = "done"
+                job.finished_at = end
+        except BaseException:
+            job.status = "failed"
+            loop.close()
+            raise
 
     def run(self) -> "list[JobHandle]":
         """Drive every admitted job to convergence; returns all handles."""
-        return self.scheduler.run()
+        while self.step():
+            pass
+        return list(self.jobs)
 
     # -- aggregate metrics ---------------------------------------------
     def makespan(self) -> float:
         """First submission to last completion on the shared timeline."""
-        return self.scheduler.makespan()
+        done = [j for j in self.jobs if j.done]
+        if not done:
+            return 0.0
+        return (max(j.finished_at for j in done)
+                - min(j.submitted_at for j in done))
 
     def mean_latency(self) -> float:
         """Mean per-job submission-to-completion latency."""
-        return self.scheduler.mean_latency()
+        done = [j for j in self.jobs if j.done]
+        if not done:
+            return 0.0
+        return sum(j.makespan for j in done) / len(done)
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
-        """Close unfinished job loops and any session-owned runtime."""
-        for job in self.scheduler.pending:
+        """Close unfinished job loops and the session's runtime."""
+        for job in self._pending:
             job.loop.close()
-        if self._owns_runtime and self._runtime is not None:
+        if self._runtime is not None:
             self._runtime.close()
 
     def __enter__(self) -> "Session":

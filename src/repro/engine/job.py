@@ -43,8 +43,6 @@ class JobConf:
 
     #: Number of reduce tasks (R).  Map task count follows the input splits.
     num_reducers: int = 8
-    #: Maximum attempts per task before the job fails (Hadoop default 4).
-    max_attempts: int = 4
     #: Sort keys within each reduce partition (deterministic output order).
     sort_keys: bool = True
     #: Human-readable job name for traces and errors.
@@ -68,8 +66,6 @@ class JobConf:
             raise ValueError("num_reducers must be >= 1")
         if self.combine_crossover < 0:
             raise ValueError("combine_crossover must be >= 0")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
 
 
 @dataclass

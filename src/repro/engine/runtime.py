@@ -26,9 +26,9 @@ retry (``primary`` again, after a failed attempt), a LATE speculative
 attempt of the same task, spawned by the same function.  The integer a
 task runner sees — what :class:`~repro.engine.faults.FaultPlan`
 decisions and shared-memory segment names are keyed on — is
-:meth:`Attempt.number`: a task's primaries count ``0, 1, ...`` below
-``max_attempts``, its backups and replays share one sequence from
-``max_attempts`` up, so no two attempts of a task ever collide.  Every
+:attr:`Attempt.number`: a task's primaries count ``0, 1, ...`` below
+:data:`MAX_ATTEMPTS`, its backups and replays share one sequence from
+:data:`MAX_ATTEMPTS` up, so no two attempts of a task ever collide.  Every
 spawn is appended to a per-job ledger, and an aborted job unlinks
 exactly the segments those attempts could have parked.
 
@@ -58,7 +58,7 @@ synchronisation step stays thin.  The reduce phase starts once the
 buffer is sealed.
 
 Failed task attempts (see :mod:`repro.engine.faults`) are retried up to
-``JobConf.max_attempts`` times by deterministic replay; because tasks are
+:data:`MAX_ATTEMPTS` times by deterministic replay; because tasks are
 pure functions of their input split, a replay produces identical output,
 and the cross-executor/fault-equivalence property tests assert exactly
 that.
@@ -106,9 +106,11 @@ from repro.engine.task import (
     run_reduce_task,
 )
 
-__all__ = ["JobResult", "MapReduceRuntime", "JobFailedError"]
+__all__ = ["JobResult", "MapReduceRuntime", "JobFailedError", "MAX_ATTEMPTS"]
 
 _EXECUTORS = ("serial", "threads", "processes")
+#: Attempts per task before the job fails (Hadoop's default).
+MAX_ATTEMPTS = 4
 
 
 class JobFailedError(RuntimeError):
@@ -138,15 +140,16 @@ class Attempt:
     #: completion and whatever it produced is discarded.
     doomed: bool = False
 
-    def number(self, max_attempts: int) -> int:
+    @property
+    def number(self) -> int:
         """The attempt integer the task runner sees.
 
         Fault-plan decisions and shared-memory segment names are keyed
-        on it.  Primaries stay below ``max_attempts`` (a task fails at
-        most that many times); everything else counts up from there, so
-        no two attempts of a task share a number.
+        on it.  Primaries stay below :data:`MAX_ATTEMPTS` (a task fails
+        at most that many times); everything else counts up from there,
+        so no two attempts of a task share a number.
         """
-        return self.seq if self.kind == "primary" else max_attempts + self.seq
+        return self.seq if self.kind == "primary" else MAX_ATTEMPTS + self.seq
 
 
 @dataclass
@@ -154,7 +157,7 @@ class _TaskState:
     """What the driver knows about one task of a phase."""
 
     result: "TaskResult | None" = None
-    #: Failed attempts charged against ``max_attempts`` (= the next
+    #: Failed attempts charged against :data:`MAX_ATTEMPTS` (= the next
     #: primary's ``seq``).
     failures: int = 0
     #: Backups and replays spawned so far (= the next one's ``seq``).
@@ -270,7 +273,7 @@ class MapReduceRuntime:
         *invalidates* the domain's completed map outputs in the shuffle
         buffer, re-running the lost tasks: lineage-based replay, not
         just retry.  A replay is one more :class:`Attempt` of the task
-        (numbered past ``max_attempts``, like a backup), so fault
+        (numbered past :data:`MAX_ATTEMPTS`, like a backup), so fault
         scripting and shm segment names never collide with the
         primaries'.  Needs a pool executor (serial attempts finish
         inside ``submit``: there is no in-flight set to kill).
@@ -485,7 +488,6 @@ class MapReduceRuntime:
                     shm_prefix, job_shape,
                 ),
                 runner=run_map_task,
-                max_attempts=conf.max_attempts,
                 counters=counters,
                 spawned=spawned,
                 consume=consume_map,
@@ -515,7 +517,6 @@ class MapReduceRuntime:
                     shm_threshold, shm_prefix, job_shape,
                 ),
                 runner=run_reduce_task,
-                max_attempts=conf.max_attempts,
                 counters=counters,
                 spawned=spawned,
             )
@@ -567,7 +568,7 @@ class MapReduceRuntime:
                 _unlink_quietly(ref.name)
 
     def _run_phase(self, *, phase: str, count: int, make_args, runner,
-                   max_attempts: int, counters: Counters,
+                   counters: Counters,
                    spawned: "list[tuple[str, int, int]]",
                    consume: "Callable[[int, TaskResult], None] | None" = None,
                    deaths=None, round_index: int = 0, buffer=None,
@@ -580,7 +581,7 @@ class MapReduceRuntime:
 
         * **retry** — a failed attempt is followed by the next primary
           the moment the failure is observed (no per-attempt barrier),
-          until the task has failed ``max_attempts`` times;
+          until the task has failed :data:`MAX_ATTEMPTS` times;
         * **speculate** — the wait doubles as the LATE monitor: a
           running attempt whose elapsed time exceeds
           ``slowdown_threshold`` x the ``percentile`` of finished
@@ -619,7 +620,7 @@ class MapReduceRuntime:
                           else task.extras)
             if kind != "primary":
                 task.extras += 1
-            number = att.number(max_attempts)
+            number = att.number
             spawned.append((phase, i, number))
             att.future = pool.submit(runner, *make_args(i, number))
             futures[att.future] = att
@@ -719,13 +720,13 @@ class MapReduceRuntime:
                         if att.kind != "backup":
                             counters.incr(TASK_RETRIES)
                             task.failures += 1
-                            if task.failures < max_attempts:
+                            if task.failures < MAX_ATTEMPTS:
                                 spawn(att.task, "primary")
                         # Out of attempts — unless a twin still races.
-                        if task.failures >= max_attempts and not task.live:
+                        if task.failures >= MAX_ATTEMPTS and not task.live:
                             raise JobFailedError(
                                 f"{phase} task {att.task} failed "
-                                f"{max_attempts} attempts")
+                                f"{MAX_ATTEMPTS} attempts")
                         continue
                     if lost:
                         # Identical bytes, but its segments are orphans.

@@ -580,8 +580,12 @@ def _bisect(g: _UGraph, target0: float, tol: float,
     return _refine_bisection(g, side, target0, tol)
 
 
+#: Allowed deviation of a multilevel partition's parts from equal weight,
+#: split evenly across the recursive bisection's levels.
+BALANCE_TOL = 0.05
+
+
 def multilevel_partition(graph: DiGraph, k: int, *,
-                         balance_tol: float = 0.05,
                          seed: "int | np.random.Generator | None" = 0) -> Partition:
     """Metis-style multilevel k-way partition by recursive bisection.
 
@@ -595,9 +599,6 @@ def multilevel_partition(graph: DiGraph, k: int, *,
         Number of parts.  When ``k >= n`` each node becomes its own part
         (the paper's "partition size is one" degenerate case where Eager
         collapses to General).
-    balance_tol:
-        Allowed deviation of each bisection side from its target weight
-        fraction.
     seed:
         RNG seed (matching and seed selection are randomised).
     """
@@ -610,9 +611,9 @@ def multilevel_partition(graph: DiGraph, k: int, *,
     rng = as_rng(seed)
     assign = np.zeros(n, dtype=np.int64)
     # Per-bisection imbalance compounds multiplicatively down the
-    # recursion, so divide the user's overall tolerance across levels.
+    # recursion, so divide the overall tolerance across levels.
     levels = max(1, int(np.ceil(np.log2(k))))
-    per_level_tol = balance_tol / levels
+    per_level_tol = BALANCE_TOL / levels
 
     def rec(nodes: np.ndarray, sub: _UGraph, kk: int, base: int) -> None:
         if kk == 1:

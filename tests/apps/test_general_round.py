@@ -271,21 +271,23 @@ class TestWholeRuns:
 
     def test_kmeans_eager_with_a_budget_of_one(self, monkeypatch):
         """An adaptive budget at 1 runs eager k-means' rounds through
-        ``general_round``: epochs, oscillation detection and all."""
+        ``general_round``: epochs, oscillation detection and all.  A cap
+        of two local iterations lets the policy's shrink reach 1."""
         points, _ = gaussian_mixture(900, 5, num_dims=4, spread=1.0, seed=6)
         policies = []
 
         def run():
-            policies.append(AdaptiveSyncPolicy(initial_budget=1))
-            return kmeans(points, 5, mode="eager", num_partitions=13,
-                          threshold=1e-6, cluster=SimCluster(), seed=2,
+            policies.append(AdaptiveSyncPolicy())
+            return kmeans(points, 5, num_partitions=13, threshold=1e-6,
+                          cluster=SimCluster(), seed=2,
+                          config=DriverConfig(mode="eager", max_local_iters=2),
                           sync_policy=policies[-1]).result
 
         fast, slow = self._twin(run, KMeansBlockSpec, monkeypatch)
         self._same_result(fast, slow)
         assert policies[0].budgets == policies[1].budgets
-        assert policies[0].budgets[:3] == [1, 2, 1]   # back down to 1
-        assert fast.global_iters > 5                  # crosses a reshuffle
+        assert policies[0].budgets[:4] == [2, 2, 1, 2]  # down to 1 and back
+        assert fast.global_iters > 5                     # crosses a reshuffle
 
     def test_kmeans_general_rollback_replays_the_same_bits(self):
         points = np.random.default_rng(0).normal(size=(2000, 3))

@@ -39,7 +39,6 @@ from repro.core import (
     DriverConfig,
     EngineBackend,
     HierarchicalBackend,
-    HierarchyConfig,
     IterationLoop,
     Session,
     make_racks,
@@ -342,7 +341,7 @@ class TestBackendShapeEquivalence:
         hier = IterationLoop(
             HierarchicalBackend(PageRankBlockSpec(g, part),
                                 make_racks(part.k, 2),
-                                hierarchy=HierarchyConfig(inner_rounds=1),
+                                inner_rounds=1,
                                 cluster=SimCluster()), cfg).run()
         kv = IterationLoop(
             EngineBackend(PageRankKVSpec(g, part), num_reducers=2),

@@ -15,7 +15,6 @@ from repro.core import (
     BlockBackend,
     DriverConfig,
     HierarchicalBackend,
-    HierarchyConfig,
     IterationLoop,
     autotune_partitions,
     make_racks,
@@ -80,7 +79,7 @@ class TestHierarchicalDriver:
         ref = pagerank_reference(g)
         h = run_hier(
             PageRankBlockSpec(g, part), DriverConfig(mode="eager"),
-            make_racks(8, 2), hierarchy=HierarchyConfig(inner_rounds=3))
+            make_racks(8, 2), inner_rounds=3)
         assert np.abs(np.asarray(h.state) - ref).max() < 1e-3
         assert h.converged
 
@@ -90,7 +89,7 @@ class TestHierarchicalDriver:
                          DriverConfig(mode="eager"))
         hier = run_hier(
             PageRankBlockSpec(g, part), DriverConfig(mode="eager"),
-            make_racks(8, 2), hierarchy=HierarchyConfig(inner_rounds=3))
+            make_racks(8, 2), inner_rounds=3)
         assert hier.global_iters < flat.global_iters
 
     def test_faster_in_sim_time(self, setup):
@@ -100,7 +99,7 @@ class TestHierarchicalDriver:
                          cluster=SimCluster())
         hier = run_hier(
             PageRankBlockSpec(g, part), DriverConfig(mode="eager"),
-            make_racks(8, 2), hierarchy=HierarchyConfig(inner_rounds=3),
+            make_racks(8, 2), inner_rounds=3,
             cluster=SimCluster())
         assert hier.sim_time < flat.sim_time
 
@@ -110,7 +109,7 @@ class TestHierarchicalDriver:
                          DriverConfig(mode="eager"))
         hier = run_hier(
             PageRankBlockSpec(g, part), DriverConfig(mode="eager"),
-            make_racks(8, 2), hierarchy=HierarchyConfig(inner_rounds=1))
+            make_racks(8, 2), inner_rounds=1)
         # one inner round = plain eager driver (same iterates)
         assert hier.global_iters == flat.global_iters
 
@@ -129,13 +128,11 @@ class TestHierarchicalDriver:
                 PageRankBlockSpec(g, part), DriverConfig(mode="eager"),
                 [[0, 1], [2, 3]])  # misses partitions 4..7
 
-    def test_hierarchy_config_validation(self):
-        with pytest.raises(ValueError):
-            HierarchyConfig(inner_rounds=0)
-        with pytest.raises(ValueError):
-            HierarchyConfig(rack_startup_seconds=-1)
-        with pytest.raises(ValueError):
-            HierarchyConfig(rack_shuffle_speedup=0)
+    def test_rejects_no_inner_round(self, setup):
+        g, part = setup
+        with pytest.raises(ValueError, match="inner_rounds"):
+            run_hier(PageRankBlockSpec(g, part), DriverConfig(mode="eager"),
+                     make_racks(8, 2), inner_rounds=0)
 
 
 class TestAutotune:

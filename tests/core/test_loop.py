@@ -23,7 +23,6 @@ from repro.core import (
     DriverConfig,
     EngineBackend,
     HierarchicalBackend,
-    HierarchyConfig,
     IterationLoop,
     LocalSolveReport,
     Session,
@@ -143,7 +142,7 @@ class TestHierarchyBlockParity:
             BlockBackend(spec_factory(), cluster=flat_cl), config).run()
         hier = IterationLoop(
             HierarchicalBackend(spec_factory(), racks,
-                                hierarchy=HierarchyConfig(inner_rounds=1),
+                                inner_rounds=1,
                                 cluster=hier_cl), config).run()
         return flat, hier, flat_cl, hier_cl
 
@@ -178,7 +177,7 @@ class TestHierarchyBlockParity:
         cl = SimCluster()
         res = IterationLoop(
             HierarchicalBackend(ScopedGeometricSpec(), make_racks(4, 2),
-                                hierarchy=HierarchyConfig(inner_rounds=3),
+                                inner_rounds=3,
                                 cluster=cl), cfg).run()
         assert res.converged
         # inner rounds 2..n charge each rack's sync and solves, every
@@ -201,7 +200,7 @@ class TestHierarchyBlockParity:
         cl = SimCluster(ec2_nodes(8, speeds=[1.0, 0.6] * 4))
         res = IterationLoop(
             HierarchicalBackend(PageRankBlockSpec(g, part), make_racks(part.k, 2),
-                                hierarchy=HierarchyConfig(inner_rounds=3),
+                                inner_rounds=3,
                                 cluster=cl), DriverConfig(mode="eager")).run()
         assert res.global_iters == 20
         assert res.sim_time == 548.0074463333331
@@ -214,12 +213,12 @@ class TestRackPhases:
     phase: they meet stragglers, deaths, speculation and the job's
     share like any other phase."""
 
-    HIER = HierarchyConfig(inner_rounds=3)
+    INNER_ROUNDS = 3
 
     def _run(self, cl, spec, config=DriverConfig(mode="eager")):
         return IterationLoop(
             HierarchicalBackend(spec, make_racks(spec.num_partitions(), 2),
-                                hierarchy=self.HIER, cluster=cl),
+                                inner_rounds=self.INNER_ROUNDS, cluster=cl),
             config).run()
 
     @staticmethod
@@ -271,7 +270,7 @@ class TestRackPhases:
         session = Session(cluster=cl, policy="fair")
         hier = session.submit(
             HierarchicalBackend(ScopedGeometricSpec(parts=32),
-                                make_racks(32, 2), hierarchy=self.HIER,
+                                make_racks(32, 2), inner_rounds=self.INNER_ROUNDS,
                                 cluster=cl),
             DriverConfig(mode="eager"), name="hier")
         session.submit(BlockBackend(ScopedGeometricSpec(), cluster=cl),
@@ -287,16 +286,6 @@ class TestRackPhases:
 
 
 class TestAdaptiveSyncPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveSyncPolicy(initial_budget=0)
-        with pytest.raises(ValueError):
-            AdaptiveSyncPolicy(grow=1.0)
-        with pytest.raises(ValueError):
-            AdaptiveSyncPolicy(shrink=1.0)
-        with pytest.raises(ValueError):
-            AdaptiveSyncPolicy(fast_contraction=1.0)
-
     def test_same_fixed_point_and_adapts(self, workload):
         g, part = workload
         policy = AdaptiveSyncPolicy()
@@ -311,7 +300,7 @@ class TestAdaptiveSyncPolicy:
                    for b in policy.budgets)
 
     def test_general_mode_pins_budget_to_one(self):
-        policy = AdaptiveSyncPolicy(initial_budget=16)
+        policy = AdaptiveSyncPolicy()
         res = IterationLoop(BlockBackend(ScopedGeometricSpec()),
                             DriverConfig(mode="general"),
                             sync_policy=policy).run()

@@ -86,7 +86,7 @@ class TestSingleJobSession:
         handle = session.submit(pagerank_spec(g, part))
         assert handle.status == "queued"
         assert handle.rounds == 0 and handle.result is None
-        assert session.scheduler.clock == 0.0  # nothing charged yet
+        assert session.cluster.clock == 0.0  # nothing charged yet
         session.run()
         assert handle.done
 

@@ -69,7 +69,7 @@ class TestTheCallersStateComesBack:
         with MapReduceRuntime("serial") as rt:
             rt.fault_plan = FaultPlan(scripted={(phase, 1): 9})
             with pytest.raises(JobFailedError):
-                rt.run(_job(max_attempts=2), SPLITS)
+                rt.run(_job(), SPLITS)
         assert gc.isenabled()
 
     def test_after_a_run_whose_map_function_raises(self, collector_on):

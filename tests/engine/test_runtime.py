@@ -181,8 +181,6 @@ class TestJobValidation:
     def test_conf_validation(self):
         with pytest.raises(ValueError):
             JobConf(num_reducers=0)
-        with pytest.raises(ValueError):
-            JobConf(max_attempts=0)
 
     def test_combine_crossover_validation(self):
         with pytest.raises(ValueError, match="combine_crossover"):

@@ -46,6 +46,7 @@ from repro.engine import (
 from repro.engine import shm
 from repro.cluster import SpeculationConfig
 from repro.engine.columnar import group_columnar
+from repro.engine.runtime import MAX_ATTEMPTS
 from repro.engine.counters import (
     LOST_MAP_OUTPUTS,
     NODE_DEATHS,
@@ -174,12 +175,12 @@ class TestSegmentLifecycle:
     def test_abort_sweep_reclaims_everything(self):
         """A job that dies mid-flight sweeps its whole namespace."""
         before = _live_segments()
-        plan = FaultPlan(scripted={("map", 2): 99})  # exceeds max_attempts
+        plan = FaultPlan(scripted={("map", 2): 99})  # exceeds MAX_ATTEMPTS
         with MapReduceRuntime("processes", workers=2, fault_plan=plan,
                               shm_min_bytes=1024) as rt:
             with pytest.raises(JobFailedError):
                 rt.run(Job(_emit_block_map, "sum", combine_fn="sum",
-                           conf=JobConf(num_reducers=3, max_attempts=2)),
+                           conf=JobConf(num_reducers=3)),
                        _splits())
             assert rt.segments.live_count == 0
         assert _live_segments() <= before
@@ -413,7 +414,7 @@ class TestSpeculativeCancellation:
                               speculate=self.SPEC) as rt:
             with pytest.raises(JobFailedError):
                 rt.run(Job(_emit_block_map, "sum", combine_fn="sum",
-                           conf=JobConf(num_reducers=3, max_attempts=2)),
+                           conf=JobConf(num_reducers=3)),
                        splits)
             assert rt.segments.live_count == 0
         assert _live_segments() <= before
@@ -506,7 +507,7 @@ class TestOneDriver:
     another attempt of the same task."""
 
     JOB = Job(_emit_block_map, "sum", combine_fn="sum",
-              conf=JobConf(num_reducers=3, max_attempts=3))
+              conf=JobConf(num_reducers=3))
 
     @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
     def test_retries_and_stall_match_the_oracle(self, executor):
@@ -525,9 +526,9 @@ class TestOneDriver:
 
     @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
     def test_exhausted_attempts_name_the_task(self, executor):
-        plan = FaultPlan(scripted={("map", 2): 99})
+        plan = FaultPlan(scripted={("map", 2): MAX_ATTEMPTS})
         with MapReduceRuntime(executor, workers=2, fault_plan=plan) as rt:
-            with pytest.raises(JobFailedError, match="map task 2 failed 3"):
+            with pytest.raises(JobFailedError, match="map task 2 failed 4"):
                 rt.run(self.JOB, _splits())
 
     def test_abort_with_backup_and_replay_in_flight(self):
@@ -559,9 +560,9 @@ class TestOneDriver:
         assert _live_segments() <= before
         [(spawned, reclaimed)] = swept
         # one primary per split, plus the extra attempts (numbered from
-        # max_attempts up) of the backed-up and the replayed task
+        # MAX_ATTEMPTS up) of the backed-up and the replayed task
         assert {("map", m, 0) for m in range(6)} <= set(spawned)
-        assert {("map", 1, 3), ("map", 3, 3)} <= set(spawned)
+        assert {("map", 1, 4), ("map", 3, 4)} <= set(spawned)
         assert len(spawned) == len(set(spawned))
         assert reclaimed >= 4  # both attempts of splits 1 and 3 parked
 
@@ -887,7 +888,7 @@ class TestFullTmpfs:
                               shm_min_bytes=1024) as rt:
             with pytest.raises(OSError, match="reproshm-.*bytes") as err:
                 rt.run(Job(_emit_block_map, "sum", combine_fn="sum",
-                           conf=JobConf(num_reducers=3, max_attempts=2)),
+                           conf=JobConf(num_reducers=3)),
                        _splits())
             assert err.value.errno == errno.ENOSPC
             assert rt.segments.live_count == 0

@@ -129,13 +129,13 @@ class TestQueueWaitIsNotLateness:
 class TestRacingWithRetries:
     def test_backup_namespace_disjoint_from_retries(self):
         """A task that both fails and straggles: retries occupy attempts
-        below max_attempts, its backup races above them, and the output
+        below MAX_ATTEMPTS, its backup races above them, and the output
         still matches the clean oracle."""
         splits = _obj_splits()
         plan = FaultPlan(scripted={("map", 2): 1},
                          stalls={("map", 3): 0.5})
         spec = _run(splits, _obj_map, speculate=AGGRESSIVE,
-                    fault_plan=plan, max_attempts=3)
+                    fault_plan=plan)
         oracle = _run(splits, _obj_map)
         assert spec.output == oracle.output
 

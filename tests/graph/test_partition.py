@@ -155,7 +155,7 @@ class TestPartitioners:
         assert p.part_sizes().sum() == 0
 
     def test_multilevel_balance_tolerance(self, small_graph):
-        p = multilevel_partition(small_graph, 8, balance_tol=0.1, seed=0)
+        p = multilevel_partition(small_graph, 8, seed=0)
         assert p.balance() <= 1.25
 
     def test_multilevel_beats_hash_on_cut(self, small_graph):

@@ -2,7 +2,8 @@
 
 Each pair below names a keyword (or dataclass field) that only the test
 suite ever passed; the library now takes none of them and always runs
-what used to be the default.
+what used to be the default, kept as a named constant where it is a
+number.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import dataclasses
 import inspect
 
 import pytest
+
+import repro.core
 
 from repro.apps import (
     PageRankKVSpec,
@@ -22,21 +25,25 @@ from repro.apps import (
     landmark_apsp,
     sse,
 )
-from repro.cluster import RoundAccountant
+from repro.cluster import RoundAccountant, SimCluster
 from repro.core import (
+    AdaptiveSyncPolicy,
     AsyncBackend,
     BlockBackend,
     DivergenceDetector,
     DriverConfig,
     EngineBackend,
     HierarchicalBackend,
+    Session,
     autotune_partitions,
     resolve_block_backend,
 )
 from repro.engine import FaultPlan, JobConf, NodeFaultPlan, StragglerPlan
+from repro.graph import multilevel_partition
 
 FIELDS = [
     (JobConf, "eager_reduce"),
+    (JobConf, "max_attempts"),
     (DriverConfig, "charge_local_ops_at"),
     (DriverConfig, "record_history"),
     (FaultPlan, "probability"),
@@ -76,7 +83,21 @@ KEYWORDS = [
     (StragglerPlan.slow_nodes, "stall_probability"),
     (StragglerPlan.slow_nodes, "stall_seconds"),
     (StragglerPlan.slow_nodes, "seed"),
+    (AdaptiveSyncPolicy, "initial_budget"),
+    (AdaptiveSyncPolicy, "grow"),
+    (AdaptiveSyncPolicy, "shrink"),
+    (AdaptiveSyncPolicy, "fast_contraction"),
+    (AdaptiveSyncPolicy, "budgets"),
+    (HierarchicalBackend, "hierarchy"),
+    (HierarchicalBackend, "rack_startup_seconds"),
+    (HierarchicalBackend, "rack_shuffle_speedup"),
+    (SimCluster, "online_model"),
+    (Session, "runtime"),
+    (multilevel_partition, "balance_tol"),
 ]
+
+#: Names ``repro.core`` no longer exports.
+EXPORTS = ["SessionScheduler", "HierarchyConfig"]
 
 
 def _id(case) -> str:
@@ -96,6 +117,14 @@ def test_config_field_is_gone(case):
 def test_keyword_is_gone(case):
     owner, name = case
     assert name not in inspect.signature(owner).parameters
+    # Python rejects an unknown keyword before it binds the others.
+    with pytest.raises(TypeError, match=name):
+        owner(**{name: None})
+
+
+@pytest.mark.parametrize("name", EXPORTS)
+def test_core_export_is_gone(name):
+    assert not hasattr(repro.core, name)  # ``from repro.core import`` fails
 
 
 def test_the_accountant_prices_no_overlapped_shuffle():

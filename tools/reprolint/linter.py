@@ -136,7 +136,7 @@ def _lock_types() -> "tuple[type, ...]":
 #: function shipped to a worker process (matched by type name so the
 #: check stays import-light).
 _HANDLE_TYPE_NAMES = frozenset({
-    "SimCluster", "MapReduceRuntime", "Session", "SessionScheduler",
+    "SimCluster", "MapReduceRuntime", "Session",
     "JobHandle", "IterationLoop", "StateStore", "DFSStateStore",
     "OnlineStateStore", "ThreadPoolExecutor", "ProcessPoolExecutor",
 })
