@@ -24,8 +24,11 @@ Expected shape, asserted below:
 * every skewed round's state time equals its hottest tablet's time
   (strict domination — the acceptance pin).
 
-Emits per-config simulated state seconds into ``BENCH_state_store.json``
-(shared with ``bench_ext_state_store.py``).
+The store prices the state path and must not touch the iterates: every
+run ends converged at state ``0.0`` after exactly ``ROUNDS`` rounds,
+whichever store it charged, and ``answer_ok`` per configuration records
+that.  Emits per-config simulated state seconds and ``answer_ok`` into
+``BENCH_state_store.json`` (shared with ``bench_ext_state_store.py``).
 """
 
 from __future__ import annotations
@@ -98,14 +101,17 @@ class SkewedStateSpec(BlockSpec):
 
 
 def _run_config(weights, store):
+    """State seconds of one run, and whether it ended on the right
+    answer: converged at state ``0.0`` after exactly ``ROUNDS`` rounds."""
     cluster = make_cluster()
     cfg = DriverConfig(mode="eager", state_store=store,
                        checkpoint_every=None, max_global_iters=ROUNDS)
-    IterationLoop(BlockBackend(SkewedStateSpec(weights), cluster=cluster),
-                  cfg).run()
+    res = IterationLoop(BlockBackend(SkewedStateSpec(weights), cluster=cluster),
+                        cfg).run()
     secs = sum(e.end - e.start for e in cluster.trace.events
                if e.phase.endswith(":state"))
-    return secs
+    ok = res.converged and res.state == 0.0 and res.global_iters == ROUNDS
+    return secs, ok
 
 
 def test_state_skew_hot_tablet_bottleneck(once):
@@ -119,7 +125,10 @@ def test_state_skew_hot_tablet_bottleneck(once):
                     weights, OnlineStateStore(tablets))
         return out
 
-    results = once(run)
+    runs = once(run)
+    results = {name: secs for name, (secs, _) in runs.items()}
+    answer_ok = {f"{name}_answer_ok": float(ok)
+                 for name, (_, ok) in runs.items()}
 
     print()
     rows = [["DFS (skew-blind)", "-", f"{results['dfs']:.0f}", "-"]]
@@ -132,7 +141,8 @@ def test_state_skew_hot_tablet_bottleneck(once):
         ["state store", "tablets", "state time (s)", "win vs DFS"],
         rows, title="State-store skew: hot tablets vs tablet count "
                     f"({PARTITIONS} partitions, {ROUNDS} rounds)"))
-    record("BENCH_state_store.json", "state_skew", results)
+    record("BENCH_state_store.json", "state_skew", {**results, **answer_ok})
+    assert all(answer_ok.values()), answer_ok
 
     dfs = results["dfs"]
     # uniform: the online store wins at any tablet count

@@ -220,7 +220,8 @@ def _byte_vectors():
 
 
 def _store_makespan(store, vec) -> float:
-    return sum(store.round_trip(vec) for _ in range(ROUNDS))
+    return sum(store.round_trip(vec, cost_model=EC2_DEFAULTS)
+               for _ in range(ROUNDS))
 
 
 def test_autosplit_restores_the_online_win(once):

@@ -106,8 +106,9 @@ class RoundAccountant:
 
         Sessions inject a shared instance at construction (multi-job
         contention on one set of tablets); otherwise the store is
-        resolved lazily from ``config.state_store`` — legacy strings
-        map to the charge-equivalent backends.
+        resolved lazily from ``config.state_store``.  Either way the
+        store keeps no cluster: each charge passes this accountant's
+        ``cluster.cost_model``.
         """
         if self._state_store is None:
             from repro.cluster.statestore import resolve_state_store
@@ -116,8 +117,7 @@ class RoundAccountant:
                 raise ValueError(
                     "state charging needs a DriverConfig (or an injected "
                     "StateStore)")
-            self._state_store = resolve_state_store(
-                self.config.state_store, self.cluster)
+            self._state_store = resolve_state_store(self.config.state_store)
         return self._state_store
 
     def _split_count(self) -> int:
@@ -274,8 +274,9 @@ class RoundAccountant:
         """
         if self.cluster is None:
             return 0.0
-        t = self.state_store.round_trip(partition_bytes,
-                                        share=self.cluster.share)
+        t = self.state_store.round_trip(
+            partition_bytes, cost_model=self.cluster.cost_model,
+            share=self.cluster.share)
         return self.cluster.charge_fixed(self._label(label), t)
 
     def charge_due_checkpoint(self, partition_bytes: Sequence[float], *,
@@ -290,8 +291,9 @@ class RoundAccountant:
         if (self.state_store.durable or not config.checkpoint_every
                 or (iteration + 1) % config.checkpoint_every):
             return 0.0
-        t = self.state_store.checkpoint(partition_bytes,
-                                        share=self.cluster.share)
+        t = self.state_store.checkpoint(
+            partition_bytes, cost_model=self.cluster.cost_model,
+            share=self.cluster.share)
         return self.cluster.charge_fixed(self._label(label), t)
 
     def charge_state_tail(self, *, iteration: int,

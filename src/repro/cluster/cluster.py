@@ -27,7 +27,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.cluster.costmodel import CostModel, EC2_DEFAULTS, OnlineStoreModel
+from repro.cluster.costmodel import CostModel, EC2_DEFAULTS, ONLINE_STORE_MODEL
 from repro.cluster.node import SimNode, ec2_nodes
 from repro.cluster.trace import Event, Trace
 
@@ -160,7 +160,6 @@ class SimCluster:
                 f"stragglers slow nodes {unknown} that the cluster lacks "
                 f"(node ids {sorted(node_ids)})")
         self.cost_model = cost_model
-        self.online_model = OnlineStoreModel()
         self.stragglers = stragglers
         self.node_faults = node_faults
         self.worker_pool: "WorkerPool | None" = (
@@ -542,7 +541,7 @@ class SimCluster:
         if store == "dfs":
             return self.charge_dfs_roundtrip(nbytes, label=label)
         if store == "online":
-            t = self.online_model.roundtrip_seconds(nbytes)
+            t = ONLINE_STORE_MODEL.roundtrip_seconds(nbytes)
             self._charge(label, t)
             return t
         raise ValueError(f"store must be 'dfs' or 'online', got {store!r}")

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 __all__ = ["CostModel", "OnlineStoreModel", "EC2_DEFAULTS", "HPC_DEFAULTS",
-           "ZERO_COST", "scaled_model", "check_share"]
+           "ZERO_COST", "ONLINE_STORE_MODEL", "scaled_model", "check_share"]
 
 
 def check_share(share: float) -> None:
@@ -201,6 +201,10 @@ class OnlineStoreModel:
 
 #: Table I testbed: 8 EC2 extra-large instances running Hadoop 0.20.1.
 EC2_DEFAULTS = CostModel()
+
+#: The tablet servers' prices: every online store and the legacy scalar
+#: ``charge_state_roundtrip(store="online")`` read this one model.
+ONLINE_STORE_MODEL = OnlineStoreModel()
 
 #: Tightly-coupled HPC platform: cheap barriers and fast interconnect, so
 #: the partial-vs-global synchronization gap is far smaller (§II).

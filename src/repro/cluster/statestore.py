@@ -16,36 +16,35 @@ between iterations and answers in simulated seconds:
   structure is irrelevant to the charge (one 3x-replicated block write
   of the sum), which is exactly today's — and the paper's — semantics.
 * :class:`OnlineStateStore` — the Bigtable substitute: ``num_tablets``
-  tablets (each priced by one shared
-  :class:`~repro.cluster.costmodel.OnlineStoreModel`) split the
+  tablets (each priced by
+  :data:`~repro.cluster.costmodel.ONLINE_STORE_MODEL`) split the
   state key space into contiguous key ranges.  Partitions own contiguous
   key ranges too, so each partition's bytes land on the tablets its
   range overlaps.  Tablets serve in parallel: a round costs the
   **hottest tablet** (max over tablets), so a skewed update distribution
   bottlenecks the round and more tablets shard the hot range thinner.
 
-Both backends accept a ``share`` on every charge — the slot/bandwidth
-fraction a multi-job scheduler granted the calling job — so sessions
-whose jobs contend on one store see per-job throughput shrink with
-their share (see :class:`~repro.cluster.accountant.RoundAccountant`).
-A store holds no state values: it prices byte counts and keeps the
+Every charge takes the charging cluster's
+:class:`~repro.cluster.costmodel.CostModel` (the DFS prices) and a
+``share`` — the slot/bandwidth fraction a multi-job scheduler granted
+the calling job — so sessions whose jobs contend on one store see
+per-job throughput shrink with their share (see
+:class:`~repro.cluster.accountant.RoundAccountant`).  A store holds no
+state values and no cluster: it prices byte counts and keeps the
 per-tablet ledgers those charges leave behind.
 
 :func:`resolve_state_store` turns a ``DriverConfig.state_store`` value
 — the default ``"dfs"``, a :class:`StateStore` instance or a factory —
-into a store bound to the cluster.
+into a store.
 """
 
 from __future__ import annotations
 
 import abc
 import bisect
-from typing import Sequence, TYPE_CHECKING
+from typing import Sequence
 
-from repro.cluster.costmodel import CostModel, OnlineStoreModel
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.cluster import SimCluster
+from repro.cluster.costmodel import CostModel, ONLINE_STORE_MODEL
 
 __all__ = [
     "StateStore",
@@ -89,7 +88,9 @@ class StateStore(abc.ABC):
     :class:`~repro.core.session.Session`, in which case all jobs write
     the same tablets and the store's cumulative statistics aggregate
     across jobs.  All methods return simulated seconds; they never touch
-    a cluster clock themselves — the accountant charges the result.
+    a cluster clock themselves — the accountant charges the result —
+    and every DFS price comes from the ``cost_model`` of the charge, so
+    a store reused on another cluster prices with that cluster's.
 
     Attributes
     ----------
@@ -108,30 +109,27 @@ class StateStore(abc.ABC):
     def __init__(self) -> None:
         self.rounds: int = 0
 
-    def bind(self, cluster: "SimCluster | None") -> "StateStore":
-        """Adopt the cluster's cost/online models for any the caller did
-        not supply explicitly (idempotent; explicit models are kept)."""
-        return self
-
     @abc.abstractmethod
     def write_round(self, partition_bytes: Sequence[float], *,
-                    share: float = 1.0) -> float:
+                    cost_model: CostModel, share: float = 1.0) -> float:
         """Seconds to persist one round's per-partition state writes."""
 
     @abc.abstractmethod
     def read_round(self, partition_bytes: Sequence[float], *,
-                   share: float = 1.0) -> float:
+                   cost_model: CostModel, share: float = 1.0) -> float:
         """Seconds for the next round's maps to read that state back."""
 
     def round_trip(self, partition_bytes: Sequence[float], *,
-                   share: float = 1.0) -> float:
+                   cost_model: CostModel, share: float = 1.0) -> float:
         """One inter-round state round trip: write + read-back."""
         self.rounds += 1
-        return (self.write_round(partition_bytes, share=share)
-                + self.read_round(partition_bytes, share=share))
+        return (self.write_round(partition_bytes, cost_model=cost_model,
+                                 share=share)
+                + self.read_round(partition_bytes, cost_model=cost_model,
+                                  share=share))
 
     def checkpoint(self, partition_bytes: Sequence[float], *,
-                   share: float = 1.0) -> float:
+                   cost_model: CostModel, share: float = 1.0) -> float:
         """Seconds of a full durability checkpoint of the state
         (``0.0`` for stores that are durable by construction)."""
         return 0.0
@@ -151,31 +149,15 @@ class DFSStateStore(StateStore):
     name = "dfs"
     durable = True
 
-    def __init__(self, *, cost_model: "CostModel | None" = None) -> None:
-        super().__init__()
-        self.cost_model = cost_model
-
-    def bind(self, cluster: "SimCluster | None") -> "DFSStateStore":
-        if cluster is not None and self.cost_model is None:
-            self.cost_model = cluster.cost_model
-        return self
-
-    def _cm(self) -> CostModel:
-        if self.cost_model is None:
-            from repro.cluster.costmodel import EC2_DEFAULTS
-
-            self.cost_model = EC2_DEFAULTS
-        return self.cost_model
-
     def write_round(self, partition_bytes: Sequence[float], *,
-                    share: float = 1.0) -> float:
+                    cost_model: CostModel, share: float = 1.0) -> float:
         total = sum(_validated(partition_bytes))
-        return self._cm().dfs_write_seconds(total, share=share)
+        return cost_model.dfs_write_seconds(total, share=share)
 
     def read_round(self, partition_bytes: Sequence[float], *,
-                   share: float = 1.0) -> float:
+                   cost_model: CostModel, share: float = 1.0) -> float:
         total = sum(_validated(partition_bytes))
-        return self._cm().dfs_read_seconds(total, share=share)
+        return cost_model.dfs_read_seconds(total, share=share)
 
 
 class OnlineStateStore(StateStore):
@@ -189,9 +171,10 @@ class OnlineStateStore(StateStore):
     partition's round bytes spread uniformly over its key range, so a
     tablet receives every overlapping partition's proportional share.
     Tablets serve requests in parallel, each at the
-    :class:`OnlineStoreModel` throughput, and a round's write (or read)
-    costs the **slowest tablet** — the hot tablet is the round's
-    bottleneck, and splitting the hot range shards it thinner.
+    :data:`~repro.cluster.costmodel.ONLINE_STORE_MODEL` throughput, and
+    a round's write (or read) costs the **slowest tablet** — the hot
+    tablet is the round's bottleneck, and splitting the hot range shards
+    it thinner.
 
     A uniform byte vector keeps every tablet at ``total/T``; with
     ``num_tablets=1`` the single tablet receives the aggregate, making
@@ -232,8 +215,6 @@ class OnlineStateStore(StateStore):
     durable = False
 
     def __init__(self, num_tablets: int = 8, *,
-                 model: "OnlineStoreModel | None" = None,
-                 cost_model: "CostModel | None" = None,
                  split_threshold: "float | None" = None,
                  merge_threshold: "float | None" = None,
                  max_tablets: int = 64) -> None:
@@ -256,8 +237,6 @@ class OnlineStateStore(StateStore):
         self.split_threshold = split_threshold
         self.merge_threshold = merge_threshold
         self.max_tablets = int(max_tablets)
-        self.model = model
-        self.cost_model = cost_model
         self.tablet_bytes: "list[int]" = [0] * num_tablets
         self.last_round_tablet_seconds: "list[float]" = [0.0] * num_tablets
         self.versions: "dict[int, int]" = {}
@@ -278,26 +257,6 @@ class OnlineStateStore(StateStore):
     def num_tablets(self) -> int:
         """Live tablet count (grows as auto-splitting fires)."""
         return len(self.boundaries) - 1
-
-    def bind(self, cluster: "SimCluster | None") -> "OnlineStateStore":
-        if cluster is not None:
-            if self.model is None:
-                self.model = cluster.online_model
-            if self.cost_model is None:
-                self.cost_model = cluster.cost_model
-        return self
-
-    def _model(self) -> OnlineStoreModel:
-        if self.model is None:
-            self.model = OnlineStoreModel()
-        return self.model
-
-    def _cm(self) -> CostModel:
-        if self.cost_model is None:
-            from repro.cluster.costmodel import EC2_DEFAULTS
-
-            self.cost_model = EC2_DEFAULTS
-        return self.cost_model
 
     # -- sharding -------------------------------------------------------
     def _range_tablets(self, lo: float, hi: float) -> "tuple[int, int]":
@@ -347,13 +306,6 @@ class OnlineStateStore(StateStore):
                 load[t] = load.get(t, 0.0) + b * factor
         return load
 
-    def shard_bytes(self, partition_bytes: Sequence[float]) -> "list[float]":
-        """Per-tablet byte load of one round's partition byte vector."""
-        out = [0.0] * self.num_tablets
-        for t, b in self._load(partition_bytes, note=False).items():
-            out[t] = b
-        return out
-
     def imbalance(self) -> float:
         """Hottest tablet's cumulative load relative to the mean (1.0 =
         perfectly balanced); the skew headline number for benchmarks."""
@@ -369,25 +321,17 @@ class OnlineStateStore(StateStore):
             self._profile, self._profile_parts = {}, P
         return self._profile
 
-    def _note_profile(self, partition_bytes: "list[float]") -> None:
-        """Fold one served byte vector into the per-partition load
-        profile the load-aware split point is computed from."""
-        if not partition_bytes:
-            return
-        profile = self._profile_of(len(partition_bytes))
-        for p, b in enumerate(partition_bytes):
-            if b:
-                profile[p] = profile.get(p, 0.0) + b
-
     # -- charges --------------------------------------------------------
-    def _serve(self, partition_bytes: Sequence[float], seconds_of, *,
+    def _serve(self, partition_bytes: Sequence[float], seconds, *,
                share: float) -> float:
-        model = self._model()
-        self._note_profile(_validated(partition_bytes))
-        tb = self.shard_bytes(partition_bytes)
-        secs = [seconds_of(model, b, share) for b in tb]
-        for t, (b, s) in enumerate(zip(tb, secs)):
+        """Serve one round's write or read: every tablet at once, an idle
+        one for its bare op latency; the round waits for the slowest."""
+        load = self._load(partition_bytes, note=True)
+        secs = [seconds(load.get(t, 0.0), share=share)
+                for t in range(self.num_tablets)]
+        for t, b in load.items():
             self.tablet_bytes[t] += int(b)
+        for t, s in enumerate(secs):
             self.last_round_tablet_seconds[t] += s
         return max(secs)
 
@@ -502,31 +446,27 @@ class OnlineStateStore(StateStore):
         return self.tablet_map_version - before
 
     def write_round(self, partition_bytes: Sequence[float], *,
-                    share: float = 1.0) -> float:
+                    cost_model: CostModel, share: float = 1.0) -> float:
         # Splits and merges take effect at round boundaries so the write
         # and the read-back of one round trip see the same tablet map.
         self._maybe_split()
         self._maybe_merge()
         self.last_round_tablet_seconds = [0.0] * self.num_tablets
-        return self._serve(
-            partition_bytes,
-            lambda m, b, s: m.write_seconds(b, share=s),
-            share=share)
+        return self._serve(partition_bytes, ONLINE_STORE_MODEL.write_seconds,
+                           share=share)
 
     def read_round(self, partition_bytes: Sequence[float], *,
-                   share: float = 1.0) -> float:
-        return self._serve(
-            partition_bytes,
-            lambda m, b, s: m.read_seconds(b, share=s),
-            share=share)
+                   cost_model: CostModel, share: float = 1.0) -> float:
+        return self._serve(partition_bytes, ONLINE_STORE_MODEL.read_seconds,
+                           share=share)
 
     def checkpoint(self, partition_bytes: Sequence[float], *,
-                   share: float = 1.0) -> float:
+                   cost_model: CostModel, share: float = 1.0) -> float:
         """Full replicated DFS write of the state — the §VIII
         fault-tolerance resolution, priced like the block path always
         priced it."""
         total = sum(_validated(partition_bytes))
-        return self._cm().dfs_write_seconds(total, share=share)
+        return cost_model.dfs_write_seconds(total, share=share)
 
     # -- no-barrier publish/consume (the AsyncBackend path) -------------
     def publish(self, partition: int, nbytes: float, *, version: int,
@@ -557,7 +497,7 @@ class OnlineStateStore(StateStore):
                 self.tablet_bytes[t] += int(tb)
                 top = max(top, tb)
         # A tablet's seconds grow with its bytes: the fullest is the slowest.
-        secs = self._model().write_seconds(top, share=share) if top else 0.0
+        secs = ONLINE_STORE_MODEL.write_seconds(top, share=share) if top else 0.0
         self.versions[partition] = max(version, self.versions.get(partition, 0))
         # No-barrier path has no round boundary; split as soon as the
         # publish that crossed the threshold lands.  Version ledgers are
@@ -578,24 +518,24 @@ class OnlineStateStore(StateStore):
         for t, b in load.items():
             self.tablet_bytes[t] += int(b)
         top = max(load.values(), default=0.0)
-        secs = self._model().read_seconds(top, share=share) if top else 0.0
+        secs = ONLINE_STORE_MODEL.read_seconds(top, share=share) if top else 0.0
         self._maybe_split()
         return secs
 
 
-def resolve_state_store(spec, cluster: "SimCluster | None") -> StateStore:
-    """Turn a ``DriverConfig.state_store`` value into a bound store.
+def resolve_state_store(spec) -> StateStore:
+    """Turn a ``DriverConfig.state_store`` value into a store.
 
-    ``spec`` may be a :class:`StateStore` instance (bound and returned
-    as-is — sharing one instance across jobs is how a session makes
-    them contend on the same tablets), a zero-argument factory, or the
+    ``spec`` may be a :class:`StateStore` instance (returned as-is —
+    sharing one instance across jobs is how a session makes them
+    contend on the same tablets), a zero-argument factory, or the
     default ``"dfs"`` (a fresh :class:`DFSStateStore`).
     """
     if isinstance(spec, StateStore):
-        return spec.bind(cluster)
+        return spec
     if isinstance(spec, str):
         if spec == "dfs":
-            return DFSStateStore().bind(cluster)
+            return DFSStateStore()
         raise ValueError(
             f"state_store must be 'dfs', a StateStore instance or a "
             f"factory, got {spec!r}")
@@ -605,7 +545,7 @@ def resolve_state_store(spec, cluster: "SimCluster | None") -> StateStore:
             raise TypeError(
                 f"state_store factory must return a StateStore, "
                 f"got {type(store).__name__}")
-        return store.bind(cluster)
+        return store
     raise TypeError(
         f"state_store must be 'dfs', a StateStore instance or a "
         f"factory, got {type(spec).__name__}")

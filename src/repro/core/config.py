@@ -66,7 +66,8 @@ class DriverConfig:
         its hottest tablet, cheap per iteration but needing periodic
         checkpoints for fault tolerance.  Passing one *instance* to
         several jobs of a session makes them contend on the same
-        tablets.
+        tablets.  A store keeps no cluster: every charge is priced with
+        the cost model of the cluster that makes it.
     checkpoint_every:
         With a non-durable store (the online store): take a full DFS
         checkpoint of the state every this many global iterations

@@ -84,7 +84,8 @@ class Session:
         load statistics aggregate across jobs.  ``None`` (default)
         resolves each job's ``config.state_store``: jobs on the default
         ``"dfs"`` share one DFS store per session, while a config
-        carrying an explicit instance/factory keeps it.
+        carrying an explicit instance/factory keeps it.  The store is
+        used as given; the session's cluster prices each charge.
 
     One scheduling :meth:`step` asks the policy for a batch and runs one
     global round of every batch member as one fork of the cluster's
@@ -124,11 +125,11 @@ class Session:
         """
         spec = config.state_store
         if not isinstance(spec, str):
-            return resolve_state_store(spec, self.cluster)
+            return resolve_state_store(spec)
         if self.state_store is not None:
-            return self.state_store.bind(self.cluster)
+            return self.state_store
         if self._dfs_store is None:
-            self._dfs_store = resolve_state_store(spec, self.cluster)
+            self._dfs_store = resolve_state_store(spec)
         return self._dfs_store
 
     # -- shared resources ----------------------------------------------

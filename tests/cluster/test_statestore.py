@@ -33,7 +33,9 @@ from repro.cluster import (
     StateStore,
     even_split,
     resolve_state_store,
+    scaled_model,
 )
+from repro.cluster.costmodel import ONLINE_STORE_MODEL
 from repro.core import (
     BlockBackend,
     DriverConfig,
@@ -62,6 +64,15 @@ def workload():
 # Helpers / unit level
 # ----------------------------------------------------------------------
 
+def tablet_load(store, partition_bytes):
+    """Per-tablet bytes one partition byte vector puts on the store's
+    live tablet map (no ledger or profile moves)."""
+    out = [0.0] * store.num_tablets
+    for t, b in store._load(partition_bytes, note=False).items():
+        out[t] = b
+    return out
+
+
 class TestEvenSplit:
     def test_preserves_total_exactly(self):
         for total, parts in ((0, 3), (10, 3), (1 << 20, 7), (5, 8)):
@@ -82,79 +93,98 @@ class TestDFSStateStore:
     def test_matches_legacy_scalar_charge(self):
         """Charge-for-charge: any split summing to the old scalar."""
         cm = EC2_DEFAULTS
-        store = DFSStateStore(cost_model=cm)
+        store = DFSStateStore()
         total = 1 << 20
         legacy = cm.dfs_write_seconds(total) + cm.dfs_read_seconds(total)
         for pb in ((total,), even_split(total, 4), (total - 5, 5)):
-            assert store.round_trip(pb) == pytest.approx(legacy)
+            assert store.round_trip(pb, cost_model=cm) == pytest.approx(legacy)
 
     def test_durable_no_checkpoint(self):
-        store = DFSStateStore(cost_model=EC2_DEFAULTS)
+        store = DFSStateStore()
         assert store.durable
-        assert store.checkpoint((1 << 20,)) == 0.0
-
-    def test_bind_adopts_cluster_model(self):
-        cl = SimCluster()
-        store = DFSStateStore().bind(cl)
-        assert store.cost_model is cl.cost_model
+        assert store.checkpoint((1 << 20,), cost_model=EC2_DEFAULTS) == 0.0
 
     def test_rejects_negative_bytes(self):
         with pytest.raises(ValueError):
-            DFSStateStore(cost_model=EC2_DEFAULTS).round_trip((-1, 5))
+            DFSStateStore().round_trip((-1, 5), cost_model=EC2_DEFAULTS)
+
+
+class TestReuseAcrossClusters:
+    """A store keeps no cluster: every charge is priced by the cluster
+    that makes it, whichever cluster charged the store before."""
+
+    #: Four partitions of 1 MB: one round trip plus the due checkpoint.
+    STATE = (1 << 20,) * 4
+
+    def _charge(self, store, cost_model):
+        cluster = SimCluster(cost_model=cost_model)
+        acct = RoundAccountant(cluster, DriverConfig(
+            mode="eager", state_store=store, checkpoint_every=1))
+        return acct.charge_state_tail(iteration=0,
+                                      state_partition_bytes=self.STATE,
+                                      label="iter0")
+
+    @pytest.mark.parametrize("make", [DFSStateStore,
+                                      lambda: OnlineStateStore(4)],
+                             ids=["dfs", "online"])
+    def test_each_charge_uses_the_charging_cluster(self, make):
+        costly = scaled_model(EC2_DEFAULTS, overhead_scale=10.0)
+        store = make()
+        cheap = self._charge(store, EC2_DEFAULTS)
+        again = self._charge(store, costly)
+        assert again == self._charge(make(), costly) > cheap
+        assert self._charge(store, EC2_DEFAULTS) == cheap
 
 
 class TestOnlineStateStoreSharding:
     def test_single_tablet_matches_legacy_scalar(self):
-        model = OnlineStoreModel()
-        store = OnlineStateStore(num_tablets=1, model=model)
+        model = ONLINE_STORE_MODEL
+        store = OnlineStateStore(num_tablets=1)
         total = 1 << 20
         for pb in ((total,), even_split(total, 4)):
-            assert store.round_trip(pb) == pytest.approx(
+            assert store.round_trip(pb, cost_model=EC2_DEFAULTS) == pytest.approx(
                 model.roundtrip_seconds(total))
 
     def test_uniform_bytes_balance_exactly(self):
-        store = OnlineStateStore(num_tablets=4, model=OnlineStoreModel())
-        tb = store.shard_bytes([100] * 8)
+        store = OnlineStateStore(num_tablets=4)
+        tb = tablet_load(store, [100] * 8)
         assert tb == pytest.approx([200.0] * 4)
 
     def test_key_ranges_shard_skew(self):
         # partition 0 is hot: with 2 tablets its whole range lands on
         # tablet 0; with 8 tablets it spreads over tablets 0-1.
         pb = [800, 0, 0, 0]
-        t2 = OnlineStateStore(num_tablets=2).shard_bytes(pb)
+        t2 = tablet_load(OnlineStateStore(num_tablets=2), pb)
         assert t2 == pytest.approx([800.0, 0.0])
-        t8 = OnlineStateStore(num_tablets=8).shard_bytes(pb)
+        t8 = tablet_load(OnlineStateStore(num_tablets=8), pb)
         assert t8 == pytest.approx([400.0, 400.0] + [0.0] * 6)
 
     def test_more_tablets_speed_up_uniform_rounds(self):
-        model = OnlineStoreModel()
         pb = even_split(1 << 24, 8)
-        t1 = OnlineStateStore(1, model=model).round_trip(pb)
-        t8 = OnlineStateStore(8, model=model).round_trip(pb)
+        t1 = OnlineStateStore(1).round_trip(pb, cost_model=EC2_DEFAULTS)
+        t8 = OnlineStateStore(8).round_trip(pb, cost_model=EC2_DEFAULTS)
         assert t8 < t1  # tablets serve in parallel
 
     def test_round_time_strictly_dominated_by_hottest_tablet(self):
-        model = OnlineStoreModel()
-        store = OnlineStateStore(num_tablets=4, model=model)
+        store = OnlineStateStore(num_tablets=4)
         pb = [512 << 20, 1 << 10, 1 << 10, 1 << 10]  # hot partition 0
-        t = store.round_trip(pb)
+        t = store.round_trip(pb, cost_model=EC2_DEFAULTS)
         per_tablet = store.last_round_tablet_seconds
         assert t == pytest.approx(max(per_tablet))
         assert max(per_tablet) > 10 * sorted(per_tablet)[-2]
 
     def test_skew_slower_than_uniform_same_total(self):
-        model = OnlineStoreModel()
         total = 1 << 24
-        uniform = OnlineStateStore(4, model=model).round_trip(
-            even_split(total, 4))
-        skewed = OnlineStateStore(4, model=model).round_trip(
-            (total - 300, 100, 100, 100))
+        uniform = OnlineStateStore(4).round_trip(
+            even_split(total, 4), cost_model=EC2_DEFAULTS)
+        skewed = OnlineStateStore(4).round_trip(
+            (total - 300, 100, 100, 100), cost_model=EC2_DEFAULTS)
         assert skewed > uniform
 
     def test_stats_accumulate_and_imbalance(self):
-        store = OnlineStateStore(num_tablets=2, model=OnlineStoreModel())
+        store = OnlineStateStore(num_tablets=2)
         assert store.imbalance() == 1.0
-        store.round_trip((600, 200))
+        store.round_trip((600, 200), cost_model=EC2_DEFAULTS)
         assert store.rounds == 1
         assert store.tablet_bytes == [1200, 400]  # write + read per tablet
         assert store.imbalance() == pytest.approx(1.5)
@@ -163,14 +193,13 @@ class TestOnlineStateStoreSharding:
         with pytest.raises(ValueError):
             OnlineStateStore(num_tablets=0)
         with pytest.raises(ValueError):
-            OnlineStateStore(2).round_trip((-5,))
+            OnlineStateStore(2).round_trip((-5,), cost_model=EC2_DEFAULTS)
 
     def test_checkpoint_prices_full_replicated_write(self):
-        store = OnlineStateStore(2, model=OnlineStoreModel(),
-                                 cost_model=EC2_DEFAULTS)
+        store = OnlineStateStore(2)
         pb = (1 << 20, 1 << 10)
         assert not store.durable
-        assert store.checkpoint(pb) == pytest.approx(
+        assert store.checkpoint(pb, cost_model=EC2_DEFAULTS) == pytest.approx(
             EC2_DEFAULTS.dfs_write_seconds(sum(pb)))
 
 
@@ -178,23 +207,21 @@ class TestPublishConsume:
     """The no-barrier publish/consume path (AsyncBackend's charges)."""
 
     def test_publish_prices_like_one_partition_write_round(self):
-        model = OnlineStoreModel()
-        a = OnlineStateStore(num_tablets=4, model=model)
-        b = OnlineStateStore(num_tablets=4, model=model)
+        a = OnlineStateStore(num_tablets=4)
+        b = OnlineStateStore(num_tablets=4)
         nbytes = 1 << 20
         vec = [0.0, float(nbytes), 0.0, 0.0]
         assert a.publish(1, nbytes, version=1, num_partitions=4) == \
-            pytest.approx(b.write_round(vec))
+            pytest.approx(b.write_round(vec, cost_model=EC2_DEFAULTS))
         assert a.tablet_bytes == b.tablet_bytes == [0, nbytes, 0, 0]
         assert a.versions == {1: 1}
 
     def test_consume_prices_like_read_round(self):
-        model = OnlineStoreModel()
-        a = OnlineStateStore(num_tablets=4, model=model)
-        b = OnlineStateStore(num_tablets=4, model=model)
+        a = OnlineStateStore(num_tablets=4)
+        b = OnlineStateStore(num_tablets=4)
         b.last_round_tablet_seconds = [0.0] * 4
         pb = (1 << 20, 0, 1 << 10, 0)
-        assert a.consume(pb) == pytest.approx(b.read_round(pb))
+        assert a.consume(pb) == pytest.approx(b.read_round(pb, cost_model=EC2_DEFAULTS))
         assert a.tablet_bytes == b.tablet_bytes
         assert sum(a.tablet_bytes) == sum(pb)
 
@@ -233,27 +260,23 @@ class TestPublishConsume:
 
 class TestResolveStateStore:
     def test_strings_map_to_equivalent_backends(self):
-        cl = SimCluster()
-        assert isinstance(resolve_state_store("dfs", cl), DFSStateStore)
+        assert isinstance(resolve_state_store("dfs"), DFSStateStore)
         with pytest.raises(ValueError, match="state_store"):
-            resolve_state_store("online", cl)  # spelling removed
-        online = resolve_state_store(OnlineStateStore(num_tablets=1), cl)
-        assert online.model is cl.online_model
+            resolve_state_store("online")  # spelling removed
 
     def test_instances_and_factories_pass_through(self):
-        cl = SimCluster()
         inst = OnlineStateStore(4)
-        assert resolve_state_store(inst, cl) is inst
-        made = resolve_state_store(lambda: OnlineStateStore(2), cl)
+        assert resolve_state_store(inst) is inst
+        made = resolve_state_store(lambda: OnlineStateStore(2))
         assert isinstance(made, OnlineStateStore) and made.num_tablets == 2
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
-            resolve_state_store("tape", None)
+            resolve_state_store("tape")
         with pytest.raises(TypeError):
-            resolve_state_store(42, None)
+            resolve_state_store(42)
         with pytest.raises(TypeError):
-            resolve_state_store(lambda: "not a store", None)
+            resolve_state_store(lambda: "not a store")
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +319,7 @@ class TestChargeEquivalence:
         g, part = workload
         res, cl = self._run(workload, OnlineStateStore(num_tablets=1))
         nbytes = g.num_nodes * 8
-        expected = cl.online_model.roundtrip_seconds(nbytes)
+        expected = ONLINE_STORE_MODEL.roundtrip_seconds(nbytes)
         for e in _state_events(cl):
             assert e.end - e.start == pytest.approx(expected)
 
@@ -398,7 +421,7 @@ class TestDueCheckpoint:
         cl = SimCluster()
         acct = RoundAccountant(cl, DriverConfig(
             mode="eager", checkpoint_every=checkpoint_every),
-            state_store=store.bind(cl))
+            state_store=store)
         return [it for it in range(9)
                 if acct.charge_due_checkpoint((1 << 20,), iteration=it,
                                               label=f"iter{it}:checkpoint")]
@@ -565,7 +588,7 @@ class TestAutoSplit:
     def test_no_threshold_never_splits(self):
         store = OnlineStateStore(4)
         for _ in range(5):
-            store.round_trip(self.SKEW)
+            store.round_trip(self.SKEW, cost_model=EC2_DEFAULTS)
         assert store.tablet_map_version == 0
         assert store.split_events == []
         assert store.num_tablets == 4
@@ -573,7 +596,7 @@ class TestAutoSplit:
     def test_hot_tablet_splits_and_map_stays_consistent(self):
         store = OnlineStateStore(4, split_threshold=4000)
         for _ in range(4):
-            store.round_trip(self.SKEW)
+            store.round_trip(self.SKEW, cost_model=EC2_DEFAULTS)
         assert store.num_tablets > 4
         assert store.tablet_map_version == len(store.split_events)
         # boundaries stay a strictly increasing 0..1 cover, and every
@@ -590,15 +613,15 @@ class TestAutoSplit:
     def test_max_tablets_caps_growth(self):
         store = OnlineStateStore(2, split_threshold=100, max_tablets=8)
         for _ in range(10):
-            store.round_trip(self.SKEW)
+            store.round_trip(self.SKEW, cost_model=EC2_DEFAULTS)
         assert store.num_tablets == 8
 
     def test_sharding_conserves_bytes_across_splits(self):
         store = OnlineStateStore(4, split_threshold=2000)
         for _ in range(6):
-            store.round_trip(self.SKEW)
+            store.round_trip(self.SKEW, cost_model=EC2_DEFAULTS)
         assert store.num_tablets > 4
-        assert sum(store.shard_bytes(self.SKEW)) == pytest.approx(
+        assert sum(tablet_load(store, self.SKEW)) == pytest.approx(
             sum(self.SKEW))
 
     def test_splitting_shrinks_the_hot_round_time(self):
@@ -607,8 +630,8 @@ class TestAutoSplit:
         frozen = OnlineStateStore(4)
         split = OnlineStateStore(4, split_threshold=4000)
         for _ in range(6):
-            t_frozen = frozen.round_trip(self.SKEW)
-            t_split = split.round_trip(self.SKEW)
+            t_frozen = frozen.round_trip(self.SKEW, cost_model=EC2_DEFAULTS)
+            t_split = split.round_trip(self.SKEW, cost_model=EC2_DEFAULTS)
         assert split.num_tablets > frozen.num_tablets
         assert t_split < t_frozen
 
@@ -619,8 +642,8 @@ class TestAutoSplit:
         plain = OnlineStateStore(4)
         armed = OnlineStateStore(4, split_threshold=10**9)
         for _ in range(3):
-            assert armed.round_trip(uniform) == pytest.approx(
-                plain.round_trip(uniform))
+            assert armed.round_trip(uniform, cost_model=EC2_DEFAULTS) == pytest.approx(
+                plain.round_trip(uniform, cost_model=EC2_DEFAULTS))
         assert armed.tablet_map_version == 0
 
     def test_publish_consume_ledgers_survive_splits(self):
@@ -636,7 +659,7 @@ class TestAutoSplit:
         assert store.versions == {p: 4 for p in range(4)}
         # a read against the *new* map lands on the hot partition's (now
         # multiple) tablets, and only there
-        load = store.shard_bytes((1000, 0, 0, 0))
+        load = tablet_load(store, (1000, 0, 0, 0))
         assert sum(load) == pytest.approx(1000)
         assert all(store.boundaries[t] < 0.25
                    for t, b in enumerate(load) if b)
@@ -652,7 +675,7 @@ class TestAutoSplit:
         """The round's facts count the splits the store made since the
         round opened, for RoundRecord consumption."""
         cluster = SimCluster()
-        store = OnlineStateStore(2, split_threshold=3000).bind(cluster)
+        store = OnlineStateStore(2, split_threshold=3000)
         acct = RoundAccountant(cluster, DriverConfig(), job="t",
                                state_store=store)
         acct.begin_round(0)
@@ -682,7 +705,7 @@ class TestTabletMerge:
         unobserved, not cold — the first round must see the configured
         tablet count."""
         store = OnlineStateStore(8, merge_threshold=10 ** 9)
-        store.round_trip([100.0] * 8)
+        store.round_trip([100.0] * 8, cost_model=EC2_DEFAULTS)
         assert store.num_tablets == 8
         assert store.merge_events == []
 
@@ -690,8 +713,8 @@ class TestTabletMerge:
         """A run of adjacent cold tablets merges down at the next round
         boundary, floored at one tablet."""
         store = OnlineStateStore(8, merge_threshold=10 ** 9)
-        store.round_trip([100.0] * 8)
-        store.round_trip([100.0] * 8)
+        store.round_trip([100.0] * 8, cost_model=EC2_DEFAULTS)
+        store.round_trip([100.0] * 8, cost_model=EC2_DEFAULTS)
         assert store.num_tablets == 1
         assert store.boundaries == [0.0, 1.0]
         assert len(store.merge_events) == 7
@@ -704,8 +727,8 @@ class TestTabletMerge:
         survive untouched."""
         skew = [8000.0] + [10.0] * 7
         store = OnlineStateStore(8, merge_threshold=1000)
-        store.round_trip(skew)
-        store.round_trip(skew)
+        store.round_trip(skew, cost_model=EC2_DEFAULTS)
+        store.round_trip(skew, cost_model=EC2_DEFAULTS)
         assert store.num_tablets == 2
         assert store.boundaries[0] == 0.0
         assert store.boundaries[1] == pytest.approx(1 / 8)
@@ -714,15 +737,15 @@ class TestTabletMerge:
     def test_merge_conserves_ledgers_and_bytes(self):
         skew = [8000.0] + [10.0] * 7
         store = OnlineStateStore(8, merge_threshold=1000)
-        store.round_trip(skew)
+        store.round_trip(skew, cost_model=EC2_DEFAULTS)
         total_bytes = sum(store.tablet_bytes)
-        store.round_trip(skew)
+        store.round_trip(skew, cost_model=EC2_DEFAULTS)
         assert store.num_tablets == 2
         assert len(store.tablet_bytes) == 2
         assert len(store.last_round_tablet_seconds) == 2
         # cumulative bytes only grow (merge moved, round added)
         assert sum(store.tablet_bytes) > total_bytes
-        assert sum(store.shard_bytes(skew)) == pytest.approx(sum(skew))
+        assert sum(tablet_load(store, skew)) == pytest.approx(sum(skew))
 
     def test_merge_absorbs_rows(self):
         """The survivor inherits the absorbed tablets' row bytes: the
@@ -733,7 +756,7 @@ class TestTabletMerge:
         store.publish(3, 64, version=2, num_partitions=4)
         store.consume((0, 64, 0, 64))
         assert store.tablet_bytes == [0, 128, 0, 128]
-        store.round_trip([100.0] * 4)
+        store.round_trip([100.0] * 4, cost_model=EC2_DEFAULTS)
         assert store.num_tablets == 1
         # 256 carried over, plus this round's write and read-back
         assert store.tablet_bytes == [256 + 2 * 400]
@@ -742,7 +765,7 @@ class TestTabletMerge:
         """Merges the accountant's state charges trigger land in the
         store's merge log and map version, not in the round's splits."""
         cluster = SimCluster()
-        store = OnlineStateStore(4, merge_threshold=10 ** 9).bind(cluster)
+        store = OnlineStateStore(4, merge_threshold=10 ** 9)
         acct = RoundAccountant(cluster, DriverConfig(), job="t",
                                state_store=store)
         acct.begin_round(0)
@@ -759,8 +782,8 @@ class TestLoadAwareSplitPoint:
 
     def test_flat_profile_splits_at_midpoint(self):
         store = OnlineStateStore(1, split_threshold=4000, max_tablets=2)
-        store.round_trip([1000.0] * 8)
-        store.round_trip([1000.0] * 8)
+        store.round_trip([1000.0] * 8, cost_model=EC2_DEFAULTS)
+        store.round_trip([1000.0] * 8, cost_model=EC2_DEFAULTS)
         assert store.num_tablets == 2
         assert store.split_events[0][2] == pytest.approx(0.5)
 
@@ -769,8 +792,8 @@ class TestLoadAwareSplitPoint:
         median lands inside its key range [2/8, 3/8) — not at 0.5."""
         skew = [10.0, 10.0, 8000.0, 10.0, 10.0, 10.0, 10.0, 10.0]
         store = OnlineStateStore(1, split_threshold=4000, max_tablets=2)
-        store.round_trip(skew)
-        store.round_trip(skew)
+        store.round_trip(skew, cost_model=EC2_DEFAULTS)
+        store.round_trip(skew, cost_model=EC2_DEFAULTS)
         assert store.num_tablets == 2
         mid = store.split_events[0][2]
         assert 2 / 8 < mid < 3 / 8
@@ -783,8 +806,8 @@ class TestLoadAwareSplitPoint:
         """All the mass at the very start of the range: the clamp keeps
         both children non-empty."""
         store = OnlineStateStore(1, split_threshold=100, max_tablets=4)
-        store.round_trip([5000.0, 0.0, 0.0, 0.0])
-        store.round_trip([5000.0, 0.0, 0.0, 0.0])
+        store.round_trip([5000.0, 0.0, 0.0, 0.0], cost_model=EC2_DEFAULTS)
+        store.round_trip([5000.0, 0.0, 0.0, 0.0], cost_model=EC2_DEFAULTS)
         assert store.num_tablets > 1
         assert all(a < b for a, b in
                    zip(store.boundaries, store.boundaries[1:]))

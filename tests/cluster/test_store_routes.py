@@ -1,11 +1,12 @@
 """``OnlineStateStore`` prices through cached per-partition routes.
 
-``consume`` and ``publish`` walk one ``(tablet, factor)`` route per
-partition, cached until the tablet map changes, instead of locating each
-partition's key range with two bisects on every call.  The reference
-below is the uncached formula they replaced; across splits and merges
-every charge, every tablet's bytes and every split point must equal it
-to the bit.
+``consume``, ``publish`` and the round trip walk one ``(tablet, factor)``
+route per partition, cached until the tablet map changes, in one pass
+that also checks the vector and folds it into the load profile, instead
+of locating each partition's key range with two bisects on every call.
+The reference below is the uncached formula they replaced; across splits
+and merges every charge, every tablet's bytes and every split point must
+equal it to the bit.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster import OnlineStateStore
+from repro.cluster import EC2_DEFAULTS, OnlineStateStore
+from repro.cluster.costmodel import ONLINE_STORE_MODEL
 from repro.cluster.statestore import _validated
+from tests.cluster.test_statestore import tablet_load
 
 
 class UncachedStore(OnlineStateStore):
@@ -38,6 +41,26 @@ class UncachedStore(OnlineStateStore):
                 out[t] += b * (overlap * P)
         return out
 
+    def _note_profile(self, pb):
+        """Fold one validated byte vector into the load profile."""
+        if not pb:
+            return
+        profile = self._profile_of(len(pb))
+        for p, b in enumerate(pb):
+            if b:
+                profile[p] = profile.get(p, 0.0) + b
+
+    def _serve(self, partition_bytes, seconds, *, share):
+        """One round's write or read: every tablet priced at its
+        uncached load, idle tablets included."""
+        self._note_profile(_validated(partition_bytes))
+        tb = self.shard_bytes(partition_bytes)
+        secs = [seconds(b, share=share) for b in tb]
+        for t, (b, s) in enumerate(zip(tb, secs)):
+            self.tablet_bytes[t] += int(b)
+            self.last_round_tablet_seconds[t] += s
+        return max(secs)
+
     def _priced(self, vec, seconds, share):
         self._note_profile(_validated(vec))
         secs = 0.0
@@ -51,13 +74,13 @@ class UncachedStore(OnlineStateStore):
     def publish(self, partition, nbytes, *, version, num_partitions, share=1.0):
         vec = [0.0] * num_partitions
         vec[partition] = float(nbytes)
-        secs = self._priced(vec, self._model().write_seconds, share)
+        secs = self._priced(vec, ONLINE_STORE_MODEL.write_seconds, share)
         self.versions[partition] = max(version, self.versions.get(partition, 0))
         self._maybe_split()
         return secs
 
     def consume(self, partition_bytes, *, share=1.0):
-        secs = self._priced(partition_bytes, self._model().read_seconds, share)
+        secs = self._priced(partition_bytes, ONLINE_STORE_MODEL.read_seconds, share)
         self._maybe_split()
         return secs
 
@@ -93,10 +116,11 @@ def test_routes_price_like_the_uncached_formula(seed):
             got = cached.publish(p, float(vec[p]), **args)
             want = plain.publish(p, float(vec[p]), **args)
         else:
-            got = cached.round_trip(vec.tolist(), share=share)
-            want = plain.round_trip(vec.tolist(), share=share)
+            args = dict(cost_model=EC2_DEFAULTS, share=share)
+            got = cached.round_trip(vec.tolist(), **args)
+            want = plain.round_trip(vec.tolist(), **args)
         assert got == want, step
-        assert cached.shard_bytes(vec) == plain.shard_bytes(vec), step
+        assert tablet_load(cached, vec) == plain.shard_bytes(vec), step
         assert ledger(cached) == ledger(plain), step
     # the map did change under the cached routes, both ways
     assert cached.split_events and cached.merge_events
@@ -104,10 +128,10 @@ def test_routes_price_like_the_uncached_formula(seed):
 
 def test_a_route_is_rebuilt_when_the_map_changes():
     store = OnlineStateStore(2, split_threshold=500.0)
-    before = store.shard_bytes([600.0, 600.0, 600.0])
+    before = tablet_load(store, [600.0, 600.0, 600.0])
     store.consume([600.0, 600.0, 600.0])          # crosses the threshold
     assert store.tablet_map_version > 0
-    after = store.shard_bytes([600.0, 600.0, 600.0])
+    after = tablet_load(store, [600.0, 600.0, 600.0])
     assert len(after) == store.num_tablets > len(before)
     assert after == UncachedStore.shard_bytes(store, [600.0] * 3)
 
@@ -117,4 +141,4 @@ def test_negative_bytes_are_rejected():
     with pytest.raises(ValueError):
         store.consume([1.0, -1.0])
     with pytest.raises(ValueError):
-        store.shard_bytes([-2.0])
+        tablet_load(store, [-2.0])

@@ -25,7 +25,13 @@ from repro.apps import (
     landmark_apsp,
     sse,
 )
-from repro.cluster import RoundAccountant, SimCluster
+from repro.cluster import (
+    DFSStateStore,
+    OnlineStateStore,
+    RoundAccountant,
+    SimCluster,
+    StateStore,
+)
 from repro.core import (
     AdaptiveSyncPolicy,
     AsyncBackend,
@@ -92,6 +98,9 @@ KEYWORDS = [
     (HierarchicalBackend, "rack_startup_seconds"),
     (HierarchicalBackend, "rack_shuffle_speedup"),
     (SimCluster, "online_model"),
+    (DFSStateStore, "cost_model"),
+    (OnlineStateStore, "model"),
+    (OnlineStateStore, "cost_model"),
     (Session, "runtime"),
     (multilevel_partition, "balance_tol"),
 ]
@@ -129,3 +138,11 @@ def test_core_export_is_gone(name):
 
 def test_the_accountant_prices_no_overlapped_shuffle():
     assert not hasattr(RoundAccountant, "charge_overlapped_shuffle")
+
+
+def test_a_store_keeps_no_cluster_prices():
+    """Each charge takes the charging cluster's cost model, so no store
+    binds to a cluster and the cluster carries no store prices."""
+    for cls in (StateStore, DFSStateStore, OnlineStateStore):
+        assert not hasattr(cls, "bind")
+    assert not hasattr(SimCluster(), "online_model")
