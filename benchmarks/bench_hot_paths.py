@@ -35,6 +35,10 @@ fails if the columnar path is ever *slower* than the object path.  At
 full scale (``REPRO_SCALE`` >= 1) the headline assertion is the ISSUE's
 acceptance bar: columnar+combiner at least 3x faster end to end.
 
+Every path's final ranks are also checked against a plain-NumPy oracle
+of the same ``ITERS`` sweeps (``np.add.at`` over the edge arrays, no
+engine), and ``<path>_answer_ok`` records that each agreed.
+
 Results land in ``BENCH_hot_paths.json`` (uploaded by the bench-smoke
 CI job) so the engine-path perf trajectory is comparable across PRs.
 """
@@ -138,6 +142,19 @@ class _ColumnarMap:
         ctx.emit_block(nodes, np.full(len(nodes), 1.0 - DAMPING))
 
 
+def _oracle_ranks(layout) -> np.ndarray:
+    """The ranks after ``ITERS`` synchronous sweeps, in plain NumPy:
+    each node's ``1 - DAMPING`` plus its damped in-edge contributions."""
+    ranks = np.ones(NODES, dtype=np.float64)
+    for _ in range(ITERS):
+        new = np.zeros(NODES, dtype=np.float64)
+        for src, dst, dinv, nodes in layout:
+            np.add.at(new, dst, ranks[src] * dinv)
+            new[nodes] += 1.0 - DAMPING
+        ranks = new
+    return ranks
+
+
 def _run_variant(layout, *, columnar: bool, combine: bool,
                  executor: str = "serial"
                  ) -> "tuple[float, np.ndarray, int]":
@@ -219,6 +236,11 @@ def test_columnar_fast_path(once):
     # Same iterates on every path (the shuffle is an execution detail).
     for name, *_ in variants[1:]:
         assert np.allclose(ranks[name], ranks["object"], rtol=1e-9), name
+    # ... and they are the sweeps' answer: the engine sums a node's
+    # contributions in its own order, so equal to rounding, not bits.
+    oracle = _oracle_ranks(layout)
+    answer_ok = {name: bool(np.allclose(ranks[name], oracle, rtol=1e-9, atol=0.0))
+                 for name, *_ in variants}
 
     speedup = {name: times["object"] / max(times[name], 1e-12)
                for name, *_ in variants}
@@ -238,7 +260,9 @@ def test_columnar_fast_path(once):
         "process_over_threads": (times["columnar+combine/process"]
                                  / max(times["columnar+combine/threads"],
                                        1e-12)),
+        **{f"{name}_answer_ok": float(ok) for name, ok in answer_ok.items()},
     })
+    assert all(answer_ok.values()), f"ranks differ from the oracle: {answer_ok}"
 
     # CI gate: the fast path must never lose to the object path.
     assert times["columnar"] <= times["object"], (

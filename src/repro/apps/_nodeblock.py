@@ -4,6 +4,7 @@
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy.sparse._sparsetools import csr_matvec
 
 from repro.core import BlockSpec, LocalSolveReport, run_local_block
 from repro.core.localmr import agg_identity
-from repro.graph import EdgeBlock, join_blocks
+from repro.graph import EdgeBlock, join_blocks, split_edges
 from repro.util.radix import stable_key_order
 
 #: Bytes of one shuffled (key, value) record in our cost accounting.
@@ -85,6 +86,63 @@ def csr_fold(*mats: csr_array) -> "Callable[[np.ndarray], np.ndarray]":
     return fold
 
 
+class _Split:
+    """One edge split and, for a sum app, its fold matrices, shared by
+    every spec over the same partition, app and edge source.  ``over``
+    keeps that partition and source alive while the split is, so the
+    ids in its :data:`_SPLITS` key cannot be reused by other objects."""
+
+    __slots__ = ("over", "blocks", "fold", "__weakref__")
+
+    def __init__(self, over: tuple, blocks: list, fold: "list | None") -> None:
+        self.over, self.blocks, self.fold = over, blocks, fold
+
+
+#: The live splits by ``(app, id(partition), id(source))``; an entry
+#: goes when the last spec holding its split goes.
+_SPLITS: "weakref.WeakValueDictionary[tuple, _Split]" = weakref.WeakValueDictionary()
+#: The split each live spec holds: what keeps an entry of ``_SPLITS``
+#: alive.  Beside the spec, not on it, so a spec pickles as it did
+#: before splits were shared and no split travels to a pool worker.
+_HELD: "weakref.WeakKeyDictionary[NodeBlockSpec, _Split]" = weakref.WeakKeyDictionary()
+
+
+def _read_only(arrays) -> None:
+    """Mark each array, and every array it is a view of, read-only."""
+    for a in arrays:
+        while isinstance(a, np.ndarray):
+            a.flags.writeable = False
+            a = a.base
+
+
+def shared_split(spec: "NodeBlockSpec", app: str, source: object,
+                 edges: "Callable[[], tuple]", *,
+                 into_target: "bool | None" = None) -> "tuple[list, list | None]":
+    """``(_blocks, _fold)`` for ``spec``: the :func:`split_edges` of
+    ``edges()`` over ``spec.partition`` and, when ``into_target`` is set
+    (a sum app), its :func:`sum_fold_matrices`, else ``None``.
+
+    The one place a node-block spec's split is built.  Specs over the
+    same partition with the same ``app`` and edge ``source`` (the graph,
+    or Jacobi's system) share one: ``edges`` is called only when no live
+    spec holds it.  The split is held weakly, so it goes with the last
+    spec that holds it.  Its arrays are read-only, the partition's own
+    ``nodes`` excepted; ``docs/local_loop.md``, "Who owns the edge
+    split"."""
+    partition = spec.partition
+    key = (app, id(partition), id(source))
+    split = _SPLITS.get(key)
+    if split is None:
+        blocks = split_edges(*edges(), partition)
+        fold = (None if into_target is None else
+                sum_fold_matrices(blocks, into_target=into_target))
+        _read_only(a for b in blocks for a in b[2:])
+        _read_only(a for m in fold or () for a in (m.data, m.indices, m.indptr))
+        split = _SPLITS[key] = _Split((partition, source), blocks, fold)
+    _HELD[spec] = split
+    return split.blocks, split.fold
+
+
 class NodeBlockSpec(BlockSpec):
     """PageRank, SSSP, components and Jacobi: part ``p`` owns the node
     slice ``_blocks[p].nodes`` of a flat state vector, and its local
@@ -96,10 +154,10 @@ class NodeBlockSpec(BlockSpec):
     combine.  ``local_agg`` decides what differs: a ``"sum"`` app
     rewrites its whole slice each round, a ``"min"`` app lowers entries.
 
-    A subclass sets ``partition``, ``_blocks`` (one ``EdgeBlock`` per
-    part) and ``local_agg`` (and a ``"sum"`` app a ``tol`` and
-    ``_fold``), and writes ``init_state``, :meth:`frozen_columns` and
-    :meth:`block_step`.
+    A subclass sets ``partition``, ``local_agg``, ``_blocks`` (one
+    ``EdgeBlock`` per part) and, for a ``"sum"`` app, a ``tol`` and
+    ``_fold``, the last two from :func:`shared_split`, and writes
+    ``init_state``, :meth:`frozen_columns` and :meth:`block_step`.
 
     A part's solve reads the state at its own rows and at
     :meth:`read_rows`, nowhere else: :meth:`frozen_columns` is handed

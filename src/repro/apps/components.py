@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps._nodeblock import NodeBlockSpec
+from repro.apps._nodeblock import NodeBlockSpec, shared_split
 from repro.cluster import SimCluster
 from repro.core import BlockBackend, DriverConfig, IterationLoop, IterativeResult
 from repro.core.localmr import scatter_fold
-from repro.graph import DiGraph, Partition, split_edges
+from repro.graph import DiGraph, Partition
 
 __all__ = [
     "ComponentsBlockSpec",
@@ -60,9 +60,12 @@ class ComponentsBlockSpec(NodeBlockSpec):
     def __init__(self, graph: DiGraph, partition: Partition) -> None:
         self.graph = graph
         self.partition = partition
-        ptr, nbr, w = graph.undirected_csr()
-        src = np.repeat(np.arange(graph.num_nodes), np.diff(ptr))
-        self._blocks = split_edges(src, nbr, w, partition)
+
+        def edges() -> tuple:
+            ptr, nbr, w = graph.undirected_csr()
+            return np.repeat(np.arange(graph.num_nodes), np.diff(ptr)), nbr, w
+
+        self._blocks, _ = shared_split(self, "components", graph, edges)
 
     def init_state(self) -> np.ndarray:
         """Every node starts labelled with its own id."""

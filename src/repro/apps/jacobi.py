@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps._nodeblock import NodeBlockSpec, csr_fold, sum_fold_matrices
+from repro.apps._nodeblock import NodeBlockSpec, csr_fold, shared_split
 from repro.cluster import SimCluster
 from repro.core import (
     DriverConfig,
@@ -33,7 +33,7 @@ from repro.core import (
     IterativeResult,
     resolve_block_backend,
 )
-from repro.graph import Partition, split_edges
+from repro.graph import Partition
 
 __all__ = ["SparseSystem", "JacobiBlockSpec", "JacobiResult", "jacobi_solve",
            "make_diagonally_dominant_system"]
@@ -171,11 +171,11 @@ class JacobiBlockSpec(NodeBlockSpec):
         self.partition = partition
         self.tol = tol
         # The row owns the entry: a part's couplings to remote unknowns
-        # are its outgoing cut edges.
-        self._blocks = split_edges(system.rows, system.cols, system.vals,
-                                   partition)
-        # R_int x: rows are the entries' own (source) rows
-        self._fold = sum_fold_matrices(self._blocks, into_target=False)
+        # are its outgoing cut edges.  R_int x: rows are the entries' own
+        # (source) rows.
+        self._blocks, self._fold = shared_split(
+            self, "jacobi", system,
+            lambda: (system.rows, system.cols, system.vals), into_target=False)
 
     def init_state(self) -> np.ndarray:
         return np.zeros(self.system.n, dtype=np.float64)

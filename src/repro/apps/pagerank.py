@@ -34,7 +34,7 @@ from repro.apps._nodeblock import (
     NodeBlockSpec,
     NodeRowState,
     csr_fold,
-    sum_fold_matrices,
+    shared_split,
 )
 from repro.cluster import SimCluster
 from repro.core import (
@@ -45,7 +45,7 @@ from repro.core import (
     IterativeResult,
     resolve_block_backend,
 )
-from repro.graph import DiGraph, Partition, split_edges
+from repro.graph import DiGraph, Partition
 
 __all__ = [
     "PageRankBlockSpec",
@@ -104,11 +104,12 @@ class PageRankBlockSpec(NodeBlockSpec):
         # outlinks only for actual source nodes); avoid div-by-zero.
         self.inv_outdeg = np.where(outdeg > 0, 1.0 / np.maximum(outdeg, 1), 0.0)
         # Eq. 1 is a mat-vec whose edge weight is 1/outdeg[src]: split
-        # that with the edges once, here, so it ships with the spec.
+        # that with the edges once, so it ships with the spec.
+        # contrib[dst] = sum of rank[src] * w: rows are the target rows.
         src, dst, _ = graph.edge_arrays()
-        self._blocks = split_edges(src, dst, self.inv_outdeg[src], partition)
-        # contrib[dst] = sum of rank[src] * w: rows are the target rows
-        self._fold = sum_fold_matrices(self._blocks, into_target=True)
+        self._blocks, self._fold = shared_split(
+            self, "pagerank", graph, lambda: (src, dst, self.inv_outdeg[src]),
+            into_target=True)
 
     def init_state(self) -> np.ndarray:
         """All nodes start with PageRank 1 (§V-B)."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps._nodeblock import NodeBlockSpec, NodeRowState
+from repro.apps._nodeblock import NodeBlockSpec, NodeRowState, shared_split
 from repro.cluster import SimCluster
 from repro.core import (
     AdaptiveSyncPolicy,
@@ -38,7 +38,7 @@ from repro.core import (
     resolve_block_backend,
 )
 from repro.core.localmr import scatter_fold
-from repro.graph import DiGraph, Partition, edge_blocks
+from repro.graph import DiGraph, Partition
 
 __all__ = [
     "SsspBlockSpec",
@@ -87,7 +87,7 @@ class SsspBlockSpec(NodeBlockSpec):
         self.graph = graph
         self.partition = partition
         self.source = source
-        self._blocks = edge_blocks(graph, partition)  # ships with the spec
+        self._blocks, _ = shared_split(self, "sssp", graph, graph.edge_arrays)
 
     def init_state(self) -> np.ndarray:
         """Source at distance 0, everything else unreached (inf), §V-C."""

@@ -288,22 +288,26 @@ class OnlineStateStore(StateStore):
     def _load(self, partition_bytes: Sequence[float], *,
               note: bool) -> "dict[int, float]":
         """Bytes per touched tablet of one partition byte vector, summed
-        in partition order, in one pass that also checks the vector
-        and, with ``note``, folds it into the load profile."""
+        in partition order, in one pass that also checks the vector;
+        with ``note``, a vector that passed is then folded into the load
+        profile, so a rejected one leaves the profile as it was."""
         P = len(partition_bytes)
         routes = self._routes(P)
-        profile = self._profile_of(P) if note and P else None
         load: "dict[int, float]" = {}
+        touched: "list[tuple[int, float]]" = []
         for p, b in enumerate(partition_bytes):
             if b <= 0:
                 if b < 0:
                     raise ValueError("partition byte counts must be >= 0")
                 continue
             b = float(b)
-            if profile is not None:
-                profile[p] = profile.get(p, 0.0) + b
+            touched.append((p, b))
             for t, factor in routes[p]:
                 load[t] = load.get(t, 0.0) + b * factor
+        if note and P:
+            profile = self._profile_of(P)
+            for p, b in touched:
+                profile[p] = profile.get(p, 0.0) + b
         return load
 
     def imbalance(self) -> float:

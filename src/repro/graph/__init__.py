@@ -33,7 +33,6 @@ from repro.graph.partition import (
     Partition,
     bfs_partition,
     chunk_partition,
-    edge_blocks,
     hash_partition,
     join_blocks,
     multilevel_partition,
@@ -57,7 +56,6 @@ __all__ = [
     "Partition",
     "EdgeBlock",
     "split_edges",
-    "edge_blocks",
     "join_blocks",
     "partition_graph",
     "multilevel_partition",

@@ -37,7 +37,6 @@ __all__ = [
     "Partition",
     "EdgeBlock",
     "split_edges",
-    "edge_blocks",
     "join_blocks",
     "hash_partition",
     "random_partition",
@@ -296,12 +295,6 @@ def _end_to_end(cols: "list[np.ndarray]") -> np.ndarray:
         at += col.nbytes
     start = (cols[0].ctypes.data - base.ctypes.data) // base.itemsize
     return base[start: start + sum(len(c) for c in cols)]
-
-
-def edge_blocks(graph: DiGraph, partition: Partition) -> "list[EdgeBlock]":
-    """:func:`split_edges` of ``graph``'s edges — ``graph`` may be a
-    weighted twin of ``partition.graph`` (same nodes, other weights)."""
-    return split_edges(*graph.edge_arrays(), partition)
 
 
 # ----------------------------------------------------------------------

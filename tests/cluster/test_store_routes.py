@@ -2,8 +2,9 @@
 
 ``consume``, ``publish`` and the round trip walk one ``(tablet, factor)``
 route per partition, cached until the tablet map changes, in one pass
-that also checks the vector and folds it into the load profile, instead
-of locating each partition's key range with two bisects on every call.
+that also checks the vector (a vector that passes is then folded into
+the load profile), instead of locating each partition's key range with
+two bisects on every call.
 The reference below is the uncached formula they replaced; across splits
 and merges every charge, every tablet's bytes and every split point must
 equal it to the bit.
@@ -142,3 +143,20 @@ def test_negative_bytes_are_rejected():
         store.consume([1.0, -1.0])
     with pytest.raises(ValueError):
         tablet_load(store, [-2.0])
+
+
+@pytest.mark.parametrize("charge", ["round_trip", "consume"])
+@pytest.mark.parametrize("before", [[], [5.0, 7.0], [3.0, 0.0, 4.0]])
+def test_a_rejected_vector_leaves_the_profile_as_it_was(charge, before):
+    """The vector is checked before any of it is folded in: a negative
+    entry after a positive one leaves the profile (and its partition
+    count) untouched, even when the rejected vector has another shape."""
+    store = OnlineStateStore(2)
+    if before:
+        store.consume(before)
+    profile, parts = dict(store._profile), store._profile_parts
+    kwargs = {"cost_model": EC2_DEFAULTS} if charge == "round_trip" else {}
+    with pytest.raises(ValueError, match=">= 0"):
+        getattr(store, charge)([100.0, -1.0], **kwargs)
+    assert store._profile == profile
+    assert store._profile_parts == parts

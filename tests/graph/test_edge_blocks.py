@@ -1,5 +1,5 @@
-"""``repro.graph.split_edges`` / ``edge_blocks`` against the per-part
-builders they replaced.
+"""``repro.graph.split_edges`` against the per-part builders it
+replaced.
 
 ``_PartitionCSR`` and ``_PartitionEdges`` below are the builders the
 block specs used to carry (``apps/pagerank.py`` / ``apps/sssp.py``),
@@ -17,12 +17,11 @@ import tracemalloc
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.apps import PageRankBlockSpec
+from repro.apps import PageRankBlockSpec, SsspBlockSpec
 from repro.graph import (
     DiGraph,
     EdgeBlock,
     Partition,
-    edge_blocks,
     hash_partition,
     split_edges,
 )
@@ -144,7 +143,7 @@ class TestAgainstTheDeletedBuilders:
         n, src, dst, w, k, assign = case
         g = DiGraph(n, src, dst, w)
         part = Partition(g, np.array(assign, dtype=np.int64), k)
-        assert_blocks_match_oracle(g, part, edge_blocks(g, part))
+        assert_blocks_match_oracle(g, part, split_edges(*g.edge_arrays(), part))
 
     @settings(deadline=None, max_examples=60)
     @given(partitioned_digraphs())
@@ -158,20 +157,20 @@ class TestAgainstTheDeletedBuilders:
         # a distinct weight per edge position, so a reordering shows
         twin = plain.with_weights(np.arange(1.0, len(src) + 1.0))
         assert twin is not part.graph
-        assert_blocks_match_oracle(twin, part, edge_blocks(twin, part))
+        assert_blocks_match_oracle(twin, part, split_edges(*twin.edge_arrays(), part))
 
     def test_fixture_graph(self, small_graph, weighted_graph, small_partition):
         assert_blocks_match_oracle(small_graph, small_partition,
-                                   edge_blocks(small_graph, small_partition))
+                                   split_edges(*small_graph.edge_arrays(), small_partition))
         assert_blocks_match_oracle(weighted_graph, small_partition,
-                                   edge_blocks(weighted_graph, small_partition))
+                                   split_edges(*weighted_graph.edge_arrays(), small_partition))
         part = hash_partition(small_graph, 37)
         assert_blocks_match_oracle(small_graph, part,
-                                   edge_blocks(small_graph, part))
+                                   split_edges(*small_graph.edge_arrays(), part))
 
     def test_no_edges_and_k_beyond_n(self):
         g = DiGraph(3, [], [])
-        blocks = edge_blocks(g, Partition(g, np.array([0, 4, 4]), 6))
+        blocks = split_edges(*g.edge_arrays(), Partition(g, np.array([0, 4, 4]), 6))
         assert [b.node_list for b in blocks] == [[0], [], [], [], [1, 2], []]
         for b in blocks:
             for arr in b[2:]:
@@ -180,9 +179,9 @@ class TestAgainstTheDeletedBuilders:
 
 
 class TestArrayLevelEntry:
-    def test_edge_blocks_is_split_edges_of_the_edge_arrays(
+    def test_sssp_spec_splits_the_edge_arrays(
             self, weighted_graph, weighted_partition):
-        a = edge_blocks(weighted_graph, weighted_partition)
+        a = SsspBlockSpec(weighted_graph, weighted_partition)._blocks
         b = split_edges(*weighted_graph.edge_arrays(), weighted_partition)
         for x, y in zip(a, b, strict=True):
             for u, v in zip(x, y, strict=True):
@@ -215,7 +214,7 @@ class TestArrayLevelEntry:
         rng = np.random.default_rng(1)
         g = DiGraph(n, rng.integers(0, n, 3 * n), rng.integers(0, n, 3 * n))
         part = Partition(g, rng.permutation(n), n)
-        blocks = edge_blocks(g, part)
+        blocks = split_edges(*g.edge_arrays(), part)
         src, dst, _ = g.edge_arrays()
         assert sum(len(b.int_src) for b in blocks) == int((src == dst).sum())
         assert sum(len(b.cut_src) for b in blocks) == int((src != dst).sum())
