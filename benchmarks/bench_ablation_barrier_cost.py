@@ -11,7 +11,7 @@ synchronization cost.
 
 from __future__ import annotations
 
-from repro.apps import pagerank
+from repro.apps import pagerank_spec
 from repro.bench import get_graph, get_partition, graph_scale
 from repro.cluster import EC2_DEFAULTS, SimCluster, ec2_nodes, scaled_model
 from repro.util import ascii_table
@@ -28,10 +28,10 @@ def test_ablation_barrier_cost_sensitivity(once):
         out = []
         for s in SCALES:
             cm = scaled_model(EC2_DEFAULTS, overhead_scale=s)
-            gen = pagerank(g, part, mode="general",
-                           cluster=SimCluster(ec2_nodes(), cm))
-            eag = pagerank(g, part, mode="eager",
-                           cluster=SimCluster(ec2_nodes(), cm))
+            gen = pagerank_spec(g, part, mode="general").run(
+                SimCluster(ec2_nodes(), cm))
+            eag = pagerank_spec(g, part, mode="eager").run(
+                SimCluster(ec2_nodes(), cm))
             out.append((s, gen.sim_time, eag.sim_time,
                         gen.sim_time / eag.sim_time))
         return out

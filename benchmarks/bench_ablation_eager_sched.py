@@ -12,7 +12,7 @@ the important effect of smoothing load imbalances" (§I).
 
 from __future__ import annotations
 
-from repro.apps import pagerank
+from repro.apps import pagerank_spec
 from repro.bench import get_graph, get_partition, graph_scale, make_cluster
 from repro.core import DriverConfig
 from repro.util import ascii_table
@@ -28,7 +28,7 @@ def test_ablation_eager_scheduling(once):
         out = {}
         for eager_sched in (True, False):
             cfg = DriverConfig(mode="eager", eager_schedule=eager_sched)
-            res = pagerank(g, part, config=cfg, cluster=make_cluster())
+            res = pagerank_spec(g, part, config=cfg).run(make_cluster())
             out[eager_sched] = (res.global_iters, res.sim_time)
         return out
 

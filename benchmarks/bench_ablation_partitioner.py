@@ -11,7 +11,7 @@ count and shows the iteration/time gap.
 
 from __future__ import annotations
 
-from repro.apps import pagerank
+from repro.apps import pagerank_spec
 from repro.bench import get_graph, graph_scale, make_cluster
 from repro.graph import partition_graph
 from repro.util import ascii_table
@@ -28,7 +28,7 @@ def test_ablation_partitioner_quality(once):
         out = {}
         for method in METHODS:
             part = partition_graph(g, k, method=method, seed=0)
-            res = pagerank(g, part, mode="eager", cluster=make_cluster())
+            res = pagerank_spec(g, part, mode="eager").run(make_cluster())
             out[method] = (part.cut_fraction(), res.global_iters, res.sim_time)
         return out
 

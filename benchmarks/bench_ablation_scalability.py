@@ -15,7 +15,7 @@ for the same work).
 
 from __future__ import annotations
 
-from repro.apps import pagerank
+from repro.apps import pagerank_spec
 from repro.bench import get_graph, get_partition, graph_scale
 from repro.cluster import EC2_DEFAULTS, SimCluster, ec2_nodes
 from repro.util import ascii_table
@@ -33,10 +33,10 @@ def test_ablation_scalability(once):
     def run():
         out = {}
         for name, nodes in CONFIGS:
-            gen = pagerank(g, part, mode="general",
-                           cluster=SimCluster(ec2_nodes(nodes), EC2_DEFAULTS))
-            eag = pagerank(g, part, mode="eager",
-                           cluster=SimCluster(ec2_nodes(nodes), EC2_DEFAULTS))
+            gen = pagerank_spec(g, part, mode="general").run(
+                SimCluster(ec2_nodes(nodes), EC2_DEFAULTS))
+            eag = pagerank_spec(g, part, mode="eager").run(
+                SimCluster(ec2_nodes(nodes), EC2_DEFAULTS))
             out[name] = (gen.sim_time, eag.sim_time)
         return out
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps import (
-    connected_components,
     components_reference,
-    jacobi_solve,
+    components_spec,
+    jacobi_spec,
     landmark_apsp,
     make_diagonally_dominant_system,
 )
@@ -39,16 +39,16 @@ def test_extension_broader_applicability(once):
     def run():
         rows = []
         # connected components
-        cc_g = connected_components(g, part, mode="general", cluster=make_cluster())
-        cc_e = connected_components(g, part, mode="eager", cluster=make_cluster())
-        assert np.array_equal(cc_e.labels, components_reference(g))
+        cc_g = components_spec(g, part, mode="general").run(make_cluster())
+        cc_e = components_spec(g, part, mode="eager").run(make_cluster())
+        assert np.array_equal(cc_e.state, components_reference(g))
         rows.append(("connected components", cc_g.global_iters, cc_e.global_iters,
                      cc_g.sim_time, cc_e.sim_time))
         # async Jacobi solver
         system = make_diagonally_dominant_system(part, seed=1)
-        ja_g = jacobi_solve(system, part, mode="general", cluster=make_cluster())
-        ja_e = jacobi_solve(system, part, mode="eager", cluster=make_cluster())
-        assert ja_e.residual_norm < 1e-4
+        ja_g = jacobi_spec(system, part, mode="general").run(make_cluster())
+        ja_e = jacobi_spec(system, part, mode="eager").run(make_cluster())
+        assert system.residual_norm(ja_e.state) < 1e-4
         rows.append(("jacobi linear solver", ja_g.global_iters, ja_e.global_iters,
                      ja_g.sim_time, ja_e.sim_time))
         # landmark APSP (2 landmarks keeps the bench quick)

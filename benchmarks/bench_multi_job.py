@@ -34,7 +34,6 @@ from conftest import record
 from repro.apps import (
     kmeans_reference,
     kmeans_spec,
-    pagerank,
     pagerank_reference,
     pagerank_spec,
     sse,
@@ -135,7 +134,8 @@ def test_multi_job_fifo_vs_fair(once):
     # k-means' SSE within KMEANS_SSE_RATIO of serial Lloyd's.
     k, g, part, gw, _, pts = _inputs()
     ranks = pagerank_reference(g, tol=1e-13)
-    solo = np.abs(pagerank(g, part, mode="general").ranks - ranks).max()
+    solo = np.abs(pagerank_spec(g, part, mode="general").run().state
+                  - ranks).max()
     dist = sssp_reference(gw)
     lloyd = sse(pts, kmeans_reference(pts, 8, seed=0))
     answers = {}

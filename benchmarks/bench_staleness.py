@@ -34,9 +34,12 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import record
-from repro.apps import jacobi_solve, make_diagonally_dominant_system
-from repro.apps.pagerank import pagerank
-from repro.apps.sssp import sssp
+from repro.apps import (
+    jacobi_spec,
+    make_diagonally_dominant_system,
+    pagerank_spec,
+    sssp_spec,
+)
 from repro.bench import get_graph, get_partition, graph_scale, make_cluster
 from repro.cluster import OnlineStateStore
 from repro.core import DriverConfig
@@ -74,18 +77,17 @@ def test_staleness_sweep(once):
     def run():
         out = {}
         for bound in BOUNDS:
-            pr = pagerank(g, part, backend="async", staleness=bound,
-                          cluster=make_cluster(), config=_config())
-            ss = sssp(gw, part_w, backend="async", staleness=bound,
-                      cluster=make_cluster(), config=_config())
-            ja = jacobi_solve(system, part, backend="async", staleness=bound,
-                              cluster=make_cluster(), config=_config())
+            pr = pagerank_spec(g, part, backend="async", staleness=bound,
+                               config=_config()).run(make_cluster())
+            ss = sssp_spec(gw, part_w, backend="async", staleness=bound,
+                           config=_config()).run(make_cluster())
+            ja = jacobi_spec(system, part, backend="async", staleness=bound,
+                             config=_config()).run(make_cluster())
             out[bound] = {
-                "pagerank": (pr.result.global_iters, pr.result.sim_time,
-                             pr.ranks),
-                "sssp": (ss.result.global_iters, ss.result.sim_time),
+                "pagerank": (pr.global_iters, pr.sim_time, pr.state),
+                "sssp": (ss.global_iters, ss.sim_time),
                 "jacobi": (ja.global_iters, ja.sim_time,
-                           ja.residual_norm),
+                           system.residual_norm(ja.state)),
             }
         return out
 

@@ -35,7 +35,7 @@ from dataclasses import replace
 import numpy as np
 
 from conftest import record
-from repro.apps.pagerank import pagerank, pagerank_reference
+from repro.apps.pagerank import pagerank_reference, pagerank_spec
 from repro.bench import get_graph, get_partition, graph_scale
 from repro.cluster import (
     DFSStateStore,
@@ -100,31 +100,30 @@ def test_speculation_kills_the_straggler_tail(once):
     part = get_partition("A", scale, max(2, int(round(100 * scale))))
 
     def run():
-        uniform = pagerank(g, part, cluster=_cluster(),
-                           config=_config(False))
-        plain = pagerank(g, part, cluster=_cluster(STRAGGLERS),
-                         config=_config(False))
-        spec = pagerank(g, part, cluster=_cluster(STRAGGLERS),
-                        config=_config(True))
+        uniform = pagerank_spec(g, part, config=_config(False)).run(_cluster())
+        plain = pagerank_spec(g, part,
+                              config=_config(False)).run(_cluster(STRAGGLERS))
+        spec = pagerank_spec(g, part,
+                             config=_config(True)).run(_cluster(STRAGGLERS))
         return uniform, plain, spec
 
     uniform, plain, spec = once(run)
     ranks = pagerank_reference(g, tol=1e-13)     # the true fixed point
-    failure_free = np.abs(uniform.ranks - ranks).max()
+    failure_free = np.abs(uniform.state - ranks).max()
 
     rows = []
     out = {}
     for label, res in (("uniform", uniform), ("straggler", plain),
                        ("straggler+speculation", spec)):
         out[f"{label}_answer_ok"] = float(
-            np.abs(res.ranks - ranks).max() <= 2 * failure_free)
-        p50, p99 = _percentiles(res.result.history)
-        backups = sum(r.backups for r in res.result.history)
-        won = sum(r.backups_won for r in res.result.history)
-        wasted = sum(r.wasted_seconds for r in res.result.history)
-        rows.append([label, f"{res.result.sim_time:.1f}", f"{p50:.2f}",
+            np.abs(res.state - ranks).max() <= 2 * failure_free)
+        p50, p99 = _percentiles(res.history)
+        backups = sum(r.backups for r in res.history)
+        won = sum(r.backups_won for r in res.history)
+        wasted = sum(r.wasted_seconds for r in res.history)
+        rows.append([label, f"{res.sim_time:.1f}", f"{p50:.2f}",
                      f"{p99:.2f}", backups, won, f"{wasted:.1f}"])
-        out.update({f"{label}_makespan_s": res.result.sim_time,
+        out.update({f"{label}_makespan_s": res.sim_time,
                     f"{label}_round_p50_s": p50,
                     f"{label}_round_p99_s": p99,
                     f"{label}_backups": backups,
@@ -133,7 +132,7 @@ def test_speculation_kills_the_straggler_tail(once):
     print(ascii_table(
         ["config", "makespan (s)", "round p50", "round p99",
          "backups", "won", "wasted (s)"], rows))
-    gain = 1.0 - spec.result.sim_time / plain.result.sim_time
+    gain = 1.0 - spec.sim_time / plain.sim_time
     out["speculation_gain"] = gain
     print(f"speculation gain: {gain:.1%} "
           f"(gate: >= {MIN_SPECULATION_GAIN:.0%})")
@@ -142,16 +141,15 @@ def test_speculation_kills_the_straggler_tail(once):
     assert all(out[f"{label}_answer_ok"] == 1.0 for label in
                ("uniform", "straggler", "straggler+speculation")), out
     # Gate 1a: strict improvement under injected stragglers.
-    assert spec.result.sim_time < plain.result.sim_time
+    assert spec.sim_time < plain.sim_time
     # Gate 1b: the acceptance bar — one node 4x slow, >= 25% off.
     assert gain >= MIN_SPECULATION_GAIN
     # Gate 1c: time changed, values did not.
-    assert np.array_equal(plain.ranks, spec.ranks)
-    assert sum(r.backups_won for r in spec.result.history) >= 1
+    assert np.array_equal(plain.state, spec.state)
+    assert sum(r.backups_won for r in spec.history) >= 1
     # Speculation on the healthy cluster must not regress it.
-    healthy_spec = pagerank(g, part, cluster=_cluster(),
-                            config=_config(True))
-    assert healthy_spec.result.sim_time <= uniform.result.sim_time * 1.01
+    healthy_spec = pagerank_spec(g, part, config=_config(True)).run(_cluster())
+    assert healthy_spec.sim_time <= uniform.sim_time * 1.01
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ Run:  python examples/census_clustering.py
 
 from __future__ import annotations
 
-from repro.apps import kmeans, sse
+from repro.apps import kmeans_spec, sse
 from repro.cluster import SimCluster
 from repro.data import census_sample
 from repro.util import ascii_table
@@ -30,16 +30,16 @@ def main() -> None:
 
     rows = []
     for thr in THRESHOLDS:
-        gen = kmeans(points, CLUSTERS, mode="general", threshold=thr,
-                     num_partitions=PARTITIONS, cluster=SimCluster(), seed=3)
-        eag = kmeans(points, CLUSTERS, mode="eager", threshold=thr,
-                     num_partitions=PARTITIONS, cluster=SimCluster(), seed=3)
+        gen = kmeans_spec(points, CLUSTERS, mode="general", threshold=thr,
+                          num_partitions=PARTITIONS, seed=3).run(SimCluster())
+        eag = kmeans_spec(points, CLUSTERS, mode="eager", threshold=thr,
+                          num_partitions=PARTITIONS, seed=3).run(SimCluster())
         rows.append([
             thr,
             gen.global_iters, eag.global_iters,
             f"{gen.sim_time:,.0f}", f"{eag.sim_time:,.0f}",
-            f"{sse(points, gen.centroids):,.0f}",
-            f"{sse(points, eag.centroids):,.0f}",
+            f"{sse(points, gen.state):,.0f}",
+            f"{sse(points, eag.state):,.0f}",
         ])
     print(ascii_table(
         ["threshold", "general iters", "eager iters",

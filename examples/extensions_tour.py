@@ -235,7 +235,7 @@ def main() -> None:
     # contracts under the barrier but oscillates divergently under pure
     # chaos — the DivergenceDetector notices the non-contracting
     # residual window and tightens the bound back to 0.
-    from repro.apps.jacobi import SparseSystem, jacobi_solve
+    from repro.apps.jacobi import SparseSystem, jacobi_spec
     from repro.graph import DiGraph, Partition
 
     m = 0.55 * np.array([[0.0, 1.0, -1.0],
@@ -246,11 +246,11 @@ def main() -> None:
                           diag=np.ones(3), b=np.array([1.0, -0.5, 0.25]))
     tri = Partition(graph=DiGraph(3, r, c), assign=np.arange(3), k=3)
     detector = DivergenceDetector()
-    rescued = jacobi_solve(system, tri, tol=1e-6, staleness=None,
-                           phase=(0.0, 0.34, 0.67), detector=detector,
-                           require_dominant=False,
-                           config=DriverConfig(mode="eager",
-                                               max_global_iters=800))
+    rescued = jacobi_spec(system, tri, tol=1e-6, staleness=None,
+                          phase=(0.0, 0.34, 0.67), detector=detector,
+                          require_dominant=False,
+                          config=DriverConfig(mode="eager",
+                                              max_global_iters=800)).run()
     trace = " -> ".join(
         f"{'None' if old is None else old}@{it}" for it, old, _ in
         detector.events) + " -> 0"
@@ -259,7 +259,7 @@ def main() -> None:
           "system "
           f"{'converged' if rescued.converged else 'failed'} in "
           f"{rescued.global_iters} iters after tightening "
-          f"{trace} (residual {rescued.residual_norm:.1e}).")
+          f"{trace} (residual {system.residual_norm(rescued.state):.1e}).")
 
 
 if __name__ == "__main__":

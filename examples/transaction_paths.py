@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps import sssp, sssp_reference
+from repro.apps import sssp_reference, sssp_spec
 from repro.cluster import SimCluster
 from repro.graph import (
     attach_random_weights,
@@ -46,20 +46,20 @@ def main() -> None:
     rows = []
     results = {}
     for mode in ("general", "eager"):
-        res = sssp(graph, partition, source=CLEARING_HOUSE, mode=mode,
-                   cluster=SimCluster())
+        res = sssp_spec(graph, partition, source=CLEARING_HOUSE,
+                        mode=mode).run(SimCluster())
         results[mode] = res
-        reached = int(np.isfinite(res.distances).sum())
+        reached = int(np.isfinite(res.state).sum())
         rows.append([mode, res.global_iters, f"{res.sim_time:,.0f}", reached])
     print(ascii_table(
         ["mode", "global iterations", "simulated time (s)", "accounts reached"],
         rows, title="Single-source settlement latency (cf. Figs 6-7)"))
 
     exact = sssp_reference(graph, source=CLEARING_HOUSE)
-    assert np.allclose(results["eager"].distances, exact)
-    assert np.allclose(results["general"].distances, exact)
+    assert np.allclose(results["eager"].state, exact)
+    assert np.allclose(results["general"].state, exact)
 
-    finite = results["eager"].distances[np.isfinite(results["eager"].distances)]
+    finite = results["eager"].state[np.isfinite(results["eager"].state)]
     print(f"\nBoth modes match Dijkstra exactly.  Median settlement latency: "
           f"{np.median(finite):.1f}h; worst reachable account: {finite.max():.1f}h; "
           f"speedup {results['general'].sim_time / results['eager'].sim_time:.1f}x.")

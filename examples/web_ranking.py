@@ -12,7 +12,7 @@ Run:  python examples/web_ranking.py
 
 from __future__ import annotations
 
-from repro.apps import pagerank
+from repro.apps import pagerank_spec
 from repro.cluster import SimCluster
 from repro.graph import make_paper_graph, multilevel_partition, partition_quality
 from repro.util import ascii_table
@@ -28,8 +28,8 @@ def sweep(which: str) -> None:
     for k in PARTITIONS:
         part = multilevel_partition(graph, k, seed=0)
         q = partition_quality(part)
-        gen = pagerank(graph, part, mode="general", cluster=SimCluster())
-        eag = pagerank(graph, part, mode="eager", cluster=SimCluster())
+        gen = pagerank_spec(graph, part, mode="general").run(SimCluster())
+        eag = pagerank_spec(graph, part, mode="eager").run(SimCluster())
         rows.append([
             k, f"{q.cut_fraction:.3f}",
             gen.global_iters, eag.global_iters,

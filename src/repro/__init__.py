@@ -34,8 +34,9 @@ Subpackages
     fitting.
 ``repro.apps``
     PageRank, SSSP, K-Means (General + Eager), connected components,
-    wordcount — each with an immediate runner and a submittable
-    ``*_spec`` factory.
+    Jacobi, wordcount — each iterative app described once, by a
+    ``*_spec`` factory whose :class:`~repro.core.session.JobSpec` runs
+    alone (``.run(cluster)``) or in a :class:`~repro.core.Session`.
 ``repro.data``
     Synthetic census stand-in (the K-Means input).
 ``repro.bench``
@@ -56,8 +57,9 @@ Quickstart
 >>> eager.result.global_iters < general.result.global_iters
 True
 
-(The one-shot runners — ``pagerank(g, part, mode="eager",
-cluster=SimCluster())`` et al. — remain for single-job use.)
+One job alone runs the same description:
+``pagerank_spec(g, part).run(SimCluster())`` returns its
+:class:`~repro.core.loop.IterativeResult`.
 """
 
 __version__ = "1.0.0"

@@ -13,35 +13,32 @@
   "All-Pairs Shortest Path has a related structure").
 * :mod:`~repro.apps.wordcount` — engine sanity application.
 
-Each iterative app has two entry points: the classic immediate runner
-(:func:`pagerank`, :func:`sssp`, ...) and a ``*_spec`` factory
+Each iterative app is described once, by its ``*_spec`` factory
 (:func:`pagerank_spec`, :func:`sssp_spec`, :func:`kmeans_spec`,
-:func:`components_spec`) that produces a submittable
-:class:`~repro.core.session.JobSpec` for the multi-job
-:class:`~repro.core.session.Session` API — apps describe work, the
-session schedules it.
+:func:`components_spec`, :func:`jacobi_spec`): a
+:class:`~repro.core.session.JobSpec` that runs alone with
+``.run(cluster)`` or together with other jobs in a
+:class:`~repro.core.session.Session` — apps describe work, the
+framework runs it.  The result is the loop's
+:class:`~repro.core.loop.IterativeResult`; its ``state`` is the ranks,
+distances, centroids, labels or solution.
 """
 
 from repro.apps.apsp import LandmarkApspResult, landmark_apsp
 from repro.apps.components import (
     ComponentsBlockSpec,
-    ComponentsResult,
     components_reference,
     components_spec,
-    connected_components,
 )
 from repro.apps.jacobi import (
     JacobiBlockSpec,
-    JacobiResult,
     SparseSystem,
-    jacobi_solve,
+    jacobi_spec,
     make_diagonally_dominant_system,
 )
 from repro.apps.kmeans import (
     KMeansBlockSpec,
-    KMeansResult,
     assign_points,
-    kmeans,
     kmeans_reference,
     kmeans_spec,
     sse,
@@ -49,16 +46,12 @@ from repro.apps.kmeans import (
 from repro.apps.pagerank import (
     PageRankBlockSpec,
     PageRankKVSpec,
-    PageRankResult,
-    pagerank,
     pagerank_reference,
     pagerank_spec,
 )
 from repro.apps.sssp import (
     SsspBlockSpec,
     SsspKVSpec,
-    SsspResult,
-    sssp,
     sssp_reference,
     sssp_spec,
 )
@@ -74,31 +67,22 @@ __all__ = [
     "sssp_spec",
     "kmeans_spec",
     "components_spec",
-    "pagerank",
+    "jacobi_spec",
     "pagerank_reference",
     "PageRankBlockSpec",
     "PageRankKVSpec",
-    "PageRankResult",
-    "sssp",
     "sssp_reference",
     "SsspBlockSpec",
     "SsspKVSpec",
-    "SsspResult",
-    "kmeans",
     "kmeans_reference",
     "KMeansBlockSpec",
-    "KMeansResult",
     "assign_points",
     "sse",
-    "connected_components",
     "components_reference",
     "ComponentsBlockSpec",
-    "ComponentsResult",
     "landmark_apsp",
     "LandmarkApspResult",
-    "jacobi_solve",
     "JacobiBlockSpec",
-    "JacobiResult",
     "SparseSystem",
     "make_diagonally_dominant_system",
     "wordcount",

@@ -14,6 +14,7 @@ from scipy.sparse._sparsetools import csr_matvec
 from repro.core import BlockSpec, LocalSolveReport, run_local_block
 from repro.core.localmr import agg_identity
 from repro.graph import EdgeBlock, join_blocks, split_edges
+from repro.util import max_abs_diff
 from repro.util.radix import stable_key_order
 
 #: Bytes of one shuffled (key, value) record in our cost accounting.
@@ -347,12 +348,7 @@ class NodeBlockSpec(BlockSpec):
         on both sides (``inf == inf`` too) counting 0.  A ``"sum"`` app
         has converged below ``tol``; a ``"min"`` app only lowers
         entries, so it has converged when nothing moved."""
-        residual = 0.0
-        if len(prev):
-            with np.errstate(invalid="ignore"):  # inf - inf, masked below
-                diff = np.abs(curr - prev)
-            diff[curr == prev] = 0
-            residual = float(diff.max())
+        residual = max_abs_diff(curr, prev)
         if self.local_agg == "sum":
             return residual < self.tol, residual
         return residual == 0.0, residual

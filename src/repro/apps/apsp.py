@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.sssp import SsspBlockSpec
+from repro.apps.sssp import sssp_spec
 from repro.cluster import SimCluster
-from repro.core import BlockBackend, DriverConfig, IterationLoop
 from repro.graph import DiGraph, Partition
 from repro.util import as_rng
 
@@ -64,7 +63,6 @@ def landmark_apsp(
     rng = as_rng(seed)
     landmarks = np.sort(rng.choice(graph.num_nodes, size=num_landmarks,
                                    replace=False))
-    cfg = DriverConfig(mode=mode)
 
     rev_graph = graph.reverse()
     rev_partition = Partition(rev_graph, partition.assign, partition.k)
@@ -75,12 +73,9 @@ def landmark_apsp(
     total_time = 0.0
     all_converged = True
     for i, l in enumerate(landmarks):
-        fwd = IterationLoop(
-            BlockBackend(SsspBlockSpec(graph, partition, source=int(l)),
-                         cluster=cluster), cfg).run()
-        rev = IterationLoop(
-            BlockBackend(SsspBlockSpec(rev_graph, rev_partition, source=int(l)),
-                         cluster=cluster), cfg).run()
+        fwd = sssp_spec(graph, partition, source=int(l), mode=mode).run(cluster)
+        rev = sssp_spec(rev_graph, rev_partition, source=int(l),
+                        mode=mode).run(cluster)
         dist_from[i] = np.asarray(fwd.state)
         dist_to[i] = np.asarray(rev.state)
         total_iters += fwd.global_iters + rev.global_iters

@@ -15,35 +15,18 @@ and floor bound once per solve), on int64 labels that stay int64
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.apps._nodeblock import NodeBlockSpec, shared_split
-from repro.cluster import SimCluster
-from repro.core import BlockBackend, DriverConfig, IterationLoop, IterativeResult
+from repro.core import BlockBackend, DriverConfig
 from repro.core.localmr import scatter_fold
 from repro.graph import DiGraph, Partition
 
 __all__ = [
     "ComponentsBlockSpec",
-    "ComponentsResult",
-    "connected_components",
     "components_spec",
     "components_reference",
 ]
-
-
-@dataclass
-class ComponentsResult:
-    """Component labels plus run statistics."""
-
-    labels: np.ndarray
-    num_components: int
-    global_iters: int
-    converged: bool
-    sim_time: float
-    result: IterativeResult
 
 
 class ComponentsBlockSpec(NodeBlockSpec):
@@ -90,28 +73,6 @@ class ComponentsBlockSpec(NodeBlockSpec):
         return step
 
 
-def connected_components(
-    graph: DiGraph,
-    partition: Partition,
-    *,
-    mode: str = "eager",
-    cluster: "SimCluster | None" = None,
-) -> ComponentsResult:
-    """Weakly-connected component labels, General or Eager formulation."""
-    spec = ComponentsBlockSpec(graph, partition)
-    res = IterationLoop(BlockBackend(spec, cluster=cluster),
-                        DriverConfig(mode=mode)).run()
-    labels = np.asarray(res.state)
-    return ComponentsResult(
-        labels=labels,
-        num_components=int(len(np.unique(labels))),
-        global_iters=res.global_iters,
-        converged=res.converged,
-        sim_time=res.sim_time,
-        result=res,
-    )
-
-
 def components_spec(
     graph: DiGraph,
     partition: Partition,
@@ -119,17 +80,17 @@ def components_spec(
     mode: str = "eager",
     name: "str | None" = None,
 ) -> "JobSpec":
-    """A submittable connected-components job for
-    :meth:`~repro.core.Session.submit`; the final labels are
-    ``np.asarray(handle.result.state)``."""
+    """Weakly-connected component labels, General or Eager formulation,
+    as a :class:`~repro.core.session.JobSpec`: ``.run(cluster)`` runs it
+    alone, :meth:`~repro.core.Session.submit` schedules it with others.
+    The final labels are ``np.asarray(result.state)``."""
     from repro.core.session import JobSpec
 
     return JobSpec(
         name=name if name is not None else "components",
         config=DriverConfig(mode=mode),
-        make_backend=lambda session: BlockBackend(
-            ComponentsBlockSpec(graph, partition),
-            cluster=session.cluster),
+        make_backend=lambda cluster: BlockBackend(
+            ComponentsBlockSpec(graph, partition), cluster=cluster),
     )
 
 

@@ -26,16 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.apps._nodeblock import NodeBlockSpec, csr_fold, shared_split
-from repro.cluster import SimCluster
-from repro.core import (
-    DriverConfig,
-    IterationLoop,
-    IterativeResult,
-    resolve_block_backend,
-)
+from repro.core import DriverConfig, resolve_block_backend
 from repro.graph import Partition
 
-__all__ = ["SparseSystem", "JacobiBlockSpec", "JacobiResult", "jacobi_solve",
+__all__ = ["SparseSystem", "JacobiBlockSpec", "jacobi_spec",
            "make_diagonally_dominant_system"]
 
 
@@ -127,18 +121,6 @@ def make_diagonally_dominant_system(
                         diag=diag, b=b)
 
 
-@dataclass
-class JacobiResult:
-    """Solution plus run statistics."""
-
-    x: np.ndarray
-    global_iters: int
-    converged: bool
-    sim_time: float
-    residual_norm: float
-    result: IterativeResult
-
-
 class JacobiBlockSpec(NodeBlockSpec):
     """Block-Jacobi solver over a graph partition's sparsity structure.
 
@@ -209,36 +191,41 @@ class JacobiBlockSpec(NodeBlockSpec):
         return step
 
 
-def jacobi_solve(
+def jacobi_spec(
     system: SparseSystem,
     partition: Partition,
     *,
     mode: str = "eager",
     tol: float = 1e-8,
-    cluster: "SimCluster | None" = None,
     config: "DriverConfig | None" = None,
+    name: "str | None" = None,
     backend: str = "block",
     staleness: "int | None" = 0,
     phase=None,
     detector=None,
     require_dominant: bool = True,
-) -> JacobiResult:
-    """Solve ``A x = b`` with the General or Eager block-Jacobi scheme.
+) -> "JobSpec":
+    """Solve ``A x = b`` with the General or Eager block-Jacobi scheme,
+    as a :class:`~repro.core.session.JobSpec`: ``.run(cluster)`` runs it
+    alone, :meth:`~repro.core.Session.submit` schedules it with others.
+    The solution is ``x = np.asarray(result.state)``, and
+    ``system.residual_norm(x)`` is its residual.
 
-    ``backend="async"`` (or any nonzero ``staleness``) runs without a
-    barrier; ``phase``/``detector`` are the async timeline and safety
-    knobs (see :class:`~repro.core.AsyncBackend`).
-    ``require_dominant=False`` skips the dominance precondition — only
-    sensible for divergence studies of the chaotic path.
+    ``config`` overrides ``mode`` when given.  ``backend="async"`` (or
+    any nonzero ``staleness``) runs without a barrier;
+    ``phase``/``detector`` are the async timeline and safety knobs (see
+    :class:`~repro.core.AsyncBackend`).  ``require_dominant=False``
+    skips the dominance precondition — only sensible for divergence
+    studies of the chaotic path.
     """
-    cfg = config if config is not None else DriverConfig(mode=mode)
-    spec = JacobiBlockSpec(system, partition, tol=tol,
-                           require_dominant=require_dominant)
-    be = resolve_block_backend(spec, backend=backend, staleness=staleness,
-                               cluster=cluster, phase=phase,
-                               detector=detector)
-    res = IterationLoop(be, cfg).run()
-    x = np.asarray(res.state)
-    return JacobiResult(x=x, global_iters=res.global_iters,
-                        converged=res.converged, sim_time=res.sim_time,
-                        residual_norm=system.residual_norm(x), result=res)
+    from repro.core.session import JobSpec
+
+    return JobSpec(
+        name=name if name is not None else "jacobi",
+        config=config if config is not None else DriverConfig(mode=mode),
+        make_backend=lambda cluster: resolve_block_backend(
+            JacobiBlockSpec(system, partition, tol=tol,
+                            require_dominant=require_dominant),
+            backend=backend, staleness=staleness, cluster=cluster,
+            phase=phase, detector=detector),
+    )

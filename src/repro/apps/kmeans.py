@@ -31,27 +31,19 @@ sweep").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.cluster import SimCluster
 from repro.core import (
-    AdaptiveSyncPolicy,
     BlockBackend,
     BlockSpec,
     CentroidShiftCriterion,
     DriverConfig,
-    IterationLoop,
-    IterativeResult,
     LocalSolveReport,
 )
 from repro.util import as_rng
 
 __all__ = [
     "KMeansBlockSpec",
-    "KMeansResult",
-    "kmeans",
     "kmeans_spec",
     "kmeans_reference",
     "assign_points",
@@ -132,17 +124,6 @@ def sse(points: np.ndarray, centroids: np.ndarray) -> float:
     assignment = assign_points(points, centroids)
     diffs = points - np.asarray(centroids)[assignment]
     return float((diffs ** 2).sum())
-
-
-@dataclass
-class KMeansResult:
-    """Centroids plus run statistics."""
-
-    centroids: np.ndarray
-    global_iters: int
-    converged: bool
-    sim_time: float
-    result: IterativeResult
 
 
 class KMeansBlockSpec(BlockSpec):
@@ -343,49 +324,8 @@ class KMeansBlockSpec(BlockSpec):
 
 
 # ----------------------------------------------------------------------
-# High-level entry points
+# The job description
 # ----------------------------------------------------------------------
-
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    *,
-    mode: str = "eager",
-    num_partitions: int = 52,
-    threshold: float = 1e-3,
-    cluster: "SimCluster | None" = None,
-    config: "DriverConfig | None" = None,
-    seed: "int | np.random.Generator | None" = 0,
-    sync_policy: "AdaptiveSyncPolicy | None" = None,
-) -> KMeansResult:
-    """Cluster ``points`` into ``k`` groups, General or Eager formulation.
-
-    Eager mode repartitions the points every 5 global iterations and
-    adds the oscillation stopping condition (see
-    :class:`KMeansBlockSpec`); general mode does neither.
-    """
-    cfg = config if config is not None else DriverConfig(mode=mode)
-    spec = _kmeans_block_spec(points, k, num_partitions=num_partitions,
-                              threshold=threshold, seed=seed, cfg=cfg)
-    res = IterationLoop(BlockBackend(spec, cluster=cluster), cfg,
-                        sync_policy=sync_policy).run()
-    return KMeansResult(centroids=np.asarray(res.state),
-                        global_iters=res.global_iters,
-                        converged=res.converged, sim_time=res.sim_time,
-                        result=res)
-
-
-def _kmeans_block_spec(points, k, *, num_partitions, threshold,
-                       seed, cfg) -> KMeansBlockSpec:
-    return KMeansBlockSpec(
-        points, k,
-        num_partitions=num_partitions,
-        threshold=threshold,
-        reshuffle_every=(5 if cfg.mode == "eager" else 0),
-        oscillation_detection=(cfg.mode == "eager"),
-        seed=seed,
-    )
-
 
 def kmeans_spec(
     points: np.ndarray,
@@ -397,23 +337,30 @@ def kmeans_spec(
     seed: "int | np.random.Generator | None" = 0,
     name: "str | None" = None,
 ) -> "JobSpec":
-    """A submittable K-Means job for :meth:`~repro.core.Session.submit`.
+    """Cluster ``points`` into ``k`` groups, General or Eager
+    formulation, as a :class:`~repro.core.session.JobSpec`:
+    ``.run(cluster)`` runs it alone, :meth:`~repro.core.Session.submit`
+    schedules it with others.  The final centroids are
+    ``np.asarray(result.state)``.
 
-    Same job :func:`kmeans` runs privately (with its default driver
-    configuration for ``mode``), as a
-    :class:`~repro.core.session.JobSpec`; the final centroids are
-    ``np.asarray(handle.result.state)``.
+    Eager mode repartitions the points every 5 global iterations and
+    adds the oscillation stopping condition (see
+    :class:`KMeansBlockSpec`); general mode does neither.  Another
+    driver configuration or a sync policy is set on the returned spec's
+    ``config`` / ``sync_policy``.
     """
     from repro.core.session import JobSpec
 
-    cfg = DriverConfig(mode=mode)
+    eager = mode == "eager"
     return JobSpec(
         name=name if name is not None else "kmeans",
-        config=cfg,
-        make_backend=lambda session: BlockBackend(
-            _kmeans_block_spec(points, k, num_partitions=num_partitions,
-                               threshold=threshold, seed=seed, cfg=cfg),
-            cluster=session.cluster),
+        config=DriverConfig(mode=mode),
+        make_backend=lambda cluster: BlockBackend(
+            KMeansBlockSpec(points, k, num_partitions=num_partitions,
+                            threshold=threshold,
+                            reshuffle_every=5 if eager else 0,
+                            oscillation_detection=eager, seed=seed),
+            cluster=cluster),
     )
 
 

@@ -20,13 +20,11 @@ below 1e-5).
 benchmark sweeps); :class:`PageRankKVSpec` is that spec plus the
 record-at-a-time §IV API — lmap/lreduce/greduce — on the real engine.
 
-:func:`pagerank` is the high-level entry point; :func:`pagerank_reference`
-is an independent dense power-iteration oracle.
+:func:`pagerank_spec` describes the job; :func:`pagerank_reference` is
+an independent dense power-iteration oracle.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,13 +34,10 @@ from repro.apps._nodeblock import (
     csr_fold,
     shared_split,
 )
-from repro.cluster import SimCluster
 from repro.core import (
     AdaptiveSyncPolicy,
     AsyncMapReduceSpec,
     DriverConfig,
-    IterationLoop,
-    IterativeResult,
     resolve_block_backend,
 )
 from repro.graph import DiGraph, Partition
@@ -50,22 +45,9 @@ from repro.graph import DiGraph, Partition
 __all__ = [
     "PageRankBlockSpec",
     "PageRankKVSpec",
-    "PageRankResult",
-    "pagerank",
     "pagerank_spec",
     "pagerank_reference",
 ]
-
-
-@dataclass
-class PageRankResult:
-    """Ranks plus run statistics."""
-
-    ranks: np.ndarray
-    global_iters: int
-    converged: bool
-    sim_time: float
-    result: IterativeResult
 
 
 class PageRankBlockSpec(NodeBlockSpec):
@@ -231,57 +213,8 @@ class PageRankKVSpec(NodeRowState, PageRankBlockSpec, AsyncMapReduceSpec):
 
 
 # ----------------------------------------------------------------------
-# High-level entry points
+# The job description
 # ----------------------------------------------------------------------
-
-def pagerank(
-    graph: DiGraph,
-    partition: Partition,
-    *,
-    mode: str = "eager",
-    damping: float = 0.85,
-    tol: float = 1e-5,
-    cluster: "SimCluster | None" = None,
-    config: "DriverConfig | None" = None,
-    sync_policy: "AdaptiveSyncPolicy | None" = None,
-    backend: str = "block",
-    staleness: "int | None" = 0,
-) -> PageRankResult:
-    """Compute PageRank with the General or Eager formulation, on the
-    simulator's block path.  (An engine run is
-    ``IterationLoop(EngineBackend(PageRankKVSpec(graph, partition)),
-    config).run()``.)
-
-    Parameters
-    ----------
-    graph, partition:
-        Input graph and its locality-enhancing partition.
-    mode:
-        ``"general"`` (baseline) or ``"eager"`` (partial sync).
-    damping, tol:
-        Eq. 1's chi and the inf-norm convergence bound.
-    cluster:
-        Optional simulated cluster for time accounting.
-    config:
-        Full driver configuration; overrides ``mode`` when given.
-    sync_policy:
-        Optional :class:`~repro.core.AdaptiveSyncPolicy` retuning the
-        local-iteration budget per round.
-    backend, staleness:
-        ``backend="async"`` (or any nonzero ``staleness``) runs the
-        block path without a per-round barrier — see
-        :class:`~repro.core.AsyncBackend`.
-    """
-    cfg = config if config is not None else DriverConfig(mode=mode)
-    spec = PageRankBlockSpec(graph, partition, damping=damping, tol=tol)
-    be = resolve_block_backend(spec, backend=backend, staleness=staleness,
-                               cluster=cluster)
-    res = IterationLoop(be, cfg, sync_policy=sync_policy).run()
-    return PageRankResult(ranks=np.asarray(res.state),
-                          global_iters=res.global_iters,
-                          converged=res.converged, sim_time=res.sim_time,
-                          result=res)
-
 
 def pagerank_spec(
     graph: DiGraph,
@@ -296,13 +229,31 @@ def pagerank_spec(
     backend: str = "block",
     staleness: "int | None" = 0,
 ) -> "JobSpec":
-    """A submittable PageRank job for :meth:`~repro.core.Session.submit`.
+    """PageRank with the General or Eager formulation, on the
+    simulator's block path, as a :class:`~repro.core.session.JobSpec`:
+    ``.run(cluster)`` runs it alone, :meth:`~repro.core.Session.submit`
+    schedules it with others.  The final ranks are
+    ``np.asarray(result.state)``.  (An engine run is
+    ``IterationLoop(EngineBackend(PageRankKVSpec(graph, partition)),
+    config).run()``.)
 
-    Where :func:`pagerank` runs immediately on a private driver, this
-    describes the same (block-path) job so a multi-job
-    :class:`~repro.core.session.Session` can schedule it alongside
-    others on one shared cluster.  The final ranks are
-    ``np.asarray(handle.result.state)``.
+    Parameters
+    ----------
+    graph, partition:
+        Input graph and its locality-enhancing partition.
+    mode:
+        ``"general"`` (baseline) or ``"eager"`` (partial sync).
+    damping, tol:
+        Eq. 1's chi and the inf-norm convergence bound.
+    config:
+        Full driver configuration; overrides ``mode`` when given.
+    sync_policy:
+        Optional :class:`~repro.core.AdaptiveSyncPolicy` retuning the
+        local-iteration budget per round.
+    backend, staleness:
+        ``backend="async"`` (or any nonzero ``staleness``) runs the
+        block path without a per-round barrier — see
+        :class:`~repro.core.AsyncBackend`.
     """
     from repro.core.session import JobSpec
 
@@ -311,10 +262,9 @@ def pagerank_spec(
         name=name if name is not None else "pagerank",
         config=cfg,
         sync_policy=sync_policy,
-        make_backend=lambda session: resolve_block_backend(
+        make_backend=lambda cluster: resolve_block_backend(
             PageRankBlockSpec(graph, partition, damping=damping, tol=tol),
-            backend=backend, staleness=staleness,
-            cluster=session.cluster),
+            backend=backend, staleness=staleness, cluster=cluster),
     )
 
 

@@ -23,18 +23,14 @@ real engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.apps._nodeblock import NodeBlockSpec, NodeRowState, shared_split
-from repro.cluster import SimCluster
 from repro.core import (
     AdaptiveSyncPolicy,
     AsyncMapReduceSpec,
     DriverConfig,
-    IterationLoop,
-    IterativeResult,
     resolve_block_backend,
 )
 from repro.core.localmr import scatter_fold
@@ -43,22 +39,9 @@ from repro.graph import DiGraph, Partition
 __all__ = [
     "SsspBlockSpec",
     "SsspKVSpec",
-    "SsspResult",
-    "sssp",
     "sssp_spec",
     "sssp_reference",
 ]
-
-
-@dataclass
-class SsspResult:
-    """Distances plus run statistics."""
-
-    distances: np.ndarray
-    global_iters: int
-    converged: bool
-    sim_time: float
-    result: IterativeResult
 
 
 class SsspBlockSpec(NodeBlockSpec):
@@ -228,39 +211,8 @@ class SsspKVSpec(NodeRowState, SsspBlockSpec, AsyncMapReduceSpec):
 
 
 # ----------------------------------------------------------------------
-# High-level entry points
+# The job description
 # ----------------------------------------------------------------------
-
-def sssp(
-    graph: DiGraph,
-    partition: Partition,
-    *,
-    source: int = 0,
-    mode: str = "eager",
-    cluster: "SimCluster | None" = None,
-    config: "DriverConfig | None" = None,
-    sync_policy: "AdaptiveSyncPolicy | None" = None,
-    backend: str = "block",
-    staleness: "int | None" = 0,
-) -> SsspResult:
-    """Single-source shortest distances, General or Eager formulation,
-    on the simulator's block path.  (An engine run is
-    ``IterationLoop(EngineBackend(SsspKVSpec(graph, partition)),
-    config).run()``.)
-
-    ``backend="async"`` (or any nonzero ``staleness``) runs it without
-    a per-round barrier — see :class:`~repro.core.AsyncBackend`.
-    """
-    cfg = config if config is not None else DriverConfig(mode=mode)
-    spec = SsspBlockSpec(graph, partition, source=source)
-    be = resolve_block_backend(spec, backend=backend, staleness=staleness,
-                               cluster=cluster)
-    res = IterationLoop(be, cfg, sync_policy=sync_policy).run()
-    return SsspResult(distances=np.asarray(res.state),
-                      global_iters=res.global_iters,
-                      converged=res.converged, sim_time=res.sim_time,
-                      result=res)
-
 
 def sssp_spec(
     graph: DiGraph,
@@ -274,11 +226,17 @@ def sssp_spec(
     backend: str = "block",
     staleness: "int | None" = 0,
 ) -> "JobSpec":
-    """A submittable SSSP job for :meth:`~repro.core.Session.submit`.
+    """Single-source shortest distances, General or Eager formulation,
+    on the simulator's block path, as a
+    :class:`~repro.core.session.JobSpec`: ``.run(cluster)`` runs it
+    alone, :meth:`~repro.core.Session.submit` schedules it with others.
+    The final distances are ``np.asarray(result.state)``.  (An engine
+    run is ``IterationLoop(EngineBackend(SsspKVSpec(graph, partition)),
+    config).run()``.)
 
-    Block-path formulation of :func:`sssp` as a
-    :class:`~repro.core.session.JobSpec`; the final distances are
-    ``np.asarray(handle.result.state)``.
+    ``config`` overrides ``mode`` when given.  ``backend="async"`` (or
+    any nonzero ``staleness``) runs it without a per-round barrier — see
+    :class:`~repro.core.AsyncBackend`.
     """
     from repro.core.session import JobSpec
 
@@ -287,10 +245,9 @@ def sssp_spec(
         name=name if name is not None else "sssp",
         config=cfg,
         sync_policy=sync_policy,
-        make_backend=lambda session: resolve_block_backend(
+        make_backend=lambda cluster: resolve_block_backend(
             SsspBlockSpec(graph, partition, source=source),
-            backend=backend, staleness=staleness,
-            cluster=session.cluster),
+            backend=backend, staleness=staleness, cluster=cluster),
     )
 
 

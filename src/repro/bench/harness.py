@@ -27,13 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.apps import (
-    kmeans,
     kmeans_reference,
-    pagerank,
+    kmeans_spec,
     pagerank_reference,
+    pagerank_spec,
     sse,
-    sssp,
     sssp_reference,
+    sssp_spec,
 )
 from repro.cluster import EC2_DEFAULTS, SimCluster, ec2_nodes
 from repro.core import DriverConfig
@@ -45,7 +45,7 @@ from repro.graph import (
     make_paper_graph,
     partition_graph,
 )
-from repro.util import ascii_table, format_series
+from repro.util import ascii_table, format_series, max_abs_diff
 
 __all__ = [
     "graph_scale",
@@ -197,15 +197,6 @@ def _true_ranks(which: str, scale: float) -> np.ndarray:
     return pagerank_reference(get_graph(which, scale), tol=1e-13)
 
 
-def _max_abs_diff(got: np.ndarray, want: np.ndarray) -> float:
-    """The largest ``|got - want|``, equal entries (``inf == inf``
-    included) counting 0."""
-    with np.errstate(invalid="ignore"):  # inf - inf, masked below
-        diff = np.abs(got - want)
-    diff[got == want] = 0.0
-    return float(diff.max()) if len(diff) else 0.0
-
-
 def check_answers(result: SweepResult) -> None:
     """The harness's answer gate, run by every sweep before it returns:
     at each x, a PageRank point lies within 2x of the general run's
@@ -246,12 +237,12 @@ def pagerank_sweep(which: str, *, scale: "float | None" = None,
         part = get_partition(which, s, k, method=method)
         for mode in ("general", "eager"):
             cfg = DriverConfig(mode=mode, eager_schedule=eager_schedule)
-            res = pagerank(g, part, cluster=make_cluster(), config=cfg)
+            res = pagerank_spec(g, part, config=cfg).run(make_cluster())
             points.append(SweepPoint(
                 x=paper_k, effective_x=k, mode=mode,
                 iterations=res.global_iters, sim_time=res.sim_time,
                 converged=res.converged,
-                answer_error=_max_abs_diff(res.ranks, _true_ranks(which, s)),
+                answer_error=max_abs_diff(res.state, _true_ranks(which, s)),
                 extra={"cut_fraction": part.cut_fraction()},
             ))
     result = SweepResult(name=f"pagerank-{which}", points=points)
@@ -272,12 +263,13 @@ def sssp_sweep(*, scale: "float | None" = None, method: str = "multilevel",
             continue
         part = get_partition("A", s, k, weighted=True, method=method)
         for mode in ("general", "eager"):
-            res = sssp(g, part, source=source, mode=mode, cluster=make_cluster())
+            res = sssp_spec(g, part, source=source,
+                            mode=mode).run(make_cluster())
             points.append(SweepPoint(
                 x=paper_k, effective_x=k, mode=mode,
                 iterations=res.global_iters, sim_time=res.sim_time,
                 converged=res.converged,
-                answer_error=_max_abs_diff(res.distances, dijkstra),
+                answer_error=max_abs_diff(res.state, dijkstra),
                 extra={"cut_fraction": part.cut_fraction()},
             ))
     result = SweepResult(name="sssp-A", points=points)
@@ -305,14 +297,14 @@ def kmeans_sweep(*, rows: "int | None" = None, k: int = 8,
     for thr in PAPER_KMEANS_THRESHOLDS:
         lloyd_sse = sse(pts, kmeans_reference(pts, k, threshold=thr, seed=3))
         for mode in ("general", "eager"):
-            res = kmeans(pts, k, mode=mode, threshold=thr,
-                         num_partitions=partitions, cluster=make_cluster(),
-                         seed=3)
+            res = kmeans_spec(pts, k, mode=mode, threshold=thr,
+                              num_partitions=partitions,
+                              seed=3).run(make_cluster())
             points.append(SweepPoint(
                 x=thr, effective_x=thr, mode=mode,
                 iterations=res.global_iters, sim_time=res.sim_time,
                 converged=res.converged,
-                answer_error=sse(pts, res.centroids) / lloyd_sse,
+                answer_error=sse(pts, res.state) / lloyd_sse,
             ))
     result = SweepResult(name="kmeans", points=points)
     check_answers(result)

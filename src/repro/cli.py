@@ -268,16 +268,17 @@ def _async_args(args, mode: str):
 
 
 def _cmd_pagerank(args) -> int:
-    from repro.apps import pagerank
+    from repro.apps import pagerank_spec
     from repro.cluster import SimCluster
 
     g, part = _load_graph(args)
     rows = []
     for mode in _modes(args.mode):
         backend, staleness, cfg = _async_args(args, mode)
-        res = pagerank(g, part, mode=mode, damping=args.damping, tol=args.tol,
-                       cluster=SimCluster(), sync_policy=_sync_policy(args),
-                       backend=backend, staleness=staleness, config=cfg)
+        res = pagerank_spec(g, part, mode=mode, damping=args.damping,
+                            tol=args.tol, sync_policy=_sync_policy(args),
+                            backend=backend, staleness=staleness,
+                            config=cfg).run(SimCluster())
         rows.append([mode, res.global_iters, f"{res.sim_time:,.0f}",
                      "yes" if res.converged else "no"])
     _report(f"PageRank on Graph {args.graph} "
@@ -286,16 +287,16 @@ def _cmd_pagerank(args) -> int:
 
 
 def _cmd_sssp(args) -> int:
-    from repro.apps import sssp
+    from repro.apps import sssp_spec
     from repro.cluster import SimCluster
 
     g, part = _load_graph(args, weighted=True)
     rows = []
     for mode in _modes(args.mode):
         backend, staleness, cfg = _async_args(args, mode)
-        res = sssp(g, part, source=args.source, mode=mode, cluster=SimCluster(),
-                   sync_policy=_sync_policy(args),
-                   backend=backend, staleness=staleness, config=cfg)
+        res = sssp_spec(g, part, source=args.source, mode=mode,
+                        sync_policy=_sync_policy(args), backend=backend,
+                        staleness=staleness, config=cfg).run(SimCluster())
         rows.append([mode, res.global_iters, f"{res.sim_time:,.0f}",
                      "yes" if res.converged else "no"])
     _report(f"SSSP on Graph {args.graph} from source {args.source}", rows)
@@ -303,7 +304,7 @@ def _cmd_sssp(args) -> int:
 
 
 def _cmd_jacobi(args) -> int:
-    from repro.apps import jacobi_solve, make_diagonally_dominant_system
+    from repro.apps import jacobi_spec, make_diagonally_dominant_system
     from repro.cluster import SimCluster
 
     g, part = _load_graph(args)
@@ -312,37 +313,38 @@ def _cmd_jacobi(args) -> int:
     rows = []
     for mode in _modes(args.mode):
         backend, staleness, cfg = _async_args(args, mode)
-        res = jacobi_solve(system, part, mode=mode, tol=args.tol,
-                           cluster=SimCluster(),
-                           backend=backend, staleness=staleness, config=cfg)
+        res = jacobi_spec(system, part, mode=mode, tol=args.tol,
+                          backend=backend, staleness=staleness,
+                          config=cfg).run(SimCluster())
         rows.append([mode, res.global_iters, f"{res.sim_time:,.0f}",
                      "yes" if res.converged else "no"])
-        print(f"  {mode} ||Ax - b||_inf: {res.residual_norm:.3e}")
+        print(f"  {mode} ||Ax - b||_inf: "
+              f"{system.residual_norm(res.state):.3e}")
     _report(f"Jacobi solve on Graph {args.graph}'s sparsity "
             f"({g.num_nodes} unknowns, {args.partitions} partitions)", rows)
     return 0
 
 
 def _cmd_kmeans(args) -> int:
-    from repro.apps import kmeans, sse
+    from dataclasses import replace
+
+    from repro.apps import kmeans_spec, sse
     from repro.cluster import SimCluster
     from repro.data import census_sample
 
     pts = census_sample(args.rows, seed=args.seed)
     rows = []
     for mode in _modes(args.mode):
-        cfg = None
+        spec = kmeans_spec(pts, args.clusters, mode=mode,
+                           threshold=args.threshold,
+                           num_partitions=args.partitions, seed=args.seed)
+        spec.sync_policy = _sync_policy(args)
         if args.speculate:
-            from repro.core import DriverConfig
-
-            cfg = DriverConfig(mode=mode, speculate=True)
-        res = kmeans(pts, args.clusters, mode=mode, threshold=args.threshold,
-                     num_partitions=args.partitions, cluster=SimCluster(),
-                     seed=args.seed, sync_policy=_sync_policy(args),
-                     config=cfg)
+            spec.config = replace(spec.config, speculate=True)
+        res = spec.run(SimCluster())
         rows.append([mode, res.global_iters, f"{res.sim_time:,.0f}",
                      "yes" if res.converged else "no"])
-        print(f"  {mode} SSE: {sse(pts, res.centroids):,.0f}")
+        print(f"  {mode} SSE: {sse(pts, res.state):,.0f}")
     _report(f"K-Means on census sample ({args.rows} x 68, "
             f"k={args.clusters}, delta={args.threshold})", rows)
     return 0

@@ -121,7 +121,9 @@ class StateStore(abc.ABC):
 
     def round_trip(self, partition_bytes: Sequence[float], *,
                    cost_model: CostModel, share: float = 1.0) -> float:
-        """One inter-round state round trip: write + read-back."""
+        """One inter-round state round trip: write + read-back.  A
+        rejected byte vector counts no round."""
+        partition_bytes = _validated(partition_bytes)
         self.rounds += 1
         return (self.write_round(partition_bytes, cost_model=cost_model,
                                  share=share)

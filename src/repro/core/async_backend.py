@@ -251,10 +251,8 @@ class AsyncBackend(BlockBackend):
         if len(self.phase) != P or any(x < 0 for x in self.phase):
             raise ValueError("phase needs one non-negative entry per partition")
         self.detector = detector
-        self._staleness = staleness
-        self._log: "VersionLog | None" = None
-        self._horizon = 0.0
-        self._rounds_done = 0
+        #: The bound a run starts from; ``staleness`` is the one in effect.
+        self._bound = self._staleness = staleness
 
     @property
     def staleness(self) -> "int | None":
@@ -263,7 +261,16 @@ class AsyncBackend(BlockBackend):
         return self._staleness
 
     def bind(self, config, accountant=None) -> None:
+        """Start a run afresh: no published versions, the timelines at
+        ``phase``, the constructed bound and an empty detector window."""
         super().bind(config, accountant)
+        self._staleness = self._bound
+        self._log: "VersionLog | None" = None
+        self._horizon = 0.0
+        self._rounds_done = 0
+        if self.detector is not None:
+            self.detector.events.clear()
+            self.detector._residuals.clear()
         if self.accountant.active and self._staleness != 0:
             store = self.accountant.state_store
             if not isinstance(store, OnlineStateStore):

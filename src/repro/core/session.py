@@ -24,7 +24,8 @@ Each submission returns a :class:`~repro.core.jobsched.JobHandle` whose
 ``result`` carries the job's own
 :class:`~repro.core.loop.IterativeResult` and whose contention metrics
 (queue wait, per-round slot shares, makespan) come from the shared
-timeline.
+timeline.  The same description runs alone with :meth:`JobSpec.run`:
+``pagerank_spec(g, part).run(SimCluster())``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.cluster import SimCluster
 from repro.cluster.accountant import RoundAccountant
 from repro.cluster.statestore import StateStore, resolve_state_store
 from repro.core.config import DriverConfig
@@ -43,26 +45,40 @@ from repro.core.jobsched import (
     SchedulingPolicy,
     make_policy,
 )
-from repro.core.loop import AdaptiveSyncPolicy, IterationBackend, IterationLoop
+from repro.core.loop import (
+    AdaptiveSyncPolicy,
+    IterationBackend,
+    IterationLoop,
+    IterativeResult,
+)
 
 __all__ = ["JobSpec", "Session", "JobHandle"]
 
 
 @dataclass
 class JobSpec:
-    """A submittable description of one iterative job.
+    """The one description of an iterative job.
 
-    Produced by the application factories (``pagerank_spec`` et al.) so
-    apps describe work instead of running it.  ``make_backend`` receives
-    the session and builds the job's
-    :class:`~repro.core.loop.IterationBackend` against the session's
-    shared cluster/runtime.
+    Produced by the application factories (``pagerank_spec`` et al.):
+    an app describes its work once, and the description runs alone
+    (:meth:`run`) or together with others in a :class:`Session`
+    (:meth:`Session.submit`).  ``make_backend`` receives the cluster the
+    job charges (``None`` for none) and builds the job's
+    :class:`~repro.core.loop.IterationBackend` on it.
     """
 
     name: str
-    make_backend: "Callable[[Session], IterationBackend]"
+    make_backend: "Callable[[SimCluster | None], IterationBackend]"
     config: DriverConfig
     sync_policy: "AdaptiveSyncPolicy | None" = None
+
+    def run(self, cluster: "SimCluster | None" = None) -> IterativeResult:
+        """Run the job alone to convergence on ``cluster`` (``None``
+        runs it without simulated time).  Its accountant is private and
+        unlabelled, as a solo :class:`~repro.core.loop.IterationLoop`
+        builds it."""
+        return IterationLoop(self.make_backend(cluster), self.config,
+                             sync_policy=self.sync_policy).run()
 
 
 class Session:
@@ -170,7 +186,7 @@ class Session:
             cfg = config if config is not None else job.config
             policy = sync_policy if sync_policy is not None else job.sync_policy
             jname = name if name is not None else job.name
-            backend = job.make_backend(self)
+            backend = job.make_backend(self.cluster)
         elif isinstance(job, IterationBackend):
             if config is None:
                 raise ValueError(

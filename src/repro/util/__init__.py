@@ -13,6 +13,7 @@ from repro.util.checks import (
     check_positive,
     check_probability,
 )
+from repro.util.diff import max_abs_diff
 from repro.util.radix import stable_key_order, stable_pair_order
 from repro.util.rng import as_rng
 from repro.util.tables import ascii_table, format_series
@@ -24,6 +25,7 @@ __all__ = [
     "check_array_1d",
     "check_probability",
     "as_rng",
+    "max_abs_diff",
     "stable_key_order",
     "stable_pair_order",
     "ascii_table",

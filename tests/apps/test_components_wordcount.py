@@ -7,7 +7,7 @@ import pytest
 
 from repro.apps import (
     components_reference,
-    connected_components,
+    components_spec,
     wordcount,
 )
 from repro.cluster import SimCluster
@@ -18,36 +18,37 @@ from repro.graph import DiGraph, chunk_partition, multilevel_partition
 class TestComponents:
     @pytest.mark.parametrize("mode", ["general", "eager"])
     def test_matches_scipy(self, small_graph, small_partition, mode):
-        res = connected_components(small_graph, small_partition, mode=mode)
-        assert np.array_equal(res.labels, components_reference(small_graph))
+        res = components_spec(small_graph, small_partition, mode=mode).run()
+        assert np.array_equal(res.state, components_reference(small_graph))
 
     def test_tiny_graph_components(self, tiny_graph):
-        res = connected_components(tiny_graph, chunk_partition(tiny_graph, 2),
-                                   mode="eager")
-        assert res.num_components == 3
-        assert res.labels.tolist() == [0, 0, 0, 3, 3, 5]
+        res = components_spec(tiny_graph, chunk_partition(tiny_graph, 2),
+                              mode="eager").run()
+        assert len(np.unique(res.state)) == 3
+        assert res.state.tolist() == [0, 0, 0, 3, 3, 5]
 
     def test_direction_ignored(self):
         # a one-way edge still joins its endpoints weakly
         g = DiGraph(2, [0], [1])
-        res = connected_components(g, chunk_partition(g, 2), mode="eager")
-        assert res.num_components == 1
+        res = components_spec(g, chunk_partition(g, 2), mode="eager").run()
+        assert len(np.unique(res.state)) == 1
 
     def test_eager_fewer_iterations(self, small_graph, small_partition):
-        gen = connected_components(small_graph, small_partition, mode="general")
-        eag = connected_components(small_graph, small_partition, mode="eager")
+        gen = components_spec(small_graph, small_partition,
+                              mode="general").run()
+        eag = components_spec(small_graph, small_partition, mode="eager").run()
         assert eag.global_iters <= gen.global_iters
 
     def test_sim_time_accounted(self, small_graph, small_partition):
-        res = connected_components(small_graph, small_partition, mode="eager",
-                                   cluster=SimCluster())
+        res = components_spec(small_graph, small_partition,
+                              mode="eager").run(SimCluster())
         assert res.sim_time > 0
 
     def test_labels_are_component_minima(self, small_graph, small_partition):
-        res = connected_components(small_graph, small_partition, mode="eager")
+        res = components_spec(small_graph, small_partition, mode="eager").run()
         # every label is the smallest node id in its component
-        for lbl in np.unique(res.labels):
-            members = np.flatnonzero(res.labels == lbl)
+        for lbl in np.unique(res.state):
+            members = np.flatnonzero(res.state == lbl)
             assert members.min() == lbl
 
 

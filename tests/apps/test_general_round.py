@@ -24,15 +24,15 @@ from repro.apps import (
     PageRankKVSpec,
     SsspBlockSpec,
     SsspKVSpec,
-    jacobi_solve,
-    kmeans,
+    components_spec,
+    jacobi_spec,
+    kmeans_spec,
     make_diagonally_dominant_system,
-    pagerank,
-    sssp,
+    pagerank_spec,
+    sssp_spec,
 )
 from repro.apps import _nodeblock
 from repro.apps._nodeblock import NodeBlockSpec, sum_fold_matrices
-from repro.apps.components import connected_components
 from repro.cluster import OnlineStateStore, SimCluster
 from repro.core import AdaptiveSyncPolicy, BlockSpec, DriverConfig
 from repro.engine import NodeFaultPlan
@@ -250,13 +250,11 @@ class TestWholeRuns:
         wg = attach_random_weights(g, low=1.0, high=10.0, seed=2)
         system = make_diagonally_dominant_system(part, seed=1)
         runs = [
-            lambda: pagerank(g, part, mode="general", cluster=SimCluster()).result,
-            lambda: sssp(wg, part, source=0, mode="general",
-                         cluster=SimCluster()).result,
-            lambda: connected_components(g, part, mode="general",
-                                         cluster=SimCluster()).result,
-            lambda: jacobi_solve(system, part, mode="general",
-                                 cluster=SimCluster()).result,
+            lambda: pagerank_spec(g, part, mode="general").run(SimCluster()),
+            lambda: sssp_spec(wg, part, source=0,
+                              mode="general").run(SimCluster()),
+            lambda: components_spec(g, part, mode="general").run(SimCluster()),
+            lambda: jacobi_spec(system, part, mode="general").run(SimCluster()),
         ]
         for run in runs:
             self._same_result(*self._twin(run, NodeBlockSpec, monkeypatch))
@@ -264,8 +262,8 @@ class TestWholeRuns:
     def test_kmeans(self, monkeypatch):
         points, _ = gaussian_mixture(900, 5, num_dims=4, seed=3)
         fast, slow = self._twin(
-            lambda: kmeans(points, 5, mode="general", num_partitions=13,
-                           cluster=SimCluster(), seed=2).result,
+            lambda: kmeans_spec(points, 5, mode="general", num_partitions=13,
+                                seed=2).run(SimCluster()),
             KMeansBlockSpec, monkeypatch)
         self._same_result(fast, slow)
 
@@ -278,10 +276,11 @@ class TestWholeRuns:
 
         def run():
             policies.append(AdaptiveSyncPolicy())
-            return kmeans(points, 5, num_partitions=13, threshold=1e-6,
-                          cluster=SimCluster(), seed=2,
-                          config=DriverConfig(mode="eager", max_local_iters=2),
-                          sync_policy=policies[-1]).result
+            spec = kmeans_spec(points, 5, num_partitions=13, threshold=1e-6,
+                               seed=2)
+            spec.config = DriverConfig(mode="eager", max_local_iters=2)
+            spec.sync_policy = policies[-1]
+            return spec.run(SimCluster())
 
         fast, slow = self._twin(run, KMeansBlockSpec, monkeypatch)
         self._same_result(fast, slow)
@@ -293,18 +292,18 @@ class TestWholeRuns:
         points = np.random.default_rng(0).normal(size=(2000, 3))
 
         def run(node_faults=None):
-            cfg = _general({"state_store": OnlineStateStore(4),
-                            "checkpoint_every": 4})
-            return kmeans(points, 8, num_partitions=8, threshold=1e-6, seed=1,
-                          cluster=SimCluster(node_faults=node_faults),
-                          config=cfg)
+            spec = kmeans_spec(points, 8, mode="general", num_partitions=8,
+                               threshold=1e-6, seed=1)
+            spec.config = _general({"state_store": OnlineStateStore(4),
+                                    "checkpoint_every": 4})
+            return spec.run(SimCluster(node_faults=node_faults))
 
         base = run()
         res = run(NodeFaultPlan.kill_node(1, round=6, at_seconds=20.5,
                                           num_nodes=8))
-        assert res.result.history[6].rounds_replayed > 0
+        assert res.history[6].rounds_replayed > 0
         assert res.global_iters == base.global_iters
-        assert res.centroids.tobytes() == base.centroids.tobytes()
+        assert res.state.tobytes() == base.state.tobytes()
 
 
 class TestKMeansGeneralRound:

@@ -8,7 +8,7 @@ import pytest
 from repro.apps import (
     JacobiBlockSpec,
     SparseSystem,
-    jacobi_solve,
+    jacobi_spec,
     landmark_apsp,
     make_diagonally_dominant_system,
     sssp_reference,
@@ -78,21 +78,21 @@ class TestJacobiSolver:
     def test_solves_system(self, system_and_partition, mode):
         system, part = system_and_partition
         exact = np.linalg.solve(system.dense(), system.b)
-        res = jacobi_solve(system, part, mode=mode, tol=1e-10)
-        assert np.abs(res.x - exact).max() < 1e-7
+        res = jacobi_spec(system, part, mode=mode, tol=1e-10).run()
+        assert np.abs(res.state - exact).max() < 1e-7
         assert res.converged
-        assert res.residual_norm < 1e-6
+        assert system.residual_norm(res.state) < 1e-6
 
     def test_eager_fewer_global_iterations(self, system_and_partition):
         system, part = system_and_partition
-        gen = jacobi_solve(system, part, mode="general")
-        eag = jacobi_solve(system, part, mode="eager")
+        gen = jacobi_spec(system, part, mode="general").run()
+        eag = jacobi_spec(system, part, mode="eager").run()
         assert eag.global_iters < gen.global_iters
 
     def test_eager_faster_sim_time(self, system_and_partition):
         system, part = system_and_partition
-        gen = jacobi_solve(system, part, mode="general", cluster=SimCluster())
-        eag = jacobi_solve(system, part, mode="eager", cluster=SimCluster())
+        gen = jacobi_spec(system, part, mode="general").run(SimCluster())
+        eag = jacobi_spec(system, part, mode="eager").run(SimCluster())
         assert eag.sim_time < gen.sim_time
 
     def test_rejects_non_dominant_system(self, system_and_partition):

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from repro.apps import (
     KMeansBlockSpec,
     assign_points,
-    kmeans,
     kmeans_reference,
     kmeans_spec,
     sse,
@@ -61,19 +58,20 @@ class TestCorrectness:
     def test_general_equals_serial_lloyd(self, census_points):
         # count-weighted combine makes the distributed general mode an
         # exact Lloyd step, so it matches the serial oracle step for step
-        got = kmeans(census_points, 6, mode="general", threshold=1e-3,
-                     num_partitions=13, seed=4)
+        got = kmeans_spec(census_points, 6, mode="general", threshold=1e-3,
+                          num_partitions=13, seed=4).run()
         expected = kmeans_reference(census_points, 6, threshold=1e-3, seed=4)
-        assert np.allclose(got.centroids, expected, atol=1e-8)
+        assert np.allclose(got.state, expected, atol=1e-8)
 
     def test_centroids_are_weighted_means(self, census_points):
-        res = kmeans(census_points, 5, mode="general", threshold=1e-4, seed=1)
-        assignment = assign_points(census_points, res.centroids)
+        res = kmeans_spec(census_points, 5, mode="general", threshold=1e-4,
+                          seed=1).run()
+        assignment = assign_points(census_points, res.state)
         for j in range(5):
             members = census_points[assignment == j]
             if len(members):
                 # one more Lloyd step moves each centroid by < threshold-ish
-                assert np.linalg.norm(res.centroids[j] - members.mean(0)) < 0.05
+                assert np.linalg.norm(res.state[j] - members.mean(0)) < 0.05
 
     def test_general_objective_nonincreasing(self, census_points):
         spec = KMeansBlockSpec(census_points, 6, num_partitions=8,
@@ -90,24 +88,26 @@ class TestCorrectness:
             prev_obj = obj
 
     def test_eager_quality_comparable(self, census_points):
-        gen = kmeans(census_points, 6, mode="general", threshold=1e-3, seed=4)
-        eag = kmeans(census_points, 6, mode="eager", threshold=1e-3, seed=4)
-        assert sse(census_points, eag.centroids) <= 1.1 * sse(census_points, gen.centroids)
+        gen = kmeans_spec(census_points, 6, mode="general", threshold=1e-3,
+                          seed=4).run()
+        eag = kmeans_spec(census_points, 6, mode="eager", threshold=1e-3,
+                          seed=4).run()
+        assert sse(census_points, eag.state) <= 1.1 * sse(census_points, gen.state)
 
     def test_recovers_separated_blobs(self, blob_points):
         pts, labels = blob_points
-        res = kmeans(pts, 5, mode="eager", threshold=1e-3,
-                     num_partitions=6, seed=0)
+        res = kmeans_spec(pts, 5, mode="eager", threshold=1e-3,
+                          num_partitions=6, seed=0).run()
         # every true cluster centre should be near some found centroid
         for c in range(5):
             centre = pts[labels == c].mean(0)
-            dmin = np.linalg.norm(res.centroids - centre, axis=1).min()
+            dmin = np.linalg.norm(res.state - centre, axis=1).min()
             assert dmin < 1.0
 
     def test_deterministic_given_seed(self, census_points):
-        a = kmeans(census_points, 4, mode="eager", seed=9)
-        b = kmeans(census_points, 4, mode="eager", seed=9)
-        assert np.array_equal(a.centroids, b.centroids)
+        a = kmeans_spec(census_points, 4, mode="eager", seed=9).run()
+        b = kmeans_spec(census_points, 4, mode="eager", seed=9).run()
+        assert np.array_equal(a.state, b.state)
         assert a.global_iters == b.global_iters
 
     def test_validation(self, census_points):
@@ -126,8 +126,9 @@ class TestCorrectness:
             KMeansBlockSpec(census_points, 3, threshold=threshold)
 
     def test_k_one(self, census_points):
-        res = kmeans(census_points, 1, mode="general", threshold=1e-6, seed=0)
-        assert np.allclose(res.centroids[0], census_points.mean(0), atol=1e-6)
+        res = kmeans_spec(census_points, 1, mode="general", threshold=1e-6,
+                          seed=0).run()
+        assert np.allclose(res.state[0], census_points.mean(0), atol=1e-6)
 
     @pytest.mark.parametrize("kwargs", [{"num_partitions": 0},
                                         {"reshuffle_every": -1},
@@ -140,11 +141,11 @@ class TestCorrectness:
 
     @pytest.mark.parametrize("mode", ["general", "eager"])
     def test_reaches_reference_quality(self, mixture, mode):
-        res = kmeans(mixture, 4, mode=mode, num_partitions=3, threshold=1e-3,
-                     seed=2)
+        res = kmeans_spec(mixture, 4, mode=mode, num_partitions=3,
+                          threshold=1e-3, seed=2).run()
         ref = kmeans_reference(mixture, 4, threshold=1e-3, seed=2)
         assert res.converged
-        assert sse(mixture, res.centroids) <= 1.05 * sse(mixture, ref)
+        assert sse(mixture, res.state) <= 1.05 * sse(mixture, ref)
 
 
 class TestSpec:
@@ -266,20 +267,24 @@ class TestSpec:
 
 class TestPaperBehaviour:
     def test_eager_fewer_global_iterations(self, census_points):
-        gen = kmeans(census_points, 6, mode="general", threshold=0.05, seed=4)
-        eag = kmeans(census_points, 6, mode="eager", threshold=0.05, seed=4)
+        gen = kmeans_spec(census_points, 6, mode="general", threshold=0.05,
+                          seed=4).run()
+        eag = kmeans_spec(census_points, 6, mode="eager", threshold=0.05,
+                          seed=4).run()
         assert eag.global_iters < gen.global_iters
 
     def test_iterations_grow_as_threshold_shrinks(self, census_points):
-        loose = kmeans(census_points, 6, mode="general", threshold=0.5, seed=4)
-        tight = kmeans(census_points, 6, mode="general", threshold=0.01, seed=4)
+        loose = kmeans_spec(census_points, 6, mode="general", threshold=0.5,
+                            seed=4).run()
+        tight = kmeans_spec(census_points, 6, mode="general", threshold=0.01,
+                            seed=4).run()
         assert loose.global_iters <= tight.global_iters
 
     def test_eager_faster_in_sim_time(self, census_points):
-        gen = kmeans(census_points, 6, mode="general", threshold=0.05,
-                     cluster=SimCluster(), seed=4)
-        eag = kmeans(census_points, 6, mode="eager", threshold=0.05,
-                     cluster=SimCluster(), seed=4)
+        gen = kmeans_spec(census_points, 6, mode="general", threshold=0.05,
+                          seed=4).run(SimCluster())
+        eag = kmeans_spec(census_points, 6, mode="eager", threshold=0.05,
+                          seed=4).run(SimCluster())
         assert eag.sim_time < gen.sim_time
 
     def test_repartitioning_happens_in_eager(self, census_points):
@@ -293,8 +298,8 @@ class TestPaperBehaviour:
     @pytest.mark.parametrize("mode,every", [("eager", 5), ("general", 0)])
     def test_entry_points_reshuffle_every_five_eager_rounds(
             self, census_points, monkeypatch, mode, every):
-        """Both entry points repartition every 5 global rounds in eager
-        mode and never in general mode."""
+        """The description repartitions every 5 global rounds in eager
+        mode and never in general mode, run or only built."""
         built = []
         init = KMeansBlockSpec.__init__
 
@@ -303,10 +308,11 @@ class TestPaperBehaviour:
             built.append(spec.reshuffle_every)
 
         monkeypatch.setattr(KMeansBlockSpec, "__init__", recording_init)
-        kmeans(census_points, 4, mode=mode, num_partitions=6, seed=0,
-               config=DriverConfig(mode=mode, max_global_iters=1))
-        kmeans_spec(census_points, 4, mode=mode, num_partitions=6,
-                    seed=0).make_backend(SimpleNamespace(cluster=None))
+        spec = kmeans_spec(census_points, 4, mode=mode, num_partitions=6,
+                           seed=0)
+        spec.config = DriverConfig(mode=mode, max_global_iters=1)
+        spec.run()
+        spec.make_backend(None)
         assert built == [every, every]
 
     def test_no_repartitioning_when_disabled(self, census_points):
@@ -340,8 +346,9 @@ class TestRollbackTwin:
     @staticmethod
     def _run(points, node_faults=None):
         cfg = DriverConfig(state_store=OnlineStateStore(4), checkpoint_every=4)
-        return kmeans(points, 8, num_partitions=8, threshold=1e-6, seed=1,
-                      cluster=SimCluster(node_faults=node_faults), config=cfg)
+        spec = kmeans_spec(points, 8, num_partitions=8, threshold=1e-6, seed=1)
+        spec.config = cfg
+        return spec.run(SimCluster(node_faults=node_faults))
 
     @pytest.mark.parametrize("kill_round", [3, 6, 7])
     def test_rollback_is_bitwise_the_failure_free_run(self, points,
@@ -350,10 +357,10 @@ class TestRollbackTwin:
         plan = NodeFaultPlan.kill_node(1, round=kill_round, at_seconds=20.5,
                                        num_nodes=8)
         res = self._run(points, plan)
-        rec = res.result.history[kill_round]
+        rec = res.history[kill_round]
         assert rec.node_deaths == 1 and rec.rounds_replayed > 0
         assert res.global_iters == base.global_iters
-        assert np.array_equal(res.centroids, base.centroids)
+        assert np.array_equal(res.state, base.state)
 
     def test_each_epoch_is_drawn_once(self, mixture):
         spec = KMeansBlockSpec(mixture, 4, num_partitions=6,

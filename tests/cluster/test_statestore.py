@@ -136,6 +136,30 @@ class TestReuseAcrossClusters:
         assert self._charge(store, EC2_DEFAULTS) == cheap
 
 
+class TestRejectedRoundTrip:
+    """A byte vector with a negative entry is refused before the store
+    counts a round, so ``rounds`` and the round stamps on split and merge
+    events only count round trips that were served."""
+
+    @pytest.mark.parametrize("make", [lambda: OnlineStateStore(2),
+                                      DFSStateStore], ids=["online", "dfs"])
+    def test_a_refused_vector_counts_no_round(self, make):
+        store = make()
+        store.round_trip([100.0, 50.0], cost_model=EC2_DEFAULTS)
+        with pytest.raises(ValueError):
+            store.round_trip([100.0, -1.0], cost_model=EC2_DEFAULTS)
+        assert store.rounds == 1
+
+    def test_a_refused_vector_splits_nothing(self):
+        store = OnlineStateStore(2, split_threshold=1000)
+        store.round_trip((600, 200), cost_model=EC2_DEFAULTS)  # tablet 0: 1200
+        with pytest.raises(ValueError):
+            store.round_trip((600, -200), cost_model=EC2_DEFAULTS)
+        assert store.split_events == [] and store.num_tablets == 2
+        store.round_trip((600, 200), cost_model=EC2_DEFAULTS)
+        assert [e[3] for e in store.split_events] == [2]
+
+
 class TestOnlineStateStoreSharding:
     def test_single_tablet_matches_legacy_scalar(self):
         model = ONLINE_STORE_MODEL

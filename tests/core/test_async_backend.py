@@ -21,12 +21,13 @@ import numpy as np
 import pytest
 
 from repro.apps.jacobi import (
+    JacobiBlockSpec,
     SparseSystem,
-    jacobi_solve,
+    jacobi_spec,
     make_diagonally_dominant_system,
 )
 from repro.apps.pagerank import PageRankBlockSpec, pagerank_reference
-from repro.apps.sssp import SsspBlockSpec, sssp, sssp_reference
+from repro.apps.sssp import SsspBlockSpec, sssp_reference, sssp_spec
 from repro.cluster import OnlineStateStore, SimCluster
 from repro.core import (
     AsyncBackend,
@@ -229,46 +230,45 @@ class TestMonotoneTermination:
         g, part = graph_a
         cfg = DriverConfig(mode="eager",
                            state_store=OnlineStateStore(num_tablets=1))
-        res = sssp(g, part, backend="async", staleness=bound,
-                   cluster=SimCluster(), config=cfg)
-        assert np.array_equal(res.distances, sssp_reference(g))
+        res = sssp_spec(g, part, backend="async", staleness=bound,
+                        config=cfg).run(SimCluster())
+        assert np.array_equal(res.state, sssp_reference(g))
 
 
 class TestDivergenceRescue:
     def test_sync_converges_chaos_diverges(self):
         system, part = oscillating_system()
-        sync = jacobi_solve(system, part, tol=1e-6, staleness=0,
-                            require_dominant=False,
-                            config=DriverConfig(mode="eager",
-                                                max_global_iters=800))
+        sync = jacobi_spec(system, part, tol=1e-6, staleness=0,
+                           require_dominant=False,
+                           config=DriverConfig(mode="eager",
+                                              max_global_iters=800)).run()
         assert sync.converged
 
-        chaos = jacobi_solve(system, part, tol=1e-6, staleness=None,
-                             phase=(0.0, 0.34, 0.67),
-                             require_dominant=False,
-                             config=DriverConfig(mode="eager",
-                                                 max_global_iters=200))
+        chaos = jacobi_spec(system, part, tol=1e-6, staleness=None,
+                            phase=(0.0, 0.34, 0.67), require_dominant=False,
+                            config=DriverConfig(mode="eager",
+                                                max_global_iters=200)).run()
         assert not chaos.converged
-        residuals = [r.residual for r in chaos.result.history]
+        residuals = [r.residual for r in chaos.history]
         assert residuals[-1] > 10 * residuals[0]
 
     def test_detector_rescues_chaotic_run(self):
         system, part = oscillating_system()
         det = DivergenceDetector()
-        res = jacobi_solve(system, part, tol=1e-6, staleness=None,
-                           phase=(0.0, 0.34, 0.67), detector=det,
-                           require_dominant=False,
-                           config=DriverConfig(mode="eager",
-                                               max_global_iters=800))
+        res = jacobi_spec(system, part, tol=1e-6, staleness=None,
+                          phase=(0.0, 0.34, 0.67), detector=det,
+                          require_dominant=False,
+                          config=DriverConfig(mode="eager",
+                                              max_global_iters=800)).run()
         assert res.converged
-        assert res.residual_norm < 1e-4
+        assert system.residual_norm(res.state) < 1e-4
         # The observable trace: unbounded -> fallback -> halved -> ... -> 0.
         assert det.events
         assert det.events[0][1] is None
         assert det.events[-1][2] == 0
         # Once the bound is 0 the rounds are barrier rounds: no version
         # vector, no staleness.
-        barrier = res.result.history[det.events[-1][0] + 1:]
+        barrier = res.history[det.events[-1][0] + 1:]
         assert barrier and all(r.version_vector == () and r.max_staleness == 0
                                for r in barrier)
 
@@ -301,6 +301,69 @@ class TestDivergenceRescue:
         # Now the window is (2, 3, 4, 5, 0.5, 6): 6 >= 2 trips it.
         assert det.observe(6, 6.0, None) == 4
         assert det.events == [(6, None, 4)]
+
+
+class TestRunsAfresh:
+    """One backend run twice runs the same job twice: ``bind`` rebuilds
+    the version log, resets the horizon and the round count, restores
+    the constructed bound and clears the detector."""
+
+    PHASE = (0.0, 0.3, 0.6, 0.0, 0.3, 0.6)
+    CFG = DriverConfig(mode="eager",
+                       state_store=lambda: OnlineStateStore(num_tablets=4))
+
+    @pytest.fixture(scope="class")
+    def graph_a(self):
+        g = make_paper_graph("A", scale=0.01, seed=0)
+        return g, multilevel_partition(g, 6, seed=0)
+
+    def _backend(self, graph_a, bound, cluster=None):
+        g, part = graph_a
+        return AsyncBackend(PageRankBlockSpec(g, part), staleness=bound,
+                            phase=self.PHASE, cluster=cluster)
+
+    @pytest.mark.parametrize("bound", [1, 2, None])
+    def test_unpriced_second_run_is_the_first(self, graph_a, bound):
+        be = self._backend(graph_a, bound)
+        first = IterationLoop(be, self.CFG).run()
+        second = IterationLoop(be, self.CFG).run()
+        assert first.global_iters > 2
+        assert second.global_iters == first.global_iters
+        assert second.history == first.history
+        assert np.array_equal(second.state, first.state)
+
+    @pytest.mark.parametrize("bound", [1, None])
+    def test_priced_second_run_is_a_fresh_backends(self, graph_a, bound):
+        be = self._backend(graph_a, bound, SimCluster())
+        first = IterationLoop(be, self.CFG).run()
+        second = IterationLoop(be, self.CFG).run()
+        fresh = IterationLoop(self._backend(graph_a, bound, SimCluster()),
+                              self.CFG).run()
+        assert first.global_iters == second.global_iters == fresh.global_iters
+        assert np.array_equal(first.state, fresh.state)
+        assert np.array_equal(second.state, fresh.state)
+        # the shared clock has moved on, so the sums round differently
+        assert second.sim_time == pytest.approx(fresh.sim_time, rel=1e-12)
+
+    @pytest.mark.parametrize("cap", [800, 4])
+    def test_the_detector_starts_each_run_empty(self, cap):
+        """Rescued (the bound tightened to 0) or stopped at a cap with
+        residuals in the window, the next run starts unbounded and
+        unobserved."""
+        system, part = oscillating_system()
+        det = DivergenceDetector()
+        be = AsyncBackend(JacobiBlockSpec(system, part, tol=1e-6,
+                                          require_dominant=False),
+                          staleness=None, phase=(0.0, 0.34, 0.67),
+                          detector=det)
+        cfg = DriverConfig(mode="eager", max_global_iters=cap)
+        first = IterationLoop(be, cfg).run()
+        events = list(det.events)
+        assert bool(events) == (be.staleness == 0) == (cap == 800)
+        second = IterationLoop(be, cfg).run()
+        assert det.events == events
+        assert second.history == first.history
+        assert np.array_equal(second.state, first.state)
 
 
 class TestValidation:
@@ -398,10 +461,10 @@ class TestAsyncCharges:
     def test_jacobi_async_with_cluster_converges(self, workload):
         g, part = workload
         system = make_diagonally_dominant_system(part, seed=3)
-        res = jacobi_solve(system, part, staleness=2,
-                           cluster=SimCluster(),
-                           config=DriverConfig(
-                               mode="eager",
-                               state_store=OnlineStateStore(num_tablets=4)))
+        res = jacobi_spec(system, part, staleness=2,
+                          config=DriverConfig(
+                              mode="eager",
+                              state_store=OnlineStateStore(num_tablets=4)),
+                          ).run(SimCluster())
         assert res.converged
-        assert res.residual_norm < 1e-4
+        assert system.residual_norm(res.state) < 1e-4

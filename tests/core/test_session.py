@@ -58,6 +58,61 @@ def _history_key(result):
 
 
 # ----------------------------------------------------------------------
+# One description, run alone
+# ----------------------------------------------------------------------
+
+class TestJobSpecRun:
+    """``JobSpec.run(cluster)`` is the solo loop over the description's
+    backend: a private, unlabelled accountant on the given cluster."""
+
+    def test_run_is_the_solo_loop_over_its_backend(self, workload):
+        g, part = workload
+        spec = pagerank_spec(g, part, sync_policy=AdaptiveSyncPolicy())
+        alone_cl, loop_cl = SimCluster(), SimCluster()
+        alone = spec.run(alone_cl)
+        loop = IterationLoop(spec.make_backend(loop_cl), spec.config,
+                             sync_policy=spec.sync_policy).run()
+        assert np.asarray(alone.state).tobytes() == np.asarray(loop.state).tobytes()
+        assert alone.history == loop.history
+        assert alone.sim_time == loop.sim_time > 0
+        assert alone_cl.trace.phases() == loop_cl.trace.phases()
+        assert not any(p.startswith("pagerank:") for p in alone_cl.trace.phases())
+
+    def test_run_without_a_cluster_charges_nothing(self, workload):
+        g, part = workload
+        priced = pagerank_spec(g, part).run(SimCluster())
+        free = pagerank_spec(g, part).run()
+        assert free.sim_time == 0.0
+        assert free.global_iters == priced.global_iters
+        assert np.array_equal(free.state, priced.state)
+
+    def test_each_run_builds_its_own_backend(self):
+        spec = kmeans_spec(census_sample(600, seed=2), 4, num_partitions=6,
+                           seed=1)
+        first, second = spec.run(SimCluster()), spec.run(SimCluster())
+        assert first.global_iters == second.global_iters
+        assert first.sim_time == second.sim_time
+        assert np.array_equal(first.state, second.state)
+
+    def test_make_backend_receives_the_cluster(self, workload):
+        g, part = workload
+        seen = []
+
+        def make_backend(cluster):
+            seen.append(cluster)
+            return BlockBackend(PageRankBlockSpec(g, part), cluster=cluster)
+
+        spec = JobSpec(name="pr", make_backend=make_backend,
+                       config=DriverConfig(mode="eager"))
+        alone = SimCluster()
+        spec.run(alone)
+        spec.run()
+        with Session(cluster=SimCluster()) as session:
+            session.submit(spec)
+        assert seen == [alone, None, session.cluster]
+
+
+# ----------------------------------------------------------------------
 # Single-job sessions
 # ----------------------------------------------------------------------
 

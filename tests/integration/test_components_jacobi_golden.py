@@ -20,8 +20,8 @@ import pytest
 
 from repro.apps import (
     components_reference,
-    connected_components,
-    jacobi_solve,
+    components_spec,
+    jacobi_spec,
     make_diagonally_dominant_system,
 )
 from repro.cluster import SimCluster
@@ -56,16 +56,15 @@ def test_rounds_local_iters_sim_time_and_state_are_the_recorded_ones(
         graph, app, part_name, mode):
     part = _partition(graph, part_name)
     if app == "components":
-        run = connected_components(graph, part, mode=mode, cluster=SimCluster())
-        state = run.labels
+        res = components_spec(graph, part, mode=mode).run(SimCluster())
+        state = res.state
         assert state.dtype == np.int64
         assert np.array_equal(state, components_reference(graph))
     else:
         system = make_diagonally_dominant_system(part, seed=1)
-        run = jacobi_solve(system, part, mode=mode, cluster=SimCluster())
-        state = run.x
-        assert state.dtype == np.float64 and run.residual_norm < 1e-6
-    res = run.result
+        res = jacobi_spec(system, part, mode=mode).run(SimCluster())
+        state = res.state
+        assert state.dtype == np.float64 and system.residual_norm(state) < 1e-6
     iters, local_iters, sim_time, digest = GOLDEN[app, part_name, mode]
     assert res.converged and res.global_iters == iters
     assert sum(sum(r.local_iters) for r in res.history) == local_iters

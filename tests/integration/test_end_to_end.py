@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from repro.apps import (
-    pagerank,
     pagerank_reference,
-    sssp,
+    pagerank_spec,
     sssp_reference,
+    sssp_spec,
     wordcount,
 )
 from repro.apps.pagerank import PageRankKVSpec
@@ -45,10 +45,10 @@ class TestSerializationPipeline:
         assert all(np.array_equal(a, b) for a, b in
                    zip(g2.edge_arrays(), graph.edge_arrays()))
         assert np.array_equal(p2.assign, partition.assign)
-        a = pagerank(graph, partition, mode="eager")
-        b = pagerank(g2, p2, mode="eager")
+        a = pagerank_spec(graph, partition, mode="eager").run()
+        b = pagerank_spec(g2, p2, mode="eager").run()
         assert a.global_iters == b.global_iters
-        assert np.array_equal(a.ranks, b.ranks)
+        assert np.array_equal(a.state, b.state)
 
 
 class TestCrossExecutorEquivalence:
@@ -81,10 +81,10 @@ class TestPlatformSensitivity:
         # §II: "the performance improvement from algorithmic asynchrony is
         # significantly amplified on distributed platforms"
         def ratio(cost_model):
-            gen = pagerank(graph, partition, mode="general",
-                           cluster=SimCluster(ec2_nodes(), cost_model))
-            eag = pagerank(graph, partition, mode="eager",
-                           cluster=SimCluster(ec2_nodes(), cost_model))
+            gen = pagerank_spec(graph, partition, mode="general").run(
+                SimCluster(ec2_nodes(), cost_model))
+            eag = pagerank_spec(graph, partition, mode="eager").run(
+                SimCluster(ec2_nodes(), cost_model))
             return gen.sim_time / eag.sim_time
 
         from repro.cluster import EC2_DEFAULTS
@@ -93,10 +93,10 @@ class TestPlatformSensitivity:
 
     def test_scalability_larger_cluster_not_slower(self, graph, partition):
         # §VI scalability: more nodes must not increase simulated time
-        small = pagerank(graph, partition, mode="eager",
-                         cluster=SimCluster(ec2_nodes(2)))
-        large = pagerank(graph, partition, mode="eager",
-                         cluster=SimCluster(ec2_nodes(16)))
+        small = pagerank_spec(graph, partition,
+                              mode="eager").run(SimCluster(ec2_nodes(2)))
+        large = pagerank_spec(graph, partition,
+                              mode="eager").run(SimCluster(ec2_nodes(16)))
         assert large.sim_time <= small.sim_time + 1e-9
 
 
@@ -106,10 +106,10 @@ class TestCombinedWorkload:
         # paper prescribes (§V-B.3: partitioning performed once)
         gw = attach_random_weights(graph, seed=9)
         part = multilevel_partition(gw, 4, seed=0)
-        pr = pagerank(gw, part, mode="eager")
-        sp = sssp(gw, part, mode="eager")
-        assert np.abs(pr.ranks - pagerank_reference(gw)).max() < 1e-3
-        assert np.allclose(sp.distances, sssp_reference(gw))
+        pr = pagerank_spec(gw, part, mode="eager").run()
+        sp = sssp_spec(gw, part, mode="eager").run()
+        assert np.abs(pr.state - pagerank_reference(gw)).max() < 1e-3
+        assert np.allclose(sp.state, sssp_reference(gw))
 
     def test_wordcount_on_simulated_cluster_faulty(self):
         rt = MapReduceRuntime("serial", cluster=SimCluster(),
@@ -125,7 +125,7 @@ class TestCombinedWorkload:
 class TestTraceConsistency:
     def test_cluster_trace_valid_after_full_run(self, graph, partition):
         cl = SimCluster()
-        pagerank(graph, partition, mode="eager", cluster=cl)
+        pagerank_spec(graph, partition, mode="eager").run(cl)
         cl.trace.check_no_overlap()
         assert cl.trace.makespan() <= cl.clock + 1e-9
         phases = cl.trace.phases()
@@ -134,5 +134,5 @@ class TestTraceConsistency:
 
     def test_utilization_bounded(self, graph, partition):
         cl = SimCluster()
-        pagerank(graph, partition, mode="general", cluster=cl)
+        pagerank_spec(graph, partition, mode="general").run(cl)
         assert 0.0 < cl.trace.utilization(cl.total_map_slots) <= 1.0

@@ -18,11 +18,11 @@ from repro.apps import (
     SsspBlockSpec,
     kmeans_reference,
     make_diagonally_dominant_system,
-    pagerank,
     pagerank_reference,
-    sssp,
+    pagerank_spec,
     sssp_reference,
-    connected_components,
+    sssp_spec,
+    components_spec,
     components_reference,
 )
 from repro.graph import DiGraph, Partition, partition_graph
@@ -48,16 +48,16 @@ class TestPageRankProperties:
     @given(graph_and_partition(), st.sampled_from(["general", "eager"]))
     def test_agrees_with_oracle_on_any_graph(self, gp, mode):
         g, part = gp
-        res = pagerank(g, part, mode=mode, tol=1e-7)
+        res = pagerank_spec(g, part, mode=mode, tol=1e-7).run()
         expected = pagerank_reference(g, tol=1e-10)
-        assert np.abs(res.ranks - expected).max() < 1e-4
+        assert np.abs(res.state - expected).max() < 1e-4
 
     @settings(deadline=None, max_examples=30,
               suppress_health_check=[HealthCheck.too_slow])
     @given(graph_and_partition())
     def test_ranks_bounded(self, gp):
         g, part = gp
-        ranks = pagerank(g, part, mode="eager").ranks
+        ranks = pagerank_spec(g, part, mode="eager").run().state
         # rank >= teleport mass; total rank bounded by n/(1-d) trivially
         assert np.all(ranks >= 0.15 - 1e-9)
         assert np.all(np.isfinite(ranks))
@@ -69,16 +69,16 @@ class TestSsspProperties:
     @given(graph_and_partition(), st.sampled_from(["general", "eager"]))
     def test_exactly_dijkstra(self, gp, mode):
         g, part = gp
-        res = sssp(g, part, source=0, mode=mode)
+        res = sssp_spec(g, part, source=0, mode=mode).run()
         expected = sssp_reference(g, source=0)
-        assert np.allclose(res.distances, expected)
+        assert np.allclose(res.state, expected)
 
     @settings(deadline=None, max_examples=30,
               suppress_health_check=[HealthCheck.too_slow])
     @given(graph_and_partition())
     def test_triangle_inequality_on_edges(self, gp):
         g, part = gp
-        dist = sssp(g, part, mode="eager").distances
+        dist = sssp_spec(g, part, mode="eager").run().state
         src, dst, w = g.edge_arrays()
         finite = np.isfinite(dist[src])
         assert np.all(dist[dst[finite]] <= dist[src[finite]] + w[finite] + 1e-9)
@@ -90,8 +90,8 @@ class TestComponentsProperties:
     @given(graph_and_partition(), st.sampled_from(["general", "eager"]))
     def test_exactly_scipy(self, gp, mode):
         g, part = gp
-        res = connected_components(g, part, mode=mode)
-        assert np.array_equal(res.labels, components_reference(g))
+        res = components_spec(g, part, mode=mode).run()
+        assert np.array_equal(res.state, components_reference(g))
 
 
 class TestKMeansProperties:
@@ -117,14 +117,14 @@ class TestKMeansProperties:
            st.integers(min_value=0, max_value=50),
            st.integers(min_value=1, max_value=6))
     def test_general_matches_reference_any_partitioning(self, k, seed, parts):
-        from repro.apps import kmeans
+        from repro.apps import kmeans_spec
 
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(80, 2)) * 3
-        got = kmeans(pts, k, mode="general", threshold=1e-4,
-                     num_partitions=parts, seed=seed)
+        got = kmeans_spec(pts, k, mode="general", threshold=1e-4,
+                          num_partitions=parts, seed=seed).run()
         expected = kmeans_reference(pts, k, threshold=1e-4, seed=seed)
-        assert np.allclose(got.centroids, expected, atol=1e-6)
+        assert np.allclose(got.state, expected, atol=1e-6)
 
 
 @st.composite

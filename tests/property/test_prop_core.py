@@ -174,7 +174,7 @@ class TestJacobiProperties:
            st.integers(min_value=1, max_value=4),
            st.sampled_from(["general", "eager"]))
     def test_random_dominant_systems_solved(self, seed, k, mode):
-        from repro.apps import jacobi_solve, make_diagonally_dominant_system
+        from repro.apps import jacobi_spec, make_diagonally_dominant_system
         from repro.graph import chunk_partition
 
         from tests.inputs import random_digraph
@@ -183,9 +183,9 @@ class TestJacobiProperties:
         part = chunk_partition(g, k)
         system = make_diagonally_dominant_system(part, dominance=2.0,
                                                  seed=seed)
-        res = jacobi_solve(system, part, mode=mode, tol=1e-10)
+        res = jacobi_spec(system, part, mode=mode, tol=1e-10).run()
         exact = np.linalg.solve(system.dense(), system.b)
-        assert np.abs(res.x - exact).max() < 1e-6
+        assert np.abs(res.state - exact).max() < 1e-6
 
 
 class TestDriverConfigProperties:

@@ -13,14 +13,13 @@ import inspect
 
 import pytest
 
+import repro.apps
 import repro.core
 
 from repro.apps import (
     PageRankKVSpec,
     components_spec,
-    connected_components,
-    jacobi_solve,
-    kmeans,
+    jacobi_spec,
     kmeans_spec,
     landmark_apsp,
     sse,
@@ -70,17 +69,15 @@ KEYWORDS = [
     (RoundAccountant.charge_global_sync, "num_reduce_tasks"),
     (AsyncBackend, "pace"),
     (resolve_block_backend, "pace"),
-    (jacobi_solve, "pace"),
+    (jacobi_spec, "pace"),
     (DivergenceDetector, "window"),
     (DivergenceDetector, "chaotic_fallback"),
     (autotune_partitions, "target_residual"),
     (autotune_partitions, "config"),
     (autotune_partitions, "cluster_factory"),
-    (kmeans, "reshuffle_every"),
     (kmeans_spec, "reshuffle_every"),
     (kmeans_spec, "config"),
     (kmeans_spec, "sync_policy"),
-    (connected_components, "config"),
     (components_spec, "config"),
     (landmark_apsp, "config"),
     (PageRankKVSpec, "damping"),
@@ -108,6 +105,15 @@ KEYWORDS = [
 #: Names ``repro.core`` no longer exports.
 EXPORTS = ["SessionScheduler", "HierarchyConfig"]
 
+#: Names ``repro.apps`` no longer exports: the immediate runners and
+#: their result wrappers (each app is its ``*_spec`` description, run
+#: alone by ``JobSpec.run``).
+APP_EXPORTS = [
+    "pagerank", "sssp", "kmeans", "connected_components", "jacobi_solve",
+    "PageRankResult", "SsspResult", "KMeansResult", "ComponentsResult",
+    "JacobiResult",
+]
+
 
 def _id(case) -> str:
     owner, name = case
@@ -134,6 +140,14 @@ def test_keyword_is_gone(case):
 @pytest.mark.parametrize("name", EXPORTS)
 def test_core_export_is_gone(name):
     assert not hasattr(repro.core, name)  # ``from repro.core import`` fails
+
+
+@pytest.mark.parametrize("name", APP_EXPORTS)
+def test_apps_export_is_gone(name):
+    # ``repro.apps.pagerank`` (and ``sssp``, ``kmeans``) is the app's module
+    obj = getattr(repro.apps, name, None)
+    assert obj is None or inspect.ismodule(obj)
+    assert name not in repro.apps.__all__
 
 
 def test_the_accountant_prices_no_overlapped_shuffle():

@@ -16,6 +16,10 @@ not even deferred or for type checking.
 The simulated clock has one owner: only ``cluster/cluster.py`` assigns
 an attribute named ``clock``; every other module moves it through the
 cluster's phases, charges and ``concurrently`` fork.
+
+An app describes its job and never runs it: no module under
+``repro/apps`` constructs an ``IterationLoop``.  A description runs
+alone through ``JobSpec.run`` or with others in a ``Session``.
 """
 
 from __future__ import annotations
@@ -178,3 +182,34 @@ def test_clock_owner_scan_sees_every_assignment_form():
     # the scan runs on the owner too: it does assign the clock
     assert any(attr == "clock" for _, attr in _assigned_attributes(
         ast.parse(CLOCK_OWNER.read_text(encoding="utf-8"))))
+
+
+APPS = ROOT / "apps"
+
+
+def _loop_calls(tree: ast.AST) -> "list[int]":
+    """Lines of every call of ``IterationLoop``, by name or attribute."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Name)
+                 and node.func.id == "IterationLoop")
+                or (isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "IterationLoop"))]
+
+
+def test_app_runs_no_loop():
+    bad = [f"{path.relative_to(ROOT)}:{line}"
+           for path in sorted(APPS.rglob("*.py"))
+           for line in _loop_calls(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not bad, f"an app runs an IterationLoop itself: {bad}"
+
+
+def test_app_runs_no_loop_scan_sees_a_planted_call_not_a_docstring():
+    source = ('"""Run it as ``IterationLoop(backend, cfg).run()``."""\n'
+              "from repro import core\n"
+              "def f(be, cfg):\n"
+              '    """IterationLoop(be, cfg) is not called here."""\n'
+              "    return IterationLoop(be, cfg).run()\n"
+              "def g(be, cfg):\n"
+              "    return core.IterationLoop(be, cfg)\n")
+    assert sorted(_loop_calls(ast.parse(source))) == [5, 7]
