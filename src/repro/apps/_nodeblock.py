@@ -87,16 +87,62 @@ def csr_fold(*mats: csr_array) -> "Callable[[np.ndarray], np.ndarray]":
     return fold
 
 
+#: The fields of an :class:`EdgeBlock` that hold row and node ids: they
+#: depend only on the edges' endpoints and the partition, never on the
+#: per-edge values an app carries along (``int_w``, ``cut_w``, ``in_w``).
+INDEX_FIELDS = ("int_src", "int_dst", "cut_src", "cut_dst", "in_src", "in_dst")
+
+
+class _Topology:
+    """The index fields of one split, per part: shared by every split
+    whose index fields equal them bit for bit, whatever app or edge
+    source built it (PageRank and SSSP over one partition of one graph,
+    or of its weighted twin)."""
+
+    __slots__ = ("ids", "__weakref__")
+
+    def __init__(self, ids: list) -> None:
+        self.ids = ids
+
+
+#: Every live topology; one goes when the last split holding it goes.
+_TOPOLOGIES: "weakref.WeakSet[_Topology]" = weakref.WeakSet()
+
+
+def _same_ids(a: list, b: list) -> bool:
+    """Whether two splits' index fields are equal, part for part, in
+    dtype and in every element."""
+    return len(a) == len(b) and all(
+        x.dtype == y.dtype and np.array_equal(x, y)
+        for p, q in zip(a, b) for x, y in zip(p, q))
+
+
+def _topology(blocks: list) -> _Topology:
+    """The live topology whose index fields equal ``blocks``', or a new
+    one made of them (and marked read-only)."""
+    ids = [tuple(getattr(b, f) for f in INDEX_FIELDS) for b in blocks]
+    for topology in _TOPOLOGIES:
+        if _same_ids(topology.ids, ids):
+            return topology
+    _read_only(a for part in ids for a in part)
+    topology = _Topology(ids)
+    _TOPOLOGIES.add(topology)
+    return topology
+
+
 class _Split:
     """One edge split and, for a sum app, its fold matrices, shared by
     every spec over the same partition, app and edge source.  ``over``
     keeps that partition and source alive while the split is, so the
-    ids in its :data:`_SPLITS` key cannot be reused by other objects."""
+    ids in its :data:`_SPLITS` key cannot be reused by other objects;
+    ``topology`` keeps the split's index fields in :data:`_TOPOLOGIES`."""
 
-    __slots__ = ("over", "blocks", "fold", "__weakref__")
+    __slots__ = ("over", "topology", "blocks", "fold", "__weakref__")
 
-    def __init__(self, over: tuple, blocks: list, fold: "list | None") -> None:
-        self.over, self.blocks, self.fold = over, blocks, fold
+    def __init__(self, over: tuple, topology: _Topology, blocks: list,
+                 fold: "list | None") -> None:
+        self.over, self.topology = over, topology
+        self.blocks, self.fold = blocks, fold
 
 
 #: The live splits by ``(app, id(partition), id(source))``; an entry
@@ -126,8 +172,11 @@ def shared_split(spec: "NodeBlockSpec", app: str, source: object,
     The one place a node-block spec's split is built.  Specs over the
     same partition with the same ``app`` and edge ``source`` (the graph,
     or Jacobi's system) share one: ``edges`` is called only when no live
-    spec holds it.  The split is held weakly, so it goes with the last
-    spec that holds it.  Its arrays are read-only, the partition's own
+    spec holds it.  Splits of any app share their index fields
+    (:data:`INDEX_FIELDS`) when these are equal: a new split keeps only
+    its per-edge values and takes the ids of a live split that has the
+    same ones.  Both are held weakly, so they go with the last spec that
+    holds them.  Their arrays are read-only, the partition's own
     ``nodes`` excepted; ``docs/local_loop.md``, "Who owns the edge
     split"."""
     partition = spec.partition
@@ -135,11 +184,14 @@ def shared_split(spec: "NodeBlockSpec", app: str, source: object,
     split = _SPLITS.get(key)
     if split is None:
         blocks = split_edges(*edges(), partition)
+        topology = _topology(blocks)
+        blocks = [b._replace(**dict(zip(INDEX_FIELDS, ids)))
+                  for b, ids in zip(blocks, topology.ids)]
         fold = (None if into_target is None else
                 sum_fold_matrices(blocks, into_target=into_target))
-        _read_only(a for b in blocks for a in b[2:])
+        _read_only(a for b in blocks for a in (b.int_w, b.cut_w, b.in_w))
         _read_only(a for m in fold or () for a in (m.data, m.indices, m.indptr))
-        split = _SPLITS[key] = _Split((partition, source), blocks, fold)
+        split = _SPLITS[key] = _Split((partition, source), topology, blocks, fold)
     _HELD[spec] = split
     return split.blocks, split.fold
 
@@ -527,7 +579,7 @@ class NodeRowState:
 
     def gmap_emit_columnar(self, table: dict, part_id: int):
         """:meth:`gmap_emit_block` fed from the per-record hashtable."""
-        nodes = self._blocks[part_id].node_list
+        nodes = self._blocks[part_id].nodes.tolist()
         x = np.fromiter((table[u][0] for u in nodes),
                         dtype=np.float64, count=len(nodes))
         return self.gmap_emit_block((x,), part_id)

@@ -214,18 +214,29 @@ def jacobi_spec(
     ``config`` overrides ``mode`` when given.  ``backend="async"`` (or
     any nonzero ``staleness``) runs without a barrier;
     ``phase``/``detector`` are the async timeline and safety knobs (see
-    :class:`~repro.core.AsyncBackend`).  ``require_dominant=False``
-    skips the dominance precondition — only sensible for divergence
-    studies of the chaotic path.
+    :class:`~repro.core.AsyncBackend`).  ``detector`` watches the first
+    job built from the description; each later one (a second submit or
+    run) gets a fresh detector of its own, ``handle.loop.backend.
+    detector``, so two jobs never share a residual window.
+    ``require_dominant=False`` skips the dominance precondition — only
+    sensible for divergence studies of the chaotic path.
     """
     from repro.core.session import JobSpec
+
+    detectors = iter([detector])
+
+    def make_backend(cluster):
+        watch = next(detectors, None)
+        if watch is None and detector is not None:
+            watch = type(detector)()
+        return resolve_block_backend(
+            JacobiBlockSpec(system, partition, tol=tol,
+                            require_dominant=require_dominant),
+            backend=backend, staleness=staleness, cluster=cluster,
+            phase=phase, detector=watch)
 
     return JobSpec(
         name=name if name is not None else "jacobi",
         config=config if config is not None else DriverConfig(mode=mode),
-        make_backend=lambda cluster: resolve_block_backend(
-            JacobiBlockSpec(system, partition, tol=tol,
-                            require_dominant=require_dominant),
-            backend=backend, staleness=staleness, cluster=cluster,
-            phase=phase, detector=detector),
+        make_backend=make_backend,
     )

@@ -161,7 +161,7 @@ class PageRankKVSpec(NodeRowState, PageRankBlockSpec, AsyncMapReduceSpec):
         external = self._per_row(b.cut_src, b.cut_dst.tolist(), n)
         inv_out = self.inv_outdeg[b.nodes].tolist()
         return [(u, (rank, ext, i, e, w)) for u, (rank, ext), i, e, w
-                in zip(b.node_list, rows.tolist(), internal, external, inv_out)]
+                in zip(b.nodes.tolist(), rows.tolist(), internal, external, inv_out)]
 
     # -- the four user functions ------------------------------------------
     def lmap(self, key, value, ctx) -> None:

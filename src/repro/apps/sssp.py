@@ -155,7 +155,7 @@ class SsspKVSpec(NodeRowState, SsspBlockSpec, AsyncMapReduceSpec):
         external = self._per_row(b.cut_src, list(zip(
             b.cut_dst.tolist(), b.cut_w.tolist())), n)
         return [(u, (dist, ext, i, e)) for u, (dist, ext), i, e
-                in zip(b.node_list, rows.tolist(), internal, external)]
+                in zip(b.nodes.tolist(), rows.tolist(), internal, external)]
 
     def lmap(self, key, value, ctx) -> None:
         dist, ext, internal, external = value

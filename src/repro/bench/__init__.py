@@ -21,6 +21,7 @@ from repro.bench.harness import (
     scaled_partitions,
     speedup_summary,
     sssp_sweep,
+    true_ranks,
 )
 
 __all__ = [
@@ -42,4 +43,5 @@ __all__ = [
     "make_cluster",
     "report_sweep",
     "speedup_summary",
+    "true_ranks",
 ]

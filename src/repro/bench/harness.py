@@ -66,6 +66,7 @@ __all__ = [
     "make_cluster",
     "report_sweep",
     "speedup_summary",
+    "true_ranks",
 ]
 
 #: Figure 2-7 x axis (number of partitions).
@@ -190,7 +191,7 @@ def get_partition(which: str, scale: float, k: int, *, weighted: bool = False,
 # ----------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=8)
-def _true_ranks(which: str, scale: float) -> np.ndarray:
+def true_ranks(which: str, scale: float) -> np.ndarray:
     """The cached graph's PageRank fixed point, to 1e-13 — not
     ``pagerank_reference``'s default 1e-5 stop, which general mode
     shares by construction and eager does not."""
@@ -242,7 +243,7 @@ def pagerank_sweep(which: str, *, scale: "float | None" = None,
                 x=paper_k, effective_x=k, mode=mode,
                 iterations=res.global_iters, sim_time=res.sim_time,
                 converged=res.converged,
-                answer_error=max_abs_diff(res.state, _true_ranks(which, s)),
+                answer_error=max_abs_diff(res.state, true_ranks(which, s)),
                 extra={"cut_fraction": part.cut_fraction()},
             ))
     result = SweepResult(name=f"pagerank-{which}", points=points)

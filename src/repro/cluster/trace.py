@@ -16,9 +16,10 @@ from typing import Iterable
 __all__ = ["Event", "Trace"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
-    """One scheduled interval on the simulated cluster."""
+    """One scheduled interval on the simulated cluster.  Slotted: a
+    traced session holds tens of thousands of them."""
 
     phase: str
     label: str

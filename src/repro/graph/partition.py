@@ -172,10 +172,11 @@ class EdgeBlock(NamedTuple):
     of a row's sum (the sum apps' CSR fold relies on that); an unstable
     sort, or any regrouping of one row's terms, moves the last bits.
     The arrays are views of one table per view; treat them as read-only.
+    The row and node ids depend only on the edges' endpoints and the
+    partition; the ``*_w`` fields are the only ones ``w`` reaches.
     """
 
     nodes: np.ndarray      #: ``(n,)`` int64 node ids of the part
-    node_list: list        #: the same ids as Python ints
     int_src: np.ndarray    #: source row of each internal edge
     int_dst: np.ndarray    #: target row of each internal edge
     int_w: np.ndarray      #: its weight
@@ -241,7 +242,7 @@ def split_edges(src: np.ndarray, dst: np.ndarray, w: np.ndarray,
         c, d = out_at[k + p: k + p + 2]
         i, j = in_at[p: p + 2]
         blocks.append(EdgeBlock(
-            nodes, nodes.tolist(),
+            nodes,
             out_src[a:b], out_dst[a:b], out_w[a:b],
             out_src[c:d], out_dst[c:d], out_w[c:d],
             in_src[i:j], in_dst[i:j], in_w[i:j]))
@@ -276,7 +277,7 @@ def join_blocks(blocks: "list[EdgeBlock]") -> EdgeBlock:
         return _end_to_end([getattr(b, field) for b in blocks])
 
     return EdgeBlock(
-        nodes=shared("nodes"), node_list=[u for b in blocks for u in b.node_list],
+        nodes=shared("nodes"),
         int_src=rows("int_src"), int_dst=rows("int_dst"), int_w=shared("int_w"),
         cut_src=rows("cut_src"), cut_dst=shared("cut_dst"), cut_w=shared("cut_w"),
         in_src=shared("in_src"), in_dst=rows("in_dst"), in_w=shared("in_w"))

@@ -133,7 +133,7 @@ class TestNodeBlockSpecs:
             for name in ("nodes", "int_w", "cut_dst", "cut_w", "in_src", "in_w"):
                 want = np.concatenate([getattr(b, name) for b in blocks])
                 assert getattr(join, name).tobytes() == want.tobytes()
-            assert join.node_list == join.nodes.tolist()
+            assert join.nodes.tolist() == [u for b in blocks for u in b.nodes.tolist()]
 
     def test_the_join_shares_the_split_tables(self):
         """``split_edges`` lays every field's parts end to end, so the

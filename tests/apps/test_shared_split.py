@@ -2,9 +2,11 @@
 
 ``apps._nodeblock.shared_split`` builds a spec's ``_blocks`` (and a sum
 app's ``_fold``) once per (app, partition, edge source) and hands the
-same tables to every spec over them while any holds them.  The tables
-are read-only, go with their last holder, never travel in a pickle, and
-a job that shares them lands on the same bits as one that does not.
+same tables to every spec over them while any holds them.  Splits of
+any app share their row and node ids (the topology) when these are
+equal, and keep their own per-edge values.  The tables are read-only,
+go with their last holder, never travel in a pickle, and a job that
+shares them lands on the same bits as one that does not.
 """
 
 from __future__ import annotations
@@ -29,9 +31,17 @@ from repro.apps import (
     sssp_spec,
 )
 from repro.apps import _nodeblock
+from repro.apps._nodeblock import INDEX_FIELDS
 from repro.cluster import SimCluster
 from repro.core import Session
-from repro.graph import attach_random_weights, multilevel_partition, preferential_attachment
+from repro.graph import (
+    DiGraph,
+    Partition,
+    attach_random_weights,
+    multilevel_partition,
+    preferential_attachment,
+    split_edges,
+)
 
 from tests.apps.test_local_solve_reference import _messy_graph, _partitions
 
@@ -61,7 +71,7 @@ def _maker(app, inputs):
 
 def _arrays(spec):
     """Every array of the spec's split but the partition's own nodes."""
-    out = [a for b in spec._blocks for a in b[2:]]
+    out = [a for b in spec._blocks for a in b[1:]]
     for m in spec._fold or ():
         out += [m.data, m.indices, m.indptr]
     return out
@@ -129,6 +139,111 @@ def test_other_partitions_and_sources_get_their_own_split(inputs, builds):
     assert len({id(s._blocks) for s in specs}) == len(specs)
 
 
+WEIGHT_FIELDS = ("int_w", "cut_w", "in_w")
+
+
+def _twin(g, assign, *, move_an_edge: bool = False):
+    """A weighted graph with ``g``'s edges and a partition of it by
+    ``assign``, built from arrays of their own (as a benchmark that
+    weights a graph for SSSP builds them).  ``move_an_edge`` re-targets
+    the first internal edge at the next node of its part, so every part
+    keeps its edge counts."""
+    src, dst, _ = g.edge_arrays()
+    dst = dst.copy()
+    if move_an_edge:
+        e = np.flatnonzero(assign[src] == assign[dst])[0]
+        mates = np.flatnonzero(assign == assign[dst[e]])
+        dst[e] = mates[(np.searchsorted(mates, dst[e]) + 1) % len(mates)]
+    w = np.random.default_rng(3).uniform(1.0, 10.0, len(src))
+    wg = DiGraph(g.num_nodes, src.copy(), dst, w)
+    return wg, Partition(wg, assign.copy(), int(assign.max()) + 1)
+
+
+def _assert_shared_topology(a, b) -> None:
+    """``a`` and ``b`` share every index table and no weight table."""
+    for x, y in zip(a._blocks, b._blocks, strict=True):
+        for f in INDEX_FIELDS:
+            assert getattr(x, f) is getattr(y, f)
+        for f in WEIGHT_FIELDS:
+            assert not np.shares_memory(getattr(x, f), getattr(y, f))
+
+
+def _assert_own_topology(a, b) -> None:
+    """``a`` and ``b`` share no table."""
+    for x, y in zip(a._blocks, b._blocks, strict=True):
+        for f in INDEX_FIELDS + WEIGHT_FIELDS:
+            assert not np.shares_memory(getattr(x, f), getattr(y, f))
+
+
+def _assert_is_its_own_split(spec, g, w, partition) -> None:
+    """``spec``'s blocks are, bit for bit, the split of ``g``'s edges
+    carrying ``w`` over ``partition``, and its nodes the partition's."""
+    src, dst, _ = g.edge_arrays()
+    for b, want, nodes in zip(spec._blocks, split_edges(src, dst, w, partition),
+                              partition.parts(), strict=True):
+        assert b.nodes is nodes
+        for got, x in zip(b[1:], want[1:], strict=True):
+            assert got.dtype == x.dtype and got.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("kv", [False, True], ids=["block", "kv"])
+def test_pagerank_and_sssp_over_equal_edges_share_one_topology(inputs, builds, kv):
+    g, _, part, _, _ = inputs
+    wg, wpart = _twin(g, part.assign)
+    assert not np.shares_memory(wg.edge_arrays()[0], g.edge_arrays()[0])
+    assert not np.shares_memory(wpart.assign, part.assign)
+    pr = (PageRankKVSpec if kv else PageRankBlockSpec)(g, part)
+    ss = (SsspKVSpec if kv else SsspBlockSpec)(wg, wpart)
+    assert len(builds) == 2                 # SSSP splits to get its weights
+    _assert_shared_topology(pr, ss)
+    _assert_is_its_own_split(pr, g, pr.inv_outdeg[g.edge_arrays()[0]], part)
+    _assert_is_its_own_split(ss, wg, wg.edge_arrays()[2], wpart)
+
+
+def test_another_edge_or_assign_entry_gets_its_own_topology(inputs):
+    g, _, part, _, _ = inputs
+    moved = _twin(g, part.assign, move_an_edge=True)
+    assign = part.assign.copy()
+    u = g.edge_arrays()[0][0]                  # a node with an edge
+    assign[u] = (assign[u] + 1) % part.k
+    other = _twin(g, assign)
+    pr = PageRankBlockSpec(g, part)
+    for wg, wpart in (moved, other):
+        ss = SsspBlockSpec(wg, wpart)
+        _assert_own_topology(pr, ss)
+        _assert_is_its_own_split(ss, wg, wg.edge_arrays()[2], wpart)
+
+
+def test_a_match_by_shape_alone_is_caught(inputs, monkeypatch):
+    """The check above fails a topology matched by its tables' shapes:
+    the moved edge keeps every part's counts, so such a match shares
+    ids that are not SSSP's."""
+    g, _, part, _, _ = inputs
+    wg, wpart = _twin(g, part.assign, move_an_edge=True)
+    gc.collect()                            # no other test's topology is live
+    pr = PageRankBlockSpec(g, part)
+    monkeypatch.setattr(_nodeblock, "_same_ids", lambda a, b: len(a) == len(b) and all(
+        x.shape == y.shape for p, q in zip(a, b) for x, y in zip(p, q)))
+    ss = SsspBlockSpec(wg, wpart)
+    with pytest.raises(AssertionError):
+        _assert_own_topology(pr, ss)
+    with pytest.raises(AssertionError):
+        _assert_is_its_own_split(ss, wg, wg.edge_arrays()[2], wpart)
+
+
+def test_a_topology_goes_with_its_last_split(inputs):
+    g, wg, part, _, _ = inputs
+    pr, ss = PageRankBlockSpec(g, part), SsspBlockSpec(wg, part)
+    _assert_shared_topology(pr, ss)
+    table = weakref.ref(pr._blocks[0].int_src.base)
+    del pr
+    gc.collect()
+    assert table() is not None              # SSSP's split still holds it
+    del ss
+    gc.collect()
+    assert table() is None
+
+
 @pytest.mark.parametrize("app", APPS)
 def test_a_split_goes_with_its_last_holder(app, inputs, builds):
     make = _maker(app, inputs)
@@ -163,16 +278,16 @@ def test_shared_arrays_are_read_only(app, inputs):
     assert spec._blocks[0].nodes is spec.partition.parts()[0]
 
 
-#: ``pickle.dumps`` byte counts of ``test_local_step``'s six specs, as
-#: they were before splits were shared.
-PICKLED_BYTES = {PageRankBlockSpec: 22062, SsspBlockSpec: 18947,
-                 ComponentsBlockSpec: 26001, JacobiBlockSpec: 28336,
-                 PageRankKVSpec: 22059, SsspKVSpec: 18944}
+#: ``pickle.dumps`` byte counts of ``test_local_step``'s six specs,
+#: whose blocks carry their node ids once, as an array.
+PICKLED_BYTES = {PageRankBlockSpec: 21926, SsspBlockSpec: 18811,
+                 ComponentsBlockSpec: 25865, JacobiBlockSpec: 28200,
+                 PageRankKVSpec: 21923, SsspKVSpec: 18808}
 
 
 def test_sharing_does_not_change_a_pickle():
-    """A spec pickles to the byte count it had before splits were shared,
-    alone or beside another holder; no cache travels with it, and the
+    """A spec pickles to one byte count alone or beside another holder,
+    of its own split or of its topology; no cache travels with it, and the
     unpickled copy's arrays are its own and writable."""
     g = _messy_graph(14)
     part = _partitions(g)[0]
@@ -186,8 +301,12 @@ def test_sharing_does_not_change_a_pickle():
     for cls, make in makers.items():
         alone = pickle.dumps(make())
         gc.collect()
+        # a spec of another app over the same edges holds the topology
+        neighbour = SsspBlockSpec(attach_random_weights(g, seed=4), part)
         spec, other = make(), make()
         assert spec._blocks is other._blocks
+        if cls not in (ComponentsBlockSpec, JacobiBlockSpec):
+            _assert_shared_topology(spec, neighbour)
         shared = pickle.dumps(spec)
         assert len(alone) == PICKLED_BYTES[cls]
         assert shared == alone
@@ -204,6 +323,10 @@ def _run_jobs(jobs, *, one_at_a_time: bool) -> list:
     if not one_at_a_time:
         with Session(cluster=SimCluster(), policy="fair") as session:
             handles = [session.submit(job) for job in jobs]
+            specs = [h.loop.backend.spec for h in handles]
+            for spec in specs[1:]:
+                if spec._blocks is not specs[0]._blocks:
+                    _assert_shared_topology(specs[0], spec)
             session.run()
             return [np.asarray(h.result.state) for h in handles]
     out = []
@@ -214,7 +337,8 @@ def _run_jobs(jobs, *, one_at_a_time: bool) -> list:
 
 
 def test_a_shared_split_gives_the_bits_of_private_ones(inputs, builds):
-    g, wg, part, wpart, _ = inputs
+    g, _, part, _, _ = inputs
+    wg, wpart = _twin(g, part.assign)
     jobs = ([pagerank_spec(g, part, mode=mode) for mode in MODES]
             + [sssp_spec(wg, wpart, mode=mode) for mode in MODES])
     shared = _run_jobs(jobs, one_at_a_time=False)

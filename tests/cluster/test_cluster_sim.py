@@ -3,6 +3,9 @@ sizing."""
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -86,6 +89,27 @@ class TestTrace:
         t.add(Event("map", "a", 0, 0, 0.0, 2.0))
         t.add(Event("map", "b", 0, 1, 1.0, 3.0))
         t.check_no_overlap()
+
+    def test_an_event_is_a_slotted_frozen_value(self):
+        """A traced session holds tens of thousands of events: each has
+        slots and no ``__dict__``, and is still frozen, hashable, equal
+        by value and picklable, and both slot checks still read it."""
+        from perfbench import checks
+
+        e = Event("a:iter0:map", "a:iter0:map:0", 0, 1, 0.0, 2.0)
+        assert not hasattr(e, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.start = 1.0
+        twin = Event("a:iter0:map", "a:iter0:map:0", 0, 1, 0.0, 2.0)
+        assert e == twin and hash(e) == hash(twin) and len({e, twin}) == 1
+        assert e != dataclasses.replace(e, end=3.0)
+        assert pickle.loads(pickle.dumps(e)) == e
+        cluster = SimCluster()
+        cluster.trace.extend([e, Event("a:iter0:map", "a:iter0:map:1", 0, 1, 1.0, 3.0)])
+        with pytest.raises(AssertionError, match="overlap on slot"):
+            cluster.trace.check_no_overlap()
+        (failure,) = checks.check_slots(cluster, ["a"])
+        assert failure.startswith("a map slots: overlap on slot")
 
 
 class TestDFS:

@@ -35,6 +35,7 @@ from repro.core import (
     DivergenceDetector,
     DriverConfig,
     IterationLoop,
+    Session,
     resolve_block_backend,
 )
 from repro.graph import (
@@ -271,6 +272,33 @@ class TestDivergenceRescue:
         barrier = res.history[det.events[-1][0] + 1:]
         assert barrier and all(r.version_vector == () and r.max_staleness == 0
                                for r in barrier)
+
+    def test_two_jobs_of_one_description_each_run_as_alone(self):
+        """Submitted twice to one session, a description with a detector
+        runs each job as it runs alone — rounds, state and tightenings —
+        because only the first job watches the caller's detector."""
+        system, part = oscillating_system()
+        cfg = DriverConfig(mode="eager", max_global_iters=800)
+
+        def describe(det):
+            return jacobi_spec(system, part, tol=1e-6, staleness=None,
+                               phase=(0.0, 0.34, 0.67), detector=det,
+                               require_dominant=False, config=cfg)
+
+        alone_det = DivergenceDetector()
+        alone = describe(alone_det).run()
+        assert alone.converged and alone_det.events
+        det = DivergenceDetector()
+        job = describe(det)
+        with Session(policy="rr") as session:
+            handles = [session.submit(job) for _ in range(2)]
+            session.run()
+        assert handles[0].loop.backend.detector is det
+        for h in handles:
+            assert h.result.global_iters == alone.global_iters
+            assert h.result.history == alone.history
+            assert np.array_equal(h.result.state, alone.state)
+            assert h.loop.backend.detector.events == alone_det.events
 
     def test_detector_unit_behavior(self):
         det = DivergenceDetector()

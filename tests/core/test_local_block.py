@@ -510,8 +510,8 @@ class TestStaticArraysShipWithTheSpec:
             for a, b in zip(here, there, strict=True):
                 assert np.array_equal(a, b)
             nodes, src, dst, w = self._lazy_reference(spec, p)
-            assert there.node_list == nodes
             assert there.nodes.tolist() == nodes
+            assert there.nodes.dtype == np.int64
             assert there.cut_src.tolist() == src.tolist()
             assert there.cut_dst.tolist() == dst
             assert there.cut_w.tolist() == w

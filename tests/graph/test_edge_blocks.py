@@ -92,9 +92,7 @@ def assert_blocks_match_oracle(graph: DiGraph, partition: Partition,
     for p, b in enumerate(blocks):
         csr = _PartitionCSR(graph, assign, p, parts[p])
         pe = _PartitionEdges(graph, assign, p, parts[p])
-        _same(b.nodes, parts[p])
-        assert b.node_list == parts[p].tolist()
-        assert all(type(u) is int for u in b.node_list)
+        assert b.nodes is parts[p]      # the partition's own ids, not a copy
         for name, want in (("int_src", csr.int_src), ("int_dst", csr.int_dst),
                            ("in_src", csr.ext_src), ("in_dst", csr.ext_dst)):
             _same(getattr(b, name), want)
@@ -171,9 +169,9 @@ class TestAgainstTheDeletedBuilders:
     def test_no_edges_and_k_beyond_n(self):
         g = DiGraph(3, [], [])
         blocks = split_edges(*g.edge_arrays(), Partition(g, np.array([0, 4, 4]), 6))
-        assert [b.node_list for b in blocks] == [[0], [], [], [], [1, 2], []]
+        assert [b.nodes.tolist() for b in blocks] == [[0], [], [], [], [1, 2], []]
         for b in blocks:
-            for arr in b[2:]:
+            for arr in b[1:]:
                 assert len(arr) == 0
             assert b.int_w.dtype == np.float64 and b.int_src.dtype == np.int64
 

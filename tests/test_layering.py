@@ -20,6 +20,10 @@ cluster's phases, charges and ``concurrently`` fork.
 An app describes its job and never runs it: no module under
 ``repro/apps`` constructs an ``IterationLoop``.  A description runs
 alone through ``JobSpec.run`` or with others in a ``Session``.
+
+An edge split has one owner: under ``src/`` only
+``apps/_nodeblock.shared_split`` calls ``split_edges``, so every spec's
+split is shared by app, partition and source, and its ids by topology.
 """
 
 from __future__ import annotations
@@ -187,20 +191,30 @@ def test_clock_owner_scan_sees_every_assignment_form():
 APPS = ROOT / "apps"
 
 
-def _loop_calls(tree: ast.AST) -> "list[int]":
-    """Lines of every call of ``IterationLoop``, by name or attribute."""
-    return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and (
-                (isinstance(node.func, ast.Name)
-                 and node.func.id == "IterationLoop")
-                or (isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "IterationLoop"))]
+def _calls(tree: ast.AST, name: str) -> "list[tuple[int, str]]":
+    """``(line, function)`` of every call of ``name``, by name or
+    attribute; ``function`` is the innermost enclosing ``def``'s name
+    (``""`` at module level)."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "")
+    return found
 
 
 def test_app_runs_no_loop():
     bad = [f"{path.relative_to(ROOT)}:{line}"
            for path in sorted(APPS.rglob("*.py"))
-           for line in _loop_calls(ast.parse(path.read_text(encoding="utf-8")))]
+           for line, _ in _calls(ast.parse(path.read_text(encoding="utf-8")),
+                                 "IterationLoop")]
     assert not bad, f"an app runs an IterationLoop itself: {bad}"
 
 
@@ -212,4 +226,35 @@ def test_app_runs_no_loop_scan_sees_a_planted_call_not_a_docstring():
               "    return IterationLoop(be, cfg).run()\n"
               "def g(be, cfg):\n"
               "    return core.IterationLoop(be, cfg)\n")
-    assert sorted(_loop_calls(ast.parse(source))) == [5, 7]
+    assert sorted(_calls(ast.parse(source), "IterationLoop")) == [(5, "f"), (7, "g")]
+
+
+SPLIT_OWNER = ("apps/_nodeblock.py", "shared_split")
+
+
+def test_one_split_owner():
+    calls = [(str(path.relative_to(ROOT)), line, function)
+             for path in sorted(ROOT.rglob("*.py"))
+             for line, function in _calls(
+                 ast.parse(path.read_text(encoding="utf-8")), "split_edges")]
+    bad = [f"{path}:{line} in {function or '<module>'}"
+           for path, line, function in calls if (path, function) != SPLIT_OWNER]
+    assert not bad, f"only {SPLIT_OWNER[0]}:{SPLIT_OWNER[1]} may split edges: {bad}"
+    # the scan sees the owner's own call
+    assert [(p, f) for p, _, f in calls] == [SPLIT_OWNER]
+
+
+def test_one_split_owner_scan_sees_a_planted_call_not_a_docstring():
+    source = ('"""Split with ``split_edges(src, dst, w, part)``."""\n'
+              "from repro import graph\n"
+              "blocks = split_edges(s, d, w, p)\n"
+              "def shared_split(spec):\n"
+              '    """split_edges(s, d, w, p) is not called here."""\n'
+              "    def inner():\n"
+              "        return graph.split_edges(s, d, w, p)\n"
+              "    return split_edges(s, d, w, p), inner\n"
+              "class Spec:\n"
+              "    def __init__(self):\n"
+              "        self.blocks = graph.split_edges(s, d, w, p)\n")
+    assert sorted(_calls(ast.parse(source), "split_edges")) == [
+        (3, ""), (7, "inner"), (8, "shared_split"), (11, "__init__")]
