@@ -7,7 +7,8 @@ This bench adds the rack level the paper sketches: partitions grouped
 into racks run several cheap rack-local synchronization rounds per
 (expensive) global round.  Expected: fewer global iterations and lower
 total simulated time than the flat two-level eager scheme, with the
-same fixed point.
+same fixed point: flat eager and every rack layout land within 2x of a
+general run's distance to the true fixed point.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.pagerank import PageRankBlockSpec
-from repro.bench import get_graph, get_partition, graph_scale, make_cluster
+from repro.bench import (
+    get_graph,
+    get_partition,
+    graph_scale,
+    make_cluster,
+    true_ranks,
+)
 from repro.core import (
     BlockBackend,
     DriverConfig,
@@ -23,7 +30,7 @@ from repro.core import (
     IterationLoop,
     make_racks,
 )
-from repro.util import ascii_table
+from repro.util import ascii_table, max_abs_diff
 
 
 def test_extension_hierarchical_synchronization(once):
@@ -31,6 +38,7 @@ def test_extension_hierarchical_synchronization(once):
     g = get_graph("A", scale)
     k = max(4, int(round(400 * scale)))
     part = get_partition("A", scale, k)
+    truth = true_ranks("A", scale)
 
     def run():
         flat = IterationLoop(
@@ -48,14 +56,20 @@ def test_extension_hierarchical_synchronization(once):
             rows.append((f"3-level: {racks} racks x {inner} inner rounds",
                          hier.global_iters, hier.sim_time))
             results[f"h{racks}x{inner}"] = hier
-        return rows, results
+        general = IterationLoop(
+            BlockBackend(PageRankBlockSpec(g, part), cluster=make_cluster()),
+            DriverConfig(mode="general")).run()
+        return rows, results, max_abs_diff(general.state, truth)
 
-    rows, results = once(run)
+    rows, results, general_error = once(run)
+    errors = {key: max_abs_diff(r.state, truth) for key, r in results.items()}
     print()
     print(ascii_table(
-        ["scheme", "global iters", "sim time (s)"],
-        [[n, it, f"{t:.0f}"] for n, it, t in rows],
-        title=f"Extension: hierarchical synchronization (Graph A, {k} partitions)"))
+        ["scheme", "global iters", "sim time (s)", "answer error"],
+        [[n, it, f"{t:.0f}", f"{e:.2e}"]
+         for (n, it, t), e in zip(rows, errors.values())],
+        title=f"Extension: hierarchical synchronization (Graph A, {k} "
+              f"partitions; general's answer error {general_error:.2e})"))
 
     flat = results["flat"]
     best = min((r for key, r in results.items() if key != "flat"),
@@ -65,3 +79,6 @@ def test_extension_hierarchical_synchronization(once):
                        atol=1e-3)
     assert best.global_iters < flat.global_iters
     assert best.sim_time < flat.sim_time
+    # flat eager and every rack layout are as accurate as a general run
+    for key, error in errors.items():
+        assert error <= 2 * general_error, (key, error, general_error)

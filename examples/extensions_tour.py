@@ -33,6 +33,9 @@ Run:  python examples/extensions_tour.py
 
 from __future__ import annotations
 
+import glob
+import os
+
 import numpy as np
 
 from repro.apps.pagerank import PageRankBlockSpec, PageRankKVSpec
@@ -186,7 +189,9 @@ def main() -> None:
     # metadata; the reader maps it in place.  Zero pipe traffic for the
     # data — and a fat map function is parked the same way, once per
     # run instead of once per task.  Segment lifetime is driver-owned:
-    # the registry is empty after every job, retries included.
+    # every run ends by unlinking each name its attempts could have
+    # parked, so /dev/shm holds none of them after a job, retries
+    # included.
     # ------------------------------------------------------------------
     docs = ["the quick brown fox jumps over the lazy dog"] * 4
     splits = [[(i, d)] for i, d in enumerate(docs)]
@@ -194,7 +199,8 @@ def main() -> None:
                  conf=JobConf(num_reducers=2))
     with MapReduceRuntime("processes", workers=2, shm_min_bytes=64) as prt:
         over_shm = prt.run(wc_job, splits)
-        leftover = prt.segments.live_count
+        # every run's segment names start with the driver's pid
+        leftover = len(glob.glob(f"/dev/shm/reproshm-{os.getpid():x}-*"))
     with MapReduceRuntime("serial") as srt:
         over_pipe = srt.run(wc_job, splits)
     assert over_shm.output == over_pipe.output  # transport, not semantics

@@ -59,7 +59,7 @@ class SpeculationConfig:
     def __post_init__(self) -> None:
         if self.slowdown_threshold <= 1.0:
             raise ValueError("slowdown_threshold must be > 1")
-        if not 0.0 < self.percentile <= 1.0:
+        if self.percentile is None or not 0.0 < self.percentile <= 1.0:
             raise ValueError("percentile must be in (0, 1]")
         if not 0.0 <= self.min_completed_fraction <= 1.0:
             raise ValueError("min_completed_fraction must be in [0, 1]")

@@ -82,10 +82,12 @@ class DriverConfig:
         tasks, LATE-style).  ``False`` (default) disables; ``True``
         enables with :class:`~repro.cluster.SpeculationConfig` defaults;
         a :class:`~repro.cluster.SpeculationConfig` instance tunes the
-        threshold/percentile.  Every phase the accountant schedules —
-        and, in the engine backend, real task execution — launches
-        backup copies of tasks running past the LATE threshold and takes
-        the first result.
+        threshold/percentile.  Every phase the accountant schedules
+        launches simulated backup copies of tasks projected past the
+        LATE threshold and takes the first result.  In an engine run the
+        flag prices those simulated backups only: ``EngineBackend``
+        hands it to no runtime, and real attempts race only under
+        ``MapReduceRuntime(speculate=...)``.
     """
 
     mode: str = "eager"

@@ -29,8 +29,9 @@ decisions and shared-memory segment names are keyed on — is
 :attr:`Attempt.number`: a task's primaries count ``0, 1, ...`` below
 :data:`MAX_ATTEMPTS`, its backups and replays share one sequence from
 :data:`MAX_ATTEMPTS` up, so no two attempts of a task ever collide.  Every
-spawn is appended to a per-job ledger, and an aborted job unlinks
-exactly the segments those attempts could have parked.
+spawn is appended to a per-job ledger, and every run on the
+shared-memory transport ends — completed or aborted — by unlinking
+exactly the segments the driver and those attempts could have parked.
 
 Pool lifecycle
 --------------
@@ -320,11 +321,8 @@ class MapReduceRuntime:
         #: replay of a round must not re-kill the node (the machine died
         #: once; the replay runs on the survivors).
         self._fired_deaths: "set[tuple[int, int]]" = set()
-        #: Driver-side ledger of live shared-memory segments (see
-        #: :class:`~repro.engine.shm.SegmentRegistry`): the parked job
-        #: functions and the map buckets the reducers read in place are
-        #: registered here and unlinked in ``run``'s ``finally`` — and,
-        #: as a backstop, on :meth:`close`/``__del__``.
+        #: Names each run's shared-memory segments and sweeps them in
+        #: ``run``'s ``finally`` (:class:`~repro.engine.shm.SegmentRegistry`).
         self.segments = SegmentRegistry()
         self._pool: "concurrent.futures.Executor | None" = None
 
@@ -340,13 +338,10 @@ class MapReduceRuntime:
         """Shut down the persistent worker pool and join its workers.
 
         Idempotent; a later :meth:`run` lazily re-creates the pool.
-        Also unlinks any shared-memory segments still registered (none
-        after a cleanly completed job).
         """
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        self.segments.release_all()
 
     def __enter__(self) -> "MapReduceRuntime":
         return self
@@ -385,7 +380,7 @@ class MapReduceRuntime:
             fut.cancel()
         # A running attempt (e.g. a stalled primary whose backup is
         # racing) cannot be cancelled and keeps parking segments; the
-        # abort sweep must not run until no task of this job can still
+        # run's sweep must not run until no task of this job can still
         # write.  Cancelled futures complete immediately.
         concurrent.futures.wait(futures)
         # A dead worker (segfault, OOM-kill, ``os._exit`` in user code)
@@ -436,31 +431,12 @@ class MapReduceRuntime:
         shm_prefix = self.segments.new_prefix() if shm else None
         map_fn, reduce_fn, inputs = job.map_fn, job.reduce_fn, splits
         job_shape = (len(splits), conf.num_reducers)
-
-        def park(export, payload, suffix: str):
-            """Export ``payload`` under this run's prefix; a parked
-            segment is the driver's from its creation on."""
-            ref = export(payload, f"{shm_prefix}{suffix}", self.shm_min_bytes)
-            if ref is not payload:
-                self.segments.adopt(f"{shm_prefix}{suffix}")
-            return ref
-
-        #: (phase, task, attempt number) of every attempt spawned — what
-        #: the abort path below sweeps.
+        #: (phase, task, attempt number) of every attempt spawned — with
+        #: the driver's own ``f``/``rf``/``s``, every name the sweep in
+        #: the ``finally`` below unlinks.
         spawned: "list[tuple[str, int, int]]" = []
         death_stats = {"node_deaths": 0, "lost_map_outputs": 0,
                        "killed_in_flight": 0, "lost_ops": 0}
-
-        def consume_map(i: int, res: TaskResult) -> None:
-            # Parked buckets stay where the map worker put them; the
-            # driver only takes over their lifetime.  Reduce attempts
-            # (retries included) read them in place, so they are
-            # unlinked in the finally below, not on receipt — and so is
-            # an output a node death invalidates after this point.
-            for b in res.data:
-                if isinstance(b, ShmBlockRef):
-                    self.segments.adopt(b.name)
-            buffer.add(i, res.data)
 
         try:
             if shm:
@@ -469,10 +445,13 @@ class MapReduceRuntime:
                 # The functions (a map callable closes over per-partition
                 # arrays) and the splits (which share the round's state
                 # vector) each ride one segment; tasks carry small refs.
-                map_fn = park(export_pickled, job.map_fn, "f")
-                reduce_fn = park(export_pickled, job.reduce_fn, "rf")
+                map_fn = export_pickled(job.map_fn, f"{shm_prefix}f",
+                                        self.shm_min_bytes)
+                reduce_fn = export_pickled(job.reduce_fn, f"{shm_prefix}rf",
+                                           self.shm_min_bytes)
                 try:
-                    inputs = park(export_splits, splits, "s")
+                    inputs = export_splits(splits, f"{shm_prefix}s",
+                                           self.shm_min_bytes)
                 except OSError as exc:
                     if exc.errno != errno.ENOSPC:
                         raise
@@ -490,7 +469,9 @@ class MapReduceRuntime:
                 runner=run_map_task,
                 counters=counters,
                 spawned=spawned,
-                consume=consume_map,
+                # Parked buckets stay where the map workers put them:
+                # reduce attempts (retries included) read them in place.
+                consume=lambda i, res: buffer.add(i, res.data),
                 deaths=deaths,
                 round_index=round_index,
                 buffer=buffer,
@@ -537,17 +518,14 @@ class MapReduceRuntime:
                 output = []
                 for res in reduce_results:
                     output.extend(res.data)
-        except BaseException:
-            if shm:
-                # Abort path: completed-but-unconsumed attempts may have
-                # parked segments whose refs never reached us.  Names
-                # are a function of the attempt, so the spawn ledger
-                # says exactly which ones can exist.
-                self.segments.sweep(shm_prefix, spawned, conf.num_reducers)
-            raise
         finally:
             if shm:
-                self.segments.release_all()
+                # Names are a function of the attempt, so the spawn
+                # ledger says exactly which segments can exist — refs
+                # that never reached the driver included.  Each phase
+                # returns (or aborts) only once no attempt can still
+                # write, so nothing is parked after this.
+                self.segments.sweep(shm_prefix, spawned, conf.num_reducers)
 
         sim_times = self._account(job, map_results, reduce_results, sbytes,
                                   out_nbytes, accountant=accountant,
@@ -559,8 +537,11 @@ class MapReduceRuntime:
     # ------------------------------------------------------------------
     @staticmethod
     def _discard_result(res: TaskResult) -> None:
-        """Throw away a losing attempt's output, unlinking any segments
-        it parked (they were never adopted; nobody will read them)."""
+        """Throw away a losing or doomed attempt's output, unlinking any
+        segments it parked now rather than at the run's sweep: nobody
+        will read them, and the space comes back at once.  Docker's
+        ``/dev/shm`` is 64 MB by default, and one ``engine-sweep-proc``
+        round parks about 40 MB (``docs/shm_transport.md``)."""
         data = res.data
         refs = data if isinstance(data, (list, tuple)) else [data]
         for ref in refs:

@@ -15,29 +15,27 @@ support ``write``).
 
 Ownership is driver-side and explicit, by name; nothing here talks to
 ``multiprocessing``'s resource tracker, so a pooled worker's exit
-cannot unlink what the driver still needs:
+cannot unlink what the driver still needs.  Every name is a function of
+the run and the attempt that parks it (``{prefix}m{i}a{a}p{r}`` /
+``{prefix}r{i}a{a}`` / ``{prefix}f`` / ``{prefix}rf`` / ``{prefix}s``),
+so the driver's ledger of spawned attempts names every segment a run
+can leave, and :meth:`SegmentRegistry.sweep` unlinks them all when the
+run ends, completed or aborted:
 
-* Map buckets are worker-created and *driver-adopted*: when a map
-  result is accepted the driver records the bucket names in the
-  runtime's :class:`SegmentRegistry` without reading them.  Reduce
+* Map buckets are worker-created and never read by the driver.  Reduce
   tasks read them in place (``take(unlink=False)``), so a retried
-  reduce attempt re-reads the same segments; they live until the run
-  ends (``run``'s ``finally``; ``runtime.close()`` / ``__del__`` as
-  backstops).  An invalidated map output (node death) stays adopted
-  and goes with the rest; a losing attempt's buckets were never
-  adopted and are unlinked the moment its result is discarded.
+  reduce attempt re-reads the same segments; they live until the sweep.
+  An output a node death invalidates waits for the sweep too; a losing
+  or doomed attempt's buckets are unlinked the moment its result is
+  discarded.
 * Reduce outputs are worker-created and consumed once: the driver
   unlinks each as it takes the block (:meth:`ShmBlockRef.take`).
 * Driver-created segments (the parked job functions and the round's
-  input splits, which every task attempt of the run re-reads) are
-  adopted at creation and released with the map buckets.
-* Names are deterministic (``{prefix}m{i}a{a}p{r}`` /
-  ``{prefix}r{i}a{a}`` / ``{prefix}f`` / ``{prefix}rf`` /
-  ``{prefix}s``), so an aborted job can sweep every segment the
-  attempts it spawned *might* have created — nothing leaks even when a
-  crash leaves completed-but-unadopted results behind.  (``{prefix}g{r}``, a
-  reducer's pre-grouped input, has no live producer: only
-  :func:`export_groups` callers outside the runtime make one.)
+  input splits, which every task attempt of the run re-reads) live
+  until the sweep.
+* ``{prefix}g{r}``, a reducer's pre-grouped input, has no live
+  producer: only :func:`export_groups` callers outside the runtime
+  make one.
 
 Everything here is fork- and spawn-safe: refs carry only names and
 metadata, and opening is by name.  Blocks below
@@ -175,8 +173,8 @@ class ShmBlockRef(_ShmRef):
 
         ``unlink`` removes the segment's name afterwards — how the driver
         consumes a reduce output; a reduce task reading its map buckets
-        passes False (a retry re-reads them; the driver's registry
-        unlinks them when the run ends).
+        passes False (a retry re-reads them; the run's sweep unlinks
+        them).
         """
         keys, values = self._arrays(unlink=unlink)
         return ColumnarBlock(keys, values, self.dictionary)
@@ -196,7 +194,7 @@ class ShmGroupsRef(_ShmRef):
         """The groups, in place (private copy-on-write views).
 
         Defaults to keeping the segment: reduce inputs must survive
-        task retries, so only the driver's registry unlinks them.
+        task retries, so only their owner unlinks them.
         """
         keys, values, starts, counts, order = self._arrays(unlink=unlink)
         return ColumnarGroups(keys=keys, values=values, starts=starts,
@@ -226,7 +224,7 @@ class ShmPickleRef(_ShmRef):
     carry this tiny ref, and each worker maps, loads and caches the
     object the first time it sees the name (task replays hit the
     cache).  The segment is driver-owned: it must outlive every retry,
-    so only the runtime's registry unlinks it.
+    so only the run's sweep unlinks it.
 
     ``specs[0]`` is the pickle stream, the rest its protocol-5
     out-of-band buffers (the arrays the object closes over), so array
@@ -358,67 +356,39 @@ def export_groups(groups: ColumnarGroups, name: str,
 
 
 class SegmentRegistry:
-    """Driver-side ledger of live shared-memory segments.
+    """Hands out the runtime's per-run name prefixes, and unlinks what a
+    run parked under one.
 
-    Tracks the segments that must outlive single tasks — the map
-    buckets the driver adopted and the job functions it parked — so
-    the job's ``finally`` — and ultimately ``runtime.close()`` /
-    ``__del__`` — can unlink them, and hands out collision-free name
-    prefixes per job run.  ``sweep`` is the abort-path net: it probes
-    every deterministic name the job's spawned attempts could have
-    created and unlinks any that exist, covering worker-created
-    segments whose refs never reached the driver.
+    A prefix is ``reproshm-{driver pid:x}-{token}-{seq}-``, unique per
+    runtime and run; perfbench's leak probe globs its pid part.
     """
 
     def __init__(self) -> None:
         self._token = f"{os.getpid():x}-{uuid.uuid4().hex[:8]}"
         self._seq = 0
-        self._live: "set[str]" = set()
-
-    @property
-    def live_count(self) -> int:
-        """Registered segments not yet released (0 after a clean job)."""
-        return len(self._live)
 
     def new_prefix(self) -> str:
         """A unique per-job-run name prefix (process- and run-scoped)."""
         self._seq += 1
         return f"reproshm-{self._token}-{self._seq}-"
 
-    def adopt(self, name: str) -> None:
-        """Record a segment this registry must eventually unlink."""
-        self._live.add(name)
-
-    def release(self, name: str) -> None:
-        """Unlink one segment (tolerates an already-gone segment)."""
-        self._live.discard(name)
-        _unlink_quietly(name)
-
-    def release_all(self) -> None:
-        """Unlink every registered segment (idempotent)."""
-        while self._live:
-            self.release(self._live.pop())
-
     def sweep(self, prefix: str,
               spawned: "list[tuple[str, int, int]]",
               num_reducers: int) -> int:
-        """Unlink every segment the ``spawned`` attempts of the job
-        under ``prefix`` can have parked.
+        """Unlink every segment the run under ``prefix`` can have parked.
 
-        ``spawned`` is the driver's ledger of ``(phase, task, attempt
-        number)``; a map attempt parks one bucket per reducer, a reduce
-        attempt one output block.  Used on the abort path only: probes
-        are cheap (one failed open each) but would still be pure
-        overhead on the happy path, where every segment is either
-        adopted (and goes with :meth:`release_all`) or already taken.
-        Returns the number reclaimed.
+        That is the driver's own ``f``, ``rf`` and ``s``, and whatever
+        the ``spawned`` attempts parked: ``spawned`` is the driver's
+        ledger of ``(phase, task, attempt number)``; a map attempt parks
+        one bucket per reducer, a reduce attempt one output block.  A
+        name already gone (taken, discarded, or never parked) costs one
+        failed unlink.  Returns the number reclaimed.
         """
-        reclaimed = 0
+        names = [f"{prefix}{suffix}" for suffix in ("f", "rf", "s")]
         for phase, i, a in spawned:
-            names = ([f"{prefix}m{i}a{a}p{r}" for r in range(num_reducers)]
-                     if phase == "map" else [f"{prefix}r{i}a{a}"])
-            reclaimed += sum(_unlink_quietly(name) for name in names)
-        return reclaimed
+            names += ([f"{prefix}m{i}a{a}p{r}" for r in range(num_reducers)]
+                      if phase == "map" else [f"{prefix}r{i}a{a}"])
+        return sum(_unlink_quietly(name) for name in names)
 
 
 def _unlink_quietly(name: str) -> bool:

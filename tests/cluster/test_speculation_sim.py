@@ -41,6 +41,7 @@ class TestSpeculationConfig:
         {"slowdown_threshold": 1.0},
         {"percentile": 0.0},
         {"percentile": 1.5},
+        {"percentile": None},  # the mean is late_threshold's alone
         {"min_completed_fraction": -0.1},
         {"check_interval": 0.0},
     ])

@@ -4,7 +4,8 @@ The shm transport is an *optimisation of the wire*, not of the shuffle:
 every job routed through named segments must produce output bitwise
 identical to the same job through the pickle pipe, and every segment a
 job creates must be gone — clean finish, task retries, or abort — by
-the time ``run`` returns (plus ``close()``/``__del__`` as backstops).
+the time ``run`` returns: one sweep of the run's spawn ledger unlinks
+them all.
 """
 
 from __future__ import annotations
@@ -102,6 +103,14 @@ def _live_segments() -> "set[str]":
     return {p.rsplit("/", 1)[1] for p in glob.glob("/dev/shm/*reproshm-*")}
 
 
+def run_segments() -> "list[str]":
+    """The runtime segments of this process still in ``/dev/shm``: every
+    run prefix embeds the driver's pid (the glob of perfbench's
+    ``shm_segments`` leak probe).  What the OS holds, not a count kept
+    by the code under test."""
+    return glob.glob(f"/dev/shm/reproshm-{os.getpid():x}-*")
+
+
 class TestCrossExecutorParity:
     """serial == threads == processes, segments or pipes, bit for bit."""
 
@@ -115,7 +124,7 @@ class TestCrossExecutorParity:
                 res = rt.run(
                     Job(_emit_block_map, "sum", combine_fn=combine,
                         conf=JobConf(num_reducers=3)), splits)
-                assert rt.segments.live_count == 0
+                assert run_segments() == []
             outputs[executor] = res.output
         assert outputs["serial"] == outputs["threads"]
         assert outputs["serial"] == outputs["processes"]
@@ -144,7 +153,7 @@ class TestCrossExecutorParity:
                               shm_min_bytes=1024) as rt:
             faulty = rt.run(Job(_emit_block_map, "sum", combine_fn="sum",
                                 conf=JobConf(num_reducers=3)), splits)
-            assert rt.segments.live_count == 0
+            assert run_segments() == []
         with MapReduceRuntime("serial") as rt:
             clean = rt.run(Job(_emit_block_map, "sum", combine_fn="sum",
                                conf=JobConf(num_reducers=3)), splits)
@@ -158,7 +167,7 @@ class TestSegmentLifecycle:
                               shm_min_bytes=1024) as rt:
             rt.run(Job(_emit_block_map, "sum", combine_fn="sum",
                        conf=JobConf(num_reducers=3)), _splits())
-            assert rt.segments.live_count == 0
+            assert run_segments() == []
         assert _live_segments() <= before
 
     def test_zero_segments_after_midjob_failure(self):
@@ -169,7 +178,7 @@ class TestSegmentLifecycle:
                               shm_min_bytes=1024) as rt:
             rt.run(Job(_emit_block_map, "sum", combine_fn="sum",
                        conf=JobConf(num_reducers=3)), _splits())
-            assert rt.segments.live_count == 0
+            assert run_segments() == []
         assert _live_segments() <= before
 
     def test_abort_sweep_reclaims_everything(self):
@@ -182,7 +191,7 @@ class TestSegmentLifecycle:
                 rt.run(Job(_emit_block_map, "sum", combine_fn="sum",
                            conf=JobConf(num_reducers=3)),
                        _splits())
-            assert rt.segments.live_count == 0
+            assert run_segments() == []
         assert _live_segments() <= before
 
 
@@ -242,7 +251,7 @@ class TestReducerSideMerge:
                               shm_min_bytes=1024) as rt:
             for _ in range(runs):
                 res = rt.run(self.JOB, splits)
-                assert rt.segments.live_count == 0
+                assert run_segments() == []
         assert _live_segments() <= before
         _assert_bitwise(res, self._oracle(self.JOB, splits))
         consumed = [name for name, unlink in takes if unlink]
@@ -266,7 +275,7 @@ class TestReducerSideMerge:
         with MapReduceRuntime("processes", workers=2, fault_plan=plan,
                               shm_min_bytes=1024) as rt:
             res = rt.run(self.JOB, splits)
-            assert rt.segments.live_count == 0
+            assert run_segments() == []
         assert _live_segments() <= before
         assert res.counters.get(TASK_RETRIES) == 1
         _assert_bitwise(res, self._oracle(self.JOB, splits))
@@ -279,29 +288,39 @@ class TestReducerSideMerge:
         with MapReduceRuntime("processes", workers=2,
                               shm_min_bytes=1024) as rt:
             res = rt.run(job, splits)
-            assert rt.segments.live_count == 0
+            assert run_segments() == []
         assert _live_segments() <= before
         assert res.counters.get(TASK_RETRIES) == 1
         assert res.output == self._oracle(job, splits).output
 
-    def test_run_split_between_parked_and_inline_buckets(self):
+    def test_run_split_between_parked_and_inline_buckets(self,
+                                                         monkeypatch):
         """One map task's buckets clear the threshold, another's do not:
-        a reducer's run then mixes segment handles and plain blocks."""
+        a reducer's run then mixes segment handles and plain blocks.
+        The parked buckets are in ``/dev/shm`` when the reduce phase
+        starts, and gone when the run returns."""
         splits = _splits(num_splits=3)
         splits[1] = [(1, tuple(col[:20] for col in splits[1][0][1]))]
+        at_start = {}
+        real_run_phase = MapReduceRuntime._run_phase
+
+        def run_phase(rt, *, phase, **kwargs):
+            at_start[phase] = sorted(path.rsplit("-", 1)[1]
+                                     for path in run_segments())
+            return real_run_phase(rt, phase=phase, **kwargs)
+
+        monkeypatch.setattr(MapReduceRuntime, "_run_phase", run_phase)
         before = _live_segments()
         with MapReduceRuntime("processes", workers=2,
                               shm_min_bytes=1024) as rt:
-            adopted = []
-            adopt = rt.segments.adopt
-            rt.segments.adopt = lambda name: (adopted.append(name),
-                                              adopt(name))
             res = rt.run(self.JOB, splits)
+            assert run_segments() == []
         assert _live_segments() <= before
-        # ``s``: the run's splits, parked by the driver and adopted at
-        # creation (their arrays clear the threshold together).
-        assert sorted(name.rsplit("-", 1)[1] for name in adopted) == [
-            "m0a0p0", "m0a0p1", "m2a0p0", "m2a0p1", "s"]
+        # ``s``: the run's splits, parked by the driver (their arrays
+        # clear the threshold together); task 1's buckets stay inline.
+        assert at_start == {
+            "map": ["s"],
+            "reduce": ["m0a0p0", "m0a0p1", "m2a0p0", "m2a0p1", "s"]}
         _assert_bitwise(res, self._oracle(self.JOB, splits))
 
     def test_reducer_with_an_empty_run(self):
@@ -394,7 +413,7 @@ class TestSpeculativeCancellation:
             res = rt.run(Job(_emit_block_map, "sum", combine_fn="sum",
                              conf=JobConf(num_reducers=3)), splits)
             assert res.counters.get(SPECULATIVE_BACKUPS) >= 1
-            assert rt.segments.live_count == 0
+            assert run_segments() == []
         assert _live_segments() <= before
         with MapReduceRuntime("serial") as rt:
             oracle = rt.run(Job(_emit_block_map, "sum", combine_fn="sum",
@@ -416,7 +435,7 @@ class TestSpeculativeCancellation:
                 rt.run(Job(_emit_block_map, "sum", combine_fn="sum",
                            conf=JobConf(num_reducers=3)),
                        splits)
-            assert rt.segments.live_count == 0
+            assert run_segments() == []
         assert _live_segments() <= before
 
 
@@ -450,7 +469,7 @@ class TestNodeDeathSweep:
                               speculate=self.SPEC) as rt:
             res = rt.run(Job(_emit_block_map, "sum", combine_fn="sum",
                              conf=JobConf(num_reducers=3)), splits)
-            assert rt.segments.live_count == 0
+            assert run_segments() == []
         assert _live_segments() <= before
         assert res.counters.get(NODE_DEATHS) == 1
         assert res.output == self._oracle(splits).output
@@ -469,7 +488,7 @@ class TestNodeDeathSweep:
                               shm_min_bytes=1024) as rt:
             res = rt.run(Job(_emit_block_map, "sum", combine_fn="sum",
                              conf=JobConf(num_reducers=3)), splits)
-            assert rt.segments.live_count == 0
+            assert run_segments() == []
         assert _live_segments() <= before
         assert res.counters.get(NODE_DEATHS) == 1
         assert res.counters.get(LOST_MAP_OUTPUTS) >= 1
@@ -486,7 +505,7 @@ class TestNodeDeathSweep:
                               shm_min_bytes=1024, speculate=self.SPEC) as rt:
             res = rt.run(Job(_emit_block_map, "sum", combine_fn="sum",
                              conf=JobConf(num_reducers=3)), splits)
-            assert rt.segments.live_count == 0
+            assert run_segments() == []
         assert _live_segments() <= before
         assert res.counters.get(NODE_DEATHS) == 2
         assert res.output == self._oracle(splits).output
@@ -519,7 +538,7 @@ class TestOneDriver:
         with MapReduceRuntime(executor, workers=2, fault_plan=plan,
                               shm_min_bytes=1024) as rt:
             res = rt.run(self.JOB, splits)
-            assert rt.segments.live_count == 0
+            assert run_segments() == []
         assert res.output == oracle.output
         assert res.counters.get(TASK_RETRIES) == 3
         assert oracle.counters.get(TASK_RETRIES) == 0
@@ -556,7 +575,7 @@ class TestOneDriver:
                       conf=self.JOB.conf)
             with pytest.raises(RuntimeError, match="boom"):
                 rt.run(job, splits)
-            assert rt.segments.live_count == 0
+            assert run_segments() == []
         assert _live_segments() <= before
         [(spawned, reclaimed)] = swept
         # one primary per split, plus the extra attempts (numbered from
@@ -664,15 +683,19 @@ class TestInPlaceContract:
         assert np.array_equal(ref.take(unlink=False).keys, _block().keys)
 
     # -- (b) lifetime --------------------------------------------------
-    def test_arrays_outlive_the_name_the_registry_and_the_ref(self, name):
+    def test_arrays_outlive_the_sweep_and_the_ref(self):
         block = _block()
         registry = SegmentRegistry()
-        ref = export_block(block, name, min_bytes=1024)
-        registry.adopt(name)
-        kept = ref.take(unlink=False)
-        specs = ref.specs
-        registry.release_all()
-        assert registry.live_count == 0 and not _exists(name)
+        prefix = registry.new_prefix()
+        name = f"{prefix}m0a0p0"  # map task 0's first bucket
+        try:
+            ref = export_block(block, name, min_bytes=1024)
+            kept = ref.take(unlink=False)
+            specs = ref.specs
+            assert registry.sweep(prefix, [("map", 0, 0)], 1) == 1
+        finally:
+            _unlink_quietly(name)
+        assert not _exists(name)
         del ref
         gc.collect()
         assert np.array_equal(kept.keys, block.keys)
@@ -891,7 +914,7 @@ class TestFullTmpfs:
                            conf=JobConf(num_reducers=3)),
                        _splits())
             assert err.value.errno == errno.ENOSPC
-            assert rt.segments.live_count == 0
+            assert run_segments() == []
         assert len(calls) > 3
         assert _live_segments() <= before
 
@@ -1106,7 +1129,7 @@ class TestSplitSegment:
                               shm_min_bytes=1024) as rt:
             for _ in range(2):
                 res = rt.run(self.JOB, splits)
-                assert rt.segments.live_count == 0
+                assert run_segments() == []
         assert _live_segments() <= before
         _assert_bitwise(res, self._oracle(self.JOB, splits))
         parked = _split_segments(written)
@@ -1168,7 +1191,7 @@ class TestSplitSegment:
         with MapReduceRuntime("processes", workers=3, shm_min_bytes=1024,
                               **kwargs) as rt:
             res = rt.run(job, splits)
-            assert rt.segments.live_count == 0
+            assert run_segments() == []
         assert _live_segments() <= before
         _assert_bitwise(res, self._oracle(job, splits))
         [(segment, _)] = _split_segments(written)
@@ -1195,7 +1218,7 @@ class TestSplitSegment:
             with pytest.raises(RuntimeError, match="boom"):
                 rt.run(Job(_scripted_map, "sum", combine_fn="sum",
                            conf=JobConf(num_reducers=3)), splits)
-            assert rt.segments.live_count == 0
+            assert run_segments() == []
         assert _live_segments() <= before
 
     @pytest.mark.parametrize("executor", ["processes", "threads"])
@@ -1213,7 +1236,7 @@ class TestSplitSegment:
         with MapReduceRuntime(executor, workers=2, shm_transport=True,
                               shm_min_bytes=1024) as rt:
             res = rt.run(job, splits)
-            assert rt.segments.live_count == 0
+            assert run_segments() == []
         assert len(failed) == 1 and failed[0].endswith("-s")
         assert not _exists(failed[0])
         assert [n for n, _ in written if n.endswith("-f")]
@@ -1233,7 +1256,7 @@ class TestSplitSegment:
                 rt.run(Job(_FatBlockMap(), "sum", combine_fn="sum",
                            conf=JobConf(num_reducers=3)), _splits())
             assert err.value.errno == errno.EIO
-            assert rt.segments.live_count == 0
+            assert run_segments() == []
         assert len(failed) == 1
         assert _live_segments() <= before
 
@@ -1323,6 +1346,75 @@ class TestSplitSegment:
         for got, want in zip(again, splits):
             _same(got, want)
         assert np.array_equal(shared, np.random.default_rng(seed).random(300))
+
+
+class _FatReduce:
+    """A callable reduce whose pickle clears the threshold (parked as rf)."""
+
+    def __init__(self):
+        self.table = np.arange(20_000, dtype=np.float64)
+
+    def __call__(self, key, values, ctx):
+        ctx.emit(key, sum(values) + self.table[0])
+
+
+class TestOneSweep:
+    """Every shm run ends with one sweep of its spawn ledger, completed
+    or aborted: it unlinks the driver's ``f``, ``rf`` and ``s`` and every
+    name a spawned attempt can have parked, and nothing else."""
+
+    def test_the_sweep_unlinks_the_drivers_names_and_the_ledgers(self):
+        registry = SegmentRegistry()
+        prefix = registry.new_prefix()
+        ledger = [("map", 0, 0), ("map", 0, MAX_ATTEMPTS), ("reduce", 1, 0)]
+        parked = ["f", "rf", "s", "m0a0p0", "m0a0p1", "m0a4p1", "r1a0"]
+        # map task 1 spawned no attempt here; a bucket of another run
+        outside = [f"{prefix}m1a0p0", f"{registry.new_prefix()}m0a0p0"]
+        try:
+            for name in [f"{prefix}{suffix}" for suffix in parked] + outside:
+                _write_segment(name, [np.arange(3)])
+            # m0a4p0 was never parked: one failed probe
+            assert registry.sweep(prefix, ledger, 2) == len(parked)
+            assert sorted(run_segments()) == sorted(
+                f"/dev/shm/{name}" for name in outside)
+            assert registry.sweep(prefix, ledger, 2) == 0
+        finally:
+            for name in outside:
+                _unlink_quietly(name)
+        assert run_segments() == []
+
+    def test_a_clean_run_sweeps_its_functions_splits_and_buckets(
+            self, monkeypatch):
+        """The driver parks ``f``, ``rf`` and ``s``; the map winners park
+        their buckets and the reducers their outputs, which the driver
+        takes.  One sweep at the end finds everything else still there,
+        and leaves nothing."""
+        written = _record_writes(monkeypatch)  # the driver's writes only
+        swept = []
+        real_sweep = SegmentRegistry.sweep
+
+        def sweep(registry, prefix, spawned, num_reducers):
+            present = sorted(path.rsplit("-", 1)[1]
+                             for path in run_segments())
+            reclaimed = real_sweep(registry, prefix, spawned, num_reducers)
+            swept.append((present, reclaimed))
+            return reclaimed
+
+        monkeypatch.setattr(SegmentRegistry, "sweep", sweep)
+        job = Job(_FatBlockMap(), _FatReduce(), conf=JobConf(num_reducers=3))
+        splits = _splits()
+        with MapReduceRuntime("processes", workers=2,
+                              shm_min_bytes=1024) as rt:
+            res = rt.run(job, splits)
+            assert run_segments() == []
+        assert sorted(n.rsplit("-", 1)[1] for n, _ in written) == [
+            "f", "rf", "s"]
+        buckets = [f"m{i}a0p{r}" for i in range(4) for r in range(3)]
+        [(present, reclaimed)] = swept
+        assert present == sorted(["f", "rf", "s", *buckets])
+        assert reclaimed == len(present)
+        with MapReduceRuntime("serial") as rt:
+            assert res.output == rt.run(job, splits).output
 
 
 def _groups(n=5000):

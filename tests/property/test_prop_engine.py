@@ -48,6 +48,7 @@ from repro.engine.shm import SHM_MIN_BYTES
 from repro.engine.task import _apply_combiner
 
 from tests.engine.test_partitioner_counters import reference_hash
+from tests.engine.test_shm import run_segments
 
 # -- strategies ---------------------------------------------------------
 
@@ -360,7 +361,7 @@ class TestJobProperties:
             with MapReduceRuntime("threads", workers=3, shm_transport=True,
                                   shm_min_bytes=shm_min_bytes) as rt:
                 threads = rt.run(job, splits)
-                assert rt.segments.live_count == 0
+                assert run_segments() == []
             assert serial.output == threads.output
             assert serial.as_dict() == _expected(documents)
 
