@@ -13,7 +13,9 @@ Expected on PageRank: the adaptive run needs no more global
 synchronizations than the fixed eager configuration while performing
 substantially fewer total local iterations (it stops over-solving
 against stale remote state), at competitive simulated time — and far
-ahead of the general (one-local-step) baseline on both axes.
+ahead of the general (one-local-step) baseline on both axes.  Each
+answer is checked: general, eager and adaptive all lie within 2x of the
+general run's distance to the true fixed point.
 """
 
 from __future__ import annotations
@@ -21,14 +23,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.pagerank import PageRankBlockSpec
-from repro.bench import get_graph, get_partition, graph_scale, make_cluster
+from repro.bench import (
+    get_graph,
+    get_partition,
+    graph_scale,
+    make_cluster,
+    true_ranks,
+)
 from repro.core import (
     AdaptiveSyncPolicy,
     BlockBackend,
     DriverConfig,
     IterationLoop,
 )
-from repro.util import ascii_table
+from repro.util import ascii_table, max_abs_diff
 
 
 def test_unified_loop_adaptive_sync(once):
@@ -36,6 +44,7 @@ def test_unified_loop_adaptive_sync(once):
     g = get_graph("A", scale)
     k = max(2, int(round(100 * scale)))
     part = get_partition("A", scale, k)
+    truth = true_ranks("A", scale)
 
     def run():
         def one(cfg, policy=None):
@@ -51,14 +60,18 @@ def test_unified_loop_adaptive_sync(once):
         }, policy.budgets
 
     results, budgets = once(run)
+    errors = {name: max_abs_diff(res.state, truth)
+              for name, res in results.items()}
 
     rows = [
-        [name, res.global_iters, res.total_local_iters, f"{res.sim_time:.0f}"]
+        [name, res.global_iters, res.total_local_iters, f"{res.sim_time:.0f}",
+         f"{errors[name]:.2e}"]
         for name, res in results.items()
     ]
     print()
     print(ascii_table(
-        ["sync discipline", "global iters", "local iters", "sim time (s)"],
+        ["sync discipline", "global iters", "local iters", "sim time (s)",
+         "answer error"],
         rows,
         title=f"Unified loop: adaptive sync policy (Graph A, {k} partitions)"))
     print(f"adaptive budgets per round: {budgets}")
@@ -75,3 +88,6 @@ def test_unified_loop_adaptive_sync(once):
     assert ada.sim_time <= eag.sim_time * 1.10
     # the policy actually adapted (budgets are not constant)
     assert len(set(budgets)) > 1
+    # every discipline is as accurate as a general run
+    for name, error in errors.items():
+        assert error <= 2 * errors["general"], (name, error, errors)

@@ -18,7 +18,6 @@ from repro.cluster.accountant import RoundAccountant
 from repro.cluster.cluster import (
     PhaseResult,
     SimCluster,
-    SpeculationConfig,
     late_threshold,
 )
 from repro.cluster.costmodel import (
@@ -44,7 +43,6 @@ from repro.cluster.workerpool import WorkerPool
 __all__ = [
     "SimCluster",
     "PhaseResult",
-    "SpeculationConfig",
     "late_threshold",
     "RoundAccountant",
     "CostModel",

@@ -193,11 +193,10 @@ class RoundAccountant:
         return self.cluster.charge_dfs_roundtrip(nbytes,
                                                  label=self._label(label))
 
-    def _speculate(self):
-        """Speculation setting forwarded to every scheduled phase
-        (``DriverConfig.speculate``; ``None`` when off or configless)."""
-        spec = getattr(self.config, "speculate", False)
-        return spec if spec else None
+    def _speculate(self) -> bool:
+        """Whether every scheduled phase speculates
+        (``DriverConfig.speculate``; ``False`` when configless)."""
+        return self.config is not None and self.config.speculate
 
     def _phase_stats(self, result) -> float:
         ledger = self.ledger

@@ -31,54 +31,22 @@ from repro.cluster.costmodel import CostModel, EC2_DEFAULTS, ONLINE_STORE_MODEL
 from repro.cluster.node import SimNode, ec2_nodes
 from repro.cluster.trace import Event, Trace
 
-__all__ = ["PhaseResult", "SimCluster", "SpeculationConfig", "late_threshold"]
+__all__ = ["PhaseResult", "SimCluster", "SLOWDOWN_THRESHOLD", "late_threshold"]
 
 
-@dataclass(frozen=True)
-class SpeculationConfig:
-    """Tuning knobs for LATE-style speculative execution.
-
-    Shared by the real engine (:class:`~repro.engine.MapReduceRuntime`
-    races actual task attempts) and the simulated cluster
-    (:class:`SimCluster` schedules projected backups): a task is *late*
-    when its (projected) completion exceeds ``slowdown_threshold`` times
-    the phase's ``percentile`` completion estimate.
-    """
-
-    #: Late = completion > threshold x the percentile estimate.
-    slowdown_threshold: float = 1.5
-    #: Which percentile of observed completions estimates the phase
-    #: (0.5 = median, the LATE paper's robust choice).
-    percentile: float = 0.5
-    #: Engine only: no backups until this fraction of tasks finished
-    #: (the estimate is noise before that).
-    min_completed_fraction: float = 0.25
-    #: Engine only: seconds between progress checks of in-flight tasks.
-    check_interval: float = 0.02
-
-    def __post_init__(self) -> None:
-        if self.slowdown_threshold <= 1.0:
-            raise ValueError("slowdown_threshold must be > 1")
-        if self.percentile is None or not 0.0 < self.percentile <= 1.0:
-            raise ValueError("percentile must be in (0, 1]")
-        if not 0.0 <= self.min_completed_fraction <= 1.0:
-            raise ValueError("min_completed_fraction must be in [0, 1]")
-        if self.check_interval <= 0.0:
-            raise ValueError("check_interval must be > 0")
+#: LATE's cut: a task is late once its (projected) completion exceeds
+#: this many times the phase's median completion (Zaharia et al., OSDI
+#: 2008).  The simulator's backups and the engine's race read it alike.
+SLOWDOWN_THRESHOLD = 1.5
 
 
-def late_threshold(values: Sequence[float], *, slowdown_threshold: float,
-                   percentile: "float | None" = 0.5) -> float:
-    """The LATE cut-off: ``slowdown_threshold`` x a percentile estimate
-    of ``values`` (``percentile=None`` uses the mean)."""
+def late_threshold(values: Sequence[float]) -> float:
+    """The LATE cut-off: :data:`SLOWDOWN_THRESHOLD` x the median of
+    ``values`` (the upper median of an even count); 0.0 when empty."""
     vals = sorted(float(v) for v in values)
     if not vals:
         return 0.0
-    if percentile is None:
-        estimate = sum(vals) / len(vals)
-    else:
-        estimate = vals[min(len(vals) - 1, int(percentile * len(vals)))]
-    return slowdown_threshold * estimate
+    return SLOWDOWN_THRESHOLD * vals[len(vals) // 2]
 
 
 @dataclass(frozen=True)
@@ -219,24 +187,21 @@ class SimCluster:
     # ------------------------------------------------------------------
     def run_map_phase(self, task_costs: Sequence[float], *,
                       label: str = "map",
-                      speculate: "SpeculationConfig | bool | None" = None,
-                      ) -> PhaseResult:
+                      speculate: bool = False) -> PhaseResult:
         """Schedule map tasks (compute seconds each) onto map slots.
 
         The phase runs on :attr:`share` of the cluster's slots (at least
         one): inside :meth:`concurrently`, a branch holds only its part
-        while the other branches run on the rest.  ``speculate`` enables
-        LATE-style backup attempts for tasks whose projected completion
-        runs past the phase estimate (``True`` for defaults, or a
-        :class:`SpeculationConfig`).
+        while the other branches run on the rest.  ``speculate=True``
+        launches LATE-style backup attempts for tasks whose projected
+        completion runs past :func:`late_threshold` of the phase.
         """
         return self._run_phase(task_costs, kind="map", label=label,
                                speculate=speculate)
 
     def run_reduce_phase(self, task_costs: Sequence[float], *,
                          label: str = "reduce",
-                         speculate: "SpeculationConfig | bool | None" = None,
-                         ) -> PhaseResult:
+                         speculate: bool = False) -> PhaseResult:
         """Schedule reduce tasks onto reduce slots."""
         return self._run_phase(task_costs, kind="reduce", label=label,
                                speculate=speculate)
@@ -257,16 +222,10 @@ class SimCluster:
         return speed / self.stragglers.node_factor(node_id)
 
     def _run_phase(self, task_costs: Sequence[float], *, kind: str,
-                   label: str,
-                   speculate: "SpeculationConfig | bool | None" = None,
-                   ) -> PhaseResult:
+                   label: str, speculate: bool) -> PhaseResult:
         costs = [float(c) for c in task_costs]
         if any(c < 0 for c in costs):
             raise ValueError("task costs must be >= 0")
-        spec: "SpeculationConfig | None" = None
-        if speculate:
-            spec = (speculate if isinstance(speculate, SpeculationConfig)
-                    else SpeculationConfig())
         slots = self._slots(kind)
         if not slots:
             raise ValueError(f"cluster has no {kind} slots")
@@ -391,10 +350,10 @@ class SimCluster:
         # LATE projections assume the primary schedule survives; a fired
         # death already rewrote it, so the two mechanisms compose across
         # rounds (speculate in healthy rounds) rather than within one.
-        if spec is not None and len(costs) > 1 and not fired:
+        if speculate and len(costs) > 1 and not fired:
             backups, backups_won, wasted = self._speculate(
                 costs, completion, durations, kind=kind, label=label,
-                slots=slots, order=order, start_clock=start_clock, spec=spec)
+                slots=slots, order=order, start_clock=start_clock)
         makespan = max(completion) - start_clock
         self.clock = start_clock + makespan
         return PhaseResult(makespan=makespan,
@@ -406,21 +365,18 @@ class SimCluster:
 
     def _speculate(self, costs: "list[float]", completion: "list[float]",
                    durations: "list[float]", *,
-                   kind: str, label: str, slots, order, start_clock: float,
-                   spec: "SpeculationConfig") -> "tuple[int, int, float]":
+                   kind: str, label: str, slots, order,
+                   start_clock: float) -> "tuple[int, int, float]":
         """Launch backup attempts for late tasks; mutates ``completion``
         to first-result-wins and returns (backups, wins, wasted seconds).
         """
-        cut = late_threshold(
-            [c - start_clock for c in completion],
-            slowdown_threshold=spec.slowdown_threshold,
-            percentile=spec.percentile)
+        cut = late_threshold([c - start_clock for c in completion])
         threshold = start_clock + cut
         # LATE watches progress rates continuously, so a task projected
         # past the cut is *detected* as soon as the phase estimate
         # stabilises — one typical task time into the phase — not only
         # after the whole cut has elapsed.
-        detect = start_clock + cut / spec.slowdown_threshold
+        detect = start_clock + cut / SLOWDOWN_THRESHOLD
         late = [i for i, c in enumerate(completion) if c > threshold]
         if not late:
             return 0, 0, 0.0

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from repro.cluster.cluster import SpeculationConfig
 from repro.cluster.statestore import StateStore
 
 __all__ = ["DriverConfig", "GENERAL", "EAGER"]
@@ -79,15 +78,13 @@ class DriverConfig:
         surfacing as a modulo error deep in the accountant.
     speculate:
         Speculative re-execution of straggling tasks (Hadoop's backup
-        tasks, LATE-style).  ``False`` (default) disables; ``True``
-        enables with :class:`~repro.cluster.SpeculationConfig` defaults;
-        a :class:`~repro.cluster.SpeculationConfig` instance tunes the
-        threshold/percentile.  Every phase the accountant schedules
-        launches simulated backup copies of tasks projected past the
-        LATE threshold and takes the first result.  In an engine run the
-        flag prices those simulated backups only: ``EngineBackend``
-        hands it to no runtime, and real attempts race only under
-        ``MapReduceRuntime(speculate=...)``.
+        tasks, LATE-style): a bool, ``False`` by default.  With ``True``
+        every phase the accountant schedules launches simulated backup
+        copies of tasks projected past
+        :func:`~repro.cluster.late_threshold` and takes the first
+        result.  In an engine run the flag prices those simulated
+        backups only: ``EngineBackend`` hands it to no runtime, and real
+        attempts race only under ``MapReduceRuntime(speculate=True)``.
     """
 
     mode: str = "eager"
@@ -96,9 +93,7 @@ class DriverConfig:
     eager_schedule: bool = True
     state_store: "Union[str, StateStore, Callable[[], StateStore]]" = "dfs"
     checkpoint_every: "int | None" = 10
-    #: Speculative re-execution of stragglers: ``False`` / ``True`` /
-    #: a :class:`~repro.cluster.SpeculationConfig`.
-    speculate: "Union[bool, SpeculationConfig]" = False
+    speculate: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -126,11 +121,9 @@ class DriverConfig:
                     "checkpoint_every must be >= 1 "
                     "(pass checkpoint_every=None to disable checkpointing)"
                 )
-        if not isinstance(self.speculate, (bool, SpeculationConfig)):
+        if not isinstance(self.speculate, bool):
             raise ValueError(
-                f"speculate must be a bool or a SpeculationConfig, "
-                f"got {self.speculate!r}"
-            )
+                f"speculate must be a bool, got {self.speculate!r}")
 
     @property
     def effective_local_iters(self) -> int:

@@ -76,7 +76,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.cluster import SimCluster, SpeculationConfig, late_threshold
+from repro.cluster import SimCluster, late_threshold
 from repro.engine.columnar import ColumnarBlock
 from repro.engine.counters import (
     Counters,
@@ -112,6 +112,16 @@ __all__ = ["JobResult", "MapReduceRuntime", "JobFailedError", "MAX_ATTEMPTS"]
 _EXECUTORS = ("serial", "threads", "processes")
 #: Attempts per task before the job fails (Hadoop's default).
 MAX_ATTEMPTS = 4
+#: The LATE monitor launches no backup until this fraction of a phase's
+#: tasks has finished: before that the median is noise.
+MIN_COMPLETED_FRACTION = 0.25
+#: Seconds between the LATE monitor's checks of the running attempts.
+CHECK_INTERVAL = 0.02
+#: No running attempt is late before this many seconds, whatever the
+#: median: thread and process jitter on millisecond tasks exceeds 1.5x
+#: their median, and a backup of a healthy task is pure waste.  LATE's
+#: Hadoop waits a minute before it considers a task at all.
+LATE_FLOOR_SECONDS = 0.1
 
 
 class JobFailedError(RuntimeError):
@@ -247,13 +257,14 @@ class MapReduceRuntime:
         Minimum payload bytes before a payload rides shared memory;
         smaller ones stay on the pickle path.
     speculate:
-        LATE-style speculative re-execution (``True`` for defaults, or a
-        :class:`~repro.cluster.SpeculationConfig`).  Once enough tasks
-        of a phase have finished to estimate its completion percentile,
-        any in-flight task running past ``slowdown_threshold`` x that
-        estimate gets a *backup* attempt submitted to the pool; the
-        first attempt to finish wins and the loser is cancelled (or its
-        result — and any shared-memory segments it parked — discarded).
+        LATE-style speculative re-execution, a bool.  Once
+        :data:`MIN_COMPLETED_FRACTION` of a phase's tasks have finished,
+        any in-flight task running past
+        :func:`~repro.cluster.late_threshold` of their durations (and
+        past :data:`LATE_FLOOR_SECONDS`) gets a *backup* attempt
+        submitted to the pool; the first attempt to finish wins and the
+        loser is cancelled (or its result — and any shared-memory
+        segments it parked — discarded).
         Lateness is measured from when an attempt reached a worker
         (pools dispatch first-in first-out, so the oldest ``workers``
         in-flight attempts are the running ones) against the durations
@@ -289,7 +300,7 @@ class MapReduceRuntime:
         fault_plan: "FaultPlan | None" = None,
         shm_transport: "bool | None" = None,
         shm_min_bytes: int = SHM_MIN_BYTES,
-        speculate: "SpeculationConfig | bool | None" = None,
+        speculate: bool = False,
         node_faults: "NodeFaultPlan | None" = None,
     ) -> None:
         if executor not in _EXECUTORS:
@@ -303,11 +314,7 @@ class MapReduceRuntime:
             raise ValueError(
                 "node_faults needs a pool executor: the serial path has "
                 "no in-flight attempts for a node death to kill")
-        self.speculation: "SpeculationConfig | None" = None
-        if speculate:
-            self.speculation = (speculate
-                                if isinstance(speculate, SpeculationConfig)
-                                else SpeculationConfig())
+        self.speculate = bool(speculate)
         self.executor = executor
         self.workers = workers if workers is not None else os.cpu_count() or 1
         self.cluster = cluster
@@ -564,11 +571,12 @@ class MapReduceRuntime:
           the moment the failure is observed (no per-attempt barrier),
           until the task has failed :data:`MAX_ATTEMPTS` times;
         * **speculate** — the wait doubles as the LATE monitor: a
-          running attempt whose elapsed time exceeds
-          ``slowdown_threshold`` x the ``percentile`` of finished
-          attempts' durations gets one backup, and the first attempt to
-          succeed wins (the twin is cancelled if still queued, else its
-          result is discarded and its segments unlinked);
+          running attempt whose elapsed time exceeds both
+          :func:`~repro.cluster.late_threshold` of finished attempts'
+          durations and :data:`LATE_FLOOR_SECONDS` gets one backup, and
+          the first attempt to succeed wins (the twin is cancelled if
+          still queued, else its result is discarded and its segments
+          unlinked);
         * **replay** — with a ``deaths`` map (node ->
           :class:`NodeDeath`, map phase only) task ``i`` lives on
           notional node ``i % num_nodes``; once the completed count
@@ -586,7 +594,6 @@ class MapReduceRuntime:
         order.
         """
         tasks = [_TaskState() for _ in range(count)]
-        spec = self.speculation
         pool = self._acquire_pool()
         #: In-flight attempts, oldest submission first.
         futures: "dict[concurrent.futures.Future, Attempt]" = {}
@@ -656,11 +663,9 @@ class MapReduceRuntime:
                 if att.started is None:
                     att.started = now
             if not durations or completed < math.ceil(
-                    spec.min_completed_fraction * count):
+                    MIN_COMPLETED_FRACTION * count):
                 return
-            cut = late_threshold(durations,
-                                 slowdown_threshold=spec.slowdown_threshold,
-                                 percentile=spec.percentile)
+            cut = max(late_threshold(durations), LATE_FLOOR_SECONDS)
             for att in running:
                 task = tasks[att.task]
                 if (now - att.started > cut and att.kind != "backup"
@@ -677,14 +682,14 @@ class MapReduceRuntime:
                     fire_deaths()  # may spawn replays after the last result
                 if not futures:
                     break
-                if spec is not None:
+                if self.speculate:
                     launch_late_backups()
                 # Death triggers only advance when a completion arrives,
                 # and completions wake the wait — so no polling beyond
                 # the LATE monitor's.
                 done, _ = concurrent.futures.wait(
                     futures,
-                    timeout=spec.check_interval if spec is not None else None,
+                    timeout=CHECK_INTERVAL if self.speculate else None,
                     return_when=concurrent.futures.FIRST_COMPLETED)
                 woke = time.monotonic()
                 for fut in done:

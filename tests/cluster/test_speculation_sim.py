@@ -10,44 +10,24 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import SimCluster, SpeculationConfig, ec2_nodes, late_threshold
+from repro.cluster import SimCluster, ZERO_COST, ec2_nodes, late_threshold
 from repro.engine import StragglerPlan
 
 
 class TestLateThreshold:
-    def test_median_default(self):
+    def test_median(self):
         # sorted [1..5] -> median 3 -> cut 1.5 * 3
-        assert late_threshold([5, 1, 3, 2, 4],
-                              slowdown_threshold=1.5) == pytest.approx(4.5)
+        assert late_threshold([5, 1, 3, 2, 4]) == pytest.approx(4.5)
 
-    def test_mean_when_percentile_none(self):
-        assert late_threshold([1.0, 3.0], slowdown_threshold=2.0,
-                              percentile=None) == pytest.approx(4.0)
-
-    def test_high_percentile(self):
-        assert late_threshold([1.0, 1.0, 1.0, 10.0], slowdown_threshold=1.5,
-                              percentile=1.0) == pytest.approx(15.0)
+    def test_upper_median_of_an_even_count(self):
+        assert late_threshold([4, 1, 3, 2]) == pytest.approx(4.5)
+        # the index the percentile form took at 0.5, for every length
+        for n in range(1, 12):
+            values = [float((7 * i) % 11) for i in range(n)]
+            assert late_threshold(values) == 1.5 * sorted(values)[int(0.5 * n)]
 
     def test_empty_is_zero(self):
-        assert late_threshold([], slowdown_threshold=1.5) == 0.0
-
-
-class TestSpeculationConfig:
-    def test_defaults_validate(self):
-        cfg = SpeculationConfig()
-        assert cfg.slowdown_threshold > 1.0
-
-    @pytest.mark.parametrize("kwargs", [
-        {"slowdown_threshold": 1.0},
-        {"percentile": 0.0},
-        {"percentile": 1.5},
-        {"percentile": None},  # the mean is late_threshold's alone
-        {"min_completed_fraction": -0.1},
-        {"check_interval": 0.0},
-    ])
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            SpeculationConfig(**kwargs)
+        assert late_threshold([]) == 0.0
 
 
 class TestStragglerPlan:
@@ -115,6 +95,21 @@ class TestStragglerScheduling:
         spec = _slow_node_cluster().run_reduce_phase([2.0] * 8,
                                                      speculate=True)
         assert spec.makespan <= plain.makespan
+
+    def test_simulated_milliseconds_have_no_floor(self):
+        """The engine's wall-clock floor is not the simulator's: a phase
+        of 1 ms tasks speculates exactly like the same phase in
+        seconds."""
+        def phase(cost):
+            return SimCluster(
+                nodes=ec2_nodes(4), cost_model=ZERO_COST,
+                stragglers=StragglerPlan(node_slowdown={0: 4.0}),
+            ).run_map_phase([cost] * 32, speculate=True)
+
+        seconds, millis = phase(1.0), phase(0.001)
+        assert millis.backups == seconds.backups >= 1
+        assert millis.backups_won == seconds.backups_won
+        assert millis.makespan == pytest.approx(seconds.makespan * 1e-3)
 
     def test_deterministic_replay(self):
         a = _slow_node_cluster().run_map_phase([1.0] * 32, speculate=True)

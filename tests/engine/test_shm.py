@@ -45,7 +45,6 @@ from repro.engine import (
     run_reduce_task,
 )
 from repro.engine import shm
-from repro.cluster import SpeculationConfig
 from repro.engine.columnar import group_columnar
 from repro.engine.runtime import MAX_ATTEMPTS
 from repro.engine.counters import (
@@ -395,12 +394,6 @@ class TestSpeculativeCancellation:
     loses — cancelled in the queue, or completed and discarded — must
     leave /dev/shm exactly as a speculation-free run would."""
 
-    #: Aggressive LATE knobs so a stalled task is backed up within a few
-    #: check intervals of the fast siblings finishing.
-    SPEC = SpeculationConfig(slowdown_threshold=1.05, percentile=0.5,
-                             min_completed_fraction=0.25,
-                             check_interval=0.01)
-
     def test_losing_twin_segments_swept(self):
         """One map task stalls; its unstalled backup wins, and the
         stalled primary completes later into the discard path."""
@@ -409,7 +402,7 @@ class TestSpeculativeCancellation:
         plan = FaultPlan(stalls={("map", 1): 0.6})
         with MapReduceRuntime("processes", workers=3, fault_plan=plan,
                               shm_min_bytes=1024,
-                              speculate=self.SPEC) as rt:
+                              speculate=True) as rt:
             res = rt.run(Job(_emit_block_map, "sum", combine_fn="sum",
                              conf=JobConf(num_reducers=3)), splits)
             assert res.counters.get(SPECULATIVE_BACKUPS) >= 1
@@ -430,7 +423,7 @@ class TestSpeculativeCancellation:
                          stalls={("map", 1): 0.8})
         with MapReduceRuntime("processes", workers=3, fault_plan=plan,
                               shm_min_bytes=1024,
-                              speculate=self.SPEC) as rt:
+                              speculate=True) as rt:
             with pytest.raises(JobFailedError):
                 rt.run(Job(_emit_block_map, "sum", combine_fn="sum",
                            conf=JobConf(num_reducers=3)),
@@ -444,10 +437,6 @@ class TestNodeDeathSweep:
     domain — primaries, LATE backups, and completed outputs alike — and
     the lineage replay must leave /dev/shm exactly as a failure-free
     run would, with the output bit for bit identical."""
-
-    SPEC = SpeculationConfig(slowdown_threshold=1.05, percentile=0.5,
-                             min_completed_fraction=0.25,
-                             check_interval=0.01)
 
     def _oracle(self, splits, num_reducers=3):
         with MapReduceRuntime("serial") as rt:
@@ -466,7 +455,7 @@ class TestNodeDeathSweep:
         plan = NodeFaultPlan.kill_node(1, after_completions=1, num_nodes=4)
         with MapReduceRuntime("processes", workers=3, fault_plan=stall,
                               node_faults=plan, shm_min_bytes=1024,
-                              speculate=self.SPEC) as rt:
+                              speculate=True) as rt:
             res = rt.run(Job(_emit_block_map, "sum", combine_fn="sum",
                              conf=JobConf(num_reducers=3)), splits)
             assert run_segments() == []
@@ -502,7 +491,7 @@ class TestNodeDeathSweep:
         plan = NodeFaultPlan.kill_rack(0, after_completions=2,
                                        num_nodes=4, nodes_per_rack=2)
         with MapReduceRuntime("processes", workers=3, node_faults=plan,
-                              shm_min_bytes=1024, speculate=self.SPEC) as rt:
+                              shm_min_bytes=1024, speculate=True) as rt:
             res = rt.run(Job(_emit_block_map, "sum", combine_fn="sum",
                              conf=JobConf(num_reducers=3)), splits)
             assert run_segments() == []
@@ -559,12 +548,9 @@ class TestOneDriver:
         script = {1: (0.6, False), 2: (0.25, True), 3: (0.6, False)}
         splits = [[(m, (*value, *script.get(m, (0.0, False))))]
                   for [(m, value)] in _splits(num_splits=6)]
-        spec = SpeculationConfig(slowdown_threshold=1.05, percentile=0.5,
-                                 min_completed_fraction=0.25,
-                                 check_interval=0.01)
         before = _live_segments()
         with MapReduceRuntime(
-                "processes", workers=8, shm_min_bytes=1024, speculate=spec,
+                "processes", workers=8, shm_min_bytes=1024, speculate=True,
                 node_faults=NodeFaultPlan.kill_node(
                     3, after_completions=1, num_nodes=6)) as rt:
             swept = []
@@ -1092,9 +1078,6 @@ class TestSplitSegment:
 
     JOB = Job(_emit_block_map, "sum", combine_fn="sum",
               conf=JobConf(num_reducers=3))
-    SPEC = SpeculationConfig(slowdown_threshold=1.05, percentile=0.5,
-                             min_completed_fraction=0.25,
-                             check_interval=0.01)
 
     def _oracle(self, job, splits):
         with MapReduceRuntime("serial") as rt:
@@ -1182,7 +1165,7 @@ class TestSplitSegment:
                       {}, 1),
             "backup": (self.JOB, {
                 "fault_plan": FaultPlan(stalls={("map", 1): 0.6}),
-                "speculate": self.SPEC}, 1),
+                "speculate": True}, 1),
             "replay": (self.JOB, {"node_faults": NodeFaultPlan.kill_node(
                 0, after_completions=3, num_nodes=4)}, 0),
         }[case]

@@ -14,17 +14,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster import SpeculationConfig
 from repro.engine import FaultPlan, Job, JobConf, MapReduceRuntime
 from repro.engine.counters import (
     SPECULATIVE_BACKUPS,
     SPECULATIVE_WASTED_TASKS,
     SPECULATIVE_WINS,
 )
-
-AGGRESSIVE = SpeculationConfig(slowdown_threshold=1.05, percentile=0.5,
-                               min_completed_fraction=0.25,
-                               check_interval=0.01)
 
 
 def _obj_map(key, value, ctx):
@@ -55,7 +50,7 @@ def _col_splits(num=4, n=2000, seed=9):
             for m in range(num)]
 
 
-def _run(splits, map_fn, *, executor="threads", speculate=None,
+def _run(splits, map_fn, *, executor="threads", speculate=False,
          fault_plan=None, **conf):
     with MapReduceRuntime(executor, workers=3, speculate=speculate,
                           fault_plan=fault_plan or FaultPlan.none()) as rt:
@@ -67,7 +62,7 @@ class TestRacingParity:
     def test_backup_wins_and_output_is_oracle_identical_object_path(self):
         splits = _obj_splits()
         stalled = FaultPlan(stalls={("map", 2): 0.5})
-        spec = _run(splits, _obj_map, speculate=AGGRESSIVE,
+        spec = _run(splits, _obj_map, speculate=True,
                     fault_plan=stalled)
         oracle = _run(splits, _obj_map)
         assert spec.output == oracle.output
@@ -79,7 +74,7 @@ class TestRacingParity:
         splits = _col_splits()
         stalled = FaultPlan(stalls={("map", 1): 0.5})
         spec = _run(splits, _col_map, executor="processes",
-                    speculate=AGGRESSIVE, fault_plan=stalled)
+                    speculate=True, fault_plan=stalled)
         oracle = _run(splits, _col_map, executor="serial")
         assert spec.output == oracle.output
         assert spec.counters.get(SPECULATIVE_BACKUPS) >= 1
@@ -87,19 +82,30 @@ class TestRacingParity:
     def test_reduce_phase_races_too(self):
         splits = _col_splits()
         stalled = FaultPlan(stalls={("reduce", 0): 0.4})
-        spec = _run(splits, _col_map, speculate=AGGRESSIVE,
+        spec = _run(splits, _col_map, speculate=True,
                     fault_plan=stalled)
         oracle = _run(splits, _col_map)
         assert spec.output == oracle.output
         assert spec.counters.get(SPECULATIVE_BACKUPS) >= 1
 
-    def test_no_stragglers_no_backups(self):
-        """A healthy run under a *sane* threshold launches no backups."""
-        res = _run(_col_splits(), _col_map,
-                   speculate=SpeculationConfig(slowdown_threshold=50.0,
-                                               check_interval=0.01))
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    def test_no_stragglers_no_backups(self, executor):
+        """Healthy millisecond tasks jitter past 1.5x their median; the
+        LATE floor keeps them from being backed up."""
+        res = _run(_col_splits(), _col_map, executor=executor,
+                   speculate=True)
         assert res.counters.get(SPECULATIVE_BACKUPS) == 0
         assert res.output == _run(_col_splits(), _col_map).output
+
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    def test_skew_below_the_floor_launches_no_backup(self, executor):
+        """A 40 ms task among 10 ms ones runs 4x their median but stays
+        under LATE_FLOOR_SECONDS: it is not late, and a backup launched
+        once it looked late could not finish first."""
+        splits = [[(0, 0.04)]] + [[(m, 0.01)] for m in range(1, 6)]
+        res = _run(splits, _sleepy_map, executor=executor, speculate=True)
+        assert res.counters.get(SPECULATIVE_BACKUPS) == 0
+        assert sorted(res.output) == [(m, 1.0) for m in range(6)]
 
 
 class TestQueueWaitIsNotLateness:
@@ -109,16 +115,11 @@ class TestQueueWaitIsNotLateness:
         the phase *queued*.  Lateness counts from when an attempt
         reached a worker, so with no straggler nothing is backed up."""
         splits = [[(m, 0.05)] for m in range(12)]
-        # 3x the fastest attempt is a 150 ms cut: a worker descheduled
-        # on a busy 2-vCPU box has 100 ms of slack (25 ms under the
-        # default 1.5x median), and the later waves spend 150-250 ms
-        # *queued*, so counting queue wait as lateness still launches
-        # backups here.  The low percentile keeps that true when the
-        # queue wait also inflates the finished attempts' durations
-        # (it did, before the fix): their median grows wave by wave and
-        # 3x of it is never exceeded, the fastest stays at 50 ms.
-        spec = SpeculationConfig(slowdown_threshold=3.0, percentile=0.1)
-        with MapReduceRuntime(executor, workers=2, speculate=spec) as rt:
+        # The cut is the 100 ms floor (1.5x the median is 75 ms), so a
+        # running task has 50 ms of slack, while the later waves spend
+        # 150-250 ms *queued*: counting queue wait as lateness would
+        # launch backups here.
+        with MapReduceRuntime(executor, workers=2, speculate=True) as rt:
             res = rt.run(Job(_sleepy_map, "sum",
                              conf=JobConf(num_reducers=1)), splits)
         assert res.counters.get(SPECULATIVE_BACKUPS) == 0
@@ -134,23 +135,23 @@ class TestRacingWithRetries:
         splits = _obj_splits()
         plan = FaultPlan(scripted={("map", 2): 1},
                          stalls={("map", 3): 0.5})
-        spec = _run(splits, _obj_map, speculate=AGGRESSIVE,
+        spec = _run(splits, _obj_map, speculate=True,
                     fault_plan=plan)
         oracle = _run(splits, _obj_map)
         assert spec.output == oracle.output
 
     def test_speculation_off_by_default(self):
         with MapReduceRuntime("threads", workers=2) as rt:
-            assert rt.speculation is None
+            assert rt.speculate is False
 
     def test_bool_enables_defaults(self):
         with MapReduceRuntime("threads", workers=2, speculate=True) as rt:
-            assert isinstance(rt.speculation, SpeculationConfig)
+            assert rt.speculate is True
 
     def test_serial_executor_rejects_speculation(self):
         """No pool, no race: serial runs ignore/refuse speculation
         rather than deadlocking the monitor loop."""
-        with MapReduceRuntime("serial", speculate=AGGRESSIVE) as rt:
+        with MapReduceRuntime("serial", speculate=True) as rt:
             res = rt.run(Job(_obj_map, "sum",
                              conf=JobConf(num_reducers=2)), _obj_splits(2))
         assert res.counters.get(SPECULATIVE_BACKUPS) == 0

@@ -14,6 +14,7 @@ import inspect
 import pytest
 
 import repro.apps
+import repro.cluster
 import repro.core
 
 from repro.apps import (
@@ -30,6 +31,7 @@ from repro.cluster import (
     RoundAccountant,
     SimCluster,
     StateStore,
+    late_threshold,
 )
 from repro.core import (
     AdaptiveSyncPolicy,
@@ -100,10 +102,16 @@ KEYWORDS = [
     (OnlineStateStore, "cost_model"),
     (Session, "runtime"),
     (multilevel_partition, "balance_tol"),
+    (late_threshold, "slowdown_threshold"),
+    (late_threshold, "percentile"),
 ]
 
 #: Names ``repro.core`` no longer exports.
 EXPORTS = ["SessionScheduler", "HierarchyConfig"]
+
+#: Names ``repro.cluster`` no longer exports: speculation is a bool, and
+#: LATE's policy is constants beside the code that reads them.
+CLUSTER_EXPORTS = ["SpeculationConfig"]
 
 #: Names ``repro.apps`` no longer exports: the immediate runners and
 #: their result wrappers (each app is its ``*_spec`` description, run
@@ -140,6 +148,12 @@ def test_keyword_is_gone(case):
 @pytest.mark.parametrize("name", EXPORTS)
 def test_core_export_is_gone(name):
     assert not hasattr(repro.core, name)  # ``from repro.core import`` fails
+
+
+@pytest.mark.parametrize("name", CLUSTER_EXPORTS)
+def test_cluster_export_is_gone(name):
+    assert not hasattr(repro.cluster, name)
+    assert name not in repro.cluster.__all__
 
 
 @pytest.mark.parametrize("name", APP_EXPORTS)
